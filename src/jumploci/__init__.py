@@ -15,12 +15,7 @@ and Smith-normal-form lattice arithmetic.
 
 from .complexes import FreeComplex, Matrix, generic_rank, minor_generators
 from .errors import InputError, ResourceError
-from .groebner import (
-    LaurentIdeal,
-    codimension,
-    radical_membership,
-    variety_containment,
-)
+from .groebner import LaurentIdeal, variety_containment
 from .lattices import (
     LinearComponent,
     LinearUnion,
@@ -31,9 +26,7 @@ from .lattices import (
 from .laurent import LaurentPoly, RingContext, TorsionPoint, format_poly, parse_poly
 from .loci import (
     depth_bounds,
-    euler_characteristic,
     is_whole_space,
-    jump_locus_ideal,
     membership_at_point,
     propagation_check,
     radical_equality_pairs,
@@ -62,13 +55,10 @@ __all__ = [
     "TorsionPoint",
     "check_lower",
     "check_upper",
-    "codimension",
     "depth_bounds",
-    "euler_characteristic",
     "format_poly",
     "generic_rank",
     "is_whole_space",
-    "jump_locus_ideal",
     "kernel_basis",
     "membership_at_point",
     "minor_generators",
@@ -76,7 +66,6 @@ __all__ = [
     "perversity_verdict",
     "propagation_check",
     "radical_equality_pairs",
-    "radical_membership",
     "saturate_lattice",
     "smith_normal_form",
     "survival_interval",

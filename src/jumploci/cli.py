@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,17 +51,35 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc: dict, as_json: bool) -> None:
     text = serialize.render_json(doc) if as_json else serialize.render_text(doc)
     sys.stdout.write(text)
 
 
-def _parse_degree_range(text: str) -> list[int]:
+def _degrees(args, cx) -> list[int]:
+    """The --degrees range a..b, or every degree of the complex."""
+    if not args.degrees:
+        return list(cx.degrees())
     try:
-        lo, hi = text.split("..")
+        lo, hi = args.degrees.split("..")
         return list(range(int(lo), int(hi) + 1))
     except ValueError as exc:
-        raise InputError(f"malformed degree range {text!r}, expected a..b") from exc
+        raise InputError(f"malformed degree range {args.degrees!r}, expected a..b") from exc
+
+
+def _parse_list(text: str, kind) -> list:
+    """A comma-separated fixture parameter such as --lam 2,1/3."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed list {text!r}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -81,19 +98,7 @@ def cmd_validate(args) -> int:
 
 def cmd_jump_ideals(args) -> int:
     cx = serialize.load_complex(_read(args.complex))
-    degrees = (
-        _parse_degree_range(args.degrees)
-        if args.degrees
-        else list(range(cx.k_min, cx.k_max + 1))
-    )
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            entries = list(
-                pool.map(lambda d: serialize.ideal_entry(d, cx.jumping_ideal(d)), degrees)
-            )
-    else:
-        entries = [serialize.ideal_entry(d, cx.jumping_ideal(d)) for d in degrees]
-    _emit({"report": "jump-ideals", "degrees": entries}, args.json)
+    _emit(serialize.jump_ideal_report(cx, _degrees(args, cx)), args.json)
     return EXIT_PASS
 
 
@@ -143,12 +148,7 @@ def cmd_codims(args) -> int:
 def cmd_sample(args) -> int:
     cx = serialize.load_complex(_read(args.complex))
     points = serialize.parse_points_file(_read(args.points), cx.context)
-    degrees = (
-        _parse_degree_range(args.degrees)
-        if args.degrees
-        else list(range(cx.k_min, cx.k_max + 1))
-    )
-    _emit(serialize.sample_report(cx, points, degrees), args.json)
+    _emit(serialize.sample_report(cx, points, _degrees(args, cx)), args.json)
     return EXIT_PASS
 
 
@@ -159,18 +159,18 @@ def _build_fixture(args):
     if name == "free":
         return free_module_fixture(args.m, args.rank)
     if name == "twist":
-        lams = [Fraction(v) for v in args.lam.split(",")]
-        return twist_fixture(mellin_constant_torus(args.m), lams)
+        if not args.lam:
+            raise InputError("the twist fixture needs --lam")
+        return twist_fixture(mellin_constant_torus(args.m), _parse_list(args.lam, Fraction))
     if name == "induce":
-        n = [int(v) for v in args.n.split(",")]
-        return induce_fixture(mellin_constant_torus(args.m), n)
+        return induce_fixture(mellin_constant_torus(args.m), _parse_list(args.n, int))
     if name == "tensor":
         return tensor_fixture(
             mellin_constant_torus(args.m), renamed_torus_fixture(args.m2, args.m)
         )
     if name == "sum":
         base = mellin_constant_torus(args.m)
-        lams = [Fraction(v) for v in args.lam.split(",")] if args.lam else [Fraction(2)] * args.m
+        lams = _parse_list(args.lam, Fraction) if args.lam else [Fraction(2)] * args.m
         return sum_fixture(base, twist_fixture(base, lams))
     if name == "shift":
         return shift_fixture(mellin_constant_torus(args.m), args.s)
@@ -182,9 +182,9 @@ def cmd_fixtures(args) -> int:
     complex_text = serialize.dump_complex(fixture.complex)
     loci_text = serialize.dump_loci(fixture.profile)
     if args.complex_out:
-        Path(args.complex_out).write_text(complex_text)
+        _write(args.complex_out, complex_text)
     if args.loci_out:
-        Path(args.loci_out).write_text(loci_text)
+        _write(args.loci_out, loci_text)
     if not args.complex_out and not args.loci_out:
         sys.stdout.write(complex_text)
         sys.stdout.write(loci_text)
@@ -203,12 +203,6 @@ def cmd_fixtures(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON reports")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="opt-in parallelism for per-degree computations",
-    )
     parser = argparse.ArgumentParser(
         prog="jumploci",
         description="Exact perversity certification for free complexes over "

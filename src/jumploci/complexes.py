@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import InputError, ResourceError
-from .groebner import LaurentIdeal, laurent_to_poly
+from .groebner import LEX, LaurentIdeal, _normalize, laurent_to_poly
 from .laurent import LaurentPoly, RingContext, TorsionPoint
 
 MAX_MINOR_SIZE = 5
@@ -264,31 +264,11 @@ def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly] | None:
     return gens
 
 
-def determinantal_ideal(matrix: Matrix, k: int) -> LaurentIdeal:
-    """The ideal of k x k minors, with the conventions that the 0-th
-    determinantal ideal is the unit ideal and sizes beyond a dimension give
-    the zero ideal."""
-    gens = minor_generators(matrix, k)
-    if gens is None:
-        gens = [matrix.context.one()]
-    return LaurentIdeal(matrix.context, gens)
-
-
 def unit_normalize(p: LaurentPoly) -> LaurentPoly:
     """Canonical representative of p up to units: monomial factors stripped,
     integer coprime coefficients, positive coefficient on the lex-leading
     term.  Used to deduplicate ideal generators."""
-    if p.is_zero():
-        return p
-    poly = laurent_to_poly(p)
-    import math as _math
-
-    den = _math.lcm(*(c.denominator for c in poly.values()))
-    num = _math.gcd(*(c.numerator for c in poly.values()))
-    scale = Fraction(den, num)
-    if poly[max(poly)] < 0:
-        scale = -scale
-    return LaurentPoly(p.context, {e: c * scale for e, c in poly.items()})
+    return LaurentPoly(p.context, _normalize(laurent_to_poly(p), LEX))
 
 
 def _product_of_generator_lists(a, b, context) -> list[LaurentPoly] | None:

@@ -22,12 +22,12 @@ zero are flagged invalid and must be rejected by validation gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
 
-from .complexes import FreeComplex, Matrix
+from .complexes import FreeComplex, Matrix, _tensor_var_map
 from .errors import InputError
 from .lattices import LinearComponent, LinearUnion
 from .laurent import LaurentPoly, RingContext, TorsionPoint
@@ -40,9 +40,6 @@ class Fixture:
     complex: FreeComplex
     profile: LociProfile
     expected_verdict: str  # "perverse" | "upper-only" | "lower-only" | "neither"
-
-    def with_name(self, name: str) -> "Fixture":
-        return replace(self, name=name)
 
 
 def koszul(generators: Sequence[LaurentPoly], top: int = 0) -> FreeComplex:
@@ -79,16 +76,6 @@ def koszul(generators: Sequence[LaurentPoly], top: int = 0) -> FreeComplex:
     return complex_.shift(top) if top else complex_
 
 
-def _identity_component(ctx: RingContext) -> LinearComponent:
-    n = ctx.num_vars
-    full = [[int(i == j) for j in range(n)] for i in range(n)]
-    return LinearComponent(ctx, ctx.identity_point(), full, presaturated=True)
-
-
-def _point_union(point: TorsionPoint) -> LinearUnion:
-    return LinearUnion.single_point(point)
-
-
 def mellin_constant_torus(m: int) -> Fixture:
     """The constant-object fixture on an m-torus: Koszul complex on the
     t_i - 1 with loci {identity} in degrees [-m, 0] and empty elsewhere."""
@@ -97,7 +84,7 @@ def mellin_constant_torus(m: int) -> Fixture:
     ctx = RingContext.torus(m)
     gens = [ctx.variable(i) - 1 for i in range(m)]
     cx = koszul(gens, top=0)
-    ident = _point_union(ctx.identity_point())
+    ident = LinearUnion.single_point(ctx.identity_point())
     profile = LociProfile(
         ctx,
         {i: ident for i in range(-m, 1)},
@@ -145,8 +132,8 @@ def tensor_fixture(a: Fixture, b: Fixture, name: str | None = None) -> Fixture:
     cx = a.complex.external_tensor(b.complex)
     ctx = cx.context
     ctx_a, ctx_b = a.complex.context, b.complex.context
-    map_a = _tensor_map(ctx_a, ctx_b, True)
-    map_b = _tensor_map(ctx_a, ctx_b, False)
+    map_a = _tensor_var_map(ctx_a, ctx_b, first_factor=True)
+    map_b = _tensor_var_map(ctx_a, ctx_b, first_factor=False)
     loci: dict[int, LinearUnion] = {}
     for da, ua in a.profile.loci.items():
         for db, ub in b.profile.loci.items():
@@ -275,15 +262,6 @@ def mutate_scale_entry(base: Fixture, degree: int, row: int, col: int, factor) -
     )
 
 
-def _tensor_map(ctx_a: RingContext, ctx_b: RingContext, first: bool) -> list[int]:
-    ma, mb = ctx_a.torus_rank, ctx_b.torus_rank
-    if first:
-        return list(range(ma)) + [ma + mb + k for k in range(2 * ctx_a.abelian_rank)]
-    return [ma + k for k in range(mb)] + [
-        ma + mb + 2 * ctx_a.abelian_rank + k for k in range(2 * ctx_b.abelian_rank)
-    ]
-
-
 def _embed_row(row: Sequence[int], var_map: Sequence[int], width: int) -> list[int]:
     out = [0] * width
     for i, v in enumerate(row):
@@ -299,7 +277,7 @@ def renamed_torus_fixture(m: int, offset: int) -> Fixture:
     cx = koszul(gens, top=0)
     profile = LociProfile(
         ctx,
-        {i: _point_union(ctx.identity_point()) for i in range(-m, 1)},
+        {i: LinearUnion.single_point(ctx.identity_point()) for i in range(-m, 1)},
         source=cx,
         euler=0,
     )
@@ -311,7 +289,7 @@ def abelian_point_profile(g: int, span: int) -> LociProfile:
     degrees [-span, span].  Valid (perverse) iff span <= g; the point has
     abelian and semi-abelian codimension g."""
     ctx = RingContext.abelian(g)
-    ident = _point_union(ctx.identity_point())
+    ident = LinearUnion.single_point(ctx.identity_point())
     return LociProfile(ctx, {i: ident for i in range(-span, span + 1)}, euler=0)
 
 

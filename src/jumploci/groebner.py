@@ -17,8 +17,8 @@ The engine is Buchberger's algorithm with the sugar selection strategy and
 the coprime-lead-monomial criterion, over content-free integer coefficient
 vectors.  Computations abort with ResourceError once the configured S-pair
 budget is exhausted (default 200000, overridable per call or through the
-JUMPLOCI_SPAIR_BUDGET environment variable), so blow-ups fail loudly
-instead of hanging.
+JUMPLOCI_SPAIR_BUDGET environment variable).  The budget counts S-pairs,
+not time, so it does not bound the run time of a slow reduction.
 
 Internally polynomials are raw dicts {exponent tuple: Fraction} with
 nonnegative exponents; the number of variables travels alongside because
@@ -254,10 +254,6 @@ def laurent_to_poly(p: LaurentPoly) -> Poly:
     }
 
 
-def poly_to_laurent(context: RingContext, p: Poly) -> LaurentPoly:
-    return LaurentPoly(context, p)
-
-
 def _pad(p: Poly, extra: int) -> Poly:
     return {exp + (0,) * extra: c for exp, c in p.items()}
 
@@ -329,7 +325,7 @@ class LaurentIdeal:
             if _contains_nonzero_constant(basis):
                 basis = [{(0,) * self.context.num_vars: Fraction(1)}]
             self._bases[ord_obj.tag] = basis
-        return tuple(poly_to_laurent(self.context, g) for g in basis)
+        return tuple(LaurentPoly(self.context, g) for g in basis)
 
     def is_unit_ideal(self, budget=None) -> bool:
         basis = self.groebner_basis("grevlex", budget)
@@ -398,14 +394,6 @@ def dict_sub_one_minus_z_times(fpoly: Poly, n: int) -> Poly:
     return rel
 
 
-def radical_membership(f: LaurentPoly, ideal: LaurentIdeal, budget=None) -> bool:
-    return ideal.radical_contains(f, budget)
-
-
-def codimension(ideal: LaurentIdeal, budget=None):
-    return ideal.codimension(budget)
-
-
 def variety_containment(inner: LaurentIdeal, outer: LaurentIdeal, budget=None) -> bool:
     """Decide V(inner) <= V(outer): every generator of ``outer`` must lie in
     the radical of ``inner``."""
@@ -422,4 +410,4 @@ def reduce_against_saturation(
     ord_obj = order if isinstance(order, MonomialOrder) else order_from_tag(order)
     basis = [laurent_to_poly(g) for g in ideal.groebner_basis(ord_obj, budget)]
     nf = _reduce(laurent_to_poly(f), basis, ord_obj)
-    return poly_to_laurent(ideal.context, nf)
+    return LaurentPoly(ideal.context, nf)

@@ -209,29 +209,10 @@ def hermite_normal_form(rows: Sequence[Sequence[int]], width: int) -> list[list[
 
 
 def saturate_lattice(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Basis (HNF) of the saturation (span_Q(rows) intersect Z^width).
-
-    With U*A*V = D, the first r rows of V^-1 = the first r rows of U*A*V^-1
-    ... more directly: A = U^-1 D V^-1, so span_Q(A) = span_Q of the first r
-    rows of V^-1, which form a saturated basis since V is unimodular.  Here
-    V^-1 is recovered by inverting the accumulated column operations, which
-    is cheapest to do by running the form on the transpose; instead we use
-    the kernel trick: the saturation is the annihilator of the kernel of
-    A^T, computed through two Smith forms.
-    """
+    """Basis (HNF) of the saturation (span_Q(rows) intersect Z^width): the
+    annihilator of the kernel."""
     rows = [list(map(int, r)) for r in rows if any(r)]
-    if not rows:
-        return []
-    if width <= 0:
-        raise InputError("lattice ambient rank must be positive")
-    # Kernel of the linear map x -> A x (columns = width), i.e. integer
-    # vectors orthogonal to every row: kernel_basis of the row matrix.
-    ker = kernel_basis(rows, width)
-    if not ker:
-        # Full rank: saturation is all of Z^width.
-        return [[int(i == j) for j in range(width)] for i in range(width)]
-    # Saturation = { v : v . k = 0 for all k in ker } = kernel of ker-matrix.
-    return hermite_normal_form(kernel_basis(ker, width), width)
+    return kernel_basis(kernel_basis(rows, width), width)
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
@@ -425,13 +406,6 @@ class LinearUnion:
         dim_sa = max((m + g) - c.codims()[2] for c in self.components)
         return CodimStats(codim_a, codim_sa, dim_a, dim_sa)
 
-    def plain_codimension(self):
-        """min over components of rank K (codimension inside the character
-        torus); +infinity for the empty union."""
-        if not self.components:
-            return math.inf
-        return min(c.rank for c in self.components)
-
     def union_with(self, other: "LinearUnion") -> "LinearUnion":
         if self.context != other.context:
             raise InputError("ring context mismatch")
@@ -439,17 +413,6 @@ class LinearUnion:
 
     def __repr__(self) -> str:
         return f"LinearUnion({len(self.components)} components)"
-
-
-def component_containment(inner: LinearComponent, outer: LinearComponent) -> bool:
-    """Whether ``inner`` is contained in ``outer``: the annihilator of the
-    outer component must sit inside the inner one, and the outer characters
-    must kill the translate offset."""
-    return outer.contains(inner)
-
-
-def union_codims(union: LinearUnion) -> CodimStats:
-    return union.codim_stats()
 
 
 def subtorus_point(

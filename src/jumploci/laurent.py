@@ -253,15 +253,6 @@ class LaurentPoly:
         """Terms in descending lexicographic order of exponent vectors."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
-    def exponent_span(self) -> tuple[tuple[int, int], ...]:
-        """Per-variable (min, max) exponent over all terms; (0, 0) if zero."""
-        n = self.context.num_vars
-        if not self.terms:
-            return ((0, 0),) * n
-        lo = [min(e[i] for e in self.terms) for i in range(n)]
-        hi = [max(e[i] for e in self.terms) for i in range(n)]
-        return tuple(zip(lo, hi))
-
     # -- semantics ------------------------------------------------------------
 
     def evaluate(self, point: "TorsionPoint") -> Cyclotomic:
@@ -476,7 +467,10 @@ def parse_poly(context: RingContext, text: str) -> LaurentPoly:
             if tok is None:
                 break
             if re.fullmatch(r"\d+(/\d+)?", tok):
-                coeff *= Fraction(tok)
+                try:
+                    coeff *= Fraction(tok)
+                except ZeroDivisionError as exc:
+                    raise InputError(f"zero denominator in coefficient {tok!r}") from exc
                 pos += 1
                 saw_factor = True
             elif tok in var_index:

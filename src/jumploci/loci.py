@@ -23,20 +23,13 @@ of points, and the result is then labeled "sampled" instead of "exact".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cyclotomic import field_rank
 from .errors import InputError, ResourceError
 from .groebner import LaurentIdeal, variety_containment
 from .complexes import FreeComplex
 from .laurent import TorsionPoint
-
-
-def jump_locus_ideal(complex_: FreeComplex, degree: int) -> LaurentIdeal:
-    """The jumping ideal of the degree; its vanishing locus inside the
-    character torus is the degree's jump locus.  The returned ideal carries
-    the coordinate-saturated Groebner cache used by all decisions."""
-    return complex_.jumping_ideal(degree)
 
 
 def membership_at_point(
@@ -53,12 +46,6 @@ def membership_at_point(
     in_rank = field_rank(complex_.differential(degree - 1).evaluate(point))
     dim = r - out_rank - in_rank
     return dim > 0, dim
-
-
-def euler_characteristic(complex_: FreeComplex) -> int:
-    """Alternating sum of ranks; equals the alternating sum of specialized
-    cohomology dimensions at every point."""
-    return complex_.euler_characteristic()
 
 
 def is_whole_space(ideal: LaurentIdeal) -> bool:

@@ -40,9 +40,9 @@ from .complexes import FreeComplex, Matrix
 from .errors import InputError
 from .groebner import LaurentIdeal
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext, TorsionPoint, format_poly
-from .loci import PropagationResult, is_whole_space
-from .verdict import LociProfile, PerversityReport, SurvivalResult
+from .laurent import RingContext, TorsionPoint, format_poly
+from .loci import is_whole_space
+from .verdict import LociProfile, PerversityReport
 
 COMPLEX_FORMAT = "jumploci-complex"
 LOCI_FORMAT = "jumploci-loci"
@@ -82,7 +82,10 @@ def _parse_ring_line(line: str) -> RingContext:
     return RingContext(names, torus, abelian)
 
 
-def _load_complex_document(text: str) -> FreeComplex:
+def load_complex_shapes(text: str) -> FreeComplex:
+    """Parse a complex document checking shapes only; the caller decides how
+    to report a failing d.d = 0 identity (the validate subcommand treats it
+    as checked-and-failed, not as malformed input)."""
     raw_lines = text.splitlines()
     lines = []
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -154,27 +157,14 @@ def _load_complex_document(text: str) -> FreeComplex:
     return FreeComplex(ctx, k_min, k_max, ranks, diffs)
 
 
-def load_complex_shapes(text: str) -> FreeComplex:
-    """Parse a complex document checking shapes only; the caller decides how
-    to report a failing d.d = 0 identity (the validate subcommand treats it
-    as checked-and-failed, not as malformed input)."""
-    return _load_complex_document(text)
-
-
 def load_complex(text: str) -> FreeComplex:
     """Strict load: shapes plus the complex identity."""
-    cx = _load_complex_document(text)
-    report = cx.validate()
-    if not report.ok:
-        raise InputError(f"invalid complex: {report.describe()}")
+    cx = load_complex_shapes(text)
+    cx.ensure_valid()
     return cx
 
 
 # -- loci JSON format -----------------------------------------------------------
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f)
 
 
 def _parse_frac(s) -> Fraction:
@@ -182,6 +172,20 @@ def _parse_frac(s) -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed rational {s!r}") from exc
+
+
+def _parse_pairs(value) -> list[tuple[Fraction, Fraction]]:
+    """Point coordinates: a list of [radial, angle] rational pairs."""
+    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
+        raise InputError(f"expected a list of [radial, angle] pairs, got {value!r}")
+    return [(_parse_frac(q), _parse_frac(th)) for q, th in value]
+
+
+def _parse_lattice(rows) -> list[list[int]]:
+    try:
+        return [[int(x) for x in row] for row in rows]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed lattice {rows!r}") from exc
 
 
 def dump_loci(profile: LociProfile) -> str:
@@ -197,7 +201,7 @@ def dump_loci(profile: LociProfile) -> str:
             str(deg): [
                 {
                     "translate": [
-                        [_frac_str(q), _frac_str(th)] for q, th in c.translate.coords
+                        [str(q), str(th)] for q, th in c.translate.coords
                     ],
                     "lattice": [list(row) for row in c.lattice],
                 }
@@ -226,6 +230,8 @@ def load_loci(text: str, strict: bool = True):
         ctx = RingContext(ring["vars"], int(ring["torus"]), int(ring["abelian"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed ring block: {ring!r}") from exc
+    if not isinstance(doc["loci"], dict):
+        raise InputError("the 'loci' block must map degrees to component lists")
     loci = {}
     rejected = []
     for key, comp_list in doc["loci"].items():
@@ -233,14 +239,15 @@ def load_loci(text: str, strict: bool = True):
             degree = int(key)
         except ValueError as exc:
             raise InputError(f"malformed degree key {key!r}") from exc
+        if not isinstance(comp_list, list):
+            raise InputError(f"degree {degree}: components must be a list")
         comps = []
         for k, comp in enumerate(comp_list):
             try:
-                pairs = [
-                    (_parse_frac(q), _parse_frac(th)) for q, th in comp["translate"]
-                ]
-                translate = TorsionPoint(ctx, pairs)
-                lattice = [[int(x) for x in row] for row in comp.get("lattice", [])]
+                if not isinstance(comp, dict) or "translate" not in comp:
+                    raise InputError("a component needs a 'translate' block")
+                translate = TorsionPoint(ctx, _parse_pairs(comp["translate"]))
+                lattice = _parse_lattice(comp.get("lattice", []))
                 comps.append(LinearComponent(ctx, translate, lattice))
             except InputError as exc:
                 if strict:
@@ -250,7 +257,11 @@ def load_loci(text: str, strict: bool = True):
                 rejected.append({"degree": degree, "component": k, "reason": str(exc)})
         loci[degree] = LinearUnion(ctx, comps)
     euler = doc.get("euler")
-    profile = LociProfile(ctx, loci, euler=int(euler) if euler is not None else None)
+    try:
+        euler = int(euler) if euler is not None else None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed euler characteristic {euler!r}") from exc
+    profile = LociProfile(ctx, loci, euler=euler)
     return profile, rejected
 
 
@@ -305,17 +316,6 @@ def exactness_report(cx: FreeComplex) -> dict:
     }
 
 
-def propagation_entry(result: PropagationResult) -> dict:
-    return {
-        "ok": result.ok,
-        "provenance": result.provenance,
-        "first_violation": list(result.first_violation) if result.first_violation else None,
-        "pairs": [
-            {"from": i, "to": j, "holds": holds} for i, j, holds in result.checked_pairs
-        ],
-    }
-
-
 def perversity_report_doc(report: PerversityReport, samples: int, seed: int) -> dict:
     def rows(rs):
         return [
@@ -364,7 +364,7 @@ def codims_report(profile: LociProfile) -> dict:
                     {
                         "lattice": [list(r) for r in c.lattice],
                         "translate": [
-                            [_frac_str(q), _frac_str(th)] for q, th in c.translate.coords
+                            [str(q), str(th)] for q, th in c.translate.coords
                         ],
                         "codim": c.codims()[0],
                         "codim_a": c.codims()[1],
@@ -387,7 +387,7 @@ def sample_report(cx: FreeComplex, points: Sequence[TorsionPoint], degrees: Sequ
     entries = []
     for k, p in enumerate(points):
         row = {
-            "point": [[_frac_str(q), _frac_str(th)] for q, th in p.coords],
+            "point": [[str(q), str(th)] for q, th in p.coords],
             "memberships": {},
         }
         for d in degrees:
@@ -430,8 +430,4 @@ def parse_points_file(text: str, ctx: RingContext) -> list[TorsionPoint]:
         raise InputError(f"malformed points JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise InputError("points document must be a JSON list")
-    points = []
-    for entry in doc:
-        pairs = [(_parse_frac(q), _parse_frac(th)) for q, th in entry]
-        points.append(TorsionPoint(ctx, pairs))
-    return points
+    return [TorsionPoint(ctx, _parse_pairs(entry)) for entry in doc]

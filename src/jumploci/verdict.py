@@ -32,12 +32,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .complexes import FreeComplex
 from .errors import InputError
-from .lattices import CodimStats, LinearComponent, LinearUnion
-from .laurent import RingContext, TorsionPoint
+from .lattices import LinearComponent, LinearUnion
+from .laurent import RingContext
 from .loci import membership_at_point
 from .sampling import sample_points
 
@@ -131,9 +131,6 @@ class PerversityReport:
     euler_status: str  # "pass" | "fail" | "skipped (euler unknown)"
     euler_detail: str
     provenance: dict[str, str] = field(default_factory=dict)
-
-    def is_perverse(self) -> bool:
-        return self.verdict == "perverse"
 
 
 def check_upper(profile: LociProfile) -> list[ConditionRow]:

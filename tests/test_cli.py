@@ -63,6 +63,41 @@ def test_missing_file_is_input_error():
     assert result.returncode == 2
 
 
+def _m2_loci_edited(edit) -> str:
+    doc = json.loads(serialize.dump_loci(mellin_constant_torus(2).profile))
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sample", "{m2}", "--points", "{input}"], "[[1]]"),
+        (["perversity", "{input}"], _m2_loci_edited(lambda d: d["loci"]["0"][0].update(translate=5))),
+        (["perversity", "{input}"], _m2_loci_edited(lambda d: d["loci"]["0"][0].update(lattice=[["x", 0]]))),
+        (["perversity", "{input}"], _m2_loci_edited(lambda d: d.update(loci=[]))),
+        (["validate", "{input}"], "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\n"
+                                  "differential -1\n1/0*t1 - 1\n"),
+        (["fixtures", "mellin", "--complex-out", "/nonexistent/x"], None),
+        (["perversity", "{input}"], _m2_loci_edited(lambda d: d.update(euler="x"))),
+        (["fixtures", "twist"], None),
+        (["fixtures", "induce", "--n", "x"], None),
+    ],
+    ids=["points-entry-not-a-pair", "translate-not-a-list", "lattice-entry-not-an-integer",
+         "loci-block-not-a-mapping", "zero-denominator-coefficient", "unwritable-output",
+         "euler-not-an-integer", "twist-without-scalars", "cover-exponent-not-an-integer"],
+)
+def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
+    cx, _ = m2_files
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    result = run_cli(*(a.format(m2=cx, input=path) for a in argv))
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error:")
+    assert "Traceback" not in result.stderr
+
+
 def test_jump_ideals_report(m2_files):
     cx, _ = m2_files
     result = run_cli("jump-ideals", str(cx), "--degrees=-1..0", "--json")
@@ -192,14 +227,6 @@ def test_reports_byte_identical_across_runs(m2_files):
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
-
-
-def test_threads_flag_accepted(m2_files):
-    cx, _ = m2_files
-    serial = run_cli("jump-ideals", str(cx), "--json")
-    threaded = run_cli("jump-ideals", str(cx), "--threads", "4", "--json")
-    assert threaded.returncode == 0
-    assert serial.stdout == threaded.stdout
 
 
 def test_spair_budget_env_triggers_resource_exit(m2_files):

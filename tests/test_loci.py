@@ -10,9 +10,7 @@ from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import (
     depth_bounds,
-    euler_characteristic,
     is_whole_space,
-    jump_locus_ideal,
     membership_at_point,
     propagation_check,
     radical_equality_pairs,
@@ -29,10 +27,10 @@ def test_jump_locus_ideal_koszul_m2():
     K = _koszul(2)
     ctx = K.context
     point = LaurentIdeal(ctx, [ctx.variable(0) - 1, ctx.variable(1) - 1])
-    J0 = jump_locus_ideal(K, 0)
+    J0 = K.jumping_ideal(0)
     assert variety_containment(J0, point) and variety_containment(point, J0)
-    assert jump_locus_ideal(K, 1).is_unit_ideal()  # top degree has no jumps
-    assert jump_locus_ideal(K, -3).is_unit_ideal()  # out of range
+    assert K.jumping_ideal(1).is_unit_ideal()  # top degree has no jumps
+    assert K.jumping_ideal(-3).is_unit_ideal()  # out of range
 
 
 def test_membership_examples_m1():
@@ -60,11 +58,11 @@ def test_membership_context_guard():
 
 
 def test_euler_examples():
-    assert euler_characteristic(_koszul(1)) == 0
-    assert euler_characteristic(_koszul(2)) == 0
+    assert _koszul(1).euler_characteristic() == 0
+    assert _koszul(2).euler_characteristic() == 0
     K = _koszul(1)
     single = FreeComplex(K.context, 0, 0, [1], {})
-    assert euler_characteristic(K.direct_sum(single)) == 1
+    assert K.direct_sum(single).euler_characteristic() == 1
 
 
 def test_euler_equals_pointwise_alternating_sum():
@@ -76,7 +74,7 @@ def test_euler_equals_pointwise_alternating_sum():
             (-1 if d % 2 else 1) * membership_at_point(K, d, p)[1]
             for d in range(K.k_min, K.k_max + 1)
         )
-        assert alt == euler_characteristic(K)
+        assert alt == K.euler_characteristic()
 
 
 def test_whole_space_detection():
