@@ -72,20 +72,24 @@ def _m2_loci_edited(edit) -> str:
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["sample", "{m2}", "--points", "{input}"], "[[1]]"),
-        (["perversity", "{input}"], _m2_loci_edited(lambda d: d["loci"]["0"][0].update(translate=5))),
-        (["perversity", "{input}"], _m2_loci_edited(lambda d: d["loci"]["0"][0].update(lattice=[["x", 0]]))),
-        (["perversity", "{input}"], _m2_loci_edited(lambda d: d.update(loci=[]))),
-        (["validate", "{input}"], "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\n"
-                                  "differential -1\n1/0*t1 - 1\n"),
-        (["fixtures", "mellin", "--complex-out", "/nonexistent/x"], None),
-        (["perversity", "{input}"], _m2_loci_edited(lambda d: d.update(euler="x"))),
-        (["fixtures", "twist"], None),
-        (["fixtures", "induce", "--n", "x"], None),
+        pytest.param(["sample", "{m2}", "--points", "{input}"], "[[1]]", id="points-entry-not-a-pair"),
+        pytest.param(["perversity", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"]["0"][0].update(translate=5)),
+                     id="translate-not-a-list"),
+        pytest.param(["perversity", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"]["0"][0].update(lattice=[["x", 0]])),
+                     id="lattice-entry-not-an-integer"),
+        pytest.param(["perversity", "{input}"], _m2_loci_edited(lambda d: d.update(loci=[])),
+                     id="loci-block-not-a-mapping"),
+        pytest.param(["perversity", "{input}"], _m2_loci_edited(lambda d: d.update(euler="x")),
+                     id="euler-not-an-integer"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\n1/0*t1 - 1\n",
+                     id="zero-denominator-coefficient"),
+        pytest.param(["fixtures", "mellin", "--complex-out", "/nonexistent/x"], None, id="unwritable-output"),
+        pytest.param(["fixtures", "twist"], None, id="twist-without-scalars"),
+        pytest.param(["fixtures", "induce", "--n", "x"], None, id="cover-exponent-not-an-integer"),
     ],
-    ids=["points-entry-not-a-pair", "translate-not-a-list", "lattice-entry-not-an-integer",
-         "loci-block-not-a-mapping", "zero-denominator-coefficient", "unwritable-output",
-         "euler-not-an-integer", "twist-without-scalars", "cover-exponent-not-an-integer"],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
     cx, _ = m2_files
