@@ -2,9 +2,11 @@
 must reproduce its frozen stdout byte for byte and its exit code.
 
 The inputs are the m = 2 constant-object fixture, the 1x1 external tensor,
-the (2,1) induced cover of m = 2, and two failing inputs: m = 2 shifted one
+the (2,1) induced cover of m = 2, two failing inputs: m = 2 shifted one
 step left (exactness and perversity exit 1) and m = 3 summed with its twist
-(jump-ideals exits 3 on the minor-size cap).  Each is written by the
+(jump-ideals exits 3 on the minor-size cap), and the constant object on the
+4-torus (m = 4), whose degree -3 jumping ideals and exactness certificate
+need the Groebner engine at N = 4.  Each is written by the
 ``fixtures`` subcommand, which is itself one of the frozen cases.
 
 After a deliberate report change, regenerate the files with
@@ -36,6 +38,7 @@ INPUTS = {
     "induce2-21": ["induce", "--m", "2", "--n", "2,1"],
     "m2-shift": ["shift", "--m", "2", "--s", "-1"],
     "m3-sum-twist": ["sum", "--m", "3"],
+    "m4": ["mellin", "--m", "4"],
 }
 
 POINTS = [
@@ -71,6 +74,8 @@ def _cases() -> dict[str, tuple[list[str], int]]:
     base["m2-shift-perversity-complex"] = (
         ["perversity", "m2-shift.complex", "--loci", "m2-shift.loci", "--samples", "8", "--seed", "5"], 1)
     base["m3-sum-twist-jump-ideals"] = (["jump-ideals", "m3-sum-twist.complex"], 3)
+    base["m4-jump-ideals-degree-3"] = (["jump-ideals", "m4.complex", "--degrees=-3..-3"], 0)
+    base["m4-exactness"] = (["exactness", "m4.complex"], 0)
     cases = {}
     for case, (argv, code) in base.items():
         cases[f"{case}.txt"] = (argv, code)
