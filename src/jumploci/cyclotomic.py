@@ -11,6 +11,10 @@ point: every coordinate contributes a rational times a root of unity, and
 cohomology ranks at the point are computed by Gaussian elimination over
 this field.  For L = 1 the field is plain Q and as_fraction() recovers the
 rational value.
+
+Elements are vectors of length phi(L), so the cost of every operation grows
+with L; orders above MAX_CYCLOTOMIC_ORDER are refused with ResourceError
+before any point of that order exists.
 """
 
 from __future__ import annotations
@@ -19,7 +23,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import ResourceError
+
 Vec = tuple[Fraction, ...]
+
+MAX_CYCLOTOMIC_ORDER = 1000
+
+
+def check_order(order: int) -> None:
+    """Refuse an order above MAX_CYCLOTOMIC_ORDER with ResourceError."""
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise ResourceError(
+            f"cyclotomic order {order} exceeds the cap of {MAX_CYCLOTOMIC_ORDER}"
+        )
 
 
 def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):

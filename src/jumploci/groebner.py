@@ -1,9 +1,11 @@
 """Ideal arithmetic in the Laurent ring via polynomial-ring Groebner bases.
 
 A Laurent ideal is represented by its contraction to the polynomial ring,
-saturated with respect to the product of all variables: generators are
-cleared of monomial factors (units), one auxiliary variable y and the
-relation 1 - y*t1*...*tN are adjoined, a Groebner basis is computed in an
+saturated with respect to the product of all variables.  Generators are
+cleared of monomial factors (units).  When the variety of the resulting
+polynomial ideal misses every coordinate hyperplane, that ideal is already
+saturated; otherwise one auxiliary variable y and the relation
+1 - y*t1*...*tN are adjoined, a Groebner basis is computed in an
 elimination order for y, and the y-free part is kept.  Dimension and
 membership questions about the Laurent ideal then reduce to standard
 polynomial-ring computations on the saturation:
@@ -14,9 +16,10 @@ polynomial-ring computations on the saturation:
   * variety containment V(I) <= V(J): every generator of J in sqrt(I).
 
 The engine is Buchberger's algorithm with the sugar selection strategy and
-the coprime-lead-monomial criterion, over content-free integer coefficient
-vectors.  Computations abort with ResourceError once the configured S-pair
-budget is exhausted (default 200000, overridable per call or through the
+the coprime-lead-monomial criterion, over exact rational (Fraction)
+coefficients; returned bases are scaled to coprime integer coefficients.
+Computations abort with ResourceError once the configured S-pair budget is
+exhausted (default 200000, overridable per call or through the
 JUMPLOCI_SPAIR_BUDGET environment variable).  The budget counts S-pairs,
 not time, so it does not bound the run time of a slow reduction.
 
@@ -27,10 +30,12 @@ auxiliary variables extend the ring temporarily.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from fractions import Fraction
 from itertools import combinations
+from operator import add, ge, sub
 
 from .errors import InputError, ResourceError
 from .laurent import LaurentPoly, RingContext
@@ -55,6 +60,20 @@ def _grevlex_key(exp):
     return (sum(exp),) + tuple(-e for e in reversed(exp))
 
 
+class _KeyMemo(dict):
+    """exponent -> order key, computed on first lookup."""
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key):
+        super().__init__()
+        self._key = key
+
+    def __missing__(self, exp):
+        k = self[exp] = self._key(exp)
+        return k
+
+
 class MonomialOrder:
     """Comparison key for exponent tuples; larger key = larger monomial."""
 
@@ -74,6 +93,13 @@ class MonomialOrder:
         inside = tuple(exp[i] for i in self.block)
         rest = tuple(e for i, e in enumerate(exp) if i not in self.block)
         return _grevlex_key(inside) + _grevlex_key(rest)
+
+    def memoized(self) -> "MonomialOrder":
+        """The same order with ``key`` memoized; the memo is freed with the
+        returned object, so a caller scopes it to one computation."""
+        memo = MonomialOrder(self.name, self.block)
+        memo.key = _KeyMemo(self.key).__getitem__
+        return memo
 
     @property
     def tag(self) -> str:
@@ -100,19 +126,6 @@ def _lead(p: Poly, order: MonomialOrder):
     return exp, p[exp]
 
 
-def _sub_scaled(p: Poly, q: Poly, shift, coeff: Fraction) -> Poly:
-    """p - coeff * x^shift * q, in place on a copy of p."""
-    out = dict(p)
-    for exp, c in q.items():
-        key = tuple(a + b for a, b in zip(exp, shift))
-        s = out.get(key, Fraction(0)) - coeff * c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 def _normalize(p: Poly, order: MonomialOrder) -> Poly:
     """Scale to coprime integer coefficients with positive leading one."""
     if not p:
@@ -125,45 +138,59 @@ def _normalize(p: Poly, order: MonomialOrder) -> Poly:
     return {e: c * scale for e, c in p.items()}
 
 
-def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:
-    """Full normal form of p against basis (tail terms reduced too)."""
-    leads = [(g, _lead(g, order)) for g in basis if g]
+def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Poly:
+    """Full normal form of p against basis (tail terms reduced too).
+    ``leads``, when given, holds the lead term ``_lead(g, order)`` of each
+    basis element, all of them nonzero."""
+    if leads is None:
+        basis = [g for g in basis if g]
+        leads = [_lead(g, order) for g in basis]
+    divisors = list(zip(basis, leads))
+    key = order.key
     remainder: Poly = {}
     work = dict(p)
     while work:
-        exp, coeff = _lead(work, order)
-        reduced = False
-        for g, (gexp, gcoeff) in leads:
-            if all(a >= b for a, b in zip(exp, gexp)):
-                shift = tuple(a - b for a, b in zip(exp, gexp))
-                work = _sub_scaled(work, g, shift, coeff / gcoeff)
-                reduced = True
+        exp = max(work, key=key)
+        coeff = work[exp]
+        for g, (gexp, gcoeff) in divisors:
+            if all(map(ge, exp, gexp)):
+                # work -= (coeff / gcoeff) * x^shift * g, in place
+                shift = tuple(map(sub, exp, gexp))
+                scale = coeff / gcoeff
+                for gterm, c in g.items():
+                    term = tuple(map(add, gterm, shift))
+                    s = work.get(term, 0) - scale * c
+                    if s:
+                        work[term] = s
+                    else:
+                        del work[term]
                 break
-        if not reduced:
+        else:
             remainder[exp] = coeff
             del work[exp]
     return remainder
 
 
-def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+def _spoly(f: Poly, g: Poly, order: MonomialOrder, f_lead=None, g_lead=None) -> Poly:
     # S(f,g) = (lcm/lt f) f / lc f - (lcm/lt g) g / lc g
-    fexp, fc = _lead(f, order)
-    gexp, gc = _lead(g, order)
-    lcm_exp = tuple(max(a, b) for a, b in zip(fexp, gexp))
-    shift_f = tuple(a - b for a, b in zip(lcm_exp, fexp))
-    shift_g = tuple(a - b for a, b in zip(lcm_exp, gexp))
-    out: Poly = {}
-    for exp, c in f.items():
-        key = tuple(a + b for a, b in zip(exp, shift_f))
-        out[key] = out.get(key, Fraction(0)) + c / fc
+    fexp, fc = f_lead or _lead(f, order)
+    gexp, gc = g_lead or _lead(g, order)
+    lcm_exp = tuple(map(max, fexp, gexp))
+    shift_f = tuple(map(sub, lcm_exp, fexp))
+    shift_g = tuple(map(sub, lcm_exp, gexp))
+    out: Poly = {tuple(map(add, exp, shift_f)): c / fc for exp, c in f.items()}
     for exp, c in g.items():
-        key = tuple(a + b for a, b in zip(exp, shift_g))
-        s = out.get(key, Fraction(0)) - c / gc
+        key = tuple(map(add, exp, shift_g))
+        s = out.get(key, 0) - c / gc
         if s:
             out[key] = s
         else:
-            out.pop(key, None)
-    return {e: c for e, c in out.items() if c}
+            del out[key]
+    return out
+
+
+def _is_constant(p: Poly) -> bool:
+    return len(p) == 1 and not any(next(iter(p)))
 
 
 def buchberger(generators: list[Poly], order: MonomialOrder, budget=None) -> list[Poly]:
@@ -172,68 +199,74 @@ def buchberger(generators: list[Poly], order: MonomialOrder, budget=None) -> lis
     Deterministic for a fixed order: input generators are canonically
     sorted, S-pairs are processed in sugar order with degree and insertion
     index as tie-breakers, and the final basis is inter-reduced, content
-    normalized and sorted by leading monomial.
+    normalized and sorted by leading monomial.  The unit ideal returns
+    [1] as soon as a constant appears.
     """
     limit = spair_budget(budget)
+    order = order.memoized()
+    key = order.key
     gens = [_normalize(dict(g), order) for g in generators if g]
-    gens.sort(key=lambda g: (order.key(_lead(g, order)[0]), sorted(g.items())))
+    gens.sort(key=lambda g: (key(_lead(g, order)[0]), sorted(g.items())))
     basis: list[Poly] = []
+    leads: list[tuple] = []  # leads[k] == _lead(basis[k], order)
     sugars: list[int] = []
-    pairs: list[tuple[int, int, int]] = []  # (sugar, i, j)
+    pairs: list[tuple[int, int, int]] = []  # heap of (sugar, i, j)
 
     def add_poly(p: Poly, sugar: int):
         k = len(basis)
+        p = _normalize(p, order)
+        pexp = max(p, key=key)
         basis.append(p)
+        leads.append((pexp, p[pexp]))
         sugars.append(sugar)
-        pexp, _ = _lead(p, order)
+        pdeg = sum(pexp)
         for i in range(k):
-            iexp, _ = _lead(basis[i], order)
+            iexp = leads[i][0]
             if all(a == 0 or b == 0 for a, b in zip(iexp, pexp)):
                 continue  # coprime leads: S-polynomial reduces to zero
-            lcm_exp = tuple(max(a, b) for a, b in zip(iexp, pexp))
-            s = max(
-                sugars[i] + sum(lcm_exp) - sum(iexp),
-                sugar + sum(lcm_exp) - sum(pexp),
-            )
-            pairs.append((s, i, k))
+            lcm_deg = sum(map(max, iexp, pexp))
+            s = max(sugars[i] + lcm_deg - sum(iexp), sugar + lcm_deg - pdeg)
+            heapq.heappush(pairs, (s, i, k))
 
     for g in gens:
-        g = _reduce(g, basis, order)
+        g = _reduce(g, basis, order, leads)
+        if _is_constant(g):
+            return [_normalize(g, order)]
         if g:
-            add_poly(_normalize(g, order), sum(_lead(g, order)[0]))
+            add_poly(g, sum(max(g, key=key)))
 
     processed = 0
     while pairs:
-        pairs.sort()
-        sugar, i, j = pairs.pop(0)
+        sugar, i, j = heapq.heappop(pairs)
         processed += 1
         if processed > limit:
             raise ResourceError(
                 f"S-pair budget of {limit} exceeded during Groebner basis computation"
             )
-        s = _spoly(basis[i], basis[j], order)
-        s = _reduce(s, basis, order)
+        s = _spoly(basis[i], basis[j], order, leads[i], leads[j])
+        s = _reduce(s, basis, order, leads)
+        if _is_constant(s):
+            return [_normalize(s, order)]
         if s:
-            add_poly(_normalize(s, order), sugar)
+            add_poly(s, sugar)
 
     # Minimalize: drop elements whose lead is divisible by a kept lead.
     # Processing in increasing lead order guarantees divisors come first.
     minimal = []
-    kept_leads: list[tuple[int, ...]] = []
-    for g in sorted(basis, key=lambda g: order.key(_lead(g, order)[0])):
-        exp = _lead(g, order)[0]
-        if any(all(a >= b for a, b in zip(exp, lead)) for lead in kept_leads):
+    kept_leads: list[tuple] = []
+    for k in sorted(range(len(basis)), key=lambda k: key(leads[k][0])):
+        exp = leads[k][0]
+        if any(all(map(ge, exp, lead[0])) for lead in kept_leads):
             continue
-        minimal.append(g)
-        kept_leads.append(exp)
-    # Inter-reduce tails.
+        minimal.append(basis[k])
+        kept_leads.append(leads[k])
+    # Inter-reduce tails; leads are untouched because no lead divides another.
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        r = _reduce(g, others, order)
-        if r:
-            reduced.append(_normalize(r, order))
-    reduced.sort(key=lambda g: order.key(_lead(g, order)[0]), reverse=True)
+        r = _reduce(g, others, order, kept_leads[:idx] + kept_leads[idx + 1 :])
+        reduced.append(_normalize(r, order))
+    reduced.sort(key=lambda g: key(max(g, key=key)), reverse=True)
     return reduced
 
 
@@ -262,8 +295,51 @@ def _drop_last_var(p: Poly) -> Poly:
     return {exp[:-1]: c for exp, c in p.items()}
 
 
-def _contains_nonzero_constant(basis: list[Poly]) -> bool:
-    return any(len(g) == 1 and not any(next(iter(g))) for g in basis)
+def _is_unit_basis(basis: list[Poly]) -> bool:
+    """Whether a reduced basis from ``buchberger`` is that of the unit ideal."""
+    return len(basis) == 1 and _is_constant(basis[0])
+
+
+def _restrict(p: Poly, i: int) -> Poly:
+    """p with t_i set to 0."""
+    return {e: c for e, c in p.items() if not e[i]}
+
+
+def _saturate_by_elimination(polys: list[Poly], n: int, budget=None) -> list[Poly]:
+    """Generators of (polys) : (t1*...*tN)^inf: adjoin y and the relation
+    1 - y*t1*...*tN, then eliminate y."""
+    ext = [_pad(p, 1) for p in polys]
+    rel = {(0,) * (n + 1): Fraction(1), (1,) * (n + 1): Fraction(-1)}
+    basis = buchberger(ext + [rel], MonomialOrder("elim", (n,)), budget)
+    return [_drop_last_var(g) for g in basis if all(e[n] == 0 for e in g)]
+
+
+def _misses_coordinate_hyperplanes(polys: list[Poly], n: int, budget=None) -> bool:
+    """Whether every restriction t_i = 0 of the ideal (polys) is the unit
+    ideal, i.e. 1 lies in (polys) + (t_i) for each i."""
+    return all(
+        _is_unit_basis(buchberger([_restrict(p, i) for p in polys], GREVLEX, budget))
+        for i in range(n)
+    )
+
+
+def _saturate(polys: list[Poly], n: int, budget=None) -> list[Poly]:
+    """Generators of (polys) : (t1*...*tN)^inf in n variables."""
+    if not polys:
+        return []
+    # Fast path.  Let I = (polys) and u = t1*...*tN.  If 1 = f_i + a_i*t_i
+    # with f_i in I for every i, multiplying these N identities gives
+    # 1 = f + a*u with f in I: u is a unit modulo I.  (Geometrically, V(I)
+    # misses every coordinate hyperplane, so V(I + (u)) is empty and the
+    # Nullstellensatz puts 1 in I + (u); see Cox, Little and O'Shea, Ideals,
+    # Varieties, and Algorithms, on the Nullstellensatz and on ideal
+    # quotients and saturation.)  Then g*u^k in I gives g = g*(f + a*u)^k,
+    # which is g*a^k*u^k, hence 0, modulo I: I : u^inf = I, and the
+    # elimination is not needed.  A restriction that is not the unit ideal,
+    # the zero ideal included, leaves the question to the exact elimination.
+    if _misses_coordinate_hyperplanes(polys, n, budget):
+        return list(polys)
+    return _saturate_by_elimination(polys, n, budget)
 
 
 # -- LaurentIdeal ------------------------------------------------------------
@@ -297,21 +373,10 @@ class LaurentIdeal:
 
     def _saturated_generators(self, budget=None) -> list[Poly]:
         """Generators of the polynomial-ring saturation by t1*...*tN."""
-        if self._sat is not None:
-            return self._sat
-        polys = [laurent_to_poly(g) for g in self.generators if not g.is_zero()]
-        if not polys:
-            self._sat = []
-            return self._sat
-        n = self.context.num_vars
-        # Adjoin y and the relation 1 - y*t1*...*tN, eliminate y.
-        ext = [_pad(p, 1) for p in polys]
-        rel = {(0,) * (n + 1): Fraction(1), (1,) * (n + 1): Fraction(-1)}
-        elim = MonomialOrder("elim", (n,))
-        basis = buchberger(ext + [rel], elim, budget)
-        sat = [_drop_last_var(g) for g in basis if all(e[n] == 0 for e in g)]
-        self._sat = sat
-        return sat
+        if self._sat is None:
+            polys = [laurent_to_poly(g) for g in self.generators if not g.is_zero()]
+            self._sat = _saturate(polys, self.context.num_vars, budget)
+        return self._sat
 
     def groebner_basis(self, order="grevlex", budget=None) -> tuple[LaurentPoly, ...]:
         """Reduced Groebner basis of the saturated polynomial ideal under the
@@ -322,8 +387,6 @@ class LaurentIdeal:
         else:
             sat = self._saturated_generators(budget)
             basis = buchberger(sat, ord_obj, budget) if sat else []
-            if _contains_nonzero_constant(basis):
-                basis = [{(0,) * self.context.num_vars: Fraction(1)}]
             self._bases[ord_obj.tag] = basis
         return tuple(LaurentPoly(self.context, g) for g in basis)
 
@@ -341,13 +404,13 @@ class LaurentIdeal:
         sat = self._saturated_generators(budget)
         if not sat:
             return False  # radical of (0) in a domain is (0)
-        if _contains_nonzero_constant(sat):
+        if self.is_unit_ideal(budget):
             return True
         n = self.context.num_vars
         fpoly = _pad(laurent_to_poly(f), 1)
         rel = dict_sub_one_minus_z_times(fpoly, n)
         basis = buchberger([_pad(p, 1) for p in sat] + [rel], GREVLEX, budget)
-        return _contains_nonzero_constant(basis)
+        return _is_unit_basis(basis)
 
     def codimension(self, budget=None):
         """N minus the Krull dimension of the saturated ideal; math.inf for

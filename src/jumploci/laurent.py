@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, check_order
 from .errors import InputError
 
 Exponent = tuple[int, ...]
@@ -327,7 +327,8 @@ class LaurentPoly:
 class TorsionPoint:
     """Closed point of the character torus with coordinates q * e^(2*pi*i*theta),
     q a positive rational and theta a rational in [0, 1).  Constructors accept
-    negative q and fold the sign into theta, so equality is exact."""
+    negative q and fold the sign into theta, so equality is exact.  An angle
+    order above the cyclotomic cap raises ResourceError."""
 
     __slots__ = ("context", "coords")
 
@@ -347,6 +348,7 @@ class TorsionPoint:
             norm.append((q, theta))
         self.context = context
         self.coords = tuple(norm)
+        check_order(self.angle_order())
 
     def angle_order(self) -> int:
         """Least L with all angles in (1/L)Z; 1 when the point is rational."""

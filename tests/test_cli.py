@@ -96,9 +96,31 @@ def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, tex
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
-    result = run_cli(*(a.format(m2=cx, input=path) for a in argv))
+    result = run_cli(*(a.format(m2=cx, input=path) for a in argv), timeout=60)
     assert result.returncode == 2
     assert result.stderr.startswith("input error:")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(["sample", "{m2}", "--points", "{input}"], '[[["1", "1/100003"], ["1", "0"]]]',
+                     id="point-angle-order"),
+        pytest.param(["perversity", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"]["0"][0].update(translate=[["1", "1/100003"], ["1", "0"]])),
+                     id="translate-angle-order"),
+    ],
+)
+def test_cyclotomic_order_over_cap_exits_3(m2_files, tmp_path, argv, text):
+    # an order-100003 point took over 20 s before the cap; now it is refused
+    # before Phi_L is built
+    cx, _ = m2_files
+    path = tmp_path / "input"
+    path.write_text(text)
+    result = run_cli(*(a.format(m2=cx, input=path) for a in argv), timeout=60)
+    assert result.returncode == 3
+    assert result.stderr.startswith("resource cap:") and "cyclotomic order 100003" in result.stderr
     assert "Traceback" not in result.stderr
 
 

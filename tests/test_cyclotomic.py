@@ -70,3 +70,16 @@ def test_field_rank_with_torsion_entries():
     assert field_rank(rows) == 1
     rows = [[one, z], [z, one]]
     assert field_rank(rows) == 2
+
+
+def test_order_cap_applies_to_torsion_points():
+    from jumploci.cyclotomic import MAX_CYCLOTOMIC_ORDER
+    from jumploci.errors import ResourceError
+    from jumploci.laurent import RingContext, TorsionPoint
+
+    ctx = RingContext.torus(2)
+    assert MAX_CYCLOTOMIC_ORDER >= 97  # the benchmark samples order-97 points
+    at_cap = TorsionPoint(ctx, [(1, Fraction(1, MAX_CYCLOTOMIC_ORDER)), (1, 0)])
+    assert at_cap.angle_order() == MAX_CYCLOTOMIC_ORDER
+    with pytest.raises(ResourceError):
+        TorsionPoint(ctx, [(1, 0), (1, Fraction(1, MAX_CYCLOTOMIC_ORDER + 1))])

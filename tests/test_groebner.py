@@ -5,10 +5,18 @@ from fractions import Fraction
 import pytest
 
 from jumploci.errors import ResourceError
+from jumploci.fixtures import standard_fixture_suite
 from jumploci.groebner import (
     GREVLEX,
+    LEX,
     LaurentIdeal,
     MonomialOrder,
+    _is_unit_basis,
+    _misses_coordinate_hyperplanes,
+    _saturate,
+    _saturate_by_elimination,
+    buchberger,
+    laurent_to_poly,
     reduce_against_saturation,
     variety_containment,
 )
@@ -175,3 +183,151 @@ def test_order_tags():
     key_inside = elim.key((0, 0, 1))
     key_outside = elim.key((5, 5, 0))
     assert key_inside > key_outside  # block variable dominates
+
+
+# -- saturation fast path against the elimination it skips -------------------
+
+
+def _random_poly(rng, n, terms=3, degree=2):
+    return {
+        tuple(rng.randint(0, degree) for _ in range(n)): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for _ in range(terms)
+    }
+
+
+def _var(n, i, power=1):
+    return tuple(power if k == i else 0 for k in range(n))
+
+
+def _structured_ideals(n):
+    """Raw generator lists for each branch of the fast-path decision."""
+    one = (0,) * n
+    t1, t2 = _var(n, 0), _var(n, 1)
+    t1t2 = tuple(a + b for a, b in zip(t1, t2))
+    return {
+        # V = {(1, ..., 1)}: every restriction is the unit ideal
+        "point": [{_var(n, i): Fraction(1), one: Fraction(-1)} for i in range(n)],
+        # unit ideal: empty variety, fast path taken
+        "unit": [{t1: Fraction(1), one: Fraction(-1)}, {t1: Fraction(1), one: Fraction(-2)}],
+        # t1 + t2 vanishes on the hyperplane intersections: elimination decides
+        "meets-hyperplane": [{t1: Fraction(1), t2: Fraction(1)}],
+        # t1*(t2 - 1) restricts to the zero ideal at t1 = 0
+        "zero-restriction": [{t1t2: Fraction(1), t1: Fraction(-1)}],
+        # a monomial generator: saturates to the unit ideal
+        "monomial": [{t1t2: Fraction(1)}, {t1: Fraction(1), t2: Fraction(1), one: Fraction(1)}],
+    }
+
+
+def _assert_fast_matches_elimination(polys, n):
+    fast = buchberger(_saturate(polys, n), GREVLEX)
+    slow = buchberger(_saturate_by_elimination(polys, n), GREVLEX)
+    assert fast == slow, polys
+    return _misses_coordinate_hyperplanes(polys, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_saturation_fast_path_matches_elimination(n):
+    rng = random.Random(60 + n)
+    structured = _structured_ideals(n)
+    taken = {name: _assert_fast_matches_elimination(polys, n) for name, polys in structured.items()}
+    assert taken == {
+        "point": True, "unit": True, "meets-hyperplane": False,
+        "zero-restriction": False, "monomial": False,
+    }
+    assert _is_unit_basis(buchberger(_saturate(structured["unit"], n), GREVLEX))
+    assert _is_unit_basis(buchberger(_saturate(structured["monomial"], n), GREVLEX))
+    branches = set()
+    for _ in range(30):
+        polys = [_random_poly(rng, n, terms=rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        branches.add(_assert_fast_matches_elimination(polys, n))
+    assert branches == {True, False}
+
+
+def test_saturation_fast_path_matches_elimination_on_fixture_stock():
+    # every Fitting and jumping ideal of the standard stock; their varieties
+    # lie in the torus, so the fast path decides all of them
+    for fixture in standard_fixture_suite():
+        cx = fixture.complex
+        n = cx.context.num_vars
+        for degree in cx.degrees():
+            for ideal in cx.fitting_and_jumping_ideals(degree):
+                polys = [laurent_to_poly(g) for g in ideal.generators if not g.is_zero()]
+                if polys:
+                    _assert_fast_matches_elimination(polys, n)
+
+
+def test_saturation_restrictions_respect_budget():
+    # the restriction t1 = 0 is (t2^3 - t3, t2*t3 - 1, t3^2 - t2), whose
+    # basis needs more than a handful of S-pairs
+    one = Fraction(1)
+    polys = [
+        {(0, 3, 0): one, (0, 0, 1): -one, (1, 0, 0): one},
+        {(0, 1, 1): one, (0, 0, 0): -one},
+        {(0, 0, 2): one, (0, 1, 0): -one, (1, 0, 0): one},
+    ]
+    with pytest.raises(ResourceError):
+        _misses_coordinate_hyperplanes(polys, 3, budget=3)
+    with pytest.raises(ResourceError):
+        _saturate(polys, 3, budget=3)
+
+
+def test_unit_ideal_radical_membership_without_elimination(ctx2, monkeypatch):
+    # neither the saturation nor the radical test adjoins a variable: the
+    # unit ideal takes the fast path and answers before Rabinowitsch
+    from jumploci import groebner
+
+    ring_sizes = []
+    real = groebner.buchberger
+
+    def recording(generators, order, budget=None):
+        ring_sizes.append({len(e) for g in generators for e in g})
+        return real(generators, order, budget)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    t1, t2 = ctx2.variable(0), ctx2.variable(1)
+    unit = LaurentIdeal(ctx2, [t1 - 1, t1 - 2])
+    assert unit.radical_contains(t2 + 5)
+    assert unit.groebner_basis() == (ctx2.one(),)
+    assert ring_sizes and all(sizes == {2} for sizes in ring_sizes)
+
+
+# -- independent oracle: sympy's Groebner bases ------------------------------
+
+
+def _sympy_basis(polys, n, order):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(f"x1:{n + 1}")
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(v**e for v, e in zip(gens, exp))
+            for exp, c in p.items())
+        for p in polys
+    ]
+    basis = sympy.groebner(exprs, *gens, order=order)
+    out = []
+    for expr in basis.exprs:
+        terms = sympy.Poly(expr, *gens).terms()
+        out.append({exp: Fraction(int(c.p), int(c.q)) for exp, c in terms})
+    return out
+
+
+def _monic(p, order):
+    lead = p[max(p, key=order.key)]
+    return {e: c / lead for e, c in p.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_buchberger_matches_sympy_oracle(n):
+    pytest.importorskip("sympy")
+    rng = random.Random(70 + n)
+    units = set()
+    for _ in range(25):
+        polys = [_random_poly(rng, n, terms=rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        for order, name in ((GREVLEX, "grevlex"), (LEX, "lex")):
+            ours = buchberger(polys, order)
+            theirs = _sympy_basis(polys, n, name)
+            key = lambda p: sorted(p.items())  # noqa: E731
+            assert sorted((_monic(g, order) for g in ours), key=key) == sorted(
+                (_monic(g, order) for g in theirs), key=key), (polys, name)
+            units.add(_is_unit_basis(ours))
+            assert _is_unit_basis(ours) == (theirs == [{(0,) * n: Fraction(1)}])
+    assert units == {True, False}
