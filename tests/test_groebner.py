@@ -195,8 +195,8 @@ def _random_poly(rng, n, terms=3, degree=2):
     }
 
 
-def _var(n, i, power=1):
-    return tuple(power if k == i else 0 for k in range(n))
+def _var(n, i):
+    return tuple(int(k == i) for k in range(n))
 
 
 def _structured_ideals(n):
