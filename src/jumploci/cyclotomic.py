@@ -13,8 +13,8 @@ this field.  For L = 1 the field is plain Q and as_fraction() recovers the
 rational value.
 
 Elements are vectors of length phi(L), so the cost of every operation grows
-with L; orders above MAX_CYCLOTOMIC_ORDER are refused with ResourceError
-before any point of that order exists.
+with L; points read from files with an order above MAX_CYCLOTOMIC_ORDER
+are refused with ResourceError before any arithmetic starts.
 """
 
 from __future__ import annotations

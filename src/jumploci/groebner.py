@@ -171,10 +171,11 @@ def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Pol
     return remainder
 
 
-def _spoly(f: Poly, g: Poly, order: MonomialOrder, f_lead=None, g_lead=None) -> Poly:
-    # S(f,g) = (lcm/lt f) f / lc f - (lcm/lt g) g / lc g
-    fexp, fc = f_lead or _lead(f, order)
-    gexp, gc = g_lead or _lead(g, order)
+def _spoly(f: Poly, g: Poly, f_lead, g_lead) -> Poly:
+    # S(f,g) = (lcm/lt f) f / lc f - (lcm/lt g) g / lc g, given the lead
+    # terms (exponent, coefficient) of f and g
+    fexp, fc = f_lead
+    gexp, gc = g_lead
     lcm_exp = tuple(map(max, fexp, gexp))
     shift_f = tuple(map(sub, lcm_exp, fexp))
     shift_g = tuple(map(sub, lcm_exp, gexp))
@@ -243,7 +244,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder, budget=None) -> lis
             raise ResourceError(
                 f"S-pair budget of {limit} exceeded during Groebner basis computation"
             )
-        s = _spoly(basis[i], basis[j], order, leads[i], leads[j])
+        s = _spoly(basis[i], basis[j], leads[i], leads[j])
         s = _reduce(s, basis, order, leads)
         if _is_constant(s):
             return [_normalize(s, order)]

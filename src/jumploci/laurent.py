@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .cyclotomic import Cyclotomic, check_order
+from .cyclotomic import Cyclotomic
 from .errors import InputError
 
 Exponent = tuple[int, ...]
@@ -327,8 +327,7 @@ class LaurentPoly:
 class TorsionPoint:
     """Closed point of the character torus with coordinates q * e^(2*pi*i*theta),
     q a positive rational and theta a rational in [0, 1).  Constructors accept
-    negative q and fold the sign into theta, so equality is exact.  An angle
-    order above the cyclotomic cap raises ResourceError."""
+    negative q and fold the sign into theta, so equality is exact."""
 
     __slots__ = ("context", "coords")
 
@@ -348,7 +347,6 @@ class TorsionPoint:
             norm.append((q, theta))
         self.context = context
         self.coords = tuple(norm)
-        check_order(self.angle_order())
 
     def angle_order(self) -> int:
         """Least L with all angles in (1/L)Z; 1 when the point is rational."""
@@ -395,7 +393,16 @@ class TorsionPoint:
         return Cyclotomic.root_of_unity(L, int(num)).scale(radial)
 
     def character_is_trivial(self, lattice_vector: Sequence[int]) -> bool:
-        return self.character_value(lattice_vector).is_one()
+        """Whether t^k is 1 at this point.  The value is prod q_i^k_i times
+        e^(2*pi*i*sum k_i*theta_i) with every q_i > 0, so it is 1 exactly when
+        the radial product is 1 and the angle sum is an integer; no
+        arithmetic in Q(zeta_L) is needed."""
+        radial = Fraction(1)
+        angle = Fraction(0)
+        for (q, th), k in zip(self.coords, lattice_vector):
+            radial *= q**k
+            angle += k * th
+        return radial == 1 and angle.denominator == 1
 
     def embed(self, target: RingContext, var_map: Sequence[int]) -> "TorsionPoint":
         coords = [(Fraction(1), Fraction(0))] * target.num_vars

@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import FreeComplex, Matrix
+from .cyclotomic import check_order
 from .errors import InputError
 from .groebner import LaurentIdeal
 from .lattices import LinearComponent, LinearUnion
@@ -181,6 +182,16 @@ def _parse_pairs(value) -> list[tuple[Fraction, Fraction]]:
     return [(_parse_frac(q), _parse_frac(th)) for q, th in value]
 
 
+def _parse_point(ctx: RingContext, value) -> TorsionPoint:
+    """A point read from a file.  Its angle order is checked against the
+    cyclotomic cap here, where outside input arrives: points derived from
+    accepted ones (shifts, products) may have a larger order and are not
+    refused."""
+    point = TorsionPoint(ctx, _parse_pairs(value))
+    check_order(point.angle_order())
+    return point
+
+
 def _parse_lattice(rows) -> list[list[int]]:
     try:
         return [[int(x) for x in row] for row in rows]
@@ -246,7 +257,7 @@ def load_loci(text: str, strict: bool = True):
             try:
                 if not isinstance(comp, dict) or "translate" not in comp:
                     raise InputError("a component needs a 'translate' block")
-                translate = TorsionPoint(ctx, _parse_pairs(comp["translate"]))
+                translate = _parse_point(ctx, comp["translate"])
                 lattice = _parse_lattice(comp.get("lattice", []))
                 comps.append(LinearComponent(ctx, translate, lattice))
             except InputError as exc:
@@ -430,4 +441,4 @@ def parse_points_file(text: str, ctx: RingContext) -> list[TorsionPoint]:
         raise InputError(f"malformed points JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise InputError("points document must be a JSON list")
-    return [TorsionPoint(ctx, _parse_pairs(entry)) for entry in doc]
+    return [_parse_point(ctx, entry) for entry in doc]

@@ -124,6 +124,31 @@ def test_cyclotomic_order_over_cap_exits_3(m2_files, tmp_path, argv, text):
     assert "Traceback" not in result.stderr
 
 
+def _two_translates(d):
+    # one order-97 and one order-12 point in degree -1: propagation shifts
+    # one by the other, an order-1164 point that no file names
+    d["loci"]["-1"][0].update(translate=[["1", "1/97"], ["1", "0"]])
+    d["loci"]["-1"].append({"lattice": [[1, 0], [0, 1]], "translate": [["1", "1/12"], ["1", "0"]]})
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: d["loci"]["0"][0].update(translate=[["1", "1/97"], ["1", "0"]]),
+                     id="order-97-translate"),
+        pytest.param(_two_translates, id="order-97-and-12-translates"),
+    ],
+)
+def test_derived_points_above_cap_are_not_refused(tmp_path, edit):
+    # every file order is under the cap, so the verdict is reached as
+    # before the cap existed, although derived points have order 12 * 97
+    path = tmp_path / "input.loci"
+    path.write_text(_m2_loci_edited(edit))
+    result = run_cli("perversity", str(path), "--json", timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["propagation"]["ok"] is False
+
+
 def test_jump_ideals_report(m2_files):
     cx, _ = m2_files
     result = run_cli("jump-ideals", str(cx), "--degrees=-1..0", "--json")

@@ -72,14 +72,19 @@ def test_field_rank_with_torsion_entries():
     assert field_rank(rows) == 2
 
 
-def test_order_cap_applies_to_torsion_points():
+def test_order_cap_applies_to_parsed_points_only():
     from jumploci.cyclotomic import MAX_CYCLOTOMIC_ORDER
     from jumploci.errors import ResourceError
     from jumploci.laurent import RingContext, TorsionPoint
+    from jumploci.serialize import parse_points_file
 
     ctx = RingContext.torus(2)
     assert MAX_CYCLOTOMIC_ORDER >= 97  # the benchmark samples order-97 points
-    at_cap = TorsionPoint(ctx, [(1, Fraction(1, MAX_CYCLOTOMIC_ORDER)), (1, 0)])
+    (at_cap,) = parse_points_file(f'[[["1", "1/{MAX_CYCLOTOMIC_ORDER}"], ["1", "0"]]]', ctx)
     assert at_cap.angle_order() == MAX_CYCLOTOMIC_ORDER
     with pytest.raises(ResourceError):
-        TorsionPoint(ctx, [(1, 0), (1, Fraction(1, MAX_CYCLOTOMIC_ORDER + 1))])
+        parse_points_file(f'[[["1", "0"], ["1", "1/{MAX_CYCLOTOMIC_ORDER + 1}"]]]', ctx)
+    # a point derived from accepted ones may exceed the cap and is kept
+    p97 = TorsionPoint(ctx, [(1, Fraction(1, 97)), (1, 0)])
+    p12 = TorsionPoint(ctx, [(1, Fraction(1, 12)), (1, 0)])
+    assert (p12 * p97.inverse()).angle_order() == 12 * 97 > MAX_CYCLOTOMIC_ORDER

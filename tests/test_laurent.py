@@ -156,6 +156,25 @@ def test_character_values():
     assert not p.character_is_trivial([1, 0])
 
 
+def test_character_is_trivial_matches_field_value():
+    # the triviality test works on radial parts and angles alone; it must
+    # agree with the value computed in Q(zeta_L)
+    rng = random.Random(14)
+    ctx = RingContext.torus(2)
+    radials = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(-3, 2)]
+    trivial = 0
+    for _ in range(300):
+        p = TorsionPoint(
+            ctx,
+            [(rng.choice(radials), Fraction(rng.randint(0, 11), 12)) for _ in range(2)],
+        )
+        k = [rng.randint(-4, 4) for _ in range(2)]
+        expected = p.character_value(k).is_one()
+        assert p.character_is_trivial(k) == expected, (p, k)
+        trivial += expected
+    assert 0 < trivial < 300
+
+
 def test_parse_print_round_trip():
     rng = random.Random(13)
     ctx = RingContext.torus(3)

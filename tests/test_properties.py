@@ -51,7 +51,9 @@ def test_buchberger_criterion_certificate():
             basis = [g for g in basis if g]
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
-                    s = _spoly(basis[i], basis[j], order)
+                    s = _spoly(
+                        basis[i], basis[j], _lead(basis[i], order), _lead(basis[j], order)
+                    )
                     assert not _reduce(s, basis, order), (gens, order.tag)
 
 
