@@ -271,7 +271,7 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.context, _normalize(laurent_to_poly(p), LEX))
 
 
-def _product_of_generator_lists(a, b, context) -> list[LaurentPoly] | None:
+def _product_of_generator_lists(a, b) -> list[LaurentPoly] | None:
     """Ideal product on generator lists; None is the unit ideal, [] is zero."""
     if a == [] or b == []:
         return []
@@ -455,16 +455,15 @@ class FreeComplex:
         for j in range(r + 1):
             left = minor_generators(incoming, j)
             right = minor_generators(outgoing, r - j)
-            prod = _product_of_generator_lists(left, right, self.context)
+            prod = _product_of_generator_lists(left, right)
             if prod is None:
                 total = None
                 break
-            if total is not None:
-                seen = set(total)
-                for g in prod:
-                    if g not in seen:
-                        seen.add(g)
-                        total.append(g)
+            seen = set(total)
+            for g in prod:
+                if g not in seen:
+                    seen.add(g)
+                    total.append(g)
         if total is None:
             gens = [self.context.one()]
         else:

@@ -59,21 +59,38 @@ def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
     return q, num
 
 
+def _mobius(m: int) -> int:
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(L: int) -> Vec:
-    """Coefficients of Phi_L (low degree first), computed by dividing x^L - 1
-    by the cyclotomic polynomials of the proper divisors of L."""
+    """Coefficients of Phi_L (low degree first), the product of
+    (x^d - 1)^mu(L/d) over the divisors d of L.  The factors with mu = 1 are
+    multiplied out first, then those with mu = -1 divided out exactly, all
+    over the integers."""
     if L < 1:
         raise ValueError("order must be positive")
-    num = [Fraction(0)] * (L + 1)
-    num[0] = Fraction(-1)
-    num[L] = Fraction(1)
-    rem = list(num)
-    for d in range(1, L):
-        if L % d == 0:
-            rem, r = _poly_divmod(rem, list(cyclotomic_polynomial(d)))
-            assert not r
-    return tuple(rem)
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(L // d) == 1:  # poly *= x^d - 1
+            poly = [b - a for a, b in zip(poly + [0] * d, [0] * d + poly)]
+    for d in divisors:
+        if _mobius(L // d) == -1:  # poly /= x^d - 1, solving from the low end
+            quot = []
+            for i in range(len(poly) - d):
+                quot.append((quot[i - d] if i >= d else 0) - poly[i])
+            poly = quot
+    return tuple(Fraction(c) for c in poly)
 
 
 class Cyclotomic:

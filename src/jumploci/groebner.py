@@ -18,10 +18,10 @@ polynomial-ring computations on the saturation:
 The engine is Buchberger's algorithm with the sugar selection strategy and
 the coprime-lead-monomial criterion, over exact rational (Fraction)
 coefficients; returned bases are scaled to coprime integer coefficients.
-Computations abort with ResourceError once the configured S-pair budget is
-exhausted (default 200000, overridable per call or through the
-JUMPLOCI_SPAIR_BUDGET environment variable).  The budget counts S-pairs,
-not time, so it does not bound the run time of a slow reduction.
+Computations abort with ResourceError once the S-pair budget is exhausted
+(default 200000, set through the JUMPLOCI_SPAIR_BUDGET environment
+variable).  The budget counts S-pairs, not time, so it does not bound the
+run time of a slow reduction.
 
 Internally polynomials are raw dicts {exponent tuple: Fraction} with
 nonnegative exponents; the number of variables travels alongside because
@@ -46,9 +46,7 @@ BUDGET_ENV_VAR = "JUMPLOCI_SPAIR_BUDGET"
 Poly = dict  # {tuple[int,...]: Fraction}
 
 
-def spair_budget(override=None) -> int:
-    if override is not None:
-        return int(override)
+def spair_budget() -> int:
     env = os.environ.get(BUDGET_ENV_VAR)
     return int(env) if env else DEFAULT_SPAIR_BUDGET
 
@@ -101,21 +99,9 @@ class MonomialOrder:
         memo.key = _KeyMemo(self.key).__getitem__
         return memo
 
-    @property
-    def tag(self) -> str:
-        return self.name if not self.block else f"elim{self.block}"
-
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
-
-
-def order_from_tag(tag: str) -> MonomialOrder:
-    if tag == "grevlex":
-        return GREVLEX
-    if tag == "lex":
-        return LEX
-    raise InputError(f"unknown monomial order {tag!r}")
 
 
 # -- raw polynomial helpers -------------------------------------------------
@@ -194,7 +180,7 @@ def _is_constant(p: Poly) -> bool:
     return len(p) == 1 and not any(next(iter(p)))
 
 
-def buchberger(generators: list[Poly], order: MonomialOrder, budget=None) -> list[Poly]:
+def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     Deterministic for a fixed order: input generators are canonically
@@ -203,7 +189,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder, budget=None) -> lis
     normalized and sorted by leading monomial.  The unit ideal returns
     [1] as soon as a constant appears.
     """
-    limit = spair_budget(budget)
+    limit = spair_budget()
     order = order.memoized()
     key = order.key
     gens = [_normalize(dict(g), order) for g in generators if g]
@@ -306,25 +292,25 @@ def _restrict(p: Poly, i: int) -> Poly:
     return {e: c for e, c in p.items() if not e[i]}
 
 
-def _saturate_by_elimination(polys: list[Poly], n: int, budget=None) -> list[Poly]:
+def _saturate_by_elimination(polys: list[Poly], n: int) -> list[Poly]:
     """Generators of (polys) : (t1*...*tN)^inf: adjoin y and the relation
     1 - y*t1*...*tN, then eliminate y."""
     ext = [_pad(p, 1) for p in polys]
     rel = {(0,) * (n + 1): Fraction(1), (1,) * (n + 1): Fraction(-1)}
-    basis = buchberger(ext + [rel], MonomialOrder("elim", (n,)), budget)
+    basis = buchberger(ext + [rel], MonomialOrder("elim", (n,)))
     return [_drop_last_var(g) for g in basis if all(e[n] == 0 for e in g)]
 
 
-def _misses_coordinate_hyperplanes(polys: list[Poly], n: int, budget=None) -> bool:
+def _misses_coordinate_hyperplanes(polys: list[Poly], n: int) -> bool:
     """Whether every restriction t_i = 0 of the ideal (polys) is the unit
     ideal, i.e. 1 lies in (polys) + (t_i) for each i."""
     return all(
-        _is_unit_basis(buchberger([_restrict(p, i) for p in polys], GREVLEX, budget))
+        _is_unit_basis(buchberger([_restrict(p, i) for p in polys], GREVLEX))
         for i in range(n)
     )
 
 
-def _saturate(polys: list[Poly], n: int, budget=None) -> list[Poly]:
+def _saturate(polys: list[Poly], n: int) -> list[Poly]:
     """Generators of (polys) : (t1*...*tN)^inf in n variables."""
     if not polys:
         return []
@@ -338,9 +324,9 @@ def _saturate(polys: list[Poly], n: int, budget=None) -> list[Poly]:
     # which is g*a^k*u^k, hence 0, modulo I: I : u^inf = I, and the
     # elimination is not needed.  A restriction that is not the unit ideal,
     # the zero ideal included, leaves the question to the exact elimination.
-    if _misses_coordinate_hyperplanes(polys, n, budget):
+    if _misses_coordinate_hyperplanes(polys, n):
         return list(polys)
-    return _saturate_by_elimination(polys, n, budget)
+    return _saturate_by_elimination(polys, n)
 
 
 # -- LaurentIdeal ------------------------------------------------------------
@@ -350,7 +336,7 @@ class LaurentIdeal:
     """Finitely generated ideal of the Laurent ring with cached Groebner data
     for its coordinate saturation.  Immutable; caches are write-once."""
 
-    __slots__ = ("context", "generators", "_sat", "_bases")
+    __slots__ = ("context", "generators", "_sat", "_basis")
 
     def __init__(self, context: RingContext, generators):
         gens = []
@@ -363,66 +349,58 @@ class LaurentIdeal:
         self.context = context
         self.generators = tuple(gens)
         self._sat = None
-        self._bases = {}
+        self._basis = None
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"LaurentIdeal({gens})"
 
-    def is_zero_ideal(self) -> bool:
-        return all(g.is_zero() for g in self.generators)
-
-    def _saturated_generators(self, budget=None) -> list[Poly]:
+    def _saturated_generators(self) -> list[Poly]:
         """Generators of the polynomial-ring saturation by t1*...*tN."""
         if self._sat is None:
             polys = [laurent_to_poly(g) for g in self.generators if not g.is_zero()]
-            self._sat = _saturate(polys, self.context.num_vars, budget)
+            self._sat = _saturate(polys, self.context.num_vars)
         return self._sat
 
-    def groebner_basis(self, order="grevlex", budget=None) -> tuple[LaurentPoly, ...]:
-        """Reduced Groebner basis of the saturated polynomial ideal under the
-        requested order; {1} for the unit ideal, () for the zero ideal."""
-        ord_obj = order if isinstance(order, MonomialOrder) else order_from_tag(order)
-        if ord_obj.tag in self._bases:
-            basis = self._bases[ord_obj.tag]
-        else:
-            sat = self._saturated_generators(budget)
-            basis = buchberger(sat, ord_obj, budget) if sat else []
-            self._bases[ord_obj.tag] = basis
-        return tuple(LaurentPoly(self.context, g) for g in basis)
+    def groebner_basis(self) -> tuple[LaurentPoly, ...]:
+        """Reduced grevlex Groebner basis of the saturated polynomial ideal;
+        (1,) for the unit ideal, () for the zero ideal."""
+        if self._basis is None:
+            sat = self._saturated_generators()
+            self._basis = buchberger(sat, GREVLEX) if sat else []
+        return tuple(LaurentPoly(self.context, g) for g in self._basis)
 
-    def is_unit_ideal(self, budget=None) -> bool:
-        basis = self.groebner_basis("grevlex", budget)
-        return len(basis) == 1 and basis[0].is_constant() and not basis[0].is_zero()
+    def is_unit_ideal(self) -> bool:
+        # buchberger returns exactly [1] for the unit ideal
+        basis = self.groebner_basis()
+        return len(basis) == 1 and basis[0].is_one()
 
-    def radical_contains(self, f: LaurentPoly, budget=None) -> bool:
+    def radical_contains(self, f: LaurentPoly) -> bool:
         """Whether f lies in the radical of the ideal, via the trick of
         adjoining 1 - z*f and testing for the unit ideal."""
         if f.context != self.context:
             raise InputError("ring context mismatch")
         if f.is_zero():
             return True
-        sat = self._saturated_generators(budget)
+        sat = self._saturated_generators()
         if not sat:
             return False  # radical of (0) in a domain is (0)
-        if self.is_unit_ideal(budget):
+        if self.is_unit_ideal():
             return True
         n = self.context.num_vars
-        fpoly = _pad(laurent_to_poly(f), 1)
-        rel = dict_sub_one_minus_z_times(fpoly, n)
-        basis = buchberger([_pad(p, 1) for p in sat] + [rel], GREVLEX, budget)
+        # 1 - z*f with z the last variable; no term of z*f is constant
+        rel = {exp + (1,): -c for exp, c in laurent_to_poly(f).items()}
+        rel[(0,) * (n + 1)] = Fraction(1)
+        basis = buchberger([_pad(p, 1) for p in sat] + [rel], GREVLEX)
         return _is_unit_basis(basis)
 
-    def codimension(self, budget=None):
+    def codimension(self):
         """N minus the Krull dimension of the saturated ideal; math.inf for
-        the unit ideal (empty locus), 0 for the zero ideal."""
-        if self.is_zero_ideal():
-            return 0
-        basis = self.groebner_basis("grevlex", budget)
-        if len(basis) == 1 and basis[0].is_constant():
+        the unit ideal (empty locus), 0 for the zero ideal (empty basis)."""
+        if self.is_unit_ideal():
             return math.inf
         n = self.context.num_vars
-        leads = [max(g.terms, key=GREVLEX.key) for g in basis]
+        leads = [max(g.terms, key=GREVLEX.key) for g in self.groebner_basis()]
         for size in range(n, -1, -1):
             for subset in combinations(range(n), size):
                 inside = set(subset)
@@ -444,34 +422,16 @@ class LaurentIdeal:
         return hash((self.context, self.generators))
 
 
-def dict_sub_one_minus_z_times(fpoly: Poly, n: int) -> Poly:
-    """The relation 1 - z*f in n+1 variables, z the last variable; ``fpoly``
-    must already be padded to n+1 variables."""
-    rel = {(0,) * (n + 1): Fraction(1)}
-    for exp, c in fpoly.items():
-        key = exp[:-1] + (exp[-1] + 1,)
-        s = rel.get(key, Fraction(0)) - c
-        if s:
-            rel[key] = s
-        else:
-            rel.pop(key, None)
-    return rel
-
-
-def variety_containment(inner: LaurentIdeal, outer: LaurentIdeal, budget=None) -> bool:
+def variety_containment(inner: LaurentIdeal, outer: LaurentIdeal) -> bool:
     """Decide V(inner) <= V(outer): every generator of ``outer`` must lie in
     the radical of ``inner``."""
     if inner.context != outer.context:
         raise InputError("ring context mismatch")
-    return all(inner.radical_contains(g, budget) for g in outer.generators)
+    return all(inner.radical_contains(g) for g in outer.generators)
 
 
-def reduce_against_saturation(
-    ideal: LaurentIdeal, f: LaurentPoly, order="grevlex", budget=None
-) -> LaurentPoly:
-    """Normal form of (the polynomialization of) f against the cached
+def reduce_against_saturation(ideal: LaurentIdeal, f: LaurentPoly) -> LaurentPoly:
+    """Grevlex normal form of (the polynomialization of) f against the cached
     saturated basis; zero iff f lies in the saturated ideal."""
-    ord_obj = order if isinstance(order, MonomialOrder) else order_from_tag(order)
-    basis = [laurent_to_poly(g) for g in ideal.groebner_basis(ord_obj, budget)]
-    nf = _reduce(laurent_to_poly(f), basis, ord_obj)
-    return LaurentPoly(ideal.context, nf)
+    basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
+    return LaurentPoly(ideal.context, _reduce(laurent_to_poly(f), basis, GREVLEX))

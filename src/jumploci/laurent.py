@@ -261,17 +261,13 @@ class LaurentPoly:
         radial parts are nonzero."""
         _check_same_context(self, point)
         L = point.angle_order()
-        total = Cyclotomic.rational(L, 0)
+        coeffs = [Fraction(0)] * L  # coefficients of zeta_L^0 .. zeta_L^(L-1)
         for exp, c in self.terms.items():
-            radial = Fraction(1)
-            angle = Fraction(0)
-            for e, (q, theta) in zip(exp, point.coords):
-                radial *= q**e
-                angle += e * theta
+            radial, angle = point._character(exp)
             k = angle * L
             assert k.denominator == 1
-            total = total + Cyclotomic.root_of_unity(L, int(k)).scale(c * radial)
-        return total
+            coeffs[int(k) % L] += c * radial
+        return Cyclotomic(L, coeffs)
 
     def substitute(self, mapping: Sequence[tuple[Fraction, int]]) -> "LaurentPoly":
         """Apply the ring homomorphism t_i -> lam_i * t_i^(n_i).
@@ -380,28 +376,26 @@ class TorsionPoint:
             [(q**e, e * th) for (q, th), e in zip(self.coords, exponents)],
         )
 
-    def character_value(self, lattice_vector: Sequence[int]) -> Cyclotomic:
-        """Value of the character t -> t^k at this point, k an integer vector."""
-        L = self.angle_order()
+    def _character(self, lattice_vector: Sequence[int]) -> tuple[Fraction, Fraction]:
+        """(radial, angle) of t^k at this point: prod q_i^k_i and
+        sum k_i*theta_i, so t^k = radial * e^(2*pi*i*angle)."""
         radial = Fraction(1)
         angle = Fraction(0)
         for (q, th), k in zip(self.coords, lattice_vector):
             radial *= q**k
             angle += k * th
-        num = angle * L
-        assert num.denominator == 1
-        return Cyclotomic.root_of_unity(L, int(num)).scale(radial)
+        return radial, angle
+
+    def character_value(self, lattice_vector: Sequence[int]) -> Cyclotomic:
+        """Value of the character t -> t^k at this point, k an integer vector."""
+        return self.context.monomial(lattice_vector).evaluate(self)
 
     def character_is_trivial(self, lattice_vector: Sequence[int]) -> bool:
         """Whether t^k is 1 at this point.  The value is prod q_i^k_i times
         e^(2*pi*i*sum k_i*theta_i) with every q_i > 0, so it is 1 exactly when
         the radial product is 1 and the angle sum is an integer; no
         arithmetic in Q(zeta_L) is needed."""
-        radial = Fraction(1)
-        angle = Fraction(0)
-        for (q, th), k in zip(self.coords, lattice_vector):
-            radial *= q**k
-            angle += k * th
+        radial, angle = self._character(lattice_vector)
         return radial == 1 and angle.denominator == 1
 
     def embed(self, target: RingContext, var_map: Sequence[int]) -> "TorsionPoint":

@@ -21,6 +21,7 @@ _ANGLES = [
     Fraction(1, 4), Fraction(3, 4), Fraction(1, 6), Fraction(5, 6),
     Fraction(1, 12), Fraction(5, 12), Fraction(7, 12), Fraction(11, 12),
 ]
+_TORSION_SHARE = 0.25  # share of random sample points that are torsion points
 
 
 def _random_radial(rng: random.Random) -> Fraction:
@@ -59,7 +60,6 @@ def sample_points(
     rng: random.Random,
     count: int,
     loci: list[LinearUnion] | None = None,
-    torsion_share: float = 0.25,
 ) -> list[TorsionPoint]:
     """A deterministic sample of at least ``count`` distinct points: points
     on every declared component first, then random rational and low-order
@@ -82,7 +82,7 @@ def sample_points(
     attempts = 0
     while len(unique) < count and attempts < 60 * count:
         attempts += 1
-        if rng.random() < torsion_share:
+        if rng.random() < _TORSION_SHARE:
             push(random_torsion_point(context, rng))
         else:
             push(random_rational_point(context, rng))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,30 @@ def test_cyclotomic_polynomials_small_orders():
     assert cyclotomic_polynomial(4) == (Fraction(1), Fraction(0), Fraction(1))
     assert cyclotomic_polynomial(6) == (Fraction(1), Fraction(-1), Fraction(1))
     assert len(cyclotomic_polynomial(12)) - 1 == 4  # phi(12) = 4
+
+
+def _poly_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a):
+                out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_factor_x_to_the_L_minus_one():
+    # x^L - 1 is the product of Phi_d over the divisors d of L, and
+    # deg Phi_L is Euler's phi(L), counted here with gcd
+    for L in range(1, 301):
+        prod = [1]
+        for d in range(1, L + 1):
+            if L % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert all(c.denominator == 1 for c in phi), d
+                prod = _poly_product(prod, [int(c) for c in phi])
+        assert prod == [-1] + [0] * (L - 1) + [1], L
+        totient = sum(1 for k in range(1, L + 1) if gcd(k, L) == 1)
+        assert len(cyclotomic_polynomial(L)) - 1 == totient, L
 
 
 def test_roots_of_unity_relations():

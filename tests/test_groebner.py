@@ -49,7 +49,7 @@ def test_basis_unit_ideal(ctx2):
 def test_basis_s_polynomial_reduction(ctx2):
     t1, t2 = ctx2.variable(0), ctx2.variable(1)
     ideal = LaurentIdeal(ctx2, [t1 - 1, t1 * t2 - 1])
-    assert sorted(str(g) for g in ideal.groebner_basis("grevlex")) == ["t1 - 1", "t2 - 1"]
+    assert sorted(str(g) for g in ideal.groebner_basis()) == ["t1 - 1", "t2 - 1"]
 
 
 def test_saturation_correctness(ctx2):
@@ -161,24 +161,43 @@ def test_determinism_repeated_runs(ctx2):
     runs = []
     for _ in range(3):
         ideal = LaurentIdeal(ctx2, gens)
-        runs.append(tuple(str(g) for g in ideal.groebner_basis("grevlex")))
+        runs.append(tuple(str(g) for g in ideal.groebner_basis()))
     assert runs[0] == runs[1] == runs[2]
-    lex_runs = [
-        tuple(str(g) for g in LaurentIdeal(ctx2, gens).groebner_basis("lex"))
-        for _ in range(2)
-    ]
+    polys = [laurent_to_poly(g) for g in gens]
+    lex_runs = [tuple(map(str, buchberger(_saturate(polys, 2), LEX))) for _ in range(2)]
     assert lex_runs[0] == lex_runs[1]
 
 
-def test_spair_budget_enforced(ctx2):
+def test_spair_budget_enforced(ctx2, monkeypatch):
     x, y = gens2(ctx2)
     gens = [x**3 * y - x, y**3 - x * y + 1, x**2 * y**2 - 3]
+    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1")
     with pytest.raises(ResourceError):
-        LaurentIdeal(ctx2, gens).groebner_basis("grevlex", budget=1)
+        LaurentIdeal(ctx2, gens).groebner_basis()
+
+
+def test_spair_budget_reaches_every_entry_point(ctx2, monkeypatch):
+    # the budget is read inside buchberger, so each entry point that used to
+    # take a per-call budget raises on a fresh ideal once the variable is set
+    x, y = gens2(ctx2)
+    gens = [x**3 * y - x, y**3 - x * y + 1, x**2 * y**2 - 3]
+    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1")
+    probes = {
+        "groebner_basis": lambda: LaurentIdeal(ctx2, gens).groebner_basis(),
+        "radical_contains": lambda: LaurentIdeal(ctx2, gens).radical_contains(x + y),
+        "codimension": lambda: LaurentIdeal(ctx2, gens).codimension(),
+        "variety_containment": lambda: variety_containment(
+            LaurentIdeal(ctx2, gens), LaurentIdeal(ctx2, [x])
+        ),
+        "_saturate": lambda: _saturate(_restriction_heavy_polys(), 3),
+    }
+    for name, probe in probes.items():
+        with pytest.raises(ResourceError):
+            probe()
+            pytest.fail(name)
 
 
 def test_order_tags():
-    assert GREVLEX.tag == "grevlex"
     elim = MonomialOrder("elim", (2,))
     key_inside = elim.key((0, 0, 1))
     key_outside = elim.key((5, 5, 0))
@@ -256,19 +275,24 @@ def test_saturation_fast_path_matches_elimination_on_fixture_stock():
                     _assert_fast_matches_elimination(polys, n)
 
 
-def test_saturation_restrictions_respect_budget():
+def _restriction_heavy_polys():
     # the restriction t1 = 0 is (t2^3 - t3, t2*t3 - 1, t3^2 - t2), whose
     # basis needs more than a handful of S-pairs
     one = Fraction(1)
-    polys = [
+    return [
         {(0, 3, 0): one, (0, 0, 1): -one, (1, 0, 0): one},
         {(0, 1, 1): one, (0, 0, 0): -one},
         {(0, 0, 2): one, (0, 1, 0): -one, (1, 0, 0): one},
     ]
+
+
+def test_saturation_restrictions_respect_budget(monkeypatch):
+    polys = _restriction_heavy_polys()
+    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "3")
     with pytest.raises(ResourceError):
-        _misses_coordinate_hyperplanes(polys, 3, budget=3)
+        _misses_coordinate_hyperplanes(polys, 3)
     with pytest.raises(ResourceError):
-        _saturate(polys, 3, budget=3)
+        _saturate(polys, 3)
 
 
 def test_unit_ideal_radical_membership_without_elimination(ctx2, monkeypatch):
@@ -279,9 +303,9 @@ def test_unit_ideal_radical_membership_without_elimination(ctx2, monkeypatch):
     ring_sizes = []
     real = groebner.buchberger
 
-    def recording(generators, order, budget=None):
+    def recording(generators, order):
         ring_sizes.append({len(e) for g in generators for e in g})
-        return real(generators, order, budget)
+        return real(generators, order)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     t1, t2 = ctx2.variable(0), ctx2.variable(1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jumploci.cyclotomic import Cyclotomic
 from jumploci.errors import InputError
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint, parse_poly
 
@@ -173,6 +174,36 @@ def test_character_is_trivial_matches_field_value():
         assert p.character_is_trivial(k) == expected, (p, k)
         trivial += expected
     assert 0 < trivial < 300
+
+
+def test_evaluate_matches_per_term_sum():
+    # one Cyclotomic built from accumulated coefficients equals the sum of
+    # one scaled root of unity per term
+    rng = random.Random(15)
+    ctx = RingContext.torus(2)
+    radials = [Fraction(1), Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(-4)]
+    for _ in range(200):
+        L = rng.randint(1, 60)
+        point = TorsionPoint(
+            ctx, [(rng.choice(radials), Fraction(rng.randrange(L), L)) for _ in range(2)]
+        )
+        p = ctx.zero()
+        for _ in range(rng.randint(0, 5)):
+            exp = [rng.randint(-3, 3) for _ in range(2)]
+            p = p + ctx.monomial(exp, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        order = point.angle_order()
+        expected = Cyclotomic.rational(order, 0)
+        for exp, c in p.terms.items():
+            radial = Fraction(1)
+            angle = Fraction(0)
+            for e, (q, theta) in zip(exp, point.coords):
+                radial *= q**e
+                angle += e * theta
+            expected = expected + Cyclotomic.root_of_unity(order, int(angle * order)).scale(
+                c * radial
+            )
+        value = p.evaluate(point)
+        assert value.order == order and value.coeffs == expected.coeffs, (p, point)
 
 
 def test_parse_print_round_trip():

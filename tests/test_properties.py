@@ -21,11 +21,13 @@ from jumploci.groebner import (
     LaurentIdeal,
     _lead,
     _reduce,
+    _saturate,
     _spoly,
+    buchberger,
     laurent_to_poly,
 )
 from jumploci.lattices import hermite_normal_form, LinearComponent
-from jumploci.laurent import RingContext, TorsionPoint
+from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
 from jumploci.loci import membership_at_point, propagation_check
 from jumploci.sampling import sample_points
 
@@ -46,15 +48,14 @@ def test_buchberger_criterion_certificate():
     for order in (GREVLEX, LEX):
         for _ in range(15):
             gens = [_random_laurent(ctx, rng) for _ in range(rng.randint(1, 3))]
-            ideal = LaurentIdeal(ctx, gens)
-            basis = [laurent_to_poly(g) for g in ideal.groebner_basis(order)]
-            basis = [g for g in basis if g]
+            polys = [laurent_to_poly(g) for g in gens if not g.is_zero()]
+            basis = buchberger(_saturate(polys, 2), order)
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
                     s = _spoly(
                         basis[i], basis[j], _lead(basis[i], order), _lead(basis[j], order)
                     )
-                    assert not _reduce(s, basis, order), (gens, order.tag)
+                    assert not _reduce(s, basis, order), (gens, order.name)
 
 
 def test_groebner_basis_is_reduced():
@@ -102,9 +103,9 @@ def test_public_elimination_order():
     # eliminating the first variable from (t1 - t2^2, t1 - 1) leaves t2^2 - 1
     ctx = RingContext.torus(2)
     t1, t2 = ctx.variable(0), ctx.variable(1)
-    ideal = LaurentIdeal(ctx, [t1 - t2**2, t1 - 1])
+    polys = [laurent_to_poly(g) for g in (t1 - t2**2, t1 - 1)]
     elim = MonomialOrder("elim", (0,))
-    basis = ideal.groebner_basis(elim)
+    basis = [LaurentPoly(ctx, g) for g in buchberger(_saturate(polys, 2), elim)]
     only_t2 = [g for g in basis if all(e[0] == 0 for e in g.terms)]
     assert any(g == t2**2 - 1 or g == 1 - t2**2 for g in only_t2)
 

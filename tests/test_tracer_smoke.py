@@ -1,8 +1,9 @@
 """The benchmark's traced run patches engine functions by name
-(``groebner.buchberger``, ``LaurentIdeal.groebner_basis``, ...).  A refactor
-that moves one of them breaks the benchmark, not the program, so this runs
-the tracer once on a small job and checks that it still records Groebner
-spans."""
+(``groebner.buchberger``, ``LaurentIdeal.groebner_basis``,
+``cyclotomic.field_rank``, ...) and reads attributes of what they return.  A
+refactor that moves one of them breaks the benchmark, not the program, so
+this runs the tracer once on a small job per route and checks that it still
+records that route's spans."""
 
 import json
 import os
@@ -10,22 +11,39 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from jumploci import serialize
 from jumploci.fixtures import mellin_constant_torus
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# an order-12 point on the 2-torus: angles 1/3 and 1/4
+ORDER_12_POINTS = [[["1", "1/3"], ["1", "1/4"]]]
 
-def test_tracer_records_groebner_spans(tmp_path):
+
+@pytest.mark.parametrize(
+    "argv, required",
+    [
+        (["jump-ideals", "m2.complex"], ["groebner."]),
+        (
+            ["sample", "m2.complex", "--points", "points.json"],
+            ["cyclotomic.field_rank", "loci.membership_at_point"],
+        ),
+    ],
+    ids=["jump-ideals", "sample"],
+)
+def test_tracer_records_route_spans(tmp_path, argv, required):
     (tmp_path / "m2.complex").write_text(serialize.dump_complex(mellin_constant_torus(2).complex))
+    (tmp_path / "points.json").write_text(json.dumps(ORDER_12_POINTS))
     spans_out = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), "smoke", "cli",
-         "jump-ideals", "m2.complex"],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), "smoke", "cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     names = [span["name"] for span in json.loads(spans_out.read_text())["spans"]]
-    assert any(name.startswith("groebner.") for name in names), names
+    for prefix in required:
+        assert any(name.startswith(prefix) for name in names), (prefix, names)
