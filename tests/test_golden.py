@@ -5,8 +5,9 @@ The inputs are the m = 2 constant-object fixture, the 1x1 external tensor,
 the (2,1) induced cover of m = 2, two failing inputs: m = 2 shifted one
 step left (exactness and perversity exit 1) and m = 3 summed with its twist
 (jump-ideals exits 3 on the minor-size cap), and the constant object on the
-4-torus (m = 4), whose degree -3 jumping ideals and exactness certificate
-need the Groebner engine at N = 4.  Each is written by the
+4-torus (m = 4), whose degree -3 and -2 jumping ideals and exactness
+certificate need the Groebner engine at N = 4 (degree -2 prints the
+largest saturated basis of the stock, 84 generators).  Each is written by the
 ``fixtures`` subcommand, which is itself one of the frozen cases.
 
 After a deliberate report change, regenerate the files with
@@ -75,6 +76,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         ["perversity", "m2-shift.complex", "--loci", "m2-shift.loci", "--samples", "8", "--seed", "5"], 1)
     base["m3-sum-twist-jump-ideals"] = (["jump-ideals", "m3-sum-twist.complex"], 3)
     base["m4-jump-ideals-degree-3"] = (["jump-ideals", "m4.complex", "--degrees=-3..-3"], 0)
+    base["m4-jump-ideals-degree-2"] = (["jump-ideals", "m4.complex", "--degrees=-2..-2"], 0)
     base["m4-exactness"] = (["exactness", "m4.complex"], 0)
     cases = {}
     for case, (argv, code) in base.items():
