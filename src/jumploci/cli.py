@@ -12,7 +12,8 @@ Subcommands:
     sample      <complex> --points FILE       pointwise memberships
 
 Exit status: 0 = pass/success, 1 = checked-and-failed (report emitted),
-2 = input error, 3 = resource budget exceeded.  Reports are deterministic;
+2 = input error, 3 = resource budget exceeded, 4 = internal error (a bug;
+the traceback goes to stderr).  Reports are deterministic;
 sampled verdicts embed their seed.  The S-pair budget can be set through
 JUMPLOCI_SPAIR_BUDGET.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +44,7 @@ EXIT_PASS = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -269,6 +272,11 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception:
+        # a bug must not pass as "checked and failed" (1)
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

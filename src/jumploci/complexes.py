@@ -24,11 +24,13 @@ rank/codimension exactness certificate in a degree range: a suffix of
 negative degrees is exact iff ranks are additive and the Fitting ideal of
 each degree i in the range has codimension at least -i.
 
-Minor enumeration is capped at size 5; larger requests raise ResourceError.
+Minor enumeration is capped at size 5 and induction covers at MAX_COVER_SIZE
+basis monomials; larger requests raise ResourceError.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -39,6 +41,9 @@ from .groebner import LEX, LaurentIdeal, _normalize, laurent_to_poly
 from .laurent import LaurentPoly, RingContext, TorsionPoint
 
 MAX_MINOR_SIZE = 5
+# Largest induction cover, as the number n_1*...*n_N of basis monomials: the
+# induced differentials have that many times the rows and columns.
+MAX_COVER_SIZE = 64
 
 
 # -- matrices of Laurent polynomials ------------------------------------------
@@ -641,9 +646,13 @@ class FreeComplex:
             raise InputError("induction needs one exponent per variable")
         if any(x < 1 for x in n):
             raise InputError("induction exponents must be positive")
+        size = math.prod(n)
+        if size > MAX_COVER_SIZE:
+            raise ResourceError(
+                f"induction cover of size {size} exceeds the cap of {MAX_COVER_SIZE}"
+            )
         basis = _box_basis(n)
         index = {e: k for k, e in enumerate(basis)}
-        size = len(basis)
         zero = self.context.zero()
 
         def blow_up(p: LaurentPoly) -> list[list[LaurentPoly]]:

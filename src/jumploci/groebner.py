@@ -16,16 +16,19 @@ polynomial-ring computations on the saturation:
   * variety containment V(I) <= V(J): every generator of J in sqrt(I).
 
 The engine is Buchberger's algorithm with the sugar selection strategy and
-the coprime-lead-monomial criterion, over exact rational (Fraction)
-coefficients; returned bases are scaled to coprime integer coefficients.
+the coprime-lead-monomial criterion, over integer coefficients with
+fraction-free reduction: S-polynomials cross-multiply by the lead
+cofactors, reduction is pseudo-division with content removal, and every
+polynomial the engine keeps is primitive with a positive lead coefficient.
 Computations abort with ResourceError once the S-pair budget is exhausted
 (default 200000, set through the JUMPLOCI_SPAIR_BUDGET environment
 variable).  The budget counts S-pairs, not time, so it does not bound the
 run time of a slow reduction.
 
-Internally polynomials are raw dicts {exponent tuple: Fraction} with
-nonnegative exponents; the number of variables travels alongside because
-auxiliary variables extend the ring temporarily.
+Internally polynomials are raw dicts {exponent tuple: int} with nonnegative
+exponents (inputs may carry Fraction coefficients; ``_normalize`` clears
+them); the number of variables travels alongside because auxiliary
+variables extend the ring temporarily.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .laurent import LaurentPoly, RingContext
 DEFAULT_SPAIR_BUDGET = 200_000
 BUDGET_ENV_VAR = "JUMPLOCI_SPAIR_BUDGET"
 
-Poly = dict  # {tuple[int,...]: Fraction}
+Poly = dict  # {tuple[int,...]: int}, or Fraction on input
 
 
 def spair_budget() -> int:
@@ -113,62 +116,101 @@ def _lead(p: Poly, order: MonomialOrder):
 
 
 def _normalize(p: Poly, order: MonomialOrder) -> Poly:
-    """Scale to coprime integer coefficients with positive leading one."""
+    """The primitive integer multiple of p with positive leading coefficient.
+    Coefficients may be int or Fraction: both have numerator and denominator,
+    and for Fractions in lowest terms the content of p is gcd(numerators) /
+    lcm(denominators)."""
     if not p:
         return p
     den = math.lcm(*(c.denominator for c in p.values()))
     num = math.gcd(*(c.numerator for c in p.values()))
-    scale = Fraction(den, num)
     if p[max(p, key=order.key)] < 0:
-        scale = -scale
-    return {e: c * scale for e, c in p.items()}
+        num = -num
+    return {e: c.numerator // num * (den // c.denominator) for e, c in p.items()}
 
 
 def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Poly:
-    """Full normal form of p against basis (tail terms reduced too).
-    ``leads``, when given, holds the lead term ``_lead(g, order)`` of each
-    basis element, all of them nonzero."""
+    """A positive rational multiple of the full normal form of p against
+    basis (tail terms reduced too), with integer coefficients; see
+    ``_pseudo_reduce``."""
+    return _pseudo_reduce(p, basis, order, leads)[0]
+
+
+def _pseudo_reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None):
+    """Fraction-free full reduction of p against basis: (r, num, den), where
+    r has integer coefficients and equals num/den > 0 times the normal form.
+
+    Without ``leads`` the basis is normalized here; with it, the basis must
+    be as ``_normalize`` returns it and ``leads[k]`` the lead term
+    (exponent, coefficient) of ``basis[k]``.  To cancel the lead c*x^e by g
+    with lead gc*x^f, work and remainder are multiplied by gc/d with
+    d = gcd(c, gc), (c/d)*x^(e-f)*g is subtracted, and both are divided by
+    their common content.  Every scale is positive, so work and remainder
+    stay positive multiples of what the division over Q holds: the same
+    divisors are chosen, and r has the support of the rational result.
+    """
     if leads is None:
-        basis = [g for g in basis if g]
+        basis = [_normalize(g, order) for g in basis if g]
         leads = [_lead(g, order) for g in basis]
     divisors = list(zip(basis, leads))
     key = order.key
+    num, den = math.lcm(*(c.denominator for c in p.values())), 1
+    work = {e: c.numerator * (num // c.denominator) for e, c in p.items()}
     remainder: Poly = {}
-    work = dict(p)
     while work:
         exp = max(work, key=key)
         coeff = work[exp]
         for g, (gexp, gcoeff) in divisors:
             if all(map(ge, exp, gexp)):
-                # work -= (coeff / gcoeff) * x^shift * g, in place
                 shift = tuple(map(sub, exp, gexp))
-                scale = coeff / gcoeff
+                d = math.gcd(coeff, gcoeff)
+                scale = gcoeff // d
+                if scale != 1:
+                    num *= scale
+                    for term in work:
+                        work[term] *= scale
+                    for term in remainder:
+                        remainder[term] *= scale
+                # work -= (coeff / d) * x^shift * g, in place
+                mult = coeff // d
                 for gterm, c in g.items():
                     term = tuple(map(add, gterm, shift))
-                    s = work.get(term, 0) - scale * c
+                    s = work.get(term, 0) - mult * c
                     if s:
                         work[term] = s
                     else:
                         del work[term]
+                if scale != 1:
+                    content = math.gcd(*work.values(), *remainder.values())
+                    if content > 1:
+                        den *= content
+                        for term in work:
+                            work[term] //= content
+                        for term in remainder:
+                            remainder[term] //= content
                 break
         else:
             remainder[exp] = coeff
             del work[exp]
-    return remainder
+    return remainder, num, den
 
 
 def _spoly(f: Poly, g: Poly, f_lead, g_lead) -> Poly:
-    # S(f,g) = (lcm/lt f) f / lc f - (lcm/lt g) g / lc g, given the lead
-    # terms (exponent, coefficient) of f and g
+    # S(f,g) = (gc/d) (lcm/lt f) f - (fc/d) (lcm/lt g) g with d = gcd(fc, gc),
+    # given the lead terms (exponent, coefficient) of the integer
+    # polynomials f and g; with fc, gc > 0 this is fc*gc/d times the
+    # rational S-polynomial, a positive multiple
     fexp, fc = f_lead
     gexp, gc = g_lead
+    d = math.gcd(fc, gc)
+    fmul, gmul = gc // d, fc // d
     lcm_exp = tuple(map(max, fexp, gexp))
     shift_f = tuple(map(sub, lcm_exp, fexp))
     shift_g = tuple(map(sub, lcm_exp, gexp))
-    out: Poly = {tuple(map(add, exp, shift_f)): c / fc for exp, c in f.items()}
+    out: Poly = {tuple(map(add, exp, shift_f)): fmul * c for exp, c in f.items()}
     for exp, c in g.items():
         key = tuple(map(add, exp, shift_g))
-        s = out.get(key, 0) - c / gc
+        s = out.get(key, 0) - gmul * c
         if s:
             out[key] = s
         else:
@@ -188,11 +230,19 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     index as tie-breakers, and the final basis is inter-reduced, content
     normalized and sorted by leading monomial.  The unit ideal returns
     [1] as soon as a constant appears.
+
+    Coefficients are integers throughout.  Buchberger's algorithm sees each
+    polynomial only up to a nonzero scalar: pairs and sugar depend on lead
+    exponents alone, ``_spoly`` and ``_reduce`` return positive multiples
+    of what the same steps give over Q (same supports, same zero and
+    constant tests), and ``_normalize`` picks one representative of each
+    kept polynomial.  So the pairs, the sugar, the unit-ideal exits and the
+    reduced basis are those of the computation over Q.
     """
     limit = spair_budget()
     order = order.memoized()
     key = order.key
-    gens = [_normalize(dict(g), order) for g in generators if g]
+    gens = [_normalize(g, order) for g in generators if g]
     gens.sort(key=lambda g: (key(_lead(g, order)[0]), sorted(g.items())))
     basis: list[Poly] = []
     leads: list[tuple] = []  # leads[k] == _lead(basis[k], order)
@@ -296,7 +346,7 @@ def _saturate_by_elimination(polys: list[Poly], n: int) -> list[Poly]:
     """Generators of (polys) : (t1*...*tN)^inf: adjoin y and the relation
     1 - y*t1*...*tN, then eliminate y."""
     ext = [_pad(p, 1) for p in polys]
-    rel = {(0,) * (n + 1): Fraction(1), (1,) * (n + 1): Fraction(-1)}
+    rel = {(0,) * (n + 1): 1, (1,) * (n + 1): -1}
     basis = buchberger(ext + [rel], MonomialOrder("elim", (n,)))
     return [_drop_last_var(g) for g in basis if all(e[n] == 0 for e in g)]
 
@@ -390,7 +440,7 @@ class LaurentIdeal:
         n = self.context.num_vars
         # 1 - z*f with z the last variable; no term of z*f is constant
         rel = {exp + (1,): -c for exp, c in laurent_to_poly(f).items()}
-        rel[(0,) * (n + 1)] = Fraction(1)
+        rel[(0,) * (n + 1)] = 1
         basis = buchberger([_pad(p, 1) for p in sat] + [rel], GREVLEX)
         return _is_unit_basis(basis)
 
@@ -434,4 +484,5 @@ def reduce_against_saturation(ideal: LaurentIdeal, f: LaurentPoly) -> LaurentPol
     """Grevlex normal form of (the polynomialization of) f against the cached
     saturated basis; zero iff f lies in the saturated ideal."""
     basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
-    return LaurentPoly(ideal.context, _reduce(laurent_to_poly(f), basis, GREVLEX))
+    r, num, den = _pseudo_reduce(laurent_to_poly(f), basis, GREVLEX)
+    return LaurentPoly(ideal.context, {e: Fraction(c * den, num) for e, c in r.items()})

@@ -303,3 +303,35 @@ def test_module_entry_point(m2_files):
         text=True,
     )
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("exponents", ["9,9", "1000,1000"])
+def test_induction_cover_over_cap_exits_3(exponents):
+    # 12 x 12 took 14 s before the cap and 20 x 20 did not finish in 30 s;
+    # a cover above MAX_COVER_SIZE is refused before its basis is built
+    result = run_cli("fixtures", "induce", "--m", "2", "--n", exponents, timeout=60)
+    assert result.returncode == 3
+    assert result.stderr.startswith("resource cap:") and "induction cover" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):
+    from jumploci import cli
+    from jumploci.errors import ResourceError
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate", boom)
+    assert cli.main(["validate", "m2.complex"]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+    # ResourceError is a RuntimeError too, and keeps its own exit status
+    def capped(args):
+        raise ResourceError("cap")
+
+    monkeypatch.setattr(cli, "cmd_validate", capped)
+    assert cli.main(["validate", "m2.complex"]) == 3
+    assert capsys.readouterr().err == "resource cap: cap\n"

@@ -325,6 +325,16 @@ def test_induce_identity_cover():
     assert same.differential(-1) == C.differential(-1)
 
 
+def test_induce_cover_size_cap():
+    # the cap counts basis monomials n_1*...*n_N, checked before any is built
+    ctx = RingContext.torus(2)
+    C = _two_term(ctx, ctx.variable(0) - ctx.variable(1))
+    assert C.induce([8, 8]).ranks == tuple(r * 64 for r in C.ranks)
+    for exponents in ([9, 8], [65, 1], [10**6, 10**6]):
+        with pytest.raises(ResourceError, match="induction cover"):
+            C.induce(exponents)
+
+
 def test_is_exact_range_examples(ctx2):
     K = _koszul2(ctx2)
     ok, cert = K.is_exact_range([-2, -1])

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import add, ge, sub
 
 import pytest
 
@@ -12,7 +13,9 @@ from jumploci.groebner import (
     LaurentIdeal,
     MonomialOrder,
     _is_unit_basis,
+    _lead,
     _misses_coordinate_hyperplanes,
+    _reduce,
     _saturate,
     _saturate_by_elimination,
     buchberger,
@@ -20,7 +23,7 @@ from jumploci.groebner import (
     reduce_against_saturation,
     variety_containment,
 )
-from jumploci.laurent import RingContext
+from jumploci.laurent import LaurentPoly, RingContext
 
 
 @pytest.fixture
@@ -336,7 +339,7 @@ def _sympy_basis(polys, n, order):
 
 def _monic(p, order):
     lead = p[max(p, key=order.key)]
-    return {e: c / lead for e, c in p.items()}
+    return {e: Fraction(c, lead) for e, c in p.items()}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -355,3 +358,136 @@ def test_buchberger_matches_sympy_oracle(n):
             units.add(_is_unit_basis(ours))
             assert _is_unit_basis(ours) == (theirs == [{(0,) * n: Fraction(1)}])
     assert units == {True, False}
+
+
+# -- fraction-free engine against the rational reduction it replaced ----------
+
+
+def _fraction_reduce(p, basis, order):
+    """Reference: full reduction over Q, dividing by lead coefficients, as
+    the engine did with Fraction coefficients."""
+    basis = [g for g in basis if g]
+    divisors = list(zip(basis, [_lead(g, order) for g in basis]))
+    remainder = {}
+    work = dict(p)
+    while work:
+        exp = max(work, key=order.key)
+        coeff = work[exp]
+        for g, (gexp, gcoeff) in divisors:
+            if all(map(ge, exp, gexp)):
+                shift = tuple(map(sub, exp, gexp))
+                scale = coeff / gcoeff
+                for gterm, c in g.items():
+                    term = tuple(map(add, gterm, shift))
+                    s = work.get(term, 0) - scale * c
+                    if s:
+                        work[term] = s
+                    else:
+                        del work[term]
+                break
+        else:
+            remainder[exp] = coeff
+            del work[exp]
+    return remainder
+
+
+def _rational_poly(rng, n, terms, degree):
+    p = {}
+    for _ in range(terms):
+        c = Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+        p[tuple(rng.randint(0, degree) for _ in range(n))] = c
+    return p
+
+
+def _poly_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _as_fractions(p):
+    return {e: Fraction(c) for e, c in p.items()}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_integer_reduce_is_positive_multiple_of_rational_normal_form(n):
+    rng = random.Random(90 + n)
+    zero_seen = nonzero_seen = 0
+    for trial in range(60):
+        order = (GREVLEX, LEX)[trial % 2]
+        gens = [_rational_poly(rng, n, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        # half the bases are Groebner bases from the engine, half raw lists
+        basis = buchberger(gens, order) if trial % 4 < 2 else gens
+        if trial % 3 == 0:  # an element of the ideal
+            p = {}
+            for g in basis:
+                for e, c in _poly_mul(g, _rational_poly(rng, n, 2, 1)).items():
+                    p[e] = p.get(e, 0) + c
+            p = {e: Fraction(c) for e, c in p.items() if c}
+        else:
+            p = _rational_poly(rng, n, rng.randint(1, 6), 4)
+        ours = _reduce(p, basis, order)
+        ref = _fraction_reduce(p, [_as_fractions(g) for g in basis], order)
+        assert all(type(c) is int for c in ours.values())
+        assert ours.keys() == ref.keys(), (p, basis, order.name)
+        if not ref:
+            zero_seen += 1
+            continue
+        nonzero_seen += 1
+        exp = next(iter(ref))
+        m = Fraction(ours[exp]) / ref[exp]
+        assert m > 0
+        assert all(Fraction(c) == m * ref[e] for e, c in ours.items()), (p, basis, order.name)
+    assert zero_seen and nonzero_seen
+
+
+def _random_laurent_poly(ctx, rng, terms):
+    out = ctx.zero()
+    for _ in range(terms):
+        exp = [rng.randint(-1, 2) for _ in range(ctx.num_vars)]
+        out = out + ctx.monomial(exp, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduce_against_saturation_is_the_exact_normal_form(n):
+    rng = random.Random(95 + n)
+    ctx = RingContext.torus(n)
+    zero_seen = nonzero_seen = 0
+    for trial in range(30):
+        gens = [_random_laurent_poly(ctx, rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        ideal = LaurentIdeal(ctx, gens)
+        # integer multiples make the content removal after a scaled step fire
+        f = _random_laurent_poly(ctx, rng, rng.randint(1, 5)) * rng.choice([1, 6, 30])
+        if trial % 3 == 0:
+            f = f * gens[0]
+        basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
+        expected = LaurentPoly(ctx, _fraction_reduce(laurent_to_poly(f), basis, GREVLEX))
+        got = reduce_against_saturation(ideal, f)
+        assert got == expected, (gens, f)
+        if expected.is_zero():
+            zero_seen += 1
+        else:
+            nonzero_seen += 1
+    assert zero_seen and nonzero_seen
+    # 3*t1 + 3 against 2*t1 + 1: scaled by 2, then the content 3 is removed
+    t1 = ctx.variable(0)
+    assert reduce_against_saturation(LaurentIdeal(ctx, [2 * t1 + 1]), 3 * t1 + 3) == ctx.one() * Fraction(3, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_buchberger_returns_primitive_integer_polynomials(n):
+    rng = random.Random(99 + n)
+    orders = (GREVLEX, LEX, MonomialOrder("elim", (n - 1,)))
+    for trial in range(30):
+        gens = [_rational_poly(rng, n, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        for order in orders:
+            basis = buchberger(gens, order)
+            assert basis
+            for g in basis:
+                assert all(type(c) is int for c in g.values()), (gens, order.name)
+                assert math.gcd(*g.values()) == 1
+                assert _lead(g, order)[1] > 0
