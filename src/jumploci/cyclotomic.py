@@ -3,29 +3,32 @@
 An element is a polynomial in zeta_L with Fraction coefficients, reduced
 modulo the L-th cyclotomic polynomial Phi_L, so the coefficient vector has
 length deg(Phi_L) = phi(L) and representations are canonical: zero-testing
-and equality are exact, and division is available because Phi_L is
-irreducible over Q.
+and equality are exact.  Phi_L is monic with integer coefficients, so the
+reduction needs no division.
 
 These values arise when a Laurent polynomial is specialized at a torsion
 point: every coordinate contributes a rational times a root of unity, and
-cohomology ranks at the point are computed by Gaussian elimination over
-this field.  For L = 1 the field is plain Q and as_fraction() recovers the
-rational value.
+cohomology ranks at the point are computed by division-free elimination
+over Z[zeta_L] (``field_rank``).  For L = 1 the field is plain Q and
+as_fraction() recovers the rational value.
 
-Elements are vectors of length phi(L), so the cost of every operation grows
-with L; points read from files with an order above MAX_CYCLOTOMIC_ORDER
-are refused with ResourceError before any arithmetic starts.
+Elements are vectors of length phi(L), so one product costs about phi(L)^2
+integer operations, and points read from files with an order above
+MAX_CYCLOTOMIC_ORDER are refused with ResourceError before any arithmetic
+starts.  Elimination without division multiplies every row below a pivot
+by that pivot: content removal keeps coefficients small on the sparse,
+structured differentials the program builds, but on a dense n x n matrix
+their size can grow exponentially with the number of elimination steps.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import ResourceError
-
-Vec = tuple[Fraction, ...]
 
 MAX_CYCLOTOMIC_ORDER = 1000
 
@@ -36,27 +39,6 @@ def check_order(order: int) -> None:
         raise ResourceError(
             f"cyclotomic order {order} exceeds the cap of {MAX_CYCLOTOMIC_ORDER}"
         )
-
-
-def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    """Quotient and remainder of dense Q[x] division (lists, low degree first)."""
-    num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / lead
-        if c:
-            q[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
 
 
 def _mobius(m: int) -> int:
@@ -72,7 +54,7 @@ def _mobius(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(L: int) -> Vec:
+def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     """Coefficients of Phi_L (low degree first), the product of
     (x^d - 1)^mu(L/d) over the divisors d of L.  The factors with mu = 1 are
     multiplied out first, then those with mu = -1 divided out exactly, all
@@ -90,23 +72,48 @@ def cyclotomic_polynomial(L: int) -> Vec:
             for i in range(len(poly) - d):
                 quot.append((quot[i - d] if i >= d else 0) - poly[i])
             poly = quot
-    return tuple(Fraction(c) for c in poly)
+    return tuple(poly)
+
+
+def _reduce(vec: list, order: int) -> list:
+    """vec (int or Fraction coefficients, low degree first) modulo Phi_L, as
+    a list of length at most phi(L); vec is consumed.  Phi_L is monic, so
+    each top term c*x^k is cancelled by subtracting c*x^(k - phi(L))*Phi_L."""
+    phi = cyclotomic_polynomial(order)
+    n = len(phi) - 1
+    for k in range(len(vec) - 1, n - 1, -1):
+        c = vec[k]
+        if c:
+            for j in range(n):
+                if phi[j]:
+                    vec[k - n + j] -= c * phi[j]
+    del vec[n:]
+    return vec
+
+
+def _mul(a: Sequence, b: Sequence, order: int) -> list:
+    """Product of two reduced coefficient vectors modulo Phi_L."""
+    prod = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return _reduce(prod, order)
 
 
 class Cyclotomic:
-    """Element of Q(zeta_L), reduced mod Phi_L.  Binary operations require the
-    same order L; callers evaluating at a fixed torsion point share one L."""
+    """Element of Q(zeta_L), reduced mod Phi_L.  Binary operations and
+    equality require the same order L and raise ValueError otherwise;
+    callers evaluating at a fixed torsion point share one L."""
 
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence[Fraction]):
-        phi_deg = len(cyclotomic_polynomial(order)) - 1
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > phi_deg:
-            _, vec = _poly_divmod(vec, list(cyclotomic_polynomial(order)))
-        vec += [Fraction(0)] * (phi_deg - len(vec))
+        vec = _reduce([Fraction(c) for c in coeffs], order)
+        vec += [Fraction(0)] * (len(cyclotomic_polynomial(order)) - 1 - len(vec))
         self.order = order
-        self.coeffs = tuple(vec[:phi_deg])
+        self.coeffs = tuple(vec)
 
     @classmethod
     def rational(cls, order: int, value) -> "Cyclotomic":
@@ -120,77 +127,28 @@ class Cyclotomic:
         vec[k] = Fraction(1)
         return cls(order, vec)
 
-    def promote(self, order: int) -> "Cyclotomic":
-        """Image under the inclusion Q(zeta_L) -> Q(zeta_M) for L | M, which
-        sends zeta_L to zeta_M^(M/L)."""
-        if order == self.order:
-            return self
-        if order % self.order:
-            raise ValueError(f"order {self.order} does not divide {order}")
-        step = order // self.order
-        vec = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1 if self.coeffs else 1)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                vec[k * step] = c
-        return Cyclotomic(order, vec)
-
-    def _pair(self, other: "Cyclotomic"):
-        if self.order == other.order:
-            return self, other
-        import math
-
-        m = math.lcm(self.order, other.order)
-        return self.promote(m), other.promote(m)
+    def _check_order(self, other: "Cyclotomic") -> None:
+        if self.order != other.order:
+            raise ValueError(f"cyclotomic orders differ: {self.order} and {other.order}")
 
     def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
-        a, b = self._pair(other)
-        return Cyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        self._check_order(other)
+        return Cyclotomic(self.order, [x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
-        a, b = self._pair(other)
-        return Cyclotomic(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        self._check_order(other)
+        return Cyclotomic(self.order, [x - y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Cyclotomic":
         return Cyclotomic(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
-        self, other = self._pair(other)
-        n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1 if n else 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return Cyclotomic(self.order, prod)
+        self._check_order(other)
+        return Cyclotomic(self.order, _mul(self.coeffs, other.coeffs, self.order))
 
     def scale(self, c) -> "Cyclotomic":
         c = Fraction(c)
         return Cyclotomic(self.order, [a * c for a in self.coeffs])
-
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm against
-        Phi_L, which is irreducible over Q."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # Maintain r = s * self (mod Phi_L); stop when r is a unit of Q[x].
-        r0, s0 = list(cyclotomic_polynomial(self.order)), [Fraction(0)]
-        r1, s1 = list(self.coeffs), [Fraction(1)]
-        while r1 and any(r1):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        assert len(r0) == 1, "Phi_L must be coprime to any nonzero reduced element"
-        inv_lead = 1 / r0[0]
-        return Cyclotomic(self.order, [c * inv_lead for c in s0])
-
-    def __truediv__(self, other: "Cyclotomic") -> "Cyclotomic":
-        return self * other.inverse()
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -209,13 +167,12 @@ class Cyclotomic:
             other = Cyclotomic.rational(self.order, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        self._check_order(other)
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        # Equality promotes across orders, and a cross-order canonical form
-        # would need conductor computations; only rational elements (the one
-        # case with an obvious canonical value) are hashable.
+        # Equal to ints and Fractions, so rational elements hash as their
+        # value; the others are unhashable.
         if all(c == 0 for c in self.coeffs[1:]):
             return hash(self.coeffs[0])
         raise TypeError("non-rational cyclotomic elements are unhashable")
@@ -230,55 +187,49 @@ class Cyclotomic:
         return f"Cyclotomic[{self.order}]({body})"
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
+def _primitive(row: list[list[int]]) -> list[list[int]]:
+    """row divided by the gcd of all its integer coefficients."""
+    content = math.gcd(*(c for v in row for c in v))
+    if content > 1:
+        return [[c // content for c in v] for v in row]
+    return row
 
 
 def field_rank(rows: list[list[Cyclotomic]]) -> int:
-    """Rank of a matrix over Q(zeta_L) by Gaussian elimination with exact
-    zero tests.  Rows may be empty (rank 0)."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
+    """Rank of a matrix over Q(zeta_L) (all entries of one order L) by
+    elimination without division.  Rows may be empty (rank 0).
+
+    Each row is cleared of denominators (multiplied by their lcm) into
+    integer coefficient vectors.  For each column, a row with a nonzero
+    entry p there becomes the pivot row; every other remaining row with
+    entry a in that column is replaced by p*row - a*pivot_row and divided by
+    its integer content.  Soundness: Q(zeta_L) is a field, and multiplying
+    a row by a nonzero element (the pivot p, the lcm, or 1/content) and
+    subtracting a multiple of another row leaves the rank unchanged.  Zero
+    tests are exact on the canonical reduced vectors."""
+    if not rows or not rows[0]:
         return 0
-    nrows, ncols = len(m), len(m[0])
+    order = rows[0][0].order
+    m = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for x in row for c in x.coeffs))
+        m.append([[c.numerator * (den // c.denominator) for c in x.coeffs] for x in row])
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if not m[r][col].is_zero():
-                pivot = r
-                break
+    while m and m[0]:
+        pivot = next((k for k, row in enumerate(m) if any(row[0])), None)
         if pivot is None:
+            m = [row[1:] for row in m]
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = m[row][col].inverse()
-        for r in range(row + 1, nrows):
-            if m[r][col].is_zero():
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, ncols):
-                m[r][c] = m[r][c] - factor * m[row][c]
+        prow = m.pop(pivot)
+        p = prow[0]
         rank += 1
-        row += 1
-        if row == nrows:
-            break
+        for k, row in enumerate(m):
+            a = row[0]
+            if any(a):
+                m[k] = _primitive([
+                    [s - t for s, t in zip(_mul(p, x, order), _mul(a, y, order))]
+                    for x, y in zip(row[1:], prow[1:])
+                ])
+            else:
+                m[k] = row[1:]
     return rank

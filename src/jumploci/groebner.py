@@ -36,7 +36,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from fractions import Fraction
 from itertools import combinations
 from operator import add, ge, sub
 
@@ -130,15 +129,9 @@ def _normalize(p: Poly, order: MonomialOrder) -> Poly:
 
 
 def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Poly:
-    """A positive rational multiple of the full normal form of p against
-    basis (tail terms reduced too), with integer coefficients; see
-    ``_pseudo_reduce``."""
-    return _pseudo_reduce(p, basis, order, leads)[0]
-
-
-def _pseudo_reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None):
-    """Fraction-free full reduction of p against basis: (r, num, den), where
-    r has integer coefficients and equals num/den > 0 times the normal form.
+    """Fraction-free full reduction of p against basis (tail terms reduced
+    too): a positive rational multiple of the normal form, with integer
+    coefficients.
 
     Without ``leads`` the basis is normalized here; with it, the basis must
     be as ``_normalize`` returns it and ``leads[k]`` the lead term
@@ -147,15 +140,16 @@ def _pseudo_reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None)
     d = gcd(c, gc), (c/d)*x^(e-f)*g is subtracted, and both are divided by
     their common content.  Every scale is positive, so work and remainder
     stay positive multiples of what the division over Q holds: the same
-    divisors are chosen, and r has the support of the rational result.
+    divisors are chosen, and the result has the support of the rational
+    normal form.
     """
     if leads is None:
         basis = [_normalize(g, order) for g in basis if g]
         leads = [_lead(g, order) for g in basis]
     divisors = list(zip(basis, leads))
     key = order.key
-    num, den = math.lcm(*(c.denominator for c in p.values())), 1
-    work = {e: c.numerator * (num // c.denominator) for e, c in p.items()}
+    den = math.lcm(*(c.denominator for c in p.values()))
+    work = {e: c.numerator * (den // c.denominator) for e, c in p.items()}
     remainder: Poly = {}
     while work:
         exp = max(work, key=key)
@@ -166,7 +160,6 @@ def _pseudo_reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None)
                 d = math.gcd(coeff, gcoeff)
                 scale = gcoeff // d
                 if scale != 1:
-                    num *= scale
                     for term in work:
                         work[term] *= scale
                     for term in remainder:
@@ -183,7 +176,6 @@ def _pseudo_reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None)
                 if scale != 1:
                     content = math.gcd(*work.values(), *remainder.values())
                     if content > 1:
-                        den *= content
                         for term in work:
                             work[term] //= content
                         for term in remainder:
@@ -192,7 +184,7 @@ def _pseudo_reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None)
         else:
             remainder[exp] = coeff
             del work[exp]
-    return remainder, num, den
+    return remainder
 
 
 def _spoly(f: Poly, g: Poly, f_lead, g_lead) -> Poly:
@@ -478,11 +470,3 @@ def variety_containment(inner: LaurentIdeal, outer: LaurentIdeal) -> bool:
     if inner.context != outer.context:
         raise InputError("ring context mismatch")
     return all(inner.radical_contains(g) for g in outer.generators)
-
-
-def reduce_against_saturation(ideal: LaurentIdeal, f: LaurentPoly) -> LaurentPoly:
-    """Grevlex normal form of (the polynomialization of) f against the cached
-    saturated basis; zero iff f lies in the saturated ideal."""
-    basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
-    r, num, den = _pseudo_reduce(laurent_to_poly(f), basis, GREVLEX)
-    return LaurentPoly(ideal.context, {e: Fraction(c * den, num) for e, c in r.items()})

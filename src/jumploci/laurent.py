@@ -163,10 +163,6 @@ class LaurentPoly:
         zero_exp = (0,) * self.context.num_vars
         return self.terms == {zero_exp: Fraction(1)}
 
-    def is_constant(self) -> bool:
-        zero_exp = (0,) * self.context.num_vars
-        return not self.terms or set(self.terms) == {zero_exp}
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 

@@ -195,7 +195,7 @@ def _parse_point(ctx: RingContext, value) -> TorsionPoint:
 def _parse_lattice(rows) -> list[list[int]]:
     try:
         return [[int(x) for x in row] for row in rows]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed lattice {rows!r}") from exc
 
 
@@ -239,7 +239,7 @@ def load_loci(text: str, strict: bool = True):
     ring = doc["ring"]
     try:
         ctx = RingContext(ring["vars"], int(ring["torus"]), int(ring["abelian"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed ring block: {ring!r}") from exc
     if not isinstance(doc["loci"], dict):
         raise InputError("the 'loci' block must map degrees to component lists")
@@ -270,7 +270,7 @@ def load_loci(text: str, strict: bool = True):
     euler = doc.get("euler")
     try:
         euler = int(euler) if euler is not None else None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed euler characteristic {euler!r}") from exc
     profile = LociProfile(ctx, loci, euler=euler)
     return profile, rejected

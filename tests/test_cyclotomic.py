@@ -1,9 +1,12 @@
+import operator
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from jumploci.cyclotomic import Cyclotomic, cyclotomic_polynomial, field_rank
+from jumploci.lattices import rational_rank
 
 
 def test_cyclotomic_polynomials_small_orders():
@@ -61,15 +64,6 @@ def test_primitive_root_sums():
     assert total.is_zero()
 
 
-def test_inverse_and_division():
-    z = Cyclotomic.root_of_unity(12, 5) + Cyclotomic.rational(12, Fraction(1, 2))
-    assert (z * z.inverse()).is_one()
-    w = Cyclotomic.root_of_unity(12, 7)
-    assert (z / w) * w == z
-    with pytest.raises(ZeroDivisionError):
-        Cyclotomic.rational(12, 0).inverse()
-
-
 def test_as_fraction_guard():
     z = Cyclotomic.root_of_unity(4, 1)
     with pytest.raises(ValueError):
@@ -95,6 +89,89 @@ def test_field_rank_with_torsion_entries():
     assert field_rank(rows) == 1
     rows = [[one, z], [z, one]]
     assert field_rank(rows) == 2
+
+
+def test_mixed_orders_raise():
+    # no promotion to a common field: elements must share their order
+    a = Cyclotomic.root_of_unity(3, 1)
+    b = Cyclotomic.root_of_unity(6, 2)  # the same complex number as a
+    for op in (operator.add, operator.sub, operator.mul, operator.eq):
+        with pytest.raises(ValueError):
+            op(a, b)
+
+
+# -- field_rank against an independent rational-rank oracle ------------------
+
+
+def _times_zeta(vec, L):
+    """zeta_L * vec for a reduced coefficient vector: shift up one degree,
+    then cancel the x^phi(L) term with the monic Phi_L."""
+    top = vec[-1]
+    shifted = [Fraction(0), *vec[:-1]]
+    return [s - top * c for s, c in zip(shifted, cyclotomic_polynomial(L))]
+
+
+def _realify(rows, L):
+    """The rational matrix whose rows are the coefficients of zeta^j * row
+    for every row and j < phi(L).  These span the row space over
+    Q(zeta_L) as a Q-vector space, so its rank is phi(L) * field_rank."""
+    out = []
+    for row in rows:
+        vecs = [list(x.coeffs) for x in row]
+        for _ in range(len(cyclotomic_polynomial(L)) - 1):
+            out.append([c for v in vecs for c in v])
+            vecs = [_times_zeta(v, L) for v in vecs]
+    return out
+
+
+def _random_entry(rng, L):
+    z = Cyclotomic.rational(L, 0)
+    for _ in range(rng.randint(0, 3)):
+        radial = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+        z = z + Cyclotomic.root_of_unity(L, rng.randrange(L)).scale(radial)
+    return z
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 12, 30])
+def test_field_rank_matches_realified_rational_rank(L):
+    # (n x k)(k x m) products plant rank drops whenever k < min(n, m)
+    rng = random.Random(700 + L)
+    phi = len(cyclotomic_polynomial(L)) - 1
+    full = dropped = 0
+    for _ in range(12):
+        n, m, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 4)
+        a = [[_random_entry(rng, L) for _ in range(k)] for _ in range(n)]
+        b = [[_random_entry(rng, L) for _ in range(m)] for _ in range(k)]
+        zero = Cyclotomic.rational(L, 0)
+        rows = [
+            [sum((a[i][t] * b[t][j] for t in range(k)), zero) for j in range(m)]
+            for i in range(n)
+        ]
+        rank = field_rank(rows)
+        assert rank <= min(n, m, k)
+        assert rational_rank(_realify(rows, L)) == phi * rank, rows
+        if rank < min(n, m):
+            dropped += 1
+        else:
+            full += 1
+    assert full and dropped
+
+
+def test_field_rank_divides_out_row_content():
+    # with the first row as pivot, the second row becomes
+    # 2*[5, 7] - 3*[4, 6] = [-2, -4] (order 1) and 2*[i, 3] - 1*[2i, 4] =
+    # [0, 2] (order 4): integer content 2 after the step
+    def q(x):
+        return Cyclotomic.rational(1, x)
+
+    i = Cyclotomic.root_of_unity(4, 1)
+    two, one, three, four = (Cyclotomic.rational(4, x) for x in (2, 1, 3, 4))
+    for L, rows in (
+        (1, [[q(2), q(4), q(6)], [q(3), q(5), q(7)]]),
+        (4, [[two, two * i, four], [one, i, three]]),
+    ):
+        assert field_rank(rows) == 2
+        assert rational_rank(_realify(rows, L)) == 2 * (len(cyclotomic_polynomial(L)) - 1)
 
 
 def test_order_cap_applies_to_parsed_points_only():

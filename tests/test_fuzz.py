@@ -1,0 +1,188 @@
+"""Fuzz the input parsers through the command line.
+
+Whatever the complex text, loci JSON or points JSON, a run of ``validate``,
+``codims`` or ``sample`` must end in a documented exit code (0 pass,
+1 checked and failed, 2 input error, 3 resource cap) and never in an
+internal error (exit 4, which is a bug).  Inputs mix well-formed documents,
+documents with one part replaced, and arbitrary text, JSON and bytes.
+Hypothesis runs derandomized, so every run tries the same inputs.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from jumploci import cli, serialize
+from jumploci.fixtures import mellin_constant_torus
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+M2 = mellin_constant_torus(2)
+M2_COMPLEX = serialize.dump_complex(M2.complex)
+M2_LOCI = json.loads(serialize.dump_loci(M2.profile))
+M2_POINTS = [[["1", "1/3"], ["2", "1/4"]], [["1", "0"], ["1", "0"]]]
+
+
+def _run(tmp_path, argv: list[str], files: dict) -> tuple[int, str]:
+    """Write ``files`` (name -> text or bytes) into tmp_path and run the
+    command line in-process, with those names in argv replaced by paths."""
+    for name, content in files.items():
+        if isinstance(content, bytes):
+            (tmp_path / name).write_bytes(content)
+        else:
+            (tmp_path / name).write_text(content, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(tmp_path / a) if a in files else a for a in argv])
+    return code, err.getvalue()
+
+
+def _check(tmp_path, argv: list[str], files: dict) -> None:
+    code, err = _run(tmp_path, argv, files)
+    assert code in (0, 1, 2, 3), err
+    assert "internal error:" not in err, err
+
+
+# -- strategies -----------------------------------------------------------------
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+_SMALL_INT = st.integers(-3, 4)
+_RATIONAL = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "1/2", "1/3", "-3/4", "5/7", "1/0", "0/3",
+                     "1/97", "1/1000", "1/1001", "1e3", "1.5", "x", "", " 1", "inf"]),
+    st.fractions(max_denominator=60).map(str),
+    _TEXT,
+)
+# values at the edges of what JSON numbers can say (json writes Infinity, NaN)
+_EDGE = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e300, 1.5, -1, 0, 10**30, True])
+_JSON = st.recursive(
+    st.one_of(st.none(), _EDGE, st.integers(), st.floats(), _RATIONAL),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+_POLY = st.lists(
+    st.sampled_from(["t1", "t2", "t3", "x", "1", "0", "2", "1/2", "1/0", "^", "^-1", "^2",
+                     "**", "*", "+", "-", "/", "(", ")", " ", ",", "3", "99999999999"]),
+    max_size=8,
+).map("".join)
+_COMPLEX_LINE = st.one_of(
+    st.sampled_from(M2_COMPLEX.splitlines()),
+    st.sampled_from(["ring vars=t1 torus=1 abelian=0", "ring vars=a,b,c torus=1 abelian=1",
+                     "ring vars=t1,t1 torus=2 abelian=0", "ring torus=2", "ring vars=t1 torus=x abelian=0",
+                     "# comment", ""]),
+    st.builds("degrees {}..{}".format, _SMALL_INT, _SMALL_INT),
+    st.lists(_SMALL_INT, max_size=4).map(lambda rs: "ranks " + ",".join(map(str, rs))),
+    _SMALL_INT.map("differential {}".format),
+    st.lists(_POLY, min_size=1, max_size=3).map(", ".join),
+    _TEXT,
+)
+_COMPLEX = st.one_of(
+    st.lists(_COMPLEX_LINE, max_size=10).map("\n".join),
+    # the m2 document with one line replaced
+    st.builds(
+        lambda k, line: "\n".join(M2_COMPLEX.splitlines()[:k] + [line] + M2_COMPLEX.splitlines()[k + 1 :]),
+        st.integers(0, len(M2_COMPLEX.splitlines()) - 1),
+        _COMPLEX_LINE,
+    ),
+    _TEXT,
+    st.binary(max_size=30),
+)
+
+_PAIR = st.one_of(st.lists(_RATIONAL, min_size=2, max_size=2), _JSON)
+_POINTS = st.one_of(
+    st.lists(st.one_of(st.lists(_PAIR, max_size=3), _JSON), max_size=3).map(json.dumps),
+    _JSON.map(json.dumps),
+    _TEXT,
+)
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, as a key path from the root."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# the m2 loci document with one subtree replaced by arbitrary JSON
+_LOCI_EDIT = st.builds(
+    _replace, st.just(M2_LOCI), st.sampled_from(list(_paths(M2_LOCI))), st.one_of(_EDGE, _JSON)
+)
+
+
+_LOCI = st.one_of(_LOCI_EDIT.map(json.dumps), _JSON.map(json.dumps), _TEXT)
+
+
+# -- the properties ----------------------------------------------------------------
+
+
+@FUZZ
+@given(text=_COMPLEX)
+def test_validate_ends_in_a_documented_exit(tmp_path, text):
+    _check(tmp_path, ["validate", "in.complex"], {"in.complex": text})
+
+
+@FUZZ
+@given(text=_LOCI)
+def test_codims_ends_in_a_documented_exit(tmp_path, text):
+    _check(tmp_path, ["codims", "in.loci"], {"in.loci": text})
+
+
+@FUZZ
+@given(points=_POINTS)
+def test_sample_points_end_in_a_documented_exit(tmp_path, points):
+    _check(tmp_path, ["sample", "m2.complex", "--points", "in.points"],
+           {"m2.complex": M2_COMPLEX, "in.points": points})
+
+
+@FUZZ
+@given(text=_COMPLEX)
+def test_sample_complex_ends_in_a_documented_exit(tmp_path, text):
+    _check(tmp_path, ["sample", "in.complex", "--points", "m2.points"],
+           {"in.complex": text, "m2.points": json.dumps(M2_POINTS)})
+
+
+def _m2_loci_with(path, value) -> str:
+    return json.dumps(_replace(M2_LOCI, path, value))
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(["validate", "in"], b"\x80", id="undecodable-bytes"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("euler",), math.inf), id="euler-infinity"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("ring", "torus"), math.inf), id="torus-infinity"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("loci", "0", 0, "lattice", 0, 0), -math.inf),
+                     id="lattice-entry-infinity"),
+    ],
+)
+def test_found_inputs_are_input_errors(tmp_path, argv, text):
+    # each of these once ended in an internal error (exit 4)
+    code, err = _run(tmp_path, argv, {"in": text})
+    assert code == 2 and err.startswith("input error:"), err

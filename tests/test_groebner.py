@@ -20,7 +20,6 @@ from jumploci.groebner import (
     _saturate_by_elimination,
     buchberger,
     laurent_to_poly,
-    reduce_against_saturation,
     variety_containment,
 )
 from jumploci.laurent import LaurentPoly, RingContext
@@ -60,10 +59,10 @@ def test_saturation_correctness(ctx2):
     x, y = gens2(ctx2)
     u = ctx2.variable(0) * ctx2.variable(1)
     ideal = LaurentIdeal(ctx2, [x * y, x**2 - x])
+    basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
     for g in ideal.generators:
         for k in range(0, 3):
-            nf = reduce_against_saturation(ideal, g * u**k)
-            assert nf.is_zero()
+            assert not _reduce(laurent_to_poly(g * u**k), basis, GREVLEX)
 
 
 def test_saturation_strips_monomial_factors(ctx2):
@@ -429,6 +428,8 @@ def test_integer_reduce_is_positive_multiple_of_rational_normal_form(n):
             p = {e: Fraction(c) for e, c in p.items() if c}
         else:
             p = _rational_poly(rng, n, rng.randint(1, 6), 4)
+        # integer multiples make the content removal after a scaled step fire
+        p = {e: c * rng.choice([1, 6, 30]) for e, c in p.items()}
         ours = _reduce(p, basis, order)
         ref = _fraction_reduce(p, [_as_fractions(g) for g in basis], order)
         assert all(type(c) is int for c in ours.values())
@@ -442,40 +443,10 @@ def test_integer_reduce_is_positive_multiple_of_rational_normal_form(n):
         assert m > 0
         assert all(Fraction(c) == m * ref[e] for e, c in ours.items()), (p, basis, order.name)
     assert zero_seen and nonzero_seen
-
-
-def _random_laurent_poly(ctx, rng, terms):
-    out = ctx.zero()
-    for _ in range(terms):
-        exp = [rng.randint(-1, 2) for _ in range(ctx.num_vars)]
-        out = out + ctx.monomial(exp, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    return out
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_reduce_against_saturation_is_the_exact_normal_form(n):
-    rng = random.Random(95 + n)
-    ctx = RingContext.torus(n)
-    zero_seen = nonzero_seen = 0
-    for trial in range(30):
-        gens = [_random_laurent_poly(ctx, rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        ideal = LaurentIdeal(ctx, gens)
-        # integer multiples make the content removal after a scaled step fire
-        f = _random_laurent_poly(ctx, rng, rng.randint(1, 5)) * rng.choice([1, 6, 30])
-        if trial % 3 == 0:
-            f = f * gens[0]
-        basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
-        expected = LaurentPoly(ctx, _fraction_reduce(laurent_to_poly(f), basis, GREVLEX))
-        got = reduce_against_saturation(ideal, f)
-        assert got == expected, (gens, f)
-        if expected.is_zero():
-            zero_seen += 1
-        else:
-            nonzero_seen += 1
-    assert zero_seen and nonzero_seen
-    # 3*t1 + 3 against 2*t1 + 1: scaled by 2, then the content 3 is removed
-    t1 = ctx.variable(0)
-    assert reduce_against_saturation(LaurentIdeal(ctx, [2 * t1 + 1]), 3 * t1 + 3) == ctx.one() * Fraction(3, 2)
+    # 3*t1 + 3 against 2*t1 + 1: scaled by 2, then the content 3 is removed,
+    # leaving 1 = (2/3) * (3/2)
+    t1, one = (1,) + (0,) * (n - 1), (0,) * n
+    assert _reduce({t1: Fraction(3), one: Fraction(3)}, [{t1: 2, one: 1}], GREVLEX) == {one: 1}
 
 
 @pytest.mark.parametrize("n", [2, 3])
