@@ -15,15 +15,18 @@ polynomial-ring computations on the saturation:
     the leading-term ideal of the saturated basis;
   * variety containment V(I) <= V(J): every generator of J in sqrt(I).
 
-The engine is Buchberger's algorithm with the sugar selection strategy and
-the coprime-lead-monomial criterion, over integer coefficients with
-fraction-free reduction: S-polynomials cross-multiply by the lead
-cofactors, reduction is pseudo-division with content removal, and every
-polynomial the engine keeps is primitive with a positive lead coefficient.
+The engine is Buchberger's algorithm with the sugar selection strategy,
+over integer coefficients with fraction-free reduction: S-polynomials
+cross-multiply by the lead cofactors, reduction is pseudo-division with
+content removal, and every polynomial the engine keeps is primitive with a
+positive lead coefficient.  S-pairs known to reduce to zero are never
+reduced: the Gebauer-Moeller criteria B, M and F and Buchberger's
+coprime-lead (product) criterion delete them (see ``buchberger``).
 Computations abort with ResourceError once the S-pair budget is exhausted
 (default 200000, set through the JUMPLOCI_SPAIR_BUDGET environment
-variable).  The budget counts S-pairs, not time, so it does not bound the
-run time of a slow reduction.
+variable).  The budget counts S-pairs reduced; pairs deleted by a criterion
+are not counted.  It counts pairs, not time, so it does not bound the run
+time of a slow reduction.
 
 Internally polynomials are raw dicts {exponent tuple: int} with nonnegative
 exponents (inputs may carry Fraction coefficients; ``_normalize`` clears
@@ -218,10 +221,10 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     Deterministic for a fixed order: input generators are canonically
-    sorted, S-pairs are processed in sugar order with degree and insertion
-    index as tie-breakers, and the final basis is inter-reduced, content
-    normalized and sorted by leading monomial.  The unit ideal returns
-    [1] as soon as a constant appears.
+    sorted, S-pairs are processed in sugar order with the basis indices as
+    tie-breakers, and the final basis is inter-reduced, content normalized
+    and sorted by leading monomial.  The unit ideal returns [1] as soon as
+    a constant appears.
 
     Coefficients are integers throughout.  Buchberger's algorithm sees each
     polynomial only up to a nonzero scalar: pairs and sugar depend on lead
@@ -230,6 +233,40 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     constant tests), and ``_normalize`` picks one representative of each
     kept polynomial.  So the pairs, the sugar, the unit-ideal exits and the
     reduced basis are those of the computation over Q.
+
+    Pairs are managed by the UPDATE procedure of Becker and Weispfenning
+    (Groebner Bases, GTM 141, 1993) for the criteria of Gebauer and Moeller
+    (J. Symbolic Comput. 6, 1988).  With T(f, g) the lcm of the lead
+    monomials of f and g, when h joins the basis:
+
+      * B: a queued pair (f, g) is deleted if lead(h) divides T(f, g) and
+        T(f, h) != T(f, g) != T(g, h);
+      * M: a new pair (g, h) is dropped if the lcm of another new pair
+        strictly divides T(g, h);
+      * F and the product criterion: of the new pairs sharing an lcm, one
+        is kept (least sugar, then least index), none if any of them has
+        coprime leads;
+      * an element whose lead lead(h) divides gets no more new pairs.
+
+    Soundness.  S(f, g) reduces to zero if the leads are coprime.  If
+    lead(h) divides T(f, g), S(f, g) is a combination with monomial
+    multipliers of S(f, h) and S(h, g), so standard representations of
+    those two give one of S(f, g) (the chain criterion).  B, M and the last
+    rule are this chain through h, through the other new pair's element,
+    and through h again; F is the chain with equal lcms.  Gebauer and
+    Moeller order the deletions so that no argument relies on a pair that
+    is itself deleted: every deleted S-polynomial has a standard
+    representation through pairs still processed, and the loop ends with a
+    Groebner basis of the same ideal.  The arguments use standard
+    representations over the elements added so far, so reducing modulo all
+    of them, redundant ones included, keeps them valid.  The reduced
+    Groebner basis is unique, and a unit ideal always produces a constant,
+    which is returned as [1]: the basis, the unit-ideal decision and every
+    report built on them do not depend on which pairs are processed.  How
+    many are does, and with it whether the budget runs out.
+
+    The S-pair budget counts pairs reduced.  A pair deleted by a criterion
+    is skipped when it leaves the queue and is not counted.
     """
     limit = spair_budget()
     order = order.memoized()
@@ -239,23 +276,41 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     basis: list[Poly] = []
     leads: list[tuple] = []  # leads[k] == _lead(basis[k], order)
     sugars: list[int] = []
+    active: list[int] = []  # elements whose lead no other lead divides
     pairs: list[tuple[int, int, int]] = []  # heap of (sugar, i, j)
+    queued: dict[tuple[int, int], tuple] = {}  # undeleted (i, j) -> T(i, j)
 
     def add_poly(p: Poly, sugar: int):
         k = len(basis)
         p = _normalize(p, order)
-        pexp = max(p, key=key)
+        hexp = max(p, key=key)
         basis.append(p)
-        leads.append((pexp, p[pexp]))
+        leads.append((hexp, p[hexp]))
         sugars.append(sugar)
-        pdeg = sum(pexp)
-        for i in range(k):
+        hdeg = sum(hexp)
+        lcms = [tuple(map(max, lead[0], hexp)) for lead in leads]
+        for (i, j), lcm in list(queued.items()):  # criterion B
+            if lcm != lcms[i] and lcm != lcms[j] and all(map(ge, lcm, hexp)):
+                del queued[i, j]
+        new = {}  # lcm -> (sugar, i) of the new pair kept for it, None if coprime
+        for i in active:
             iexp = leads[i][0]
-            if all(a == 0 or b == 0 for a, b in zip(iexp, pexp)):
-                continue  # coprime leads: S-polynomial reduces to zero
-            lcm_deg = sum(map(max, iexp, pexp))
-            s = max(sugars[i] + lcm_deg - sum(iexp), sugar + lcm_deg - pdeg)
+            lcm = lcms[i]
+            lcm_deg = sum(lcm)
+            if lcm_deg == sum(iexp) + hdeg:
+                new[lcm] = None
+            elif new.get(lcm, ()) is not None:
+                pair = (max(sugars[i] + lcm_deg - sum(iexp), sugar + lcm_deg - hdeg), i)
+                new[lcm] = min(new.get(lcm, pair), pair)
+        # an lcm can only be divided by one of lower degree (criterion M)
+        by_degree = sorted(new, key=sum)
+        for idx, lcm in enumerate(by_degree):
+            if new[lcm] is None or any(all(map(ge, lcm, low)) for low in by_degree[:idx]):
+                continue
+            s, i = new[lcm]
             heapq.heappush(pairs, (s, i, k))
+            queued[i, k] = lcm
+        active[:] = [i for i in active if not all(map(ge, leads[i][0], hexp))] + [k]
 
     for g in gens:
         g = _reduce(g, basis, order, leads)
@@ -267,6 +322,8 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     processed = 0
     while pairs:
         sugar, i, j = heapq.heappop(pairs)
+        if queued.pop((i, j), None) is None:
+            continue  # deleted by criterion B after it was queued
         processed += 1
         if processed > limit:
             raise ResourceError(
@@ -279,16 +336,12 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
         if s:
             add_poly(s, sugar)
 
-    # Minimalize: drop elements whose lead is divisible by a kept lead.
-    # Processing in increasing lead order guarantees divisors come first.
-    minimal = []
-    kept_leads: list[tuple] = []
-    for k in sorted(range(len(basis)), key=lambda k: key(leads[k][0])):
-        exp = leads[k][0]
-        if any(all(map(ge, exp, lead[0])) for lead in kept_leads):
-            continue
-        minimal.append(basis[k])
-        kept_leads.append(leads[k])
+    # Minimalize: no lead divides an active element's lead.  Earlier leads do
+    # not, since each element is reduced against them before it is added;
+    # later ones would have made it inactive.
+    kept = sorted(active, key=lambda k: key(leads[k][0]))
+    minimal = [basis[k] for k in kept]
+    kept_leads = [leads[k] for k in kept]
     # Inter-reduce tails; leads are untouched because no lead divides another.
     reduced = []
     for idx, g in enumerate(minimal):

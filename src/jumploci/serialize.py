@@ -192,9 +192,20 @@ def _parse_point(ctx: RingContext, value) -> TorsionPoint:
     return point
 
 
+def _parse_int(value) -> int:
+    """An integer field of a JSON document: an int that is not a bool, or a
+    string holding an integer.  Anything else raises ValueError, so 1.5,
+    2.0, true and false are refused rather than read as other integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def _parse_lattice(rows) -> list[list[int]]:
     try:
-        return [[int(x) for x in row] for row in rows]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("a lattice is a list of rows")
+        return [[_parse_int(x) for x in row] for row in rows]
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed lattice {rows!r}") from exc
 
@@ -238,7 +249,7 @@ def load_loci(text: str, strict: bool = True):
         raise InputError("loci document needs 'ring' and 'loci' blocks")
     ring = doc["ring"]
     try:
-        ctx = RingContext(ring["vars"], int(ring["torus"]), int(ring["abelian"]))
+        ctx = RingContext(ring["vars"], _parse_int(ring["torus"]), _parse_int(ring["abelian"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed ring block: {ring!r}") from exc
     if not isinstance(doc["loci"], dict):
@@ -269,7 +280,7 @@ def load_loci(text: str, strict: bool = True):
         loci[degree] = LinearUnion(ctx, comps)
     euler = doc.get("euler")
     try:
-        euler = int(euler) if euler is not None else None
+        euler = _parse_int(euler) if euler is not None else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed euler characteristic {euler!r}") from exc
     profile = LociProfile(ctx, loci, euler=euler)

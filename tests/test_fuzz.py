@@ -1,10 +1,13 @@
-"""Fuzz the input parsers through the command line.
+"""Fuzz the input parsers and the ideal route through the command line.
 
 Whatever the complex text, loci JSON or points JSON, a run of ``validate``,
-``codims`` or ``sample`` must end in a documented exit code (0 pass,
-1 checked and failed, 2 input error, 3 resource cap) and never in an
-internal error (exit 4, which is a bug).  Inputs mix well-formed documents,
-documents with one part replaced, and arbitrary text, JSON and bytes.
+``codims``, ``sample``, ``jump-ideals`` or ``exactness`` must end in a
+documented exit code (0 pass, 1 checked and failed, 2 input error,
+3 resource cap) and never in an internal error (exit 4, which is a bug).
+Inputs mix well-formed documents, documents with one part replaced, and
+arbitrary text, JSON and bytes.  The complexes fed to ``jump-ideals`` and
+``exactness`` keep their polynomials small (at most three terms, exponents
+in -2..2), so that each run reaches the Groebner engine and stays short.
 Hypothesis runs derandomized, so every run tries the same inputs.
 """
 
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 
 from jumploci import cli, serialize
 from jumploci.fixtures import mellin_constant_torus
+from jumploci.laurent import format_poly
 
 FUZZ = settings(
     derandomize=True,
@@ -29,6 +33,7 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 
+M1_COMPLEX = serialize.dump_complex(mellin_constant_torus(1).complex)
 M2 = mellin_constant_torus(2)
 M2_COMPLEX = serialize.dump_complex(M2.complex)
 M2_LOCI = json.loads(serialize.dump_loci(M2.profile))
@@ -139,6 +144,70 @@ _LOCI_EDIT = st.builds(
 _LOCI = st.one_of(_LOCI_EDIT.map(json.dumps), _JSON.map(json.dumps), _TEXT)
 
 
+def _small_poly(nvars: int):
+    term = st.builds(
+        lambda c, exps: "*".join([c] + [f"t{i + 1}^{e}" for i, e in enumerate(exps)]),
+        st.sampled_from(["1", "-1", "2", "-1/2", "3"]),
+        st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars),
+    )
+    return st.lists(term, min_size=1, max_size=3).map(" + ".join)
+
+
+@st.composite
+def _one_map_complex(draw):
+    """A complex with a single differential: every matrix is one, so each
+    run gets past validation to the ideals."""
+    n = draw(st.integers(1, 2))
+    abelian = draw(st.integers(0, n // 2))
+    k = draw(st.integers(-2, 1))
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    entries = _small_poly(n)
+    lines = [f"ring vars={','.join(f't{i + 1}' for i in range(n))} torus={n - 2 * abelian} abelian={abelian}",
+             f"degrees {k}..{k + 1}", f"ranks {cols},{rows}", f"differential {k}"]
+    lines += [", ".join(draw(entries) for _ in range(cols)) for _ in range(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _scaled_m2(f_text: str, g_text: str) -> str:
+    """The m2 document with differential -2 multiplied by f and -1 by g,
+    which is still a complex."""
+    ctx = M2.complex.context
+    scales = {-2: ctx.parse(f_text), -1: ctx.parse(g_text)}
+    lines, scale = [], None
+    for line in M2_COMPLEX.splitlines():
+        if line.startswith("differential"):
+            scale = scales[int(line.split()[1])]
+        elif scale is not None:
+            line = ", ".join(format_poly(ctx.parse(e) * scale) for e in line.split(","))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _edited(document: str, line):
+    """``document`` with one line replaced by a draw from ``line``."""
+    lines = document.splitlines()
+    return st.builds(
+        lambda k, new: "\n".join(lines[:k] + [new] + lines[k + 1 :]),
+        st.integers(0, len(lines) - 1),
+        line,
+    )
+
+
+_HEADER = st.one_of(
+    st.sampled_from(["ring vars=t1 torus=1 abelian=0", "ring vars=t1,t2 torus=0 abelian=1",
+                     "ring vars=t1,t2 torus=2 abelian=0", "degrees -1..0", "degrees -2..0",
+                     "ranks 1,1", "ranks 1,2,1", "ranks 2,2,1", "differential -1", ""]),
+    st.builds("degrees {}..{}".format, _SMALL_INT, _SMALL_INT),
+)
+_SMALL_COMPLEX = st.one_of(
+    _one_map_complex(),
+    st.builds(_scaled_m2, _small_poly(2), _small_poly(2)),
+    _edited(M1_COMPLEX, st.one_of(_small_poly(1), _HEADER, _TEXT)),
+    _edited(M2_COMPLEX, st.one_of(st.lists(_small_poly(2), min_size=1, max_size=2).map(", ".join),
+                                  _HEADER, _TEXT)),
+)
+
+
 # -- the properties ----------------------------------------------------------------
 
 
@@ -168,6 +237,18 @@ def test_sample_complex_ends_in_a_documented_exit(tmp_path, text):
            {"in.complex": text, "m2.points": json.dumps(M2_POINTS)})
 
 
+@FUZZ
+@given(text=_SMALL_COMPLEX)
+def test_jump_ideals_ends_in_a_documented_exit(tmp_path, text):
+    _check(tmp_path, ["jump-ideals", "in.complex"], {"in.complex": text})
+
+
+@FUZZ
+@given(text=_SMALL_COMPLEX)
+def test_exactness_ends_in_a_documented_exit(tmp_path, text):
+    _check(tmp_path, ["exactness", "in.complex"], {"in.complex": text})
+
+
 def _m2_loci_with(path, value) -> str:
     return json.dumps(_replace(M2_LOCI, path, value))
 
@@ -180,9 +261,21 @@ def _m2_loci_with(path, value) -> str:
         pytest.param(["perversity", "in"], _m2_loci_with(("ring", "torus"), math.inf), id="torus-infinity"),
         pytest.param(["perversity", "in"], _m2_loci_with(("loci", "0", 0, "lattice", 0, 0), -math.inf),
                      id="lattice-entry-infinity"),
+        # integers once truncated or read from booleans, exiting 0
+        pytest.param(["perversity", "in"], _m2_loci_with(("loci", "0", 0, "lattice", 0, 0), 1.5),
+                     id="lattice-entry-fraction"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("loci", "0", 0, "lattice", 0, 0), True),
+                     id="lattice-entry-true"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("loci", "0", 0, "lattice", 0), "10"),
+                     id="lattice-row-string"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("euler",), 0.0), id="euler-float"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("euler",), False), id="euler-false"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("ring", "torus"), 2.0), id="torus-float"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("ring", "abelian"), False), id="abelian-false"),
     ],
 )
 def test_found_inputs_are_input_errors(tmp_path, argv, text):
-    # each of these once ended in an internal error (exit 4)
+    # each of these once ended in an internal error (exit 4) or was read as
+    # a different document
     code, err = _run(tmp_path, argv, {"in": text})
     assert code == 2 and err.startswith("input error:"), err

@@ -130,6 +130,16 @@ def test_fixture_stdout_matches_written_files(workdir):
         assert (GOLDEN / f"{name}-fixtures-stdout.txt").read_text() == written
 
 
+def test_m4_degree_minus_2_fits_a_budget_of_1000_pairs(workdir, monkeypatch):
+    # the budget counts S-pairs reduced, not pairs deleted by a criterion:
+    # this basis reduces 216 pairs, where the coprime-lead test alone left 3305
+    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1000")
+    monkeypatch.chdir(workdir)
+    code, stdout = run(["jump-ideals", "m4.complex", "--degrees=-2..-2", "--json"])
+    assert code == 0
+    assert stdout == (GOLDEN / "m4-jump-ideals-degree-2.json").read_text()
+
+
 def _regenerate() -> None:
     import tempfile
 

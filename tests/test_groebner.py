@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from operator import add, ge, sub
 
 import pytest
 
+from jumploci import groebner
 from jumploci.errors import ResourceError
 from jumploci.fixtures import standard_fixture_suite
 from jumploci.groebner import (
@@ -12,9 +14,11 @@ from jumploci.groebner import (
     LEX,
     LaurentIdeal,
     MonomialOrder,
+    _is_constant,
     _is_unit_basis,
     _lead,
     _misses_coordinate_hyperplanes,
+    _normalize,
     _reduce,
     _saturate,
     _saturate_by_elimination,
@@ -462,3 +466,157 @@ def test_buchberger_returns_primitive_integer_polynomials(n):
                 assert all(type(c) is int for c in g.values()), (gens, order.name)
                 assert math.gcd(*g.values()) == 1
                 assert _lead(g, order)[1] > 0
+
+
+# -- pair criteria against the pair loop they prune ---------------------------
+
+
+def _reference_buchberger(generators, order):
+    """Reduced Groebner basis with the coprime-lead test as the only pair
+    filter: every other pair is reduced.  A copy of the engine's loop before
+    the Gebauer-Moeller criteria, without the S-pair budget."""
+    key = order.key
+    gens = [_normalize(g, order) for g in generators if g]
+    gens.sort(key=lambda g: (key(_lead(g, order)[0]), sorted(g.items())))
+    basis, leads, sugars, pairs = [], [], [], []
+
+    def add_poly(p, sugar):
+        k = len(basis)
+        p = _normalize(p, order)
+        pexp = max(p, key=key)
+        basis.append(p)
+        leads.append((pexp, p[pexp]))
+        sugars.append(sugar)
+        pdeg = sum(pexp)
+        for i in range(k):
+            iexp = leads[i][0]
+            if all(a == 0 or b == 0 for a, b in zip(iexp, pexp)):
+                continue
+            lcm_deg = sum(map(max, iexp, pexp))
+            s = max(sugars[i] + lcm_deg - sum(iexp), sugar + lcm_deg - pdeg)
+            heapq.heappush(pairs, (s, i, k))
+
+    for g in gens:
+        g = _reduce(g, basis, order, leads)
+        if _is_constant(g):
+            return [_normalize(g, order)]
+        if g:
+            add_poly(g, sum(max(g, key=key)))
+    while pairs:
+        sugar, i, j = heapq.heappop(pairs)
+        s = groebner._spoly(basis[i], basis[j], leads[i], leads[j])
+        s = _reduce(s, basis, order, leads)
+        if _is_constant(s):
+            return [_normalize(s, order)]
+        if s:
+            add_poly(s, sugar)
+    minimal, kept_leads = [], []
+    for k in sorted(range(len(basis)), key=lambda k: key(leads[k][0])):
+        if any(all(map(ge, leads[k][0], lead[0])) for lead in kept_leads):
+            continue
+        minimal.append(basis[k])
+        kept_leads.append(leads[k])
+    reduced = []
+    for idx, g in enumerate(minimal):
+        r = _reduce(g, minimal[:idx] + minimal[idx + 1 :], order,
+                    kept_leads[:idx] + kept_leads[idx + 1 :])
+        reduced.append(_normalize(r, order))
+    reduced.sort(key=lambda g: key(max(g, key=key)), reverse=True)
+    return reduced
+
+
+@pytest.fixture
+def spoly_calls(monkeypatch):
+    """A one-element list counting ``_spoly`` calls, the S-pairs reduced."""
+    calls = [0]
+    real = groebner._spoly
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_spoly", counting)
+    return calls
+
+
+def _pruned_count(gens, order, calls):
+    """(engine basis, reference basis, pairs the engine reduced, pairs the
+    reference reduced)."""
+    calls[0] = 0
+    ours = buchberger(gens, order)
+    pruned = calls[0]
+    calls[0] = 0
+    ref = _reference_buchberger(gens, order)
+    return ours, ref, pruned, calls[0]
+
+
+def _binomial_ideal(rng, n, size, degree):
+    """Monomials and binomials with small exponents, so that many pair lcms
+    coincide and every criterion has something to delete."""
+    gens = []
+    for _ in range(size):
+        exps = {tuple(rng.randint(0, degree) for _ in range(n))}
+        exps.add(rng.choice([(0,) * n, tuple(rng.randint(0, degree) for _ in range(n))]))
+        gens.append({e: Fraction(rng.choice([-2, -1, 1, 2])) for e in exps})
+    return gens
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pair_criteria_match_the_unpruned_loop(n, spoly_calls):
+    rng = random.Random(110 + n)
+    orders = (GREVLEX, LEX, MonomialOrder("elim", (n - 1,)))
+    units, ours_total, ref_total = set(), 0, 0
+    for trial in range(24):
+        if trial % 3 == 2:
+            gens = [_rational_poly(rng, n, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        else:
+            gens = _binomial_ideal(rng, n, rng.randint(2, n + 3), 3 if n < 4 else 2)
+        for order in orders:
+            ours, ref, pruned, full = _pruned_count(gens, order, spoly_calls)
+            assert ours == ref, (gens, order.name)
+            assert _is_unit_basis(ours) == _is_unit_basis(ref)
+            units.add(_is_unit_basis(ours))
+            ours_total += pruned
+            ref_total += full
+    assert units == {True, False}
+    assert ours_total < ref_total
+
+
+def _monomials(*exps):
+    return [{e: 1} for e in exps]
+
+
+def test_criterion_f_keeps_one_pair_per_lcm(spoly_calls):
+    # grevlex adds y*z, x*z, x*y in this order; x*y meets both earlier
+    # elements at lcm x*y*z, and only one of those two pairs is reduced
+    # (the queued pair (y*z, x*z) stays: T(y*z, x*y) equals its lcm)
+    gens = _monomials((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    ours, ref, pruned, full = _pruned_count(gens, GREVLEX, spoly_calls)
+    assert ours == ref and (pruned, full) == (2, 3)
+
+
+def test_criterion_b_deletes_a_queued_pair(spoly_calls):
+    # lex adds y^2*z, x*z^2, x*y*z in this order; x*y*z divides the queued
+    # lcm x*y^2*z^2 and meets each element at a proper divisor of it
+    gens = _monomials((0, 2, 1), (1, 0, 2), (1, 1, 1))
+    ours, ref, pruned, full = _pruned_count(gens, LEX, spoly_calls)
+    assert ours == ref and (pruned, full) == (2, 3)
+
+
+def test_criterion_m_drops_a_new_pair_with_a_divisible_lcm(spoly_calls):
+    # lex adds y*z, x*z^2, x*y in this order; x*y meets y*z at x*y*z, which
+    # strictly divides its lcm x*y*z^2 with x*z^2, so that pair is dropped
+    gens = _monomials((0, 1, 1), (1, 0, 2), (1, 1, 0))
+    ours, ref, pruned, full = _pruned_count(gens, LEX, spoly_calls)
+    assert ours == ref and (pruned, full) == (2, 3)
+
+
+def test_element_with_a_divisible_lead_gets_no_new_pairs(spoly_calls):
+    # (x^2*y - 1, x*y^2 - y) is (x - 1, y - 1); on the way the basis gains
+    # leads that divide earlier ones, and those earlier elements pair with
+    # nothing added later: 5 pairs are reduced, 6 without this rule and 13
+    # with the coprime-lead test alone
+    gens = [{(0, 1): 1, (1, 2): -1}, {(2, 1): 1, (0, 0): -1}]
+    ours, ref, pruned, full = _pruned_count(gens, GREVLEX, spoly_calls)
+    assert ours == ref == [{(1, 0): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -1}]
+    assert (pruned, full) == (5, 13)
