@@ -22,22 +22,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
 from .errors import InputError, ResourceError
-from .fixtures import (
-    free_module_fixture,
-    induce_fixture,
-    mellin_constant_torus,
-    renamed_torus_fixture,
-    shift_fixture,
-    sum_fixture,
-    tensor_fixture,
-    twist_fixture,
-)
 from .verdict import perversity_verdict
 
 EXIT_PASS = 0
@@ -156,6 +145,18 @@ def cmd_sample(args) -> int:
 
 
 def _build_fixture(args):
+    # imported here: no analysis subcommand needs the fixture constructors
+    from .fixtures import (
+        free_module_fixture,
+        induce_fixture,
+        mellin_constant_torus,
+        renamed_torus_fixture,
+        shift_fixture,
+        sum_fixture,
+        tensor_fixture,
+        twist_fixture,
+    )
+
     name = args.name
     if name == "mellin":
         return mellin_constant_torus(args.m)
@@ -273,7 +274,10 @@ def main(argv=None) -> int:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except Exception:
-        # a bug must not pass as "checked and failed" (1)
+        # a bug must not pass as "checked and failed" (1); traceback is
+        # imported only here, since no job that works needs it
+        import traceback
+
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

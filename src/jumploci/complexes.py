@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from .cyclotomic import Cyclotomic
@@ -477,9 +477,6 @@ class FreeComplex:
         self._jumping_cache[i] = ideal
         return ideal
 
-    def fitting_and_jumping_ideals(self, i: int) -> tuple[LaurentIdeal, LaurentIdeal]:
-        return self.fitting_ideal(i), self.jumping_ideal(i)
-
     # -- constructors ---------------------------------------------------------------
 
     def dual(self) -> "FreeComplex":
@@ -512,21 +509,11 @@ class FreeComplex:
         k_min = min(self.k_min, other.k_min)
         k_max = max(self.k_max, other.k_max)
         ranks = [self.rank(i) + other.rank(i) for i in range(k_min, k_max + 1)]
-        zero = self.context.zero()
         diffs = {}
         for i in range(k_min, k_max):
-            a = self.differential(i)
-            b = other.differential(i)
-            rows = a.nrows + b.nrows
-            cols = a.ncols + b.ncols
-            entries = [[zero] * cols for _ in range(rows)]
-            for r in range(a.nrows):
-                for c in range(a.ncols):
-                    entries[r][c] = a.entries[r][c]
-            for r in range(b.nrows):
-                for c in range(b.ncols):
-                    entries[a.nrows + r][a.ncols + c] = b.entries[r][c]
-            diffs[i] = Matrix(self.context, rows, cols, entries)
+            a, b = self.differential(i), other.differential(i)
+            blocks = {(0, 0): a.entries, (1, 1): b.entries}
+            diffs[i] = _block_matrix(self.context, [a.nrows, b.nrows], [a.ncols, b.ncols], blocks)
         return FreeComplex(self.context, k_min, k_max, ranks, diffs)
 
     def twist(self, scalars) -> "FreeComplex":
@@ -572,11 +559,8 @@ class FreeComplex:
         map_a = _tensor_var_map(ctx_a, ctx_b, first_factor=True)
         map_b = _tensor_var_map(ctx_a, ctx_b, first_factor=False)
 
-        def emb_a(p):
-            return p.embed(ctx, map_a)
-
-        def emb_b(p):
-            return p.embed(ctx, map_b)
+        def embedded(mat: Matrix, var_map) -> list[list[LaurentPoly]]:
+            return [[e.embed(ctx, var_map) for e in row] for row in mat.entries]
 
         k_min = self.k_min + other.k_min
         k_max = self.k_max + other.k_max
@@ -588,49 +572,29 @@ class FreeComplex:
             ]
             for n in range(k_min, k_max + 1)
         }
-        ranks = [
-            sum(self.rank(i) * other.rank(j) for i, j in pieces[n])
+        sizes = {
+            n: [self.rank(i) * other.rank(j) for i, j in pieces[n]]
             for n in range(k_min, k_max + 1)
-        ]
-        zero = ctx.zero()
+        }
         diffs = {}
         for n in range(k_min, k_max):
-            src = pieces[n]
-            dst = pieces[n + 1]
-            src_offsets = _block_offsets(src, self, other)
-            dst_offsets = _block_offsets(dst, self, other)
-            rows = sum(self.rank(i) * other.rank(j) for i, j in dst)
-            cols = sum(self.rank(i) * other.rank(j) for i, j in src)
-            entries = [[zero] * cols for _ in range(rows)]
-            for (i, j) in src:
-                co = src_offsets[(i, j)]
-                ra, rb = self.rank(i), other.rank(j)
-                # component d_F (x) id : (i, j) -> (i+1, j)
-                if (i + 1, j) in dst_offsets:
-                    ro = dst_offsets[(i + 1, j)]
-                    df = self.differential(i)
-                    for a2 in range(df.nrows):
-                        for a1 in range(df.ncols):
-                            e = df.entries[a2][a1]
-                            if e.is_zero():
-                                continue
-                            ee = emb_a(e)
-                            for b in range(rb):
-                                entries[ro + a2 * rb + b][co + a1 * rb + b] = ee
-                # component (-1)^i id (x) d_G : (i, j) -> (i, j+1)
-                if (i, j + 1) in dst_offsets:
-                    ro = dst_offsets[(i, j + 1)]
-                    dg = other.differential(j)
-                    sign = -1 if i % 2 else 1
-                    for b2 in range(dg.nrows):
-                        for b1 in range(dg.ncols):
-                            e = dg.entries[b2][b1]
-                            if e.is_zero():
-                                continue
-                            ee = emb_b(e if sign == 1 else -e)
-                            for a in range(ra):
-                                entries[ro + a * dg.nrows + b2][co + a * rb + b1] = ee
-            diffs[n] = Matrix(ctx, rows, cols, entries)
+            dst = {piece: k for k, piece in enumerate(pieces[n + 1])}
+            blocks = {}
+            for col, (i, j) in enumerate(pieces[n]):
+                # d_F (x) id : (i, j) -> (i+1, j)
+                if (i + 1, j) in dst:
+                    blocks[dst[i + 1, j], col] = _kron(
+                        ctx, embedded(self.differential(i), map_a), _identity(ctx, other.rank(j))
+                    )
+                # (-1)^i id (x) d_G : (i, j) -> (i, j+1)
+                if (i, j + 1) in dst:
+                    blocks[dst[i, j + 1], col] = _kron(
+                        ctx,
+                        _identity(ctx, self.rank(i), -1 if i % 2 else 1),
+                        embedded(other.differential(j), map_b),
+                    )
+            diffs[n] = _block_matrix(ctx, sizes[n + 1], sizes[n], blocks)
+        ranks = [sum(sizes[n]) for n in range(k_min, k_max + 1)]
         return FreeComplex(ctx, k_min, k_max, ranks, diffs)
 
     def induce(self, exponents: Sequence[int]) -> "FreeComplex":
@@ -642,15 +606,7 @@ class FreeComplex:
         the direct sum of the original complex at all mu with mu^n = rho^n,
         so loci become unions of torsion translates."""
         n = [int(x) for x in exponents]
-        if len(n) != self.context.num_vars:
-            raise InputError("induction needs one exponent per variable")
-        if any(x < 1 for x in n):
-            raise InputError("induction exponents must be positive")
-        size = math.prod(n)
-        if size > MAX_COVER_SIZE:
-            raise ResourceError(
-                f"induction cover of size {size} exceeds the cap of {MAX_COVER_SIZE}"
-            )
+        size = cover_size(n, self.context.num_vars)
         basis = _box_basis(n)
         index = {e: k for k, e in enumerate(basis)}
         zero = self.context.zero()
@@ -672,20 +628,13 @@ class FreeComplex:
         diffs = {}
         for i in range(self.k_min, self.k_max):
             mat = self.diffs[i]
-            rows = mat.nrows * size
-            cols = mat.ncols * size
-            entries = [[zero] * cols for _ in range(rows)]
-            for r in range(mat.nrows):
-                for c in range(mat.ncols):
-                    e = mat.entries[r][c]
-                    if e.is_zero():
-                        continue
-                    block = blow_up(e)
-                    for br in range(size):
-                        for bc in range(size):
-                            if not block[br][bc].is_zero():
-                                entries[r * size + br][c * size + bc] = block[br][bc]
-            diffs[i] = Matrix(self.context, rows, cols, entries)
+            blocks = {
+                (r, c): blow_up(e)
+                for r, row in enumerate(mat.entries)
+                for c, e in enumerate(row)
+                if not e.is_zero()
+            }
+            diffs[i] = _block_matrix(self.context, [size] * mat.nrows, [size] * mat.ncols, blocks)
         ranks = [r * size for r in self.ranks]
         return FreeComplex(self.context, self.k_min, self.k_max, ranks, diffs)
 
@@ -755,13 +704,49 @@ def _tensor_var_map(ctx_a: RingContext, ctx_b: RingContext, first_factor: bool):
     return torus + abelian
 
 
-def _block_offsets(pieces, left: FreeComplex, right: FreeComplex) -> dict:
-    offsets = {}
-    acc = 0
-    for (i, j) in pieces:
-        offsets[(i, j)] = acc
-        acc += left.rank(i) * right.rank(j)
-    return offsets
+def cover_size(exponents: Sequence[int], num_vars: int) -> int:
+    """n_1*...*n_N, the number of basis monomials of the induction cover
+    with these exponents; refuses a malformed cover or one above
+    MAX_COVER_SIZE."""
+    if len(exponents) != num_vars:
+        raise InputError("induction needs one exponent per variable")
+    if any(x < 1 for x in exponents):
+        raise InputError("induction exponents must be positive")
+    size = math.prod(exponents)
+    if size > MAX_COVER_SIZE:
+        raise ResourceError(
+            f"induction cover of size {size} exceeds the cap of {MAX_COVER_SIZE}"
+        )
+    return size
+
+
+def _block_matrix(ctx: RingContext, row_sizes, col_sizes, blocks: dict) -> Matrix:
+    """The matrix with the given block row and block column sizes; ``blocks``
+    maps (block row, block column) to an entry grid of that block's shape,
+    and absent blocks are zero."""
+    row_at = [0, *accumulate(row_sizes)]
+    col_at = [0, *accumulate(col_sizes)]
+    zero = ctx.zero()
+    entries = [[zero] * col_at[-1] for _ in range(row_at[-1])]
+    for (br, bc), grid in blocks.items():
+        for r, row in enumerate(grid):
+            entries[row_at[br] + r][col_at[bc] : col_at[bc + 1]] = row
+    return Matrix(ctx, row_at[-1], col_at[-1], entries)
+
+
+def _kron(ctx: RingContext, a, b) -> list[list[LaurentPoly]]:
+    """Kronecker product of two entry grids: block (r, c) is a[r][c] * b."""
+    zero = ctx.zero()
+    return [
+        [zero if x.is_zero() or y.is_zero() else x * y for x in row_a for y in row_b]
+        for row_a in a
+        for row_b in b
+    ]
+
+
+def _identity(ctx: RingContext, n: int, scale: int = 1) -> list[list[LaurentPoly]]:
+    diagonal, zero = ctx.const(scale), ctx.zero()
+    return [[diagonal if r == c else zero for c in range(n)] for r in range(n)]
 
 
 def _box_basis(n: Sequence[int]) -> list[tuple[int, ...]]:

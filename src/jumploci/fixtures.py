@@ -13,6 +13,11 @@ and its declared loci in lockstep:
   * direct sum                    -> loci unions, Euler numbers add;
   * shift                         -> loci move degree-for-degree.
 
+Fixtures are small by construction: a fixture ring has at most
+MAX_FIXTURE_VARS variables, and an induced fixture at most as many basis
+vectors as the Koszul complex on that many variables; larger requests raise
+ResourceError before anything is built.
+
 Every fixture carries its expected verdict as metadata, so test suites can
 iterate over a fixture list and compare outcomes without re-deriving them.
 Deliberate mutations (degree shifts, entry edits that break the complex
@@ -22,20 +27,30 @@ zero are flagged invalid and must be rejected by validation gates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .complexes import FreeComplex, Matrix, _tensor_var_map
-from .errors import InputError
+from .complexes import FreeComplex, Matrix, _tensor_var_map, cover_size
+from .errors import InputError, ResourceError
 from .lattices import LinearComponent, LinearUnion
 from .laurent import LaurentPoly, RingContext, TorsionPoint
 from .verdict import LociProfile
 
+# Largest fixture ring.  The Koszul complex on m variables has 2^m basis
+# vectors, and a fixture costs two to three times as much per added variable:
+# twist and sum fixtures took 0.7 s at m = 8 and 6-7 s at m = 10.
+MAX_FIXTURE_VARS = 8
 
-@dataclass
-class Fixture:
+
+def _check_vars(num_vars: int) -> None:
+    if num_vars > MAX_FIXTURE_VARS:
+        raise ResourceError(
+            f"a fixture ring of {num_vars} variables exceeds the cap of {MAX_FIXTURE_VARS}"
+        )
+
+
+class Fixture(NamedTuple):
     name: str
     complex: FreeComplex
     profile: LociProfile
@@ -81,6 +96,7 @@ def mellin_constant_torus(m: int) -> Fixture:
     t_i - 1 with loci {identity} in degrees [-m, 0] and empty elsewhere."""
     if m < 1:
         raise InputError("torus rank must be at least 1")
+    _check_vars(m)
     ctx = RingContext.torus(m)
     gens = [ctx.variable(i) - 1 for i in range(m)]
     cx = koszul(gens, top=0)
@@ -97,6 +113,7 @@ def mellin_constant_torus(m: int) -> Fixture:
 def free_module_fixture(m: int, rank: int = 1) -> Fixture:
     """A free module concentrated in degree zero: jumps everywhere, positive
     Euler characteristic."""
+    _check_vars(m)
     ctx = RingContext.torus(m)
     cx = FreeComplex(ctx, 0, 0, [rank], {})
     profile = LociProfile(
@@ -129,6 +146,7 @@ def twist_fixture(base: Fixture, scalars: Sequence, name: str | None = None) -> 
 
 def tensor_fixture(a: Fixture, b: Fixture, name: str | None = None) -> Fixture:
     """External tensor; loci combine degreewise by the Kunneth rule."""
+    _check_vars(a.complex.context.num_vars + b.complex.context.num_vars)
     cx = a.complex.external_tensor(b.complex)
     ctx = cx.context
     ctx_a, ctx_b = a.complex.context, b.complex.context
@@ -165,10 +183,14 @@ def induce_fixture(base: Fixture, exponents: Sequence[int], name: str | None = N
     class."""
     ctx = base.complex.context
     n = [int(x) for x in exponents]
+    size = cover_size(n, ctx.num_vars)
+    basis = sum(base.complex.ranks) * size
+    if basis > 2**MAX_FIXTURE_VARS:
+        raise ResourceError(
+            f"induction cover of size {size} gives a fixture of {basis} basis vectors, "
+            f"above the cap of {2**MAX_FIXTURE_VARS}"
+        )
     cx = base.complex.induce(n)
-    size = 1
-    for x in n:
-        size *= x
     loci = {}
     for deg, union in base.profile.loci.items():
         comps = []
@@ -218,8 +240,7 @@ def shift_fixture(base: Fixture, s: int, name: str | None = None) -> Fixture:
     return Fixture(name or f"{base.name}-shift({s})", cx, profile, expected)
 
 
-@dataclass
-class Mutant:
+class Mutant(NamedTuple):
     name: str
     complex: FreeComplex
     valid: bool  # False: must be rejected by validation gates
@@ -272,6 +293,7 @@ def _embed_row(row: Sequence[int], var_map: Sequence[int], width: int) -> list[i
 def renamed_torus_fixture(m: int, offset: int) -> Fixture:
     """A torus fixture whose variables are renamed (t{offset+1}, ...) so it
     can appear as the second factor of an external tensor."""
+    _check_vars(m)
     ctx = RingContext([f"t{offset + i + 1}" for i in range(m)], m, 0)
     gens = [ctx.variable(i) - 1 for i in range(m)]
     cx = koszul(gens, top=0)

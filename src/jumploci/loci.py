@@ -22,8 +22,7 @@ of points, and the result is then labeled "sampled" instead of "exact".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import field_rank
 from .errors import InputError, ResourceError
@@ -54,12 +53,11 @@ def is_whole_space(ideal: LaurentIdeal) -> bool:
     return all(g.is_zero() for g in ideal.generators)
 
 
-@dataclass
-class PropagationResult:
+class PropagationResult(NamedTuple):
     ok: bool
     provenance: str  # "exact" | "sampled"
-    first_violation: tuple[int, int] | None = None
-    checked_pairs: list[tuple[int, int, bool]] = field(default_factory=list)
+    first_violation: tuple[int, int] | None
+    checked_pairs: list[tuple[int, int, bool]]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -128,11 +126,8 @@ def radical_equality_pairs(complex_: FreeComplex) -> list[tuple[int, bool]]:
     for i in complex_.degrees():
         if i == 0:
             continue
-        fit, jump = complex_.fitting_and_jumping_ideals(i)
-        equal = all(jump.radical_contains(g) for g in fit.generators) and all(
-            fit.radical_contains(g) for g in jump.generators
-        )
-        out.append((i, equal))
+        fit, jump = complex_.fitting_ideal(i), complex_.jumping_ideal(i)
+        out.append((i, variety_containment(jump, fit) and variety_containment(fit, jump)))
     return out
 
 

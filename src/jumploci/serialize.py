@@ -192,6 +192,11 @@ def _parse_point(ctx: RingContext, value) -> TorsionPoint:
     return point
 
 
+def _point_doc(point: TorsionPoint) -> list[list[str]]:
+    """A point as written to files and reports: [radial, angle] strings."""
+    return [[str(q), str(th)] for q, th in point.coords]
+
+
 def _parse_int(value) -> int:
     """An integer field of a JSON document: an int that is not a bool, or a
     string holding an integer.  Anything else raises ValueError, so 1.5,
@@ -221,12 +226,7 @@ def dump_loci(profile: LociProfile) -> str:
         },
         "loci": {
             str(deg): [
-                {
-                    "translate": [
-                        [str(q), str(th)] for q, th in c.translate.coords
-                    ],
-                    "lattice": [list(row) for row in c.lattice],
-                }
+                {"translate": _point_doc(c.translate), "lattice": [list(r) for r in c.lattice]}
                 for c in union.components
             ]
             for deg, union in sorted(profile.loci.items())
@@ -319,23 +319,16 @@ def jump_ideal_report(cx: FreeComplex, degrees: Sequence[int]) -> dict:
 
 
 def exactness_report(cx: FreeComplex) -> dict:
-    negs = [i for i in cx.degrees() if i < 0]
-    ok, cert = cx.is_exact_range(negs) if negs else (True, [])
-    dual = cx.dual()
-    dual_negs = [i for i in dual.degrees() if i < 0]
-    dual_ok, dual_cert = dual.is_exact_range(dual_negs) if dual_negs else (True, [])
-    for row in cert:
-        row["fitting_codim"] = _codim_str(row["fitting_codim"])
-    for row in dual_cert:
-        row["fitting_codim"] = _codim_str(row["fitting_codim"])
-    return {
-        "report": "exactness",
-        "negative_degrees_exact": ok,
-        "certificate": cert,
-        "dual_negative_degrees_exact": dual_ok,
-        "dual_certificate": dual_cert,
-        "assumption_holds": ok and dual_ok,
-    }
+    doc = {"report": "exactness", "assumption_holds": True}
+    for prefix, side in (("", cx), ("dual_", cx.dual())):
+        negs = [i for i in side.degrees() if i < 0]
+        ok, cert = side.is_exact_range(negs) if negs else (True, [])
+        for row in cert:
+            row["fitting_codim"] = _codim_str(row["fitting_codim"])
+        doc[f"{prefix}negative_degrees_exact"] = ok
+        doc[f"{prefix}certificate"] = cert
+        doc["assumption_holds"] = doc["assumption_holds"] and ok
+    return doc
 
 
 def perversity_report_doc(report: PerversityReport, samples: int, seed: int) -> dict:
@@ -385,9 +378,7 @@ def codims_report(profile: LociProfile) -> dict:
                 "components": [
                     {
                         "lattice": [list(r) for r in c.lattice],
-                        "translate": [
-                            [str(q), str(th)] for q, th in c.translate.coords
-                        ],
+                        "translate": _point_doc(c.translate),
                         "codim": c.codims()[0],
                         "codim_a": c.codims()[1],
                         "codim_sa": c.codims()[2],
@@ -407,11 +398,8 @@ def sample_report(cx: FreeComplex, points: Sequence[TorsionPoint], degrees: Sequ
     from .loci import membership_at_point
 
     entries = []
-    for k, p in enumerate(points):
-        row = {
-            "point": [[str(q), str(th)] for q, th in p.coords],
-            "memberships": {},
-        }
+    for p in points:
+        row = {"point": _point_doc(p), "memberships": {}}
         for d in degrees:
             member, dim = membership_at_point(cx, d, p)
             row["memberships"][str(d)] = {"member": member, "dim": dim}

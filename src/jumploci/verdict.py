@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .complexes import FreeComplex
 from .errors import InputError
@@ -109,8 +108,7 @@ class LociProfile:
         return LociProfile(self.context, merged, euler=euler)
 
 
-@dataclass
-class ConditionRow:
+class ConditionRow(NamedTuple):
     degree: int
     condition: str  # "abelian-codim" | "semiabelian-codim"
     required: int
@@ -118,8 +116,7 @@ class ConditionRow:
     ok: bool
 
 
-@dataclass
-class PerversityReport:
+class PerversityReport(NamedTuple):
     verdict: str  # "perverse" | "upper-only" | "lower-only" | "neither"
     upper_rows: list[ConditionRow]
     lower_rows: list[ConditionRow]
@@ -130,7 +127,7 @@ class PerversityReport:
     support_offenders: list[int]
     euler_status: str  # "pass" | "fail" | "skipped (euler unknown)"
     euler_detail: str
-    provenance: dict[str, str] = field(default_factory=dict)
+    provenance: dict[str, str]
 
 
 def check_upper(profile: LociProfile) -> list[ConditionRow]:
@@ -269,8 +266,7 @@ def perversity_verdict(
     )
 
 
-@dataclass
-class SurvivalResult:
+class SurvivalResult(NamedTuple):
     kernel_torus_rank: int  # m''
     kernel_abelian_rank: int  # g''
     predicted: tuple[int, int]  # [-m''-g'', g'']

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from jumploci import serialize
-from jumploci.fixtures import mellin_constant_torus, shift_fixture
+from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
 
 
 def run_cli(*args, **kwargs):
@@ -313,6 +313,38 @@ def test_induction_cover_over_cap_exits_3(exponents):
     assert result.returncode == 3
     assert result.stderr.startswith("resource cap:") and "induction cover" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+# a fixture ring may have MAX_FIXTURE_VARS variables, an induced fixture as
+# many basis vectors as the Koszul complex on that many (2^m * cover size)
+OVER = str(MAX_FIXTURE_VARS + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(["mellin", "--m", OVER], 3, id="mellin-over-cap"),
+        pytest.param(["free", "--m", OVER], 3, id="free-over-cap"),
+        pytest.param(["twist", "--m", OVER, "--lam", ",".join(["2"] * int(OVER))], 3, id="twist-over-cap"),
+        pytest.param(["tensor", "--m", "4", "--m2", str(MAX_FIXTURE_VARS - 3)], 3, id="tensor-over-cap"),
+        pytest.param(["induce", "--m", "3", "--n", "4,4,4"], 3, id="induce-over-cap"),
+        pytest.param(["mellin", "--m", str(MAX_FIXTURE_VARS)], 0, id="mellin-at-cap"),
+        pytest.param(["tensor", "--m", "4", "--m2", str(MAX_FIXTURE_VARS - 4)], 0, id="tensor-at-cap"),
+        pytest.param(["induce", "--m", str(MAX_FIXTURE_VARS), "--n", ",".join(["1"] * MAX_FIXTURE_VARS)],
+                     0, id="induce-at-cap"),
+    ],
+)
+def test_fixture_size_cap(capsys, argv, code):
+    # before the cap, twist and sum fixtures at --m 10 took 6-7 s, and the work
+    # grows with every added variable
+    from jumploci import cli
+
+    assert cli.main(["fixtures", *argv]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.startswith("resource cap:") and "cap of" in err
+    else:
+        assert out.startswith("ring vars=") and err == ""
 
 
 def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):

@@ -193,12 +193,12 @@ def test_fitting_and_jumping_two_term():
     ctx = RingContext.torus(1)
     x = ctx.variable(0) - 1
     C = _two_term(ctx, x)
-    I0, J0 = C.fitting_and_jumping_ideals(0)
-    Im1, Jm1 = C.fitting_and_jumping_ideals(-1)
+    I0, J0 = C.fitting_ideal(0), C.jumping_ideal(0)
+    Im1, Jm1 = C.fitting_ideal(-1), C.jumping_ideal(-1)
     assert [str(g) for g in J0.generators] == ["t1 - 1"]
     assert [str(g) for g in Jm1.generators] == ["t1 - 1"]
     assert [str(g) for g in Im1.generators] == ["t1 - 1"]
-    out_i, out_j = C.fitting_and_jumping_ideals(7)
+    out_i, out_j = C.fitting_ideal(7), C.jumping_ideal(7)
     assert out_i.is_unit_ideal() and out_j.is_unit_ideal()
 
 

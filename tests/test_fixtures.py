@@ -4,8 +4,11 @@ from itertools import product
 
 import pytest
 
-from jumploci.errors import InputError
+from jumploci import fixtures
+from jumploci.complexes import FreeComplex
+from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
+    MAX_FIXTURE_VARS,
     Fixture,
     free_module_fixture,
     induce_fixture,
@@ -152,6 +155,27 @@ def test_induce_fixture_rejects_positive_dim_components():
     fm = free_module_fixture(1)  # whole-space component, not a point
     with pytest.raises(InputError):
         induce_fixture(fm, [2])
+
+
+def _never(*args):
+    raise AssertionError("an over-cap fixture was built")
+
+
+def test_fixture_caps_refuse_before_building(monkeypatch):
+    over = MAX_FIXTURE_VARS + 1
+    m3, left, right = mellin_constant_torus(3), mellin_constant_torus(4), renamed_torus_fixture(over - 4, 4)
+    monkeypatch.setattr(fixtures, "koszul", _never)
+    monkeypatch.setattr(FreeComplex, "external_tensor", _never)
+    monkeypatch.setattr(FreeComplex, "induce", _never)
+    for build in (
+        lambda: mellin_constant_torus(over),
+        lambda: renamed_torus_fixture(over, 1),
+        lambda: free_module_fixture(over),
+        lambda: tensor_fixture(left, right),
+        lambda: induce_fixture(m3, [4, 4, 4]),  # 8 * 64 basis vectors
+    ):
+        with pytest.raises(ResourceError):
+            build()
 
 
 def test_sum_fixture_union_profile():

@@ -1,8 +1,8 @@
 """Fuzz the input parsers and the ideal route through the command line.
 
-Whatever the complex text, loci JSON or points JSON, a run of ``validate``,
-``codims``, ``sample``, ``jump-ideals`` or ``exactness`` must end in a
-documented exit code (0 pass, 1 checked and failed, 2 input error,
+Whatever the complex text, loci JSON, points JSON or fixture parameters, a
+run of ``validate``, ``codims``, ``sample``, ``jump-ideals``, ``exactness``
+or ``fixtures`` must end in a documented exit code (0 pass, 1 checked and failed, 2 input error,
 3 resource cap) and never in an internal error (exit 4, which is a bug).
 Inputs mix well-formed documents, documents with one part replaced, and
 arbitrary text, JSON and bytes.  The complexes fed to ``jump-ideals`` and
@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jumploci import cli, serialize
-from jumploci.fixtures import mellin_constant_torus
+from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus
 from jumploci.laurent import format_poly
 
 FUZZ = settings(
@@ -207,6 +207,33 @@ _SMALL_COMPLEX = st.one_of(
                                   _HEADER, _TEXT)),
 )
 
+# fixture parameters: a torus rank around the size cap or anywhere, other
+# integers, and --lam / --n lists with one entry per variable or anything;
+# passed as --opt=value, so that a value starting with "-" is not an option
+_FIXTURE_INT = st.one_of(st.integers(-1, MAX_FIXTURE_VARS + 1), st.integers())
+_FIXTURE_TEXT = st.one_of(
+    st.lists(st.one_of(st.integers(-1, 9).map(str), _RATIONAL), min_size=1, max_size=4).map(",".join),
+    _TEXT,
+)
+
+
+@st.composite
+def _fixture_argv(draw):
+    name = draw(st.sampled_from(["mellin", "twist", "tensor", "induce", "sum", "shift", "free"]))
+    m = draw(_FIXTURE_INT)
+    width = m if 1 <= m <= MAX_FIXTURE_VARS + 1 else 1
+    lam = st.lists(st.sampled_from(["2", "-1", "1/3", "0", "1/0"]), min_size=width, max_size=width)
+    exponents = st.lists(st.integers(-1, 4).map(str), min_size=width, max_size=width)
+    options = draw(st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["--m2", "--s", "--rank"]), _FIXTURE_INT),
+            st.tuples(st.just("--lam"), st.one_of(lam.map(",".join), _FIXTURE_TEXT)),
+            st.tuples(st.just("--n"), st.one_of(exponents.map(",".join), _FIXTURE_TEXT)),
+        ),
+        max_size=3,
+    ))
+    return ["fixtures", name, f"--m={m}", *(f"{opt}={value}" for opt, value in options)]
+
 
 # -- the properties ----------------------------------------------------------------
 
@@ -247,6 +274,12 @@ def test_jump_ideals_ends_in_a_documented_exit(tmp_path, text):
 @given(text=_SMALL_COMPLEX)
 def test_exactness_ends_in_a_documented_exit(tmp_path, text):
     _check(tmp_path, ["exactness", "in.complex"], {"in.complex": text})
+
+
+@FUZZ
+@given(argv=_fixture_argv())
+def test_fixture_parameters_end_in_a_documented_exit(tmp_path, argv):
+    _check(tmp_path, argv, {})
 
 
 def _m2_loci_with(path, value) -> str:

@@ -1,0 +1,36 @@
+"""A job loads only what it runs.
+
+Start-up is most of a short job's time, and no analysis subcommand uses the
+fixture constructors, ``dataclasses`` (which imports ``inspect``) or
+``traceback``.  So neither importing the command line nor the imports a
+library certification job makes (``perfbench/libjob.py``) may load them.
+Each case starts a fresh interpreter, since the test process has long
+loaded all of them.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures"]
+
+
+@pytest.mark.parametrize(
+    "modules",
+    [["jumploci.cli"], ["jumploci.serialize", "jumploci.errors", "jumploci.loci"]],
+    ids=["cli", "library-job"],
+)
+def test_job_imports_leave_out_unused_modules(modules):
+    code = "".join(f"import {name}\n" for name in modules)
+    code += f"import sys\nprint([name for name in {UNUSED!r} if name in sys.modules])\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
