@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 from .cyclotomic import Cyclotomic
 from .errors import InputError, ResourceError
 from .groebner import LEX, LaurentIdeal, _normalize, laurent_to_poly
-from .laurent import LaurentPoly, RingContext, TorsionPoint
+from .laurent import LaurentPoly, RingContext, TorsionPoint, _substitution_pairs
 
 MAX_MINOR_SIZE = 5
 # Largest induction cover, as the number n_1*...*n_N of basis monomials: the
@@ -332,6 +332,7 @@ class FreeComplex:
         "ranks",
         "diffs",
         "_rank_cache",
+        "_point_rank_cache",
         "_validated",
         "_fitting_cache",
         "_jumping_cache",
@@ -375,6 +376,7 @@ class FreeComplex:
         self.ranks = ranks
         self.diffs = diffs
         self._rank_cache = {}
+        self._point_rank_cache = {}
         self._validated = None
         self._fitting_cache = {}
         self._jumping_cache = {}
@@ -525,14 +527,10 @@ class FreeComplex:
                 raise InputError("twists must be by rational points")
             lams = [q for q, _ in scalars.coords]
         else:
-            lams = [Fraction(v) for v in scalars]
-        if len(lams) != self.context.num_vars:
-            raise InputError("twist needs one scalar per variable")
-        if any(l == 0 for l in lams):
-            raise InputError("twist scalars must be nonzero")
-        mapping = [(l, 1) for l in lams]
+            lams = list(scalars)
+        pairs = _substitution_pairs([(lam, 1) for lam in lams], self.context.num_vars)
         diffs = {
-            i: m.map_entries(lambda e: e.substitute(mapping))
+            i: m.map_entries(lambda e: e._substitute(pairs) if e.terms else e)
             for i, m in self.diffs.items()
         }
         return FreeComplex(self.context, self.k_min, self.k_max, self.ranks, diffs)

@@ -91,6 +91,17 @@ def _reduce(vec: list, order: int) -> list:
     return vec
 
 
+_ZERO = Fraction(0)
+
+
+def _canonical(vec: list, order: int) -> tuple[Fraction, ...]:
+    """The stored form of vec (int or Fraction coefficients): reduced mod
+    Phi_L, padded to length phi(L), every entry a Fraction; vec is consumed."""
+    vec = _reduce(vec, order)
+    vec += [0] * (len(cyclotomic_polynomial(order)) - 1 - len(vec))
+    return tuple(c if c.__class__ is Fraction else Fraction(c) if c else _ZERO for c in vec)
+
+
 def _mul(a: Sequence, b: Sequence, order: int) -> list:
     """Product of two reduced coefficient vectors modulo Phi_L."""
     prod = [0] * (2 * len(a) - 1)
@@ -110,10 +121,25 @@ class Cyclotomic:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence[Fraction]):
-        vec = _reduce([Fraction(c) for c in coeffs], order)
-        vec += [Fraction(0)] * (len(cyclotomic_polynomial(order)) - 1 - len(vec))
         self.order = order
-        self.coeffs = tuple(vec)
+        self.coeffs = _canonical([Fraction(c) for c in coeffs], order)
+
+    @classmethod
+    def _from_powers(cls, order: int, powers: dict[int, Fraction]) -> "Cyclotomic":
+        """sum of c * zeta_L^k over the items k: c of ``powers`` (0 <= k < L,
+        c a Fraction); the sparse counterpart of the constructor.  Slots
+        absent from ``powers`` stay the int 0 through the reduction, so no
+        Fraction is built for them, and _canonical stores the same reduced
+        tuple the constructor would: reduction mod the monic Phi_L is exact
+        and linear, so the remainder does not depend on how the zero slots
+        are represented."""
+        vec = [0] * max(len(cyclotomic_polynomial(order)) - 1, max(powers, default=0) + 1)
+        for k, c in powers.items():
+            vec[k] = c
+        self = object.__new__(cls)
+        self.order = order
+        self.coeffs = _canonical(vec, order)
+        return self
 
     @classmethod
     def rational(cls, order: int, value) -> "Cyclotomic":

@@ -321,8 +321,11 @@ class LinearComponent:
         other, and self's characters must kill the translate offset."""
         if self.context != other.context:
             raise InputError("ring context mismatch")
-        if not lattice_leq(self.lattice, other.lattice):
-            return False
+        return lattice_leq(self.lattice, other.lattice) and self._kills_offset(other)
+
+    def _kills_offset(self, other: "LinearComponent") -> bool:
+        """Whether every character of self's lattice is trivial at the
+        offset between the two translates."""
         offset = other.translate * self.translate.inverse()
         return all(offset.character_is_trivial(row) for row in self.lattice)
 
@@ -352,11 +355,23 @@ class LinearUnion:
         for c in comps:
             if c.context != context:
                 raise InputError("ring context mismatch")
+        # The pairwise test is LinearComponent.contains with the lattice
+        # inclusion memoized per (outer, inner) lattice pair: components of
+        # a union share few distinct lattices (the translates of one cover
+        # share one), so each inclusion is decided once.
+        leq: dict = {}
+
+        def contains(outer: LinearComponent, inner: LinearComponent) -> bool:
+            key = (outer.lattice, inner.lattice)
+            if key not in leq:
+                leq[key] = lattice_leq(*key)
+            return leq[key] and outer._kills_offset(inner)
+
         kept: list[LinearComponent] = []
         for c in sorted(comps, key=LinearComponent.sort_key):
-            if any(other.contains(c) for other in kept):
+            if any(contains(other, c) for other in kept):
                 continue
-            kept = [k for k in kept if not c.contains(k)]
+            kept = [k for k in kept if not contains(c, k)]
             kept.append(c)
         kept.sort(key=LinearComponent.sort_key)
         self.context = context

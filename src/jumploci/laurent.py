@@ -131,6 +131,22 @@ class RingContext:
         return parse_poly(self, text)
 
 
+def _substitution_pairs(mapping: Sequence[tuple], num_vars: int) -> list[tuple[Fraction, int]]:
+    """The (lam_i, n_i) pairs of a substitution t_i -> lam_i * t_i^(n_i) as
+    (Fraction, int), after checking there is one per variable and none is
+    zero; raises InputError otherwise."""
+    if len(mapping) != num_vars:
+        raise InputError("substitution must cover every variable")
+    pairs = []
+    for lam, n in mapping:
+        lam = Fraction(lam)
+        n = int(n)
+        if lam == 0 or n == 0:
+            raise InputError("substitution scalars and exponents must be nonzero")
+        pairs.append((lam, n))
+    return pairs
+
+
 def _check_same_context(a: "LaurentPoly | TorsionPoint", b: "LaurentPoly | TorsionPoint"):
     if a.context != b.context:
         raise InputError("ring context mismatch")
@@ -254,16 +270,21 @@ class LaurentPoly:
     def evaluate(self, point: "TorsionPoint") -> Cyclotomic:
         """Exact value at a torsion point, in Q(zeta_L) for L = lcm of angle
         denominators.  A Laurent monomial is defined at every point since all
-        radial parts are nonzero."""
+        radial parts are nonzero.  Each term c*t^k adds c * prod q_i^k_i to
+        the coefficient of zeta_L^(sum k_i*a_i mod L), read off the point's
+        character table (see TorsionPoint._character_table); only the powers
+        that occur are accumulated."""
         _check_same_context(self, point)
-        L = point.angle_order()
-        coeffs = [Fraction(0)] * L  # coefficients of zeta_L^0 .. zeta_L^(L-1)
+        L, steps, radials = point._character_table()
+        powers: dict[int, Fraction] = {}
         for exp, c in self.terms.items():
-            radial, angle = point._character(exp)
-            k = angle * L
-            assert k.denominator == 1
-            coeffs[int(k) % L] += c * radial
-        return Cyclotomic(L, coeffs)
+            k = sum(e * a for e, a in zip(exp, steps)) % L
+            if radials is not None:
+                for e, q in zip(exp, radials):
+                    if e:
+                        c *= q**e
+            powers[k] = powers.get(k, 0) + c
+        return Cyclotomic._from_powers(L, powers)
 
     def substitute(self, mapping: Sequence[tuple[Fraction, int]]) -> "LaurentPoly":
         """Apply the ring homomorphism t_i -> lam_i * t_i^(n_i).
@@ -272,15 +293,11 @@ class LaurentPoly:
         be a nonzero rational and every n_i a nonzero integer, so units map to
         units.
         """
-        if len(mapping) != self.context.num_vars:
-            raise InputError("substitution must cover every variable")
-        pairs = []
-        for lam, n in mapping:
-            lam = Fraction(lam)
-            n = int(n)
-            if lam == 0 or n == 0:
-                raise InputError("substitution scalars and exponents must be nonzero")
-            pairs.append((lam, n))
+        return self._substitute(_substitution_pairs(mapping, self.context.num_vars))
+
+    def _substitute(self, pairs: Sequence[tuple[Fraction, int]]) -> "LaurentPoly":
+        """substitute() with pairs already checked by _substitution_pairs, so
+        a caller mapping many polynomials validates the mapping once."""
         out: dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():
             coeff = c
@@ -321,7 +338,7 @@ class TorsionPoint:
     q a positive rational and theta a rational in [0, 1).  Constructors accept
     negative q and fold the sign into theta, so equality is exact."""
 
-    __slots__ = ("context", "coords")
+    __slots__ = ("context", "coords", "_table")
 
     def __init__(self, context: RingContext, coords: Sequence[tuple[Fraction, Fraction]]):
         if len(coords) != context.num_vars:
@@ -339,6 +356,26 @@ class TorsionPoint:
             norm.append((q, theta))
         self.context = context
         self.coords = tuple(norm)
+        self._table = None
+
+    def _character_table(self) -> tuple[int, tuple[int, ...], tuple[Fraction, ...] | None]:
+        """(L, steps, radials), computed once per point: L the angle order,
+        steps the integers a_i = theta_i * L, and radials the q_i, or None
+        when every q_i is 1.
+
+        Soundness: theta_i = n_i/d_i in lowest terms with d_i | L, so
+        a_i = n_i * (L/d_i) is an exact integer and sum k_i*theta_i * L =
+        sum k_i*a_i for every integer vector k.  The character t^k at this
+        point is prod q_i^k_i * e^(2*pi*i * sum k_i*theta_i), that is
+        prod q_i^k_i * zeta_L^(sum k_i*a_i), and since zeta_L^L = 1 the
+        exponent may be taken mod L.  All of this is integer arithmetic; the
+        only Fractions are the radial powers, skipped when every q_i = 1."""
+        if self._table is None:
+            L = self.angle_order()
+            steps = tuple(th.numerator * (L // th.denominator) for _, th in self.coords)
+            radials = None if all(q == 1 for q, _ in self.coords) else tuple(q for q, _ in self.coords)
+            self._table = (L, steps, radials)
+        return self._table
 
     def angle_order(self) -> int:
         """Least L with all angles in (1/L)Z; 1 when the point is rational."""
@@ -372,27 +409,25 @@ class TorsionPoint:
             [(q**e, e * th) for (q, th), e in zip(self.coords, exponents)],
         )
 
-    def _character(self, lattice_vector: Sequence[int]) -> tuple[Fraction, Fraction]:
-        """(radial, angle) of t^k at this point: prod q_i^k_i and
-        sum k_i*theta_i, so t^k = radial * e^(2*pi*i*angle)."""
-        radial = Fraction(1)
-        angle = Fraction(0)
-        for (q, th), k in zip(self.coords, lattice_vector):
-            radial *= q**k
-            angle += k * th
-        return radial, angle
-
     def character_value(self, lattice_vector: Sequence[int]) -> Cyclotomic:
         """Value of the character t -> t^k at this point, k an integer vector."""
         return self.context.monomial(lattice_vector).evaluate(self)
 
     def character_is_trivial(self, lattice_vector: Sequence[int]) -> bool:
         """Whether t^k is 1 at this point.  The value is prod q_i^k_i times
-        e^(2*pi*i*sum k_i*theta_i) with every q_i > 0, so it is 1 exactly when
-        the radial product is 1 and the angle sum is an integer; no
-        arithmetic in Q(zeta_L) is needed."""
-        radial, angle = self._character(lattice_vector)
-        return radial == 1 and angle.denominator == 1
+        zeta_L^(sum k_i*a_i) with every q_i > 0, so it is 1 exactly when the
+        exponent is 0 mod L and the radial product is 1; no arithmetic in
+        Q(zeta_L) is needed."""
+        L, steps, radials = self._character_table()
+        if sum(k * a for k, a in zip(lattice_vector, steps)) % L:
+            return False
+        if radials is None:
+            return True
+        radial = Fraction(1)
+        for k, q in zip(lattice_vector, radials):
+            if k:
+                radial *= q**k
+        return radial == 1
 
     def embed(self, target: RingContext, var_map: Sequence[int]) -> "TorsionPoint":
         coords = [(Fraction(1), Fraction(0))] * target.num_vars

@@ -31,19 +31,33 @@ from .complexes import FreeComplex
 from .laurent import TorsionPoint
 
 
+def _rank_at_point(complex_: FreeComplex, i: int, point: TorsionPoint) -> int:
+    """rank d^i(rho), specialized and ranked once per (i, rho) and kept in
+    the complex's point-rank cache, beside its generic-rank cache.  Exact:
+    a FreeComplex is never modified after construction, the specialization
+    is a function of the matrix entries and the point alone, and
+    TorsionPoint equality is equality of canonical coordinates, so a cached
+    rank is the rank a fresh computation would return."""
+    key = (i, point)
+    cache = complex_._point_rank_cache
+    if key not in cache:
+        cache[key] = field_rank(complex_.differential(i).evaluate(point))
+    return cache[key]
+
+
 def membership_at_point(
     complex_: FreeComplex, degree: int, point: TorsionPoint
 ) -> tuple[bool, int]:
-    """(rho in V^degree, dim H^degree at rho), by exact specialization."""
+    """(rho in V^degree, dim H^degree at rho), by exact specialization.
+    Adjacent degrees share a differential, whose rank at rho is computed
+    once."""
     complex_.ensure_valid()
     if point.context != complex_.context:
         raise InputError("ring context mismatch")
     r = complex_.rank(degree)
     if r == 0:
         return False, 0
-    out_rank = field_rank(complex_.differential(degree).evaluate(point))
-    in_rank = field_rank(complex_.differential(degree - 1).evaluate(point))
-    dim = r - out_rank - in_rank
+    dim = r - _rank_at_point(complex_, degree, point) - _rank_at_point(complex_, degree - 1, point)
     return dim > 0, dim
 
 

@@ -377,3 +377,22 @@ def test_euler_characteristic(ctx2):
     assert K.direct_sum(single).euler_characteristic() == 3
     assert K.shift(1).euler_characteristic() == 0
     assert koszul([ctx2.variable(0) - 1]).euler_characteristic() == 0
+
+
+def test_twist_equals_substitute_per_entry():
+    # the twist validates its scalars once and skips zero entries; the
+    # matrices must be those of substitute() applied to every entry
+    from jumploci.fixtures import standard_fixture_suite
+
+    rng = random.Random(31)
+    pool = [Fraction(v) for v in ("2", "-1", "1/3", "-5/2", "7")]
+    for fx in standard_fixture_suite():
+        cx = fx.complex
+        lams = [rng.choice(pool) for _ in range(cx.context.num_vars)]
+        mapping = [(lam, 1) for lam in lams]
+        expected = {i: m.map_entries(lambda e: e.substitute(mapping)) for i, m in cx.diffs.items()}
+        assert cx.twist(lams).diffs == expected, fx.name
+    with pytest.raises(InputError):
+        cx.twist(lams[:-1])
+    with pytest.raises(InputError):
+        cx.twist([Fraction(0)] * len(lams))

@@ -1,14 +1,18 @@
 """Fuzz the input parsers and the ideal route through the command line.
 
 Whatever the complex text, loci JSON, points JSON or fixture parameters, a
-run of ``validate``, ``codims``, ``sample``, ``jump-ideals``, ``exactness``
-or ``fixtures`` must end in a documented exit code (0 pass, 1 checked and failed, 2 input error,
-3 resource cap) and never in an internal error (exit 4, which is a bug).
+run of ``validate``, ``codims``, ``sample``, ``jump-ideals``, ``exactness``,
+``perversity`` or ``fixtures`` must end in a documented exit code (0 pass,
+1 checked and failed, 2 input error, 3 resource cap) and never in an
+internal error (exit 4, which is a bug).
 Inputs mix well-formed documents, documents with one part replaced, and
 arbitrary text, JSON and bytes.  The complexes fed to ``jump-ideals`` and
 ``exactness`` keep their polynomials small (at most three terms, exponents
 in -2..2), so that each run reaches the Groebner engine and stays short.
-Hypothesis runs derandomized, so every run tries the same inputs.
+``perversity`` is fuzzed on loci documents alone and on a complex with
+``--loci``, at most one of the two edited from the m1 or m2 documents, so
+that about half of the pairs reach the pointwise spot check.  Hypothesis
+runs derandomized, so every run tries the same inputs.
 """
 
 import contextlib
@@ -33,7 +37,9 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
 
-M1_COMPLEX = serialize.dump_complex(mellin_constant_torus(1).complex)
+M1 = mellin_constant_torus(1)
+M1_COMPLEX = serialize.dump_complex(M1.complex)
+M1_LOCI = json.loads(serialize.dump_loci(M1.profile))
 M2 = mellin_constant_torus(2)
 M2_COMPLEX = serialize.dump_complex(M2.complex)
 M2_LOCI = json.loads(serialize.dump_loci(M2.profile))
@@ -135,10 +141,12 @@ def _replace(doc, path, value):
     return doc
 
 
-# the m2 loci document with one subtree replaced by arbitrary JSON
-_LOCI_EDIT = st.builds(
-    _replace, st.just(M2_LOCI), st.sampled_from(list(_paths(M2_LOCI))), st.one_of(_EDGE, _JSON)
-)
+def _loci_edit(doc):
+    """``doc`` with one subtree replaced by arbitrary JSON."""
+    return st.builds(_replace, st.just(doc), st.sampled_from(list(_paths(doc))), st.one_of(_EDGE, _JSON))
+
+
+_LOCI_EDIT = _loci_edit(M2_LOCI)
 
 
 _LOCI = st.one_of(_LOCI_EDIT.map(json.dumps), _JSON.map(json.dumps), _TEXT)
@@ -280,6 +288,79 @@ def test_exactness_ends_in_a_documented_exit(tmp_path, text):
 @given(argv=_fixture_argv())
 def test_fixture_parameters_end_in_a_documented_exit(tmp_path, argv):
     _check(tmp_path, argv, {})
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _leaf_edit(doc):
+    """``doc`` with one leaf replaced by a small integer or rational string,
+    which mostly keeps the document well-formed but moves its loci."""
+    leaves = [p for p in _paths(doc) if p and not isinstance(_at(doc, p), (dict, list))]
+    value = st.one_of(st.integers(-2, 3), st.sampled_from(["0", "1", "-1", "2", "1/2", "1/3", "3/4", "1/97"]))
+    return st.builds(_replace, st.just(doc), st.sampled_from(leaves), value)
+
+
+def _some_loci(doc):
+    """``doc`` intact, or with a leaf or a subtree replaced."""
+    return st.one_of(st.just(doc), _leaf_edit(doc), _loci_edit(doc)).map(json.dumps)
+
+
+def _pair(complex_text: str, complexes, loci_doc):
+    """A complex and its loci document from one base, at most one of them
+    edited, so that most pairs share a ring and reach the spot check."""
+    return st.one_of(
+        st.tuples(complexes, st.just(json.dumps(loci_doc))),
+        st.tuples(st.just(complex_text), _some_loci(loci_doc)),
+    )
+
+
+_PERVERSITY_LOCI = st.one_of(_some_loci(M1_LOCI), _some_loci(M2_LOCI))
+_PERVERSITY_PAIR = st.one_of(
+    # m1 has one differential, so any 1x1 entry keeps it a complex
+    _pair(M1_COMPLEX, st.one_of(
+        st.just(M1_COMPLEX),
+        _small_poly(1).map(lambda f: M1_COMPLEX.rsplit("\n", 2)[0] + f"\n{f}\n"),
+        _edited(M1_COMPLEX, st.one_of(_HEADER, _TEXT)),
+    ), M1_LOCI),
+    _pair(M2_COMPLEX, st.one_of(
+        st.builds(_scaled_m2, _small_poly(2), _small_poly(2)),
+        _edited(M2_COMPLEX, st.one_of(_small_poly(2), _HEADER, _TEXT)),
+    ), M2_LOCI),
+)
+
+# --samples and --seed, any integer the option parser accepts: few samples,
+# so that each run stays short
+_SPOT_OPTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("--samples"), st.integers(-1, 6)),
+        st.tuples(st.just("--seed"), st.integers(-5, 10**6)),
+    ),
+    max_size=2,
+).map(lambda opts: [f"{opt}={value}" for opt, value in opts])
+
+
+def _check_perversity(tmp_path, argv, files) -> None:
+    code, err = _run(tmp_path, argv, files)
+    assert code in (0, 1, 2, 3), err
+    assert "internal error:" not in err and "Traceback" not in err, err
+
+
+@FUZZ
+@given(loci=_PERVERSITY_LOCI, options=_SPOT_OPTIONS)
+def test_perversity_loci_ends_in_a_documented_exit(tmp_path, loci, options):
+    _check_perversity(tmp_path, ["perversity", "in.loci", *options], {"in.loci": loci})
+
+
+@settings(FUZZ, max_examples=80)
+@given(pair=_PERVERSITY_PAIR, options=_SPOT_OPTIONS)
+def test_perversity_complex_ends_in_a_documented_exit(tmp_path, pair, options):
+    complex_, loci = pair
+    _check_perversity(tmp_path, ["perversity", "in.complex", "--loci", "in.loci", *options],
+                      {"in.complex": complex_, "in.loci": loci})
 
 
 def _m2_loci_with(path, value) -> str:

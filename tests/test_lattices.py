@@ -267,3 +267,55 @@ def test_point_membership():
     assert not curve.contains_point(ctx.rational_point([3, 9]))
     torsion = TorsionPoint(ctx, [(Fraction(2), Fraction(0)), (Fraction(1), Fraction(1, 3))])
     assert curve.contains_point(torsion)
+
+
+def _pairwise_normalized(components):
+    """LinearUnion's normalization as a plain pairwise loop over
+    LinearComponent.contains, the reference for the memoized one."""
+    kept = []
+    for c in sorted(components, key=LinearComponent.sort_key):
+        if any(other.contains(c) for other in kept):
+            continue
+        kept = [k for k in kept if not c.contains(k)]
+        kept.append(c)
+    kept.sort(key=LinearComponent.sort_key)
+    return kept
+
+
+def test_union_normalization_matches_the_pairwise_loop():
+    rng = random.Random(21)
+    ctx = RingContext.mixed(1, 1)
+    # few lattices and few translates, so that containments and duplicates occur
+    lattices = [[], [[1, 0, 0]], [[0, 1, 0], [0, 0, 1]], [[2, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+    angles = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+    radials = [Fraction(1), Fraction(1), Fraction(2), Fraction(-1)]
+    merged = 0
+    for _ in range(150):
+        comps = [
+            LinearComponent(
+                ctx,
+                TorsionPoint(ctx, [(rng.choice(radials), rng.choice(angles)) for _ in range(3)]),
+                rng.choice(lattices),
+            )
+            for _ in range(rng.randint(0, 8))
+        ]
+        kept = LinearUnion(ctx, comps).components
+        assert list(kept) == _pairwise_normalized(comps)
+        merged += len(kept) < len(comps)
+    assert merged > 50
+
+
+def test_union_normalization_matches_the_pairwise_loop_on_covers():
+    from jumploci.fixtures import induce_fixture, mellin_constant_torus
+
+    rng = random.Random(22)
+    for base, exponents in [(1, [4]), (2, [3, 2]), (2, [2, 2])]:
+        profile = induce_fixture(mellin_constant_torus(base), exponents).profile
+        every = [c for union in profile.loci.values() for c in union.components]
+        ctx = profile.context
+        for union in profile.loci.values():
+            comps = list(union.components)
+            assert list(LinearUnion(ctx, comps).components) == _pairwise_normalized(comps)
+        for _ in range(5):
+            comps = rng.sample(every, rng.randint(1, len(every)))
+            assert list(LinearUnion(ctx, comps).components) == _pairwise_normalized(comps)

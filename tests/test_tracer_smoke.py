@@ -30,11 +30,17 @@ ORDER_12_POINTS = [[["1", "1/3"], ["1", "1/4"]]]
             ["sample", "m2.complex", "--points", "points.json"],
             ["cyclotomic.field_rank", "loci.membership_at_point"],
         ),
+        (
+            ["perversity", "m2.complex", "--loci", "m2.loci", "--samples", "4"],
+            ["verdict.perversity_verdict", "loci.membership_at_point"],
+        ),
     ],
-    ids=["jump-ideals", "sample"],
+    ids=["jump-ideals", "sample", "perversity"],
 )
 def test_tracer_records_route_spans(tmp_path, argv, required):
-    (tmp_path / "m2.complex").write_text(serialize.dump_complex(mellin_constant_torus(2).complex))
+    m2 = mellin_constant_torus(2)
+    (tmp_path / "m2.complex").write_text(serialize.dump_complex(m2.complex))
+    (tmp_path / "m2.loci").write_text(serialize.dump_loci(m2.profile))
     (tmp_path / "points.json").write_text(json.dumps(ORDER_12_POINTS))
     spans_out = tmp_path / "spans.json"
     env = dict(os.environ)
