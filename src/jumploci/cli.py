@@ -27,6 +27,7 @@ from pathlib import Path
 
 from . import serialize
 from .errors import InputError, ResourceError
+from .sampling import check_sample_count
 from .verdict import perversity_verdict
 
 EXIT_PASS = 0
@@ -60,10 +61,10 @@ def _degrees(args, cx) -> list[int]:
     if not args.degrees:
         return list(cx.degrees())
     try:
-        lo, hi = args.degrees.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(bound) for bound in args.degrees.split(".."))
     except ValueError as exc:
         raise InputError(f"malformed degree range {args.degrees!r}, expected a..b") from exc
+    return list(range(serialize.check_degree(lo), serialize.check_degree(hi) + 1))
 
 
 def _parse_list(text: str, kind) -> list:
@@ -107,6 +108,7 @@ def _sniff_is_loci(text: str) -> bool:
 
 
 def cmd_perversity(args) -> int:
+    check_sample_count(args.samples)
     text = _read(args.input)
     if _sniff_is_loci(text):
         profile, rejected = serialize.load_loci(text, strict=True)

@@ -133,7 +133,7 @@ def twist_fixture(base: Fixture, scalars: Sequence, name: str | None = None) -> 
         deg: LinearUnion(
             ctx,
             [
-                LinearComponent(ctx, inv * c.translate, [list(r) for r in c.lattice], presaturated=True)
+                LinearComponent(ctx, inv * c.translate, [list(r) for r in c.lattice])
                 for c in union.components
             ],
         )
@@ -161,7 +161,7 @@ def tensor_fixture(a: Fixture, b: Fixture, name: str | None = None) -> Fixture:
                     translate = comp_a.translate.embed(ctx, map_a) * comp_b.translate.embed(ctx, map_b)
                     rows = [_embed_row(r, map_a, ctx.num_vars) for r in comp_a.lattice]
                     rows += [_embed_row(r, map_b, ctx.num_vars) for r in comp_b.lattice]
-                    combos.append(LinearComponent(ctx, translate, rows, presaturated=True))
+                    combos.append(LinearComponent(ctx, translate, rows))
             if combos:
                 deg = da + db
                 existing = loci.get(deg, LinearUnion.empty(ctx))
@@ -205,12 +205,7 @@ def induce_fixture(base: Fixture, exponents: Sequence[int], name: str | None = N
                     [(Fraction(1), Fraction(k, x)) for k, x in zip(shifts, n)],
                 )
                 comps.append(
-                    LinearComponent(
-                        ctx,
-                        comp.translate * zeta,
-                        [list(r) for r in comp.lattice],
-                        presaturated=True,
-                    )
+                    LinearComponent(ctx, comp.translate * zeta, [list(r) for r in comp.lattice])
                 )
         loci[deg] = LinearUnion(ctx, comps)
     euler = base.profile.euler * size if base.profile.euler is not None else None

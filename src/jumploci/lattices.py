@@ -20,8 +20,10 @@ odd-rank inputs are rejected rather than rounded, since they cannot arise
 from a quotient by a semi-abelian subvariety.
 
 Saturation and kernels are computed through an exact Smith normal form over
-Python integers.  A LinearUnion is a normalized finite list of components
-(no component contained in another) and carries min/max codimension and
+Python integers; lattice membership is decided on the stored Hermite basis,
+and a point lies on a component when the lattice's characters take the same
+values there as at the translate.  A LinearUnion is a normalized finite list
+of components (no component contained in another) and carries min/max codimension and
 dimension statistics with the usual empty-union conventions
 (codimensions +infinity, dimensions -infinity).
 """
@@ -144,8 +146,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
 
 def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over Q via fraction-based Gaussian elimination (independent of
-    the Smith-form code path; used as the oracle's workhorse)."""
+    """Rank over Q via fraction-based Gaussian elimination: no lattice code
+    calls it, it is the independent oracle the tests check them against."""
     m = [[Fraction(x) for x in row] for row in matrix]
     if not m or not m[0]:
         return 0
@@ -233,19 +235,20 @@ def kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     return hermite_normal_form(cols, width) if cols else []
 
 
-def lattice_contains(lattice_rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
-    """Membership in a *saturated* lattice: integral vector plus Q-span test."""
-    if not any(vector):
-        return True
-    if not lattice_rows:
-        return False
-    base = [list(map(int, r)) for r in lattice_rows]
-    return rational_rank(base + [list(map(int, vector))]) == rational_rank(base)
-
-
-def lattice_leq(inner: Sequence[Sequence[int]], outer: Sequence[Sequence[int]]) -> bool:
-    """Whether every row of ``inner`` lies in the saturated lattice ``outer``."""
-    return all(lattice_contains(outer, row) for row in inner)
+def lattice_contains(hermite_rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
+    """Membership in the lattice with the Hermite basis ``hermite_rows``:
+    each row vanishes left of its pivot, so clearing the pivots in order
+    leaves a remainder at a pivot, or an entry left over, exactly when the
+    vector is no integral combination of the rows.  For a saturated lattice
+    that is also the Q-span test, as every integral vector in the span is
+    such a combination."""
+    v = [int(x) for x in vector]
+    for row in hermite_rows:
+        col = next(c for c, x in enumerate(row) if x)
+        q = v[col] // row[col]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
 
 
 # -- linear components and unions ---------------------------------------------
@@ -270,7 +273,6 @@ class LinearComponent:
         context: RingContext,
         translate: TorsionPoint,
         lattice_rows: Sequence[Sequence[int]],
-        presaturated: bool = False,
     ):
         if translate.context != context:
             raise InputError("ring context mismatch")
@@ -279,13 +281,9 @@ class LinearComponent:
         for r in rows:
             if len(r) != n:
                 raise InputError("lattice row length does not match variable count")
-        if presaturated:
-            basis = hermite_normal_form(rows, n)
-        else:
-            basis = saturate_lattice(rows, n)
+        basis = saturate_lattice(rows, n)
         m = context.torus_rank
-        abelian = [row[m:] for row in basis]
-        ab_rank = rational_rank(abelian) if abelian else 0
+        ab_rank = len(hermite_normal_form([row[m:] for row in basis], n - m))
         if ab_rank % 2:
             raise InputError(
                 f"abelian projection of the annihilator lattice has odd rank "
@@ -313,21 +311,19 @@ class LinearComponent:
         return self.rank == 0
 
     def contains_point(self, point: TorsionPoint) -> bool:
-        shifted = point * self.translate.inverse()
-        return all(shifted.character_is_trivial(row) for row in self.lattice)
+        """Whether every character of the lattice takes the same value at
+        the point as at the translate."""
+        if point.context != self.context:
+            raise InputError("ring context mismatch")
+        return all(point.character(k) == self.translate.character(k) for k in self.lattice)
 
     def contains(self, other: "LinearComponent") -> bool:
         """other <= self: the annihilator of self must sit inside that of
-        other, and self's characters must kill the translate offset."""
+        other, and other's translate must lie on self."""
         if self.context != other.context:
             raise InputError("ring context mismatch")
-        return lattice_leq(self.lattice, other.lattice) and self._kills_offset(other)
-
-    def _kills_offset(self, other: "LinearComponent") -> bool:
-        """Whether every character of self's lattice is trivial at the
-        offset between the two translates."""
-        offset = other.translate * self.translate.inverse()
-        return all(offset.character_is_trivial(row) for row in self.lattice)
+        inside = all(lattice_contains(other.lattice, k) for k in self.lattice)
+        return inside and self.contains_point(other.translate)
 
     def same_component(self, other: "LinearComponent") -> bool:
         return self.contains(other) and other.contains(self)
@@ -355,23 +351,11 @@ class LinearUnion:
         for c in comps:
             if c.context != context:
                 raise InputError("ring context mismatch")
-        # The pairwise test is LinearComponent.contains with the lattice
-        # inclusion memoized per (outer, inner) lattice pair: components of
-        # a union share few distinct lattices (the translates of one cover
-        # share one), so each inclusion is decided once.
-        leq: dict = {}
-
-        def contains(outer: LinearComponent, inner: LinearComponent) -> bool:
-            key = (outer.lattice, inner.lattice)
-            if key not in leq:
-                leq[key] = lattice_leq(*key)
-            return leq[key] and outer._kills_offset(inner)
-
         kept: list[LinearComponent] = []
         for c in sorted(comps, key=LinearComponent.sort_key):
-            if any(contains(other, c) for other in kept):
+            if any(other.contains(c) for other in kept):
                 continue
-            kept = [k for k in kept if not contains(c, k)]
+            kept = [k for k in kept if not c.contains(k)]
             kept.append(c)
         kept.sort(key=LinearComponent.sort_key)
         self.context = context
@@ -389,7 +373,7 @@ class LinearUnion:
     def single_point(cls, point: TorsionPoint) -> "LinearUnion":
         n = point.context.num_vars
         full = [[int(i == j) for j in range(n)] for i in range(n)]
-        return cls(point.context, [LinearComponent(point.context, point, full, presaturated=True)])
+        return cls(point.context, [LinearComponent(point.context, point, full)])
 
     def is_empty(self) -> bool:
         return not self.components

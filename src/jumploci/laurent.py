@@ -384,9 +384,6 @@ class TorsionPoint:
     def is_rational(self) -> bool:
         return all(theta == 0 for _, theta in self.coords)
 
-    def is_identity(self) -> bool:
-        return all(q == 1 and theta == 0 for q, theta in self.coords)
-
     def __mul__(self, other: "TorsionPoint") -> "TorsionPoint":
         _check_same_context(self, other)
         return TorsionPoint(
@@ -397,37 +394,21 @@ class TorsionPoint:
             ],
         )
 
-    def inverse(self) -> "TorsionPoint":
-        return TorsionPoint(self.context, [(1 / q, -th) for q, th in self.coords])
-
-    def power(self, exponents: Sequence[int]) -> "TorsionPoint":
-        """Componentwise powers (q_i, theta_i) -> (q_i^e_i, e_i * theta_i)."""
-        if len(exponents) != self.context.num_vars:
-            raise InputError("exponent count does not match variable count")
-        return TorsionPoint(
-            self.context,
-            [(q**e, e * th) for (q, th), e in zip(self.coords, exponents)],
-        )
-
-    def character_value(self, lattice_vector: Sequence[int]) -> Cyclotomic:
-        """Value of the character t -> t^k at this point, k an integer vector."""
-        return self.context.monomial(lattice_vector).evaluate(self)
-
-    def character_is_trivial(self, lattice_vector: Sequence[int]) -> bool:
-        """Whether t^k is 1 at this point.  The value is prod q_i^k_i times
-        zeta_L^(sum k_i*a_i) with every q_i > 0, so it is 1 exactly when the
-        exponent is 0 mod L and the radial product is 1; no arithmetic in
-        Q(zeta_L) is needed."""
+    def character(self, lattice_vector: Sequence[int]) -> tuple[Fraction, Fraction]:
+        """The value of t^k here, k an integer vector, as (angle, radial):
+        radial * e^(2*pi*i*angle) with angle in [0, 1) and radial > 0.  By
+        _character_table the angle is (sum k_i*a_i mod L) / L, and the radial
+        part prod q_i^k_i is positive as every q_i is.  A nonzero complex
+        number has one such polar form, so two values are equal exactly when
+        their pairs are, whatever the orders of the points."""
         L, steps, radials = self._character_table()
-        if sum(k * a for k, a in zip(lattice_vector, steps)) % L:
-            return False
-        if radials is None:
-            return True
+        angle = Fraction(sum(k * a for k, a in zip(lattice_vector, steps)) % L, L)
         radial = Fraction(1)
-        for k, q in zip(lattice_vector, radials):
-            if k:
-                radial *= q**k
-        return radial == 1
+        if radials is not None:
+            for k, q in zip(lattice_vector, radials):
+                if k:
+                    radial *= q**k
+        return angle, radial
 
     def embed(self, target: RingContext, var_map: Sequence[int]) -> "TorsionPoint":
         coords = [(Fraction(1), Fraction(0))] * target.num_vars

@@ -38,7 +38,7 @@ from typing import Sequence
 
 from .complexes import FreeComplex, Matrix
 from .cyclotomic import check_order
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .groebner import LaurentIdeal
 from .lattices import LinearComponent, LinearUnion
 from .laurent import RingContext, TorsionPoint, format_poly
@@ -47,6 +47,17 @@ from .verdict import LociProfile, PerversityReport
 
 COMPLEX_FORMAT = "jumploci-complex"
 LOCI_FORMAT = "jumploci-loci"
+# Largest |degree| read from a file or the command line: the verdict's
+# conditions, jump-ideals and sample hold a row per degree up to the
+# farthest one, so their cost grows with the degree.
+MAX_DEGREE = 1000
+
+
+def check_degree(degree: int) -> int:
+    """``degree``, refused with ResourceError beyond MAX_DEGREE."""
+    if abs(degree) > MAX_DEGREE:
+        raise ResourceError(f"degree {degree} exceeds the cap of {MAX_DEGREE} in absolute value")
+    return degree
 
 
 # -- complex text format -------------------------------------------------------
@@ -116,6 +127,8 @@ def load_complex_shapes(text: str) -> FreeComplex:
         k_min, k_max = int(lo_text), int(hi_text)
     except (IndexError, ValueError) as exc:
         raise InputError(f"malformed degrees line: {deg_line!r}") from exc
+    check_degree(k_min)
+    check_degree(k_max)
     _, ranks_line = take("ranks")
     try:
         ranks = [int(r) for r in ranks_line.split(None, 1)[1].split(",")]
@@ -261,6 +274,7 @@ def load_loci(text: str, strict: bool = True):
             degree = int(key)
         except ValueError as exc:
             raise InputError(f"malformed degree key {key!r}") from exc
+        check_degree(degree)
         if not isinstance(comp_list, list):
             raise InputError(f"degree {degree}: components must be a list")
         comps = []

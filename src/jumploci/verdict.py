@@ -187,7 +187,9 @@ def spot_check_profile(
     seed: int = 0,
 ) -> dict[str, str]:
     """Compare declared membership with computed membership at sampled
-    points; raises InputError with a witness on the first disagreement."""
+    points; raises InputError with a witness on the first disagreement.
+    Only degrees where the complex has a module or a locus is declared are
+    visited: elsewhere both memberships are false at every point."""
     source = profile.source
     if source is None:
         raise InputError("spot check requires a source complex")
@@ -195,9 +197,7 @@ def spot_check_profile(
     pts = sample_points(
         profile.context, rng, samples, loci=list(profile.loci.values())
     )
-    lo = min([source.k_min] + profile.degrees())
-    hi = max([source.k_max] + profile.degrees())
-    for degree in range(lo - 1, hi + 2):
+    for degree in sorted(set(source.degrees()).union(profile.loci)):
         declared_union = profile.locus(degree)
         for p in pts:
             declared = declared_union.contains_point(p)

@@ -281,7 +281,7 @@ def test_criterion_09_lattice_calculus_oracle():
             oracle_d = rational_rank(shuffled)
             oracle_ab = rational_rank([row[m:] for row in shuffled]) if shuffled else 0
             try:
-                comp = LinearComponent(ctx, ctx.identity_point(), sat, presaturated=True)
+                comp = LinearComponent(ctx, ctx.identity_point(), sat)
             except InputError:
                 assert oracle_ab % 2 == 1, (m, g, sat)
                 rejected += 1

@@ -6,6 +6,8 @@ import pytest
 
 from jumploci import serialize
 from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
+from jumploci.sampling import MAX_SAMPLES
+from jumploci.serialize import MAX_DEGREE
 
 
 def run_cli(*args, **kwargs):
@@ -124,9 +126,73 @@ def test_cyclotomic_order_over_cap_exits_3(m2_files, tmp_path, argv, text):
     assert "Traceback" not in result.stderr
 
 
+# a degree far beyond MAX_DEGREE: before the cap, perversity with a loci key
+# this far and sample with --degrees this wide did not finish in 20 s, and
+# jump-ideals with that range ran out of memory
+FAR = 100000000
+
+
+def _m2_at(top: int) -> tuple[str, str]:
+    """The m2 complex and loci documents moved so that the top degree is ``top``."""
+    fx = shift_fixture(mellin_constant_torus(2), top)
+    return serialize.dump_complex(fx.complex), serialize.dump_loci(fx.profile)
+
+
+AT_CAP_COMPLEX, AT_CAP_LOCI = _m2_at(MAX_DEGREE)
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        pytest.param(["perversity", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"].update({str(FAR): d["loci"]["0"]})),
+                     3, id="far-loci-key"),
+        pytest.param(["perversity", "{m2}", "--loci", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"].update({str(-FAR): d["loci"]["0"]})),
+                     3, id="far-loci-key-with-complex"),
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_at(FAR)[0], 3, id="far-complex-degrees"),
+        pytest.param(["validate", "{input}"], _m2_at(-FAR)[0], 3, id="far-complex-degrees-validate"),
+        pytest.param(["sample", "{m2}", "--points", "{input}", f"--degrees=-{FAR}..{FAR}"],
+                     '[[["1", "1/3"], ["2", "1/4"]]]', 3, id="far-degree-range-sample"),
+        pytest.param(["jump-ideals", "{m2}", f"--degrees=0..{FAR}"], None, 3, id="far-degree-range-jump-ideals"),
+        pytest.param(["perversity", "{m2}", "--loci", "{loci}", "--samples=-1"], None, 2, id="negative-samples"),
+        pytest.param(["perversity", "{input}", "--samples=-1"], _m2_loci_edited(lambda d: None), 2,
+                     id="negative-samples-loci-only"),
+        pytest.param(["perversity", "{m2}", "--loci", "{loci}", "--samples", "3000000"], None, 3,
+                     id="over-cap-samples"),
+        pytest.param(["perversity", "{m2}", "--loci", "{loci}", f"--samples={MAX_SAMPLES + 1}"], None, 3,
+                     id="samples-above-cap"),
+        # at the caps: accepted and short
+        pytest.param(["perversity", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"].update({str(MAX_DEGREE): d["loci"]["0"]})),
+                     1, id="loci-key-at-cap"),
+        pytest.param(["perversity", "{input}", "--loci", "{at_cap_loci}"], AT_CAP_COMPLEX, 1,
+                     id="complex-degrees-at-cap"),
+        pytest.param(["sample", "{m2}", "--points", "{input}", f"--degrees=-{MAX_DEGREE}..{MAX_DEGREE}"],
+                     '[[["1", "1/3"], ["2", "1/4"]]]', 0, id="degree-range-at-cap"),
+        pytest.param(["perversity", "{m2}", "--loci", "{loci}", f"--samples={MAX_SAMPLES}"], None, 0,
+                     id="samples-at-cap"),
+    ],
+)
+def test_far_degrees_and_sample_counts_end_promptly(m2_files, tmp_path, argv, text, code):
+    cx, loci = m2_files
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    at_cap_loci = tmp_path / "at-cap.loci"
+    at_cap_loci.write_text(AT_CAP_LOCI)
+    result = run_cli(*(a.format(m2=cx, loci=loci, input=path, at_cap_loci=at_cap_loci) for a in argv), timeout=60)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if code == 3:
+        assert result.stderr.startswith("resource cap:") and "cap of" in result.stderr
+    if code == 2:
+        assert result.stderr.startswith("input error:") and "sample count" in result.stderr
+
+
 def _two_translates(d):
-    # one order-97 and one order-12 point in degree -1: propagation shifts
-    # one by the other, an order-1164 point that no file names
+    # one order-97 and one order-12 point in degree -1: propagation compares
+    # their characters, which differ by a point of order 1164 no file names
     d["loci"]["-1"][0].update(translate=[["1", "1/97"], ["1", "0"]])
     d["loci"]["-1"].append({"lattice": [[1, 0], [0, 1]], "translate": [["1", "1/12"], ["1", "0"]]})
 

@@ -189,4 +189,6 @@ def test_order_cap_applies_to_parsed_points_only():
     # a point derived from accepted ones may exceed the cap and is kept
     p97 = TorsionPoint(ctx, [(1, Fraction(1, 97)), (1, 0)])
     p12 = TorsionPoint(ctx, [(1, Fraction(1, 12)), (1, 0)])
-    assert (p12 * p97.inverse()).angle_order() == 12 * 97 > MAX_CYCLOTOMIC_ORDER
+    p97_inverse = TorsionPoint(ctx, [(1, Fraction(-1, 97)), (1, 0)])
+    assert p97 * p97_inverse == ctx.identity_point()
+    assert (p12 * p97_inverse).angle_order() == 12 * 97 > MAX_CYCLOTOMIC_ORDER

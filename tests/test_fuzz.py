@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from jumploci import cli, serialize
 from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus
 from jumploci.laurent import format_poly
+from jumploci.sampling import MAX_SAMPLES
+from jumploci.serialize import MAX_DEGREE
 
 FUZZ = settings(
     derandomize=True,
@@ -70,6 +72,9 @@ def _check(tmp_path, argv: list[str], files: dict) -> None:
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
 _SMALL_INT = st.integers(-3, 4)
+# degrees near the complexes' own, at the cap and far beyond it
+_FAR_DEGREES = [MAX_DEGREE, -MAX_DEGREE, MAX_DEGREE + 1, -MAX_DEGREE - 1, 10**8, -(10**8)]
+_DEGREE = st.one_of(_SMALL_INT, st.sampled_from(_FAR_DEGREES))
 _RATIONAL = st.one_of(
     st.sampled_from(["0", "1", "-1", "2", "1/2", "1/3", "-3/4", "5/7", "1/0", "0/3",
                      "1/97", "1/1000", "1/1001", "1e3", "1.5", "x", "", " 1", "inf"]),
@@ -96,7 +101,7 @@ _COMPLEX_LINE = st.one_of(
     st.sampled_from(["ring vars=t1 torus=1 abelian=0", "ring vars=a,b,c torus=1 abelian=1",
                      "ring vars=t1,t1 torus=2 abelian=0", "ring torus=2", "ring vars=t1 torus=x abelian=0",
                      "# comment", ""]),
-    st.builds("degrees {}..{}".format, _SMALL_INT, _SMALL_INT),
+    st.builds("degrees {}..{}".format, _DEGREE, _DEGREE),
     st.lists(_SMALL_INT, max_size=4).map(lambda rs: "ranks " + ",".join(map(str, rs))),
     _SMALL_INT.map("differential {}".format),
     st.lists(_POLY, min_size=1, max_size=3).map(", ".join),
@@ -205,7 +210,7 @@ _HEADER = st.one_of(
     st.sampled_from(["ring vars=t1 torus=1 abelian=0", "ring vars=t1,t2 torus=0 abelian=1",
                      "ring vars=t1,t2 torus=2 abelian=0", "degrees -1..0", "degrees -2..0",
                      "ranks 1,1", "ranks 1,2,1", "ranks 2,2,1", "differential -1", ""]),
-    st.builds("degrees {}..{}".format, _SMALL_INT, _SMALL_INT),
+    st.builds("degrees {}..{}".format, _DEGREE, _DEGREE),
 )
 _SMALL_COMPLEX = st.one_of(
     _one_map_complex(),
@@ -304,9 +309,27 @@ def _leaf_edit(doc):
     return st.builds(_replace, st.just(doc), st.sampled_from(leaves), value)
 
 
+def _move_degree(doc, key, degree):
+    doc = json.loads(json.dumps(doc))
+    doc["loci"][str(degree)] = doc["loci"].pop(key)
+    return doc
+
+
+def _key_edit(doc):
+    """``doc`` with the components of one degree moved to another degree."""
+    return st.builds(_move_degree, st.just(doc), st.sampled_from(sorted(doc["loci"])), _DEGREE)
+
+
 def _some_loci(doc):
-    """``doc`` intact, or with a leaf or a subtree replaced."""
-    return st.one_of(st.just(doc), _leaf_edit(doc), _loci_edit(doc)).map(json.dumps)
+    """``doc`` intact, or with a leaf or a subtree replaced or a degree moved."""
+    return st.one_of(st.just(doc), _leaf_edit(doc), _loci_edit(doc), _key_edit(doc)).map(json.dumps)
+
+
+def _m1_at(top: int) -> str:
+    """The m1 document moved so that its top degree is ``top``."""
+    return M1_COMPLEX.replace("degrees -1..0", f"degrees {top - 1}..{top}").replace(
+        "differential -1", f"differential {top - 1}"
+    )
 
 
 def _pair(complex_text: str, complexes, loci_doc):
@@ -323,6 +346,7 @@ _PERVERSITY_PAIR = st.one_of(
     # m1 has one differential, so any 1x1 entry keeps it a complex
     _pair(M1_COMPLEX, st.one_of(
         st.just(M1_COMPLEX),
+        _DEGREE.map(_m1_at),
         _small_poly(1).map(lambda f: M1_COMPLEX.rsplit("\n", 2)[0] + f"\n{f}\n"),
         _edited(M1_COMPLEX, st.one_of(_HEADER, _TEXT)),
     ), M1_LOCI),
@@ -333,10 +357,10 @@ _PERVERSITY_PAIR = st.one_of(
 )
 
 # --samples and --seed, any integer the option parser accepts: few samples,
-# so that each run stays short
+# so that each run stays short, or counts that must be refused
 _SPOT_OPTIONS = st.lists(
     st.one_of(
-        st.tuples(st.just("--samples"), st.integers(-1, 6)),
+        st.tuples(st.just("--samples"), st.one_of(st.integers(-1, 6), st.sampled_from([-(10**6), MAX_SAMPLES + 1, 3 * 10**6]))),
         st.tuples(st.just("--seed"), st.integers(-5, 10**6)),
     ),
     max_size=2,
@@ -347,6 +371,12 @@ def _check_perversity(tmp_path, argv, files) -> None:
     code, err = _run(tmp_path, argv, files)
     assert code in (0, 1, 2, 3), err
     assert "internal error:" not in err and "Traceback" not in err, err
+    # the sample count is checked first; the last --samples option counts
+    samples = [int(a.split("=")[1]) for a in argv if a.startswith("--samples=")]
+    if samples and samples[-1] < 0:
+        assert code == 2, err
+    if samples and samples[-1] > MAX_SAMPLES:
+        assert code == 3, err
 
 
 @FUZZ
@@ -361,6 +391,24 @@ def test_perversity_complex_ends_in_a_documented_exit(tmp_path, pair, options):
     complex_, loci = pair
     _check_perversity(tmp_path, ["perversity", "in.complex", "--loci", "in.loci", *options],
                       {"in.complex": complex_, "in.loci": loci})
+
+
+_DEGREE_RANGE = st.one_of(st.builds("{}..{}".format, _DEGREE, _DEGREE), _TEXT)
+
+
+@settings(FUZZ, max_examples=60)
+@given(command=st.sampled_from(["jump-ideals", "sample"]), degrees=_DEGREE_RANGE)
+def test_degree_ranges_end_in_a_documented_exit(tmp_path, command, degrees):
+    argv = [command, "m2.complex", f"--degrees={degrees}"]
+    if command == "sample":
+        argv += ["--points", "m2.points"]
+    code, err = _run(tmp_path, argv, {"m2.complex": M2_COMPLEX, "m2.points": json.dumps(M2_POINTS)})
+    assert code in (0, 2, 3), err
+    try:
+        lo, hi = (int(bound) for bound in degrees.split(".."))
+    except ValueError:
+        return
+    assert (code == 3) == (max(abs(lo), abs(hi)) > MAX_DEGREE), err
 
 
 def _m2_loci_with(path, value) -> str:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -269,17 +270,198 @@ def test_point_membership():
     assert curve.contains_point(torsion)
 
 
+# -- the rank and shifted-point rules, as reference ----------------------------------
+#
+# Containment was once decided by two Fraction ranks per membership, and a point
+# was tested by building the shifted point point / translate and checking that
+# every character of the lattice is trivial there.  Copies of those rules are
+# kept here, computed from coordinates with Fractions, as the reference for the
+# Hermite reduction and the character comparison that replaced them.
+
+
+def _ref_lattice_contains(saturated_rows, vector):
+    """Membership in a saturated lattice as the Q-span test by two ranks."""
+    if not any(vector):
+        return True
+    if not saturated_rows:
+        return False
+    base = [list(r) for r in saturated_rows]
+    return rational_rank(base + [list(vector)]) == rational_rank(base)
+
+
+def _ref_abelian_rank(component):
+    m = component.context.torus_rank
+    rows = [list(r[m:]) for r in component.lattice]
+    return rational_rank(rows) if rows else 0
+
+
+def _ref_trivial(coords, k):
+    """Whether t^k is 1 at the point with (radial, angle) pairs ``coords``."""
+    radial, angle = Fraction(1), Fraction(0)
+    for (q, theta), e in zip(coords, k):
+        radial *= q**e
+        angle += e * theta
+    return radial == 1 and angle.denominator == 1
+
+
+def _ref_contains_point(component, point):
+    shifted = [
+        (q / tq, theta - ttheta)
+        for (q, theta), (tq, ttheta) in zip(point.coords, component.translate.coords)
+    ]
+    return all(_ref_trivial(shifted, row) for row in component.lattice)
+
+
+def _ref_contains(outer, inner):
+    """inner <= outer: outer's lattice inside inner's, by ranks, and the
+    shifted translate of inner on outer."""
+    return all(_ref_lattice_contains(inner.lattice, row) for row in outer.lattice) and _ref_contains_point(
+        outer, inner.translate
+    )
+
+
 def _pairwise_normalized(components):
-    """LinearUnion's normalization as a plain pairwise loop over
-    LinearComponent.contains, the reference for the memoized one."""
+    """LinearUnion's normalization as a plain pairwise loop over the
+    reference containment."""
     kept = []
     for c in sorted(components, key=LinearComponent.sort_key):
-        if any(other.contains(c) for other in kept):
+        if any(_ref_contains(other, c) for other in kept):
             continue
-        kept = [k for k in kept if not c.contains(k)]
+        kept = [k for k in kept if not _ref_contains(c, k)]
         kept.append(c)
     kept.sort(key=LinearComponent.sort_key)
     return kept
+
+
+# mixed rings only (m, g > 0); unit, non-unit and negative radial parts;
+# translate angles of every order from 1 to 97
+MIXED = [RingContext.mixed(1, 1), RingContext.mixed(2, 1), RingContext.mixed(1, 2)]
+_RADIALS = [Fraction(v) for v in ("1", "1", "1", "2", "1/3", "-1", "-5/2", "7/4")]
+
+
+def _random_saturated(rng, n):
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    return saturate_lattice(rows, n)
+
+
+def _random_translate(ctx, rng):
+    order = rng.randint(1, 97)
+    return TorsionPoint(
+        ctx,
+        [(rng.choice(_RADIALS), Fraction(rng.randrange(order), order)) for _ in range(ctx.num_vars)],
+    )
+
+
+def _random_component(ctx, rng):
+    while True:
+        try:
+            return LinearComponent(ctx, _random_translate(ctx, rng), _random_saturated(rng, ctx.num_vars))
+        except InputError:  # odd abelian projection
+            continue
+
+
+def _on_component(component, rng):
+    """translate * (a torsion point of the subtorus): along each kernel vector
+    v a weight w, possibly negative, and an angle phi contribute (w^v_i,
+    v_i * phi) to coordinate i, so every character of the lattice is 1 there."""
+    ctx = component.context
+    n = ctx.num_vars
+    coords = [(Fraction(1), Fraction(0))] * n
+    for vec in kernel_basis([list(r) for r in component.lattice], n):
+        w = rng.choice(_RADIALS)
+        phi = Fraction(rng.randrange(12), 12)
+        coords = [(q * w**v, th + v * phi) for (q, th), v in zip(coords, vec)]
+    return component.translate * TorsionPoint(ctx, coords)
+
+
+def _near(point, rng):
+    """``point`` moved in one coordinate by a sign, a factor 2 or a small
+    root of unity: often off a component through ``point``, sometimes on it."""
+    i = rng.randrange(point.context.num_vars)
+    step = rng.choice([(Fraction(-1), Fraction(0)), (Fraction(2), Fraction(0)), (Fraction(1), Fraction(1, 3))])
+    coords = [step if j == i else (Fraction(1), Fraction(0)) for j in range(point.context.num_vars)]
+    return point * TorsionPoint(point.context, coords)
+
+
+def test_lattice_contains_matches_the_rank_test():
+    rng = random.Random(31)
+    counts = [0, 0]
+    for _ in range(400):
+        ctx = rng.choice(MIXED)
+        n = ctx.num_vars
+        sat = _random_saturated(rng, n)
+        if rng.random() < 0.5 and sat:
+            # an integral combination of the basis, plus a unit vector at times
+            v = [sum(rng.randint(-3, 3) * r[j] for r in sat) for j in range(n)]
+            if rng.random() < 0.3:
+                v[rng.randrange(n)] += 1
+        else:
+            v = [rng.randint(-5, 5) for _ in range(n)]
+        expected = _ref_lattice_contains(sat, v)
+        assert lattice_contains(sat, v) == expected, (sat, v)
+        counts[expected] += 1
+    assert min(counts) > 50
+
+
+def test_abelian_rank_matches_the_rational_rank():
+    rng = random.Random(32)
+    ranks = set()
+    for _ in range(300):
+        ctx = rng.choice(MIXED)
+        n = ctx.num_vars
+        # random rows, and rows whose abelian projections repeat, so that
+        # the projection's rank falls below the number of rows
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        if rows and rng.random() < 0.5:
+            rows.append([rng.randint(-3, 3)] * ctx.torus_rank + rows[0][ctx.torus_rank:])
+        try:
+            comp = LinearComponent(ctx, ctx.identity_point(), rows)
+        except InputError:
+            sat = saturate_lattice(rows, n)
+            assert rational_rank([r[ctx.torus_rank:] for r in sat]) % 2 == 1, rows
+            continue
+        assert comp.abelian_rank2 == _ref_abelian_rank(comp), rows
+        ranks.add((comp.rank, comp.abelian_rank2))
+    assert any(d > ab > 0 for d, ab in ranks)
+
+
+def test_contains_point_matches_the_shifted_point():
+    rng = random.Random(33)
+    counts = [0, 0]
+    orders = set()
+    for _ in range(300):
+        ctx = rng.choice(MIXED)
+        comp = _random_component(ctx, rng)
+        orders.add(comp.translate.angle_order())
+        on = _on_component(comp, rng)
+        for point in (on, _near(on, rng), _random_translate(ctx, rng)):
+            expected = _ref_contains_point(comp, point)
+            assert comp.contains_point(point) == expected, (comp, point)
+            counts[expected] += 1
+    assert min(counts) > 200
+    assert max(orders) > 60
+
+
+def test_contains_matches_the_shifted_point_rule():
+    rng = random.Random(34)
+    counts = [0, 0]
+    for _ in range(300):
+        ctx = rng.choice(MIXED)
+        n = ctx.num_vars
+        outer = _random_component(ctx, rng)
+        # a subvariety of outer (larger lattice, translate on outer), the
+        # same moved a little, and an unrelated component
+        extra = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        try:
+            inner = LinearComponent(ctx, _on_component(outer, rng), [list(r) for r in outer.lattice] + extra)
+        except InputError:
+            inner = LinearComponent(ctx, _on_component(outer, rng), outer.lattice)
+        moved = LinearComponent(ctx, _near(inner.translate, rng), inner.lattice)
+        for a, b in [(outer, inner), (outer, moved), (inner, outer), (outer, _random_component(ctx, rng))]:
+            expected = _ref_contains(a, b)
+            assert a.contains(b) == expected, (a, b)
+            counts[expected] += 1
+    assert min(counts) > 200
 
 
 def test_union_normalization_matches_the_pairwise_loop():
@@ -319,3 +501,14 @@ def test_union_normalization_matches_the_pairwise_loop_on_covers():
         for _ in range(5):
             comps = rng.sample(every, rng.randint(1, len(every)))
             assert list(LinearUnion(ctx, comps).components) == _pairwise_normalized(comps)
+        # the cover translates of each base component before any union
+        # normalized them, each twice
+        for union in mellin_constant_torus(base).profile.loci.values():
+            shifts = [
+                TorsionPoint(ctx, [(1, Fraction(k, x)) for k, x in zip(ks, exponents)])
+                for ks in product(*(range(x) for x in exponents))
+            ]
+            comps = [LinearComponent(ctx, c.translate * z, c.lattice) for c in union.components for z in shifts]
+            kept = LinearUnion(ctx, comps + comps).components
+            assert list(kept) == _pairwise_normalized(comps + comps)
+            assert len(kept) == len(comps)

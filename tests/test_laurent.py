@@ -136,7 +136,8 @@ def test_substitute_evaluate_naturality():
         rho = _random_point(ctx, rng)
         lams = [Fraction(rng.choice([1, 2, 3, -1]), rng.choice([1, 2])) for _ in range(2)]
         ns = [rng.choice([1, 2, -1, 3]) for _ in range(2)]
-        image = rho.power(ns) * ctx.rational_point(lams)
+        power = TorsionPoint(ctx, [(q**n, n * th) for (q, th), n in zip(rho.coords, ns)])
+        image = power * ctx.rational_point(lams)
         lhs = p.substitute(list(zip(lams, ns))).evaluate(rho)
         rhs = p.evaluate(image)
         order = math.lcm(lhs.order, rhs.order)
@@ -156,8 +157,10 @@ def test_torsion_point_canonicalization():
 def test_torsion_point_group_ops():
     ctx = RingContext.torus(2)
     p = TorsionPoint(ctx, [(Fraction(2), Fraction(1, 3)), (Fraction(1, 2), Fraction(0))])
-    assert (p * p.inverse()).is_identity()
-    q = p.power([3, -1])
+    inverse = TorsionPoint(ctx, [(1 / q, -th) for q, th in p.coords])
+    assert p * inverse == ctx.identity_point()
+    # the componentwise power (q_i^e_i, e_i * theta_i) for e = (3, -1)
+    q = TorsionPoint(ctx, [(Fraction(2) ** 3, 3 * Fraction(1, 3)), (Fraction(1, 2) ** -1, Fraction(0))])
     assert q.coords[0] == (Fraction(8), Fraction(0))
     assert q.coords[1] == (Fraction(2), Fraction(0))
 
@@ -165,14 +168,20 @@ def test_torsion_point_group_ops():
 def test_character_values():
     ctx = RingContext.torus(2)
     p = ctx.rational_point([2, 3])
-    assert p.character_value([1, 1]).as_fraction() == 6
-    assert p.character_is_trivial([0, 0])
-    assert not p.character_is_trivial([1, 0])
+    assert ctx.monomial([1, 1]).evaluate(p).as_fraction() == 6
+    assert p.character([1, 1]) == (0, 6)
+    assert p.character([0, 0]) == (0, 1)
+    assert p.character([1, 0]) != (0, 1)
+    # -2 = 2 * e^(2*pi*i/2), and t1^-3 * t2^2 at (-2, e^(2*pi*i/3)) is -1/8 * e^(4*pi*i/3)
+    z = TorsionPoint(ctx, [(Fraction(-2), Fraction(0)), (Fraction(1), Fraction(1, 3))])
+    assert z.character([1, 0]) == (Fraction(1, 2), 2)
+    assert z.character([-3, 2]) == (Fraction(1, 6), Fraction(1, 8))
 
 
 def test_character_is_trivial_matches_field_value():
-    # the triviality test works on radial parts and angles alone; it must
-    # agree with the value computed in Q(zeta_L)
+    # the character is read off radial parts and angles alone; it must
+    # agree with the value computed in Q(zeta_L), and be (0, 1) exactly when
+    # that value is 1
     rng = random.Random(14)
     ctx = RingContext.torus(2)
     radials = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(-3, 2)]
@@ -183,8 +192,14 @@ def test_character_is_trivial_matches_field_value():
             [(rng.choice(radials), Fraction(rng.randint(0, 11), 12)) for _ in range(2)],
         )
         k = [rng.randint(-4, 4) for _ in range(2)]
-        expected = p.character_value(k).is_one()
-        assert p.character_is_trivial(k) == expected, (p, k)
+        value = ctx.monomial(k).evaluate(p)
+        expected = value.is_one()
+        angle, radial = p.character(k)
+        assert 0 <= angle < 1 and radial > 0, (p, k)
+        steps = angle * value.order
+        assert steps.denominator == 1, (p, k)
+        assert Cyclotomic.root_of_unity(value.order, int(steps)).scale(radial) == value, (p, k)
+        assert (p.character(k) == (0, 1)) == expected, (p, k)
         trivial += expected
     assert 0 < trivial < 300
 

@@ -147,6 +147,6 @@ def test_points_file_parsing():
     ctx = mellin_constant_torus(2).complex.context
     text = json.dumps([[["1", "0"], ["1", "0"]], [["-2", "1/3"], ["1", "0"]]])
     pts = serialize.parse_points_file(text, ctx)
-    assert len(pts) == 2 and pts[0].is_identity()
+    assert len(pts) == 2 and pts[0] == ctx.identity_point()
     with pytest.raises(InputError):
         serialize.parse_points_file("{}", ctx)

@@ -6,7 +6,7 @@ the zeta_L powers that occur are accumulated before the reduction mod Phi_L.
 The Fraction path computed the radial product and the angle sum of every
 monomial as Fractions and reduced a dense vector of L Fraction slots.  A copy
 of that path is kept here as the reference: values must agree coefficient
-for coefficient, and so must the triviality test of characters.  The
+for coefficient, and so must the characters in polar form.  The
 pointwise membership test caches the rank of each differential at each point
 on the complex; cached answers must equal those of a freshly loaded complex.
 """
@@ -64,11 +64,6 @@ def _old_evaluate(poly, point):
     return L, _old_reduced(L, coeffs)
 
 
-def _old_is_trivial(point, exponent):
-    radial, angle = _old_character(point, exponent)
-    return radial == 1 and angle.denominator == 1
-
-
 # -- random inputs -------------------------------------------------------------------
 
 # unit and nonunit radial parts; the negative ones fold 1/2 into the angle
@@ -122,9 +117,11 @@ def test_character_is_trivial_matches_the_fraction_path(ctx):
         # small angle orders, so that some characters are trivial
         point = _random_point(ctx, rng, max_den=rng.choice([3, 97]))
         k = [rng.randint(-4, 4) for _ in range(ctx.num_vars)]
-        expected = _old_is_trivial(point, k)
-        assert point.character_is_trivial(k) == expected, (point, k)
-        assert point.character_value(k).is_one() == expected, (point, k)
+        radial, angle = _old_character(point, k)
+        expected = radial == 1 and angle.denominator == 1
+        assert point.character(k) == (angle - math.floor(angle), radial), (point, k)
+        assert (point.character(k) == (0, 1)) == expected, (point, k)
+        assert ctx.monomial(k).evaluate(point).is_one() == expected, (point, k)
         trivial += expected
     assert 0 < trivial < 400
 

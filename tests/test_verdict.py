@@ -105,6 +105,29 @@ def test_spot_check_rejects_wrong_declaration():
     assert "witness" in str(err.value)
 
 
+def test_spot_check_visits_module_and_locus_degrees_only(monkeypatch):
+    # elsewhere no module and no locus: both memberships are false at every
+    # point, so a far locus costs one degree, not the whole range up to it
+    from jumploci import verdict
+
+    visited = []
+
+    def membership(source, degree, point):
+        visited.append(degree)
+        return real(source, degree, point)
+
+    real = verdict.membership_at_point
+    monkeypatch.setattr(verdict, "membership_at_point", membership)
+    m2 = mellin_constant_torus(2)
+    spot_check_profile(m2.profile, samples=5, seed=0)
+    assert sorted(set(visited)) == [-2, -1, 0]
+    visited.clear()
+    far = LociProfile(m2.complex.context, {**m2.profile.loci, 500: m2.profile.locus(0)}, source=m2.complex)
+    with pytest.raises(InputError, match="at degree 500"):
+        spot_check_profile(far, samples=5, seed=0)
+    assert sorted(set(visited)) == [-2, -1, 0, 500]
+
+
 def test_euler_clause():
     fm = free_module_fixture(1)
     report = perversity_verdict(fm.profile, samples=10, seed=0)
@@ -159,9 +182,7 @@ def test_survival_interval_examples():
 def test_survival_interval_requires_component_of_v0():
     m2 = mellin_constant_torus(2)
     ctx = m2.complex.context
-    stranger = LinearComponent(
-        ctx, ctx.rational_point([3, 3]), [[1, 0], [0, 1]], presaturated=True
-    )
+    stranger = LinearComponent(ctx, ctx.rational_point([3, 3]), [[1, 0], [0, 1]])
     with pytest.raises(InputError):
         survival_interval(m2.profile, stranger)
 
