@@ -185,6 +185,9 @@ def _build_fixture(args):
 
 def cmd_fixtures(args) -> int:
     fixture = _build_fixture(args)
+    # the loaders refuse a degree beyond the cap, so no file may hold one
+    serialize.check_degree(fixture.complex.k_min)
+    serialize.check_degree(fixture.complex.k_max)
     complex_text = serialize.dump_complex(fixture.complex)
     loci_text = serialize.dump_loci(fixture.profile)
     if args.complex_out:

@@ -303,11 +303,11 @@ def _product_of_generator_lists(a, b) -> list[LaurentPoly] | None:
 class ValidationReport:
     """Outcome of the d(d(x)) = 0 check, with the first failing entry."""
 
-    __slots__ = ("ok", "failures")
+    __slots__ = ("ok", "failure")
 
-    def __init__(self, ok: bool, failures: list):
-        self.ok = ok
-        self.failures = failures
+    def __init__(self, failure: tuple | None):
+        self.ok = failure is None
+        self.failure = failure  # (degree, row, col, entry text) or None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -315,7 +315,7 @@ class ValidationReport:
     def describe(self) -> str:
         if self.ok:
             return "ok"
-        deg, r, c, value = self.failures[0]
+        deg, r, c, value = self.failure
         return (
             f"composite differential d^{deg + 1} . d^{deg} is nonzero at "
             f"entry ({r},{c}): {value}"
@@ -401,19 +401,17 @@ class FreeComplex:
         """Check that consecutive differentials compose to zero."""
         if self._validated is not None:
             return self._validated
-        failures = []
-        for i in range(self.k_min, self.k_max - 1):
-            comp = self.differential(i + 1).compose(self.differential(i))
-            for r in range(comp.nrows):
-                for c in range(comp.ncols):
-                    if not comp.entries[r][c].is_zero():
-                        failures.append((i, r, c, str(comp.entries[r][c])))
-                        break
-                if failures:
-                    break
-            if failures:
-                break
-        self._validated = ValidationReport(not failures, failures)
+        failure = next(
+            (
+                (i, r, c, str(entry))
+                for i in range(self.k_min, self.k_max - 1)
+                for r, row in enumerate(self.differential(i + 1).compose(self.differential(i)).entries)
+                for c, entry in enumerate(row)
+                if not entry.is_zero()
+            ),
+            None,
+        )
+        self._validated = ValidationReport(failure)
         return self._validated
 
     def ensure_valid(self):
@@ -518,17 +516,11 @@ class FreeComplex:
             diffs[i] = _block_matrix(self.context, [a.nrows, b.nrows], [a.ncols, b.ncols], blocks)
         return FreeComplex(self.context, k_min, k_max, ranks, diffs)
 
-    def twist(self, scalars) -> "FreeComplex":
+    def twist(self, scalars: Sequence) -> "FreeComplex":
         """Substitute t_i -> lam_i * t_i in every differential; lam_i are
         nonzero rationals (a rational point of the character torus), so the
         loci translate by the inverse point."""
-        if isinstance(scalars, TorsionPoint):
-            if not scalars.is_rational():
-                raise InputError("twists must be by rational points")
-            lams = [q for q, _ in scalars.coords]
-        else:
-            lams = list(scalars)
-        pairs = _substitution_pairs([(lam, 1) for lam in lams], self.context.num_vars)
+        pairs = _substitution_pairs([(lam, 1) for lam in scalars], self.context.num_vars)
         diffs = {
             i: m.map_entries(lambda e: e._substitute(pairs) if e.terms else e)
             for i, m in self.diffs.items()

@@ -13,10 +13,11 @@ and its declared loci in lockstep:
   * direct sum                    -> loci unions, Euler numbers add;
   * shift                         -> loci move degree-for-degree.
 
-Fixtures are small by construction: a fixture ring has at most
-MAX_FIXTURE_VARS variables, and an induced fixture at most as many basis
-vectors as the Koszul complex on that many variables; larger requests raise
-ResourceError before anything is built.
+Fixtures are small by construction: a fixture ring has at least one and at
+most MAX_FIXTURE_VARS variables, and an induced fixture at most as many
+basis vectors as the Koszul complex on that many variables.  A ring without
+variables raises InputError and a larger request ResourceError, before
+anything is built.
 
 Every fixture carries its expected verdict as metadata, so test suites can
 iterate over a fixture list and compare outcomes without re-deriving them.
@@ -44,6 +45,8 @@ MAX_FIXTURE_VARS = 8
 
 
 def _check_vars(num_vars: int) -> None:
+    if num_vars < 1:
+        raise InputError("torus rank must be at least 1")
     if num_vars > MAX_FIXTURE_VARS:
         raise ResourceError(
             f"a fixture ring of {num_vars} variables exceeds the cap of {MAX_FIXTURE_VARS}"
@@ -57,10 +60,10 @@ class Fixture(NamedTuple):
     expected_verdict: str  # "perverse" | "upper-only" | "lower-only" | "neither"
 
 
-def koszul(generators: Sequence[LaurentPoly], top: int = 0) -> FreeComplex:
-    """Koszul complex on the given elements, in degrees [top - len, top].
+def koszul(generators: Sequence[LaurentPoly]) -> FreeComplex:
+    """Koszul complex on the given elements, in degrees [-len, 0].
 
-    The degree -(p - top) module has the p-subsets of generators as basis;
+    The degree -p module has the p-subsets of generators as basis;
     the differential sends a subset basis vector to the signed sum of its
     facets scaled by the removed generator."""
     gens = list(generators)
@@ -87,27 +90,13 @@ def koszul(generators: Sequence[LaurentPoly], top: int = 0) -> FreeComplex:
                 entries[row][col] = entries[row][col] + term
         diffs[-p] = Matrix(ctx, len(dst), len(src), entries)
     ranks = [len(bases[p]) for p in range(m, -1, -1)]
-    complex_ = FreeComplex(ctx, -m, 0, ranks, diffs)
-    return complex_.shift(top) if top else complex_
+    return FreeComplex(ctx, -m, 0, ranks, diffs)
 
 
 def mellin_constant_torus(m: int) -> Fixture:
     """The constant-object fixture on an m-torus: Koszul complex on the
     t_i - 1 with loci {identity} in degrees [-m, 0] and empty elsewhere."""
-    if m < 1:
-        raise InputError("torus rank must be at least 1")
-    _check_vars(m)
-    ctx = RingContext.torus(m)
-    gens = [ctx.variable(i) - 1 for i in range(m)]
-    cx = koszul(gens, top=0)
-    ident = LinearUnion.single_point(ctx.identity_point())
-    profile = LociProfile(
-        ctx,
-        {i: ident for i in range(-m, 1)},
-        source=cx,
-        euler=cx.euler_characteristic(),
-    )
-    return Fixture(f"mellin-torus-m{m}", cx, profile, "perverse")
+    return renamed_torus_fixture(m, 0)
 
 
 def free_module_fixture(m: int, rank: int = 1) -> Fixture:
@@ -122,7 +111,7 @@ def free_module_fixture(m: int, rank: int = 1) -> Fixture:
     return Fixture(f"free-module-m{m}-r{rank}", cx, profile, "perverse")
 
 
-def twist_fixture(base: Fixture, scalars: Sequence, name: str | None = None) -> Fixture:
+def twist_fixture(base: Fixture, scalars: Sequence) -> Fixture:
     """Twist the complex by t_i -> lam_i t_i; loci translate by the inverse
     rational point."""
     ctx = base.complex.context
@@ -140,11 +129,11 @@ def twist_fixture(base: Fixture, scalars: Sequence, name: str | None = None) -> 
         for deg, union in base.profile.loci.items()
     }
     profile = LociProfile(ctx, loci, source=cx, euler=base.profile.euler)
-    label = name or f"{base.name}-twist({','.join(str(v) for v in lams)})"
+    label = f"{base.name}-twist({','.join(str(v) for v in lams)})"
     return Fixture(label, cx, profile, base.expected_verdict)
 
 
-def tensor_fixture(a: Fixture, b: Fixture, name: str | None = None) -> Fixture:
+def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
     """External tensor; loci combine degreewise by the Kunneth rule."""
     _check_vars(a.complex.context.num_vars + b.complex.context.num_vars)
     cx = a.complex.external_tensor(b.complex)
@@ -173,10 +162,10 @@ def tensor_fixture(a: Fixture, b: Fixture, name: str | None = None) -> Fixture:
     )
     profile = LociProfile(ctx, loci, source=cx, euler=euler)
     expected = "perverse" if (a.expected_verdict, b.expected_verdict) == ("perverse", "perverse") else "neither"
-    return Fixture(name or f"({a.name})x({b.name})", cx, profile, expected)
+    return Fixture(f"({a.name})x({b.name})", cx, profile, expected)
 
 
-def induce_fixture(base: Fixture, exponents: Sequence[int], name: str | None = None) -> Fixture:
+def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
     """Induction along the cover raising coordinate i to the n_i-th power.
     Point components fan out into all n-torsion translates; supporting only
     point components keeps the translate arithmetic inside the torsion-point
@@ -210,18 +199,18 @@ def induce_fixture(base: Fixture, exponents: Sequence[int], name: str | None = N
         loci[deg] = LinearUnion(ctx, comps)
     euler = base.profile.euler * size if base.profile.euler is not None else None
     profile = LociProfile(ctx, loci, source=cx, euler=euler)
-    label = name or f"{base.name}-induce({','.join(map(str, n))})"
+    label = f"{base.name}-induce({','.join(map(str, n))})"
     return Fixture(label, cx, profile, base.expected_verdict)
 
 
-def sum_fixture(a: Fixture, b: Fixture, name: str | None = None) -> Fixture:
+def sum_fixture(a: Fixture, b: Fixture) -> Fixture:
     cx = a.complex.direct_sum(b.complex)
     profile = a.profile.union_with(b.profile).with_source(cx)
     expected = "perverse" if (a.expected_verdict, b.expected_verdict) == ("perverse", "perverse") else "neither"
-    return Fixture(name or f"({a.name})+({b.name})", cx, profile, expected)
+    return Fixture(f"({a.name})+({b.name})", cx, profile, expected)
 
 
-def shift_fixture(base: Fixture, s: int, name: str | None = None) -> Fixture:
+def shift_fixture(base: Fixture, s: int) -> Fixture:
     """Degree shift; for a perverse base with point loci through degree zero
     the expected verdict flips to one-sided."""
     cx = base.complex.shift(s)
@@ -232,7 +221,7 @@ def shift_fixture(base: Fixture, s: int, name: str | None = None) -> Fixture:
         expected = "lower-only"
     else:
         expected = "upper-only"
-    return Fixture(name or f"{base.name}-shift({s})", cx, profile, expected)
+    return Fixture(f"{base.name}-shift({s})", cx, profile, expected)
 
 
 class Mutant(NamedTuple):
@@ -286,19 +275,16 @@ def _embed_row(row: Sequence[int], var_map: Sequence[int], width: int) -> list[i
 
 
 def renamed_torus_fixture(m: int, offset: int) -> Fixture:
-    """A torus fixture whose variables are renamed (t{offset+1}, ...) so it
-    can appear as the second factor of an external tensor."""
+    """The constant-object fixture on an m-torus with variables named
+    t{offset+1}, ..., so it can appear as the second factor of an external
+    tensor; offset 0 gives mellin_constant_torus(m)."""
     _check_vars(m)
     ctx = RingContext([f"t{offset + i + 1}" for i in range(m)], m, 0)
-    gens = [ctx.variable(i) - 1 for i in range(m)]
-    cx = koszul(gens, top=0)
-    profile = LociProfile(
-        ctx,
-        {i: LinearUnion.single_point(ctx.identity_point()) for i in range(-m, 1)},
-        source=cx,
-        euler=0,
-    )
-    return Fixture(f"mellin-torus-m{m}@{offset}", cx, profile, "perverse")
+    cx = koszul([ctx.variable(i) - 1 for i in range(m)])
+    ident = LinearUnion.single_point(ctx.identity_point())
+    profile = LociProfile(ctx, {i: ident for i in range(-m, 1)}, source=cx, euler=0)
+    name = f"mellin-torus-m{m}" + (f"@{offset}" if offset else "")
+    return Fixture(name, cx, profile, "perverse")
 
 
 def abelian_point_profile(g: int, span: int) -> LociProfile:

@@ -506,16 +506,6 @@ class LaurentIdeal:
                     return n - size
         return n  # unreachable: the empty subset is always independent or unit
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentIdeal)
-            and self.context == other.context
-            and self.generators == other.generators
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.context, self.generators))
-
 
 def variety_containment(inner: LaurentIdeal, outer: LaurentIdeal) -> bool:
     """Decide V(inner) <= V(outer): every generator of ``outer`` must lie in

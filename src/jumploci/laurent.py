@@ -106,12 +106,12 @@ class RingContext:
             return self.zero()
         return LaurentPoly(self, {(0,) * self.num_vars: c})
 
-    def variable(self, i: int, power: int = 1) -> "LaurentPoly":
-        """The monomial t_i^power (0-based index)."""
+    def variable(self, i: int) -> "LaurentPoly":
+        """The monomial t_i (0-based index)."""
         if not 0 <= i < self.num_vars:
             raise InputError(f"variable index {i} out of range")
         exp = [0] * self.num_vars
-        exp[i] = power
+        exp[i] = 1
         return LaurentPoly(self, {tuple(exp): Fraction(1)})
 
     def monomial(self, exponent: Iterable[int], coeff=1) -> "LaurentPoly":
@@ -380,9 +380,6 @@ class TorsionPoint:
     def angle_order(self) -> int:
         """Least L with all angles in (1/L)Z; 1 when the point is rational."""
         return lcm(*(theta.denominator for _, theta in self.coords), 1)
-
-    def is_rational(self) -> bool:
-        return all(theta == 0 for _, theta in self.coords)
 
     def __mul__(self, other: "TorsionPoint") -> "TorsionPoint":
         _check_same_context(self, other)

@@ -12,20 +12,21 @@ Two independent routes to the same locus are kept side by side:
 
 The membership test at a point is the definition of the locus, so the two
 routes must agree everywhere; the test suite enforces the agreement on
-sampled points, and nothing in this module collapses the redundancy.
+random and torsion points, and nothing in this module collapses the
+redundancy.
 
 Propagation (nested loci in negative degrees, reverse-nested in nonnegative
-ones) is checked ideal-theoretically through radical membership; when minor
-enumeration hits the size cap the check can fall back to a declared sample
-of points, and the result is then labeled "sampled" instead of "exact".
+ones) is checked ideal-theoretically through radical membership, and only
+so: when minor enumeration hits the size cap the check raises ResourceError
+instead of returning a verdict.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .cyclotomic import field_rank
-from .errors import InputError, ResourceError
+from .errors import InputError
 from .groebner import LaurentIdeal, variety_containment
 from .complexes import FreeComplex
 from .laurent import TorsionPoint
@@ -69,7 +70,7 @@ def is_whole_space(ideal: LaurentIdeal) -> bool:
 
 class PropagationResult(NamedTuple):
     ok: bool
-    provenance: str  # "exact" | "sampled"
+    provenance: str  # always "exact": a cap raises instead of degrading
     first_violation: tuple[int, int] | None
     checked_pairs: list[tuple[int, int, bool]]
 
@@ -77,59 +78,33 @@ class PropagationResult(NamedTuple):
         return self.ok
 
 
-def propagation_check(
-    complex_: FreeComplex,
-    sample_points: Sequence[TorsionPoint] | None = None,
-) -> PropagationResult:
+def propagation_check(complex_: FreeComplex) -> PropagationResult:
     """Verify the nesting chain of jump loci: V^i <= V^(i+1) for i < 0 and
     V^i >= V^(i+1) for i >= 0, degree by degree.
 
     Requires the complex (and its dual) to have no negative-degree
     cohomology; that hypothesis is what makes the chain a theorem, so the
     check refuses to run when the hypothesis is decided false.  Containments
-    are decided exactly via radical membership; if the minor-size cap is
-    hit (in the hypothesis gate or in an ideal) and sample points were
-    supplied, the verdict degrades to pointwise checks on the declared
-    sample, labeled "sampled"."""
+    are decided exactly via radical membership; a cap hit in the hypothesis
+    gate or in an ideal raises ResourceError."""
     complex_.ensure_valid()
+    if not complex_.check_assumption():
+        raise InputError(
+            "propagation requires vanishing negative-degree cohomology of "
+            "the complex and its dual"
+        )
     lo, hi = complex_.k_min, complex_.k_max
     pairs = [(i, i + 1) for i in range(lo, 0)] + [(i, i + 1) for i in range(0, hi)]
-    try:
-        if not complex_.check_assumption():
-            raise InputError(
-                "propagation requires vanishing negative-degree cohomology of "
-                "the complex and its dual"
-            )
-        ideals = {d: complex_.jumping_ideal(d) for d in range(lo, hi + 1)}
-        checked = []
-        first = None
-        for i, j in pairs:
-            if i < 0:
-                holds = variety_containment(ideals[i], ideals[j])
-            else:
-                holds = variety_containment(ideals[j], ideals[i])
-            checked.append((i, j, holds))
-            if not holds and first is None:
-                first = (i, j)
-        return PropagationResult(first is None, "exact", first, checked)
-    except ResourceError:
-        if not sample_points:
-            raise
+    ideals = {d: complex_.jumping_ideal(d) for d in range(lo, hi + 1)}
     checked = []
     first = None
-    memberships = {
-        d: [membership_at_point(complex_, d, p)[0] for p in sample_points]
-        for d in range(lo, hi + 1)
-    }
     for i, j in pairs:
         inner, outer = (i, j) if i < 0 else (j, i)
-        holds = all(
-            (not a) or b for a, b in zip(memberships[inner], memberships[outer])
-        )
+        holds = variety_containment(ideals[inner], ideals[outer])
         checked.append((i, j, holds))
         if not holds and first is None:
             first = (i, j)
-    return PropagationResult(first is None, "sampled", first, checked)
+    return PropagationResult(first is None, "exact", first, checked)
 
 
 def radical_equality_pairs(complex_: FreeComplex) -> list[tuple[int, bool]]:

@@ -55,18 +55,14 @@ def random_torsion_point(context: RingContext, rng: random.Random) -> TorsionPoi
     return TorsionPoint(context, coords)
 
 
-def component_points(
-    component: LinearComponent, rng: random.Random, count: int
-) -> list[TorsionPoint]:
+def component_points(component: LinearComponent, rng: random.Random) -> list[TorsionPoint]:
     """Points guaranteed to lie on the component: the translate itself plus
-    random rational points of the subtorus through it."""
-    ctx = component.context
-    free_rank = ctx.num_vars - component.rank
-    pts = [component.translate]
-    for _ in range(max(0, count - 1)):
-        weights = [abs(_random_radial(rng)) for _ in range(free_rank)]
-        pts.append(subtorus_point(component, weights))
-    return pts
+    two random rational points of the subtorus through it."""
+    free_rank = component.context.num_vars - component.rank
+    return [component.translate] + [
+        subtorus_point(component, [abs(_random_radial(rng)) for _ in range(free_rank)])
+        for _ in range(2)
+    ]
 
 
 def sample_points(
@@ -91,7 +87,7 @@ def sample_points(
     if loci:
         for union in loci:
             for comp in union.components:
-                for p in component_points(comp, rng, 3):
+                for p in component_points(comp, rng):
                     push(p)
     attempts = 0
     while len(unique) < count and attempts < 60 * count:

@@ -91,6 +91,7 @@ def _m2_loci_edited(edit) -> str:
         pytest.param(["fixtures", "mellin", "--complex-out", "/nonexistent/x"], None, id="unwritable-output"),
         pytest.param(["fixtures", "twist"], None, id="twist-without-scalars"),
         pytest.param(["fixtures", "induce", "--n", "x"], None, id="cover-exponent-not-an-integer"),
+        pytest.param(["fixtures", "free", "--m", "0"], None, id="free-fixture-without-variables"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
@@ -394,8 +395,11 @@ OVER = str(MAX_FIXTURE_VARS + 1)
         pytest.param(["twist", "--m", OVER, "--lam", ",".join(["2"] * int(OVER))], 3, id="twist-over-cap"),
         pytest.param(["tensor", "--m", "4", "--m2", str(MAX_FIXTURE_VARS - 3)], 3, id="tensor-over-cap"),
         pytest.param(["induce", "--m", "3", "--n", "4,4,4"], 3, id="induce-over-cap"),
+        pytest.param(["shift", "--m", "2", "--s", "5000"], 3, id="shift-past-degree-cap"),
+        pytest.param(["shift", "--m", "2", "--s=-5000"], 3, id="shift-past-negative-degree-cap"),
         pytest.param(["mellin", "--m", str(MAX_FIXTURE_VARS)], 0, id="mellin-at-cap"),
         pytest.param(["tensor", "--m", "4", "--m2", str(MAX_FIXTURE_VARS - 4)], 0, id="tensor-at-cap"),
+        pytest.param(["shift", "--m", "2", "--s", str(MAX_DEGREE)], 0, id="shift-at-degree-cap"),
         pytest.param(["induce", "--m", str(MAX_FIXTURE_VARS), "--n", ",".join(["1"] * MAX_FIXTURE_VARS)],
                      0, id="induce-at-cap"),
     ],

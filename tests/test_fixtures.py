@@ -39,7 +39,7 @@ def test_koszul_shapes():
     K3 = koszul([x, y, x * y])
     assert K3.ranks == (1, 3, 3, 1)
     assert K3.validate().ok
-    shifted = koszul([x, y], top=2)
+    shifted = koszul([x, y]).shift(2)
     assert (shifted.k_min, shifted.k_max) == (0, 2)
     with pytest.raises(InputError):
         koszul([])
@@ -138,6 +138,11 @@ def test_mutation_gate():
     # scaling one entry of the m = 2 Koszul breaks it
     mut2 = mutate_scale_entry(m2, -2, 0, 0, 7)
     assert not mut2.valid
+    # the first nonzero entry, in degree order and then row by row
+    mut3 = mutate_zero_entry(mellin_constant_torus(3), -1, 0, 2)
+    assert mut3.complex.validate().describe() == (
+        "composite differential d^-1 . d^-2 is nonzero at entry (0,1): -t1*t3 + t1 + t3 - 1"
+    )
 
 
 def test_tensor_fixture_kunneth_profile():
@@ -192,7 +197,33 @@ def test_sum_fixture_union_profile():
 
 def test_standard_suite_size_and_names():
     suite = standard_fixture_suite()
-    assert len(suite) >= 25
-    names = [fx.name for fx in suite]
-    assert len(names) == len(set(names))
+    assert [fx.name for fx in suite] == [
+        "mellin-torus-m1",
+        "mellin-torus-m2",
+        "mellin-torus-m3",
+        "mellin-torus-m1-twist(2)",
+        "mellin-torus-m2-twist(2,2)",
+        "mellin-torus-m1-twist(-1)",
+        "mellin-torus-m2-twist(-1,-1)",
+        "mellin-torus-m1-twist(1/3)",
+        "mellin-torus-m2-twist(1/3,1/3)",
+        "mellin-torus-m2-twist(2,1/3)",
+        "mellin-torus-m3-twist(2,-1,1/3)",
+        "(mellin-torus-m1)x(mellin-torus-m1@1)",
+        "(mellin-torus-m1)x(mellin-torus-m2@1)",
+        "(mellin-torus-m1-twist(2))x(mellin-torus-m1@1)",
+        "(mellin-torus-m1)x(mellin-torus-m1@1-twist(-1))",
+        "mellin-torus-m1-induce(2)",
+        "mellin-torus-m1-induce(3)",
+        "mellin-torus-m2-induce(2,1)",
+        "mellin-torus-m2-twist(2,1/3)-induce(2,1)",
+        "mellin-torus-m1-twist(2)-induce(2)",
+        "(mellin-torus-m1)+(mellin-torus-m1-twist(2))",
+        "(mellin-torus-m2)+(mellin-torus-m2-twist(-1,2))",
+        "(mellin-torus-m1)+(mellin-torus-m1-induce(2))",
+        "(mellin-torus-m2)+(mellin-torus-m2)",
+        "(mellin-torus-m1)+(free-module-m1-r1)",
+        "free-module-m1-r1",
+        "free-module-m2-r3",
+    ]
     assert all(isinstance(fx, Fixture) for fx in suite)

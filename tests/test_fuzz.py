@@ -4,7 +4,8 @@ Whatever the complex text, loci JSON, points JSON or fixture parameters, a
 run of ``validate``, ``codims``, ``sample``, ``jump-ideals``, ``exactness``,
 ``perversity`` or ``fixtures`` must end in a documented exit code (0 pass,
 1 checked and failed, 2 input error, 3 resource cap) and never in an
-internal error (exit 4, which is a bug).
+internal error (exit 4, which is a bug).  A fixture run that exits 0 must
+write files that ``validate`` and ``codims`` accept.
 Inputs mix well-formed documents, documents with one part replaced, and
 arbitrary text, JSON and bytes.  The complexes fed to ``jump-ideals`` and
 ``exactness`` keep their polynomials small (at most three terms, exponents
@@ -220,10 +221,12 @@ _SMALL_COMPLEX = st.one_of(
                                   _HEADER, _TEXT)),
 )
 
-# fixture parameters: a torus rank around the size cap or anywhere, other
-# integers, and --lam / --n lists with one entry per variable or anything;
+# fixture parameters: a torus rank or shift around the size cap, at and past
+# the degree cap, or anywhere, other integers, and --lam / --n lists with one entry per variable or anything;
 # passed as --opt=value, so that a value starting with "-" is not an option
-_FIXTURE_INT = st.one_of(st.integers(-1, MAX_FIXTURE_VARS + 1), st.integers())
+_FIXTURE_INT = st.one_of(
+    st.integers(-1, MAX_FIXTURE_VARS + 1), st.sampled_from(_FAR_DEGREES), st.integers()
+)
 _FIXTURE_TEXT = st.one_of(
     st.lists(st.one_of(st.integers(-1, 9).map(str), _RATIONAL), min_size=1, max_size=4).map(",".join),
     _TEXT,
@@ -293,6 +296,19 @@ def test_exactness_ends_in_a_documented_exit(tmp_path, text):
 @given(argv=_fixture_argv())
 def test_fixture_parameters_end_in_a_documented_exit(tmp_path, argv):
     _check(tmp_path, argv, {})
+
+
+@FUZZ
+@given(argv=_fixture_argv(), shift=_DEGREE)
+def test_fixture_files_load_back(tmp_path, argv, shift):
+    # a fixture either refuses its parameters or writes documents the
+    # loaders accept
+    complex_out, loci_out = tmp_path / "out.complex", tmp_path / "out.loci"
+    argv = [*argv, f"--s={shift}", f"--complex-out={complex_out}", f"--loci-out={loci_out}"]
+    code, _ = _run(tmp_path, argv, {})
+    if code == 0:
+        for check in (["validate", str(complex_out)], ["codims", str(loci_out)]):
+            assert _run(tmp_path, check, {}) == (0, ""), (argv, check)
 
 
 def _at(doc, path):

@@ -3,7 +3,9 @@
 ``cyclotomic.field_rank``, ...) and reads attributes of what they return.  A
 refactor that moves one of them breaks the benchmark, not the program, so
 this runs the tracer once on a small job per route and checks that it still
-records that route's spans."""
+records that route's spans.  The library job runs ``loci.propagation_check``
+by name, and the benchmark's checker requires it to report an exact
+verdict."""
 
 import json
 import os
@@ -23,21 +25,26 @@ ORDER_12_POINTS = [[["1", "1/3"], ["1", "1/4"]]]
 
 
 @pytest.mark.parametrize(
-    "argv, required",
+    "kind, argv, required, printed",
     [
-        (["jump-ideals", "m2.complex"], ["groebner."]),
+        ("cli", ["jump-ideals", "m2.complex"], ["groebner."], ""),
         (
+            "cli",
             ["sample", "m2.complex", "--points", "points.json"],
             ["cyclotomic.field_rank", "loci.membership_at_point"],
+            "",
         ),
         (
+            "cli",
             ["perversity", "m2.complex", "--loci", "m2.loci", "--samples", "4"],
             ["verdict.perversity_verdict", "loci.membership_at_point"],
+            "",
         ),
+        ("lib", ["m2.complex"], ["libjob.main", "loci.propagation_check"], '"provenance": "exact"'),
     ],
-    ids=["jump-ideals", "sample", "perversity"],
+    ids=["jump-ideals", "sample", "perversity", "lib"],
 )
-def test_tracer_records_route_spans(tmp_path, argv, required):
+def test_tracer_records_route_spans(tmp_path, kind, argv, required, printed):
     m2 = mellin_constant_torus(2)
     (tmp_path / "m2.complex").write_text(serialize.dump_complex(m2.complex))
     (tmp_path / "m2.loci").write_text(serialize.dump_loci(m2.profile))
@@ -46,10 +53,11 @@ def test_tracer_records_route_spans(tmp_path, argv, required):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), "smoke", "cli", *argv],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), "smoke", kind, *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert printed in result.stdout
     names = [span["name"] for span in json.loads(spans_out.read_text())["spans"]]
     for prefix in required:
         assert any(name.startswith(prefix) for name in names), (prefix, names)
