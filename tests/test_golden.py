@@ -2,9 +2,10 @@
 must reproduce its frozen stdout byte for byte and its exit code.
 
 The inputs are the m = 2 constant-object fixture, the 1x1 external tensor,
-the (2,1) induced cover of m = 2, two failing inputs: m = 2 shifted one
-step left (exactness and perversity exit 1) and m = 3 summed with its twist
-(jump-ideals exits 3 on the minor-size cap), and the constant object on the
+the (2,1) induced cover of m = 2, m = 2 shifted one step right (the only
+exactness report whose dual certificate has rows), two failing inputs: m = 2
+shifted one step left (exactness and perversity exit 1) and m = 3 summed with
+its twist (jump-ideals exits 3 on the minor-size cap), and the constant object on the
 4-torus (m = 4), whose degree -3 and -2 jumping ideals and exactness
 certificate need the Groebner engine at N = 4 (degree -2 prints the
 largest saturated basis of the stock, 84 generators).  Each is written by the
@@ -38,6 +39,7 @@ INPUTS = {
     "tensor11": ["tensor", "--m", "1", "--m2", "1"],
     "induce2-21": ["induce", "--m", "2", "--n", "2,1"],
     "m2-shift": ["shift", "--m", "2", "--s", "-1"],
+    "m2-shift-right": ["shift", "--m", "2", "--s", "1"],
     "m3-sum-twist": ["sum", "--m", "3"],
     "m4": ["mellin", "--m", "4"],
 }
@@ -72,6 +74,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
     for name in ("m2-shift", "m3-sum-twist"):
         base[f"{name}-fixtures-files"] = (_fixture_argv(name), 0)
     base["m2-shift-exactness"] = (["exactness", "m2-shift.complex"], 1)
+    base["m2-shift-right-exactness"] = (["exactness", "m2-shift-right.complex"], 0)
     base["m2-shift-perversity-complex"] = (
         ["perversity", "m2-shift.complex", "--loci", "m2-shift.loci", "--samples", "8", "--seed", "5"], 1)
     base["m3-sum-twist-jump-ideals"] = (["jump-ideals", "m3-sum-twist.complex"], 3)
