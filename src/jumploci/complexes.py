@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import InputError, ResourceError
@@ -84,12 +84,6 @@ class Matrix:
         ncols = len(rows[0]) if rows else 0
         return cls(context, nrows, ncols, rows)
 
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
     def transpose(self) -> "Matrix":
         return Matrix(
             self.context,
@@ -133,9 +127,6 @@ class Matrix:
             and self.ncols == other.ncols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.context, self.nrows, self.ncols, self.entries))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -241,13 +232,13 @@ def _det(entries, rows: tuple, cols: tuple, memo: dict) -> LaurentPoly:
     return acc
 
 
-def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly] | None:
-    """Generators of the k-th determinantal ideal as a list; None encodes the
-    unit ideal (k = 0) and [] the zero ideal (k exceeds a dimension)."""
+def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly]:
+    """Generators of the k-th determinantal ideal: [1] is the unit ideal
+    (k = 0, the empty minor) and [] the zero ideal (k exceeds a dimension)."""
     if k < 0:
         raise InputError("minor size must be nonnegative")
     if k == 0:
-        return None
+        return [matrix.context.one()]
     if k > min(matrix.nrows, matrix.ncols):
         return []
     if k > MAX_MINOR_SIZE:
@@ -274,27 +265,6 @@ def unit_normalize(p: LaurentPoly) -> LaurentPoly:
     integer coprime coefficients, positive coefficient on the lex-leading
     term.  Used to deduplicate ideal generators."""
     return LaurentPoly(p.context, _normalize(laurent_to_poly(p), LEX))
-
-
-def _product_of_generator_lists(a, b) -> list[LaurentPoly] | None:
-    """Ideal product on generator lists; None is the unit ideal, [] is zero."""
-    if a == [] or b == []:
-        return []
-    if a is None and b is None:
-        return None
-    if a is None:
-        return list(b)
-    if b is None:
-        return list(a)
-    seen = set()
-    out = []
-    for f in a:
-        for g in b:
-            h = unit_normalize(f * g)
-            if not h.is_zero() and h not in seen:
-                seen.add(h)
-                out.append(h)
-    return out
 
 
 # -- the complex ----------------------------------------------------------------
@@ -437,17 +407,17 @@ class FreeComplex:
             return LaurentIdeal(self.context, [self.context.one()])
         if i in self._fitting_cache:
             return self._fitting_cache[i]
-        d = self.differential(i)
-        gens = minor_generators(d, self.rank_of_differential(i))
-        if gens is None:
-            gens = [self.context.one()]
+        gens = minor_generators(self.differential(i), self.rank_of_differential(i))
         ideal = LaurentIdeal(self.context, gens)
         self._fitting_cache[i] = ideal
         return ideal
 
     def jumping_ideal(self, i: int) -> LaurentIdeal:
         """Minors of size rank(i) of d^(i-1) (+) d^i, via the sum-of-products
-        expansion over block-diagonal minor splittings."""
+        expansion over block-diagonal minor splittings: the products f*g of a
+        j-minor f of d^(i-1) and an (r-j)-minor g of d^i, in the order j, f,
+        g, each kept at its first occurrence up to units.  Products of
+        nonzero minors are nonzero, since the ring is a domain."""
         self.ensure_valid()
         if not self.k_min <= i <= self.k_max:
             return LaurentIdeal(self.context, [self.context.one()])
@@ -456,23 +426,17 @@ class FreeComplex:
         r = self.rank(i)
         incoming = self.differential(i - 1)
         outgoing = self.differential(i)
-        total: list[LaurentPoly] | None = []
+        gens: list[LaurentPoly] = []
+        seen = set()
         for j in range(r + 1):
             left = minor_generators(incoming, j)
             right = minor_generators(outgoing, r - j)
-            prod = _product_of_generator_lists(left, right)
-            if prod is None:
-                total = None
-                break
-            seen = set(total)
-            for g in prod:
-                if g not in seen:
-                    seen.add(g)
-                    total.append(g)
-        if total is None:
-            gens = [self.context.one()]
-        else:
-            gens = total
+            for f in left:
+                for g in right:
+                    h = unit_normalize(f * g)
+                    if h not in seen:
+                        seen.add(h)
+                        gens.append(h)
         ideal = LaurentIdeal(self.context, gens)
         self._jumping_cache[i] = ideal
         return ideal
@@ -663,16 +627,20 @@ class FreeComplex:
             ok = ok and additive and deep_enough
         return ok, cert
 
+    def negative_exactness(self) -> Iterator[tuple[bool, list[dict]]]:
+        """Lazily yields is_exact_range over the negative degrees of the
+        complex, then of its dual; a side with no negative degrees yields
+        (True, [])."""
+        for cx in (self, self.dual()):
+            negs = [i for i in cx.degrees() if i < 0]
+            yield cx.is_exact_range(negs) if negs else (True, [])
+
     def check_assumption(self) -> bool:
         """Whether the complex and its dual both have vanishing cohomology in
         all negative degrees, certified through rank additivity and Fitting
-        ideal codimension bounds."""
-        self.ensure_valid()
-        for cx in (self, self.dual()):
-            negs = [i for i in cx.degrees() if i < 0]
-            if negs and not cx.is_exact_range(negs)[0]:
-                return False
-        return True
+        ideal codimension bounds; the dual is certified only if the complex
+        passes."""
+        return all(ok for ok, _ in self.negative_exactness())
 
     def __repr__(self) -> str:
         return (

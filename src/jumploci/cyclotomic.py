@@ -189,19 +189,10 @@ class Cyclotomic:
         return self.coeffs[0]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.rational(self.order, other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         self._check_order(other)
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        # Equal to ints and Fractions, so rational elements hash as their
-        # value; the others are unhashable.
-        if all(c == 0 for c in self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        raise TypeError("non-rational cyclotomic elements are unhashable")
 
     def __repr__(self) -> str:
         terms = [

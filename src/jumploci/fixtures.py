@@ -103,6 +103,8 @@ def free_module_fixture(m: int, rank: int = 1) -> Fixture:
     """A free module concentrated in degree zero: jumps everywhere, positive
     Euler characteristic."""
     _check_vars(m)
+    if rank < 1:
+        raise InputError("free module rank must be at least 1")
     ctx = RingContext.torus(m)
     cx = FreeComplex(ctx, 0, 0, [rank], {})
     profile = LociProfile(

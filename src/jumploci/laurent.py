@@ -472,19 +472,16 @@ def parse_poly(context: RingContext, text: str) -> LaurentPoly:
             raise InputError("dangling sign in polynomial")
         coeff = sign
         exp = [0] * context.num_vars
-        expect_factor = True
-        saw_factor = False
-        while expect_factor:
+        while True:
             tok = peek()
             if tok is None:
-                break
+                raise InputError("expected a factor after '*'")
             if re.fullmatch(r"\d+(/\d+)?", tok):
                 try:
                     coeff *= Fraction(tok)
                 except ZeroDivisionError as exc:
                     raise InputError(f"zero denominator in coefficient {tok!r}") from exc
                 pos += 1
-                saw_factor = True
             elif tok in var_index:
                 vi = var_index[tok]
                 pos += 1
@@ -500,18 +497,16 @@ def parse_poly(context: RingContext, text: str) -> LaurentPoly:
                     power = psign * int(tokens[pos])
                     pos += 1
                 exp[vi] += power
-                saw_factor = True
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok or ""):
+            elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
                 raise InputError(f"unknown variable {tok!r}")
             else:
                 raise InputError(f"unexpected token {tok!r} in term")
-            if peek() == "*":
-                pos += 1
-                expect_factor = True
-            else:
-                expect_factor = False
-        if not saw_factor:
-            raise InputError("empty term in polynomial")
+            tok = peek()
+            if tok in (None, "+", "-"):
+                break
+            if tok != "*":
+                raise InputError(f"unexpected token {tok!r} after a factor; factors are joined by '*'")
+            pos += 1
         result = result + context.monomial(exp, coeff)
     return result
 

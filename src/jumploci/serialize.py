@@ -333,16 +333,17 @@ def jump_ideal_report(cx: FreeComplex, degrees: Sequence[int]) -> dict:
 
 
 def exactness_report(cx: FreeComplex) -> dict:
-    doc = {"report": "exactness", "assumption_holds": True}
-    for prefix, side in (("", cx), ("dual_", cx.dual())):
-        negs = [i for i in side.degrees() if i < 0]
-        ok, cert = side.is_exact_range(negs) if negs else (True, [])
-        for row in cert:
-            row["fitting_codim"] = _codim_str(row["fitting_codim"])
-        doc[f"{prefix}negative_degrees_exact"] = ok
-        doc[f"{prefix}certificate"] = cert
-        doc["assumption_holds"] = doc["assumption_holds"] and ok
-    return doc
+    (ok, cert), (dual_ok, dual_cert) = cx.negative_exactness()
+    for row in cert + dual_cert:
+        row["fitting_codim"] = _codim_str(row["fitting_codim"])
+    return {
+        "report": "exactness",
+        "assumption_holds": ok and dual_ok,
+        "negative_degrees_exact": ok,
+        "certificate": cert,
+        "dual_negative_degrees_exact": dual_ok,
+        "dual_certificate": dual_cert,
+    }
 
 
 def perversity_report_doc(report: PerversityReport, samples: int, seed: int) -> dict:

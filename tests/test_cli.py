@@ -88,10 +88,21 @@ def _m2_loci_edited(edit) -> str:
         pytest.param(["validate", "{input}"],
                      "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\n1/0*t1 - 1\n",
                      id="zero-denominator-coefficient"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\n2t1 - 1\n",
+                     id="juxtaposed-factors"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1,t2 torus=2 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1 t2\n",
+                     id="juxtaposed-variables"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1*\n",
+                     id="dangling-product"),
         pytest.param(["fixtures", "mellin", "--complex-out", "/nonexistent/x"], None, id="unwritable-output"),
         pytest.param(["fixtures", "twist"], None, id="twist-without-scalars"),
         pytest.param(["fixtures", "induce", "--n", "x"], None, id="cover-exponent-not-an-integer"),
         pytest.param(["fixtures", "free", "--m", "0"], None, id="free-fixture-without-variables"),
+        pytest.param(["fixtures", "free", "--m", "1", "--rank", "0", "--complex-out", "{input}"], None,
+                     id="free-fixture-of-rank-zero"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
@@ -103,6 +114,7 @@ def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, tex
     assert result.returncode == 2
     assert result.stderr.startswith("input error:")
     assert "Traceback" not in result.stderr
+    assert path.exists() == (text is not None)  # a refused fixture writes nothing
 
 
 @pytest.mark.parametrize(

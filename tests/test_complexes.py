@@ -9,10 +9,11 @@ from jumploci.complexes import (
     exact_divide,
     generic_rank,
     minor_generators,
+    unit_normalize,
 )
 from jumploci.cyclotomic import field_rank
 from jumploci.errors import InputError, ResourceError
-from jumploci.fixtures import koszul, mellin_constant_torus
+from jumploci.fixtures import koszul, mellin_constant_torus, standard_fixture_suite
 from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import RingContext, TorsionPoint
 
@@ -125,7 +126,7 @@ def test_exact_divide_round_trip(ctx2):
 def test_determinantal_ideal_conventions(ctx2):
     x, y = ctx2.variable(0) - 1, ctx2.variable(1) - 1
     M = Matrix.from_rows(ctx2, [[x, y]])
-    assert minor_generators(M, 0) is None  # unit ideal convention
+    assert minor_generators(M, 0) == [ctx2.one()]  # the empty minor: unit ideal
     assert minor_generators(M, 2) == []  # no 2x2 minors of a 1x2 matrix
     assert sorted(str(g) for g in minor_generators(M, 1)) == ["t1 - 1", "t2 - 1"]
 
@@ -200,6 +201,50 @@ def test_fitting_and_jumping_two_term():
     assert [str(g) for g in Im1.generators] == ["t1 - 1"]
     out_i, out_j = C.fitting_ideal(7), C.jumping_ideal(7)
     assert out_i.is_unit_ideal() and out_j.is_unit_ideal()
+
+
+def _sentinel_jumping_generators(cx, i):
+    """The jumping-ideal expansion written with None for the unit ideal:
+    the generator tuple, or None for the unit ideal."""
+
+    def minors(matrix, k):
+        return None if k == 0 else minor_generators(matrix, k)
+
+    def product(a, b):
+        if a == [] or b == []:
+            return []
+        if a is None or b is None:
+            return None if a is None and b is None else list(b if a is None else a)
+        out = []
+        for f in a:
+            for g in b:
+                h = unit_normalize(f * g)
+                if h not in out:
+                    out.append(h)
+        return out
+
+    total = []
+    r = cx.rank(i)
+    for j in range(r + 1):
+        prod = product(minors(cx.differential(i - 1), j), minors(cx.differential(i), r - j))
+        if prod is None:
+            return None
+        total += [g for g in prod if g not in total]
+    return tuple(total)
+
+
+@pytest.mark.parametrize(
+    "fixture", standard_fixture_suite() + [mellin_constant_torus(4)], ids=lambda fx: fx.name
+)
+def test_jumping_generators_match_the_sentinel_expansion(fixture):
+    # [1] for the empty minor must give the generators, in order, that the
+    # unit-ideal sentinel gave
+    cx = fixture.complex
+    for i in cx.degrees():
+        expected = _sentinel_jumping_generators(cx, i)
+        if expected is None:
+            expected = (cx.context.one(),)
+        assert cx.jumping_ideal(i).generators == expected, (fixture.name, i)
 
 
 def test_jumping_ideal_zero_rank_degree(ctx2):

@@ -5,7 +5,8 @@ run of ``validate``, ``codims``, ``sample``, ``jump-ideals``, ``exactness``,
 ``perversity`` or ``fixtures`` must end in a documented exit code (0 pass,
 1 checked and failed, 2 input error, 3 resource cap) and never in an
 internal error (exit 4, which is a bug).  A fixture run that exits 0 must
-write files that ``validate`` and ``codims`` accept.
+write files that ``validate`` and ``codims`` accept and, for small
+non-induced fixtures, on which ``perversity`` reaches the expected verdict.
 Inputs mix well-formed documents, documents with one part replaced, and
 arbitrary text, JSON and bytes.  The complexes fed to ``jump-ideals`` and
 ``exactness`` keep their polynomials small (at most three terms, exponents
@@ -23,7 +24,7 @@ import math
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jumploci import cli, serialize
@@ -51,7 +52,14 @@ M2_POINTS = [[["1", "1/3"], ["2", "1/4"]], [["1", "0"], ["1", "0"]]]
 
 def _run(tmp_path, argv: list[str], files: dict) -> tuple[int, str]:
     """Write ``files`` (name -> text or bytes) into tmp_path and run the
-    command line in-process, with those names in argv replaced by paths."""
+    command line in-process, with those names in argv replaced by paths;
+    returns the exit status and stderr."""
+    code, _, err = _run_output(tmp_path, argv, files)
+    return code, err
+
+
+def _run_output(tmp_path, argv: list[str], files: dict) -> tuple[int, str, str]:
+    """``_run`` that also returns stdout, as (exit status, stdout, stderr)."""
     for name, content in files.items():
         if isinstance(content, bytes):
             (tmp_path / name).write_bytes(content)
@@ -60,7 +68,7 @@ def _run(tmp_path, argv: list[str], files: dict) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(tmp_path / a) if a in files else a for a in argv])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _check(tmp_path, argv: list[str], files: dict) -> None:
@@ -300,15 +308,31 @@ def test_fixture_parameters_end_in_a_documented_exit(tmp_path, argv):
 
 @FUZZ
 @given(argv=_fixture_argv(), shift=_DEGREE)
+@example(argv=["fixtures", "free", "--m=1", "--rank=0"], shift=0)
+@example(argv=["fixtures", "free", "--m=2", "--rank=2"], shift=1)
+@example(argv=["fixtures", "twist", "--m=2", "--lam=2,1/3"], shift=0)
+@example(argv=["fixtures", "tensor", "--m=1", "--m2=2"], shift=0)
+@example(argv=["fixtures", "sum", "--m=2", "--lam=-1,2"], shift=0)
+@example(argv=["fixtures", "shift", "--m=2"], shift=-1)
+@example(argv=["fixtures", "shift", "--m=1"], shift=2)
 def test_fixture_files_load_back(tmp_path, argv, shift):
     # a fixture either refuses its parameters or writes documents the
-    # loaders accept
+    # loaders accept; on at most two variables per factor and rank at most
+    # two, perversity of the complex against its own loci then reaches the
+    # verdict the fixture expects (induced covers stay out: the spot check
+    # samples every declared component of the cover, which takes seconds)
     complex_out, loci_out = tmp_path / "out.complex", tmp_path / "out.loci"
-    argv = [*argv, f"--s={shift}", f"--complex-out={complex_out}", f"--loci-out={loci_out}"]
-    code, _ = _run(tmp_path, argv, {})
-    if code == 0:
-        for check in (["validate", str(complex_out)], ["codims", str(loci_out)]):
-            assert _run(tmp_path, check, {}) == (0, ""), (argv, check)
+    argv = [*argv, f"--s={shift}", f"--complex-out={complex_out}", f"--loci-out={loci_out}", "--json"]
+    code, out, _ = _run_output(tmp_path, argv, {})
+    if code != 0:
+        return
+    for check in (["validate", str(complex_out)], ["codims", str(loci_out)]):
+        assert _run(tmp_path, check, {}) == (0, ""), (argv, check)
+    options = dict(a[2:].partition("=")[::2] for a in argv[2:])
+    if argv[1] != "induce" and all(int(options.get(key, "1")) <= 2 for key in ("m", "m2", "rank")):
+        check = ["perversity", str(complex_out), "--loci", str(loci_out), "--samples", "5"]
+        expected = 0 if json.loads(out)["expected_verdict"] == "perverse" else 1
+        assert _run(tmp_path, check, {}) == (expected, ""), (argv, check)
 
 
 def _at(doc, path):

@@ -257,3 +257,7 @@ def test_parse_grammar_forms():
         ctx.parse("t1 @ 2")
     with pytest.raises(InputError):
         ctx.parse("")
+    # factors are joined by '*': juxtaposition and a dangling '*' are errors
+    for text in ("2t1", "t1 t2", "1/2 t1", "t1*", "2 * t1 t2 - 1", "t1^2 3", "t1 * * t2"):
+        with pytest.raises(InputError):
+            ctx.parse(text)
