@@ -120,26 +120,10 @@ class Cyclotomic:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction]):
+    def __init__(self, order: int, coeffs: Sequence):
+        """sum of coeffs[k] * zeta_L^k, coefficients int or Fraction."""
         self.order = order
-        self.coeffs = _canonical([Fraction(c) for c in coeffs], order)
-
-    @classmethod
-    def _from_powers(cls, order: int, powers: dict[int, Fraction]) -> "Cyclotomic":
-        """sum of c * zeta_L^k over the items k: c of ``powers`` (0 <= k < L,
-        c a Fraction); the sparse counterpart of the constructor.  Slots
-        absent from ``powers`` stay the int 0 through the reduction, so no
-        Fraction is built for them, and _canonical stores the same reduced
-        tuple the constructor would: reduction mod the monic Phi_L is exact
-        and linear, so the remainder does not depend on how the zero slots
-        are represented."""
-        vec = [0] * max(len(cyclotomic_polynomial(order)) - 1, max(powers, default=0) + 1)
-        for k, c in powers.items():
-            vec[k] = c
-        self = object.__new__(cls)
-        self.order = order
-        self.coeffs = _canonical(vec, order)
-        return self
+        self.coeffs = _canonical(list(coeffs), order)
 
     @classmethod
     def rational(cls, order: int, value) -> "Cyclotomic":
@@ -148,10 +132,7 @@ class Cyclotomic:
     @classmethod
     def root_of_unity(cls, order: int, k: int) -> "Cyclotomic":
         """zeta_L^k as an element of Q(zeta_L)."""
-        k %= order
-        vec = [Fraction(0)] * (k + 1)
-        vec[k] = Fraction(1)
-        return cls(order, vec)
+        return cls(order, [0] * (k % order) + [1])
 
     def _check_order(self, other: "Cyclotomic") -> None:
         if self.order != other.order:

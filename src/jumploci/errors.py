@@ -3,7 +3,7 @@
 InputError covers malformed user input (files, mismatched rings, invalid
 lattices); ResourceError covers aborted computations that hit a configured
 budget (S-pair limit, minor-size cap, cyclotomic-order cap, induction-cover
-cap, degree and sample-count caps).  The CLI maps them to exit codes 2 and 3 respectively, and any other
+cap, degree, sample-count, exponent and module-rank caps).  The CLI maps them to exit codes 2 and 3 respectively, and any other
 exception, a bug, to exit code 4.
 """
 

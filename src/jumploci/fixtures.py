@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 from .complexes import FreeComplex, Matrix, _tensor_var_map, cover_size
 from .errors import InputError, ResourceError
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext, TorsionPoint
+from .laurent import LaurentPoly, RingContext, TorsionPoint, embed_vector
 from .verdict import LociProfile
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
@@ -150,8 +150,8 @@ def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
             for comp_a in ua.components:
                 for comp_b in ub.components:
                     translate = comp_a.translate.embed(ctx, map_a) * comp_b.translate.embed(ctx, map_b)
-                    rows = [_embed_row(r, map_a, ctx.num_vars) for r in comp_a.lattice]
-                    rows += [_embed_row(r, map_b, ctx.num_vars) for r in comp_b.lattice]
+                    rows = [embed_vector(r, map_a, ctx.num_vars) for r in comp_a.lattice]
+                    rows += [embed_vector(r, map_b, ctx.num_vars) for r in comp_b.lattice]
                     combos.append(LinearComponent(ctx, translate, rows))
             if combos:
                 deg = da + db
@@ -233,47 +233,30 @@ class Mutant(NamedTuple):
     note: str
 
 
-def mutate_zero_entry(base: Fixture, degree: int, row: int, col: int) -> Mutant:
-    """Zero out one differential entry; flags the result invalid when the
-    complex identity breaks."""
+def _mutate_entry(base: Fixture, degree: int, row: int, col: int, edit, label: str, note: str) -> Mutant:
+    """``base`` with entry (row, col) of d^degree replaced by edit(entry);
+    flags the result invalid when the complex identity breaks."""
     cx = base.complex
     mat = cx.differential(degree)
     entries = [list(r) for r in mat.entries]
-    entries[row][col] = cx.context.zero()
+    entries[row][col] = edit(entries[row][col])
     diffs = dict(cx.diffs)
     diffs[degree] = Matrix(cx.context, mat.nrows, mat.ncols, entries)
     mutated = FreeComplex(cx.context, cx.k_min, cx.k_max, cx.ranks, diffs)
     ok = mutated.validate().ok
-    return Mutant(
-        f"{base.name}-zero@{degree}[{row},{col}]",
-        mutated,
-        ok,
-        "entry zeroed" + ("" if ok else "; breaks d.d = 0"),
-    )
+    return Mutant(f"{base.name}-{label}", mutated, ok, note + ("" if ok else "; breaks d.d = 0"))
+
+
+def mutate_zero_entry(base: Fixture, degree: int, row: int, col: int) -> Mutant:
+    """Zero out one differential entry."""
+    label = f"zero@{degree}[{row},{col}]"
+    return _mutate_entry(base, degree, row, col, lambda e: e.context.zero(), label, "entry zeroed")
 
 
 def mutate_scale_entry(base: Fixture, degree: int, row: int, col: int, factor) -> Mutant:
-    cx = base.complex
-    mat = cx.differential(degree)
-    entries = [list(r) for r in mat.entries]
-    entries[row][col] = entries[row][col] * Fraction(factor)
-    diffs = dict(cx.diffs)
-    diffs[degree] = Matrix(cx.context, mat.nrows, mat.ncols, entries)
-    mutated = FreeComplex(cx.context, cx.k_min, cx.k_max, cx.ranks, diffs)
-    ok = mutated.validate().ok
-    return Mutant(
-        f"{base.name}-scale@{degree}[{row},{col}]x{factor}",
-        mutated,
-        ok,
-        "entry scaled" + ("" if ok else "; breaks d.d = 0"),
-    )
-
-
-def _embed_row(row: Sequence[int], var_map: Sequence[int], width: int) -> list[int]:
-    out = [0] * width
-    for i, v in enumerate(row):
-        out[var_map[i]] = v
-    return out
+    """Multiply one differential entry by a rational factor."""
+    label = f"scale@{degree}[{row},{col}]x{factor}"
+    return _mutate_entry(base, degree, row, col, lambda e: e * Fraction(factor), label, "entry scaled")
 
 
 def renamed_torus_fixture(m: int, offset: int) -> Fixture:

@@ -52,8 +52,17 @@ Poly = dict  # {tuple[int,...]: int}, or Fraction on input
 
 
 def spair_budget() -> int:
+    """BUDGET_ENV_VAR if set, else the default; InputError unless a nonnegative integer."""
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_SPAIR_BUDGET
+    if not env:
+        return DEFAULT_SPAIR_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = -1  # refused below
+    if budget < 0:
+        raise InputError(f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}")
+    return budget
 
 
 # -- monomial orders --------------------------------------------------------

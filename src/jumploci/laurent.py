@@ -30,9 +30,16 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 Exponent = tuple[int, ...]
+
+# Largest |exponent| of a term read by parse_poly.  Evaluating t^e at a
+# point with a nonunit radial part q builds q^e exactly, so the cost grows
+# with e: on the m2 Koszul complex with every t_i raised to e,
+# `perversity --samples 40` took 0.4 s at e = 10^4, 8.7 s at 10^5 and did
+# not end in 30 s at 10^6.  Fixture exponents stay at most MAX_COVER_SIZE.
+MAX_EXPONENT = 10**4
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -101,25 +108,16 @@ class RingContext:
         return self.const(1)
 
     def const(self, c) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
-            return self.zero()
-        return LaurentPoly(self, {(0,) * self.num_vars: c})
+        return LaurentPoly(self, {(0,) * self.num_vars: Fraction(c)})
 
     def variable(self, i: int) -> "LaurentPoly":
         """The monomial t_i (0-based index)."""
         if not 0 <= i < self.num_vars:
             raise InputError(f"variable index {i} out of range")
-        exp = [0] * self.num_vars
-        exp[i] = 1
-        return LaurentPoly(self, {tuple(exp): Fraction(1)})
+        return self.monomial([int(k == i) for k in range(self.num_vars)])
 
     def monomial(self, exponent: Iterable[int], coeff=1) -> "LaurentPoly":
-        exp = tuple(int(e) for e in exponent)
-        if len(exp) != self.num_vars:
-            raise InputError("exponent length does not match variable count")
-        c = Fraction(coeff)
-        return LaurentPoly(self, {exp: c} if c else {})
+        return LaurentPoly(self, {tuple(int(e) for e in exponent): Fraction(coeff)})
 
     def identity_point(self) -> "TorsionPoint":
         return TorsionPoint(self, [(Fraction(1), Fraction(0))] * self.num_vars)
@@ -147,6 +145,15 @@ def _substitution_pairs(mapping: Sequence[tuple], num_vars: int) -> list[tuple[F
     return pairs
 
 
+def embed_vector(values: Sequence, var_map: Sequence[int], width: int, fill=0) -> list:
+    """A list of ``width`` copies of ``fill`` with values[i] at var_map[i]:
+    exponents, lattice rows and point coordinates moved into a larger ring."""
+    out = [fill] * width
+    for i, v in enumerate(values):
+        out[var_map[i]] = v
+    return out
+
+
 def _check_same_context(a: "LaurentPoly | TorsionPoint", b: "LaurentPoly | TorsionPoint"):
     if a.context != b.context:
         raise InputError("ring context mismatch")
@@ -161,11 +168,10 @@ class LaurentPoly:
         clean = {}
         n = context.num_vars
         for exp, c in terms.items():
-            if c == 0:
-                continue
             if len(exp) != n:
                 raise InputError("exponent length does not match variable count")
-            clean[tuple(exp)] = Fraction(c)
+            if c:
+                clean[tuple(exp)] = Fraction(c)
         self.context = context
         self.terms = clean
         self._hash = None
@@ -188,11 +194,7 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+            out[exp] = out.get(exp, 0) + c
         return LaurentPoly(self.context, out)
 
     __radd__ = __add__
@@ -212,11 +214,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
+                out[exp] = out.get(exp, 0) + c1 * c2
         return LaurentPoly(self.context, out)
 
     __rmul__ = __mul__
@@ -272,19 +270,18 @@ class LaurentPoly:
         denominators.  A Laurent monomial is defined at every point since all
         radial parts are nonzero.  Each term c*t^k adds c * prod q_i^k_i to
         the coefficient of zeta_L^(sum k_i*a_i mod L), read off the point's
-        character table (see TorsionPoint._character_table); only the powers
-        that occur are accumulated."""
+        character table (see TorsionPoint._character_table)."""
         _check_same_context(self, point)
         L, steps, radials = point._character_table()
-        powers: dict[int, Fraction] = {}
+        powers = [0] * L
         for exp, c in self.terms.items():
             k = sum(e * a for e, a in zip(exp, steps)) % L
             if radials is not None:
                 for e, q in zip(exp, radials):
                     if e:
                         c *= q**e
-            powers[k] = powers.get(k, 0) + c
-        return Cyclotomic._from_powers(L, powers)
+            powers[k] += c
+        return Cyclotomic(L, powers)
 
     def substitute(self, mapping: Sequence[tuple[Fraction, int]]) -> "LaurentPoly":
         """Apply the ring homomorphism t_i -> lam_i * t_i^(n_i).
@@ -306,23 +303,14 @@ class LaurentPoly:
                 coeff *= lam**e
                 new_exp.append(e * n)
             key = tuple(new_exp)
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.context, out)
 
     def embed(self, target: RingContext, var_map: Sequence[int]) -> "LaurentPoly":
         """Reinterpret in ``target``, sending variable i to target variable
         var_map[i].  Used to combine disjoint rings for external tensors."""
-        out = {}
-        for exp, c in self.terms.items():
-            new_exp = [0] * target.num_vars
-            for i, e in enumerate(exp):
-                new_exp[var_map[i]] = e
-            out[tuple(new_exp)] = c
-        return LaurentPoly(target, out)
+        terms = {tuple(embed_vector(exp, var_map, target.num_vars)): c for exp, c in self.terms.items()}
+        return LaurentPoly(target, terms)
 
     # -- printing -------------------------------------------------------------
 
@@ -408,10 +396,8 @@ class TorsionPoint:
         return angle, radial
 
     def embed(self, target: RingContext, var_map: Sequence[int]) -> "TorsionPoint":
-        coords = [(Fraction(1), Fraction(0))] * target.num_vars
-        for i, pair in enumerate(self.coords):
-            coords[var_map[i]] = pair
-        return TorsionPoint(target, coords)
+        identity = (Fraction(1), Fraction(0))
+        return TorsionPoint(target, embed_vector(self.coords, var_map, target.num_vars, identity))
 
     def __eq__(self, other) -> bool:
         return (
@@ -457,7 +443,7 @@ def parse_poly(context: RingContext, text: str) -> LaurentPoly:
         raise InputError("empty polynomial text")
     var_index = {name: i for i, name in enumerate(context.var_names)}
     pos = 0
-    result = context.zero()
+    terms: dict[Exponent, Fraction] = {}
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -494,7 +480,12 @@ def parse_poly(context: RingContext, text: str) -> LaurentPoly:
                         pos += 1
                     if peek() is None or not re.fullmatch(r"\d+", tokens[pos]):
                         raise InputError("expected integer exponent after '^'")
-                    power = psign * int(tokens[pos])
+                    try:
+                        power = psign * int(tokens[pos])
+                    except ValueError as exc:  # more digits than int() reads
+                        raise ResourceError(
+                            f"exponent of {len(tokens[pos])} digits exceeds the cap of {MAX_EXPONENT}"
+                        ) from exc
                     pos += 1
                 exp[vi] += power
             elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
@@ -507,8 +498,12 @@ def parse_poly(context: RingContext, text: str) -> LaurentPoly:
             if tok != "*":
                 raise InputError(f"unexpected token {tok!r} after a factor; factors are joined by '*'")
             pos += 1
-        result = result + context.monomial(exp, coeff)
-    return result
+        for e in exp:
+            if abs(e) > MAX_EXPONENT:
+                raise ResourceError(f"exponent {e} exceeds the cap of {MAX_EXPONENT} in absolute value")
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly(context, terms)
 
 
 def format_poly(p: LaurentPoly) -> str:

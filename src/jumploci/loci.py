@@ -16,9 +16,11 @@ random and torsion points, and nothing in this module collapses the
 redundancy.
 
 Propagation (nested loci in negative degrees, reverse-nested in nonnegative
-ones) is checked ideal-theoretically through radical membership, and only
-so: when minor enumeration hits the size cap the check raises ResourceError
-instead of returning a verdict.
+ones, over [min(k_min, 0), max(k_max, 0)]) is checked ideal-theoretically
+through radical membership, and only so: when minor enumeration hits the
+size cap the check raises ResourceError instead of returning a verdict.
+The links of the chain are listed once, by chain_links, for these computed
+loci and for declared ones (verdict.profile_propagation).
 """
 
 from __future__ import annotations
@@ -68,19 +70,25 @@ def is_whole_space(ideal: LaurentIdeal) -> bool:
     return all(g.is_zero() for g in ideal.generators)
 
 
+def chain_links(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The links of the propagation chain over [min(lo, 0), max(hi, 0)], in
+    ascending order, as (i, inner, outer): V^inner must lie in V^outer.  The
+    link (i, i+1) is V^i <= V^(i+1) below degree 0 and V^i >= V^(i+1) from
+    degree 0 on."""
+    return [(i, i, i + 1) if i < 0 else (i, i + 1, i) for i in range(min(lo, 0), max(hi, 0))]
+
+
 class PropagationResult(NamedTuple):
     ok: bool
     provenance: str  # always "exact": a cap raises instead of degrading
     first_violation: tuple[int, int] | None
     checked_pairs: list[tuple[int, int, bool]]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def propagation_check(complex_: FreeComplex) -> PropagationResult:
-    """Verify the nesting chain of jump loci: V^i <= V^(i+1) for i < 0 and
-    V^i >= V^(i+1) for i >= 0, degree by degree.
+    """Verify the nesting chain of jump loci link by link (chain_links);
+    outside the degree range the jumping ideal is the unit ideal, so the
+    locus there is empty.
 
     Requires the complex (and its dual) to have no negative-degree
     cohomology; that hypothesis is what makes the chain a theorem, so the
@@ -93,17 +101,11 @@ def propagation_check(complex_: FreeComplex) -> PropagationResult:
             "propagation requires vanishing negative-degree cohomology of "
             "the complex and its dual"
         )
-    lo, hi = complex_.k_min, complex_.k_max
-    pairs = [(i, i + 1) for i in range(lo, 0)] + [(i, i + 1) for i in range(0, hi)]
-    ideals = {d: complex_.jumping_ideal(d) for d in range(lo, hi + 1)}
     checked = []
-    first = None
-    for i, j in pairs:
-        inner, outer = (i, j) if i < 0 else (j, i)
-        holds = variety_containment(ideals[inner], ideals[outer])
-        checked.append((i, j, holds))
-        if not holds and first is None:
-            first = (i, j)
+    for i, inner, outer in chain_links(complex_.k_min, complex_.k_max):
+        holds = variety_containment(complex_.jumping_ideal(inner), complex_.jumping_ideal(outer))
+        checked.append((i, i + 1, holds))
+    first = next(((i, j) for i, j, holds in checked if not holds), None)
     return PropagationResult(first is None, "exact", first, checked)
 
 

@@ -210,6 +210,11 @@ def _point_doc(point: TorsionPoint) -> list[list[str]]:
     return [[str(q), str(th)] for q, th in point.coords]
 
 
+def _component_doc(c: LinearComponent) -> dict:
+    """A component as written to loci files and codims reports."""
+    return {"translate": _point_doc(c.translate), "lattice": [list(r) for r in c.lattice]}
+
+
 def _parse_int(value) -> int:
     """An integer field of a JSON document: an int that is not a bool, or a
     string holding an integer.  Anything else raises ValueError, so 1.5,
@@ -238,10 +243,7 @@ def dump_loci(profile: LociProfile) -> str:
             "abelian": ctx.abelian_rank,
         },
         "loci": {
-            str(deg): [
-                {"translate": _point_doc(c.translate), "lattice": [list(r) for r in c.lattice]}
-                for c in union.components
-            ]
+            str(deg): [_component_doc(c) for c in union.components]
             for deg, union in sorted(profile.loci.items())
         },
     }
@@ -348,16 +350,7 @@ def exactness_report(cx: FreeComplex) -> dict:
 
 def perversity_report_doc(report: PerversityReport, samples: int, seed: int) -> dict:
     def rows(rs):
-        return [
-            {
-                "degree": r.degree,
-                "condition": r.condition,
-                "required": r.required,
-                "actual": _codim_str(r.actual),
-                "ok": r.ok,
-            }
-            for r in rs
-        ]
+        return [dict(r._asdict(), actual=_codim_str(r.actual)) for r in rs]
 
     return {
         "report": "perversity",
@@ -386,30 +379,17 @@ def codims_report(profile: LociProfile) -> dict:
     entries = []
     for deg in profile.degrees():
         union = profile.locus(deg)
-        stats = union.codim_stats()
-        entries.append(
-            {
-                "degree": deg,
-                "components": [
-                    {
-                        "lattice": [list(r) for r in c.lattice],
-                        "translate": _point_doc(c.translate),
-                        "codim": c.codims()[0],
-                        "codim_a": c.codims()[1],
-                        "codim_sa": c.codims()[2],
-                    }
-                    for c in union.components
-                ],
-                "codim_a": _codim_str(stats.codim_a),
-                "codim_sa": _codim_str(stats.codim_sa),
-                "dim_a": _codim_str(stats.dim_a),
-                "dim_sa": _codim_str(stats.dim_sa),
-            }
-        )
+        stats = {key: _codim_str(value) for key, value in union.codim_stats()._asdict().items()}
+        components = [
+            dict(_component_doc(c), **dict(zip(("codim", "codim_a", "codim_sa"), c.codims())))
+            for c in union.components
+        ]
+        entries.append({"degree": deg, "components": components, **stats})
     return {"report": "codims", "degrees": entries}
 
 
 def sample_report(cx: FreeComplex, points: Sequence[TorsionPoint], degrees: Sequence[int]) -> dict:
+    # imported at call time, so a tracer's patch of loci.membership_at_point applies
     from .loci import membership_at_point
 
     entries = []

@@ -37,7 +37,7 @@ from .complexes import FreeComplex
 from .errors import InputError
 from .lattices import LinearComponent, LinearUnion
 from .laurent import RingContext
-from .loci import membership_at_point
+from .loci import chain_links, membership_at_point
 from .sampling import sample_points
 
 
@@ -75,12 +75,6 @@ class LociProfile:
 
     def degrees(self) -> list[int]:
         return sorted(self.loci)
-
-    def nonempty_span(self) -> tuple[int, int] | None:
-        degs = self.degrees()
-        if not degs:
-            return None
-        return degs[0], degs[-1]
 
     def shift(self, s: int) -> "LociProfile":
         """Profile of the complex moved s steps right: degree i holds what
@@ -130,48 +124,36 @@ class PerversityReport(NamedTuple):
     provenance: dict[str, str]
 
 
+def _condition_rows(profile: LociProfile, degrees: range, condition: str, field: str) -> list[ConditionRow]:
+    """One row per degree i: the codimension statistic ``field`` of V^i
+    against the bound |i|."""
+    rows = []
+    for i in degrees:
+        actual = getattr(profile.locus(i).codim_stats(), field)
+        rows.append(ConditionRow(i, condition, abs(i), actual, actual >= abs(i)))
+    return rows
+
+
 def check_upper(profile: LociProfile) -> list[ConditionRow]:
     """Condition (a): abelian codimension at least i in each degree i >= 0."""
-    rows = []
     top = max([d for d in profile.degrees() if d >= 0], default=-1)
-    for i in range(0, top + 1):
-        stats = profile.locus(i).codim_stats()
-        rows.append(
-            ConditionRow(i, "abelian-codim", i, stats.codim_a, stats.codim_a >= i)
-        )
-    return rows
+    return _condition_rows(profile, range(0, top + 1), "abelian-codim", "codim_a")
 
 
 def check_lower(profile: LociProfile) -> list[ConditionRow]:
     """Condition (b): semi-abelian codimension at least -i in each i <= 0."""
-    rows = []
     bottom = min([d for d in profile.degrees() if d <= 0], default=1)
-    for i in range(bottom, 1):
-        stats = profile.locus(i).codim_stats()
-        rows.append(
-            ConditionRow(i, "semiabelian-codim", -i, stats.codim_sa, stats.codim_sa >= -i)
-        )
-    return rows
+    return _condition_rows(profile, range(bottom, 1), "semiabelian-codim", "codim_sa")
 
 
-def profile_propagation(profile: LociProfile):
-    """Nesting chain on declared loci via exhaustive component containment."""
-    span = profile.nonempty_span()
-    if span is None:
-        return True, None
-    lo = min(span[0], 0)
-    hi = max(span[1], 0)
-    first = None
-    for i in range(lo, 0):
-        if not profile.locus(i + 1).contains(profile.locus(i)):
-            first = (i, i + 1)
-            break
-    if first is None:
-        for i in range(0, hi):
-            if not profile.locus(i).contains(profile.locus(i + 1)):
-                first = (i, i + 1)
-                break
-    return first is None, first
+def profile_propagation(profile: LociProfile) -> tuple[bool, tuple[int, int] | None]:
+    """Nesting chain on declared loci via exhaustive component containment,
+    link by link (loci.chain_links); (holds, first failing link)."""
+    degs = profile.degrees() or [0]
+    for i, inner, outer in chain_links(degs[0], degs[-1]):
+        if not profile.locus(outer).contains(profile.locus(inner)):
+            return False, (i, i + 1)
+    return True, None
 
 
 def support_interval_check(profile: LociProfile):
@@ -279,8 +261,8 @@ def survival_interval(profile: LociProfile, component: LinearComponent) -> Survi
     from its annihilator lattice, compared against the observed degrees."""
     if not profile.locus(0).has_component(component):
         raise InputError("component is not a component of the degree-0 locus")
-    d, g2, _ = component.codims()
-    m2 = d - 2 * g2
+    g2 = component.codims()[1]
+    m2 = component.kernel_torus_rank()
     predicted = (-m2 - g2, g2)
     observed = [deg for deg in profile.degrees() if profile.locus(deg).has_component(component)]
     expected = list(range(predicted[0], predicted[1] + 1))

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from jumploci import serialize
+from jumploci.complexes import MAX_RANK
 from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
+from jumploci.laurent import MAX_EXPONENT
 from jumploci.sampling import MAX_SAMPLES
 from jumploci.serialize import MAX_DEGREE
 
@@ -154,6 +156,16 @@ def _m2_at(top: int) -> tuple[str, str]:
 AT_CAP_COMPLEX, AT_CAP_LOCI = _m2_at(MAX_DEGREE)
 
 
+def _m2_powered(e) -> str:
+    """The m2 complex document with every t_i raised to the power e."""
+    text = serialize.dump_complex(mellin_constant_torus(2).complex)
+    head, _, body = text.partition("differential")
+    return head + "differential" + body.replace("t1", f"t1^{e}").replace("t2", f"t2^{e}")
+
+
+ONE_DEGREE_RANK = "ring vars=t1,t2 torus=2 abelian=0\ndegrees 0..0\nranks {}\n"
+
+
 @pytest.mark.parametrize(
     "argv, text, code",
     [
@@ -175,6 +187,13 @@ AT_CAP_COMPLEX, AT_CAP_LOCI = _m2_at(MAX_DEGREE)
                      id="over-cap-samples"),
         pytest.param(["perversity", "{m2}", "--loci", "{loci}", f"--samples={MAX_SAMPLES + 1}"], None, 3,
                      id="samples-above-cap"),
+        # before the exponent cap, perversity on m2 with exponents 10^6 did not
+        # finish in 30 s
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered(MAX_EXPONENT + 1), 3,
+                     id="exponent-above-cap"),
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered("9" * 5000), 3,
+                     id="exponent-of-5000-digits"),
+        pytest.param(["validate", "{input}"], ONE_DEGREE_RANK.format(MAX_RANK + 1), 3, id="rank-above-cap"),
         # at the caps: accepted and short
         pytest.param(["perversity", "{input}"],
                      _m2_loci_edited(lambda d: d["loci"].update({str(MAX_DEGREE): d["loci"]["0"]})),
@@ -185,6 +204,9 @@ AT_CAP_COMPLEX, AT_CAP_LOCI = _m2_at(MAX_DEGREE)
                      '[[["1", "1/3"], ["2", "1/4"]]]', 0, id="degree-range-at-cap"),
         pytest.param(["perversity", "{m2}", "--loci", "{loci}", f"--samples={MAX_SAMPLES}"], None, 0,
                      id="samples-at-cap"),
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered(MAX_EXPONENT), 0,
+                     id="exponent-at-cap"),
+        pytest.param(["validate", "{input}"], ONE_DEGREE_RANK.format(MAX_RANK), 0, id="rank-at-cap"),
     ],
 )
 def test_far_degrees_and_sample_counts_end_promptly(m2_files, tmp_path, argv, text, code):
@@ -374,6 +396,30 @@ def test_spair_budget_env_triggers_resource_exit(m2_files):
     assert "resource cap" in result.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-5"])
+def test_malformed_spair_budget_exits_2(m2_files, value):
+    # "abc" and "1.5" used to end in a ValueError traceback (exit 4), and
+    # "-5" in "budget of -5 exceeded" (exit 3)
+    import os
+
+    cx, _ = m2_files
+    env = dict(os.environ, JUMPLOCI_SPAIR_BUDGET=value)
+    result = subprocess.run(
+        [sys.executable, "-m", "jumploci.cli", "jump-ideals", str(cx)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error:") and "JUMPLOCI_SPAIR_BUDGET" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_free_rank_over_cap_writes_no_file(tmp_path):
+    out = tmp_path / "r.complex"
+    result = run_cli("fixtures", "free", "--rank", str(MAX_RANK + 1), "--complex-out", str(out), timeout=60)
+    assert result.returncode == 3
+    assert result.stderr.startswith("resource cap:") and "module rank" in result.stderr
+    assert "Traceback" not in result.stderr and not out.exists()
+
+
 def test_module_entry_point(m2_files):
     cx, _ = m2_files
     result = subprocess.run(
@@ -414,6 +460,8 @@ OVER = str(MAX_FIXTURE_VARS + 1)
         pytest.param(["shift", "--m", "2", "--s", str(MAX_DEGREE)], 0, id="shift-at-degree-cap"),
         pytest.param(["induce", "--m", str(MAX_FIXTURE_VARS), "--n", ",".join(["1"] * MAX_FIXTURE_VARS)],
                      0, id="induce-at-cap"),
+        pytest.param(["free", "--m", "1", "--rank", str(MAX_RANK + 1)], 3, id="free-rank-over-cap"),
+        pytest.param(["free", "--m", "1", "--rank", str(MAX_RANK)], 0, id="free-rank-at-cap"),
     ],
 )
 def test_fixture_size_cap(capsys, argv, code):

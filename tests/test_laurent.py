@@ -244,6 +244,12 @@ def test_parse_print_round_trip():
     assert parse_poly(ctx, "0").is_zero()
 
 
+def test_parse_cancelling_terms():
+    ctx = RingContext.torus(2)
+    assert ctx.parse("t1 - t1 + 2") == ctx.const(2)
+    assert ctx.parse("t1*t2 - t2*t1").is_zero()
+
+
 def test_parse_grammar_forms():
     ctx = RingContext.torus(2)
     t1, t2 = ctx.variable(0), ctx.variable(1)

@@ -94,6 +94,23 @@ def test_propagation_koszul_pass():
     assert all(holds for _, _, holds in result.checked_pairs)
 
 
+@pytest.mark.parametrize(
+    "lo, expected",
+    [
+        pytest.param(-2, [(-2, -1, True), (-1, 0, True)], id="degrees-below-zero"),
+        pytest.param(1, [(0, 1, True), (1, 2, True)], id="degrees-above-zero"),
+    ],
+)
+def test_propagation_on_complexes_missing_degree_zero(lo, expected):
+    # an exact complex k[lo] -> k[lo + 1] with identity differential: the
+    # chain still runs through degree 0, where the locus is empty
+    ctx = RingContext.torus(1)
+    cx = FreeComplex(ctx, lo, lo + 1, [1, 1], {lo: Matrix.from_rows(ctx, [[ctx.one()]])})
+    result = propagation_check(cx)
+    assert result.ok and result.first_violation is None
+    assert result.checked_pairs == expected
+
+
 def test_propagation_requires_assumption():
     K = _koszul(2)
     with pytest.raises(InputError):
