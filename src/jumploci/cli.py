@@ -27,6 +27,7 @@ from pathlib import Path
 
 from . import serialize
 from .errors import InputError, ResourceError
+from .groebner import spair_budget
 from .sampling import check_sample_count
 from .verdict import perversity_verdict
 
@@ -271,6 +272,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        spair_budget()  # a malformed budget is refused by every subcommand
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

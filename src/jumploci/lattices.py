@@ -19,13 +19,14 @@ A component is valid only when the abelian projection has even rank;
 odd-rank inputs are rejected rather than rounded, since they cannot arise
 from a quotient by a semi-abelian subvariety.
 
-Saturation and kernels are computed through an exact Smith normal form over
-Python integers; lattice membership is decided on the stored Hermite basis,
-and a point lies on a component when the lattice's characters take the same
-values there as at the translate.  A LinearUnion is a normalized finite list
-of components (no component contained in another) and carries min/max codimension and
-dimension statistics with the usual empty-union conventions
-(codimensions +infinity, dimensions -infinity).
+One Euclidean echelon step over Python integers serves both the Hermite and
+the Smith normal form.  Saturation and kernels go through the Smith form,
+lattice membership is decided on the stored Hermite basis, and a point lies
+on a component when the lattice's characters take the same values there as
+at the translate.  A LinearUnion is a normalized finite list of components
+(no component contained in another) and carries min/max codimension and
+dimension statistics with the usual empty-union conventions (codimensions
++infinity, dimensions -infinity).
 """
 
 from __future__ import annotations
@@ -43,106 +44,74 @@ IntMatrix = list[list[int]]
 # -- exact integer linear algebra --------------------------------------------
 
 
-def _xgcd(a: int, b: int):
-    """g, p, q with p*a + q*b = g = gcd(a, b) and g >= 0.
+def _echelon(A: IntMatrix, width: int, track: IntMatrix | None = None) -> int:
+    """Bring the rows of A to echelon form in place by unimodular row
+    operations, apply each of them to ``track`` too, and return the rank.
 
-    When a divides b the coefficients are (sign(a), 0), so gcd-based row and
-    column combines leave the pivot row/column fixed in the common case;
-    this is what makes the Smith reduction loops terminate.
+    In each column Euclid runs between the pivot row and each row below it:
+    the row below loses a multiple of the pivot row, and the two swap while
+    a remainder is left.  A pivot that divides every entry below it is
+    therefore never changed.  Pivots end positive and zero rows last.
     """
-    if a != 0 and b % a == 0:
-        return (abs(a), 1 if a > 0 else -1, 0)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    mats = [A] if track is None else [A, track]
+    rank = 0
+    for col in range(width):
+        for i in range(rank + 1, len(A)):
+            while A[i][col]:
+                q = A[i][col] // A[rank][col] if A[rank][col] else 0
+                for M in mats:
+                    M[i] = [a - q * b for a, b in zip(M[i], M[rank])]
+                if A[i][col]:
+                    for M in mats:
+                        M[rank], M[i] = M[i], M[rank]
+        if rank < len(A) and A[rank][col]:
+            if A[rank][col] < 0:
+                for M in mats:
+                    M[rank] = [-x for x in M[rank]]
+            rank += 1
+    return rank
+
+
+def _identity(n: int) -> IntMatrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _transpose(M: IntMatrix, width: int) -> IntMatrix:
+    return [[row[j] for row in M] for j in range(width)]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]):
     """Exact Smith normal form: (U, D, V) with U*A*V = D, U and V unimodular,
-    D diagonal with nonnegative invariant factors in a divisibility chain."""
+    D diagonal with nonnegative invariant factors in a divisibility chain.
+
+    Each round runs ``_echelon`` on A (tracking U), then on its transpose
+    (tracking V^T), until A is diagonal; where d_i does not divide d_(i+1),
+    column i+1 is added to column i and the rounds go on.  Termination: the
+    rows and columns before the first position t whose row or column holds
+    another nonzero entry are never touched again.  If A[t][t] divides the
+    rest of its column, the row step keeps row t and t advances; otherwise
+    the round leaves a proper divisor of A[t][t] there.  The column add
+    strictly lowers d_i to gcd(d_i, d_(i+1)) and keeps d_0 .. d_(i-1).
+    """
     A = [[int(x) for x in row] for row in matrix]
     rows = len(A)
     cols = len(A[0]) if A else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_combine(i, j, a, b, c, d):
-        """(row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j)."""
-        for M in (A, U):
-            ri, rj = M[i], M[j]
-            M[i] = [a * x + b * y for x, y in zip(ri, rj)]
-            M[j] = [c * x + d * y for x, y in zip(ri, rj)]
-
-    def col_combine(i, j, a, b, c, d):
-        for M in (A, V):
-            for row in M:
-                row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
-
-    def clear_position(t):
-        """Repeat row/col gcd steps until column t and row t are clear below
-        and right of the pivot."""
-        while True:
-            for i in range(t + 1, rows):
-                if A[i][t]:
-                    g, p, q = _xgcd(A[t][t], A[i][t])
-                    row_combine(t, i, p, q, -(A[i][t] // g), A[t][t] // g)
-            if not any(A[t][j] for j in range(t + 1, cols)):
-                return
-            for j in range(t + 1, cols):
-                if A[t][j]:
-                    g, p, q = _xgcd(A[t][t], A[t][j])
-                    col_combine(t, j, p, q, -(A[t][j] // g), A[t][t] // g)
-            if not any(A[i][t] for i in range(t + 1, rows)):
-                return
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = next(
-            (
-                (i, j)
-                for i in range(t, rows)
-                for j in range(t, cols)
-                if A[i][j]
-            ),
-            None,
-        )
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            row_combine(t, pivot[0], 0, 1, -1, 0)
-        if pivot[1] != t:
-            col_combine(t, pivot[1], 0, 1, -1, 0)
-        clear_position(t)
-        if A[t][t] < 0:
-            row_combine(t, t, -1, 0, 0, -1)
-        t += 1
-
-    # Enforce the divisibility chain d1 | d2 | ... .
-    done = False
-    while not done:
-        done = True
-        for i in range(t - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a and b % a:
-                # col_i += col_{i+1} puts b below the pivot, so the next
-                # clearing pass replaces the block diag(a, b) by
-                # diag(gcd, lcm) up to sign.
-                col_combine(i, i + 1, 1, 1, 0, 1)
-                clear_position(i)
-                if A[i][i] < 0:
-                    row_combine(i, i, -1, 0, 0, -1)
-                if A[i + 1][i + 1] < 0:
-                    row_combine(i + 1, i + 1, -1, 0, 0, -1)
-                done = False
-    return U, A, V
+    U, Vt = _identity(rows), _identity(cols)
+    while True:
+        _echelon(A, cols, U)
+        A = _transpose(A, cols)
+        _echelon(A, rows, Vt)
+        A = _transpose(A, rows)
+        if any(A[i][j] for i in range(rows) for j in range(cols) if i != j):
+            continue
+        for i in range(min(rows, cols) - 1):
+            if A[i][i] and A[i + 1][i + 1] % A[i][i]:
+                for row in A:
+                    row[i] += row[i + 1]
+                Vt[i] = [a + b for a, b in zip(Vt[i], Vt[i + 1])]
+                break
+        else:
+            return U, A, _transpose(Vt, cols)
 
 
 def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -175,45 +144,23 @@ def hermite_normal_form(rows: Sequence[Sequence[int]], width: int) -> list[list[
     """Row-style Hermite normal form of the lattice spanned by ``rows``:
     canonical basis with positive pivots and reduced entries above them.
     Zero rows are dropped, so equal lattices produce identical bases."""
-    work = [list(map(int, r)) for r in rows if any(r)]
-    basis: list[list[int]] = []
-    for col in range(width):
-        carrier = None
-        for r in work:
-            if r[col]:
-                carrier = r
-                break
-        if carrier is None:
-            continue
-        work.remove(carrier)
-        rest = []
-        for r in work:
-            while r[col]:
-                if abs(r[col]) < abs(carrier[col]):
-                    carrier, r = r, carrier
-                q = r[col] // carrier[col]
-                r = [a - q * b for a, b in zip(r, carrier)]
-            rest.append(r)
-        work = [r for r in rest if any(r)]
-        if carrier[col] < 0:
-            carrier = [-x for x in carrier]
-        basis.append(carrier)
+    basis = [list(map(int, r)) for r in rows]
+    del basis[_echelon(basis, width):]
     # Reduce entries above each pivot, visiting pivots left to right so a
     # subtraction never re-pollutes an already-reduced column (row i only
     # has support from its pivot column onward).
-    for j in range(len(basis)):
-        for i in range(j + 1, len(basis)):
-            pivot_col = next(c for c, x in enumerate(basis[i]) if x)
-            q = basis[j][pivot_col] // basis[i][pivot_col]
+    for i, row in enumerate(basis):
+        col = next(c for c, x in enumerate(row) if x)
+        for j in range(i):
+            q = basis[j][col] // row[col]
             if q:
-                basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
+                basis[j] = [a - q * b for a, b in zip(basis[j], row)]
     return basis
 
 
 def saturate_lattice(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     """Basis (HNF) of the saturation (span_Q(rows) intersect Z^width): the
     annihilator of the kernel."""
-    rows = [list(map(int, r)) for r in rows if any(r)]
     return kernel_basis(kernel_basis(rows, width), width)
 
 
@@ -224,15 +171,11 @@ def kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     entry vanishes, so the columns of V beyond the rank span the kernel and
     are saturated because V is unimodular.
     """
-    rows = [list(map(int, r)) for r in rows]
     if not rows:
-        return [[int(i == j) for j in range(width)] for i in range(width)]
+        return _identity(width)
     _, D, V = smith_normal_form(rows)
     r = sum(1 for i in range(min(len(D), width)) if D[i][i])
-    cols = []
-    for j in range(r, width):
-        cols.append([V[i][j] for i in range(width)])
-    return hermite_normal_form(cols, width) if cols else []
+    return hermite_normal_form(_transpose(V, width)[r:], width)
 
 
 def lattice_contains(hermite_rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
@@ -283,7 +226,7 @@ class LinearComponent:
                 raise InputError("lattice row length does not match variable count")
         basis = saturate_lattice(rows, n)
         m = context.torus_rank
-        ab_rank = len(hermite_normal_form([row[m:] for row in basis], n - m))
+        ab_rank = _echelon([row[m:] for row in basis], n - m)
         if ab_rank % 2:
             raise InputError(
                 f"abelian projection of the annihilator lattice has odd rank "
@@ -372,8 +315,7 @@ class LinearUnion:
     @classmethod
     def single_point(cls, point: TorsionPoint) -> "LinearUnion":
         n = point.context.num_vars
-        full = [[int(i == j) for j in range(n)] for i in range(n)]
-        return cls(point.context, [LinearComponent(point.context, point, full)])
+        return cls(point.context, [LinearComponent(point.context, point, _identity(n))])
 
     def is_empty(self) -> bool:
         return not self.components

@@ -467,6 +467,8 @@ def parse_poly(context: RingContext, text: str) -> LaurentPoly:
                     coeff *= Fraction(tok)
                 except ZeroDivisionError as exc:
                     raise InputError(f"zero denominator in coefficient {tok!r}") from exc
+                except ValueError as exc:  # over Python's int-string digit limit
+                    raise InputError(f"coefficient of {len(tok)} characters is too long") from exc
                 pos += 1
             elif tok in var_index:
                 vi = var_index[tok]

@@ -258,7 +258,7 @@ def load_loci(text: str, strict: bool = True):
     invariant; with strict=True the first violation raises instead."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InputError(f"malformed loci JSON: {exc}") from exc
     if not isinstance(doc, dict) or "ring" not in doc or "loci" not in doc:
         raise InputError("loci document needs 'ring' and 'loci' blocks")
@@ -431,7 +431,7 @@ def parse_points_file(text: str, ctx: RingContext) -> list[TorsionPoint]:
     rational-string pairs."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InputError(f"malformed points JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise InputError("points document must be a JSON list")

@@ -105,6 +105,16 @@ def _m2_loci_edited(edit) -> str:
         pytest.param(["fixtures", "free", "--m", "0"], None, id="free-fixture-without-variables"),
         pytest.param(["fixtures", "free", "--m", "1", "--rank", "0", "--complex-out", "{input}"], None,
                      id="free-fixture-of-rank-zero"),
+        # integers of more than 4300 digits exceed Python's int-string limit
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\n"
+                     + "7" * 5000 + "*t1 - 1\n",
+                     id="coefficient-of-5000-digits"),
+        pytest.param(["codims", "{input}"],
+                     _m2_loci_edited(lambda d: d.update(euler=0)).replace('"euler": 0', '"euler": ' + "7" * 5000),
+                     id="euler-of-5000-digits"),
+        pytest.param(["sample", "{m2}", "--points", "{input}"], '[[[' + "7" * 5000 + ', "0"], ["1", "0"]]]',
+                     id="radial-number-of-5000-digits"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
@@ -406,6 +416,34 @@ def test_malformed_spair_budget_exits_2(m2_files, value):
     env = dict(os.environ, JUMPLOCI_SPAIR_BUDGET=value)
     result = subprocess.run(
         [sys.executable, "-m", "jumploci.cli", "jump-ideals", str(cx)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error:") and "JUMPLOCI_SPAIR_BUDGET" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{cx}"],
+        ["codims", "{loci}"],
+        ["sample", "{cx}", "--points", "{points}"],
+        ["perversity", "{loci}"],
+        ["fixtures", "mellin"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_spair_budget_exits_2_on_every_subcommand(m2_files, tmp_path, argv):
+    # only subcommands that compute a Groebner basis used to read the budget
+    import os
+
+    cx, loci = m2_files
+    points = tmp_path / "points.json"
+    points.write_text('[[["1", "0"], ["1", "0"]]]')
+    env = dict(os.environ, JUMPLOCI_SPAIR_BUDGET="abc")
+    result = subprocess.run(
+        [sys.executable, "-m", "jumploci.cli", *(a.format(cx=cx, loci=loci, points=points) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 2
     assert result.stderr.startswith("input error:") and "JUMPLOCI_SPAIR_BUDGET" in result.stderr

@@ -100,6 +100,64 @@ def test_hermite_form_is_canonical():
     assert hermite_normal_form(base, 3) == hermite_normal_form(other, 3)
 
 
+def test_hermite_form_conventions():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        bound = rng.choice([1, 5, 1000])
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(rng.randint(0, n + 3))]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randint(0, len(rows)), [0] * n)
+        H = hermite_normal_form(rows, n)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in H]  # no zero rows
+        assert pivots == sorted(set(pivots)), (rows, H)
+        for i, (row, col) in enumerate(zip(H, pivots)):
+            assert row[col] > 0
+            assert all(0 <= H[j][col] < row[col] for j in range(i)), (rows, H)
+        assert hermite_normal_form(H, n) == H
+        assert len(H) == rational_rank(rows)
+        assert all(lattice_contains(H, row) for row in rows), (rows, H)
+
+
+def _assert_smith_form(A):
+    rows, cols = len(A), len(A[0])
+    U, D, V = smith_normal_form(A)
+    assert _matmul(_matmul(U, A), V) == D
+    assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+    assert all(D[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [D[i][i] for i in range(min(rows, cols))]
+    assert all(d >= 0 for d in diag)
+    nonzero = [d for d in diag if d]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    return tuple(diag)
+
+
+_LARGE = random.Random(15)
+
+
+@pytest.mark.parametrize(
+    "A, diag",
+    [
+        ([[-3]], (3,)),
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[4, 0], [0, 6]], (2, 12)),
+        ([[2, 4], [6, 8]], (2, 4)),
+        ([[6, 10, 15, 0]], (1,)),
+        ([[0, 0, 0], [0, 0, 0]], (0, 0)),
+        ([[4], [-6], [10], [0]], (2,)),
+        ([[_LARGE.randint(-1000, 1000) for _ in range(6)] for _ in range(6)], None),
+    ],
+    ids=["negative-1x1", "diag-2-3", "diag-4-6", "full-2x2", "row-1x4", "zero-2x3", "column-4x1", "dense-6x6"],
+)
+def test_smith_form_shapes(A, diag):
+    found = _assert_smith_form(A)
+    if diag is None:  # the invariant factors of a square matrix multiply to |det|
+        assert math.prod(found) == abs(_det(A))
+    else:
+        assert found == diag
+
+
 def test_component_codims_examples():
     ab = RingContext.abelian(1)
     point = LinearComponent(ab, ab.identity_point(), [[1, 0], [0, 1]])
