@@ -24,6 +24,10 @@ rank/codimension exactness certificate in a degree range: a suffix of
 negative degrees is exact iff ranks are additive and the Fitting ideal of
 each degree i in the range has codimension at least -i.
 
+A complex keeps what is derived from it (validation, ranks, ideals) in one
+memo, ``FreeComplex.cached``.  ``tensor_ring`` alone orders the variables of
+an external tensor and ``cover_basis`` alone lists the basis of a cover.
+
 Minor enumeration is capped at size 5, induction covers at MAX_COVER_SIZE
 basis monomials and module ranks at MAX_RANK; larger requests raise
 ResourceError.
@@ -33,13 +37,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import InputError, ResourceError
-from .groebner import LEX, LaurentIdeal, _normalize, laurent_to_poly
-from .laurent import LaurentPoly, RingContext, TorsionPoint, _substitution_pairs
+from .groebner import LaurentIdeal, laurent_to_poly, unit_normalize
+from .laurent import LaurentPoly, RingContext, TorsionPoint, substitution_pairs
 
 MAX_MINOR_SIZE = 5
 # Largest induction cover, as the number n_1*...*n_N of basis monomials: the
@@ -69,12 +73,10 @@ class Matrix:
                 f"matrix shape mismatch: declared {nrows}x{ncols}, "
                 f"got {len(rows)} rows"
             )
-        for r in rows:
-            for e in r:
-                if not isinstance(e, LaurentPoly):
-                    raise InputError("matrix entries must be Laurent polynomials")
-                if e.context != context:
-                    raise InputError("ring context mismatch")
+        flat = [e for r in rows for e in r]
+        if not all(isinstance(e, LaurentPoly) for e in flat):
+            raise InputError("matrix entries must be Laurent polynomials")
+        context.require(*flat)
         self.context = context
         self.nrows = nrows
         self.ncols = ncols
@@ -261,13 +263,6 @@ def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly]:
     return gens
 
 
-def unit_normalize(p: LaurentPoly) -> LaurentPoly:
-    """Canonical representative of p up to units: monomial factors stripped,
-    integer coprime coefficients, positive coefficient on the lex-leading
-    term.  Used to deduplicate ideal generators."""
-    return LaurentPoly(p.context, _normalize(laurent_to_poly(p), LEX))
-
-
 # -- the complex ----------------------------------------------------------------
 
 
@@ -293,18 +288,7 @@ class ValidationReport:
 class FreeComplex:
     """Bounded complex of free modules with explicit differential matrices."""
 
-    __slots__ = (
-        "context",
-        "k_min",
-        "k_max",
-        "ranks",
-        "diffs",
-        "_rank_cache",
-        "_point_rank_cache",
-        "_validated",
-        "_fitting_cache",
-        "_jumping_cache",
-    )
+    __slots__ = ("context", "k_min", "k_max", "ranks", "diffs", "_memo")
 
     def __init__(
         self,
@@ -330,8 +314,7 @@ class FreeComplex:
             if mat is None:
                 mat = Matrix.zero(context, *expected)
                 diffs[i] = mat
-            if mat.context != context:
-                raise InputError("ring context mismatch")
+            context.require(mat)
             if (mat.nrows, mat.ncols) != expected:
                 raise InputError(
                     f"differential at degree {i} has shape "
@@ -345,11 +328,16 @@ class FreeComplex:
         self.k_max = k_max
         self.ranks = ranks
         self.diffs = diffs
-        self._rank_cache = {}
-        self._point_rank_cache = {}
-        self._validated = None
-        self._fitting_cache = {}
-        self._jumping_cache = {}
+        self._memo = {}
+
+    def cached(self, key, compute):
+        """compute(), run once per complex and kept under ``key``.  Exact: a
+        FreeComplex is never modified after construction, so a kept value is
+        the value a fresh computation would return."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # -- structure --------------------------------------------------------------
 
@@ -369,20 +357,14 @@ class FreeComplex:
 
     def validate(self) -> ValidationReport:
         """Check that consecutive differentials compose to zero."""
-        if self._validated is not None:
-            return self._validated
-        failure = next(
-            (
-                (i, r, c, str(entry))
-                for i in range(self.k_min, self.k_max - 1)
-                for r, row in enumerate(self.differential(i + 1).compose(self.differential(i)).entries)
-                for c, entry in enumerate(row)
-                if not entry.is_zero()
-            ),
-            None,
+        failures = (
+            (i, r, c, str(entry))
+            for i in range(self.k_min, self.k_max - 1)
+            for r, row in enumerate(self.differential(i + 1).compose(self.differential(i)).entries)
+            for c, entry in enumerate(row)
+            if not entry.is_zero()
         )
-        self._validated = ValidationReport(failure)
-        return self._validated
+        return self.cached("validate", lambda: ValidationReport(next(failures, None)))
 
     def ensure_valid(self):
         report = self.validate()
@@ -390,9 +372,7 @@ class FreeComplex:
             raise InputError(f"invalid complex: {report.describe()}")
 
     def rank_of_differential(self, i: int) -> int:
-        if i not in self._rank_cache:
-            self._rank_cache[i] = generic_rank(self.differential(i))
-        return self._rank_cache[i]
+        return self.cached(("rank", i), lambda: generic_rank(self.differential(i)))
 
     def euler_characteristic(self) -> int:
         return sum((-1 if i % 2 else 1) * self.rank(i) for i in self.degrees())
@@ -405,12 +385,12 @@ class FreeComplex:
         reused by every consumer."""
         if not self.k_min <= i <= self.k_max:
             return LaurentIdeal(self.context, [self.context.one()])
-        if i in self._fitting_cache:
-            return self._fitting_cache[i]
-        gens = minor_generators(self.differential(i), self.rank_of_differential(i))
-        ideal = LaurentIdeal(self.context, gens)
-        self._fitting_cache[i] = ideal
-        return ideal
+        return self.cached(
+            ("fitting", i),
+            lambda: LaurentIdeal(
+                self.context, minor_generators(self.differential(i), self.rank_of_differential(i))
+            ),
+        )
 
     def jumping_ideal(self, i: int) -> LaurentIdeal:
         """Minors of size rank(i) of d^(i-1) (+) d^i, via the sum-of-products
@@ -421,25 +401,25 @@ class FreeComplex:
         self.ensure_valid()
         if not self.k_min <= i <= self.k_max:
             return LaurentIdeal(self.context, [self.context.one()])
-        if i in self._jumping_cache:
-            return self._jumping_cache[i]
-        r = self.rank(i)
-        incoming = self.differential(i - 1)
-        outgoing = self.differential(i)
-        gens: list[LaurentPoly] = []
-        seen = set()
-        for j in range(r + 1):
-            left = minor_generators(incoming, j)
-            right = minor_generators(outgoing, r - j)
-            for f in left:
-                for g in right:
-                    h = unit_normalize(f * g)
-                    if h not in seen:
-                        seen.add(h)
-                        gens.append(h)
-        ideal = LaurentIdeal(self.context, gens)
-        self._jumping_cache[i] = ideal
-        return ideal
+
+        def compute() -> LaurentIdeal:
+            r = self.rank(i)
+            incoming = self.differential(i - 1)
+            outgoing = self.differential(i)
+            gens: list[LaurentPoly] = []
+            seen = set()
+            for j in range(r + 1):
+                left = minor_generators(incoming, j)
+                right = minor_generators(outgoing, r - j)
+                for f in left:
+                    for g in right:
+                        h = unit_normalize(f * g)
+                        if h not in seen:
+                            seen.add(h)
+                            gens.append(h)
+            return LaurentIdeal(self.context, gens)
+
+        return self.cached(("jumping", i), compute)
 
     # -- constructors ---------------------------------------------------------------
 
@@ -468,8 +448,7 @@ class FreeComplex:
         )
 
     def direct_sum(self, other: "FreeComplex") -> "FreeComplex":
-        if self.context != other.context:
-            raise InputError("ring context mismatch")
+        self.context.require(other)
         k_min = min(self.k_min, other.k_min)
         k_max = max(self.k_max, other.k_max)
         ranks = [self.rank(i) + other.rank(i) for i in range(k_min, k_max + 1)]
@@ -484,7 +463,7 @@ class FreeComplex:
         """Substitute t_i -> lam_i * t_i in every differential; lam_i are
         nonzero rationals (a rational point of the character torus), so the
         loci translate by the inverse point."""
-        pairs = _substitution_pairs([(lam, 1) for lam in scalars], self.context.num_vars)
+        pairs = substitution_pairs([(lam, 1) for lam in scalars], self.context.num_vars)
         diffs = {
             i: m.map_entries(lambda e: e._substitute(pairs) if e.terms else e)
             for i, m in self.diffs.items()
@@ -495,23 +474,8 @@ class FreeComplex:
         """Total complex of the double complex, with the sign rule
         d(x (x) y) = dx (x) y + (-1)^deg(x) x (x) dy, over the combined ring.
 
-        The two variable sets are disjoint by construction: torus variables
-        of both factors come first, then abelian variables of both, and name
-        collisions are rejected."""
-        ctx_a, ctx_b = self.context, other.context
-        if set(ctx_a.var_names) & set(ctx_b.var_names):
-            raise InputError("external tensor factors must use disjoint variable names")
-        m = ctx_a.torus_rank + ctx_b.torus_rank
-        g = ctx_a.abelian_rank + ctx_b.abelian_rank
-        names = (
-            list(ctx_a.var_names[: ctx_a.torus_rank])
-            + list(ctx_b.var_names[: ctx_b.torus_rank])
-            + list(ctx_a.var_names[ctx_a.torus_rank :])
-            + list(ctx_b.var_names[ctx_b.torus_rank :])
-        )
-        ctx = RingContext(names, m, g)
-        map_a = _tensor_var_map(ctx_a, ctx_b, first_factor=True)
-        map_b = _tensor_var_map(ctx_a, ctx_b, first_factor=False)
+        The combined ring is tensor_ring(self.context, other.context)."""
+        ctx, map_a, map_b = tensor_ring(self.context, other.context)
 
         def embedded(mat: Matrix, var_map) -> list[list[LaurentPoly]]:
             return [[e.embed(ctx, var_map) for e in row] for row in mat.entries]
@@ -561,7 +525,7 @@ class FreeComplex:
         so loci become unions of torsion translates."""
         n = [int(x) for x in exponents]
         size = cover_size(n, self.context.num_vars)
-        basis = _box_basis(n)
+        basis = cover_basis(n)
         index = {e: k for k, e in enumerate(basis)}
         zero = self.context.zero()
 
@@ -649,17 +613,18 @@ class FreeComplex:
         )
 
 
-def _tensor_var_map(ctx_a: RingContext, ctx_b: RingContext, first_factor: bool):
+def tensor_ring(ctx_a: RingContext, ctx_b: RingContext) -> tuple[RingContext, list[int], list[int]]:
+    """(ring, map_a, map_b): the ring of an external tensor and, for each
+    factor, the index in it of each of the factor's variables.  Torus
+    variables of both factors come first, then abelian variables of both;
+    factors sharing a variable name are refused."""
+    if set(ctx_a.var_names) & set(ctx_b.var_names):
+        raise InputError("external tensor factors must use disjoint variable names")
     ma, mb = ctx_a.torus_rank, ctx_b.torus_rank
-    if first_factor:
-        torus = list(range(ma))
-        abelian = [ma + mb + k for k in range(2 * ctx_a.abelian_rank)]
-    else:
-        torus = [ma + k for k in range(mb)]
-        abelian = [
-            ma + mb + 2 * ctx_a.abelian_rank + k for k in range(2 * ctx_b.abelian_rank)
-        ]
-    return torus + abelian
+    names = ctx_a.var_names[:ma] + ctx_b.var_names[:mb] + ctx_a.var_names[ma:] + ctx_b.var_names[mb:]
+    ring = RingContext(names, ma + mb, ctx_a.abelian_rank + ctx_b.abelian_rank)
+    index = {name: k for k, name in enumerate(names)}
+    return ring, [index[v] for v in ctx_a.var_names], [index[v] for v in ctx_b.var_names]
 
 
 def cover_size(exponents: Sequence[int], num_vars: int) -> int:
@@ -707,8 +672,7 @@ def _identity(ctx: RingContext, n: int, scale: int = 1) -> list[list[LaurentPoly
     return [[diagonal if r == c else zero for c in range(n)] for r in range(n)]
 
 
-def _box_basis(n: Sequence[int]) -> list[tuple[int, ...]]:
-    basis = [()]
-    for ni in n:
-        basis = [e + (k,) for e in basis for k in range(ni)]
-    return sorted(basis)
+def cover_basis(exponents: Sequence[int]) -> list[tuple[int, ...]]:
+    """The exponents e with 0 <= e_i < n_i, in lex order: the monomial basis
+    of an induction cover, and the n-torsion translates of its loci."""
+    return list(product(*(range(n) for n in exponents)))

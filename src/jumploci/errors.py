@@ -3,8 +3,9 @@
 InputError covers malformed user input (files, mismatched rings, invalid
 lattices); ResourceError covers aborted computations that hit a configured
 budget (S-pair limit, minor-size cap, cyclotomic-order cap, induction-cover
-cap, degree, sample-count, exponent and module-rank caps).  The CLI maps them to exit codes 2 and 3 respectively, and any other
-exception, a bug, to exit code 4.
+cap, degree, sample-count, exponent, module-rank, loci-component and
+lattice-entry caps).  The CLI maps them to exit codes 2 and 3 respectively,
+and any other exception, a bug, to exit code 4.
 """
 
 

@@ -29,10 +29,10 @@ zero are flagged invalid and must be rejected by validation gates.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .complexes import FreeComplex, Matrix, _tensor_var_map, cover_size
+from .complexes import FreeComplex, Matrix, cover_basis, cover_size, tensor_ring
 from .errors import InputError, ResourceError
 from .lattices import LinearComponent, LinearUnion
 from .laurent import LaurentPoly, RingContext, TorsionPoint, embed_vector
@@ -70,9 +70,7 @@ def koszul(generators: Sequence[LaurentPoly]) -> FreeComplex:
     if not gens:
         raise InputError("Koszul complex needs at least one generator")
     ctx = gens[0].context
-    for g in gens:
-        if g.context != ctx:
-            raise InputError("ring context mismatch")
+    ctx.require(*gens)
     m = len(gens)
     zero = ctx.zero()
     bases = [list(combinations(range(m), p)) for p in range(m + 1)]
@@ -140,9 +138,7 @@ def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
     _check_vars(a.complex.context.num_vars + b.complex.context.num_vars)
     cx = a.complex.external_tensor(b.complex)
     ctx = cx.context
-    ctx_a, ctx_b = a.complex.context, b.complex.context
-    map_a = _tensor_var_map(ctx_a, ctx_b, first_factor=True)
-    map_b = _tensor_var_map(ctx_a, ctx_b, first_factor=False)
+    _, map_a, map_b = tensor_ring(a.complex.context, b.complex.context)
     loci: dict[int, LinearUnion] = {}
     for da, ua in a.profile.loci.items():
         for db, ub in b.profile.loci.items():
@@ -190,7 +186,7 @@ def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
                 raise InputError(
                     "induced fixtures support point components only"
                 )
-            for shifts in product(*(range(x) for x in n)):
+            for shifts in cover_basis(n):
                 zeta = TorsionPoint(
                     ctx,
                     [(Fraction(1), Fraction(k, x)) for k, x in zip(shifts, n)],

@@ -6,13 +6,14 @@ cleared of monomial factors (units).  When the variety of the resulting
 polynomial ideal misses every coordinate hyperplane, that ideal is already
 saturated; otherwise one auxiliary variable y and the relation
 1 - y*t1*...*tN are adjoined, a Groebner basis is computed in an
-elimination order for y, and the y-free part is kept.  Dimension and
-membership questions about the Laurent ideal then reduce to standard
-polynomial-ring computations on the saturation:
+elimination order for y, and the y-free part is kept.  Each LaurentIdeal
+computes the reduced grevlex basis of its saturation once, in
+``groebner_basis``, and answers every question from that one cache:
 
-  * radical membership f in sqrt(I): 1 in I_sat + (1 - z*f) with a fresh z;
-  * codimension: N minus the maximal number of variables independent modulo
-    the leading-term ideal of the saturated basis;
+  * radical membership f in sqrt(I): 1 in I_sat + (1 - z*f) with a fresh z,
+    started from the cached basis;
+  * codimension: the least number of variables meeting the support of every
+    lead monomial of the cached basis (a least hitting set);
   * variety containment V(I) <= V(J): every generator of J in sqrt(I).
 
 The engine is Buchberger's algorithm with the sugar selection strategy,
@@ -39,7 +40,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from itertools import combinations
 from operator import add, ge, sub
 
 from .errors import InputError, ResourceError
@@ -138,6 +138,13 @@ def _normalize(p: Poly, order: MonomialOrder) -> Poly:
     if p[max(p, key=order.key)] < 0:
         num = -num
     return {e: c.numerator // num * (den // c.denominator) for e, c in p.items()}
+
+
+def unit_normalize(p: LaurentPoly) -> LaurentPoly:
+    """Canonical representative of p up to units: monomial factors stripped,
+    integer coprime coefficients, positive coefficient on the lex-leading
+    term.  Used to deduplicate ideal generators."""
+    return LaurentPoly(p.context, _normalize(laurent_to_poly(p), LEX))
 
 
 def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Poly:
@@ -437,40 +444,30 @@ def _saturate(polys: list[Poly], n: int) -> list[Poly]:
 
 
 class LaurentIdeal:
-    """Finitely generated ideal of the Laurent ring with cached Groebner data
-    for its coordinate saturation.  Immutable; caches are write-once."""
+    """Finitely generated ideal of the Laurent ring with the Groebner basis of
+    its coordinate saturation cached.  Immutable; the cache is write-once."""
 
-    __slots__ = ("context", "generators", "_sat", "_basis")
+    __slots__ = ("context", "generators", "_basis")
 
     def __init__(self, context: RingContext, generators):
-        gens = []
-        for g in generators:
-            if not isinstance(g, LaurentPoly):
-                raise InputError("ideal generators must be Laurent polynomials")
-            if g.context != context:
-                raise InputError("ring context mismatch")
-            gens.append(g)
+        gens = tuple(generators)
+        if not all(isinstance(g, LaurentPoly) for g in gens):
+            raise InputError("ideal generators must be Laurent polynomials")
+        context.require(*gens)
         self.context = context
-        self.generators = tuple(gens)
-        self._sat = None
+        self.generators = gens
         self._basis = None
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "0"
         return f"LaurentIdeal({gens})"
 
-    def _saturated_generators(self) -> list[Poly]:
-        """Generators of the polynomial-ring saturation by t1*...*tN."""
-        if self._sat is None:
-            polys = [laurent_to_poly(g) for g in self.generators if not g.is_zero()]
-            self._sat = _saturate(polys, self.context.num_vars)
-        return self._sat
-
     def groebner_basis(self) -> tuple[LaurentPoly, ...]:
-        """Reduced grevlex Groebner basis of the saturated polynomial ideal;
-        (1,) for the unit ideal, () for the zero ideal."""
+        """Reduced grevlex Groebner basis of the polynomial-ring saturation
+        by t1*...*tN; (1,) for the unit ideal, () for the zero ideal."""
         if self._basis is None:
-            sat = self._saturated_generators()
+            polys = [laurent_to_poly(g) for g in self.generators if not g.is_zero()]
+            sat = _saturate(polys, self.context.num_vars)
             self._basis = buchberger(sat, GREVLEX) if sat else []
         return tuple(LaurentPoly(self.context, g) for g in self._basis)
 
@@ -481,44 +478,46 @@ class LaurentIdeal:
 
     def radical_contains(self, f: LaurentPoly) -> bool:
         """Whether f lies in the radical of the ideal, via the trick of
-        adjoining 1 - z*f and testing for the unit ideal."""
-        if f.context != self.context:
-            raise InputError("ring context mismatch")
-        if f.is_zero():
+        adjoining 1 - z*f to the cached basis and testing for the unit
+        ideal."""
+        self.context.require(f)
+        if f.is_zero() or self.is_unit_ideal():
             return True
-        sat = self._saturated_generators()
-        if not sat:
+        if not self._basis:
             return False  # radical of (0) in a domain is (0)
-        if self.is_unit_ideal():
-            return True
         n = self.context.num_vars
         # 1 - z*f with z the last variable; no term of z*f is constant
         rel = {exp + (1,): -c for exp, c in laurent_to_poly(f).items()}
         rel[(0,) * (n + 1)] = 1
-        basis = buchberger([_pad(p, 1) for p in sat] + [rel], GREVLEX)
+        basis = buchberger([_pad(p, 1) for p in self._basis] + [rel], GREVLEX)
         return _is_unit_basis(basis)
 
     def codimension(self):
         """N minus the Krull dimension of the saturated ideal; math.inf for
-        the unit ideal (empty locus), 0 for the zero ideal (empty basis)."""
+        the unit ideal (empty locus), 0 for the zero ideal (empty basis).
+        That is the codimension of the lead-term ideal, whose minimal primes
+        are generated by variables (Cox, Little and O'Shea, Ideals,
+        Varieties, and Algorithms, section 9.1): the least number of
+        variables meeting the support of every lead monomial."""
         if self.is_unit_ideal():
             return math.inf
-        n = self.context.num_vars
         leads = [max(g.terms, key=GREVLEX.key) for g in self.groebner_basis()]
-        for size in range(n, -1, -1):
-            for subset in combinations(range(n), size):
-                inside = set(subset)
-                if not any(
-                    all(e == 0 or i in inside for i, e in enumerate(lead))
-                    for lead in leads
-                ):
-                    return n - size
-        return n  # unreachable: the empty subset is always independent or unit
+        return _least_hitting_set([frozenset(i for i, e in enumerate(lead) if e) for lead in leads])
+
+
+def _least_hitting_set(supports: list[frozenset[int]]) -> int:
+    """The least number of indices meeting every set in ``supports`` (none
+    empty), by breadth-first search over the sets still missed, branching on
+    the indices of a smallest one: every hitting set holds one of them."""
+    level, size = {frozenset(supports)}, 0
+    while frozenset() not in level:
+        level = {frozenset(s for s in missed if i not in s) for missed in level for i in min(missed, key=len)}
+        size += 1
+    return size
 
 
 def variety_containment(inner: LaurentIdeal, outer: LaurentIdeal) -> bool:
     """Decide V(inner) <= V(outer): every generator of ``outer`` must lie in
     the radical of ``inner``."""
-    if inner.context != outer.context:
-        raise InputError("ring context mismatch")
+    inner.context.require(outer)
     return all(inner.radical_contains(g) for g in outer.generators)

@@ -206,10 +206,10 @@ class CodimStats(NamedTuple):
 
 class LinearComponent:
     """One translated subtorus: torsion translate plus saturated annihilator
-    lattice in Hermite normal form.  Rejects lattices whose abelian
-    projection has odd rank."""
+    lattice and its kernel, both in Hermite normal form.  Rejects lattices
+    whose abelian projection has odd rank."""
 
-    __slots__ = ("context", "translate", "lattice", "rank", "abelian_rank2")
+    __slots__ = ("context", "translate", "lattice", "kernel", "rank", "abelian_rank2")
 
     def __init__(
         self,
@@ -217,14 +217,14 @@ class LinearComponent:
         translate: TorsionPoint,
         lattice_rows: Sequence[Sequence[int]],
     ):
-        if translate.context != context:
-            raise InputError("ring context mismatch")
+        context.require(translate)
         n = context.num_vars
         rows = [list(map(int, r)) for r in lattice_rows]
         for r in rows:
             if len(r) != n:
                 raise InputError("lattice row length does not match variable count")
-        basis = saturate_lattice(rows, n)
+        kernel = kernel_basis(rows, n)
+        basis = kernel_basis(kernel, n)  # saturate_lattice(rows, n), keeping the kernel
         m = context.torus_rank
         ab_rank = _echelon([row[m:] for row in basis], n - m)
         if ab_rank % 2:
@@ -235,6 +235,7 @@ class LinearComponent:
         self.context = context
         self.translate = translate
         self.lattice = tuple(tuple(r) for r in basis)
+        self.kernel = tuple(tuple(r) for r in kernel)
         self.rank = len(basis)
         self.abelian_rank2 = ab_rank
 
@@ -256,15 +257,13 @@ class LinearComponent:
     def contains_point(self, point: TorsionPoint) -> bool:
         """Whether every character of the lattice takes the same value at
         the point as at the translate."""
-        if point.context != self.context:
-            raise InputError("ring context mismatch")
+        self.context.require(point)
         return all(point.character(k) == self.translate.character(k) for k in self.lattice)
 
     def contains(self, other: "LinearComponent") -> bool:
         """other <= self: the annihilator of self must sit inside that of
         other, and other's translate must lie on self."""
-        if self.context != other.context:
-            raise InputError("ring context mismatch")
+        self.context.require(other)
         inside = all(lattice_contains(other.lattice, k) for k in self.lattice)
         return inside and self.contains_point(other.translate)
 
@@ -291,9 +290,7 @@ class LinearUnion:
 
     def __init__(self, context: RingContext, components: Iterable[LinearComponent]):
         comps = list(components)
-        for c in comps:
-            if c.context != context:
-                raise InputError("ring context mismatch")
+        context.require(*comps)
         kept: list[LinearComponent] = []
         for c in sorted(comps, key=LinearComponent.sort_key):
             if any(other.contains(c) for other in kept):
@@ -348,8 +345,7 @@ class LinearUnion:
         return CodimStats(codim_a, codim_sa, dim_a, dim_sa)
 
     def union_with(self, other: "LinearUnion") -> "LinearUnion":
-        if self.context != other.context:
-            raise InputError("ring context mismatch")
+        self.context.require(other)
         return LinearUnion(self.context, list(self.components) + list(other.components))
 
     def __repr__(self) -> str:
@@ -360,13 +356,11 @@ def subtorus_point(
     component: LinearComponent, weights: Sequence[Fraction]
 ) -> TorsionPoint:
     """A rational point of the component: translate times the subtorus point
-    with coordinates prod_j w_j^(v_j) along a kernel basis {v} of the
+    with coordinates prod_j w_j^(v_j) along the kernel basis {v} of the
     annihilator.  Used to sample points that genuinely lie on the locus."""
     ctx = component.context
-    n = ctx.num_vars
-    ker = kernel_basis([list(r) for r in component.lattice], n)
-    coords = [Fraction(1)] * n
-    for w, vec in zip(weights, ker):
+    coords = [Fraction(1)] * ctx.num_vars
+    for w, vec in zip(weights, component.kernel):
         w = Fraction(w)
         if w == 0:
             raise InputError("subtorus weights must be nonzero")

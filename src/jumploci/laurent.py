@@ -128,8 +128,15 @@ class RingContext:
     def parse(self, text: str) -> "LaurentPoly":
         return parse_poly(self, text)
 
+    def require(self, *values) -> None:
+        """Raise InputError unless every value (a polynomial, point, matrix,
+        complex, ideal, component, union or profile) belongs to this ring."""
+        for v in values:
+            if v.context is not self and v.context != self:
+                raise InputError("ring context mismatch")
 
-def _substitution_pairs(mapping: Sequence[tuple], num_vars: int) -> list[tuple[Fraction, int]]:
+
+def substitution_pairs(mapping: Sequence[tuple], num_vars: int) -> list[tuple[Fraction, int]]:
     """The (lam_i, n_i) pairs of a substitution t_i -> lam_i * t_i^(n_i) as
     (Fraction, int), after checking there is one per variable and none is
     zero; raises InputError otherwise."""
@@ -152,11 +159,6 @@ def embed_vector(values: Sequence, var_map: Sequence[int], width: int, fill=0) -
     for i, v in enumerate(values):
         out[var_map[i]] = v
     return out
-
-
-def _check_same_context(a: "LaurentPoly | TorsionPoint", b: "LaurentPoly | TorsionPoint"):
-    if a.context != b.context:
-        raise InputError("ring context mismatch")
 
 
 class LaurentPoly:
@@ -239,7 +241,7 @@ class LaurentPoly:
 
     def _coerce(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            _check_same_context(self, other)
+            self.context.require(other)
             return other
         if isinstance(other, (int, Fraction)):
             return self.context.const(other)
@@ -271,7 +273,7 @@ class LaurentPoly:
         radial parts are nonzero.  Each term c*t^k adds c * prod q_i^k_i to
         the coefficient of zeta_L^(sum k_i*a_i mod L), read off the point's
         character table (see TorsionPoint._character_table)."""
-        _check_same_context(self, point)
+        self.context.require(point)
         L, steps, radials = point._character_table()
         powers = [0] * L
         for exp, c in self.terms.items():
@@ -290,10 +292,10 @@ class LaurentPoly:
         be a nonzero rational and every n_i a nonzero integer, so units map to
         units.
         """
-        return self._substitute(_substitution_pairs(mapping, self.context.num_vars))
+        return self._substitute(substitution_pairs(mapping, self.context.num_vars))
 
     def _substitute(self, pairs: Sequence[tuple[Fraction, int]]) -> "LaurentPoly":
-        """substitute() with pairs already checked by _substitution_pairs, so
+        """substitute() with pairs already checked by substitution_pairs, so
         a caller mapping many polynomials validates the mapping once."""
         out: dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():
@@ -370,7 +372,7 @@ class TorsionPoint:
         return lcm(*(theta.denominator for _, theta in self.coords), 1)
 
     def __mul__(self, other: "TorsionPoint") -> "TorsionPoint":
-        _check_same_context(self, other)
+        self.context.require(other)
         return TorsionPoint(
             self.context,
             [
@@ -427,75 +429,72 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str) -> list[tuple[str, str | None]]:
+    """(kind, text) pairs, kind one of num, name and op, closed by the end
+    sentinel ("end", None); a character outside the grammar raises."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        if m.group("bad"):
-            raise InputError(f"unexpected character {m.group('bad')!r} in polynomial")
-        tokens.append(m.group("num") or m.group("name") or m.group("op"))
+        kind = m.lastgroup
+        if kind == "bad":
+            raise InputError(f"unexpected character {m.group(kind)!r} in polynomial")
+        tokens.append((kind, m.group(kind)))
+    tokens.append(("end", None))
     return tokens
 
 
 def parse_poly(context: RingContext, text: str) -> LaurentPoly:
     """Parse the polynomial grammar; inverse of format_poly on canonical forms."""
     tokens = _tokenize(text)
-    if not tokens:
+    if len(tokens) == 1:
         raise InputError("empty polynomial text")
     var_index = {name: i for i, name in enumerate(context.var_names)}
     pos = 0
     terms: dict[Exponent, Fraction] = {}
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    while pos < len(tokens):
-        sign = Fraction(1)
-        while peek() in ("+", "-"):
-            if tokens[pos] == "-":
-                sign = -sign
+    while tokens[pos][0] != "end":
+        coeff = Fraction(1)
+        while tokens[pos][1] in ("+", "-"):
+            if tokens[pos][1] == "-":
+                coeff = -coeff
             pos += 1
-        if peek() is None:
+        if tokens[pos][0] == "end":
             raise InputError("dangling sign in polynomial")
-        coeff = sign
         exp = [0] * context.num_vars
         while True:
-            tok = peek()
-            if tok is None:
-                raise InputError("expected a factor after '*'")
-            if re.fullmatch(r"\d+(/\d+)?", tok):
+            kind, tok = tokens[pos]
+            pos += 1
+            if kind == "num":
                 try:
                     coeff *= Fraction(tok)
                 except ZeroDivisionError as exc:
                     raise InputError(f"zero denominator in coefficient {tok!r}") from exc
                 except ValueError as exc:  # over Python's int-string digit limit
                     raise InputError(f"coefficient of {len(tok)} characters is too long") from exc
-                pos += 1
-            elif tok in var_index:
-                vi = var_index[tok]
-                pos += 1
+            elif kind == "name":
+                if tok not in var_index:
+                    raise InputError(f"unknown variable {tok!r}")
                 power = 1
-                if peek() == "^":
-                    pos += 1
+                if tokens[pos][1] == "^":
                     psign = 1
-                    if peek() == "-":
+                    if tokens[pos + 1][1] == "-":
                         psign = -1
                         pos += 1
-                    if peek() is None or not re.fullmatch(r"\d+", tokens[pos]):
+                    kind, digits = tokens[pos + 1]
+                    if kind != "num" or "/" in digits:
                         raise InputError("expected integer exponent after '^'")
+                    pos += 2
                     try:
-                        power = psign * int(tokens[pos])
+                        power = psign * int(digits)
                     except ValueError as exc:  # more digits than int() reads
                         raise ResourceError(
-                            f"exponent of {len(tokens[pos])} digits exceeds the cap of {MAX_EXPONENT}"
+                            f"exponent of {len(digits)} digits exceeds the cap of {MAX_EXPONENT}"
                         ) from exc
-                    pos += 1
-                exp[vi] += power
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-                raise InputError(f"unknown variable {tok!r}")
+                exp[var_index[tok]] += power
+            elif kind == "end":
+                raise InputError("expected a factor after '*'")
             else:
                 raise InputError(f"unexpected token {tok!r} in term")
-            tok = peek()
-            if tok in (None, "+", "-"):
+            kind, tok = tokens[pos]
+            if kind == "end" or tok in ("+", "-"):
                 break
             if tok != "*":
                 raise InputError(f"unexpected token {tok!r} after a factor; factors are joined by '*'")

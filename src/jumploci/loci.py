@@ -35,17 +35,13 @@ from .laurent import TorsionPoint
 
 
 def _rank_at_point(complex_: FreeComplex, i: int, point: TorsionPoint) -> int:
-    """rank d^i(rho), specialized and ranked once per (i, rho) and kept in
-    the complex's point-rank cache, beside its generic-rank cache.  Exact:
-    a FreeComplex is never modified after construction, the specialization
-    is a function of the matrix entries and the point alone, and
-    TorsionPoint equality is equality of canonical coordinates, so a cached
-    rank is the rank a fresh computation would return."""
-    key = (i, point)
-    cache = complex_._point_rank_cache
-    if key not in cache:
-        cache[key] = field_rank(complex_.differential(i).evaluate(point))
-    return cache[key]
+    """rank d^i(rho), specialized and ranked once per (i, rho) in the
+    complex's memo.  Exact: the specialization is a function of the matrix
+    entries and the point alone, and TorsionPoint equality is equality of
+    canonical coordinates."""
+    return complex_.cached(
+        ("point-rank", i, point), lambda: field_rank(complex_.differential(i).evaluate(point))
+    )
 
 
 def membership_at_point(
@@ -55,8 +51,7 @@ def membership_at_point(
     Adjacent degrees share a differential, whose rank at rho is computed
     once."""
     complex_.ensure_valid()
-    if point.context != complex_.context:
-        raise InputError("ring context mismatch")
+    complex_.context.require(point)
     r = complex_.rank(degree)
     if r == 0:
         return False, 0

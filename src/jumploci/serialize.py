@@ -51,6 +51,14 @@ LOCI_FORMAT = "jumploci-loci"
 # conditions, jump-ideals and sample hold a row per degree up to the
 # farthest one, so their cost grows with the degree.
 MAX_DEGREE = 1000
+# Largest number of components in one loci file, checked before any is
+# built: unions are normalized pairwise, and `codims` on point components
+# took 1.6 s at 256, 5.8 s at 512 and 425 s at 4000.  Fixtures write 192.
+MAX_LOCI_COMPONENTS = 256
+# Largest |entry| of a component's Hermite lattice and kernel basis, the
+# exponents of its characters and sampled points: `perversity` with
+# polynomial exponents at MAX_EXPONENT took 2.8 s at 100 and 70 s at 1000.
+MAX_LATTICE_ENTRY = 100
 
 
 def check_degree(degree: int) -> int:
@@ -269,6 +277,9 @@ def load_loci(text: str, strict: bool = True):
         raise InputError(f"malformed ring block: {ring!r}") from exc
     if not isinstance(doc["loci"], dict):
         raise InputError("the 'loci' block must map degrees to component lists")
+    count = sum(len(comps) for comps in doc["loci"].values() if isinstance(comps, list))
+    if count > MAX_LOCI_COMPONENTS:
+        raise ResourceError(f"{count} loci components exceed the cap of {MAX_LOCI_COMPONENTS}")
     loci = {}
     rejected = []
     for key, comp_list in doc["loci"].items():
@@ -286,7 +297,11 @@ def load_loci(text: str, strict: bool = True):
                     raise InputError("a component needs a 'translate' block")
                 translate = _parse_point(ctx, comp["translate"])
                 lattice = _parse_lattice(comp.get("lattice", []))
-                comps.append(LinearComponent(ctx, translate, lattice))
+                comp = LinearComponent(ctx, translate, lattice)
+                big = max((abs(x) for row in comp.lattice + comp.kernel for x in row), default=0)
+                if big > MAX_LATTICE_ENTRY:
+                    raise ResourceError(f"lattice entry {big} exceeds the cap of {MAX_LATTICE_ENTRY}")
+                comps.append(comp)
             except InputError as exc:
                 if strict:
                     raise InputError(

@@ -54,15 +54,10 @@ class LociProfile:
         source: FreeComplex | None = None,
         euler: int | None = None,
     ):
-        clean = {}
-        for deg, union in loci.items():
-            if union.context != context:
-                raise InputError("ring context mismatch")
-            if not union.is_empty():
-                clean[int(deg)] = union
+        context.require(*loci.values())
+        clean = {int(deg): union for deg, union in loci.items() if not union.is_empty()}
         if source is not None:
-            if source.context != context:
-                raise InputError("ring context mismatch")
+            context.require(source)
             if euler is None:
                 euler = source.euler_characteristic()
         self.context = context
@@ -90,8 +85,7 @@ class LociProfile:
         return LociProfile(self.context, self.loci, source=source, euler=self.euler)
 
     def union_with(self, other: "LociProfile") -> "LociProfile":
-        if other.context != self.context:
-            raise InputError("ring context mismatch")
+        self.context.require(other)
         degs = set(self.loci) | set(other.loci)
         merged = {d: self.locus(d).union_with(other.locus(d)) for d in degs}
         euler = (

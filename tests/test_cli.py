@@ -9,7 +9,7 @@ from jumploci.complexes import MAX_RANK
 from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
 from jumploci.laurent import MAX_EXPONENT
 from jumploci.sampling import MAX_SAMPLES
-from jumploci.serialize import MAX_DEGREE
+from jumploci.serialize import MAX_DEGREE, MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
 
 
 def run_cli(*args, **kwargs):
@@ -233,6 +233,90 @@ def test_far_degrees_and_sample_counts_end_promptly(m2_files, tmp_path, argv, te
         assert result.stderr.startswith("resource cap:") and "cap of" in result.stderr
     if code == 2:
         assert result.stderr.startswith("input error:") and "sample count" in result.stderr
+
+
+def _point_components(k: int) -> str:
+    """A one-variable loci file with k point components in degree 0, the
+    radial translates 1..k."""
+    comps = [{"translate": [[str(q), "0"]], "lattice": [[1]]} for q in range(1, k + 1)]
+    return json.dumps({"ring": {"vars": ["t1"], "torus": 1, "abelian": 0}, "loci": {"0": comps}})
+
+
+def _lattice_row(entry: int) -> str:
+    """Two components of a two-variable loci file on the lattice row
+    [entry, 1], with radial translates 3 and 5."""
+    comps = [{"translate": [[str(q), "0"], ["1", "0"]], "lattice": [[entry, 1]]} for q in (3, 5)]
+    return json.dumps({"ring": {"vars": ["t1", "t2"], "torus": 2, "abelian": 0}, "loci": {"0": comps}})
+
+
+def _kernel_row(k: int) -> str:
+    """The m3 loci file plus a degree-0 component on the lattice rows
+    [k, 1, 0] and [0, k, 1], whose kernel row is (1, -k, k^2)."""
+    doc = json.loads(serialize.dump_loci(mellin_constant_torus(3).profile))
+    doc["loci"]["0"].append({"translate": [["1", "0"]] * 3, "lattice": [[k, 1, 0], [0, k, 1]]})
+    return json.dumps(doc)
+
+
+M3_COMPLEX = serialize.dump_complex(mellin_constant_torus(3).complex)
+KERNEL_AT_CAP = int(MAX_LATTICE_ENTRY**0.5)
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        # before the caps, codims on 4000 point components took 425 s, on the
+        # row [10^8, 1] it ran past 60 s, and perversity with k = 100 exited
+        # 4 on a witness point of more than 4300 digits
+        pytest.param(["codims", "{input}"], _point_components(MAX_LOCI_COMPONENTS + 1), 3,
+                     id="components-above-cap"),
+        pytest.param(["codims", "{input}"], _point_components(4000), 3, id="components-4000"),
+        pytest.param(["codims", "{input}"], _lattice_row(MAX_LATTICE_ENTRY + 1), 3, id="lattice-entry-above-cap"),
+        pytest.param(["codims", "{input}"], _lattice_row(10**8), 3, id="lattice-entry-10^8"),
+        pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(KERNEL_AT_CAP + 1), 3,
+                     id="kernel-entry-above-cap"),
+        pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(100), 3, id="kernel-entry-10^4"),
+        # at the caps: accepted and short
+        pytest.param(["codims", "{input}"], _point_components(MAX_LOCI_COMPONENTS), 0, id="components-at-cap"),
+        pytest.param(["codims", "{input}"], _lattice_row(MAX_LATTICE_ENTRY), 0, id="lattice-entry-at-cap"),
+        # the component is not in the computed locus: a witness, exit 2
+        pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(KERNEL_AT_CAP), 2,
+                     id="kernel-entry-at-cap"),
+    ],
+)
+def test_large_loci_files_end_promptly(tmp_path, argv, text, code):
+    path, m3 = tmp_path / "input.loci", tmp_path / "m3.complex"
+    path.write_text(text)
+    m3.write_text(M3_COMPLEX)
+    result = run_cli(*(a.format(input=path, m3=m3) for a in argv), timeout=60)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if code == 3:
+        assert result.stderr.startswith("resource cap:") and "cap of" in result.stderr
+    if code == 2:
+        assert "witness point" in result.stderr
+
+
+def test_fixture_loci_files_fit_the_component_cap(tmp_path):
+    loci = tmp_path / "c.loci"
+    made = run_cli("fixtures", "induce", "--m", "2", "--n", "8,8", "--loci-out", str(loci), timeout=60)
+    assert made.returncode == 0, made.stderr
+    assert sum(len(c) for c in json.loads(loci.read_text())["loci"].values()) == 192
+    assert run_cli("codims", str(loci), timeout=60).returncode == 0
+
+
+def test_codimension_of_forty_coordinates_ends_promptly(tmp_path):
+    # the one-map complex with d^-1 the column (t_i - 1): a search over
+    # variable subsets visits 2^40 of them, and took 22 s at 22 variables
+    n = 40
+    path = tmp_path / "col.complex"
+    path.write_text(
+        f"ring vars={','.join(f't{i}' for i in range(1, n + 1))} torus={n} abelian=0\n"
+        f"degrees -1..0\nranks 1,{n}\ndifferential -1\n"
+        + "".join(f"t{i} - 1\n" for i in range(1, n + 1))
+    )
+    result = run_cli("jump-ideals", str(path), "--degrees=-1..-1", "--json", timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["degrees"][0]["codimension"] == str(n)
 
 
 def _two_translates(d):

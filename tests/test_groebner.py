@@ -2,6 +2,7 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from operator import add, ge, sub
 
 import pytest
@@ -17,6 +18,7 @@ from jumploci.groebner import (
     _is_constant,
     _is_unit_basis,
     _lead,
+    _least_hitting_set,
     _misses_coordinate_hyperplanes,
     _normalize,
     _reduce,
@@ -119,6 +121,39 @@ def test_codimension_monotone(ctx2):
         small = LaurentIdeal(ctx2, gens)
         large = LaurentIdeal(ctx2, gens + [rng.choice(pool)])
         assert small.codimension() <= large.codimension()
+
+
+def _subset_search_codimension(leads, n):
+    """Reference rule: N minus the size of the largest set of variables
+    that holds the support of no lead monomial, over all subsets."""
+    for size in range(n, -1, -1):
+        for subset in combinations(range(n), size):
+            if not any(all(e == 0 or i in subset for i, e in enumerate(lead)) for lead in leads):
+                return n - size
+
+
+def test_least_hitting_set_matches_subset_search():
+    rng = random.Random(17)
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        leads = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+        leads = [lead for lead in leads if any(lead)]  # a constant lead is the unit ideal
+        supports = [frozenset(i for i, e in enumerate(lead) if e) for lead in leads]
+        assert _least_hitting_set(supports) == _subset_search_codimension(leads, n)
+
+
+def test_least_hitting_set_on_long_and_wide_inputs():
+    # 2000 forced indices in a row, and 2^40 branch choices that lead to
+    # one set of missed supports per level
+    assert _least_hitting_set([frozenset([i]) for i in range(2000)]) == 2000
+    assert _least_hitting_set([frozenset([2 * i, 2 * i + 1]) for i in range(40)]) == 40
+
+
+def test_codimension_of_many_independent_coordinates():
+    ctx = RingContext.torus(40)
+    ideal = LaurentIdeal(ctx, [ctx.variable(i) - 1 for i in range(40)])
+    assert ideal.codimension() == 40
+    assert LaurentIdeal(ctx, [ctx.variable(i) - 1 for i in range(0, 40, 2)]).codimension() == 20
 
 
 def test_variety_containment_examples(ctx2):

@@ -6,8 +6,12 @@ fixture constructors, ``dataclasses`` (which imports ``inspect``) or
 library certification job makes (``perfbench/libjob.py``) may load them.
 Each case starts a fresh interpreter, since the test process has long
 loaded all of them.
+
+Module ownership is pinned too: no module imports another module's private
+name.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +38,15 @@ def test_job_imports_leave_out_unused_modules(modules):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name belongs to its module: a rule another module needs is
+    # made public where it lives, so each rule keeps one owner
+    offenders = []
+    for path in sorted((ROOT / "src" / "jumploci").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                offenders += [f"{path.stem} <- {node.module}.{name}" for name in private]
+    assert offenders == []
