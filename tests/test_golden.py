@@ -8,8 +8,12 @@ shifted one step left (exactness and perversity exit 1) and m = 3 summed with
 its twist (jump-ideals exits 3 on the minor-size cap), and the constant object on the
 4-torus (m = 4), whose degree -3 and -2 jumping ideals and exactness
 certificate need the Groebner engine at N = 4 (degree -2 prints the
-largest saturated basis of the stock, 84 generators).  Each is written by the
-``fixtures`` subcommand, which is itself one of the frozen cases.
+largest saturated basis of the stock, 84 generators).  Two more freeze the
+determinantal kernel at its largest sizes: the degree -4 jumping ideal of
+the constant object on the 5-torus (m = 5; products of 4-minors and
+1-minors) and every jumping ideal of the 2x2 external tensor.  Each input
+is written by the ``fixtures`` subcommand, which is itself one of the
+frozen cases.
 
 After a deliberate report change, regenerate the files with
 
@@ -42,6 +46,8 @@ INPUTS = {
     "m2-shift-right": ["shift", "--m", "2", "--s", "1"],
     "m3-sum-twist": ["sum", "--m", "3"],
     "m4": ["mellin", "--m", "4"],
+    "m5": ["mellin", "--m", "5"],
+    "tensor22": ["tensor", "--m", "2", "--m2", "2"],
 }
 
 POINTS = [
@@ -81,6 +87,8 @@ def _cases() -> dict[str, tuple[list[str], int]]:
     base["m4-jump-ideals-degree-3"] = (["jump-ideals", "m4.complex", "--degrees=-3..-3"], 0)
     base["m4-jump-ideals-degree-2"] = (["jump-ideals", "m4.complex", "--degrees=-2..-2"], 0)
     base["m4-exactness"] = (["exactness", "m4.complex"], 0)
+    base["m5-jump-ideals-degree-4"] = (["jump-ideals", "m5.complex", "--degrees=-4..-4"], 0)
+    base["tensor22-jump-ideals"] = (["jump-ideals", "tensor22.complex"], 0)
     cases = {}
     for case, (argv, code) in base.items():
         cases[f"{case}.txt"] = (argv, code)
