@@ -17,12 +17,17 @@ The module computes the two ideal families attached to a complex:
     conventions I_0 = (1) and I_k = (0) once k exceeds a matrix dimension;
 
 plus generic ranks over the fraction field (fraction-free Bareiss
-elimination with exact Laurent pivots), the dual complex, the standard
+elimination over Z[t]), the dual complex, the standard
 constructors (shift, direct sum, external tensor with the Koszul sign rule,
 twist by a rational character, induction along a finite cover), and the
 rank/codimension exactness certificate in a degree range: a suffix of
 negative degrees is exact iff ranks are additive and the Fitting ideal of
 each degree i in the range has codimension at least -i.
+
+Minors, generic ranks and exact division run on the integer polynomial
+dicts of ``groebner``: each row of a differential is scaled once by a unit
+of the Laurent ring (``laurent_to_polys``), so it lies in Z[t], and minors
+return to ``LaurentPoly`` in canonical form (``primitive_part``).
 
 A complex keeps what is derived from it (validation, ranks, ideals) in one
 memo, ``FreeComplex.cached``.  ``tensor_ring`` alone orders the variables of
@@ -36,13 +41,13 @@ ResourceError.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, combinations, product
+from operator import ge, sub
 from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import InputError, ResourceError
-from .groebner import LaurentIdeal, laurent_to_poly, unit_normalize
+from .groebner import LaurentIdeal, Poly, add_multiple, laurent_to_polys, primitive_part
 from .laurent import LaurentPoly, RingContext, TorsionPoint, substitution_pairs
 
 MAX_MINOR_SIZE = 5
@@ -141,103 +146,74 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def exact_divide(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """Exact quotient p/d in the Laurent ring.
-
-    Both arguments are normalized by monomial units to honest polynomials,
-    the polynomial quotient is computed by leading-term cancellation, and the
-    unit is reattached.  Raises if the division is not exact."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return p
-    ctx = p.context
-    n = ctx.num_vars
-    p_min = [min(e[i] for e in p.terms) for i in range(n)]
-    d_min = [min(e[i] for e in d.terms) for i in range(n)]
-    num = dict(laurent_to_poly(p))
-    den = laurent_to_poly(d)
-    den_lead = max(den)
-    den_lc = den[den_lead]
-    quot: dict = {}
+def exact_divide(p: Poly, d: Poly) -> Poly:
+    """Exact quotient p/d in Z[t] by cancelling lex-leading terms with
+    integer ``divmod``; ArithmeticError when d does not divide p."""
+    num, lead, quot = dict(p), max(d), {}
     while num:
-        lead = max(num)
-        if not all(a >= b for a, b in zip(lead, den_lead)):
+        exp = max(num)
+        q, r = divmod(num[exp], d[lead])
+        if r or not all(map(ge, exp, lead)):
             raise ArithmeticError("inexact polynomial division")
-        shift = tuple(a - b for a, b in zip(lead, den_lead))
-        coeff = num[lead] / den_lc
-        quot[shift] = coeff
-        for exp, c in den.items():
-            key = tuple(a + b for a, b in zip(exp, shift))
-            s = num.get(key, Fraction(0)) - coeff * c
-            if s:
-                num[key] = s
-            else:
-                num.pop(key, None)
-    unit = tuple(a - b for a, b in zip(p_min, d_min))
-    return LaurentPoly(ctx, {tuple(a + b for a, b in zip(exp, unit)): c for exp, c in quot.items()})
+        shift = tuple(map(sub, exp, lead))
+        quot[shift] = q
+        add_multiple(num, -q, shift, d)
+    return quot
+
+
+def _add_product(target: Poly, sign: int, f: Poly, g: Poly) -> None:
+    """target += sign * f * g, in place."""
+    for exp, c in f.items():
+        add_multiple(target, sign * c, exp, g)
 
 
 def generic_rank(matrix: Matrix) -> int:
-    """Rank over the fraction field via fraction-free Bareiss elimination
-    with exact Laurent pivots and divisions."""
-    m = [list(row) for row in matrix.entries]
+    """Rank over the fraction field by fraction-free Bareiss elimination on
+    the integer rows (``laurent_to_polys``), pivoting on the sparsest entry
+    of the trailing block, the first in row-major order.  Every entry it
+    computes is a minor (Bareiss, Math. Comp. 22, 1968), so over Z[t] each
+    division by the previous pivot is exact."""
+    m = [laurent_to_polys(row) for row in matrix.entries]
     nrows, ncols = matrix.nrows, matrix.ncols
-    if nrows == 0 or ncols == 0:
-        return 0
-    one = matrix.context.one()
-    prev = one
-    rank = 0
+    prev = {(0,) * matrix.context.num_vars: 1}
     for k in range(min(nrows, ncols)):
-        # Sparsest nonzero pivot in the trailing block, deterministically.
-        pivot = None
-        for r in range(k, nrows):
-            for c in range(k, ncols):
-                if not m[r][c].is_zero():
-                    if pivot is None or len(m[r][c].terms) < len(m[pivot[0]][pivot[1]].terms):
-                        pivot = (r, c)
-        if pivot is None:
-            break
-        pr, pc = pivot
-        if pr != k:
-            m[k], m[pr] = m[pr], m[k]
-        if pc != k:
-            for row in m:
-                row[k], row[pc] = row[pc], row[k]
+        pivots = [(len(m[r][c]), r, c) for r in range(k, nrows) for c in range(k, ncols) if m[r][c]]
+        if not pivots:
+            return k
+        _, pr, pc = min(pivots)
+        m[k], m[pr] = m[pr], m[k]
+        for row in m:
+            row[k], row[pc] = row[pc], row[k]
         for i in range(k + 1, nrows):
             for j in range(k + 1, ncols):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(num, prev) if not num.is_zero() else num
-            m[i][k] = matrix.context.zero()
+                num: Poly = {}
+                _add_product(num, 1, m[i][j], m[k][k])
+                _add_product(num, -1, m[i][k], m[k][j])
+                m[i][j] = exact_divide(num, prev)
         prev = m[k][k]
-        rank += 1
-    return rank
+    return min(nrows, ncols)
 
 
-def _det(entries, rows: tuple, cols: tuple, memo: dict) -> LaurentPoly:
-    """Determinant of the square submatrix entries[rows][cols] by Laplace
-    expansion along the first row, memoized on (rows, cols)."""
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    if len(rows) == 1:
-        memo[key] = entries[rows[0]][cols[0]]
-        return memo[key]
-    r0 = rows[0]
-    acc = entries[r0][cols[0]].context.zero()
-    for pos, c in enumerate(cols):
-        e = entries[r0][c]
-        if e.is_zero():
-            continue
-        term = e * _det(entries, rows[1:], cols[:pos] + cols[pos + 1 :], memo)
-        acc = acc - term if pos % 2 else acc + term
-    memo[key] = acc
-    return acc
+def _det(rows: list[list[Poly]], r: tuple, c: tuple, memo: dict) -> Poly:
+    """Determinant of the square submatrix rows[r][c] of integer polynomials
+    by Laplace expansion along its first row, memoized on (r, c)."""
+    if len(r) == 1:
+        return rows[r[0]][c[0]]
+    if (r, c) not in memo:
+        acc = memo[r, c] = {}
+        for pos, col in enumerate(c):
+            if rows[r[0]][col]:
+                minor = _det(rows, r[1:], c[:pos] + c[pos + 1 :], memo)
+                _add_product(acc, -1 if pos % 2 else 1, rows[r[0]][col], minor)
+    return memo[r, c]
 
 
 def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly]:
     """Generators of the k-th determinantal ideal: [1] is the unit ideal
-    (k = 0, the empty minor) and [] the zero ideal (k exceeds a dimension)."""
+    (k = 0, the empty minor) and [] the zero ideal (k exceeds a dimension).
+    The k-minors of the integer rows, which are the minors times units, are
+    each put in canonical form once (``primitive_part``) and kept at their
+    first occurrence, in the order of the row and then the column subsets."""
     if k < 0:
         raise InputError("minor size must be nonnegative")
     if k == 0:
@@ -248,19 +224,11 @@ def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly]:
         raise ResourceError(
             f"minor size {k} exceeds the cap of {MAX_MINOR_SIZE}"
         )
-    memo: dict = {}
-    gens = []
-    seen = set()
-    for rows in combinations(range(matrix.nrows), k):
-        for cols in combinations(range(matrix.ncols), k):
-            d = _det(matrix.entries, rows, cols, memo)
-            if d.is_zero():
-                continue
-            d = unit_normalize(d)
-            if d not in seen:
-                seen.add(d)
-                gens.append(d)
-    return gens
+    rows, memo = [laurent_to_polys(row) for row in matrix.entries], {}
+    minors = (_det(rows, r, c, memo) for r in combinations(range(matrix.nrows), k)
+              for c in combinations(range(matrix.ncols), k))
+    canonical = {frozenset(p.items()): p for p in map(primitive_part, filter(None, minors))}
+    return [LaurentPoly(matrix.context, p) for p in canonical.values()]
 
 
 # -- the complex ----------------------------------------------------------------
@@ -396,8 +364,14 @@ class FreeComplex:
         """Minors of size rank(i) of d^(i-1) (+) d^i, via the sum-of-products
         expansion over block-diagonal minor splittings: the products f*g of a
         j-minor f of d^(i-1) and an (r-j)-minor g of d^i, in the order j, f,
-        g, each kept at its first occurrence up to units.  Products of
-        nonzero minors are nonzero, since the ring is a domain."""
+        g, each kept at its first occurrence.  Products of nonzero minors
+        are nonzero, since the ring is a domain.
+
+        A product of canonical generators (``minor_generators``) is already
+        canonical, so equal products up to units are equal: the minimum
+        exponents of each variable add, to 0; by Gauss's lemma the content
+        of f*g is the product of the contents, 1; and the lex lead of f*g is
+        the product of the lex leads, with a positive coefficient."""
         self.ensure_valid()
         if not self.k_min <= i <= self.k_max:
             return LaurentIdeal(self.context, [self.context.one()])
@@ -413,7 +387,7 @@ class FreeComplex:
                 right = minor_generators(outgoing, r - j)
                 for f in left:
                     for g in right:
-                        h = unit_normalize(f * g)
+                        h = f * g
                         if h not in seen:
                             seen.add(h)
                             gens.append(h)

@@ -140,11 +140,24 @@ def _normalize(p: Poly, order: MonomialOrder) -> Poly:
     return {e: c.numerator // num * (den // c.denominator) for e, c in p.items()}
 
 
-def unit_normalize(p: LaurentPoly) -> LaurentPoly:
-    """Canonical representative of p up to units: monomial factors stripped,
-    integer coprime coefficients, positive coefficient on the lex-leading
-    term.  Used to deduplicate ideal generators."""
-    return LaurentPoly(p.context, _normalize(laurent_to_poly(p), LEX))
+def primitive_part(p: Poly) -> Poly:
+    """The nonzero p up to units of the Laurent ring, canonically: minimum
+    exponent 0 in each variable, coprime integer coefficients, positive
+    lex-leading coefficient."""
+    mins = [min(col) for col in zip(*p)]
+    return {tuple(map(sub, e, mins)): c for e, c in _normalize(p, LEX).items()}
+
+
+def add_multiple(target: Poly, c: int, shift, g: Poly) -> None:
+    """target += c * x^shift * g in place, c nonzero, dropping cancelled
+    terms: the one multiply-accumulate loop of the integer kernel."""
+    for exp, gc in g.items():
+        term = tuple(map(add, exp, shift))
+        s = target.get(term, 0) + c * gc
+        if s:
+            target[term] = s
+        else:
+            del target[term]
 
 
 def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Poly:
@@ -183,15 +196,7 @@ def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Pol
                         work[term] *= scale
                     for term in remainder:
                         remainder[term] *= scale
-                # work -= (coeff / d) * x^shift * g, in place
-                mult = coeff // d
-                for gterm, c in g.items():
-                    term = tuple(map(add, gterm, shift))
-                    s = work.get(term, 0) - mult * c
-                    if s:
-                        work[term] = s
-                    else:
-                        del work[term]
+                add_multiple(work, -(coeff // d), shift, g)
                 if scale != 1:
                     content = math.gcd(*work.values(), *remainder.values())
                     if content > 1:
@@ -214,18 +219,10 @@ def _spoly(f: Poly, g: Poly, f_lead, g_lead) -> Poly:
     fexp, fc = f_lead
     gexp, gc = g_lead
     d = math.gcd(fc, gc)
-    fmul, gmul = gc // d, fc // d
     lcm_exp = tuple(map(max, fexp, gexp))
-    shift_f = tuple(map(sub, lcm_exp, fexp))
-    shift_g = tuple(map(sub, lcm_exp, gexp))
-    out: Poly = {tuple(map(add, exp, shift_f)): fmul * c for exp, c in f.items()}
-    for exp, c in g.items():
-        key = tuple(map(add, exp, shift_g))
-        s = out.get(key, 0) - gmul * c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
+    out: Poly = {}
+    add_multiple(out, gc // d, tuple(map(sub, lcm_exp, fexp)), f)
+    add_multiple(out, -(fc // d), tuple(map(sub, lcm_exp, gexp)), g)
     return out
 
 
@@ -240,7 +237,8 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     sorted, S-pairs are processed in sugar order with the basis indices as
     tie-breakers, and the final basis is inter-reduced, content normalized
     and sorted by leading monomial.  The unit ideal returns [1] as soon as
-    a constant appears.
+    a constant appears; a constant generator returns it before any
+    generator is normalized (it would sort first and reduce to itself).
 
     Coefficients are integers throughout.  Buchberger's algorithm sees each
     polynomial only up to a nonzero scalar: pairs and sugar depend on lead
@@ -285,6 +283,9 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     is skipped when it leaves the queue and is not counted.
     """
     limit = spair_budget()
+    for g in generators:
+        if _is_constant(g):
+            return [{next(iter(g)): 1}]
     order = order.memoized()
     key = order.key
     gens = [_normalize(g, order) for g in generators if g]
@@ -371,18 +372,25 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
 # -- Laurent <-> polynomial conversion ---------------------------------------
 
 
+def laurent_to_polys(polys) -> list[Poly]:
+    """``polys`` times one unit of the Laurent ring, as integer polynomials
+    with the same terms: the lcm of their denominators times the monomial
+    that brings each variable's minimum exponent over all of them to 0.  On
+    a matrix row this is a row operation, which multiplies every minor
+    through the row by that unit; scaling entries one by one is not."""
+    terms = [term for p in polys for term in p.terms.items()]
+    mins = [min(col) for col in zip(*(e for e, _ in terms))]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return [
+        {tuple(map(sub, e, mins)): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+        for p in polys
+    ]
+
+
 def laurent_to_poly(p: LaurentPoly) -> Poly:
-    """Polynomialization: multiply by the monomial unit that makes every
-    exponent nonnegative with per-variable minimum exactly 0.  This changes
-    the element by a unit only, so saturated ideals and radical membership
-    are unaffected."""
-    if p.is_zero():
-        return {}
-    n = p.context.num_vars
-    mins = [min(e[i] for e in p.terms) for i in range(n)]
-    return {
-        tuple(a - b for a, b in zip(exp, mins)): c for exp, c in p.terms.items()
-    }
+    """p times a unit (``laurent_to_polys``), which leaves saturated ideals
+    and radical membership unchanged."""
+    return laurent_to_polys([p])[0]
 
 
 def _pad(p: Poly, extra: int) -> Poly:

@@ -19,9 +19,10 @@ A component is valid only when the abelian projection has even rank;
 odd-rank inputs are rejected rather than rounded, since they cannot arise
 from a quotient by a semi-abelian subvariety.
 
-One Euclidean echelon step over Python integers serves both the Hermite and
-the Smith normal form.  Saturation and kernels go through the Smith form,
-lattice membership is decided on the stored Hermite basis, and a point lies
+One Euclidean echelon step over Python integers serves the Hermite and the
+Smith normal form and kernels: a kernel is read off one tracked echelon of
+the transpose, and saturation is the kernel of the kernel.  Lattice
+membership is decided on the stored Hermite basis, and a point lies
 on a component when the lattice's characters take the same values there as
 at the translate.  A LinearUnion is a normalized finite list of components
 (no component contained in another) and carries min/max codimension and
@@ -165,17 +166,15 @@ def saturate_lattice(rows: Sequence[Sequence[int]], width: int) -> list[list[int
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
-    """Saturated basis of { v in Z^width : M v = 0 } for the row matrix M.
-
-    From U*M*V = D: M*(V e_j) = U^-1 D e_j = 0 whenever the j-th diagonal
-    entry vanishes, so the columns of V beyond the rank span the kernel and
-    are saturated because V is unimodular.
-    """
-    if not rows:
-        return _identity(width)
-    _, D, V = smith_normal_form(rows)
-    r = sum(1 for i in range(min(len(D), width)) if D[i][i])
-    return hermite_normal_form(_transpose(V, width)[r:], width)
+    """Saturated basis, in Hermite normal form, of { v in Z^width : M v = 0 }
+    for the row matrix M.  ``_echelon`` on A = M^T, tracking T, gives
+    T*A = E with T unimodular and E zero past its rank r, so the rows of T
+    past r lie in the kernel.  They span it: for v in the kernel,
+    w = v*T^-1 has w*E = v*A = 0, so w vanishes on the r independent rows
+    of E, and v = w*T is an integral combination of the rows past r."""
+    T = _identity(width)
+    r = _echelon(_transpose(rows, width), len(rows), T)
+    return hermite_normal_form(T[r:], width)
 
 
 def lattice_contains(hermite_rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import lcm, log10
 from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic
@@ -412,8 +412,22 @@ class TorsionPoint:
         return hash((self.context, self.coords))
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"({q},{th})" for q, th in self.coords)
+        parts = ", ".join(f"({format_rational(q)},{format_rational(th)})" for q, th in self.coords)
         return f"TorsionPoint({parts})"
+
+
+def format_rational(q: Fraction) -> str:
+    """str(q); ResourceError with the digit count where Python refuses to
+    print an integer over its limit (4300 digits by default), which parsed
+    numbers never pass but computed ones, such as products, can."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        big = max(abs(q.numerator), q.denominator)
+        digits = int(log10(big))  # at most the digit count, so the loop ends on it
+        while 10**digits <= big:
+            digits += 1
+        raise ResourceError(f"a computed number of {digits} digits is too long to print") from exc
 
 
 # -- text grammar ---------------------------------------------------------
@@ -520,9 +534,9 @@ def format_poly(p: LaurentPoly) -> str:
         if factors and mag == 1:
             body = "*".join(factors)
         elif factors:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([format_rational(mag)] + factors)
         else:
-            body = str(mag)
+            body = format_rational(mag)
         if idx == 0:
             chunks.append(body if c > 0 else f"-{body}")
         else:

@@ -619,3 +619,47 @@ def test_internal_error_exits_4_with_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_validate", capped)
     assert cli.main(["validate", "m2.complex"]) == 3
     assert capsys.readouterr().err == "resource cap: cap\n"
+
+
+# Every parsed integer has at most 4300 digits, Python's limit on int-string
+# conversion, but computed ones can pass it: L has 4290 digits, L^2 in the
+# composite d.d and in the generator (t1 - L)^2 has 8579, and a sampled point
+# on the lattice row [1, 100] through the translate (L, 1) multiplies L by a
+# hundredth power.  Each exited 4 with a traceback.
+BIG = 10**4289 + 7
+
+
+def _big_inputs(tmp_path):
+    (tmp_path / "noncx.complex").write_text(
+        f"ring vars=t1 torus=1 abelian=0\ndegrees -2..0\nranks 1,1,1\n"
+        f"differential -2\nt1 - {BIG}\ndifferential -1\nt1 - {BIG}\n"
+    )
+    (tmp_path / "kos.complex").write_text(
+        f"ring vars=t1,t2 torus=2 abelian=0\ndegrees -2..0\nranks 1,2,1\n"
+        f"differential -2\n-t2 + 1\nt1 - {BIG}\ndifferential -1\nt1 - {BIG}, t2 - 1\n"
+    )
+    comp = {"lattice": [[1, 100]], "translate": [[str(BIG), "0"], ["1", "0"]]}
+    (tmp_path / "kos.loci").write_text(json.dumps({
+        "euler": 0, "format": "jumploci-loci", "loci": {d: [comp] for d in ("-2", "-1", "0")},
+        "ring": {"abelian": 0, "torus": 2, "vars": ["t1", "t2"]},
+    }))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "noncx.complex"], ["exactness", "noncx.complex"], ["jump-ideals", "noncx.complex"],
+     ["jump-ideals", "kos.complex"]]
+    + [["perversity", "kos.complex", "--loci", "kos.loci", "--seed", str(seed)] for seed in range(1, 7)],
+    ids=lambda argv: "-".join(argv).replace(".complex", "").replace("-kos.loci", ""),
+)
+def test_numbers_too_long_to_print_exit_without_traceback(tmp_path, monkeypatch, capsys, argv):
+    from jumploci import cli
+
+    _big_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3), err
+    assert err.count("\n") == 1
+    if code == 3:
+        assert err.startswith("resource cap: a computed number of ") and "digits is too long to print" in err

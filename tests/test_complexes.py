@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,13 +11,18 @@ from jumploci.complexes import (
     exact_divide,
     generic_rank,
     minor_generators,
-    unit_normalize,
 )
 from jumploci.cyclotomic import field_rank
 from jumploci.errors import InputError, ResourceError
-from jumploci.fixtures import koszul, mellin_constant_torus, standard_fixture_suite
+from jumploci.fixtures import (
+    koszul,
+    mellin_constant_torus,
+    renamed_torus_fixture,
+    standard_fixture_suite,
+    tensor_fixture,
+)
 from jumploci.groebner import LaurentIdeal, variety_containment
-from jumploci.laurent import RingContext, TorsionPoint
+from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
 
 
 @pytest.fixture
@@ -105,22 +112,43 @@ def test_generic_rank_vs_sampled_rank(ctx2):
         assert hits > 0  # random rational points are generic in practice
 
 
-def test_exact_divide_round_trip(ctx2):
+def _poly_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_exact_divide_round_trip():
+    # exact division of integer polynomials undoes multiplication
     rng = random.Random(22)
     for _ in range(60):
         def rand_poly():
-            p = ctx2.zero()
+            p = {}
             for _ in range(rng.randint(1, 3)):
-                p = p + ctx2.monomial(
-                    [rng.randint(-2, 2), rng.randint(-2, 2)],
-                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                )
-            return p
+                e = (rng.randint(0, 3), rng.randint(0, 3))
+                p[e] = p.get(e, 0) + rng.randint(-4, 4)
+            return {e: c for e, c in p.items() if c}
 
         a, b = rand_poly(), rand_poly()
-        if b.is_zero():
+        if not b:
             continue
-        assert exact_divide(a * b, b) == a
+        assert exact_divide(_poly_mul(a, b), b) == a
+
+
+@pytest.mark.parametrize(
+    "p, d",
+    [
+        ({(1, 0): 1, (0, 0): 1}, {(1, 0): 2}),  # 2 does not divide the lead coefficient
+        ({(0, 1): 1}, {(1, 0): 1}),  # t1 does not divide t2
+        ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): -1}),  # t1^2 + 1 = (t1 + 1)(t1 - 1) + 2
+    ],
+)
+def test_exact_divide_refuses_an_inexact_quotient(p, d):
+    with pytest.raises(ArithmeticError):
+        exact_divide(p, d)
 
 
 def test_determinantal_ideal_conventions(ctx2):
@@ -218,7 +246,7 @@ def _sentinel_jumping_generators(cx, i):
         out = []
         for f in a:
             for g in b:
-                h = unit_normalize(f * g)
+                h = _oracle_unit_normalize(f * g)
                 if h not in out:
                     out.append(h)
         return out
@@ -441,3 +469,142 @@ def test_twist_equals_substitute_per_entry():
         cx.twist(lams[:-1])
     with pytest.raises(InputError):
         cx.twist([Fraction(0)] * len(lams))
+
+
+# -- oracles: the kernel in LaurentPoly arithmetic -----------------------------
+#
+# Minors, Bareiss ranks and exact division written on LaurentPoly with
+# Fraction coefficients, as the determinantal code computed them before it
+# moved to integer polynomials; the integer kernel must agree with them.
+
+
+def _oracle_unit_normalize(p):
+    """p up to units: each variable's minimum exponent 0, coprime integer
+    coefficients, positive lex-leading coefficient."""
+    mins = [min(col) for col in zip(*p.terms)]
+    values = p.terms.values()
+    content = Fraction(
+        math.gcd(*(c.numerator for c in values)), math.lcm(*(c.denominator for c in values))
+    )
+    if p.terms[max(p.terms)] < 0:
+        content = -content
+    return LaurentPoly(
+        p.context, {tuple(a - b for a, b in zip(e, mins)): c / content for e, c in p.terms.items()}
+    )
+
+
+def _oracle_exact_divide(p, d):
+    if p.is_zero():
+        return p
+    n = p.context.num_vars
+    p_min = [min(e[i] for e in p.terms) for i in range(n)]
+    d_min = [min(e[i] for e in d.terms) for i in range(n)]
+
+    def shifted(q, mins):
+        return {tuple(a - b for a, b in zip(e, mins)): c for e, c in q.terms.items()}
+
+    num, den = shifted(p, p_min), shifted(d, d_min)
+    den_lead = max(den)
+    quot = {}
+    while num:
+        lead = max(num)
+        assert all(a >= b for a, b in zip(lead, den_lead)), "inexact"
+        shift = tuple(a - b for a, b in zip(lead, den_lead))
+        coeff = num[lead] / den[den_lead]
+        quot[shift] = coeff
+        for exp, c in den.items():
+            key = tuple(a + b for a, b in zip(exp, shift))
+            num[key] = num.get(key, 0) - coeff * c
+            if not num[key]:
+                del num[key]
+    unit = tuple(a - b for a, b in zip(p_min, d_min))
+    return LaurentPoly(p.context, {tuple(a + b for a, b in zip(e, unit)): c for e, c in quot.items()})
+
+
+def _oracle_generic_rank(matrix):
+    m = [list(row) for row in matrix.entries]
+    nrows, ncols = matrix.nrows, matrix.ncols
+    prev, rank = matrix.context.one(), 0
+    for k in range(min(nrows, ncols)):
+        pivot = None
+        for r in range(k, nrows):
+            for c in range(k, ncols):
+                if not m[r][c].is_zero():
+                    if pivot is None or len(m[r][c].terms) < len(m[pivot[0]][pivot[1]].terms):
+                        pivot = (r, c)
+        if pivot is None:
+            break
+        pr, pc = pivot
+        m[k], m[pr] = m[pr], m[k]
+        for row in m:
+            row[k], row[pc] = row[pc], row[k]
+        for i in range(k + 1, nrows):
+            for j in range(k + 1, ncols):
+                m[i][j] = _oracle_exact_divide(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
+        prev = m[k][k]
+        rank += 1
+    return rank
+
+
+def _oracle_det(entries, rows, cols, memo):
+    key = (rows, cols)
+    if key not in memo:
+        if len(rows) == 1:
+            memo[key] = entries[rows[0]][cols[0]]
+        else:
+            acc = entries[rows[0]][cols[0]].context.zero()
+            for pos, c in enumerate(cols):
+                e = entries[rows[0]][c]
+                if not e.is_zero():
+                    term = e * _oracle_det(entries, rows[1:], cols[:pos] + cols[pos + 1 :], memo)
+                    acc = acc - term if pos % 2 else acc + term
+            memo[key] = acc
+    return memo[key]
+
+
+def _oracle_minor_generators(matrix, k):
+    if k == 0:
+        return [matrix.context.one()]
+    memo, gens = {}, []
+    for rows in combinations(range(matrix.nrows), k):
+        for cols in combinations(range(matrix.ncols), k):
+            d = _oracle_det(matrix.entries, rows, cols, memo)
+            if not d.is_zero() and _oracle_unit_normalize(d) not in gens:
+                gens.append(_oracle_unit_normalize(d))
+    return gens
+
+
+def _random_matrices():
+    # rational coefficients, negative exponents, zero entries
+    rng = random.Random(61)
+    ctx = RingContext.torus(2)
+    for case in range(25):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        rows = []
+        for _ in range(nrows):
+            row = []
+            for _ in range(ncols):
+                terms = {}
+                for _ in range(rng.randint(0, 3)):
+                    e = (rng.randint(-2, 2), rng.randint(-2, 2))
+                    terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                row.append(LaurentPoly(ctx, terms))
+            rows.append(row)
+        yield f"random{case}-{nrows}x{ncols}", Matrix.from_rows(ctx, rows)
+
+
+def _stock_differentials():
+    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    for fx in standard_fixture_suite() + [mellin_constant_torus(4), tensor22]:
+        for i, mat in sorted(fx.complex.diffs.items()):
+            yield f"{fx.name}-d{i}", mat
+
+
+KERNEL_INPUTS = list(_random_matrices()) + list(_stock_differentials())
+
+
+@pytest.mark.parametrize("name, matrix", KERNEL_INPUTS, ids=[name for name, _ in KERNEL_INPUTS])
+def test_integer_kernel_matches_the_laurent_oracle(name, matrix):
+    assert generic_rank(matrix) == _oracle_generic_rank(matrix)
+    for k in range(min(3, matrix.nrows, matrix.ncols) + 1):
+        assert minor_generators(matrix, k) == _oracle_minor_generators(matrix, k), k

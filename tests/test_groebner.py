@@ -655,3 +655,24 @@ def test_element_with_a_divisible_lead_gets_no_new_pairs(spoly_calls):
     ours, ref, pruned, full = _pruned_count(gens, GREVLEX, spoly_calls)
     assert ours == ref == [{(1, 0): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -1}]
     assert (pruned, full) == (5, 13)
+
+
+def test_a_constant_generator_returns_the_unit_basis_at_once(monkeypatch, spoly_calls):
+    # the hyperplane test restricts each t_i - 1 to a constant: the unit
+    # basis comes back before any generator is normalized or sorted, and
+    # without an S-pair
+    calls = [0]
+    real = groebner._normalize
+
+    def counting(p, order):
+        calls[0] += 1
+        return real(p, order)
+
+    monkeypatch.setattr(groebner, "_normalize", counting)
+    n = 6
+    gens = [{tuple(int(k == i) for k in range(n)): 1, (0,) * n: -1} for i in range(1, n)]
+    gens.insert(2, {(0,) * n: Fraction(-3, 2)})
+    for order in (GREVLEX, LEX, MonomialOrder("elim", (0,))):
+        assert buchberger(gens, order) == [{(0,) * n: 1}]
+    assert calls[0] == 0
+    assert spoly_calls[0] == 0

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from jumploci.cyclotomic import Cyclotomic
-from jumploci.errors import InputError
-from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint, parse_poly
+from jumploci.errors import InputError, ResourceError
+from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint, format_rational, parse_poly
 
 
 @pytest.fixture
@@ -267,3 +267,14 @@ def test_parse_grammar_forms():
     for text in ("2t1", "t1 t2", "1/2 t1", "t1*", "2 * t1 t2 - 1", "t1^2 3", "t1 * * t2"):
         with pytest.raises(InputError):
             ctx.parse(text)
+
+
+@pytest.mark.parametrize(
+    "value, digits",
+    [(Fraction(10**5000), 5001), (Fraction(10**5000 - 1), 5000), (Fraction(-(10**4400) - 3, 7), 4401),
+     (Fraction(3, 10**4300), 4301)],
+)
+def test_format_rational_refuses_numbers_too_long_to_print_with_their_digit_count(value, digits):
+    with pytest.raises(ResourceError, match=f"a computed number of {digits} digits is too long to print"):
+        format_rational(value)
+    assert format_rational(Fraction(-(10**4299), 7)) == str(Fraction(-(10**4299), 7))

@@ -25,6 +25,8 @@ from jumploci.groebner import (
     _spoly,
     buchberger,
     laurent_to_poly,
+    laurent_to_polys,
+    primitive_part,
 )
 from jumploci.lattices import hermite_normal_form, LinearComponent
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
@@ -146,7 +148,9 @@ def test_minor_value_functoriality():
     rng = random.Random(55)
     ctx = RingContext.torus(2)
     entries = [[_random_laurent(ctx, rng, terms=2, span=1) for _ in range(3)] for _ in range(3)]
-    mat = Matrix.from_rows(ctx, entries)
+    # the integer rows the kernel runs on: each row of the matrix times a unit
+    scaled = [laurent_to_polys(row) for row in entries]
+    mat = Matrix.from_rows(ctx, [[LaurentPoly(ctx, p) for p in row] for row in scaled])
     point = TorsionPoint(ctx, [(Fraction(2), Fraction(1, 3)), (Fraction(1, 2), Fraction(0))])
     evaluated = mat.evaluate(point)
 
@@ -169,8 +173,22 @@ def test_minor_value_functoriality():
         memo = {}
         for rows in combinations(range(3), k):
             for cols in combinations(range(3), k):
-                symbolic = _det(mat.entries, rows, cols, memo)
+                symbolic = LaurentPoly(ctx, _det(scaled, rows, cols, memo))
                 assert symbolic.evaluate(point) == numeric_det(list(rows), list(cols))
+
+
+def test_products_of_canonical_generators_are_canonical():
+    # jumping_ideal keeps f*g as it is: the product of two polynomials in
+    # canonical form (primitive_part) is in canonical form again
+    rng = random.Random(57)
+    ctx = RingContext.torus(3)
+    for _ in range(40):
+        f, g = (_random_laurent(ctx, rng, terms=rng.randint(1, 4)) for _ in range(2))
+        if f.is_zero() or g.is_zero():
+            continue
+        f, g = (LaurentPoly(ctx, primitive_part(laurent_to_poly(p))) for p in (f, g))
+        h = f * g
+        assert LaurentPoly(ctx, primitive_part(laurent_to_poly(h))) == h
 
 
 def test_bareiss_with_negative_exponents():
