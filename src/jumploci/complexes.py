@@ -24,10 +24,12 @@ rank/codimension exactness certificate in a degree range: a suffix of
 negative degrees is exact iff ranks are additive and the Fitting ideal of
 each degree i in the range has codimension at least -i.
 
-Minors, generic ranks and exact division run on the integer polynomial
-dicts of ``groebner``: each row of a differential is scaled once by a unit
-of the Laurent ring (``laurent_to_polys``), so it lies in Z[t], and minors
-return to ``LaurentPoly`` in canonical form (``primitive_part``).
+Minors, generic ranks, exact division and the jumping-ideal products run
+on the integer polynomials of ``groebner`` (``Poly``), end to end: each
+row of a differential is scaled once into Z[t] by a unit of the Laurent
+ring (``laurent_to_polys``, the one place a Fraction becomes an integer),
+minors are kept in canonical form (``primitive_part``), and a
+``LaurentPoly`` is built once per distinct generator, as the ideal is made.
 
 A complex keeps what is derived from it (validation, ranks, ideals) in one
 memo, ``FreeComplex.cached``.  ``tensor_ring`` alone orders the variables of
@@ -208,16 +210,22 @@ def _det(rows: list[list[Poly]], r: tuple, c: tuple, memo: dict) -> Poly:
     return memo[r, c]
 
 
-def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly]:
-    """Generators of the k-th determinantal ideal: [1] is the unit ideal
-    (k = 0, the empty minor) and [] the zero ideal (k exceeds a dimension).
-    The k-minors of the integer rows, which are the minors times units, are
-    each put in canonical form once (``primitive_part``) and kept at their
-    first occurrence, in the order of the row and then the column subsets."""
+def _distinct(polys: Iterable[Poly]) -> list[Poly]:
+    """polys without repeats, in the order of first occurrence."""
+    return list({frozenset(p.items()): p for p in polys}.values())
+
+
+def minor_generators(matrix: Matrix, k: int) -> list[Poly]:
+    """Generators of the k-th determinantal ideal, as integer polynomials
+    (``Poly``): [1] is the unit ideal (k = 0, the empty minor) and [] the
+    zero ideal (k exceeds a dimension).  The k-minors of the integer rows,
+    which are the minors times units, are each put in canonical form once
+    (``primitive_part``) and kept at their first occurrence, in the order of
+    the row and then the column subsets."""
     if k < 0:
         raise InputError("minor size must be nonnegative")
     if k == 0:
-        return [matrix.context.one()]
+        return [{(0,) * matrix.context.num_vars: 1}]
     if k > min(matrix.nrows, matrix.ncols):
         return []
     if k > MAX_MINOR_SIZE:
@@ -227,8 +235,11 @@ def minor_generators(matrix: Matrix, k: int) -> list[LaurentPoly]:
     rows, memo = [laurent_to_polys(row) for row in matrix.entries], {}
     minors = (_det(rows, r, c, memo) for r in combinations(range(matrix.nrows), k)
               for c in combinations(range(matrix.ncols), k))
-    canonical = {frozenset(p.items()): p for p in map(primitive_part, filter(None, minors))}
-    return [LaurentPoly(matrix.context, p) for p in canonical.values()]
+    return _distinct(map(primitive_part, filter(None, minors)))
+
+
+def _ideal(context: RingContext, polys: list[Poly]) -> LaurentIdeal:
+    return LaurentIdeal(context, [LaurentPoly(context, p) for p in polys])
 
 
 # -- the complex ----------------------------------------------------------------
@@ -348,14 +359,12 @@ class FreeComplex:
     # -- ideals -------------------------------------------------------------------
 
     def fitting_ideal(self, i: int) -> LaurentIdeal:
-        """Minors of d^i at its generic rank; unit ideal outside the range.
-        Cached per degree: the ideal object carries write-once Groebner data
-        reused by every consumer."""
-        if not self.k_min <= i <= self.k_max:
-            return LaurentIdeal(self.context, [self.context.one()])
+        """Minors of d^i at its generic rank; the unit ideal outside the range,
+        where d^i has no columns.  Cached per degree: the ideal object carries
+        write-once Groebner data reused by every consumer."""
         return self.cached(
             ("fitting", i),
-            lambda: LaurentIdeal(
+            lambda: _ideal(
                 self.context, minor_generators(self.differential(i), self.rank_of_differential(i))
             ),
         )
@@ -365,7 +374,8 @@ class FreeComplex:
         expansion over block-diagonal minor splittings: the products f*g of a
         j-minor f of d^(i-1) and an (r-j)-minor g of d^i, in the order j, f,
         g, each kept at its first occurrence.  Products of nonzero minors
-        are nonzero, since the ring is a domain.
+        are nonzero, since the ring is a domain.  Outside the range rank(i)
+        is 0, and the one product, of two empty minors, is the unit ideal.
 
         A product of canonical generators (``minor_generators``) is already
         canonical, so equal products up to units are equal: the minimum
@@ -373,27 +383,19 @@ class FreeComplex:
         of f*g is the product of the contents, 1; and the lex lead of f*g is
         the product of the lex leads, with a positive coefficient."""
         self.ensure_valid()
-        if not self.k_min <= i <= self.k_max:
-            return LaurentIdeal(self.context, [self.context.one()])
 
-        def compute() -> LaurentIdeal:
-            r = self.rank(i)
-            incoming = self.differential(i - 1)
-            outgoing = self.differential(i)
-            gens: list[LaurentPoly] = []
-            seen = set()
+        def products() -> Iterator[Poly]:
+            r, incoming, outgoing = self.rank(i), self.differential(i - 1), self.differential(i)
             for j in range(r + 1):
                 left = minor_generators(incoming, j)
                 right = minor_generators(outgoing, r - j)
                 for f in left:
                     for g in right:
-                        h = f * g
-                        if h not in seen:
-                            seen.add(h)
-                            gens.append(h)
-            return LaurentIdeal(self.context, gens)
+                        h: Poly = {}
+                        _add_product(h, 1, f, g)
+                        yield h
 
-        return self.cached(("jumping", i), compute)
+        return self.cached(("jumping", i), lambda: _ideal(self.context, _distinct(products())))
 
     # -- constructors ---------------------------------------------------------------
 

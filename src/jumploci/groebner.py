@@ -30,9 +30,10 @@ are not counted.  It counts pairs, not time, so it does not bound the run
 time of a slow reduction.
 
 Internally polynomials are raw dicts {exponent tuple: int} with nonnegative
-exponents (inputs may carry Fraction coefficients; ``_normalize`` clears
-them); the number of variables travels alongside because auxiliary
-variables extend the ring temporarily.
+exponents and integer coefficients, from the minors of ``complexes`` to the
+reduced bases; the number of variables travels alongside because auxiliary
+variables extend the ring temporarily.  ``laurent_to_polys`` is the one
+place where a Fraction coefficient becomes an integer.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .laurent import LaurentPoly, RingContext
 DEFAULT_SPAIR_BUDGET = 200_000
 BUDGET_ENV_VAR = "JUMPLOCI_SPAIR_BUDGET"
 
-Poly = dict  # {tuple[int,...]: int}, or Fraction on input
+Poly = dict  # {tuple[int,...]: int}
 
 
 def spair_budget() -> int:
@@ -127,17 +128,13 @@ def _lead(p: Poly, order: MonomialOrder):
 
 
 def _normalize(p: Poly, order: MonomialOrder) -> Poly:
-    """The primitive integer multiple of p with positive leading coefficient.
-    Coefficients may be int or Fraction: both have numerator and denominator,
-    and for Fractions in lowest terms the content of p is gcd(numerators) /
-    lcm(denominators)."""
+    """The primitive part of p with positive leading coefficient."""
     if not p:
         return p
-    den = math.lcm(*(c.denominator for c in p.values()))
-    num = math.gcd(*(c.numerator for c in p.values()))
+    content = math.gcd(*p.values())
     if p[max(p, key=order.key)] < 0:
-        num = -num
-    return {e: c.numerator // num * (den // c.denominator) for e, c in p.items()}
+        content = -content
+    return {e: c // content for e, c in p.items()}
 
 
 def primitive_part(p: Poly) -> Poly:
@@ -145,7 +142,10 @@ def primitive_part(p: Poly) -> Poly:
     exponent 0 in each variable, coprime integer coefficients, positive
     lex-leading coefficient."""
     mins = [min(col) for col in zip(*p)]
-    return {tuple(map(sub, e, mins)): c for e, c in _normalize(p, LEX).items()}
+    content = math.gcd(*p.values())
+    if p[max(p)] < 0:
+        content = -content
+    return {tuple(map(sub, e, mins)): c // content for e, c in p.items()}
 
 
 def add_multiple(target: Poly, c: int, shift, g: Poly) -> None:
@@ -160,28 +160,23 @@ def add_multiple(target: Poly, c: int, shift, g: Poly) -> None:
             del target[term]
 
 
-def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads=None) -> Poly:
+def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads: list) -> Poly:
     """Fraction-free full reduction of p against basis (tail terms reduced
     too): a positive rational multiple of the normal form, with integer
     coefficients.
 
-    Without ``leads`` the basis is normalized here; with it, the basis must
-    be as ``_normalize`` returns it and ``leads[k]`` the lead term
-    (exponent, coefficient) of ``basis[k]``.  To cancel the lead c*x^e by g
-    with lead gc*x^f, work and remainder are multiplied by gc/d with
+    The basis must be as ``_normalize`` returns it and ``leads[k]`` the lead
+    term (exponent, coefficient) of ``basis[k]``.  To cancel the lead c*x^e
+    by g with lead gc*x^f, work and remainder are multiplied by gc/d with
     d = gcd(c, gc), (c/d)*x^(e-f)*g is subtracted, and both are divided by
     their common content.  Every scale is positive, so work and remainder
     stay positive multiples of what the division over Q holds: the same
     divisors are chosen, and the result has the support of the rational
     normal form.
     """
-    if leads is None:
-        basis = [_normalize(g, order) for g in basis if g]
-        leads = [_lead(g, order) for g in basis]
     divisors = list(zip(basis, leads))
     key = order.key
-    den = math.lcm(*(c.denominator for c in p.values()))
-    work = {e: c.numerator * (den // c.denominator) for e, c in p.items()}
+    work = dict(p)
     remainder: Poly = {}
     while work:
         exp = max(work, key=key)

@@ -7,7 +7,7 @@ A Laurent polynomial is stored as a dictionary mapping exponent vectors
 
 The zero polynomial is the empty dict.  Zero coefficients are never stored,
 so two polynomials are equal iff their term dicts are equal; this makes
-equality, hashing and zero-testing exact.
+equality and zero-testing exact.  Polynomials are not hashable.
 
 Every value is attached to a RingContext fixing the number of variables,
 their print names, and the torus/abelian split (the first ``torus_rank``
@@ -164,7 +164,7 @@ def embed_vector(values: Sequence, var_map: Sequence[int], width: int, fill=0) -
 class LaurentPoly:
     """Immutable Laurent polynomial in canonical form (no zero terms)."""
 
-    __slots__ = ("context", "terms", "_hash")
+    __slots__ = ("context", "terms")
 
     def __init__(self, context: RingContext, terms: Mapping[Exponent, Fraction]):
         clean = {}
@@ -176,7 +176,6 @@ class LaurentPoly:
                 clean[tuple(exp)] = Fraction(c)
         self.context = context
         self.terms = clean
-        self._hash = None
 
     # -- basic predicates -----------------------------------------------------
 
@@ -253,11 +252,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.context == other.context and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.context, tuple(sorted(self.terms.items()))))
-        return self._hash
 
     # -- structure ------------------------------------------------------------
 

@@ -74,7 +74,8 @@ def sample_points(
     """A deterministic sample of at least ``count`` distinct points: points
     on every declared component first, then random rational and low-order
     torsion points, with a deterministic integer tail in the unlikely event
-    the random pool repeats too often."""
+    the random pool repeats too often.  A ring without variables has one
+    point, the identity, so its sample is that point whatever ``count``."""
     seen: set[TorsionPoint] = set()
     unique: list[TorsionPoint] = []
 
@@ -97,7 +98,7 @@ def sample_points(
         else:
             push(random_rational_point(context, rng))
     filler = 2
-    while len(unique) < count:
+    while len(unique) < count and context.num_vars:
         push(context.rational_point([filler + i for i in range(context.num_vars)]))
         filler += 1
     return unique

@@ -57,7 +57,9 @@ def _passed(n, label):
 
 @pytest.fixture(scope="module")
 def suite():
-    return standard_fixture_suite()
+    # the standard stock plus the two N = 4 fixtures: m4 and the 2x2 tensor
+    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    return standard_fixture_suite() + [mellin_constant_torus(4), tensor22]
 
 
 def test_criterion_01_constant_sheaf_loci_exact():

@@ -30,6 +30,11 @@ def ctx2():
     return RingContext.torus(2)
 
 
+def _minors(matrix, k):
+    """minor_generators(matrix, k) as Laurent polynomials."""
+    return [LaurentPoly(matrix.context, p) for p in minor_generators(matrix, k)]
+
+
 def _koszul2(ctx2):
     x, y = ctx2.variable(0) - 1, ctx2.variable(1) - 1
     return koszul([x, y])
@@ -154,9 +159,9 @@ def test_exact_divide_refuses_an_inexact_quotient(p, d):
 def test_determinantal_ideal_conventions(ctx2):
     x, y = ctx2.variable(0) - 1, ctx2.variable(1) - 1
     M = Matrix.from_rows(ctx2, [[x, y]])
-    assert minor_generators(M, 0) == [ctx2.one()]  # the empty minor: unit ideal
-    assert minor_generators(M, 2) == []  # no 2x2 minors of a 1x2 matrix
-    assert sorted(str(g) for g in minor_generators(M, 1)) == ["t1 - 1", "t2 - 1"]
+    assert _minors(M, 0) == [ctx2.one()]  # the empty minor: unit ideal
+    assert _minors(M, 2) == []  # no 2x2 minors of a 1x2 matrix
+    assert sorted(str(g) for g in _minors(M, 1)) == ["t1 - 1", "t2 - 1"]
 
 
 def test_minor_size_cap(ctx2):
@@ -183,7 +188,7 @@ def test_minor_evaluate_functoriality(ctx2):
             ],
         )
         for k in (1, 2, 3):
-            symbolic = minor_generators(M, k)
+            symbolic = _minors(M, k)
             evaluated_rows = M.evaluate(pt)
             # brute-force: all k x k minors of the evaluated cyclotomic matrix
             from itertools import combinations
@@ -236,7 +241,7 @@ def _sentinel_jumping_generators(cx, i):
     the generator tuple, or None for the unit ideal."""
 
     def minors(matrix, k):
-        return None if k == 0 else minor_generators(matrix, k)
+        return None if k == 0 else _minors(matrix, k)
 
     def product(a, b):
         if a == [] or b == []:
@@ -261,18 +266,64 @@ def _sentinel_jumping_generators(cx, i):
     return tuple(total)
 
 
-@pytest.mark.parametrize(
-    "fixture", standard_fixture_suite() + [mellin_constant_torus(4)], ids=lambda fx: fx.name
-)
-def test_jumping_generators_match_the_sentinel_expansion(fixture):
+def _random_entry(ctx, rng):
+    # rational coefficients, negative exponents, zero entries
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        e = (rng.randint(-2, 2), rng.randint(-2, 2))
+        terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return LaurentPoly(ctx, terms)
+
+
+def _random_three_term_complexes():
+    """F^-2 -> F^-1 -> F^0 with d^-1 = [X 0] G and d^-2 = G^-1 [0; Y] for
+    random X, Y and an elementary G = 1 + p*E mixing the two blocks, so that
+    d^-1 d^-2 = X*0 + 0*Y = 0 and the jumping ideals multiply minors of both."""
+    rng = random.Random(62)
+    ctx = RingContext.torus(2)
+    for case in range(12):
+        m, n1, n2, k = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 3)
+        n = n1 + n2
+        x = [[_random_entry(ctx, rng) for _ in range(n1)] + [ctx.zero()] * n2 for _ in range(m)]
+        y = [[ctx.zero()] * k for _ in range(n1)] + [[_random_entry(ctx, rng) for _ in range(k)] for _ in range(n2)]
+        p, a, b = _random_entry(ctx, rng), rng.randrange(n1), n1 + rng.randrange(n2)
+
+        def elementary(scale):
+            return Matrix.from_rows(ctx, [
+                [ctx.one() if r == c else scale * p if (r, c) == (b, a) else ctx.zero() for c in range(n)]
+                for r in range(n)
+            ])
+
+        d1 = Matrix(ctx, m, n, x).compose(elementary(1))
+        d2 = elementary(-1).compose(Matrix(ctx, n, k, y))
+        yield f"random{case}-{k}-{n}-{m}", FreeComplex(ctx, -2, 0, [k, n, m], {-2: d2, -1: d1}), None
+
+
+def _jumping_cases():
+    """(name, complex, degrees or None for all): the stock, random complexes
+    with rational entries and negative exponents, m5 at degree -4 and the
+    2x2 tensor."""
+    for fx in standard_fixture_suite() + [mellin_constant_torus(4)]:
+        yield fx.name, fx.complex, None
+    yield from _random_three_term_complexes()
+    yield "mellin-torus-m5", mellin_constant_torus(5).complex, [-4]
+    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    yield tensor22.name, tensor22.complex, None
+
+
+JUMPING_CASES = list(_jumping_cases())
+
+
+@pytest.mark.parametrize("name, cx, degrees", JUMPING_CASES, ids=[name for name, _, _ in JUMPING_CASES])
+def test_jumping_generators_match_the_sentinel_expansion(name, cx, degrees):
     # [1] for the empty minor must give the generators, in order, that the
-    # unit-ideal sentinel gave
-    cx = fixture.complex
-    for i in cx.degrees():
+    # unit-ideal sentinel gave; the sentinel multiplies the minors as
+    # LaurentPoly and brings each product to canonical form itself
+    for i in degrees or cx.degrees():
         expected = _sentinel_jumping_generators(cx, i)
         if expected is None:
             expected = (cx.context.one(),)
-        assert cx.jumping_ideal(i).generators == expected, (fixture.name, i)
+        assert cx.jumping_ideal(i).generators == expected, (name, i)
 
 
 def test_jumping_ideal_zero_rank_degree(ctx2):
@@ -575,21 +626,11 @@ def _oracle_minor_generators(matrix, k):
 
 
 def _random_matrices():
-    # rational coefficients, negative exponents, zero entries
     rng = random.Random(61)
     ctx = RingContext.torus(2)
     for case in range(25):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-        rows = []
-        for _ in range(nrows):
-            row = []
-            for _ in range(ncols):
-                terms = {}
-                for _ in range(rng.randint(0, 3)):
-                    e = (rng.randint(-2, 2), rng.randint(-2, 2))
-                    terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                row.append(LaurentPoly(ctx, terms))
-            rows.append(row)
+        rows = [[_random_entry(ctx, rng) for _ in range(ncols)] for _ in range(nrows)]
         yield f"random{case}-{nrows}x{ncols}", Matrix.from_rows(ctx, rows)
 
 
@@ -607,4 +648,4 @@ KERNEL_INPUTS = list(_random_matrices()) + list(_stock_differentials())
 def test_integer_kernel_matches_the_laurent_oracle(name, matrix):
     assert generic_rank(matrix) == _oracle_generic_rank(matrix)
     for k in range(min(3, matrix.nrows, matrix.ncols) + 1):
-        assert minor_generators(matrix, k) == _oracle_minor_generators(matrix, k), k
+        assert _minors(matrix, k) == _oracle_minor_generators(matrix, k), k

@@ -66,9 +66,10 @@ def test_saturation_correctness(ctx2):
     u = ctx2.variable(0) * ctx2.variable(1)
     ideal = LaurentIdeal(ctx2, [x * y, x**2 - x])
     basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
+    leads = [_lead(g, GREVLEX) for g in basis]
     for g in ideal.generators:
         for k in range(0, 3):
-            assert not _reduce(laurent_to_poly(g * u**k), basis, GREVLEX)
+            assert not _reduce(laurent_to_poly(g * u**k), basis, GREVLEX, leads)
 
 
 def test_saturation_strips_monomial_factors(ctx2):
@@ -250,7 +251,7 @@ def test_order_tags():
 
 def _random_poly(rng, n, terms=3, degree=2):
     return {
-        tuple(rng.randint(0, degree) for _ in range(n)): Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        tuple(rng.randint(0, degree) for _ in range(n)): rng.choice([-3, -2, -1, 1, 2, 3])
         for _ in range(terms)
     }
 
@@ -266,15 +267,15 @@ def _structured_ideals(n):
     t1t2 = tuple(a + b for a, b in zip(t1, t2))
     return {
         # V = {(1, ..., 1)}: every restriction is the unit ideal
-        "point": [{_var(n, i): Fraction(1), one: Fraction(-1)} for i in range(n)],
+        "point": [{_var(n, i): 1, one: -1} for i in range(n)],
         # unit ideal: empty variety, fast path taken
-        "unit": [{t1: Fraction(1), one: Fraction(-1)}, {t1: Fraction(1), one: Fraction(-2)}],
+        "unit": [{t1: 1, one: -1}, {t1: 1, one: -2}],
         # t1 + t2 vanishes on the hyperplane intersections: elimination decides
-        "meets-hyperplane": [{t1: Fraction(1), t2: Fraction(1)}],
+        "meets-hyperplane": [{t1: 1, t2: 1}],
         # t1*(t2 - 1) restricts to the zero ideal at t1 = 0
-        "zero-restriction": [{t1t2: Fraction(1), t1: Fraction(-1)}],
+        "zero-restriction": [{t1t2: 1, t1: -1}],
         # a monomial generator: saturates to the unit ideal
-        "monomial": [{t1t2: Fraction(1)}, {t1: Fraction(1), t2: Fraction(1), one: Fraction(1)}],
+        "monomial": [{t1t2: 1}, {t1: 1, t2: 1, one: 1}],
     }
 
 
@@ -319,7 +320,7 @@ def test_saturation_fast_path_matches_elimination_on_fixture_stock():
 def _restriction_heavy_polys():
     # the restriction t1 = 0 is (t2^3 - t3, t2*t3 - 1, t3^2 - t2), whose
     # basis needs more than a handful of S-pairs
-    one = Fraction(1)
+    one = 1
     return [
         {(0, 3, 0): one, (0, 0, 1): -one, (1, 0, 0): one},
         {(0, 1, 1): one, (0, 0, 0): -one},
@@ -398,6 +399,61 @@ def test_buchberger_matches_sympy_oracle(n):
     assert units == {True, False}
 
 
+def _sympy_codimension(gens, n):
+    """N minus the largest number of variables S with
+    (I + (1 - y*t1*...*tN)) & Q[S] = 0, math.inf if no S qualifies (the
+    unit ideal).  Each intersection is read off a lex basis with y and the
+    variables outside S eliminated first (the elimination theorem); each
+    Laurent generator is moved into Q[t] by a monomial, a unit."""
+    sympy = pytest.importorskip("sympy")
+    ts, y = sympy.symbols(f"t1:{n + 1}"), sympy.Symbol("y")
+    exprs = [1 - y * sympy.prod(ts)]
+    for g in gens:
+        if g.terms:
+            mins = [min(col) for col in zip(*g.terms)]
+            exprs.append(sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod(t ** (e - m) for t, e, m in zip(ts, exp, mins))
+                for exp, c in g.terms.items()
+            ))
+    for size in range(n, -1, -1):
+        for kept in combinations(ts, size):
+            eliminated = [t for t in ts if t not in kept]
+            basis = sympy.groebner(exprs, y, *eliminated, *kept, order="lex")
+            if not any(expr.free_symbols <= set(kept) for expr in basis.exprs):
+                return n - size
+    return math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_codimension_matches_sympy_elimination(n):
+    pytest.importorskip("sympy")
+    rng = random.Random(130 + n)
+    ctx = RingContext.torus(n)
+    t = [ctx.variable(i) for i in range(n)]
+    # the zero ideal two ways, the unit ideal three ways, the identity point
+    ideals = [[], [ctx.zero()], [ctx.one()], [t[0] - 1, t[0] - 2], [t[0]], [ti - 1 for ti in t]]
+
+    def random_binomial():
+        # two distinct exponents (their first coordinates differ)
+        a, b = ((e,) + tuple(rng.randint(-1, 1) for _ in range(n - 1)) for e in rng.sample(range(-1, 3), 2))
+        c = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        return ctx.monomial(a, rng.choice([1, 2])) - ctx.monomial(b, c)
+
+    for _ in range(12):
+        # up to n binomial generators, or one product of two, so that every
+        # codimension from 1 to n and the empty locus all occur
+        size = rng.randint(1, n)
+        gens = [random_binomial() for _ in range(size)]
+        ideals.append(gens if size > 1 else [gens[0] * random_binomial()])
+    seen = set()
+    for gens in ideals:
+        codim = LaurentIdeal(ctx, gens).codimension()
+        assert codim == _sympy_codimension(gens, n), gens
+        seen.add(codim)
+    assert seen == {0, math.inf, *range(1, n + 1)}, seen
+
+
 # -- fraction-free engine against the rational reduction it replaced ----------
 
 
@@ -450,15 +506,22 @@ def _as_fractions(p):
     return {e: Fraction(c) for e, c in p.items()}
 
 
+def _integral(p):
+    """p times the lcm of its denominators, a positive integer: the same
+    ideal, and the same normal form up to a positive factor."""
+    den = math.lcm(*(Fraction(c).denominator for c in p.values()))
+    return {e: int(c * den) for e, c in p.items()}
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_integer_reduce_is_positive_multiple_of_rational_normal_form(n):
     rng = random.Random(90 + n)
     zero_seen = nonzero_seen = 0
     for trial in range(60):
         order = (GREVLEX, LEX)[trial % 2]
-        gens = [_rational_poly(rng, n, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        gens = [_integral(_rational_poly(rng, n, rng.randint(1, 3), 2)) for _ in range(rng.randint(1, 3))]
         # half the bases are Groebner bases from the engine, half raw lists
-        basis = buchberger(gens, order) if trial % 4 < 2 else gens
+        basis = buchberger(gens, order) if trial % 4 < 2 else [_normalize(g, order) for g in gens]
         if trial % 3 == 0:  # an element of the ideal
             p = {}
             for g in basis:
@@ -468,8 +531,8 @@ def test_integer_reduce_is_positive_multiple_of_rational_normal_form(n):
         else:
             p = _rational_poly(rng, n, rng.randint(1, 6), 4)
         # integer multiples make the content removal after a scaled step fire
-        p = {e: c * rng.choice([1, 6, 30]) for e, c in p.items()}
-        ours = _reduce(p, basis, order)
+        p = _integral({e: c * rng.choice([1, 6, 30]) for e, c in p.items()})
+        ours = _reduce(p, basis, order, [_lead(g, order) for g in basis])
         ref = _fraction_reduce(p, [_as_fractions(g) for g in basis], order)
         assert all(type(c) is int for c in ours.values())
         assert ours.keys() == ref.keys(), (p, basis, order.name)
@@ -485,7 +548,7 @@ def test_integer_reduce_is_positive_multiple_of_rational_normal_form(n):
     # 3*t1 + 3 against 2*t1 + 1: scaled by 2, then the content 3 is removed,
     # leaving 1 = (2/3) * (3/2)
     t1, one = (1,) + (0,) * (n - 1), (0,) * n
-    assert _reduce({t1: Fraction(3), one: Fraction(3)}, [{t1: 2, one: 1}], GREVLEX) == {one: 1}
+    assert _reduce({t1: 3, one: 3}, [{t1: 2, one: 1}], GREVLEX, [(t1, 2)]) == {one: 1}
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -493,7 +556,7 @@ def test_buchberger_returns_primitive_integer_polynomials(n):
     rng = random.Random(99 + n)
     orders = (GREVLEX, LEX, MonomialOrder("elim", (n - 1,)))
     for trial in range(30):
-        gens = [_rational_poly(rng, n, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+        gens = [_integral(_rational_poly(rng, n, rng.randint(1, 3), 2)) for _ in range(rng.randint(1, 3))]
         for order in orders:
             basis = buchberger(gens, order)
             assert basis
@@ -592,7 +655,7 @@ def _binomial_ideal(rng, n, size, degree):
     for _ in range(size):
         exps = {tuple(rng.randint(0, degree) for _ in range(n))}
         exps.add(rng.choice([(0,) * n, tuple(rng.randint(0, degree) for _ in range(n))]))
-        gens.append({e: Fraction(rng.choice([-2, -1, 1, 2])) for e in exps})
+        gens.append({e: rng.choice([-2, -1, 1, 2]) for e in exps})
     return gens
 
 
@@ -603,7 +666,7 @@ def test_pair_criteria_match_the_unpruned_loop(n, spoly_calls):
     units, ours_total, ref_total = set(), 0, 0
     for trial in range(24):
         if trial % 3 == 2:
-            gens = [_rational_poly(rng, n, rng.randint(1, 3), 2) for _ in range(rng.randint(1, 3))]
+            gens = [_integral(_rational_poly(rng, n, rng.randint(1, 3), 2)) for _ in range(rng.randint(1, 3))]
         else:
             gens = _binomial_ideal(rng, n, rng.randint(2, n + 3), 3 if n < 4 else 2)
         for order in orders:

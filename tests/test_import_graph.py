@@ -50,3 +50,14 @@ def test_no_module_imports_a_private_name_of_another():
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 offenders += [f"{path.stem} <- {node.module}.{name}" for name in private]
     assert offenders == []
+
+
+@pytest.mark.parametrize("module", ["complexes", "groebner"])
+def test_integer_kernel_modules_do_not_import_fractions(module):
+    # minors, jumping-ideal products and Groebner bases run on integer
+    # polynomials; a Fraction becomes an integer only in
+    # groebner.laurent_to_polys, which reads numerators and denominators
+    tree = ast.parse((ROOT / "src" / "jumploci" / f"{module}.py").read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "fractions" not in imported

@@ -13,7 +13,13 @@ import pytest
 from jumploci.complexes import Matrix, generic_rank, minor_generators
 from jumploci.cyclotomic import Cyclotomic, field_rank
 from jumploci.errors import ResourceError
-from jumploci.fixtures import koszul, mellin_constant_torus
+from jumploci.fixtures import (
+    koszul,
+    mellin_constant_torus,
+    renamed_torus_fixture,
+    standard_fixture_suite,
+    tensor_fixture,
+)
 from jumploci.groebner import (
     GREVLEX,
     LEX,
@@ -57,7 +63,7 @@ def test_buchberger_criterion_certificate():
                     s = _spoly(
                         basis[i], basis[j], _lead(basis[i], order), _lead(basis[j], order)
                     )
-                    assert not _reduce(s, basis, order), (gens, order.name)
+                    assert not _reduce(s, basis, order, [_lead(g, order) for g in basis]), (gens, order.name)
 
 
 def test_groebner_basis_is_reduced():
@@ -97,7 +103,7 @@ def test_membership_soundness_random_combinations():
         for g in gens:
             combo = combo + _random_laurent(ctx, rng, terms=2) * g
         basis = [laurent_to_poly(g) for g in ideal.groebner_basis()]
-        assert not _reduce(laurent_to_poly(combo), basis, GREVLEX)
+        assert not _reduce(laurent_to_poly(combo), basis, GREVLEX, [_lead(g, GREVLEX) for g in basis])
 
 
 def test_public_elimination_order():
@@ -189,6 +195,13 @@ def test_products_of_canonical_generators_are_canonical():
         f, g = (LaurentPoly(ctx, primitive_part(laurent_to_poly(p))) for p in (f, g))
         h = f * g
         assert LaurentPoly(ctx, primitive_part(laurent_to_poly(h))) == h
+    # and so is every generator jumping_ideal forms from canonical minors
+    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    cases = [(fx.complex, fx.complex.degrees()) for fx in standard_fixture_suite() + [tensor22]]
+    for cx, degrees in cases + [(mellin_constant_torus(5).complex, [-4])]:
+        for i in degrees:
+            for h in cx.jumping_ideal(i).generators:
+                assert LaurentPoly(cx.context, primitive_part(laurent_to_poly(h))) == h
 
 
 def test_bareiss_with_negative_exponents():

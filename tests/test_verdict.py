@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +278,34 @@ def test_specialization_guards():
     m1 = mellin_constant_torus(1)
     with pytest.raises(InputError):
         abelian_specialization_verdict(m1.profile)
+
+
+RING_WITHOUT_VARIABLES = """
+import random
+from jumploci.complexes import FreeComplex
+from jumploci.lattices import LinearUnion
+from jumploci.laurent import RingContext
+from jumploci.sampling import sample_points
+from jumploci.verdict import LociProfile, perversity_verdict
+ctx = RingContext([], 0, 0)
+print(sample_points(ctx, random.Random(0), 3))
+cx = FreeComplex(ctx, 0, 0, [1], {})
+profile = LociProfile(ctx, {0: LinearUnion.whole_space(ctx)}, source=cx, euler=1)
+report = perversity_verdict(profile)
+print(report.verdict, report.provenance["spot_check"])
+"""
+
+
+def test_ring_without_variables_samples_its_one_point():
+    # the identity is the only point of a ring without variables, so asking
+    # for 3 (or the verdict's 40) distinct points must stop at one; run in
+    # a subprocess, so that a sampler that never returns fails on the timeout
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", RING_WITHOUT_VARIABLES],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[TorsionPoint()]\nperverse sampled (seed=0, points=1)\n"
