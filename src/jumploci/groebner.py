@@ -11,7 +11,7 @@ computes the reduced grevlex basis of its saturation once, in
 ``groebner_basis``, and answers every question from that one cache:
 
   * radical membership f in sqrt(I): 1 in I_sat + (1 - z*f) with a fresh z,
-    started from the cached basis;
+    a Buchberger run that extends the cached basis by 1 - z*f;
   * codimension: the least number of variables meeting the support of every
     lead monomial of the cached basis (a least hitting set);
   * variety containment V(I) <= V(J): every generator of J in sqrt(I).
@@ -225,8 +225,11 @@ def _is_constant(p: Poly) -> bool:
     return len(p) == 1 and not any(next(iter(p)))
 
 
-def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Reduced Groebner basis of the ideal generated by ``generators``.
+def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[Poly]:
+    """Reduced Groebner basis of the ideal generated by ``start`` and
+    ``generators``, where ``start`` is a reduced basis for ``order`` as this
+    function returns it: ``buchberger(G, order, start=B)`` equals
+    ``buchberger(B + G, order)``.
 
     Deterministic for a fixed order: input generators are canonically
     sorted, S-pairs are processed in sugar order with the basis indices as
@@ -268,11 +271,15 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     representation through pairs still processed, and the loop ends with a
     Groebner basis of the same ideal.  The arguments use standard
     representations over the elements added so far, so reducing modulo all
-    of them, redundant ones included, keeps them valid.  The reduced
-    Groebner basis is unique, and a unit ideal always produces a constant,
-    which is returned as [1]: the basis, the unit-ideal decision and every
-    report built on them do not depend on which pairs are processed.  How
-    many are does, and with it whether the budget runs out.
+    of them, redundant ones included, keeps them valid.  Start elements
+    open the basis unreduced and no pair of two of them is formed: B is a
+    Groebner basis, so each such S-polynomial reduces to zero over B and has
+    a standard representation over the elements added so far, which is all
+    the deletions rely on.  The reduced Groebner basis is unique, and a
+    unit ideal always produces a constant, which is returned as [1]: the
+    basis, the unit-ideal decision and every report built on them do not
+    depend on which pairs are processed.  How many are does, and with it
+    whether the budget runs out.
 
     The S-pair budget counts pairs reduced.  A pair deleted by a criterion
     is skipped when it leaves the queue and is not counted.
@@ -285,10 +292,10 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> list[Poly]:
     key = order.key
     gens = [_normalize(g, order) for g in generators if g]
     gens.sort(key=lambda g: (key(_lead(g, order)[0]), sorted(g.items())))
-    basis: list[Poly] = []
-    leads: list[tuple] = []  # leads[k] == _lead(basis[k], order)
-    sugars: list[int] = []
-    active: list[int] = []  # elements whose lead no other lead divides
+    basis: list[Poly] = list(start)
+    leads: list[tuple] = [_lead(g, order) for g in basis]  # leads[k] == _lead(basis[k], order)
+    sugars: list[int] = [sum(lead[0]) for lead in leads]
+    active: list[int] = list(range(len(basis)))  # elements whose lead no other lead divides
     pairs: list[tuple[int, int, int]] = []  # heap of (sugar, i, j)
     queued: dict[tuple[int, int], tuple] = {}  # undeleted (i, j) -> T(i, j)
 
@@ -392,10 +399,6 @@ def _pad(p: Poly, extra: int) -> Poly:
     return {exp + (0,) * extra: c for exp, c in p.items()}
 
 
-def _drop_last_var(p: Poly) -> Poly:
-    return {exp[:-1]: c for exp, c in p.items()}
-
-
 def _is_unit_basis(basis: list[Poly]) -> bool:
     """Whether a reduced basis from ``buchberger`` is that of the unit ideal."""
     return len(basis) == 1 and _is_constant(basis[0])
@@ -407,12 +410,13 @@ def _restrict(p: Poly, i: int) -> Poly:
 
 
 def _saturate_by_elimination(polys: list[Poly], n: int) -> list[Poly]:
-    """Generators of (polys) : (t1*...*tN)^inf: adjoin y and the relation
-    1 - y*t1*...*tN, then eliminate y."""
+    """The reduced grevlex basis of (polys) : (t1*...*tN)^inf: the y-free
+    part, as it stands, of the reduced basis of (polys, 1 - y*t1*...*tN) in
+    an order that eliminates y and is grevlex on y-free monomials."""
     ext = [_pad(p, 1) for p in polys]
     rel = {(0,) * (n + 1): 1, (1,) * (n + 1): -1}
     basis = buchberger(ext + [rel], MonomialOrder("elim", (n,)))
-    return [_drop_last_var(g) for g in basis if all(e[n] == 0 for e in g)]
+    return [{e[:-1]: c for e, c in g.items()} for g in basis if all(e[n] == 0 for e in g)]
 
 
 def _misses_coordinate_hyperplanes(polys: list[Poly], n: int) -> bool:
@@ -425,9 +429,8 @@ def _misses_coordinate_hyperplanes(polys: list[Poly], n: int) -> bool:
 
 
 def _saturate(polys: list[Poly], n: int) -> list[Poly]:
-    """Generators of (polys) : (t1*...*tN)^inf in n variables."""
-    if not polys:
-        return []
+    """The reduced grevlex basis of (polys) : (t1*...*tN)^inf in n
+    variables; [] for the zero ideal."""
     # Fast path.  Let I = (polys) and u = t1*...*tN.  If 1 = f_i + a_i*t_i
     # with f_i in I for every i, multiplying these N identities gives
     # 1 = f + a*u with f in I: u is a unit modulo I.  (Geometrically, V(I)
@@ -439,7 +442,7 @@ def _saturate(polys: list[Poly], n: int) -> list[Poly]:
     # elimination is not needed.  A restriction that is not the unit ideal,
     # the zero ideal included, leaves the question to the exact elimination.
     if _misses_coordinate_hyperplanes(polys, n):
-        return list(polys)
+        return buchberger(polys, GREVLEX)
     return _saturate_by_elimination(polys, n)
 
 
@@ -470,30 +473,25 @@ class LaurentIdeal:
         by t1*...*tN; (1,) for the unit ideal, () for the zero ideal."""
         if self._basis is None:
             polys = [laurent_to_poly(g) for g in self.generators if not g.is_zero()]
-            sat = _saturate(polys, self.context.num_vars)
-            self._basis = buchberger(sat, GREVLEX) if sat else []
+            self._basis = _saturate(polys, self.context.num_vars)
         return tuple(LaurentPoly(self.context, g) for g in self._basis)
 
     def is_unit_ideal(self) -> bool:
-        # buchberger returns exactly [1] for the unit ideal
-        basis = self.groebner_basis()
-        return len(basis) == 1 and basis[0].is_one()
+        if self._basis is None:
+            self.groebner_basis()
+        return _is_unit_basis(self._basis)
 
     def radical_contains(self, f: LaurentPoly) -> bool:
-        """Whether f lies in the radical of the ideal, via the trick of
-        adjoining 1 - z*f to the cached basis and testing for the unit
-        ideal."""
+        """Whether f lies in the radical: whether the cached basis extended by
+        1 - z*f, z a new last variable, is the unit ideal.  f = 0 makes that
+        relation 1; the zero ideal leaves it alone, which is no unit ideal."""
         self.context.require(f)
-        if f.is_zero() or self.is_unit_ideal():
+        if self.is_unit_ideal():
             return True
-        if not self._basis:
-            return False  # radical of (0) in a domain is (0)
-        n = self.context.num_vars
         # 1 - z*f with z the last variable; no term of z*f is constant
         rel = {exp + (1,): -c for exp, c in laurent_to_poly(f).items()}
-        rel[(0,) * (n + 1)] = 1
-        basis = buchberger([_pad(p, 1) for p in self._basis] + [rel], GREVLEX)
-        return _is_unit_basis(basis)
+        rel[(0,) * (self.context.num_vars + 1)] = 1
+        return _is_unit_basis(buchberger([rel], GREVLEX, start=[_pad(p, 1) for p in self._basis]))
 
     def codimension(self):
         """N minus the Krull dimension of the saturated ideal; math.inf for
@@ -504,7 +502,7 @@ class LaurentIdeal:
         variables meeting the support of every lead monomial."""
         if self.is_unit_ideal():
             return math.inf
-        leads = [max(g.terms, key=GREVLEX.key) for g in self.groebner_basis()]
+        leads = [max(g, key=GREVLEX.key) for g in self._basis]
         return _least_hitting_set([frozenset(i for i, e in enumerate(lead) if e) for lead in leads])
 
 

@@ -280,9 +280,11 @@ def _structured_ideals(n):
 
 
 def _assert_fast_matches_elimination(polys, n):
-    fast = buchberger(_saturate(polys, n), GREVLEX)
-    slow = buchberger(_saturate_by_elimination(polys, n), GREVLEX)
-    assert fast == slow, polys
+    # both paths return the reduced grevlex basis itself, the y-free part of
+    # the elimination basis included: one more grevlex run changes nothing
+    fast = _saturate(polys, n)
+    slow = _saturate_by_elimination(polys, n)
+    assert fast == slow == buchberger(slow, GREVLEX), polys
     return _misses_coordinate_hyperplanes(polys, n)
 
 
@@ -295,8 +297,8 @@ def test_saturation_fast_path_matches_elimination(n):
         "point": True, "unit": True, "meets-hyperplane": False,
         "zero-restriction": False, "monomial": False,
     }
-    assert _is_unit_basis(buchberger(_saturate(structured["unit"], n), GREVLEX))
-    assert _is_unit_basis(buchberger(_saturate(structured["monomial"], n), GREVLEX))
+    assert _is_unit_basis(_saturate(structured["unit"], n))
+    assert _is_unit_basis(_saturate(structured["monomial"], n))
     branches = set()
     for _ in range(30):
         polys = [_random_poly(rng, n, terms=rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
@@ -739,3 +741,107 @@ def test_a_constant_generator_returns_the_unit_basis_at_once(monkeypatch, spoly_
         assert buchberger(gens, order) == [{(0,) * n: 1}]
     assert calls[0] == 0
     assert spoly_calls[0] == 0
+
+
+# -- a start basis: extending a reduced basis without recomputing it ----------
+
+
+def _random_gens(rng, n):
+    if rng.random() < 0.5:
+        return _binomial_ideal(rng, n, rng.randint(1, n + 1), 2)
+    return [_integral(_rational_poly(rng, n, rng.randint(1, 3), 2)) for _ in range(rng.randint(1, 3))]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_start_basis_equals_prepending_it_to_the_generators(n, spoly_calls):
+    rng = random.Random(130 + n)
+    units = set()
+    for trial in range(40):
+        order = (GREVLEX, LEX)[trial % 2]
+        start = buchberger(_random_gens(rng, n), order)
+        gens = _random_gens(rng, n)
+        ours = buchberger(gens, order, start=start)
+        assert ours == buchberger(start + gens, order), (start, gens, order.name)
+        units.add(_is_unit_basis(ours))
+        # with nothing to add, the start basis comes back without an S-pair
+        spoly_calls[0] = 0
+        assert buchberger([], order, start=start) == start
+        assert spoly_calls[0] == 0
+    assert units == {True, False}
+
+
+def _padded(basis):
+    return [{e + (0,): c for e, c in p.items()} for p in basis]
+
+
+def _rebuilt_radical_contains(ideal, f):
+    """Radical membership with the cached basis handed to ``buchberger`` as
+    generators next to 1 - z*f, as it was decided before the start basis."""
+    if f.is_zero() or ideal.is_unit_ideal():
+        return True
+    if not ideal._basis:
+        return False  # radical of (0) in a domain is (0)
+    rel = {exp + (1,): -c for exp, c in laurent_to_poly(f).items()}
+    rel[(0,) * (ideal.context.num_vars + 1)] = 1
+    return _is_unit_basis(buchberger(_padded(ideal._basis) + [rel], GREVLEX))
+
+
+def _random_laurent(rng, ctx, terms):
+    n = ctx.num_vars
+    return LaurentPoly(ctx, {tuple(rng.randint(-1, 2) for _ in range(n)): rng.choice([-2, -1, 1, 2])
+                             for _ in range(terms)})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radical_membership_matches_rebuilding_from_generators(n):
+    rng = random.Random(140 + n)
+    ctx = RingContext.torus(n)
+    cases = [(LaurentIdeal(ctx, []), []), (LaurentIdeal(ctx, [ctx.one()]), [])]
+    for _ in range(10):
+        # g lies in the radical of an ideal holding g^2 times a unit or not
+        g = _random_laurent(rng, ctx, 2)
+        extra = [_random_laurent(rng, ctx, rng.randint(1, 3)) for _ in range(rng.randint(0, n - 1))]
+        gens = [g * g * _random_laurent(rng, ctx, 1)] + extra
+        cases.append((LaurentIdeal(ctx, gens), [g, gens[-1] * _random_laurent(rng, ctx, 2)]))
+    decisions = set()
+    for ideal, members in cases:
+        for f in members + [ctx.zero(), _random_laurent(rng, ctx, 2), _random_laurent(rng, ctx, 3)]:
+            decision = ideal.radical_contains(f)
+            assert decision == _rebuilt_radical_contains(ideal, f), (ideal, f)
+            assert decision or f not in members
+            decisions.add(decision)
+    assert decisions == {True, False}
+
+
+def test_radical_membership_hands_buchberger_one_generator(ctx2, monkeypatch):
+    x, y = gens2(ctx2)
+    ideal = LaurentIdeal(ctx2, [x * y, x**2 + y])
+    ideal.groebner_basis()
+    calls = []
+    real = groebner.buchberger
+
+    def recording(generators, order, start=()):
+        calls.append((len(generators), order.name, list(start)))
+        return real(generators, order, start=start)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    for f in (x, y, x + y, ctx2.zero()):
+        calls.clear()
+        ideal.radical_contains(f)
+        assert calls == [(1, "grevlex", _padded(ideal._basis))]
+
+
+def test_spair_budget_reaches_the_extended_run(ctx2, monkeypatch, spoly_calls):
+    x, y = gens2(ctx2)
+    gens, f = [x**2, y**2], ctx2.variable(0) + ctx2.variable(1)
+    probe = LaurentIdeal(ctx2, gens)
+    probe.groebner_basis()
+    spoly_calls[0] = 0
+    assert not probe.radical_contains(f)
+    assert spoly_calls[0] >= 2
+    # the basis is computed under the default budget, the extension is not
+    ideal = LaurentIdeal(ctx2, gens)
+    ideal.groebner_basis()
+    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1")
+    with pytest.raises(ResourceError):
+        ideal.radical_contains(f)
