@@ -101,12 +101,7 @@ class Matrix:
         return cls(context, nrows, ncols, rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.context,
-            self.ncols,
-            self.nrows,
-            [[self.entries[r][c] for r in range(self.nrows)] for c in range(self.ncols)],
-        )
+        return Matrix(self.context, self.ncols, self.nrows, list(zip(*self.entries)) or [()] * self.ncols)
 
     def map_entries(self, fn) -> "Matrix":
         return Matrix(
@@ -117,23 +112,20 @@ class Matrix:
         )
 
     def compose(self, other: "Matrix") -> "Matrix":
-        """self * other (apply ``other`` first)."""
+        """self * other (apply ``other`` first): each entry sums a*b over the
+        inner indices where a and b are both nonzero, from the ring's zero."""
         if other.nrows != self.ncols:
             raise InputError("matrix shapes are not composable")
-        zero = self.context.zero()
-        out = []
-        for r in range(self.nrows):
-            row = []
-            for c in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    acc = acc + self.entries[r][k] * other.entries[k][c]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.context, self.nrows, other.ncols, out)
+        self.context.require(other)
+        zero, cols = self.context.zero(), other.transpose().entries
+        sums = [[sum((a * b for a, b in zip(row, col) if a.terms and b.terms), zero) for col in cols]
+                for row in self.entries]
+        return Matrix(self.context, self.nrows, other.ncols, sums)
 
     def evaluate(self, point: TorsionPoint) -> list[list[Cyclotomic]]:
-        return [[e.evaluate(point) for e in row] for row in self.entries]
+        """Entry-wise values; zero entries share one evaluation of the zero polynomial."""
+        zero = self.context.zero().evaluate(point)
+        return [[e.evaluate(point) if e.terms else zero for e in row] for row in self.entries]
 
     def __eq__(self, other) -> bool:
         return (

@@ -185,49 +185,48 @@ class Cyclotomic:
         return f"Cyclotomic[{self.order}]({body})"
 
 
-def _primitive(row: list[list[int]]) -> list[list[int]]:
-    """row divided by the gcd of all its integer coefficients."""
-    content = math.gcd(*(c for v in row for c in v))
-    if content > 1:
-        return [[c // content for c in v] for v in row]
-    return row
-
-
 def field_rank(rows: list[list[Cyclotomic]]) -> int:
     """Rank of a matrix over Q(zeta_L) (all entries of one order L) by
     elimination without division.  Rows may be empty (rank 0).
 
-    Each row is cleared of denominators (multiplied by their lcm) into
-    integer coefficient vectors.  For each column, a row with a nonzero
-    entry p there becomes the pivot row; every other remaining row with
-    entry a in that column is replaced by p*row - a*pivot_row and divided by
-    its integer content.  Soundness: Q(zeta_L) is a field, and multiplying
-    a row by a nonzero element (the pivot p, the lcm, or 1/content) and
-    subtracting a multiple of another row leaves the rank unchanged.  Zero
-    tests are exact on the canonical reduced vectors."""
+    Rows are cleared of denominators (multiplied by their lcm) into integer
+    coefficient vectors; a zero entry becomes a zero vector unexamined.  For
+    each column j, the first row with a nonzero entry p there becomes the
+    pivot row; every other row with entry a there has each later entry x
+    replaced by p*x - a*y (y the pivot row's entry) and is divided by its
+    integer content.  Soundness: Q(zeta_L) is a field, and multiplying a row
+    by a nonzero element (p, the lcm, or 1/content) and subtracting a
+    multiple of another row leaves the rank unchanged; zero tests are exact
+    on canonical vectors.  Rows change in place and no column up to j is
+    read again, so this is elimination on a leading column that is then
+    dropped: the same pivots, the same operations on every later column
+    (one with x = y = 0 keeps its zero, as p*0 - a*0 = 0) and the same
+    contents, hence the same vectors and rank."""
     if not rows or not rows[0]:
         return 0
     order = rows[0][0].order
+    blank = Cyclotomic(order, []).coeffs  # the coefficients of zero
     m = []
     for row in rows:
-        den = math.lcm(*(c.denominator for x in row for c in x.coeffs))
-        m.append([[c.numerator * (den // c.denominator) for c in x.coeffs] for x in row])
+        den = math.lcm(*(c.denominator for x in row if x.coeffs != blank for c in x.coeffs))
+        m.append([[c.numerator * (den // c.denominator) for c in x.coeffs] if x.coeffs != blank
+                  else [0] * len(blank) for x in row])
     rank = 0
-    while m and m[0]:
-        pivot = next((k for k, row in enumerate(m) if any(row[0])), None)
+    for j in range(len(m[0])):
+        pivot = next((k for k, row in enumerate(m) if any(row[j])), None)
         if pivot is None:
-            m = [row[1:] for row in m]
             continue
         prow = m.pop(pivot)
-        p = prow[0]
         rank += 1
-        for k, row in enumerate(m):
-            a = row[0]
+        later = range(j + 1, len(prow))
+        for row in m:
+            a = row[j]
             if any(a):
-                m[k] = _primitive([
-                    [s - t for s, t in zip(_mul(p, x, order), _mul(a, y, order))]
-                    for x, y in zip(row[1:], prow[1:])
-                ])
-            else:
-                m[k] = row[1:]
+                for c in later:
+                    if any(row[c]) or any(prow[c]):
+                        row[c] = [s - t for s, t in zip(_mul(prow[j], row[c], order), _mul(a, prow[c], order))]
+                content = math.gcd(*(x for c in later for x in row[c]))
+                if content > 1:
+                    for c in later:
+                        row[c] = [x // content for x in row[c]]
     return rank

@@ -190,10 +190,11 @@ def load_complex(text: str) -> FreeComplex:
 
 
 def _parse_frac(s) -> Fraction:
+    """A string or, as for _parse_int, an integer: never a (rounded) float."""
     try:
-        return Fraction(str(s))
+        return Fraction(s if isinstance(s, str) else _parse_int(s))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational {s!r}") from exc
+        raise InputError(f"malformed rational {s!r}: write rationals as strings, e.g. \"1/3\"") from exc
 
 
 def _parse_pairs(value) -> list[tuple[Fraction, Fraction]]:
@@ -288,6 +289,8 @@ def load_loci(text: str, strict: bool = True):
         except ValueError as exc:
             raise InputError(f"malformed degree key {key!r}") from exc
         check_degree(degree)
+        if degree in loci:
+            raise InputError(f"two loci keys name degree {degree}")
         if not isinstance(comp_list, list):
             raise InputError(f"degree {degree}: components must be a list")
         comps = []

@@ -151,6 +151,60 @@ def test_cyclotomic_order_over_cap_exits_3(m2_files, tmp_path, argv, text):
     assert "Traceback" not in result.stderr
 
 
+# a JSON number with a fraction or exponent part arrives as a float, already
+# rounded: before such numbers were refused, 1.00000000000000001 was read as 1
+# and sample reported membership at the identity point
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        pytest.param(["sample", "{m2}", "--points", "{input}"], '[[[1.00000000000000001, "0"], ["1", "0"]]]',
+                     id="point-radial-with-fraction-part"),
+        pytest.param(["sample", "{m2}", "--points", "{input}"], '[[["1", 0e0], ["1", "0"]]]',
+                     id="point-angle-with-exponent-part"),
+        pytest.param(["perversity", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"]["0"][0].update(translate=[["1", "0"], [1.0, "0"]])),
+                     id="translate-radial-with-fraction-part"),
+    ],
+)
+def test_json_numbers_with_fraction_or_exponent_exit_2(m2_files, tmp_path, argv, text):
+    cx, _ = m2_files
+    path = tmp_path / "input"
+    path.write_text(text)
+    result = run_cli(*(a.format(m2=cx, input=path) for a in argv), timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error:") and "write rationals as strings" in result.stderr
+
+
+def test_rationals_written_as_strings_or_integers_are_read_exactly(m2_files, tmp_path):
+    cx, _ = m2_files
+    pts = tmp_path / "points.json"
+    pts.write_text('[[["1.00000000000000001", "0"], ["1", "0"]], [[1, 0], ["1", "0"]]]')
+    result = run_cli("sample", str(cx), "--points", str(pts), "--degrees=0..0", "--json")
+    assert result.returncode == 0
+    doc = json.loads(result.stdout)
+    assert [p["memberships"]["0"]["member"] for p in doc["points"]] == [False, True]
+
+
+@pytest.mark.parametrize("key", ["-0", "+0", "00"])
+@pytest.mark.parametrize("first", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("command", ["codims", "perversity"])
+def test_two_loci_keys_for_one_degree_exit_2(m2_files, tmp_path, capsys, command, first, key):
+    # codims loads the loci non-strictly and perversity strictly; before the
+    # check, the later key replaced the earlier, and codims with "-0": [] after
+    # "0" dropped degree 0 and exited 0
+    from jumploci import cli
+
+    cx, loci = m2_files
+    doc = json.loads(loci.read_text())
+    doc["loci"] = {key: [], **doc["loci"]} if first else {**doc["loci"], key: []}
+    path = tmp_path / "twice.loci"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] if command == "codims" else [command, str(cx), "--loci", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("input error:") and "degree 0" in err
+
+
 # a degree far beyond MAX_DEGREE: before the cap, perversity with a loci key
 # this far and sample with --degrees this wide did not finish in 20 s, and
 # jump-ideals with that range ran out of memory

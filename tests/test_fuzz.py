@@ -6,7 +6,7 @@ run of ``validate``, ``codims``, ``sample``, ``jump-ideals``, ``exactness``,
 1 checked and failed, 2 input error, 3 resource cap) and never in an
 internal error (exit 4, which is a bug).  A fixture run that exits 0 must
 write files that ``validate`` and ``codims`` accept and, for small
-non-induced fixtures, on which ``perversity`` reaches the expected verdict.
+fixtures, on which ``perversity`` reaches the expected verdict.
 Inputs mix well-formed documents, documents with one part replaced, and
 arbitrary text, JSON and bytes.  The complexes fed to ``jump-ideals`` and
 ``exactness`` keep their polynomials small (at most three terms, exponents
@@ -315,12 +315,14 @@ def test_fixture_parameters_end_in_a_documented_exit(tmp_path, argv):
 @example(argv=["fixtures", "sum", "--m=2", "--lam=-1,2"], shift=0)
 @example(argv=["fixtures", "shift", "--m=2"], shift=-1)
 @example(argv=["fixtures", "shift", "--m=1"], shift=2)
+@example(argv=["fixtures", "induce", "--m=2", "--n=4,4"], shift=0)
 def test_fixture_files_load_back(tmp_path, argv, shift):
     # a fixture either refuses its parameters or writes documents the
     # loaders accept; on at most two variables per factor and rank at most
     # two, perversity of the complex against its own loci then reaches the
-    # verdict the fixture expects (induced covers stay out: the spot check
-    # samples every declared component of the cover, which takes seconds)
+    # verdict the fixture expects (on induced covers too: the spot check
+    # samples every declared component, and the largest cover drawn here,
+    # n = (4, 4), takes about a third of a second)
     complex_out, loci_out = tmp_path / "out.complex", tmp_path / "out.loci"
     argv = [*argv, f"--s={shift}", f"--complex-out={complex_out}", f"--loci-out={loci_out}", "--json"]
     code, out, _ = _run_output(tmp_path, argv, {})
@@ -329,7 +331,7 @@ def test_fixture_files_load_back(tmp_path, argv, shift):
     for check in (["validate", str(complex_out)], ["codims", str(loci_out)]):
         assert _run(tmp_path, check, {}) == (0, ""), (argv, check)
     options = dict(a[2:].partition("=")[::2] for a in argv[2:])
-    if argv[1] != "induce" and all(int(options.get(key, "1")) <= 2 for key in ("m", "m2", "rank")):
+    if all(int(options.get(key, "1")) <= 2 for key in ("m", "m2", "rank")):
         check = ["perversity", str(complex_out), "--loci", str(loci_out), "--samples", "5"]
         expected = 0 if json.loads(out)["expected_verdict"] == "perverse" else 1
         assert _run(tmp_path, check, {}) == (expected, ""), (argv, check)

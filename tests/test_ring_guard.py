@@ -31,6 +31,8 @@ ENTRY_POINTS = {
     "poly-evaluate": lambda: A.variable(0).evaluate(B.identity_point()),
     "point-product": lambda: A.identity_point() * B.identity_point(),
     "matrix": lambda: Matrix(A, 1, 1, [[B.one()]]),
+    "matrix-compose": lambda: Matrix.zero(A, 1, 1).compose(Matrix.zero(B, 1, 1)),
+    "matrix-evaluate": lambda: Matrix.zero(A, 0, 2).evaluate(B.identity_point()),
     "free-complex": lambda: FreeComplex(A, -1, 0, [1, 1], {-1: Matrix(B, 1, 1, [[B.one()]])}),
     "direct-sum": lambda: _complex(A).direct_sum(_complex(B)),
     "koszul": lambda: koszul([A.variable(0), B.variable(0)]),

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -150,3 +151,20 @@ def test_points_file_parsing():
     assert len(pts) == 2 and pts[0] == ctx.identity_point()
     with pytest.raises(InputError):
         serialize.parse_points_file("{}", ctx)
+
+
+@pytest.mark.parametrize("value", [1.0, 1.00000000000000001, 0e0, 1.5, True, None, [1]])
+def test_rationals_must_be_strings_or_integers(value):
+    ctx = mellin_constant_torus(2).complex.context
+    with pytest.raises(InputError, match="write rationals as strings"):
+        serialize.parse_points_file(json.dumps([[[value, "0"], ["1", "0"]]]), ctx)
+    (point,) = serialize.parse_points_file(json.dumps([[[2, 0], ["1/2", "0.25"]]]), ctx)
+    assert point.coords == ((2, 0), (Fraction(1, 2), Fraction(1, 4)))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_loci_loader_refuses_two_keys_for_one_degree(strict):
+    doc = json.loads(serialize.dump_loci(mellin_constant_torus(2).profile))
+    for loci in ({**doc["loci"], "-0": []}, {"00": [], **doc["loci"]}):
+        with pytest.raises(InputError, match="two loci keys name degree 0"):
+            serialize.load_loci(json.dumps(dict(doc, loci=loci)), strict=strict)
