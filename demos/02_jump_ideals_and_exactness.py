@@ -25,7 +25,7 @@ ctx = RingContext.torus(2)
 x, y = ctx.variable(0) - 1, ctx.variable(1) - 1
 K = koszul([x, y])
 print("complex:", K)
-print("valid:  ", K.validate().ok)
+print("valid:  ", K.validate() is None)
 
 # Jumping ideals degree by degree; outside [-2, 0] they are the unit ideal.
 for degree in range(-3, 2):

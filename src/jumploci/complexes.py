@@ -31,13 +31,13 @@ ring (``laurent_to_polys``, the one place a Fraction becomes an integer),
 minors are kept in canonical form (``primitive_part``), and a
 ``LaurentPoly`` is built once per distinct generator, as the ideal is made.
 
-A complex keeps what is derived from it (validation, ranks, ideals) in one
-memo, ``FreeComplex.cached``.  ``tensor_ring`` alone orders the variables of
-an external tensor and ``cover_basis`` alone lists the basis of a cover.
+A complex keeps what is derived from it (its d.d = 0 failure, ranks,
+ideals) in one memo, ``FreeComplex.cached``.  ``tensor_ring`` alone orders
+the variables of an external tensor, ``cover_basis`` the basis of a cover.
 
 Minor enumeration is capped at size 5, induction covers at MAX_COVER_SIZE
 basis monomials and module ranks at MAX_RANK; larger requests raise
-ResourceError.
+ResourceError through ``errors.check_cap``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from operator import ge, sub
 from typing import Iterable, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
-from .errors import InputError, ResourceError
+from .errors import InputError, check_cap
 from .groebner import LaurentIdeal, Poly, add_multiple, laurent_to_polys, primitive_part
 from .laurent import LaurentPoly, RingContext, TorsionPoint, substitution_pairs
 
@@ -220,10 +220,7 @@ def minor_generators(matrix: Matrix, k: int) -> list[Poly]:
         return [{(0,) * matrix.context.num_vars: 1}]
     if k > min(matrix.nrows, matrix.ncols):
         return []
-    if k > MAX_MINOR_SIZE:
-        raise ResourceError(
-            f"minor size {k} exceeds the cap of {MAX_MINOR_SIZE}"
-        )
+    check_cap(k, MAX_MINOR_SIZE, "minor size")
     rows, memo = [laurent_to_polys(row) for row in matrix.entries], {}
     minors = (_det(rows, r, c, memo) for r in combinations(range(matrix.nrows), k)
               for c in combinations(range(matrix.ncols), k))
@@ -235,25 +232,6 @@ def _ideal(context: RingContext, polys: list[Poly]) -> LaurentIdeal:
 
 
 # -- the complex ----------------------------------------------------------------
-
-
-class ValidationReport:
-    """Outcome of the d(d(x)) = 0 check, with the first failing entry."""
-
-    __slots__ = ("ok", "failure")
-
-    def __init__(self, failure: tuple | None):
-        self.ok = failure is None
-        self.failure = failure  # (degree, row, col, entry text) or None
-
-    def describe(self) -> str:
-        if self.ok:
-            return "ok"
-        deg, r, c, value = self.failure
-        return (
-            f"composite differential d^{deg + 1} . d^{deg} is nonzero at "
-            f"entry ({r},{c}): {value}"
-        )
 
 
 class FreeComplex:
@@ -276,8 +254,7 @@ class FreeComplex:
             raise InputError("rank list does not match the degree range")
         if any(r < 0 for r in ranks):
             raise InputError("ranks must be nonnegative")
-        if max(ranks) > MAX_RANK:
-            raise ResourceError(f"module rank {max(ranks)} exceeds the cap of {MAX_RANK}")
+        check_cap(max(ranks), MAX_RANK, "module rank")
         diffs = dict(differentials)
         for i in range(k_min, k_max):
             mat = diffs.get(i)
@@ -326,21 +303,21 @@ class FreeComplex:
             return self.diffs[i]
         return Matrix.zero(self.context, self.rank(i + 1), self.rank(i))
 
-    def validate(self) -> ValidationReport:
-        """Check that consecutive differentials compose to zero."""
+    def validate(self) -> str | None:
+        """None if consecutive differentials compose to zero, else the first
+        nonzero entry of a composite, described."""
         failures = (
-            (i, r, c, str(entry))
+            f"composite differential d^{i + 1} . d^{i} is nonzero at entry ({r},{c}): {entry}"
             for i in range(self.k_min, self.k_max - 1)
             for r, row in enumerate(self.differential(i + 1).compose(self.differential(i)).entries)
             for c, entry in enumerate(row)
             if not entry.is_zero()
         )
-        return self.cached("validate", lambda: ValidationReport(next(failures, None)))
+        return self.cached("validate", lambda: next(failures, None))
 
     def ensure_valid(self):
-        report = self.validate()
-        if not report.ok:
-            raise InputError(f"invalid complex: {report.describe()}")
+        if failure := self.validate():
+            raise InputError(f"invalid complex: {failure}")
 
     def rank_of_differential(self, i: int) -> int:
         return self.cached(("rank", i), lambda: generic_rank(self.differential(i)))
@@ -604,10 +581,7 @@ def cover_size(exponents: Sequence[int], num_vars: int) -> int:
     if any(x < 1 for x in exponents):
         raise InputError("induction exponents must be positive")
     size = math.prod(exponents)
-    if size > MAX_COVER_SIZE:
-        raise ResourceError(
-            f"induction cover of size {size} exceeds the cap of {MAX_COVER_SIZE}"
-        )
+    check_cap(size, MAX_COVER_SIZE, "induction cover of size")
     return size
 
 

@@ -28,17 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import ResourceError
-
 MAX_CYCLOTOMIC_ORDER = 1000
-
-
-def check_order(order: int) -> None:
-    """Refuse an order above MAX_CYCLOTOMIC_ORDER with ResourceError."""
-    if order > MAX_CYCLOTOMIC_ORDER:
-        raise ResourceError(
-            f"cyclotomic order {order} exceeds the cap of {MAX_CYCLOTOMIC_ORDER}"
-        )
 
 
 def _mobius(m: int) -> int:

@@ -5,7 +5,8 @@ lattices); ResourceError covers aborted computations that hit a configured
 budget (S-pair limit, minor-size cap, cyclotomic-order cap, induction-cover
 cap, degree, sample-count, exponent, module-rank, loci-component and
 lattice-entry caps).  The CLI maps them to exit codes 2 and 3 respectively,
-and any other exception, a bug, to exit code 4.
+and any other exception, a bug, to exit code 4.  ``check_cap`` raises the
+caps whose message is just the value and its cap.
 """
 
 
@@ -15,3 +16,9 @@ class InputError(ValueError):
 
 class ResourceError(RuntimeError):
     """A computation exceeded its configured resource budget."""
+
+
+def check_cap(value: int, cap: int, what: str) -> None:
+    """Refuse ``value`` above ``cap`` with "<what> <value> exceeds the cap of <cap>"."""
+    if value > cap:
+        raise ResourceError(f"{what} {value} exceeds the cap of {cap}")

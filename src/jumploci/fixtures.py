@@ -239,7 +239,7 @@ def _mutate_entry(base: Fixture, degree: int, row: int, col: int, edit, label: s
     diffs = dict(cx.diffs)
     diffs[degree] = Matrix(cx.context, mat.nrows, mat.ncols, entries)
     mutated = FreeComplex(cx.context, cx.k_min, cx.k_max, cx.ranks, diffs)
-    ok = mutated.validate().ok
+    ok = mutated.validate() is None
     return Mutant(f"{base.name}-{label}", mutated, ok, note + ("" if ok else "; breaks d.d = 0"))
 
 

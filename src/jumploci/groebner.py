@@ -42,6 +42,7 @@ import heapq
 import math
 import os
 from operator import add, ge, sub
+from typing import Callable, NamedTuple
 
 from .errors import InputError, ResourceError
 from .laurent import LaurentPoly, RingContext
@@ -87,36 +88,25 @@ class _KeyMemo(dict):
         return k
 
 
-class MonomialOrder:
-    """Comparison key for exponent tuples; larger key = larger monomial."""
+class MonomialOrder(NamedTuple):
+    """A term order as its sort key on exponent tuples: larger key, larger monomial."""
 
-    def __init__(self, name: str, block: tuple[int, ...] = ()):
-        if name not in ("grevlex", "lex", "elim"):
-            raise InputError(f"unknown monomial order {name!r}")
-        if name == "elim" and not block:
-            raise InputError("elimination order needs a variable block")
-        self.name = name
-        self.block = block
-
-    def key(self, exp):
-        if self.name == "lex":
-            return exp
-        if self.name == "grevlex":
-            return _grevlex_key(exp)
-        inside = tuple(exp[i] for i in self.block)
-        rest = tuple(e for i, e in enumerate(exp) if i not in self.block)
-        return _grevlex_key(inside) + _grevlex_key(rest)
-
-    def memoized(self) -> "MonomialOrder":
-        """The same order with ``key`` memoized; the memo is freed with the
-        returned object, so a caller scopes it to one computation."""
-        memo = MonomialOrder(self.name, self.block)
-        memo.key = _KeyMemo(self.key).__getitem__
-        return memo
+    name: str
+    key: Callable
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+def elimination_order(block: tuple[int, ...]) -> MonomialOrder:
+    """grevlex on the variables of ``block``, then grevlex on the others."""
+
+    def key(exp):
+        rest = tuple(e for i, e in enumerate(exp) if i not in block)
+        return _grevlex_key(tuple(exp[i] for i in block)) + _grevlex_key(rest)
+
+    return MonomialOrder("elim", key)
+
+
+GREVLEX = MonomialOrder("grevlex", _grevlex_key)
+LEX = MonomialOrder("lex", tuple)  # exponent tuples compare lexicographically
 
 
 # -- raw polynomial helpers -------------------------------------------------
@@ -288,7 +278,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[P
     for g in generators:
         if _is_constant(g):
             return [{next(iter(g)): 1}]
-    order = order.memoized()
+    order = order._replace(key=_KeyMemo(order.key).__getitem__)  # a memo for this call
     key = order.key
     gens = [_normalize(g, order) for g in generators if g]
     gens.sort(key=lambda g: (key(_lead(g, order)[0]), sorted(g.items())))
@@ -415,7 +405,7 @@ def _saturate_by_elimination(polys: list[Poly], n: int) -> list[Poly]:
     an order that eliminates y and is grevlex on y-free monomials."""
     ext = [_pad(p, 1) for p in polys]
     rel = {(0,) * (n + 1): 1, (1,) * (n + 1): -1}
-    basis = buchberger(ext + [rel], MonomialOrder("elim", (n,)))
+    basis = buchberger(ext + [rel], elimination_order((n,)))
     return [{e[:-1]: c for e, c in g.items()} for g in basis if all(e[n] == 0 for e in g)]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InputError, ResourceError
+from .errors import InputError, check_cap
 from .lattices import LinearComponent, LinearUnion, subtorus_point
 from .laurent import RingContext, TorsionPoint
 
@@ -34,8 +34,7 @@ def check_sample_count(count: int) -> None:
     with ResourceError."""
     if count < 0:
         raise InputError(f"the sample count must be nonnegative, got {count}")
-    if count > MAX_SAMPLES:
-        raise ResourceError(f"sample count {count} exceeds the cap of {MAX_SAMPLES}")
+    check_cap(count, MAX_SAMPLES, "sample count")
 
 
 def _random_radial(rng: random.Random) -> Fraction:

@@ -37,15 +37,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .complexes import FreeComplex, Matrix
-from .cyclotomic import check_order
-from .errors import InputError, ResourceError
+from .cyclotomic import MAX_CYCLOTOMIC_ORDER
+from .errors import InputError, ResourceError, check_cap
 from .groebner import LaurentIdeal
 from .lattices import LinearComponent, LinearUnion
 from .laurent import RingContext, TorsionPoint, format_poly
 from .loci import is_whole_space
 from .verdict import LociProfile, PerversityReport
 
-COMPLEX_FORMAT = "jumploci-complex"
 LOCI_FORMAT = "jumploci-loci"
 # Largest |degree| read from a file or the command line: the verdict's
 # conditions, jump-ideals and sample hold a row per degree up to the
@@ -210,7 +209,7 @@ def _parse_point(ctx: RingContext, value) -> TorsionPoint:
     accepted ones (shifts, products) may have a larger order and are not
     refused."""
     point = TorsionPoint(ctx, _parse_pairs(value))
-    check_order(point.angle_order())
+    check_cap(point.angle_order(), MAX_CYCLOTOMIC_ORDER, "cyclotomic order")
     return point
 
 
@@ -261,13 +260,24 @@ def dump_loci(profile: LociProfile) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json.loads keeps the last)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InputError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_loci(text: str, strict: bool = True):
     """Parse a loci document.  Returns (profile, rejected) where rejected is
     a list of {degree, reason} records for components that violate an
-    invariant; with strict=True the first violation raises instead."""
+    invariant; with strict=True the first violation raises instead.  Either
+    way a key repeated in any object is refused."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, an integer over the digit limit or a repeated key
         raise InputError(f"malformed loci JSON: {exc}") from exc
     if not isinstance(doc, dict) or "ring" not in doc or "loci" not in doc:
         raise InputError("loci document needs 'ring' and 'loci' blocks")
@@ -302,8 +312,7 @@ def load_loci(text: str, strict: bool = True):
                 lattice = _parse_lattice(comp.get("lattice", []))
                 comp = LinearComponent(ctx, translate, lattice)
                 big = max((abs(x) for row in comp.lattice + comp.kernel for x in row), default=0)
-                if big > MAX_LATTICE_ENTRY:
-                    raise ResourceError(f"lattice entry {big} exceeds the cap of {MAX_LATTICE_ENTRY}")
+                check_cap(big, MAX_LATTICE_ENTRY, "lattice entry")
                 comps.append(comp)
             except InputError as exc:
                 if strict:

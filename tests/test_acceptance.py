@@ -164,7 +164,7 @@ def test_criterion_04_buchsbaum_eisenbud_both_directions(suite):
     mutants = _negative_cohomology_mutants()
     assert len(mutants) >= 10
     for name, cx in mutants:
-        assert cx.validate().ok, name
+        assert cx.validate() is None, name
         assert not cx.check_assumption(), name
     _passed(4, f"exactness certificates: {len(suite)} true, {len(mutants)} mutants false")
 

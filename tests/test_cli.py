@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from jumploci import serialize
-from jumploci.complexes import MAX_RANK
+from jumploci.complexes import MAX_COVER_SIZE, MAX_RANK
+from jumploci.cyclotomic import MAX_CYCLOTOMIC_ORDER
 from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
 from jumploci.laurent import MAX_EXPONENT
 from jumploci.sampling import MAX_SAMPLES
@@ -49,9 +50,23 @@ def test_validate_checked_and_failed(tmp_path):
         "differential 0\n"
         "t1 - 1\n"
     )
+    failure = "composite differential d^0 . d^-1 is nonzero at entry (0,0): t1^2 - 2*t1 + 1"
     result = run_cli("validate", str(bad))
     assert result.returncode == 1
     assert "ok: False" in result.stdout
+    assert f"detail: {failure}" in result.stdout.splitlines()
+    result = run_cli("jump-ideals", str(bad))
+    assert result.returncode == 2
+    assert result.stderr == f"input error: invalid complex: {failure}\n"
+
+
+def test_minor_cap_message(tmp_path):
+    # the benchmark's jump-ideals:sum-3-tw job expects this exact text
+    cx = tmp_path / "sum3.complex"
+    assert run_cli("fixtures", "sum", "--m", "3", "--complex-out", str(cx)).returncode == 0
+    result = run_cli("jump-ideals", str(cx), timeout=60)
+    assert result.returncode == 3
+    assert result.stderr == "resource cap: minor size 6 exceeds the cap of 5\n"
 
 
 def test_validate_malformed_input(tmp_path):
@@ -71,6 +86,22 @@ def _m2_loci_edited(edit) -> str:
     doc = json.loads(serialize.dump_loci(mellin_constant_torus(2).profile))
     edit(doc)
     return json.dumps(doc)
+
+
+def _m2_loci_repeating(key: str, edit) -> str:
+    """The m2 loci document edited to hold the key "REPEATED", written last
+    in an object that already holds ``key``, and then renamed to ``key``."""
+    return _m2_loci_edited(edit).replace('"REPEATED"', json.dumps(key))
+
+
+# json.loads keeps the last of two equal keys: before they were refused,
+# codims with "0": [] after the degree-0 entry dropped degree 0 and exited 0,
+# and perversity called the file perverse
+REPEATED_DEGREE = _m2_loci_repeating("0", lambda d: d["loci"].update(REPEATED=[]))
+REPEATED_RING = _m2_loci_repeating("ring", lambda d: d.update(REPEATED=d["ring"]))
+REPEATED_TRANSLATE = _m2_loci_repeating(
+    "translate", lambda d: d["loci"]["0"][0].update(REPEATED=[["1", "1/2"], ["1", "0"]])
+)
 
 
 @pytest.mark.parametrize(
@@ -115,6 +146,12 @@ def _m2_loci_edited(edit) -> str:
                      id="euler-of-5000-digits"),
         pytest.param(["sample", "{m2}", "--points", "{input}"], '[[[' + "7" * 5000 + ', "0"], ["1", "0"]]]',
                      id="radial-number-of-5000-digits"),
+        pytest.param(["codims", "{input}"], REPEATED_DEGREE, id="repeated-degree-codims"),
+        pytest.param(["perversity", "{input}"], REPEATED_DEGREE, id="repeated-degree-perversity"),
+        pytest.param(["codims", "{input}"], REPEATED_RING, id="repeated-ring-codims"),
+        pytest.param(["perversity", "{input}"], REPEATED_RING, id="repeated-ring-perversity"),
+        pytest.param(["codims", "{input}"], REPEATED_TRANSLATE, id="repeated-translate-codims"),
+        pytest.param(["perversity", "{input}"], REPEATED_TRANSLATE, id="repeated-translate-perversity"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
@@ -147,7 +184,7 @@ def test_cyclotomic_order_over_cap_exits_3(m2_files, tmp_path, argv, text):
     path.write_text(text)
     result = run_cli(*(a.format(m2=cx, input=path) for a in argv), timeout=60)
     assert result.returncode == 3
-    assert result.stderr.startswith("resource cap:") and "cyclotomic order 100003" in result.stderr
+    assert result.stderr == f"resource cap: cyclotomic order 100003 exceeds the cap of {MAX_CYCLOTOMIC_ORDER}\n"
     assert "Traceback" not in result.stderr
 
 
@@ -231,49 +268,52 @@ ONE_DEGREE_RANK = "ring vars=t1,t2 torus=2 abelian=0\ndegrees 0..0\nranks {}\n"
 
 
 @pytest.mark.parametrize(
-    "argv, text, code",
+    "argv, text, code, message",
     [
         pytest.param(["perversity", "{input}"],
                      _m2_loci_edited(lambda d: d["loci"].update({str(FAR): d["loci"]["0"]})),
-                     3, id="far-loci-key"),
+                     3, None, id="far-loci-key"),
         pytest.param(["perversity", "{m2}", "--loci", "{input}"],
                      _m2_loci_edited(lambda d: d["loci"].update({str(-FAR): d["loci"]["0"]})),
-                     3, id="far-loci-key-with-complex"),
-        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_at(FAR)[0], 3, id="far-complex-degrees"),
-        pytest.param(["validate", "{input}"], _m2_at(-FAR)[0], 3, id="far-complex-degrees-validate"),
+                     3, None, id="far-loci-key-with-complex"),
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_at(FAR)[0], 3, None, id="far-complex-degrees"),
+        pytest.param(["validate", "{input}"], _m2_at(-FAR)[0], 3, None, id="far-complex-degrees-validate"),
         pytest.param(["sample", "{m2}", "--points", "{input}", f"--degrees=-{FAR}..{FAR}"],
-                     '[[["1", "1/3"], ["2", "1/4"]]]', 3, id="far-degree-range-sample"),
-        pytest.param(["jump-ideals", "{m2}", f"--degrees=0..{FAR}"], None, 3, id="far-degree-range-jump-ideals"),
-        pytest.param(["perversity", "{m2}", "--loci", "{loci}", "--samples=-1"], None, 2, id="negative-samples"),
-        pytest.param(["perversity", "{input}", "--samples=-1"], _m2_loci_edited(lambda d: None), 2,
+                     '[[["1", "1/3"], ["2", "1/4"]]]', 3, None, id="far-degree-range-sample"),
+        pytest.param(["jump-ideals", "{m2}", f"--degrees=0..{FAR}"], None, 3, None, id="far-degree-range-jump-ideals"),
+        pytest.param(["perversity", "{m2}", "--loci", "{loci}", "--samples=-1"], None, 2, None, id="negative-samples"),
+        pytest.param(["perversity", "{input}", "--samples=-1"], _m2_loci_edited(lambda d: None), 2, None,
                      id="negative-samples-loci-only"),
         pytest.param(["perversity", "{m2}", "--loci", "{loci}", "--samples", "3000000"], None, 3,
+                     f"sample count 3000000 exceeds the cap of {MAX_SAMPLES}",
                      id="over-cap-samples"),
         pytest.param(["perversity", "{m2}", "--loci", "{loci}", f"--samples={MAX_SAMPLES + 1}"], None, 3,
+                     f"sample count {MAX_SAMPLES + 1} exceeds the cap of {MAX_SAMPLES}",
                      id="samples-above-cap"),
         # before the exponent cap, perversity on m2 with exponents 10^6 did not
         # finish in 30 s
-        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered(MAX_EXPONENT + 1), 3,
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered(MAX_EXPONENT + 1), 3, None,
                      id="exponent-above-cap"),
-        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered("9" * 5000), 3,
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered("9" * 5000), 3, None,
                      id="exponent-of-5000-digits"),
-        pytest.param(["validate", "{input}"], ONE_DEGREE_RANK.format(MAX_RANK + 1), 3, id="rank-above-cap"),
+        pytest.param(["validate", "{input}"], ONE_DEGREE_RANK.format(MAX_RANK + 1), 3,
+                     f"module rank {MAX_RANK + 1} exceeds the cap of {MAX_RANK}", id="rank-above-cap"),
         # at the caps: accepted and short
         pytest.param(["perversity", "{input}"],
                      _m2_loci_edited(lambda d: d["loci"].update({str(MAX_DEGREE): d["loci"]["0"]})),
-                     1, id="loci-key-at-cap"),
-        pytest.param(["perversity", "{input}", "--loci", "{at_cap_loci}"], AT_CAP_COMPLEX, 1,
+                     1, None, id="loci-key-at-cap"),
+        pytest.param(["perversity", "{input}", "--loci", "{at_cap_loci}"], AT_CAP_COMPLEX, 1, None,
                      id="complex-degrees-at-cap"),
         pytest.param(["sample", "{m2}", "--points", "{input}", f"--degrees=-{MAX_DEGREE}..{MAX_DEGREE}"],
-                     '[[["1", "1/3"], ["2", "1/4"]]]', 0, id="degree-range-at-cap"),
-        pytest.param(["perversity", "{m2}", "--loci", "{loci}", f"--samples={MAX_SAMPLES}"], None, 0,
+                     '[[["1", "1/3"], ["2", "1/4"]]]', 0, None, id="degree-range-at-cap"),
+        pytest.param(["perversity", "{m2}", "--loci", "{loci}", f"--samples={MAX_SAMPLES}"], None, 0, None,
                      id="samples-at-cap"),
-        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered(MAX_EXPONENT), 0,
+        pytest.param(["perversity", "{input}", "--loci", "{loci}"], _m2_powered(MAX_EXPONENT), 0, None,
                      id="exponent-at-cap"),
-        pytest.param(["validate", "{input}"], ONE_DEGREE_RANK.format(MAX_RANK), 0, id="rank-at-cap"),
+        pytest.param(["validate", "{input}"], ONE_DEGREE_RANK.format(MAX_RANK), 0, None, id="rank-at-cap"),
     ],
 )
-def test_far_degrees_and_sample_counts_end_promptly(m2_files, tmp_path, argv, text, code):
+def test_far_degrees_and_sample_counts_end_promptly(m2_files, tmp_path, argv, text, code, message):
     cx, loci = m2_files
     path = tmp_path / "input"
     if text is not None:
@@ -283,7 +323,9 @@ def test_far_degrees_and_sample_counts_end_promptly(m2_files, tmp_path, argv, te
     result = run_cli(*(a.format(m2=cx, loci=loci, input=path, at_cap_loci=at_cap_loci) for a in argv), timeout=60)
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
-    if code == 3:
+    if message:
+        assert result.stderr == f"resource cap: {message}\n"
+    elif code == 3:
         assert result.stderr.startswith("resource cap:") and "cap of" in result.stderr
     if code == 2:
         assert result.stderr.startswith("input error:") and "sample count" in result.stderr
@@ -316,35 +358,42 @@ KERNEL_AT_CAP = int(MAX_LATTICE_ENTRY**0.5)
 
 
 @pytest.mark.parametrize(
-    "argv, text, code",
+    "argv, text, code, message",
     [
         # before the caps, codims on 4000 point components took 425 s, on the
         # row [10^8, 1] it ran past 60 s, and perversity with k = 100 exited
         # 4 on a witness point of more than 4300 digits
-        pytest.param(["codims", "{input}"], _point_components(MAX_LOCI_COMPONENTS + 1), 3,
+        pytest.param(["codims", "{input}"], _point_components(MAX_LOCI_COMPONENTS + 1), 3, None,
                      id="components-above-cap"),
-        pytest.param(["codims", "{input}"], _point_components(4000), 3, id="components-4000"),
-        pytest.param(["codims", "{input}"], _lattice_row(MAX_LATTICE_ENTRY + 1), 3, id="lattice-entry-above-cap"),
-        pytest.param(["codims", "{input}"], _lattice_row(10**8), 3, id="lattice-entry-10^8"),
+        pytest.param(["codims", "{input}"], _point_components(4000), 3, None, id="components-4000"),
+        pytest.param(["codims", "{input}"], _lattice_row(MAX_LATTICE_ENTRY + 1), 3,
+                     f"lattice entry {MAX_LATTICE_ENTRY + 1} exceeds the cap of {MAX_LATTICE_ENTRY}",
+                     id="lattice-entry-above-cap"),
+        pytest.param(["codims", "{input}"], _lattice_row(10**8), 3,
+                     f"lattice entry {10**8} exceeds the cap of {MAX_LATTICE_ENTRY}", id="lattice-entry-10^8"),
         pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(KERNEL_AT_CAP + 1), 3,
+                     f"lattice entry {(KERNEL_AT_CAP + 1)**2} exceeds the cap of {MAX_LATTICE_ENTRY}",
                      id="kernel-entry-above-cap"),
-        pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(100), 3, id="kernel-entry-10^4"),
+        pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(100), 3,
+                     f"lattice entry {100**2} exceeds the cap of {MAX_LATTICE_ENTRY}", id="kernel-entry-10^4"),
         # at the caps: accepted and short
-        pytest.param(["codims", "{input}"], _point_components(MAX_LOCI_COMPONENTS), 0, id="components-at-cap"),
-        pytest.param(["codims", "{input}"], _lattice_row(MAX_LATTICE_ENTRY), 0, id="lattice-entry-at-cap"),
+        pytest.param(["codims", "{input}"], _point_components(MAX_LOCI_COMPONENTS), 0, None, id="components-at-cap"),
+        pytest.param(["codims", "{input}"], _lattice_row(MAX_LATTICE_ENTRY), 0, None, id="lattice-entry-at-cap"),
         # the component is not in the computed locus: a witness, exit 2
-        pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(KERNEL_AT_CAP), 2,
+        pytest.param(["perversity", "{m3}", "--loci", "{input}"], _kernel_row(KERNEL_AT_CAP), 2, None,
                      id="kernel-entry-at-cap"),
     ],
 )
-def test_large_loci_files_end_promptly(tmp_path, argv, text, code):
+def test_large_loci_files_end_promptly(tmp_path, argv, text, code, message):
     path, m3 = tmp_path / "input.loci", tmp_path / "m3.complex"
     path.write_text(text)
     m3.write_text(M3_COMPLEX)
     result = run_cli(*(a.format(input=path, m3=m3) for a in argv), timeout=60)
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
-    if code == 3:
+    if message:
+        assert result.stderr == f"resource cap: {message}\n"
+    elif code == 3:
         assert result.stderr.startswith("resource cap:") and "cap of" in result.stderr
     if code == 2:
         assert "witness point" in result.stderr
@@ -592,7 +641,7 @@ def test_free_rank_over_cap_writes_no_file(tmp_path):
     out = tmp_path / "r.complex"
     result = run_cli("fixtures", "free", "--rank", str(MAX_RANK + 1), "--complex-out", str(out), timeout=60)
     assert result.returncode == 3
-    assert result.stderr.startswith("resource cap:") and "module rank" in result.stderr
+    assert result.stderr == f"resource cap: module rank {MAX_RANK + 1} exceeds the cap of {MAX_RANK}\n"
     assert "Traceback" not in result.stderr and not out.exists()
 
 
@@ -606,13 +655,14 @@ def test_module_entry_point(m2_files):
     assert result.returncode == 0
 
 
-@pytest.mark.parametrize("exponents", ["9,9", "1000,1000"])
-def test_induction_cover_over_cap_exits_3(exponents):
+@pytest.mark.parametrize("exponents, size", [pytest.param("9,9", 81, id="9,9"),
+                                             pytest.param("1000,1000", 10**6, id="1000,1000")])
+def test_induction_cover_over_cap_exits_3(exponents, size):
     # 12 x 12 took 14 s before the cap and 20 x 20 did not finish in 30 s;
     # a cover above MAX_COVER_SIZE is refused before its basis is built
     result = run_cli("fixtures", "induce", "--m", "2", "--n", exponents, timeout=60)
     assert result.returncode == 3
-    assert result.stderr.startswith("resource cap:") and "induction cover" in result.stderr
+    assert result.stderr == f"resource cap: induction cover of size {size} exceeds the cap of {MAX_COVER_SIZE}\n"
     assert "Traceback" not in result.stderr
 
 

@@ -38,7 +38,7 @@ def test_koszul_shapes():
     assert K2.ranks == (1, 2, 1)
     K3 = koszul([x, y, x * y])
     assert K3.ranks == (1, 3, 3, 1)
-    assert K3.validate().ok
+    assert K3.validate() is None
     shifted = koszul([x, y]).shift(2)
     assert (shifted.k_min, shifted.k_max) == (0, 2)
     with pytest.raises(InputError):
@@ -49,7 +49,7 @@ def test_koszul_repeated_generator():
     ctx = RingContext.torus(1)
     x = ctx.variable(0) - 1
     KK = koszul([x, x])
-    assert KK.validate().ok
+    assert KK.validate() is None
     # V^-1 = V^0 = {1} pointwise
     assert membership_at_point(KK, 0, ctx.identity_point())[0]
     assert membership_at_point(KK, -1, ctx.identity_point())[0]
@@ -69,7 +69,7 @@ def test_mellin_profile_matches_paper_display():
 
 def test_every_fixture_passes_validate_and_assumption():
     for fx in standard_fixture_suite():
-        assert fx.complex.validate().ok, fx.name
+        assert fx.complex.validate() is None, fx.name
         assert fx.complex.check_assumption(), fx.name
 
 
@@ -130,17 +130,17 @@ def test_mutation_gate():
     # zeroing one Koszul entry breaks d.d = 0
     mut = mutate_zero_entry(m2, -2, 0, 0)
     assert not mut.valid
-    assert not mut.complex.validate().ok
+    assert mut.complex.validate() is not None
     # scaling one entry of a rank-1 row complex keeps the identity
     m1 = mellin_constant_torus(1)
     mut1 = mutate_scale_entry(m1, -1, 0, 0, 7)
-    assert mut1.valid and mut1.complex.validate().ok
+    assert mut1.valid and mut1.complex.validate() is None
     # scaling one entry of the m = 2 Koszul breaks it
     mut2 = mutate_scale_entry(m2, -2, 0, 0, 7)
     assert not mut2.valid
     # the first nonzero entry, in degree order and then row by row
     mut3 = mutate_zero_entry(mellin_constant_torus(3), -1, 0, 2)
-    assert mut3.complex.validate().describe() == (
+    assert mut3.complex.validate() == (
         "composite differential d^-1 . d^-2 is nonzero at entry (0,1): -t1*t3 + t1 + t3 - 1"
     )
 

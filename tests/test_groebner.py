@@ -14,7 +14,6 @@ from jumploci.groebner import (
     GREVLEX,
     LEX,
     LaurentIdeal,
-    MonomialOrder,
     _is_constant,
     _is_unit_basis,
     _lead,
@@ -25,6 +24,7 @@ from jumploci.groebner import (
     _saturate,
     _saturate_by_elimination,
     buchberger,
+    elimination_order,
     laurent_to_poly,
     variety_containment,
 )
@@ -240,10 +240,55 @@ def test_spair_budget_reaches_every_entry_point(ctx2, monkeypatch):
 
 
 def test_order_tags():
-    elim = MonomialOrder("elim", (2,))
+    elim = elimination_order((2,))
     key_inside = elim.key((0, 0, 1))
     key_outside = elim.key((5, 5, 0))
     assert key_inside > key_outside  # block variable dominates
+
+
+def _recorded_order_names(monkeypatch, run) -> list[str]:
+    """The names of the orders run() passes to ``buchberger``."""
+    names, real = [], groebner.buchberger
+
+    def recording(generators, order, start=()):
+        names.append(order.name)
+        return real(generators, order, start=start)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    run()
+    return names
+
+
+def test_order_names_seen_by_buchberger(monkeypatch):
+    # the traced run names a buchberger span from order.name: "elim" is the
+    # saturation, "grevlex" a restriction or basis run
+    n, t1, t2, one = 2, (1, 0), (0, 1), (0, 0)
+    through_origin = [{t1: 1, t2: -1}]  # t1 - t2 meets every coordinate hyperplane
+    off_axes = [{t1: 1, one: -1}, {t2: 1, one: -1}]
+    assert _recorded_order_names(monkeypatch, lambda: _saturate_by_elimination(through_origin, n)) == ["elim"]
+    assert _recorded_order_names(monkeypatch, lambda: _saturate(through_origin, n)) == ["grevlex", "elim"]
+    assert _recorded_order_names(monkeypatch, lambda: _saturate(off_axes, n)) == ["grevlex"] * (n + 1)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, elimination_order((0,))], ids=lambda o: o.name)
+def test_memoized_order_sorts_as_the_order(order, monkeypatch):
+    # buchberger swaps in a memo of order.key; it must rank exponents alike
+    seen, real = [], groebner._normalize
+
+    def recording(p, memo):
+        seen.append(memo)
+        return real(p, memo)
+
+    monkeypatch.setattr(groebner, "_normalize", recording)
+    n = 3
+    buchberger([{_var(n, 0): 1, _var(n, 1): -1}, {_var(n, 2): 2, (0,) * n: -1}], order)
+    memo = seen[0]
+    assert memo.name == order.name and memo.key is not order.key
+    rng = random.Random(61)
+    for _ in range(20):
+        exps = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(8)]
+        assert sorted(exps, key=memo.key) == sorted(exps, key=order.key)
+        assert [memo.key(e) for e in exps] == [order.key(e) for e in exps]
 
 
 # -- saturation fast path against the elimination it skips -------------------
@@ -556,7 +601,7 @@ def test_integer_reduce_is_positive_multiple_of_rational_normal_form(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_buchberger_returns_primitive_integer_polynomials(n):
     rng = random.Random(99 + n)
-    orders = (GREVLEX, LEX, MonomialOrder("elim", (n - 1,)))
+    orders = (GREVLEX, LEX, elimination_order((n - 1,)))
     for trial in range(30):
         gens = [_integral(_rational_poly(rng, n, rng.randint(1, 3), 2)) for _ in range(rng.randint(1, 3))]
         for order in orders:
@@ -664,7 +709,7 @@ def _binomial_ideal(rng, n, size, degree):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pair_criteria_match_the_unpruned_loop(n, spoly_calls):
     rng = random.Random(110 + n)
-    orders = (GREVLEX, LEX, MonomialOrder("elim", (n - 1,)))
+    orders = (GREVLEX, LEX, elimination_order((n - 1,)))
     units, ours_total, ref_total = set(), 0, 0
     for trial in range(24):
         if trial % 3 == 2:
@@ -737,7 +782,7 @@ def test_a_constant_generator_returns_the_unit_basis_at_once(monkeypatch, spoly_
     n = 6
     gens = [{tuple(int(k == i) for k in range(n)): 1, (0,) * n: -1} for i in range(1, n)]
     gens.insert(2, {(0,) * n: Fraction(-3, 2)})
-    for order in (GREVLEX, LEX, MonomialOrder("elim", (0,))):
+    for order in (GREVLEX, LEX, elimination_order((0,))):
         assert buchberger(gens, order) == [{(0,) * n: 1}]
     assert calls[0] == 0
     assert spoly_calls[0] == 0

@@ -23,13 +23,13 @@ from jumploci.fixtures import (
 from jumploci.groebner import (
     GREVLEX,
     LEX,
-    MonomialOrder,
     LaurentIdeal,
     _lead,
     _reduce,
     _saturate,
     _spoly,
     buchberger,
+    elimination_order,
     laurent_to_poly,
     laurent_to_polys,
     primitive_part,
@@ -111,7 +111,7 @@ def test_public_elimination_order():
     ctx = RingContext.torus(2)
     t1, t2 = ctx.variable(0), ctx.variable(1)
     polys = [laurent_to_poly(g) for g in (t1 - t2**2, t1 - 1)]
-    elim = MonomialOrder("elim", (0,))
+    elim = elimination_order((0,))
     basis = [LaurentPoly(ctx, g) for g in buchberger(_saturate(polys, 2), elim)]
     only_t2 = [g for g in basis if all(e[0] == 0 for e in g.terms)]
     assert any(g == t2**2 - 1 or g == 1 - t2**2 for g in only_t2)
@@ -236,7 +236,7 @@ def test_tensor_with_abelian_factor():
     ab_ctx = RingContext(["u1", "u2"], 0, 1)
     ab_cx = koszul([ab_ctx.variable(0) - 1, ab_ctx.variable(1) - 1])
     combined = torus_fx.complex.external_tensor(ab_cx)
-    assert combined.validate().ok
+    assert combined.validate() is None
     ctx = combined.context
     assert ctx.torus_rank == 1 and ctx.abelian_rank == 1
     assert ctx.var_names == ("t1", "u1", "u2")
