@@ -14,8 +14,7 @@ Subcommands:
 Exit status: 0 = pass/success, 1 = checked-and-failed (report emitted),
 2 = input error, 3 = resource budget exceeded, 4 = internal error (a bug;
 the traceback goes to stderr).  Reports are deterministic;
-sampled verdicts embed their seed.  The S-pair budget can be set through
-JUMPLOCI_SPAIR_BUDGET.
+sampled verdicts embed their seed.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from pathlib import Path
 
 from . import serialize
 from .errors import InputError, ResourceError
-from .groebner import spair_budget
 from .sampling import check_sample_count
 from .verdict import perversity_verdict
 
@@ -272,7 +270,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spair_budget()  # a malformed budget is refused by every subcommand
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -339,18 +339,31 @@ class FreeComplex:
         )
 
     def jumping_ideal(self, i: int) -> LaurentIdeal:
-        """Minors of size rank(i) of d^(i-1) (+) d^i, via the sum-of-products
-        expansion over block-diagonal minor splittings: the products f*g of a
-        j-minor f of d^(i-1) and an (r-j)-minor g of d^i, in the order j, f,
-        g, each kept at its first occurrence.  Products of nonzero minors
-        are nonzero, since the ring is a domain.  Outside the range rank(i)
-        is 0, and the one product, of two empty minors, is the unit ideal.
+        """Minors of size r = rank(i) of d^(i-1) (+) d^i, via the
+        sum-of-products expansion over block-diagonal minor splittings: the
+        products f*g of a j-minor f of d^(i-1) and an (r-j)-minor g of d^i,
+        in the order j, f, g, each kept at its first occurrence.  Products
+        of nonzero minors are nonzero, since the ring is a domain.  Outside
+        the range r is 0, and the one product, of two empty minors, is the
+        unit ideal.
 
         A product of canonical generators (``minor_generators``) is already
         canonical, so equal products up to units are equal: the minimum
         exponents of each variable add, to 0; by Gauss's lemma the content
         of f*g is the product of the contents, 1; and the lex lead of f*g is
-        the product of the lex leads, with a positive coefficient."""
+        the product of the lex leads, with a positive coefficient.
+
+        Soundness of the window.  With rho_k the generic rank of d^k, a
+        minor larger than rho_k is zero, so a nonzero product needs
+        r - rho_i <= j <= rho_(i-1); and d^i . d^(i-1) = 0 over the fraction
+        field gives rho_(i-1) + rho_i <= r.  So only j = rho_(i-1) can
+        contribute, and only where ranks add up, r = rho_(i-1) + rho_i:
+        there J_i = F_(i-1) * F_i, elsewhere J_i = (0) (the rank condition
+        of Buchsbaum and Eisenbud, J. Algebra 25, 1973).  The loop still
+        runs over every j, so minors beyond MAX_MINOR_SIZE are refused even
+        where all of them are zero: the benchmark's ``jump-ideals:sum-3-tw``
+        job (m3 plus its twist) expects that refusal, exit 3, until it
+        expects the true outcome."""
         self.ensure_valid()
 
         def products() -> Iterator[Poly]:

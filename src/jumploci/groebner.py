@@ -23,11 +23,10 @@ content removal, and every polynomial the engine keeps is primitive with a
 positive lead coefficient.  S-pairs known to reduce to zero are never
 reduced: the Gebauer-Moeller criteria B, M and F and Buchberger's
 coprime-lead (product) criterion delete them (see ``buchberger``).
-Computations abort with ResourceError once the S-pair budget is exhausted
-(default 200000, set through the JUMPLOCI_SPAIR_BUDGET environment
-variable).  The budget counts S-pairs reduced; pairs deleted by a criterion
-are not counted.  It counts pairs, not time, so it does not bound the run
-time of a slow reduction.
+Computations abort with ResourceError once the S-pair budget, the module
+constant SPAIR_BUDGET, is exhausted.  The budget counts S-pairs reduced;
+pairs deleted by a criterion are not counted.  It counts pairs, not time,
+so it does not bound the run time of a slow reduction.
 
 Internally polynomials are raw dicts {exponent tuple: int} with nonnegative
 exponents and integer coefficients, from the minors of ``complexes`` to the
@@ -40,31 +39,15 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from operator import add, ge, sub
 from typing import Callable, NamedTuple
 
 from .errors import InputError, ResourceError
 from .laurent import LaurentPoly, RingContext
 
-DEFAULT_SPAIR_BUDGET = 200_000
-BUDGET_ENV_VAR = "JUMPLOCI_SPAIR_BUDGET"
+SPAIR_BUDGET = 200_000  # S-pairs one buchberger call may reduce, read at call time
 
 Poly = dict  # {tuple[int,...]: int}
-
-
-def spair_budget() -> int:
-    """BUDGET_ENV_VAR if set, else the default; InputError unless a nonnegative integer."""
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if not env:
-        return DEFAULT_SPAIR_BUDGET
-    try:
-        budget = int(env)
-    except ValueError:
-        budget = -1  # refused below
-    if budget < 0:
-        raise InputError(f"{BUDGET_ENV_VAR} must be a nonnegative integer, got {env!r}")
-    return budget
 
 
 # -- monomial orders --------------------------------------------------------
@@ -118,9 +101,7 @@ def _lead(p: Poly, order: MonomialOrder):
 
 
 def _normalize(p: Poly, order: MonomialOrder) -> Poly:
-    """The primitive part of p with positive leading coefficient."""
-    if not p:
-        return p
+    """The primitive part of the nonzero p, with positive leading coefficient."""
     content = math.gcd(*p.values())
     if p[max(p, key=order.key)] < 0:
         content = -content
@@ -274,7 +255,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[P
     The S-pair budget counts pairs reduced.  A pair deleted by a criterion
     is skipped when it leaves the queue and is not counted.
     """
-    limit = spair_budget()
+    limit = SPAIR_BUDGET
     for g in generators:
         if _is_constant(g):
             return [{next(iter(g)): 1}]

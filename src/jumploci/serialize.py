@@ -32,17 +32,16 @@ verdicts always carry their seed.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from typing import Sequence
 
+from . import loci
 from .complexes import FreeComplex, Matrix
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER
 from .errors import InputError, ResourceError, check_cap
 from .groebner import LaurentIdeal
 from .lattices import LinearComponent, LinearUnion
 from .laurent import RingContext, TorsionPoint, format_poly
-from .loci import is_whole_space
 from .verdict import LociProfile, PerversityReport
 
 LOCI_FORMAT = "jumploci-loci"
@@ -291,7 +290,7 @@ def load_loci(text: str, strict: bool = True):
     count = sum(len(comps) for comps in doc["loci"].values() if isinstance(comps, list))
     if count > MAX_LOCI_COMPONENTS:
         raise ResourceError(f"{count} loci components exceed the cap of {MAX_LOCI_COMPONENTS}")
-    loci = {}
+    unions = {}
     rejected = []
     for key, comp_list in doc["loci"].items():
         try:
@@ -299,7 +298,7 @@ def load_loci(text: str, strict: bool = True):
         except ValueError as exc:
             raise InputError(f"malformed degree key {key!r}") from exc
         check_degree(degree)
-        if degree in loci:
+        if degree in unions:
             raise InputError(f"two loci keys name degree {degree}")
         if not isinstance(comp_list, list):
             raise InputError(f"degree {degree}: components must be a list")
@@ -320,25 +319,17 @@ def load_loci(text: str, strict: bool = True):
                         f"degree {degree}, component {k}: {exc}"
                     ) from exc
                 rejected.append({"degree": degree, "component": k, "reason": str(exc)})
-        loci[degree] = LinearUnion(ctx, comps)
+        unions[degree] = LinearUnion(ctx, comps)
     euler = doc.get("euler")
     try:
         euler = _parse_int(euler) if euler is not None else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed euler characteristic {euler!r}") from exc
-    profile = LociProfile(ctx, loci, euler=euler)
+    profile = LociProfile(ctx, unions, euler=euler)
     return profile, rejected
 
 
 # -- report documents -------------------------------------------------------------
-
-
-def _codim_str(value) -> str:
-    if value == math.inf:
-        return "inf"
-    if value == -math.inf:
-        return "-inf"
-    return str(value)
 
 
 def ideal_entry(degree: int, ideal: LaurentIdeal) -> dict:
@@ -347,9 +338,9 @@ def ideal_entry(degree: int, ideal: LaurentIdeal) -> dict:
         "degree": degree,
         "generators": sorted(str(g) for g in ideal.generators),
         "saturated_basis": sorted(str(g) for g in basis),
-        "codimension": _codim_str(ideal.codimension()),
+        "codimension": str(ideal.codimension()),
         "empty": bool(ideal.is_unit_ideal()),
-        "whole_space": is_whole_space(ideal),
+        "whole_space": loci.is_whole_space(ideal),
         "provenance": "exact",
     }
 
@@ -364,7 +355,7 @@ def jump_ideal_report(cx: FreeComplex, degrees: Sequence[int]) -> dict:
 def exactness_report(cx: FreeComplex) -> dict:
     (ok, cert), (dual_ok, dual_cert) = cx.negative_exactness()
     for row in cert + dual_cert:
-        row["fitting_codim"] = _codim_str(row["fitting_codim"])
+        row["fitting_codim"] = str(row["fitting_codim"])
     return {
         "report": "exactness",
         "assumption_holds": ok and dual_ok,
@@ -377,7 +368,7 @@ def exactness_report(cx: FreeComplex) -> dict:
 
 def perversity_report_doc(report: PerversityReport, samples: int, seed: int) -> dict:
     def rows(rs):
-        return [dict(r._asdict(), actual=_codim_str(r.actual)) for r in rs]
+        return [dict(r._asdict(), actual=str(r.actual)) for r in rs]
 
     return {
         "report": "perversity",
@@ -406,7 +397,7 @@ def codims_report(profile: LociProfile) -> dict:
     entries = []
     for deg in profile.degrees():
         union = profile.locus(deg)
-        stats = {key: _codim_str(value) for key, value in union.codim_stats()._asdict().items()}
+        stats = {key: str(value) for key, value in union.codim_stats()._asdict().items()}
         components = [
             dict(_component_doc(c), **dict(zip(("codim", "codim_a", "codim_sa"), c.codims())))
             for c in union.components
@@ -416,14 +407,11 @@ def codims_report(profile: LociProfile) -> dict:
 
 
 def sample_report(cx: FreeComplex, points: Sequence[TorsionPoint], degrees: Sequence[int]) -> dict:
-    # imported at call time, so a tracer's patch of loci.membership_at_point applies
-    from .loci import membership_at_point
-
     entries = []
     for p in points:
         row = {"point": _point_doc(p), "memberships": {}}
         for d in degrees:
-            member, dim = membership_at_point(cx, d, p)
+            member, dim = loci.membership_at_point(cx, d, p)
             row["memberships"][str(d)] = {"member": member, "dim": dim}
         entries.append(row)
     return {"report": "sample", "points": entries}

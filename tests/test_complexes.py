@@ -15,11 +15,15 @@ from jumploci.complexes import (
 from jumploci.cyclotomic import field_rank
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
+    induce_fixture,
     koszul,
     mellin_constant_torus,
     renamed_torus_fixture,
+    shift_fixture,
     standard_fixture_suite,
+    sum_fixture,
     tensor_fixture,
+    twist_fixture,
 )
 from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
@@ -322,6 +326,73 @@ def test_jumping_generators_match_the_sentinel_expansion(name, cx, degrees):
         if expected is None:
             expected = (cx.context.one(),)
         assert cx.jumping_ideal(i).generators == expected, (name, i)
+
+
+def _fitting_product_or_zero(cx, i):
+    """J_i as F_(i-1)*F_i, or (0) where rank additivity fails: the distinct
+    products f*g of the generic-rank minors f of d^(i-1) and g of d^i, in
+    LaurentPoly arithmetic, as strings in order of first occurrence."""
+    lo, hi = cx.rank_of_differential(i - 1), cx.rank_of_differential(i)
+    if lo + hi != cx.rank(i):
+        return []
+    left, right = _minors(cx.differential(i - 1), lo), _minors(cx.differential(i), hi)
+    return list(dict.fromkeys(str(f * g) for f in left for g in right))
+
+
+def _random_complexes_with_a_free_summand():
+    """A Koszul complex on random Laurent polynomials plus a free module
+    with zero differentials in one of its degrees, where ranks then fail to
+    add up."""
+    rng = random.Random(72)
+    ctx = RingContext.torus(2)
+    for case in range(12):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            g = ctx.zero()
+            while g.is_zero():
+                g = _random_entry(ctx, rng)
+            gens.append(g)
+        degree, rank = rng.randint(-len(gens), 0), rng.randint(1, 2)
+        cx = koszul(gens).direct_sum(FreeComplex(ctx, degree, degree, [rank], {}))
+        yield f"random{case}-free{rank}@{degree}", cx, None
+
+
+def _fitting_product_cases():
+    """(name, complex, degrees or None for k_min - 1 .. k_max + 1)."""
+    m2, m3 = mellin_constant_torus(2), mellin_constant_torus(3)
+    tensor22 = tensor_fixture(m2, renamed_torus_fixture(2, 2))
+    for fx in standard_fixture_suite() + [mellin_constant_torus(4), tensor22]:
+        yield fx.name, fx.complex, None
+    for s in (1, -1):
+        yield f"mellin-torus-m2-shift({s})", shift_fixture(m2, s).complex, None
+    yield "mellin-torus-m5", mellin_constant_torus(5).complex, [-4]
+    yield from _random_complexes_with_a_free_summand()
+    yield "m3-sum-twist", sum_fixture(m3, twist_fixture(m3, [Fraction(2)] * 3)).complex, None
+    yield "m2-cover-32", induce_fixture(m2, [3, 2]).complex, None
+
+
+FITTING_PRODUCT_CASES = list(_fitting_product_cases())
+# degrees where the expansion over every j asks for minors beyond the cap,
+# though each of them is zero
+CAPPED_DEGREES = {"m3-sum-twist": {-2, -1}, "m2-cover-32": {-2, -1, 0}}
+
+
+@pytest.mark.parametrize(
+    "name, cx, degrees", FITTING_PRODUCT_CASES, ids=[name for name, _, _ in FITTING_PRODUCT_CASES]
+)
+def test_jumping_ideal_is_the_fitting_product_or_zero(name, cx, degrees):
+    # only j = rho_(i-1) of the expansion can contribute (see jumping_ideal),
+    # so J_i = F_(i-1)*F_i where ranks add up and (0) where they do not
+    additivity_fails = False
+    for i in degrees or range(cx.k_min - 1, cx.k_max + 2):
+        if i in CAPPED_DEGREES.get(name, ()):
+            with pytest.raises(ResourceError):
+                cx.jumping_ideal(i)
+            continue
+        expected = _fitting_product_or_zero(cx, i)
+        additivity_fails |= not expected
+        assert [str(g) for g in cx.jumping_ideal(i).generators] == expected, (name, i)
+    assert additivity_fails or not name.startswith("random"), name
 
 
 def test_jumping_ideal_zero_rank_degree(ctx2):

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from jumploci import cli
+from jumploci import cli, groebner
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -141,14 +141,20 @@ def test_fixture_stdout_matches_written_files(workdir):
         assert (GOLDEN / f"{name}-fixtures-stdout.txt").read_text() == written
 
 
-def test_m4_degree_minus_2_fits_a_budget_of_1000_pairs(workdir, monkeypatch):
+def test_m4_degree_minus_2_reduces_exactly_216_pairs(workdir, monkeypatch, capsys):
     # the budget counts S-pairs reduced, not pairs deleted by a criterion:
     # this basis reduces 216 pairs, where the coprime-lead test alone left 3305
-    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1000")
     monkeypatch.chdir(workdir)
-    code, stdout = run(["jump-ideals", "m4.complex", "--degrees=-2..-2", "--json"])
-    assert code == 0
-    assert stdout == (GOLDEN / "m4-jump-ideals-degree-2.json").read_text()
+    argv = ["jump-ideals", "m4.complex", "--degrees=-2..-2", "--json"]
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 216)
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / "m4-jump-ideals-degree-2.json").read_text() and err == ""
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 215)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "resource cap: S-pair budget of 215 exceeded during Groebner basis computation\n"
 
 
 def _regenerate() -> None:

@@ -213,17 +213,17 @@ def test_determinism_repeated_runs(ctx2):
 def test_spair_budget_enforced(ctx2, monkeypatch):
     x, y = gens2(ctx2)
     gens = [x**3 * y - x, y**3 - x * y + 1, x**2 * y**2 - 3]
-    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1")
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 1)
     with pytest.raises(ResourceError):
         LaurentIdeal(ctx2, gens).groebner_basis()
 
 
 def test_spair_budget_reaches_every_entry_point(ctx2, monkeypatch):
     # the budget is read inside buchberger, so each entry point that used to
-    # take a per-call budget raises on a fresh ideal once the variable is set
+    # take a per-call budget raises on a fresh ideal once the constant is set
     x, y = gens2(ctx2)
     gens = [x**3 * y - x, y**3 - x * y + 1, x**2 * y**2 - 3]
-    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1")
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 1)
     probes = {
         "groebner_basis": lambda: LaurentIdeal(ctx2, gens).groebner_basis(),
         "radical_contains": lambda: LaurentIdeal(ctx2, gens).radical_contains(x + y),
@@ -377,7 +377,7 @@ def _restriction_heavy_polys():
 
 def test_saturation_restrictions_respect_budget(monkeypatch):
     polys = _restriction_heavy_polys()
-    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "3")
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 3)
     with pytest.raises(ResourceError):
         _misses_coordinate_hyperplanes(polys, 3)
     with pytest.raises(ResourceError):
@@ -887,6 +887,6 @@ def test_spair_budget_reaches_the_extended_run(ctx2, monkeypatch, spoly_calls):
     # the basis is computed under the default budget, the extension is not
     ideal = LaurentIdeal(ctx2, gens)
     ideal.groebner_basis()
-    monkeypatch.setenv("JUMPLOCI_SPAIR_BUDGET", "1")
+    monkeypatch.setattr(groebner, "SPAIR_BUDGET", 1)
     with pytest.raises(ResourceError):
         ideal.radical_contains(f)
