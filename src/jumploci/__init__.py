@@ -11,65 +11,43 @@ degree-zero components, and the signed Euler characteristic.
 Everything is exact: rational coefficients, cyclotomic-rational point
 evaluations, Groebner bases over the coordinate-saturated polynomial ring,
 and Smith-normal-form lattice arithmetic.
+
+The names in ``__all__`` are resolved lazily: importing the package loads
+none of its modules, and each name is imported from its home module the
+first time it is read.
 """
 
-from .complexes import FreeComplex, Matrix, generic_rank, minor_generators
-from .errors import InputError, ResourceError
-from .groebner import LaurentIdeal, variety_containment
-from .lattices import (
-    LinearComponent,
-    LinearUnion,
-    kernel_basis,
-    saturate_lattice,
-    smith_normal_form,
-)
-from .laurent import LaurentPoly, RingContext, TorsionPoint, format_poly, parse_poly
-from .loci import (
-    depth_bounds,
-    is_whole_space,
-    membership_at_point,
-    propagation_check,
-    radical_equality_pairs,
-)
-from .verdict import (
-    LociProfile,
-    PerversityReport,
-    check_lower,
-    check_upper,
-    perversity_verdict,
-    survival_interval,
-)
+from importlib import import_module
 
-__all__ = [
-    "FreeComplex",
-    "InputError",
-    "LaurentIdeal",
-    "LaurentPoly",
-    "LinearComponent",
-    "LinearUnion",
-    "LociProfile",
-    "Matrix",
-    "PerversityReport",
-    "ResourceError",
-    "RingContext",
-    "TorsionPoint",
-    "check_lower",
-    "check_upper",
-    "depth_bounds",
-    "format_poly",
-    "generic_rank",
-    "is_whole_space",
-    "kernel_basis",
-    "membership_at_point",
-    "minor_generators",
-    "parse_poly",
-    "perversity_verdict",
-    "propagation_check",
-    "radical_equality_pairs",
-    "saturate_lattice",
-    "smith_normal_form",
-    "survival_interval",
-    "variety_containment",
-]
+# the public names, by the module they live in
+_HOMES = {
+    "complexes": ("FreeComplex", "Matrix", "generic_rank", "minor_generators"),
+    "errors": ("InputError", "ResourceError"),
+    "groebner": ("LaurentIdeal", "variety_containment"),
+    "lattices": (
+        "LinearComponent", "LinearUnion", "kernel_basis", "saturate_lattice", "smith_normal_form",
+    ),
+    "laurent": ("LaurentPoly", "RingContext", "TorsionPoint", "format_poly", "parse_poly"),
+    "loci": (
+        "depth_bounds", "is_whole_space", "membership_at_point", "propagation_check",
+        "radical_equality_pairs",
+    ),
+    "verdict": (
+        "LociProfile", "PerversityReport", "check_lower", "check_upper", "perversity_verdict",
+        "survival_interval",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A public name, imported from its home module on first read and kept
+    (PEP 562), so a job compiles only the modules it uses."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value

@@ -25,11 +25,14 @@ negative degrees is exact iff ranks are additive and the Fitting ideal of
 each degree i in the range has codimension at least -i.
 
 Minors, generic ranks, exact division and the jumping-ideal products run
-on the integer polynomials of ``groebner`` (``Poly``), end to end: each
+on the integer polynomials of ``intpoly`` (``Poly``), end to end: each
 row of a differential is scaled once into Z[t] by a unit of the Laurent
 ring (``laurent_to_polys``, the one place a Fraction becomes an integer),
 minors are kept in canonical form (``primitive_part``), and a
 ``LaurentPoly`` is built once per distinct generator, as the ideal is made.
+The ideal is a ``groebner.LaurentIdeal``; the Groebner engine is imported
+where an ideal is made, so validating, ranking and specializing a complex
+do not load it.
 
 A complex keeps what is derived from it (its d.d = 0 failure, ranks,
 ideals) in one memo, ``FreeComplex.cached``.  ``tensor_ring`` alone orders
@@ -47,10 +50,9 @@ from itertools import accumulate, combinations, product
 from operator import ge, sub
 from typing import Iterable, Iterator, Sequence
 
-from .cyclotomic import Cyclotomic
 from .errors import InputError, check_cap
-from .groebner import LaurentIdeal, Poly, add_multiple, laurent_to_polys, primitive_part
-from .laurent import LaurentPoly, RingContext, TorsionPoint, substitution_pairs
+from .intpoly import Poly, add_multiple, laurent_to_polys, primitive_part
+from .laurent import LaurentPoly, RingContext, substitution_pairs
 
 MAX_MINOR_SIZE = 5
 # Largest induction cover, as the number n_1*...*n_N of basis monomials: the
@@ -228,6 +230,9 @@ def minor_generators(matrix: Matrix, k: int) -> list[Poly]:
 
 
 def _ideal(context: RingContext, polys: list[Poly]) -> LaurentIdeal:
+    # imported here: only jobs that ask an ideal question load the engine
+    from .groebner import LaurentIdeal
+
     return LaurentIdeal(context, [LaurentPoly(context, p) for p in polys])
 
 

@@ -28,26 +28,29 @@ constant SPAIR_BUDGET, is exhausted.  The budget counts S-pairs reduced;
 pairs deleted by a criterion are not counted.  It counts pairs, not time,
 so it does not bound the run time of a slow reduction.
 
-Internally polynomials are raw dicts {exponent tuple: int} with nonnegative
-exponents and integer coefficients, from the minors of ``complexes`` to the
+Internally polynomials are the integer polynomials of ``intpoly`` (``Poly``,
+raw dicts {exponent tuple: int}), from the minors of ``complexes`` to the
 reduced bases; the number of variables travels alongside because auxiliary
-variables extend the ring temporarily.  ``laurent_to_polys`` is the one
-place where a Fraction coefficient becomes an integer.
+variables extend the ring temporarily.  ``intpoly.laurent_to_polys`` is the
+one place where a Fraction coefficient becomes an integer.  This engine is
+loaded only by jobs that ask an ideal question: ``complexes`` imports it
+where an ideal is made and ``loci`` where containment is decided.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from operator import add, ge, sub
+from operator import ge, sub
 from typing import Callable, NamedTuple
 
 from .errors import InputError, ResourceError
-from .laurent import LaurentPoly, RingContext
+# the integer kernel, whose names this module keeps public (primitive_part
+# only for its callers)
+from .intpoly import Poly, add_multiple, laurent_to_polys, primitive_part
+from .laurent import LaurentPoly
 
 SPAIR_BUDGET = 200_000  # S-pairs one buchberger call may reduce, read at call time
-
-Poly = dict  # {tuple[int,...]: int}
 
 
 # -- monomial orders --------------------------------------------------------
@@ -106,29 +109,6 @@ def _normalize(p: Poly, order: MonomialOrder) -> Poly:
     if p[max(p, key=order.key)] < 0:
         content = -content
     return {e: c // content for e, c in p.items()}
-
-
-def primitive_part(p: Poly) -> Poly:
-    """The nonzero p up to units of the Laurent ring, canonically: minimum
-    exponent 0 in each variable, coprime integer coefficients, positive
-    lex-leading coefficient."""
-    mins = [min(col) for col in zip(*p)]
-    content = math.gcd(*p.values())
-    if p[max(p)] < 0:
-        content = -content
-    return {tuple(map(sub, e, mins)): c // content for e, c in p.items()}
-
-
-def add_multiple(target: Poly, c: int, shift, g: Poly) -> None:
-    """target += c * x^shift * g in place, c nonzero, dropping cancelled
-    terms: the one multiply-accumulate loop of the integer kernel."""
-    for exp, gc in g.items():
-        term = tuple(map(add, exp, shift))
-        s = target.get(term, 0) + c * gc
-        if s:
-            target[term] = s
-        else:
-            del target[term]
 
 
 def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads: list) -> Poly:
@@ -343,21 +323,6 @@ def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[P
 
 
 # -- Laurent <-> polynomial conversion ---------------------------------------
-
-
-def laurent_to_polys(polys) -> list[Poly]:
-    """``polys`` times one unit of the Laurent ring, as integer polynomials
-    with the same terms: the lcm of their denominators times the monomial
-    that brings each variable's minimum exponent over all of them to 0.  On
-    a matrix row this is a row operation, which multiplies every minor
-    through the row by that unit; scaling entries one by one is not."""
-    terms = [term for p in polys for term in p.terms.items()]
-    mins = [min(col) for col in zip(*(e for e, _ in terms))]
-    den = math.lcm(*(c.denominator for _, c in terms))
-    return [
-        {tuple(map(sub, e, mins)): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-        for p in polys
-    ]
 
 
 def laurent_to_poly(p: LaurentPoly) -> Poly:

@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .laurent import RingContext, TorsionPoint
 
 IntMatrix = list[list[int]]
 
@@ -208,7 +207,7 @@ class LinearComponent:
     lattice and its kernel, both in Hermite normal form.  Rejects lattices
     whose abelian projection has odd rank."""
 
-    __slots__ = ("context", "translate", "lattice", "kernel", "rank", "abelian_rank2")
+    __slots__ = ("context", "translate", "lattice", "kernel", "rank", "abelian_rank2", "_values")
 
     def __init__(
         self,
@@ -237,6 +236,7 @@ class LinearComponent:
         self.kernel = tuple(tuple(r) for r in kernel)
         self.rank = len(basis)
         self.abelian_rank2 = ab_rank
+        self._values = None
 
     # -- dimensions -----------------------------------------------------------
 
@@ -255,9 +255,12 @@ class LinearComponent:
 
     def contains_point(self, point: TorsionPoint) -> bool:
         """Whether every character of the lattice takes the same value at
-        the point as at the translate."""
+        the point as at the translate.  The translate's values are computed
+        on the first call and kept."""
         self.context.require(point)
-        return all(point.character(k) == self.translate.character(k) for k in self.lattice)
+        if self._values is None:
+            self._values = tuple(self.translate.character(k) for k in self.lattice)
+        return all(point.character(k) == v for k, v in zip(self.lattice, self._values))
 
     def contains(self, other: "LinearComponent") -> bool:
         """other <= self: the annihilator of self must sit inside that of

@@ -322,7 +322,7 @@ class TorsionPoint:
     q a positive rational and theta a rational in [0, 1).  Constructors accept
     negative q and fold the sign into theta, so equality is exact."""
 
-    __slots__ = ("context", "coords", "_table")
+    __slots__ = ("context", "coords", "_table", "_hash")
 
     def __init__(self, context: RingContext, coords: Sequence[tuple[Fraction, Fraction]]):
         if len(coords) != context.num_vars:
@@ -341,6 +341,7 @@ class TorsionPoint:
         self.context = context
         self.coords = tuple(norm)
         self._table = None
+        self._hash = None
 
     def _character_table(self) -> tuple[int, tuple[int, ...], tuple[Fraction, ...] | None]:
         """(L, steps, radials), computed once per point: L the angle order,
@@ -403,7 +404,10 @@ class TorsionPoint:
         )
 
     def __hash__(self) -> int:
-        return hash((self.context, self.coords))
+        # kept: rank caches and sample sets hash a point many times
+        if self._hash is None:
+            self._hash = hash((self.context, self.coords))
+        return self._hash
 
     def __repr__(self) -> str:
         parts = ", ".join(f"({format_rational(q)},{format_rational(th)})" for q, th in self.coords)

@@ -21,6 +21,10 @@ through radical membership, and only so: when minor enumeration hits the
 size cap the check raises ResourceError instead of returning a verdict.
 The links of the chain are listed once, by chain_links, for these computed
 loci and for declared ones (verdict.profile_propagation).
+
+Every subcommand imports this module, so at import it loads only what the
+pointwise route needs (``cyclotomic``); the two checks that decide
+containment import the Groebner engine when they run.
 """
 
 from __future__ import annotations
@@ -29,9 +33,6 @@ from typing import NamedTuple
 
 from .cyclotomic import field_rank
 from .errors import InputError
-from .groebner import LaurentIdeal, variety_containment
-from .complexes import FreeComplex
-from .laurent import TorsionPoint
 
 
 def _rank_at_point(complex_: FreeComplex, i: int, point: TorsionPoint) -> int:
@@ -90,6 +91,9 @@ def propagation_check(complex_: FreeComplex) -> PropagationResult:
     check refuses to run when the hypothesis is decided false.  Containments
     are decided exactly via radical membership; a cap hit in the hypothesis
     gate or in an ideal raises ResourceError."""
+    # imported here: the pointwise route never loads the Groebner engine
+    from .groebner import variety_containment
+
     complex_.ensure_valid()
     if not complex_.check_assumption():
         raise InputError(
@@ -107,6 +111,9 @@ def propagation_check(complex_: FreeComplex) -> PropagationResult:
 def radical_equality_pairs(complex_: FreeComplex) -> list[tuple[int, bool]]:
     """For every in-range degree i != 0, whether the Fitting and jumping
     ideals have equal radicals (mutual radical membership of generators)."""
+    # imported here: the pointwise route never loads the Groebner engine
+    from .groebner import variety_containment
+
     complex_.ensure_valid()
     out = []
     for i in complex_.degrees():

@@ -14,8 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import InputError, check_cap
-from .lattices import LinearComponent, LinearUnion, subtorus_point
-from .laurent import RingContext, TorsionPoint
+from .laurent import TorsionPoint
 
 _ANGLES = [
     Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -57,6 +56,9 @@ def random_torsion_point(context: RingContext, rng: random.Random) -> TorsionPoi
 def component_points(component: LinearComponent, rng: random.Random) -> list[TorsionPoint]:
     """Points guaranteed to lie on the component: the translate itself plus
     two random rational points of the subtorus through it."""
+    # imported here: only a sample drawn on declared loci needs the lattices
+    from .lattices import subtorus_point
+
     free_rank = component.context.num_vars - component.rank
     return [component.translate] + [
         subtorus_point(component, [abs(_random_radial(rng)) for _ in range(free_rank)])

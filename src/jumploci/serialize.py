@@ -27,6 +27,10 @@ strictly (raise) or collected into a report.
 Reports are plain dicts rendered to deterministic text or JSON: keys are
 sorted, generators are listed in sorted canonical string form, and sampled
 verdicts always carry their seed.
+
+Every subcommand imports this module, so it loads at its top only the ring,
+the errors and the pointwise ``loci`` module; the complex loader imports
+``complexes`` and the loci loader ``lattices`` and ``verdict`` when they run.
 """
 
 from __future__ import annotations
@@ -36,13 +40,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import loci
-from .complexes import FreeComplex, Matrix
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER
 from .errors import InputError, ResourceError, check_cap
-from .groebner import LaurentIdeal
-from .lattices import LinearComponent, LinearUnion
 from .laurent import RingContext, TorsionPoint, format_poly
-from .verdict import LociProfile, PerversityReport
 
 LOCI_FORMAT = "jumploci-loci"
 # Largest |degree| read from a file or the command line: the verdict's
@@ -104,6 +104,9 @@ def load_complex_shapes(text: str) -> FreeComplex:
     """Parse a complex document checking shapes only; the caller decides how
     to report a failing d.d = 0 identity (the validate subcommand treats it
     as checked-and-failed, not as malformed input)."""
+    # imported here: a job that reads only loci never loads complexes
+    from .complexes import FreeComplex, Matrix
+
     raw_lines = text.splitlines()
     lines = []
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -274,6 +277,10 @@ def load_loci(text: str, strict: bool = True):
     a list of {degree, reason} records for components that violate an
     invariant; with strict=True the first violation raises instead.  Either
     way a key repeated in any object is refused."""
+    # imported here: a job that reads only a complex never loads the lattices
+    from .lattices import LinearComponent, LinearUnion
+    from .verdict import LociProfile
+
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError, an integer over the digit limit or a repeated key

@@ -33,10 +33,7 @@ import math
 import random
 from typing import Mapping, NamedTuple
 
-from .complexes import FreeComplex
 from .errors import InputError
-from .lattices import LinearComponent, LinearUnion
-from .laurent import RingContext
 from .loci import chain_links, membership_at_point
 from .sampling import sample_points
 
@@ -66,6 +63,9 @@ class LociProfile:
         self.euler = euler
 
     def locus(self, degree: int) -> LinearUnion:
+        # imported here: importing the command line must not load the lattices
+        from .lattices import LinearUnion
+
         return self.loci.get(degree, LinearUnion.empty(self.context))
 
     def degrees(self) -> list[int]:

@@ -1,11 +1,14 @@
 """A job loads only what it runs.
 
-Start-up is most of a short job's time, and no analysis subcommand uses the
-fixture constructors, ``dataclasses`` (which imports ``inspect``) or
-``traceback``.  So neither importing the command line nor the imports a
-library certification job makes (``perfbench/libjob.py``) may load them.
-Each case starts a fresh interpreter, since the test process has long
-loaded all of them.
+Start-up is most of a short job's time, and with bytecode writing off every
+module a job imports is compiled from source.  No analysis subcommand uses
+the fixture constructors, ``dataclasses`` (which imports ``inspect``) or
+``traceback``, and each subcommand loads only the layers its route runs:
+importing the package loads none of its modules, and the command line, each
+subcommand and the imports of a library certification job
+(``perfbench/libjob.py``) load exactly the modules pinned here.  Each case
+starts a fresh interpreter, since the test process has long loaded all of
+them.
 
 Module ownership is pinned too: no module imports another module's private
 name.  So is the input a run depends on: no module reads the environment,
@@ -22,22 +25,89 @@ from pathlib import Path
 
 import pytest
 
+import jumploci
+from jumploci import serialize
+from jumploci.fixtures import mellin_constant_torus
+
 ROOT = Path(__file__).resolve().parent.parent
 UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures"]
 
+# what `import jumploci.cli` loads: the four import-time bindings the
+# benchmark's tracer checks (cli.perversity_verdict, verdict.membership_at_point,
+# verdict.sample_points, loci.field_rank) keep cli -> verdict -> {loci, sampling}
+CLI = ["cli", "cyclotomic", "errors", "laurent", "loci", "sampling", "serialize", "verdict"]
+COMPLEX = ["complexes", "intpoly"]  # the complex loader's layers
+RUN = "from jumploci import cli\nassert cli.main(sys.argv[1:]) == 0\n"
 
-@pytest.mark.parametrize(
-    "modules",
-    [["jumploci.cli"], ["jumploci.serialize", "jumploci.errors", "jumploci.loci"]],
-    ids=["cli", "library-job"],
-)
-def test_job_imports_leave_out_unused_modules(modules):
-    code = "".join(f"import {name}\n" for name in modules)
-    code += f"import sys\nprint([name for name in {UNUSED!r} if name in sys.modules])\n"
+
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _write_m2(directory: Path) -> None:
+    """m2.complex, m2.loci and points.json (one point of order 12) in ``directory``."""
+    m2 = mellin_constant_torus(2)
+    (directory / "m2.complex").write_text(serialize.dump_complex(m2.complex))
+    (directory / "m2.loci").write_text(serialize.dump_loci(m2.profile))
+    (directory / "points.json").write_text('[[["1", "1/3"], ["1", "1/4"]]]')
+
+
+@pytest.mark.parametrize(
+    "code, argv, loaded",
+    [
+        ("import jumploci\n", [], []),
+        ("import jumploci.cli\n", [], CLI),
+        (
+            "import jumploci.serialize, jumploci.errors, jumploci.loci\n",
+            [],
+            ["cyclotomic", "errors", "laurent", "loci", "serialize"],
+        ),
+        (RUN, ["validate", "m2.complex"], CLI + COMPLEX),
+        (RUN, ["codims", "m2.loci"], CLI + ["lattices"]),
+        (RUN, ["perversity", "m2.loci"], CLI + ["lattices"]),
+        (RUN, ["perversity", "m2.complex", "--loci", "m2.loci"], CLI + COMPLEX + ["lattices"]),
+        (RUN, ["sample", "m2.complex", "--points", "points.json"], CLI + COMPLEX),
+        (RUN, ["jump-ideals", "m2.complex"], CLI + COMPLEX + ["groebner"]),
+        (RUN, ["exactness", "m2.complex"], CLI + COMPLEX + ["groebner"]),
+    ],
+    ids=[
+        "package", "cli", "library-job", "validate", "codims", "perversity-loci",
+        "perversity-complex", "sample", "jump-ideals", "exactness",
+    ],
+)
+def test_job_imports_leave_out_unused_modules(tmp_path, code, argv, loaded):
+    # the exact jumploci.* modules a job loads, so a layer it does not run
+    # (the Groebner engine for the pointwise route, the lattices for a
+    # complex-only job) is never compiled
+    _write_m2(tmp_path)
+    code += "print()\nprint(sorted(m for m in sys.modules if m.startswith('jumploci.')))\n"
+    code += f"print([name for name in {UNUSED!r} if name in sys.modules])\n"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", "import sys\n" + code, *argv],
+        cwd=tmp_path, env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    *_, modules, unused = result.stdout.splitlines()
+    assert modules == repr(sorted(f"jumploci.{name}" for name in loaded))
+    assert unused == "[]"
+
+
+def test_package_root_resolves_each_public_name_in_its_home_module():
+    assert sorted(jumploci._HOME) == jumploci.__all__
+    for name, module in jumploci._HOME.items():
+        assert getattr(jumploci, name) is getattr(importlib.import_module(f"jumploci.{module}"), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jumploci.no_such_name
+    assert not hasattr(jumploci, "_no_such_private_name")
+
+
+def test_star_import_binds_every_public_name():
+    code = "from jumploci import *\nimport jumploci\n"
+    code += "print([name for name in jumploci.__all__ if name not in globals()])\n"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
@@ -55,11 +125,11 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == []
 
 
-@pytest.mark.parametrize("module", ["complexes", "groebner"])
+@pytest.mark.parametrize("module", ["complexes", "groebner", "intpoly"])
 def test_integer_kernel_modules_do_not_import_fractions(module):
     # minors, jumping-ideal products and Groebner bases run on integer
     # polynomials; a Fraction becomes an integer only in
-    # groebner.laurent_to_polys, which reads numerators and denominators
+    # intpoly.laurent_to_polys, which reads numerators and denominators
     tree = ast.parse((ROOT / "src" / "jumploci" / f"{module}.py").read_text())
     imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

@@ -149,6 +149,9 @@ def test_torsion_point_canonicalization():
     a = TorsionPoint(ctx, [(Fraction(-1), Fraction(0))])
     b = TorsionPoint(ctx, [(Fraction(1), Fraction(1, 2))])
     assert a == b
+    # the kept hash is the hash of the canonical coordinates, on every call
+    assert hash(a) == hash(b) == hash(a) == hash((ctx, b.coords))
+    assert len({a, b, ctx.identity_point()}) == 2
     assert a.angle_order() == 2
     with pytest.raises(InputError):
         TorsionPoint(ctx, [(Fraction(0), Fraction(0))])

@@ -2,10 +2,11 @@
 (``groebner.buchberger``, ``LaurentIdeal.groebner_basis``,
 ``cyclotomic.field_rank``, ...) and reads attributes of what they return.  A
 refactor that moves one of them breaks the benchmark, not the program, so
-this runs the tracer once on a small job per route and checks that it still
-records that route's spans.  The library job runs ``loci.propagation_check``
-by name, and the benchmark's checker requires it to report an exact
-verdict."""
+this runs the tracer once on a small job per route, and on the subcommands
+that load the fewest modules (``codims``, loci-only ``perversity``), and
+checks that it still records their spans.  The library job runs
+``loci.propagation_check`` by name, and the benchmark's checker requires it
+to report an exact verdict."""
 
 import json
 import os
@@ -40,9 +41,11 @@ ORDER_12_POINTS = [[["1", "1/3"], ["1", "1/4"]]]
             ["verdict.perversity_verdict", "loci.membership_at_point"],
             "",
         ),
+        ("cli", ["codims", "m2.loci"], ["lattices.LinearUnion.codim_stats"], ""),
+        ("cli", ["perversity", "m2.loci"], ["verdict.perversity_verdict"], ""),
         ("lib", ["m2.complex"], ["libjob.main", "loci.propagation_check"], '"provenance": "exact"'),
     ],
-    ids=["jump-ideals", "sample", "perversity", "lib"],
+    ids=["jump-ideals", "sample", "perversity", "codims", "perversity-loci", "lib"],
 )
 def test_tracer_records_route_spans(tmp_path, kind, argv, required, printed):
     m2 = mellin_constant_torus(2)
