@@ -15,6 +15,11 @@ the constant object on the 5-torus (m = 5; products of 4-minors and
 is written by the ``fixtures`` subcommand, which is itself one of the
 frozen cases.
 
+The help and usage-error text is argparse's own: ``--help``, ``perversity
+--help`` and ``perversity`` without an input (exit 2) are frozen with their
+stdout, stderr and exit code, at 80 columns, as Python 3.11's argparse
+prints them.
+
 After a deliberate report change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -98,12 +103,30 @@ def _cases() -> dict[str, tuple[list[str], int]]:
 
 CASES = _cases()
 
+# case id -> (argv, expected exit status); argparse exits through SystemExit
+ARGPARSE_CASES = {
+    "argparse-help": (["--help"], 0),
+    "argparse-perversity-help": (["perversity", "--help"], 0),
+    "argparse-perversity-without-input": (["perversity"], 2),
+}
+
 
 def run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def run_argparse(argv: list[str]) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of a call that argparse ends itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} did not exit")
 
 
 def prepare(workdir: Path) -> None:
@@ -135,6 +158,17 @@ def test_golden_report(case, workdir, monkeypatch):
     assert stdout == (GOLDEN / case).read_text()
 
 
+@pytest.mark.parametrize("case", sorted(ARGPARSE_CASES))
+def test_argparse_text_is_unchanged(case, monkeypatch):
+    # help and usage wrap at the terminal width, which argparse reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, expected_code = ARGPARSE_CASES[case]
+    code, stdout, stderr = run_argparse(argv)
+    assert code == expected_code
+    assert stdout == (GOLDEN / f"{case}.stdout").read_text()
+    assert stderr == (GOLDEN / f"{case}.stderr").read_text()
+
+
 def test_fixture_stdout_matches_written_files(workdir):
     for name in ("m2", "tensor11", "induce2-21"):
         written = (workdir / f"{name}.complex").read_text() + (workdir / f"{name}.loci").read_text()
@@ -161,6 +195,13 @@ def _regenerate() -> None:
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    os.environ["COLUMNS"] = "80"
+    for case, (argv, expected_code) in sorted(ARGPARSE_CASES.items()):
+        code, stdout, stderr = run_argparse(argv)
+        if code != expected_code:
+            sys.exit(f"{case}: exit {code}, expected {expected_code}")
+        (GOLDEN / f"{case}.stdout").write_text(stdout)
+        (GOLDEN / f"{case}.stderr").write_text(stderr)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         prepare(Path(tmp))
