@@ -15,14 +15,21 @@ Exit status: 0 = pass/success, 1 = checked-and-failed (report emitted),
 2 = input error, 3 = resource budget exceeded, 4 = internal error (a bug;
 the traceback goes to stderr).  Reports are deterministic;
 sampled verdicts embed their seed.
+
+One table, ``COMMANDS``, declares every subcommand, its argument and its
+options.  ``build_parser`` builds the argparse parser from it, and
+``parse_well_formed`` reads a well-formed argv from it without importing
+argparse, which with ``gettext`` and ``locale`` costs a short job about
+7 ms.  Any other argv -- help, an abbreviation, an error -- goes to
+argparse, so help, usage, every error text and exit 2 are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import serialize
 from .errors import InputError, ResourceError
@@ -63,7 +70,10 @@ def _degrees(args, cx) -> list[int]:
         lo, hi = (int(bound) for bound in args.degrees.split(".."))
     except ValueError as exc:
         raise InputError(f"malformed degree range {args.degrees!r}, expected a..b") from exc
-    return list(range(serialize.check_degree(lo), serialize.check_degree(hi) + 1))
+    lo, hi = serialize.check_degree(lo), serialize.check_degree(hi)
+    if lo > hi:
+        raise InputError(f"malformed degree range {args.degrees!r}, expected a..b with a <= b")
+    return list(range(lo, hi + 1))
 
 
 def _parse_list(text: str, kind) -> list:
@@ -208,67 +218,154 @@ def cmd_fixtures(args) -> int:
     return EXIT_PASS
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON reports")
+def _option(flag, kind=None, default=None, help=None, required=False):
+    """(flag, dest, type, default, help, required): the dest is the flag
+    without its dashes, hyphens as underscores, as argparse derives it; a
+    type of None keeps the string."""
+    return flag, flag[2:].replace("-", "_"), kind, default, help, required
+
+
+_DEGREES = _option("--degrees", help="degree range a..b")
+
+# name -> (handler, help, positional (dest, help, choices), options); every
+# subcommand also takes --json.  Both parsers read only this table.  A
+# handler is named, and looked up in this module when an argv is parsed.
+COMMANDS = {
+    "validate": ("cmd_validate", "check a complex file", ("complex", None, None), ()),
+    "jump-ideals": ("cmd_jump_ideals", "jumping ideals per degree", ("complex", None, None), (_DEGREES,)),
+    "exactness": (
+        "cmd_exactness", "negative-degree exactness certificate", ("complex", None, None), ()
+    ),
+    "perversity": (
+        "cmd_perversity",
+        "perversity verdict",
+        ("input", "complex file (with --loci) or loci file", None),
+        (
+            _option("--loci", help="declared loci for a complex input"),
+            _option("--samples", int, 40),
+            _option("--seed", int, 0),
+        ),
+    ),
+    "codims": ("cmd_codims", "codimension statistics of declared loci", ("loci", None, None), ()),
+    "fixtures": (
+        "cmd_fixtures",
+        "emit a named fixture",
+        ("name", None, ["mellin", "twist", "tensor", "induce", "sum", "shift", "free"]),
+        (
+            _option("--m", int, 1, "torus rank of the base"),
+            _option("--m2", int, 1, "torus rank of the second factor"),
+            _option("--lam", help="comma-separated twist scalars"),
+            _option("--n", default="2", help="comma-separated cover exponents"),
+            _option("--s", int, 1, "degree shift"),
+            _option("--rank", int, 1, "free module rank"),
+            _option("--complex-out", help="write the complex document here"),
+            _option("--loci-out", help="write the loci document here"),
+        ),
+    ),
+    "sample": (
+        "cmd_sample",
+        "pointwise memberships at listed points",
+        ("complex", None, None),
+        (_option("--points", help="JSON list of points", required=True), _DEGREES),
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for every argv that
+    ``parse_well_formed`` declines."""
+    # imported here: a well-formed call never builds the parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="jumploci",
         description="Exact perversity certification for free complexes over "
         "Laurent polynomial rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a complex file", parents=[common])
-    p.add_argument("complex")
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("jump-ideals", parents=[common], help="jumping ideals per degree")
-    p.add_argument("complex")
-    p.add_argument("--degrees", help="degree range a..b")
-    p.set_defaults(fn=cmd_jump_ideals)
-
-    p = sub.add_parser("exactness", parents=[common], help="negative-degree exactness certificate")
-    p.add_argument("complex")
-    p.set_defaults(fn=cmd_exactness)
-
-    p = sub.add_parser("perversity", parents=[common], help="perversity verdict")
-    p.add_argument("input", help="complex file (with --loci) or loci file")
-    p.add_argument("--loci", help="declared loci for a complex input")
-    p.add_argument("--samples", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_perversity)
-
-    p = sub.add_parser("codims", parents=[common], help="codimension statistics of declared loci")
-    p.add_argument("loci")
-    p.set_defaults(fn=cmd_codims)
-
-    p = sub.add_parser("fixtures", parents=[common], help="emit a named fixture")
-    p.add_argument(
-        "name",
-        choices=["mellin", "twist", "tensor", "induce", "sum", "shift", "free"],
-    )
-    p.add_argument("--m", type=int, default=1, help="torus rank of the base")
-    p.add_argument("--m2", type=int, default=1, help="torus rank of the second factor")
-    p.add_argument("--lam", help="comma-separated twist scalars")
-    p.add_argument("--n", default="2", help="comma-separated cover exponents")
-    p.add_argument("--s", type=int, default=1, help="degree shift")
-    p.add_argument("--rank", type=int, default=1, help="free module rank")
-    p.add_argument("--complex-out", help="write the complex document here")
-    p.add_argument("--loci-out", help="write the loci document here")
-    p.set_defaults(fn=cmd_fixtures)
-
-    p = sub.add_parser("sample", parents=[common], help="pointwise memberships at listed points")
-    p.add_argument("complex")
-    p.add_argument("--points", required=True, help="JSON list of points")
-    p.add_argument("--degrees", help="degree range a..b")
-    p.set_defaults(fn=cmd_sample)
-
+    for name, (handler, help_text, (dest, dest_help, choices), options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="emit JSON reports")
+        p.add_argument(dest, help=dest_help, choices=choices)
+        for flag, option_dest, kind, default, option_help, required in options:
+            p.add_argument(
+                flag, dest=option_dest, type=kind, default=default, help=option_help, required=required
+            )
+        p.set_defaults(fn=globals()[handler])
     return parser
 
 
+def parse_well_formed(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, when argv
+    is well formed, else None.
+
+    Well formed means: argv[0] is a subcommand name; every other token is
+    ``--json``, an exact flag of that subcommand followed by a value that
+    does not start with "-", ``--flag=value`` with a value other than
+    "--", or the one positional argument, which does not start with "-"
+    (and is one of its choices, if it has any); each value converts with
+    the option's type; and every required option is given.  Anything else
+    -- ``-h``, ``--``, an abbreviation, a negative number after a space, a
+    second positional, a failed conversion -- returns None.
+
+    Soundness, for Python's argparse: the subcommand name is the first
+    positional of the top parser, which hands every later token to the
+    subparser.  There a token that does not start with "-" is never taken
+    for an option, argparse matches an exact option string (also before
+    "=") before it tries prefixes, and a store option takes the one token
+    after it.  argparse converts a value with the same callable as the
+    table's type and keeps the last occurrence of an option, as this loop
+    does, and it strips a lone "--" from an option's values, which is why
+    ``--flag=--`` is declined.  Defaults, dests and the handler come from
+    the same table.  So an accepted argv gives the namespace argparse
+    gives, ``command`` and ``fn`` included; the oracle in
+    ``tests/test_cli_parse.py`` checks this against argparse itself."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, (dest, _, choices), options = COMMANDS[argv[0]]
+    by_flag = {flag: (option_dest, kind) for flag, option_dest, kind, *_ in options}
+    values = {"command": argv[0], "json": False}
+    values.update((option_dest, default) for _, option_dest, _, default, *_ in options)
+    given, positionals = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            values["json"] = True
+            continue
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in by_flag:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value is declined as a dashed one
+            if value.startswith("-"):
+                return None
+        elif value == "--":
+            return None
+        option_dest, kind = by_flag[flag]
+        try:
+            values[option_dest] = value if kind is None else kind(value)
+        except ValueError:
+            return None
+        given.add(flag)
+    if len(positionals) != 1 or (choices and positionals[0] not in choices):
+        return None
+    if any(required and flag not in given for flag, *_, required in options):
+        return None
+    values[dest] = positionals[0]
+    values["fn"] = globals()[handler]
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_well_formed(argv)
+    if args is None:
+        # help, usage and every argument error are argparse's own, exit 2 included
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -152,6 +152,10 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         pytest.param(["perversity", "{input}"], REPEATED_RING, id="repeated-ring-perversity"),
         pytest.param(["codims", "{input}"], REPEATED_TRANSLATE, id="repeated-translate-codims"),
         pytest.param(["perversity", "{input}"], REPEATED_TRANSLATE, id="repeated-translate-perversity"),
+        # a reversed range once exited 0 with no degrees and no memberships
+        pytest.param(["jump-ideals", "{m2}", "--degrees=0..-3"], None, id="reversed-degree-range-jump-ideals"),
+        pytest.param(["sample", "{m2}", "--points", "{input}", "--degrees=0..-3"], '[[["1", "1/3"], ["2", "1/4"]]]',
+                     id="reversed-degree-range-sample"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):

@@ -3,7 +3,9 @@
 Start-up is most of a short job's time, and with bytecode writing off every
 module a job imports is compiled from source.  No analysis subcommand uses
 the fixture constructors, ``dataclasses`` (which imports ``inspect``) or
-``traceback``, and each subcommand loads only the layers its route runs:
+``traceback``; a well-formed call is parsed without ``argparse`` (with
+``gettext`` and ``locale``), which only help and argument errors load; and
+each subcommand loads only the layers its route runs:
 importing the package loads none of its modules, and the command line, each
 subcommand and the imports of a library certification job
 (``perfbench/libjob.py``) load exactly the modules pinned here.  Each case
@@ -30,7 +32,7 @@ from jumploci import serialize
 from jumploci.fixtures import mellin_constant_torus
 
 ROOT = Path(__file__).resolve().parent.parent
-UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures"]
+UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures", "argparse", "gettext", "locale"]
 
 # what `import jumploci.cli` loads: the four import-time bindings the
 # benchmark's tracer checks (cli.perversity_verdict, verdict.membership_at_point,
@@ -38,6 +40,8 @@ UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures"]
 CLI = ["cli", "cyclotomic", "errors", "laurent", "loci", "sampling", "serialize", "verdict"]
 COMPLEX = ["complexes", "intpoly"]  # the complex loader's layers
 RUN = "from jumploci import cli\nassert cli.main(sys.argv[1:]) == 0\n"
+HELP = "from jumploci import cli\ntry:\n    cli.main(sys.argv[1:])\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
+ARGPARSE = ["argparse", "gettext", "locale"]
 
 
 def _env() -> dict:
@@ -55,29 +59,31 @@ def _write_m2(directory: Path) -> None:
 
 
 @pytest.mark.parametrize(
-    "code, argv, loaded",
+    "code, argv, loaded, unused_loaded",
     [
-        ("import jumploci\n", [], []),
-        ("import jumploci.cli\n", [], CLI),
+        ("import jumploci\n", [], [], []),
+        ("import jumploci.cli\n", [], CLI, []),
         (
             "import jumploci.serialize, jumploci.errors, jumploci.loci\n",
             [],
             ["cyclotomic", "errors", "laurent", "loci", "serialize"],
+            [],
         ),
-        (RUN, ["validate", "m2.complex"], CLI + COMPLEX),
-        (RUN, ["codims", "m2.loci"], CLI + ["lattices"]),
-        (RUN, ["perversity", "m2.loci"], CLI + ["lattices"]),
-        (RUN, ["perversity", "m2.complex", "--loci", "m2.loci"], CLI + COMPLEX + ["lattices"]),
-        (RUN, ["sample", "m2.complex", "--points", "points.json"], CLI + COMPLEX),
-        (RUN, ["jump-ideals", "m2.complex"], CLI + COMPLEX + ["groebner"]),
-        (RUN, ["exactness", "m2.complex"], CLI + COMPLEX + ["groebner"]),
+        (RUN, ["validate", "m2.complex"], CLI + COMPLEX, []),
+        (RUN, ["codims", "m2.loci"], CLI + ["lattices"], []),
+        (RUN, ["perversity", "m2.loci"], CLI + ["lattices"], []),
+        (RUN, ["perversity", "m2.complex", "--loci", "m2.loci"], CLI + COMPLEX + ["lattices"], []),
+        (RUN, ["sample", "m2.complex", "--points", "points.json"], CLI + COMPLEX, []),
+        (RUN, ["jump-ideals", "m2.complex"], CLI + COMPLEX + ["groebner"], []),
+        (RUN, ["exactness", "m2.complex"], CLI + COMPLEX + ["groebner"], []),
+        (HELP, ["perversity", "--help"], CLI, ARGPARSE),
     ],
     ids=[
         "package", "cli", "library-job", "validate", "codims", "perversity-loci",
-        "perversity-complex", "sample", "jump-ideals", "exactness",
+        "perversity-complex", "sample", "jump-ideals", "exactness", "help",
     ],
 )
-def test_job_imports_leave_out_unused_modules(tmp_path, code, argv, loaded):
+def test_job_imports_leave_out_unused_modules(tmp_path, code, argv, loaded, unused_loaded):
     # the exact jumploci.* modules a job loads, so a layer it does not run
     # (the Groebner engine for the pointwise route, the lattices for a
     # complex-only job) is never compiled
@@ -91,7 +97,7 @@ def test_job_imports_leave_out_unused_modules(tmp_path, code, argv, loaded):
     assert result.returncode == 0, result.stderr
     *_, modules, unused = result.stdout.splitlines()
     assert modules == repr(sorted(f"jumploci.{name}" for name in loaded))
-    assert unused == "[]"
+    assert unused == repr(unused_loaded)
 
 
 def test_package_root_resolves_each_public_name_in_its_home_module():
