@@ -19,7 +19,7 @@ from jumploci import (
     propagation_check,
     variety_containment,
 )
-from jumploci.fixtures import koszul
+from jumploci.fixtures import koszul, shift_complex
 
 ctx = RingContext.torus(2)
 x, y = ctx.variable(0) - 1, ctx.variable(1) - 1
@@ -56,5 +56,5 @@ for row in certificate:
 print("assumption (complex and dual):", K.check_assumption())
 
 # Shifting left drags cohomology into degree -1 and the certificate fails.
-shifted = K.shift(-1)
+shifted = shift_complex(K, -1)
 print("left shift passes assumption:", shifted.check_assumption())

@@ -17,12 +17,12 @@ The module computes the two ideal families attached to a complex:
     conventions I_0 = (1) and I_k = (0) once k exceeds a matrix dimension;
 
 plus generic ranks over the fraction field (fraction-free Bareiss
-elimination over Z[t]), the dual complex, the standard
-constructors (shift, direct sum, external tensor with the Koszul sign rule,
-twist by a rational character, induction along a finite cover), and the
-rank/codimension exactness certificate in a degree range: a suffix of
-negative degrees is exact iff ranks are additive and the Fitting ideal of
-each degree i in the range has codimension at least -i.
+elimination over Z[t]), the dual complex, and the rank/codimension
+exactness certificate in a degree range: a suffix of negative degrees is
+exact iff ranks are additive and the Fitting ideal of each degree i in the
+range has codimension at least -i.  The constructors that build a complex
+from others (shift, direct sum, external tensor, twist, induction) live in
+``fixtures``, the only module that calls them.
 
 Minors, generic ranks, exact division and the jumping-ideal products run
 on the integer polynomials of ``intpoly`` (``Poly``), end to end: each
@@ -35,29 +35,23 @@ where an ideal is made, so validating, ranking and specializing a complex
 do not load it.
 
 A complex keeps what is derived from it (its d.d = 0 failure, ranks,
-ideals) in one memo, ``FreeComplex.cached``.  ``tensor_ring`` alone orders
-the variables of an external tensor, ``cover_basis`` the basis of a cover.
+ideals) in one memo, ``FreeComplex.cached``.
 
-Minor enumeration is capped at size 5, induction covers at MAX_COVER_SIZE
-basis monomials and module ranks at MAX_RANK; larger requests raise
-ResourceError through ``errors.check_cap``.
+Minor enumeration is capped at size 5 and module ranks at MAX_RANK; larger
+requests raise ResourceError through ``errors.check_cap``.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import accumulate, combinations, product
+from itertools import combinations
 from operator import ge, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, check_cap
 from .intpoly import Poly, add_multiple, laurent_to_polys, primitive_part
-from .laurent import LaurentPoly, RingContext, substitution_pairs
+from .laurent import LaurentPoly, RingContext
 
 MAX_MINOR_SIZE = 5
-# Largest induction cover, as the number n_1*...*n_N of basis monomials: the
-# induced differentials have that many times the rows and columns.
-MAX_COVER_SIZE = 64
 # Largest module rank.  A differential outside the stored range is a zero
 # matrix with a row per basis element, which perversity evaluates at every
 # sampled point: on `fixtures free --rank r`, `perversity --samples 40` took
@@ -104,14 +98,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.context, self.ncols, self.nrows, list(zip(*self.entries)) or [()] * self.ncols)
-
-    def map_entries(self, fn) -> "Matrix":
-        return Matrix(
-            self.context,
-            self.nrows,
-            self.ncols,
-            [[fn(e) for e in row] for row in self.entries],
-        )
 
     def compose(self, other: "Matrix") -> "Matrix":
         """self * other (apply ``other`` first): each entry sums a*b over the
@@ -397,128 +383,6 @@ class FreeComplex:
             diffs[j] = self.differential(-j - 1).transpose()
         return FreeComplex(self.context, k_min, k_max, ranks, diffs)
 
-    def shift(self, s: int) -> "FreeComplex":
-        """Move the complex s steps to the right: the new degree i module is
-        the old degree i - s one, so loci in degree i come from degree i - s.
-        Differentials carry the customary (-1)^s sign."""
-        sign = -1 if s % 2 else 1
-        diffs = {}
-        for i in range(self.k_min, self.k_max):
-            mat = self.diffs[i]
-            diffs[i + s] = mat if sign == 1 else mat.map_entries(lambda e: -e)
-        return FreeComplex(
-            self.context, self.k_min + s, self.k_max + s, self.ranks, diffs
-        )
-
-    def direct_sum(self, other: "FreeComplex") -> "FreeComplex":
-        self.context.require(other)
-        k_min = min(self.k_min, other.k_min)
-        k_max = max(self.k_max, other.k_max)
-        ranks = [self.rank(i) + other.rank(i) for i in range(k_min, k_max + 1)]
-        diffs = {}
-        for i in range(k_min, k_max):
-            a, b = self.differential(i), other.differential(i)
-            blocks = {(0, 0): a.entries, (1, 1): b.entries}
-            diffs[i] = _block_matrix(self.context, [a.nrows, b.nrows], [a.ncols, b.ncols], blocks)
-        return FreeComplex(self.context, k_min, k_max, ranks, diffs)
-
-    def twist(self, scalars: Sequence) -> "FreeComplex":
-        """Substitute t_i -> lam_i * t_i in every differential; lam_i are
-        nonzero rationals (a rational point of the character torus), so the
-        loci translate by the inverse point."""
-        pairs = substitution_pairs([(lam, 1) for lam in scalars], self.context.num_vars)
-        diffs = {
-            i: m.map_entries(lambda e: e._substitute(pairs) if e.terms else e)
-            for i, m in self.diffs.items()
-        }
-        return FreeComplex(self.context, self.k_min, self.k_max, self.ranks, diffs)
-
-    def external_tensor(self, other: "FreeComplex") -> "FreeComplex":
-        """Total complex of the double complex, with the sign rule
-        d(x (x) y) = dx (x) y + (-1)^deg(x) x (x) dy, over the combined ring.
-
-        The combined ring is tensor_ring(self.context, other.context)."""
-        ctx, map_a, map_b = tensor_ring(self.context, other.context)
-
-        def embedded(mat: Matrix, var_map) -> list[list[LaurentPoly]]:
-            return [[e.embed(ctx, var_map) for e in row] for row in mat.entries]
-
-        k_min = self.k_min + other.k_min
-        k_max = self.k_max + other.k_max
-        pieces = {
-            n: [
-                (i, n - i)
-                for i in range(self.k_min, self.k_max + 1)
-                if other.k_min <= n - i <= other.k_max
-            ]
-            for n in range(k_min, k_max + 1)
-        }
-        sizes = {
-            n: [self.rank(i) * other.rank(j) for i, j in pieces[n]]
-            for n in range(k_min, k_max + 1)
-        }
-        diffs = {}
-        for n in range(k_min, k_max):
-            dst = {piece: k for k, piece in enumerate(pieces[n + 1])}
-            blocks = {}
-            for col, (i, j) in enumerate(pieces[n]):
-                # d_F (x) id : (i, j) -> (i+1, j)
-                if (i + 1, j) in dst:
-                    blocks[dst[i + 1, j], col] = _kron(
-                        ctx, embedded(self.differential(i), map_a), _identity(ctx, other.rank(j))
-                    )
-                # (-1)^i id (x) d_G : (i, j) -> (i, j+1)
-                if (i, j + 1) in dst:
-                    blocks[dst[i, j + 1], col] = _kron(
-                        ctx,
-                        _identity(ctx, self.rank(i), -1 if i % 2 else 1),
-                        embedded(other.differential(j), map_b),
-                    )
-            diffs[n] = _block_matrix(ctx, sizes[n + 1], sizes[n], blocks)
-        ranks = [sum(sizes[n]) for n in range(k_min, k_max + 1)]
-        return FreeComplex(ctx, k_min, k_max, ranks, diffs)
-
-    def induce(self, exponents: Sequence[int]) -> "FreeComplex":
-        """Induction along the finite cover that raises coordinate i to the
-        power n_i: every entry p becomes the multiplication-by-p matrix on
-        the monomial basis t^e, 0 <= e_i < n_i, over the subring generated by
-        the t_i^(n_i) (entries land in that subring, written in the same
-        variables).  Pointwise, the induced complex at a point rho splits as
-        the direct sum of the original complex at all mu with mu^n = rho^n,
-        so loci become unions of torsion translates."""
-        n = [int(x) for x in exponents]
-        size = cover_size(n, self.context.num_vars)
-        basis = cover_basis(n)
-        index = {e: k for k, e in enumerate(basis)}
-        zero = self.context.zero()
-
-        def blow_up(p: LaurentPoly) -> list[list[LaurentPoly]]:
-            block = [[zero] * size for _ in range(size)]
-            for col, e in enumerate(basis):
-                for f, c in p.terms.items():
-                    total = tuple(a + b for a, b in zip(f, e))
-                    q = tuple(t // ni for t, ni in zip(total, n))
-                    rem = tuple(t - qi * ni for t, qi, ni in zip(total, q, n))
-                    row = index[rem]
-                    mono = self.context.monomial(
-                        tuple(qi * ni for qi, ni in zip(q, n)), c
-                    )
-                    block[row][col] = block[row][col] + mono
-            return block
-
-        diffs = {}
-        for i in range(self.k_min, self.k_max):
-            mat = self.diffs[i]
-            blocks = {
-                (r, c): blow_up(e)
-                for r, row in enumerate(mat.entries)
-                for c, e in enumerate(row)
-                if not e.is_zero()
-            }
-            diffs[i] = _block_matrix(self.context, [size] * mat.nrows, [size] * mat.ncols, blocks)
-        ranks = [r * size for r in self.ranks]
-        return FreeComplex(self.context, self.k_min, self.k_max, ranks, diffs)
-
     # -- exactness ---------------------------------------------------------------
 
     def is_exact_range(self, degrees: Iterable[int]):
@@ -574,65 +438,3 @@ class FreeComplex:
             f"FreeComplex(degrees [{self.k_min}, {self.k_max}], "
             f"ranks {list(self.ranks)})"
         )
-
-
-def tensor_ring(ctx_a: RingContext, ctx_b: RingContext) -> tuple[RingContext, list[int], list[int]]:
-    """(ring, map_a, map_b): the ring of an external tensor and, for each
-    factor, the index in it of each of the factor's variables.  Torus
-    variables of both factors come first, then abelian variables of both;
-    factors sharing a variable name are refused."""
-    if set(ctx_a.var_names) & set(ctx_b.var_names):
-        raise InputError("external tensor factors must use disjoint variable names")
-    ma, mb = ctx_a.torus_rank, ctx_b.torus_rank
-    names = ctx_a.var_names[:ma] + ctx_b.var_names[:mb] + ctx_a.var_names[ma:] + ctx_b.var_names[mb:]
-    ring = RingContext(names, ma + mb, ctx_a.abelian_rank + ctx_b.abelian_rank)
-    index = {name: k for k, name in enumerate(names)}
-    return ring, [index[v] for v in ctx_a.var_names], [index[v] for v in ctx_b.var_names]
-
-
-def cover_size(exponents: Sequence[int], num_vars: int) -> int:
-    """n_1*...*n_N, the number of basis monomials of the induction cover
-    with these exponents; refuses a malformed cover or one above
-    MAX_COVER_SIZE."""
-    if len(exponents) != num_vars:
-        raise InputError("induction needs one exponent per variable")
-    if any(x < 1 for x in exponents):
-        raise InputError("induction exponents must be positive")
-    size = math.prod(exponents)
-    check_cap(size, MAX_COVER_SIZE, "induction cover of size")
-    return size
-
-
-def _block_matrix(ctx: RingContext, row_sizes, col_sizes, blocks: dict) -> Matrix:
-    """The matrix with the given block row and block column sizes; ``blocks``
-    maps (block row, block column) to an entry grid of that block's shape,
-    and absent blocks are zero."""
-    row_at = [0, *accumulate(row_sizes)]
-    col_at = [0, *accumulate(col_sizes)]
-    zero = ctx.zero()
-    entries = [[zero] * col_at[-1] for _ in range(row_at[-1])]
-    for (br, bc), grid in blocks.items():
-        for r, row in enumerate(grid):
-            entries[row_at[br] + r][col_at[bc] : col_at[bc + 1]] = row
-    return Matrix(ctx, row_at[-1], col_at[-1], entries)
-
-
-def _kron(ctx: RingContext, a, b) -> list[list[LaurentPoly]]:
-    """Kronecker product of two entry grids: block (r, c) is a[r][c] * b."""
-    zero = ctx.zero()
-    return [
-        [zero if x.is_zero() or y.is_zero() else x * y for x in row_a for y in row_b]
-        for row_a in a
-        for row_b in b
-    ]
-
-
-def _identity(ctx: RingContext, n: int, scale: int = 1) -> list[list[LaurentPoly]]:
-    diagonal, zero = ctx.const(scale), ctx.zero()
-    return [[diagonal if r == c else zero for c in range(n)] for r in range(n)]
-
-
-def cover_basis(exponents: Sequence[int]) -> list[tuple[int, ...]]:
-    """The exponents e with 0 <= e_i < n_i, in lex order: the monomial basis
-    of an induction cover, and the n-torsion translates of its loci."""
-    return list(product(*(range(n) for n in exponents)))

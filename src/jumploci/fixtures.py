@@ -13,9 +13,15 @@ and its declared loci in lockstep:
   * direct sum                    -> loci unions, Euler numbers add;
   * shift                         -> loci move degree-for-degree.
 
+The complex constructors behind them (``shift_complex``, ``direct_sum``,
+``twist_complex``, ``external_tensor`` with the Koszul sign rule and
+``induce_complex``) live here too; ``tensor_ring`` alone orders the
+variables of an external tensor, and ``cover_basis`` the basis of a cover.
+
 Fixtures are small by construction: a fixture ring has at least one and at
-most MAX_FIXTURE_VARS variables, and an induced fixture at most as many
-basis vectors as the Koszul complex on that many variables.  A ring without
+most MAX_FIXTURE_VARS variables, an induction cover at most MAX_COVER_SIZE
+basis monomials, and an induced fixture at most as many basis vectors as
+the Koszul complex on MAX_FIXTURE_VARS variables.  A ring without
 variables raises InputError and a larger request ResourceError, before
 anything is built.
 
@@ -28,20 +34,24 @@ zero are flagged invalid and must be rejected by validation gates.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, product
 from typing import NamedTuple, Sequence
 
-from .complexes import FreeComplex, Matrix, cover_basis, cover_size, tensor_ring
-from .errors import InputError, ResourceError
+from .complexes import FreeComplex, Matrix
+from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext, TorsionPoint, embed_vector
+from .laurent import LaurentPoly, RingContext, TorsionPoint, embed_vector, substitution_pairs
 from .verdict import LociProfile
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
 # vectors, and a fixture costs two to three times as much per added variable:
 # twist and sum fixtures took 0.7 s at m = 8 and 6-7 s at m = 10.
 MAX_FIXTURE_VARS = 8
+# Largest induction cover, as the number n_1*...*n_N of basis monomials: the
+# induced differentials have that many times the rows and columns.
+MAX_COVER_SIZE = 64
 
 
 def _check_vars(num_vars: int) -> None:
@@ -91,6 +101,193 @@ def koszul(generators: Sequence[LaurentPoly]) -> FreeComplex:
     return FreeComplex(ctx, -m, 0, ranks, diffs)
 
 
+# -- complex constructors -------------------------------------------------------
+#
+# Only fixtures build complexes from complexes, so these live here and no
+# analysis job compiles them.
+
+
+def _map_entries(mat: Matrix, fn) -> Matrix:
+    return Matrix(mat.context, mat.nrows, mat.ncols, [[fn(e) for e in row] for row in mat.entries])
+
+
+def shift_complex(cx: FreeComplex, s: int) -> FreeComplex:
+    """Move the complex s steps to the right: the new degree i module is
+    the old degree i - s one, so loci in degree i come from degree i - s.
+    Differentials carry the customary (-1)^s sign."""
+    sign = -1 if s % 2 else 1
+    diffs = {}
+    for i in range(cx.k_min, cx.k_max):
+        mat = cx.diffs[i]
+        diffs[i + s] = mat if sign == 1 else _map_entries(mat, lambda e: -e)
+    return FreeComplex(cx.context, cx.k_min + s, cx.k_max + s, cx.ranks, diffs)
+
+
+def direct_sum(a: FreeComplex, b: FreeComplex) -> FreeComplex:
+    a.context.require(b)
+    k_min = min(a.k_min, b.k_min)
+    k_max = max(a.k_max, b.k_max)
+    ranks = [a.rank(i) + b.rank(i) for i in range(k_min, k_max + 1)]
+    diffs = {}
+    for i in range(k_min, k_max):
+        da, db = a.differential(i), b.differential(i)
+        blocks = {(0, 0): da.entries, (1, 1): db.entries}
+        diffs[i] = _block_matrix(a.context, [da.nrows, db.nrows], [da.ncols, db.ncols], blocks)
+    return FreeComplex(a.context, k_min, k_max, ranks, diffs)
+
+
+def twist_complex(cx: FreeComplex, scalars: Sequence) -> FreeComplex:
+    """Substitute t_i -> lam_i * t_i in every differential; lam_i are
+    nonzero rationals (a rational point of the character torus), so the
+    loci translate by the inverse point."""
+    pairs = substitution_pairs([(lam, 1) for lam in scalars], cx.context.num_vars)
+    diffs = {
+        i: _map_entries(m, lambda e: e._substitute(pairs) if e.terms else e)
+        for i, m in cx.diffs.items()
+    }
+    return FreeComplex(cx.context, cx.k_min, cx.k_max, cx.ranks, diffs)
+
+
+def external_tensor(a: FreeComplex, b: FreeComplex) -> FreeComplex:
+    """Total complex of the double complex, with the sign rule
+    d(x (x) y) = dx (x) y + (-1)^deg(x) x (x) dy, over the combined ring
+    tensor_ring(a.context, b.context)."""
+    ctx, map_a, map_b = tensor_ring(a.context, b.context)
+
+    def embedded(mat: Matrix, var_map) -> list[list[LaurentPoly]]:
+        return [[e.embed(ctx, var_map) for e in row] for row in mat.entries]
+
+    k_min = a.k_min + b.k_min
+    k_max = a.k_max + b.k_max
+    pieces = {
+        n: [(i, n - i) for i in range(a.k_min, a.k_max + 1) if b.k_min <= n - i <= b.k_max]
+        for n in range(k_min, k_max + 1)
+    }
+    sizes = {n: [a.rank(i) * b.rank(j) for i, j in pieces[n]] for n in range(k_min, k_max + 1)}
+    diffs = {}
+    for n in range(k_min, k_max):
+        dst = {piece: k for k, piece in enumerate(pieces[n + 1])}
+        blocks = {}
+        for col, (i, j) in enumerate(pieces[n]):
+            # d_F (x) id : (i, j) -> (i+1, j)
+            if (i + 1, j) in dst:
+                blocks[dst[i + 1, j], col] = _kron(
+                    ctx, embedded(a.differential(i), map_a), _identity(ctx, b.rank(j))
+                )
+            # (-1)^i id (x) d_G : (i, j) -> (i, j+1)
+            if (i, j + 1) in dst:
+                blocks[dst[i, j + 1], col] = _kron(
+                    ctx,
+                    _identity(ctx, a.rank(i), -1 if i % 2 else 1),
+                    embedded(b.differential(j), map_b),
+                )
+        diffs[n] = _block_matrix(ctx, sizes[n + 1], sizes[n], blocks)
+    ranks = [sum(sizes[n]) for n in range(k_min, k_max + 1)]
+    return FreeComplex(ctx, k_min, k_max, ranks, diffs)
+
+
+def induce_complex(cx: FreeComplex, exponents: Sequence[int]) -> FreeComplex:
+    """Induction along the finite cover that raises coordinate i to the
+    power n_i: every entry p becomes the multiplication-by-p matrix on
+    the monomial basis t^e, 0 <= e_i < n_i, over the subring generated by
+    the t_i^(n_i) (entries land in that subring, written in the same
+    variables).  Pointwise, the induced complex at a point rho splits as
+    the direct sum of the original complex at all mu with mu^n = rho^n,
+    so loci become unions of torsion translates."""
+    n = [int(x) for x in exponents]
+    size = cover_size(n, cx.context.num_vars)
+    basis = cover_basis(n)
+    index = {e: k for k, e in enumerate(basis)}
+    zero = cx.context.zero()
+
+    def blow_up(p: LaurentPoly) -> list[list[LaurentPoly]]:
+        block = [[zero] * size for _ in range(size)]
+        for col, e in enumerate(basis):
+            for f, c in p.terms.items():
+                total = tuple(a + b for a, b in zip(f, e))
+                q = tuple(t // ni for t, ni in zip(total, n))
+                rem = tuple(t - qi * ni for t, qi, ni in zip(total, q, n))
+                row = index[rem]
+                mono = cx.context.monomial(tuple(qi * ni for qi, ni in zip(q, n)), c)
+                block[row][col] = block[row][col] + mono
+        return block
+
+    diffs = {}
+    for i in range(cx.k_min, cx.k_max):
+        mat = cx.diffs[i]
+        blocks = {
+            (r, c): blow_up(e)
+            for r, row in enumerate(mat.entries)
+            for c, e in enumerate(row)
+            if not e.is_zero()
+        }
+        diffs[i] = _block_matrix(cx.context, [size] * mat.nrows, [size] * mat.ncols, blocks)
+    ranks = [r * size for r in cx.ranks]
+    return FreeComplex(cx.context, cx.k_min, cx.k_max, ranks, diffs)
+
+
+def tensor_ring(ctx_a: RingContext, ctx_b: RingContext) -> tuple[RingContext, list[int], list[int]]:
+    """(ring, map_a, map_b): the ring of an external tensor and, for each
+    factor, the index in it of each of the factor's variables.  Torus
+    variables of both factors come first, then abelian variables of both;
+    factors sharing a variable name are refused."""
+    if set(ctx_a.var_names) & set(ctx_b.var_names):
+        raise InputError("external tensor factors must use disjoint variable names")
+    ma, mb = ctx_a.torus_rank, ctx_b.torus_rank
+    names = ctx_a.var_names[:ma] + ctx_b.var_names[:mb] + ctx_a.var_names[ma:] + ctx_b.var_names[mb:]
+    ring = RingContext(names, ma + mb, ctx_a.abelian_rank + ctx_b.abelian_rank)
+    index = {name: k for k, name in enumerate(names)}
+    return ring, [index[v] for v in ctx_a.var_names], [index[v] for v in ctx_b.var_names]
+
+
+def cover_size(exponents: Sequence[int], num_vars: int) -> int:
+    """n_1*...*n_N, the number of basis monomials of the induction cover
+    with these exponents; refuses a malformed cover or one above
+    MAX_COVER_SIZE."""
+    if len(exponents) != num_vars:
+        raise InputError("induction needs one exponent per variable")
+    if any(x < 1 for x in exponents):
+        raise InputError("induction exponents must be positive")
+    size = math.prod(exponents)
+    check_cap(size, MAX_COVER_SIZE, "induction cover of size")
+    return size
+
+
+def _block_matrix(ctx: RingContext, row_sizes, col_sizes, blocks: dict) -> Matrix:
+    """The matrix with the given block row and block column sizes; ``blocks``
+    maps (block row, block column) to an entry grid of that block's shape,
+    and absent blocks are zero."""
+    row_at = [0, *accumulate(row_sizes)]
+    col_at = [0, *accumulate(col_sizes)]
+    zero = ctx.zero()
+    entries = [[zero] * col_at[-1] for _ in range(row_at[-1])]
+    for (br, bc), grid in blocks.items():
+        for r, row in enumerate(grid):
+            entries[row_at[br] + r][col_at[bc] : col_at[bc + 1]] = row
+    return Matrix(ctx, row_at[-1], col_at[-1], entries)
+
+
+def _kron(ctx: RingContext, a, b) -> list[list[LaurentPoly]]:
+    """Kronecker product of two entry grids: block (r, c) is a[r][c] * b."""
+    zero = ctx.zero()
+    return [
+        [zero if x.is_zero() or y.is_zero() else x * y for x in row_a for y in row_b]
+        for row_a in a
+        for row_b in b
+    ]
+
+
+def _identity(ctx: RingContext, n: int, scale: int = 1) -> list[list[LaurentPoly]]:
+    diagonal, zero = ctx.const(scale), ctx.zero()
+    return [[diagonal if r == c else zero for c in range(n)] for r in range(n)]
+
+
+def cover_basis(exponents: Sequence[int]) -> list[tuple[int, ...]]:
+    """The exponents e with 0 <= e_i < n_i, in lex order: the monomial basis
+    of an induction cover, and the n-torsion translates of its loci."""
+    return list(product(*(range(n) for n in exponents)))
+
+
 def mellin_constant_torus(m: int) -> Fixture:
     """The constant-object fixture on an m-torus: Koszul complex on the
     t_i - 1 with loci {identity} in degrees [-m, 0] and empty elsewhere."""
@@ -116,7 +313,7 @@ def twist_fixture(base: Fixture, scalars: Sequence) -> Fixture:
     rational point."""
     ctx = base.complex.context
     lams = [Fraction(v) for v in scalars]
-    cx = base.complex.twist(lams)
+    cx = twist_complex(base.complex, lams)
     inv = ctx.rational_point([1 / v for v in lams])
     loci = {
         deg: LinearUnion(
@@ -136,7 +333,7 @@ def twist_fixture(base: Fixture, scalars: Sequence) -> Fixture:
 def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
     """External tensor; loci combine degreewise by the Kunneth rule."""
     _check_vars(a.complex.context.num_vars + b.complex.context.num_vars)
-    cx = a.complex.external_tensor(b.complex)
+    cx = external_tensor(a.complex, b.complex)
     ctx = cx.context
     _, map_a, map_b = tensor_ring(a.complex.context, b.complex.context)
     loci: dict[int, LinearUnion] = {}
@@ -177,7 +374,7 @@ def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
             f"induction cover of size {size} gives a fixture of {basis} basis vectors, "
             f"above the cap of {2**MAX_FIXTURE_VARS}"
         )
-    cx = base.complex.induce(n)
+    cx = induce_complex(base.complex, n)
     loci = {}
     for deg, union in base.profile.loci.items():
         comps = []
@@ -202,7 +399,7 @@ def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
 
 
 def sum_fixture(a: Fixture, b: Fixture) -> Fixture:
-    cx = a.complex.direct_sum(b.complex)
+    cx = direct_sum(a.complex, b.complex)
     profile = a.profile.union_with(b.profile).with_source(cx)
     expected = "perverse" if (a.expected_verdict, b.expected_verdict) == ("perverse", "perverse") else "neither"
     return Fixture(f"({a.name})+({b.name})", cx, profile, expected)
@@ -211,7 +408,7 @@ def sum_fixture(a: Fixture, b: Fixture) -> Fixture:
 def shift_fixture(base: Fixture, s: int) -> Fixture:
     """Degree shift; for a perverse base with point loci through degree zero
     the expected verdict flips to one-sided."""
-    cx = base.complex.shift(s)
+    cx = shift_complex(base.complex, s)
     profile = base.profile.shift(s).with_source(cx)
     if s == 0:
         expected = base.expected_verdict

@@ -21,6 +21,7 @@ from jumploci.fixtures import (
     koszul,
     mellin_constant_torus,
     renamed_torus_fixture,
+    shift_complex,
     shift_fixture,
     standard_fixture_suite,
     sum_fixture,
@@ -125,12 +126,12 @@ def _negative_cohomology_mutants():
     x1 = ctx1.variable(0) - 1
     x2, y2 = ctx2.variable(0) - 1, ctx2.variable(1) - 1
     mutants = [
-        ("m1 shifted left", m1.complex.shift(-1)),
-        ("m2 shifted left", m2.complex.shift(-1)),
-        ("m3 shifted left", m3.complex.shift(-1)),
-        ("dual of m1 shifted left", m1.complex.shift(-1).dual()),
-        ("dual of m2 shifted left", m2.complex.shift(-1).dual()),
-        ("dual of m3 shifted left", m3.complex.shift(-1).dual()),
+        ("m1 shifted left", shift_complex(m1.complex, -1)),
+        ("m2 shifted left", shift_complex(m2.complex, -1)),
+        ("m3 shifted left", shift_complex(m3.complex, -1)),
+        ("dual of m1 shifted left", shift_complex(m1.complex, -1).dual()),
+        ("dual of m2 shifted left", shift_complex(m2.complex, -1).dual()),
+        ("dual of m3 shifted left", shift_complex(m3.complex, -1).dual()),
         ("koszul on repeated generator", koszul([x2, x2])),
         ("koszul on dependent pair", koszul([x1**2, x1])),
         ("zero differential", FreeComplex(ctx1, -1, 0, [1, 1], {})),
@@ -146,9 +147,9 @@ def _negative_cohomology_mutants():
         ),
         (
             "tensor shifted left",
-            tensor_fixture(m1, renamed_torus_fixture(1, 1)).complex.shift(-1),
+            shift_complex(tensor_fixture(m1, renamed_torus_fixture(1, 1)).complex, -1),
         ),
-        ("induced shifted left", induce_fixture(m1, [2]).complex.shift(-1)),
+        ("induced shifted left", shift_complex(induce_fixture(m1, [2]).complex, -1)),
     ]
     return mutants
 

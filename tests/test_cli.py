@@ -5,9 +5,9 @@ import sys
 import pytest
 
 from jumploci import serialize
-from jumploci.complexes import MAX_COVER_SIZE, MAX_RANK
+from jumploci.complexes import MAX_RANK
 from jumploci.cyclotomic import MAX_CYCLOTOMIC_ORDER
-from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
+from jumploci.fixtures import MAX_COVER_SIZE, MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
 from jumploci.laurent import MAX_EXPONENT
 from jumploci.sampling import MAX_SAMPLES
 from jumploci.serialize import MAX_DEGREE, MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS

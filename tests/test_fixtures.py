@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 
 from jumploci import fixtures
-from jumploci.complexes import FreeComplex
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
     MAX_FIXTURE_VARS,
@@ -17,6 +16,7 @@ from jumploci.fixtures import (
     mutate_scale_entry,
     mutate_zero_entry,
     renamed_torus_fixture,
+    shift_complex,
     shift_fixture,
     standard_fixture_suite,
     sum_fixture,
@@ -39,7 +39,7 @@ def test_koszul_shapes():
     K3 = koszul([x, y, x * y])
     assert K3.ranks == (1, 3, 3, 1)
     assert K3.validate() is None
-    shifted = koszul([x, y]).shift(2)
+    shifted = shift_complex(koszul([x, y]), 2)
     assert (shifted.k_min, shifted.k_max) == (0, 2)
     with pytest.raises(InputError):
         koszul([])
@@ -170,8 +170,8 @@ def test_fixture_caps_refuse_before_building(monkeypatch):
     over = MAX_FIXTURE_VARS + 1
     m3, left, right = mellin_constant_torus(3), mellin_constant_torus(4), renamed_torus_fixture(over - 4, 4)
     monkeypatch.setattr(fixtures, "koszul", _never)
-    monkeypatch.setattr(FreeComplex, "external_tensor", _never)
-    monkeypatch.setattr(FreeComplex, "induce", _never)
+    monkeypatch.setattr(fixtures, "external_tensor", _never)
+    monkeypatch.setattr(fixtures, "induce_complex", _never)
     for build in (
         lambda: mellin_constant_torus(over),
         lambda: renamed_torus_fixture(over, 1),

@@ -5,7 +5,14 @@ import pytest
 
 from jumploci.complexes import FreeComplex, Matrix
 from jumploci.errors import InputError
-from jumploci.fixtures import koszul, mellin_constant_torus
+from jumploci.fixtures import (
+    direct_sum,
+    induce_complex,
+    koszul,
+    mellin_constant_torus,
+    shift_complex,
+    twist_complex,
+)
 from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import (
@@ -45,7 +52,7 @@ def test_membership_examples_m1():
 def test_membership_induced_cover():
     K = _koszul(1)
     ctx = K.context
-    ind = K.induce([2])
+    ind = induce_complex(K, [2])
     minus_one = TorsionPoint(ctx, [(Fraction(1), Fraction(1, 2))])
     assert membership_at_point(ind, 0, minus_one) == (True, 1)
     assert membership_at_point(ind, 0, ctx.rational_point([2]))[0] is False
@@ -62,7 +69,7 @@ def test_euler_examples():
     assert _koszul(2).euler_characteristic() == 0
     K = _koszul(1)
     single = FreeComplex(K.context, 0, 0, [1], {})
-    assert K.direct_sum(single).euler_characteristic() == 1
+    assert direct_sum(K, single).euler_characteristic() == 1
 
 
 def test_euler_equals_pointwise_alternating_sum():
@@ -114,7 +121,7 @@ def test_propagation_on_complexes_missing_degree_zero(lo, expected):
 def test_propagation_requires_assumption():
     K = _koszul(2)
     with pytest.raises(InputError):
-        propagation_check(K.shift(-1))
+        propagation_check(shift_complex(K, -1))
 
 
 def test_propagation_gate_rejects_invalid():
@@ -148,7 +155,7 @@ def test_depth_bounds_on_fixture():
 def test_shift_covariance_pointwise():
     rng = random.Random(32)
     K = _koszul(2)
-    S = K.shift(2)
+    S = shift_complex(K, 2)
     pts = sample_points(K.context, rng, 15)
     for p in pts:
         for d in range(K.k_min - 1, K.k_max + 2):
@@ -159,7 +166,7 @@ def test_twist_equivariance_pointwise():
     rng = random.Random(33)
     K = _koszul(2)
     lams = [Fraction(2), Fraction(1, 3)]
-    T = K.twist(lams)
+    T = twist_complex(K, lams)
     scale = K.context.rational_point(lams)
     pts = sample_points(K.context, rng, 15)
     for p in pts:
@@ -174,7 +181,7 @@ def test_cover_image_pointwise():
     K = _koszul(1)
     ctx = K.context
     n = 3
-    ind = K.induce([n])
+    ind = induce_complex(K, [n])
     for k in range(12):
         theta = Fraction(k, 12)
         rho = TorsionPoint(ctx, [(Fraction(1), theta)])
@@ -189,8 +196,8 @@ def test_cover_image_pointwise():
 def test_direct_sum_union_pointwise():
     rng = random.Random(34)
     K = _koszul(2)
-    T = K.twist([Fraction(2), Fraction(-1)])
-    S = K.direct_sum(T)
+    T = twist_complex(K, [Fraction(2), Fraction(-1)])
+    S = direct_sum(K, T)
     pts = sample_points(K.context, rng, 20)
     for p in pts:
         for d in range(S.k_min, S.k_max + 1):

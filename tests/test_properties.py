@@ -14,6 +14,8 @@ from jumploci.complexes import Matrix, generic_rank, minor_generators
 from jumploci.cyclotomic import Cyclotomic, field_rank
 from jumploci.errors import ResourceError
 from jumploci.fixtures import (
+    external_tensor,
+    induce_complex,
     koszul,
     mellin_constant_torus,
     renamed_torus_fixture,
@@ -235,7 +237,7 @@ def test_tensor_with_abelian_factor():
     torus_fx = mellin_constant_torus(1)
     ab_ctx = RingContext(["u1", "u2"], 0, 1)
     ab_cx = koszul([ab_ctx.variable(0) - 1, ab_ctx.variable(1) - 1])
-    combined = torus_fx.complex.external_tensor(ab_cx)
+    combined = external_tensor(torus_fx.complex, ab_cx)
     assert combined.validate() is None
     ctx = combined.context
     assert ctx.torus_rank == 1 and ctx.abelian_rank == 1
@@ -258,7 +260,7 @@ def test_tensor_with_abelian_factor():
 def test_propagation_past_the_minor_cap_raises():
     # ranks of 6 blow the minor-size cap; propagation is decided exactly or
     # not at all
-    big = mellin_constant_torus(1).complex.induce([6])
+    big = induce_complex(mellin_constant_torus(1).complex, [6])
     with pytest.raises(ResourceError):
         propagation_check(big)
 

@@ -8,7 +8,7 @@ import pytest
 
 from jumploci.complexes import FreeComplex, Matrix
 from jumploci.errors import InputError
-from jumploci.fixtures import koszul
+from jumploci.fixtures import direct_sum, koszul
 from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.lattices import LinearComponent, LinearUnion
 from jumploci.laurent import RingContext
@@ -34,7 +34,7 @@ ENTRY_POINTS = {
     "matrix-compose": lambda: Matrix.zero(A, 1, 1).compose(Matrix.zero(B, 1, 1)),
     "matrix-evaluate": lambda: Matrix.zero(A, 0, 2).evaluate(B.identity_point()),
     "free-complex": lambda: FreeComplex(A, -1, 0, [1, 1], {-1: Matrix(B, 1, 1, [[B.one()]])}),
-    "direct-sum": lambda: _complex(A).direct_sum(_complex(B)),
+    "direct-sum": lambda: direct_sum(_complex(A), _complex(B)),
     "koszul": lambda: koszul([A.variable(0), B.variable(0)]),
     "ideal": lambda: LaurentIdeal(A, [A.one(), B.one()]),
     "radical-contains": lambda: LaurentIdeal(A, []).radical_contains(B.one()),
