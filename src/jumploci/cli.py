@@ -22,10 +22,17 @@ options.  ``build_parser`` builds the argparse parser from it, and
 argparse, which with ``gettext`` and ``locale`` costs a short job about
 7 ms.  Any other argv -- help, an abbreviation, an error -- goes to
 argparse, so help, usage, every error text and exit 2 are argparse's own.
+
+``main(argv)`` runs one command line and returns its exit status; the
+tests, library callers and the benchmark's tracer run it many times in one
+process.  ``run(argv)`` is the process entry (``python -m jumploci``, the
+``jumploci`` script): it returns what ``main`` returns and then freezes the
+heap, so that the process exits without the collector walking it.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -367,6 +374,11 @@ def main(argv=None) -> int:
         # help, usage and every argument error are argparse's own, exit 2 included
         args = build_parser().parse_args(argv)
     try:
+        for flag, option_dest, *_ in COMMANDS[args.command][3]:
+            # argparse strips a lone "--" from an option's values, so it
+            # reads --flag=-- as [], which no handler takes
+            if isinstance(getattr(args, option_dest), list):
+                raise InputError(f"option {flag} needs a value other than '--'")
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -384,5 +396,25 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run(argv=None) -> int:
+    """The process entry of ``python -m jumploci`` and the ``jumploci``
+    script: ``main(argv)``, then the heap frozen, so that the process exits
+    without a collector walking it.  Callers that run ``main`` more than
+    once in one process call ``main`` itself and keep a collectable heap."""
+    try:
+        return main(argv)
+    finally:
+        # Soundness: gc.freeze() moves every tracked object to the permanent
+        # generation, which no later collection examines, so the collections
+        # of interpreter shutdown have nothing left to walk.  Its only other
+        # effect is that reference cycles are not broken before the process
+        # ends: no jumploci object has a finalizer, Path.write_text has
+        # closed every file written, and the interpreter still flushes
+        # stdout and stderr and runs exit handlers.  So stdout, stderr and
+        # the exit status are unchanged, also for argparse's SystemExit
+        # (help and usage errors), which this finally covers.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

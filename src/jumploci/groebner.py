@@ -111,10 +111,12 @@ def _normalize(p: Poly, order: MonomialOrder) -> Poly:
     return {e: c // content for e, c in p.items()}
 
 
-def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads: list) -> Poly:
+def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads: list,
+            memo: dict | None = None, remainder: Poly | None = None) -> Poly:
     """Fraction-free full reduction of p against basis (tail terms reduced
     too): a positive rational multiple of the normal form, with integer
-    coefficients.
+    coefficients.  ``remainder`` holds terms already final, placed in the
+    result before p is reduced and scaled along with it.
 
     The basis must be as ``_normalize`` returns it and ``leads[k]`` the lead
     term (exponent, coefficient) of ``basis[k]``.  To cancel the lead c*x^e
@@ -124,36 +126,54 @@ def _reduce(p: Poly, basis: list[Poly], order: MonomialOrder, leads: list) -> Po
     stay positive multiples of what the division over Q holds: the same
     divisors are chosen, and the result has the support of the rational
     normal form.
+
+    Each term is cancelled by the basis element of least index whose lead
+    divides it.  ``memo`` maps an exponent to that index (-1 for none) and
+    to the number of leads it was checked against, so only leads appended
+    since the last check are scanned.  A caller may share one memo across
+    calls as long as it only appends to basis and leads: the first divisor
+    among the first n leads stays the first divisor among any longer
+    prefix, so the divisor chosen, and every intermediate polynomial, is
+    the one a full scan would choose.
     """
-    divisors = list(zip(basis, leads))
+    if memo is None:
+        memo = {}
     key = order.key
     work = dict(p)
-    remainder: Poly = {}
+    remainder = {} if remainder is None else dict(remainder)
+    checked_all = len(leads)
     while work:
         exp = max(work, key=key)
         coeff = work[exp]
-        for g, (gexp, gcoeff) in divisors:
-            if all(map(ge, exp, gexp)):
-                shift = tuple(map(sub, exp, gexp))
-                d = math.gcd(coeff, gcoeff)
-                scale = gcoeff // d
-                if scale != 1:
-                    for term in work:
-                        work[term] *= scale
-                    for term in remainder:
-                        remainder[term] *= scale
-                add_multiple(work, -(coeff // d), shift, g)
-                if scale != 1:
-                    content = math.gcd(*work.values(), *remainder.values())
-                    if content > 1:
-                        for term in work:
-                            work[term] //= content
-                        for term in remainder:
-                            remainder[term] //= content
-                break
-        else:
+        k, checked = memo.get(exp, (-1, 0))
+        if k < 0 and checked < checked_all:
+            for k in range(checked, checked_all):
+                if all(map(ge, exp, leads[k][0])):
+                    break
+            else:
+                k = -1
+            memo[exp] = (k, checked_all)
+        if k < 0:
             remainder[exp] = coeff
             del work[exp]
+            continue
+        gexp, gcoeff = leads[k]
+        shift = tuple(map(sub, exp, gexp))
+        d = math.gcd(coeff, gcoeff)
+        scale = gcoeff // d
+        if scale != 1:
+            for term in work:
+                work[term] *= scale
+            for term in remainder:
+                remainder[term] *= scale
+        add_multiple(work, -(coeff // d), shift, basis[k])
+        if scale != 1:
+            content = math.gcd(*work.values(), *remainder.values())
+            if content > 1:
+                for term in work:
+                    work[term] //= content
+                for term in remainder:
+                    remainder[term] //= content
     return remainder
 
 
@@ -249,6 +269,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[P
     active: list[int] = list(range(len(basis)))  # elements whose lead no other lead divides
     pairs: list[tuple[int, int, int]] = []  # heap of (sugar, i, j)
     queued: dict[tuple[int, int], tuple] = {}  # undeleted (i, j) -> T(i, j)
+    divisors: dict[tuple, tuple[int, int]] = {}  # _reduce's memo over basis, which only grows
 
     def add_poly(p: Poly, sugar: int):
         k = len(basis)
@@ -283,7 +304,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[P
         active[:] = [i for i in active if not all(map(ge, leads[i][0], hexp))] + [k]
 
     for g in gens:
-        g = _reduce(g, basis, order, leads)
+        g = _reduce(g, basis, order, leads, divisors)
         if _is_constant(g):
             return [_normalize(g, order)]
         if g:
@@ -300,7 +321,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[P
                 f"S-pair budget of {limit} exceeded during Groebner basis computation"
             )
         s = _spoly(basis[i], basis[j], leads[i], leads[j])
-        s = _reduce(s, basis, order, leads)
+        s = _reduce(s, basis, order, leads, divisors)
         if _is_constant(s):
             return [_normalize(s, order)]
         if s:
@@ -312,11 +333,15 @@ def buchberger(generators: list[Poly], order: MonomialOrder, start=()) -> list[P
     kept = sorted(active, key=lambda k: key(leads[k][0]))
     minimal = [basis[k] for k in kept]
     kept_leads = [leads[k] for k in kept]
-    # Inter-reduce tails; leads are untouched because no lead divides another.
+    # Inter-reduce tails, each against all of minimal with its lead placed in
+    # the remainder first.  No other kept lead divides that lead, and a lead
+    # divides no smaller monomial, so every tail term gets the divisor it
+    # gets against the others alone; one memo over minimal serves them all.
+    divisors = {}
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = _reduce(g, others, order, kept_leads[:idx] + kept_leads[idx + 1 :])
+    for g, (gexp, gcoeff) in zip(minimal, kept_leads):
+        tail = {e: c for e, c in g.items() if e != gexp}
+        r = _reduce(tail, minimal, order, kept_leads, divisors, {gexp: gcoeff})
         reduced.append(_normalize(r, order))
     reduced.sort(key=lambda g: key(max(g, key=key)), reverse=True)
     return reduced

@@ -156,6 +156,10 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         pytest.param(["jump-ideals", "{m2}", "--degrees=0..-3"], None, id="reversed-degree-range-jump-ideals"),
         pytest.param(["sample", "{m2}", "--points", "{input}", "--degrees=0..-3"], '[[["1", "1/3"], ["2", "1/4"]]]',
                      id="reversed-degree-range-sample"),
+        # argparse reads --flag=-- as []: these once exited 4, 4 and 0
+        pytest.param(["sample", "{m2}", "--points=--"], None, id="points-dash-dash"),
+        pytest.param(["fixtures", "induce", "--m", "2", "--n=--"], None, id="cover-exponents-dash-dash"),
+        pytest.param(["jump-ideals", "{m2}", "--degrees=--"], None, id="degrees-dash-dash"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
@@ -611,6 +615,82 @@ def test_module_entry_point(m2_files):
         text=True,
     )
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("flag", ["--points", "--n", "--degrees"])
+def test_dash_dash_option_value_names_the_option(m2_files, flag):
+    argv = {"--points": ["sample", str(m2_files[0])], "--n": ["fixtures", "induce"],
+            "--degrees": ["jump-ideals", str(m2_files[0])]}[flag]
+    result = run_cli(*argv, f"{flag}=--", timeout=60)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"input error: option {flag} needs a value other than '--'\n"
+
+
+# -- where the heap is frozen --------------------------------------------------
+
+
+def test_main_leaves_the_heap_collectable(m2_files, capsys):
+    import gc
+
+    from jumploci import cli
+
+    before = gc.get_freeze_count()
+    assert cli.main(["validate", str(m2_files[0])]) == 0
+    assert cli.main(["codims", str(m2_files[1])]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+# runs cli.run in a fresh interpreter and prints, on a last stderr line, the
+# freeze count before, the exit code (SystemExit's too) and the count after
+RUN_PROBE = """
+import gc, sys
+from jumploci import cli
+before = gc.get_freeze_count()
+try:
+    code = cli.run(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(before, code, gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [pytest.param(["validate", "{m2}"], 0, id="validate"),
+     pytest.param(["perversity", "--help"], 0, id="help-raises-system-exit"),
+     pytest.param(["perversity"], 2, id="usage-error-raises-system-exit")],
+)
+def test_run_returns_mains_exit_code_and_freezes_the_heap(m2_files, argv, code):
+    argv = [a.format(m2=m2_files[0]) for a in argv]
+    result = subprocess.run([sys.executable, "-c", RUN_PROBE, *argv], capture_output=True, text=True,
+                            timeout=60)
+    *_, last = result.stderr.splitlines()
+    before, ran, after = map(int, last.split())
+    assert (before, ran, result.returncode) == (0, code, 0)
+    assert after > 0
+    # python -m jumploci prints what run prints and exits with its status
+    entry = subprocess.run([sys.executable, "-m", "jumploci", *argv], capture_output=True, text=True,
+                           timeout=60)
+    assert entry.returncode == code
+    assert entry.stdout == result.stdout
+    assert entry.stderr + last + "\n" == result.stderr
+
+
+def test_module_entry_and_script_name_run():
+    import ast
+    import importlib.util
+    from pathlib import Path
+
+    main_py = Path(importlib.util.find_spec("jumploci.__main__").origin)
+    calls = {ast.unparse(node) for node in ast.walk(ast.parse(main_py.read_text()))
+             if isinstance(node, ast.Call)}
+    assert calls == {"sys.exit(run())", "run()"}
+    assert "from .cli import run" in main_py.read_text()
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"jumploci": "jumploci.cli:run"}
 
 
 @pytest.mark.parametrize("exponents, size", [pytest.param("9,9", 81, id="9,9"),

@@ -890,3 +890,82 @@ def test_spair_budget_reaches_the_extended_run(ctx2, monkeypatch, spoly_calls):
     monkeypatch.setattr(groebner, "SPAIR_BUDGET", 1)
     with pytest.raises(ResourceError):
         ideal.radical_contains(f)
+
+
+# -- the first-divisor memo against a full scan per term ----------------------
+
+
+def _scanning_reduce(p, basis, order, leads, memo=None, remainder=None):
+    """``_reduce`` as it was before the memo: every term scans the whole
+    basis for its first divisor.  ``memo`` is ignored."""
+    work, remainder = dict(p), dict(remainder or {})
+    while work:
+        exp = max(work, key=order.key)
+        coeff = work[exp]
+        for g, (gexp, gcoeff) in zip(basis, leads):
+            if all(map(ge, exp, gexp)):
+                d = math.gcd(coeff, gcoeff)
+                scale = gcoeff // d
+                for part in (work, remainder):
+                    for term in part:
+                        part[term] *= scale
+                groebner.add_multiple(work, -(coeff // d), tuple(map(sub, exp, gexp)), g)
+                content = math.gcd(*work.values(), *remainder.values())
+                if scale != 1 and content > 1:
+                    for part in (work, remainder):
+                        for term in part:
+                            part[term] //= content
+                break
+        else:
+            remainder[exp] = coeff
+            del work[exp]
+    return remainder
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_memoized_reduction_matches_a_full_scan_per_term(n, monkeypatch, spoly_calls):
+    rng = random.Random(150 + n)
+    orders = (GREVLEX, LEX, elimination_order((n - 1,)))
+    memoized, budget, pairs_seen = groebner._reduce, groebner.SPAIR_BUDGET, 0
+    for trial in range(18):
+        gens = _random_gens(rng, n) if trial % 2 else _binomial_ideal(rng, n, rng.randint(2, n + 3), 2)
+        start = buchberger(_random_gens(rng, n), GREVLEX) if trial % 3 == 0 else []
+        for order in orders if not start else (GREVLEX,):
+            spoly_calls[0] = 0
+            ours = buchberger(gens, order, start=start)
+            pairs = spoly_calls[0]
+            monkeypatch.setattr(groebner, "_reduce", _scanning_reduce)
+            spoly_calls[0] = 0
+            scanned = buchberger(gens, order, start=start)
+            monkeypatch.setattr(groebner, "_reduce", memoized)
+            assert (ours, pairs) == (scanned, spoly_calls[0]), (gens, start, order.name)
+            if not start:
+                assert ours == _reference_buchberger(gens, order)
+            pairs_seen += pairs
+            # the budget trips where it tripped: one pair short of the count
+            if pairs:
+                monkeypatch.setattr(groebner, "SPAIR_BUDGET", pairs - 1)
+                with pytest.raises(ResourceError):
+                    buchberger(gens, order, start=start)
+                monkeypatch.setattr(groebner, "SPAIR_BUDGET", pairs)
+                assert buchberger(gens, order, start=start) == ours
+                monkeypatch.setattr(groebner, "SPAIR_BUDGET", budget)
+    assert pairs_seen
+
+
+def test_reduce_with_a_memo_shared_across_a_growing_basis(monkeypatch):
+    rng = random.Random(160)
+    for n, order in ((2, GREVLEX), (3, LEX), (3, elimination_order((2,))), (4, GREVLEX)):
+        basis, leads, memo = [], [], {}
+        for step in range(12):
+            g = _normalize(_integral(_rational_poly(rng, n, rng.randint(1, 3), 2)), order)
+            basis.append(g)
+            leads.append(_lead(g, order))
+            for _ in range(4):
+                p = _integral(_rational_poly(rng, n, rng.randint(1, 6), 4))
+                shared = _reduce(p, basis, order, leads, memo)
+                assert shared == _reduce(p, basis, order, leads) == _scanning_reduce(p, basis, order, leads)
+        assert any(k >= 0 for k, _ in memo.values()) and any(k < 0 for k, _ in memo.values())
+    # a remainder passed in is kept and scaled with the result
+    t1, one = (1, 0), (0, 0)
+    assert _reduce({t1: 1}, [{t1: 2, one: 1}], GREVLEX, [(t1, 2)], None, {(2, 0): 1}) == {(2, 0): 2, one: -1}
