@@ -176,6 +176,8 @@ def _build_fixture(args):
     )
 
     name = args.name
+    if args.lam is not None and name not in ("twist", "sum"):
+        raise InputError(f"the {name} fixture takes no --lam")
     if name == "mellin":
         return mellin_constant_torus(args.m)
     if name == "free":

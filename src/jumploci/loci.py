@@ -110,17 +110,17 @@ def propagation_check(complex_: FreeComplex) -> PropagationResult:
 
 def radical_equality_pairs(complex_: FreeComplex) -> list[tuple[int, bool]]:
     """For every in-range degree i != 0, whether the Fitting and jumping
-    ideals have equal radicals (mutual radical membership of generators)."""
+    ideals have equal radicals, that is, whether F_i lies in the radical of J_i."""
     # imported here: the pointwise route never loads the Groebner engine
     from .groebner import variety_containment
 
     complex_.ensure_valid()
     out = []
     for i in complex_.degrees():
-        if i == 0:
-            continue
-        fit, jump = complex_.fitting_ideal(i), complex_.jumping_ideal(i)
-        out.append((i, variety_containment(jump, fit) and variety_containment(fit, jump)))
+        if i != 0:
+            fit, jump = complex_.fitting_ideal(i), complex_.jumping_ideal(i)
+            # J_i = F_(i-1)*F_i or (0) lies in F_i, so V(F_i) <= V(J_i) always holds
+            out.append((i, variety_containment(jump, fit)))
     return out
 
 

@@ -69,6 +69,12 @@ def test_minor_cap_message(tmp_path):
     assert result.stderr == "resource cap: minor size 6 exceeds the cap of 5\n"
 
 
+def test_lam_refusal_message():
+    result = run_cli("fixtures", "tensor", "--lam", "2")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "input error: the tensor fixture takes no --lam\n"
+
+
 def test_validate_malformed_input(tmp_path):
     junk = tmp_path / "junk.complex"
     junk.write_text("word salad\n")
@@ -134,6 +140,9 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         pytest.param(["fixtures", "twist"], None, id="twist-without-scalars"),
         pytest.param(["fixtures", "induce", "--n", "x"], None, id="cover-exponent-not-an-integer"),
         pytest.param(["fixtures", "free", "--m", "0"], None, id="free-fixture-without-variables"),
+        # --lam was once ignored by every fixture but twist and sum
+        *(pytest.param(["fixtures", name, "--lam", "2", "--complex-out", "{input}"], None,
+                       id=f"{name}-fixture-with-lam") for name in ("mellin", "tensor", "induce", "shift", "free")),
         pytest.param(["fixtures", "free", "--m", "1", "--rank", "0", "--complex-out", "{input}"], None,
                      id="free-fixture-of-rank-zero"),
         # integers of more than 4300 digits exceed Python's int-string limit

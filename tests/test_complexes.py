@@ -1,10 +1,11 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from jumploci import complexes
 from jumploci.complexes import (
     FreeComplex,
     Matrix,
@@ -32,6 +33,8 @@ from jumploci.fixtures import (
 )
 from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
+from jumploci.loci import radical_equality_pairs
+from jumploci.serialize import exactness_report, jump_ideal_report
 
 
 @pytest.fixture
@@ -398,6 +401,87 @@ def test_jumping_ideal_is_the_fitting_product_or_zero(name, cx, degrees):
         additivity_fails |= not expected
         assert [str(g) for g in cx.jumping_ideal(i).generators] == expected, (name, i)
     assert additivity_fails or not name.startswith("random"), name
+
+
+def _every_j_generators(cx, i):
+    """The expansion jumping_ideal once ran, as the oracle for its guard and
+    its generators: the distinct products of the j-minors of d^(i-1) and the
+    (rank(i)-j)-minors of d^i, over every j = 0..rank(i), in the order j, f,
+    g.  minor_generators refuses each size beyond MAX_MINOR_SIZE as it goes."""
+    r, incoming, outgoing = cx.rank(i), cx.differential(i - 1), cx.differential(i)
+    out = []
+    for j in range(r + 1):
+        left, right = _minors(incoming, j), _minors(outgoing, r - j)
+        out += [h for h in (f * g for f in left for g in right) if h not in out]
+    return tuple(out)
+
+
+def _block(ctx, nrows, ncols, offset, size):
+    """nrows x ncols matrix with a one at (k, offset + k) for k < size."""
+    one, zero = ctx.one(), ctx.zero()
+    return Matrix(ctx, nrows, ncols, [
+        [one if r < size and c == offset + r else zero for c in range(ncols)] for r in range(nrows)
+    ])
+
+
+def _block_complexes():
+    """F^-1 -> F^0 -> F^1 of ranks a, b, c in 0..8, where d^-1 is zero or the
+    identity block on the first p basis vectors of F^0, and d^0 is zero or
+    maps the next q of them to the first q of F^1, so that d^0 d^-1 = 0."""
+    ctx = RingContext.torus(1)
+    for a, b, c in product(range(9), repeat=3):
+        for p in {0, min(a, b)}:
+            for q in {0, min(b - p, c)}:
+                diffs = {-1: _block(ctx, b, a, 0, p), 0: _block(ctx, c, b, p, q)}
+                yield FreeComplex(ctx, -1, 1, [a, b, c], diffs)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_jumping_guard_refuses_what_the_every_j_expansion_refused(monkeypatch, cap):
+    # the guard must raise wherever the oracle raised, with its message, and
+    # the generators must be the oracle's everywhere else
+    monkeypatch.setattr(complexes, "MAX_MINOR_SIZE", cap)
+    refused = 0
+    for cx in _block_complexes():
+        try:
+            expected = _every_j_generators(cx, 0)
+        except ResourceError as exc:
+            refused += 1
+            with pytest.raises(ResourceError) as raised:
+                cx.jumping_ideal(0)
+            assert str(raised.value) == str(exc), cx
+            continue
+        assert cx.jumping_ideal(0).generators == expected, cx
+    assert refused, cap
+
+
+def test_jumping_guard_runs_before_any_rank(monkeypatch):
+    def no_rank(matrix):
+        raise AssertionError("generic_rank reached")
+
+    m3 = mellin_constant_torus(3)
+    cx = sum_fixture(m3, twist_fixture(m3, [Fraction(2)] * 3)).complex
+    monkeypatch.setattr(complexes, "generic_rank", no_rank)
+    with pytest.raises(ResourceError, match="^minor size 6 exceeds the cap of 5$"):
+        cx.jumping_ideal(-2)
+
+
+def test_each_differential_is_enumerated_once(monkeypatch):
+    # exactness, every jumping ideal and the radical comparison share the
+    # generic-rank minors of each degree of m4; the jumping ideals of degrees
+    # -4..0 touch d^-5..d^0, and the dual of m4 has no negative degree
+    calls = []
+
+    def counting(matrix, k):
+        calls.append(matrix)
+        return minor_generators(matrix, k)
+
+    monkeypatch.setattr(complexes, "minor_generators", counting)
+    cx = mellin_constant_torus(4).complex
+    exactness_report(cx)
+    jump_ideal_report(cx, cx.degrees())
+    radical_equality_pairs(cx)
+    assert len({id(m) for m in calls}) == len(calls) == 6
 
 
 def test_jumping_ideal_zero_rank_degree(ctx2):

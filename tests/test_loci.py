@@ -11,6 +11,7 @@ from jumploci.fixtures import (
     koszul,
     mellin_constant_torus,
     shift_complex,
+    standard_fixture_suite,
     twist_complex,
 )
 from jumploci.groebner import LaurentIdeal, variety_containment
@@ -142,6 +143,15 @@ def test_radical_equality_on_fixture():
     K = _koszul(2)
     pairs = radical_equality_pairs(K)
     assert pairs and all(eq for _, eq in pairs)
+
+
+def test_fitting_variety_lies_in_the_jumping_variety_on_the_stock():
+    # the containment radical_equality_pairs leaves out, as J_i lies in F_i
+    # by construction: here it cross-checks the Groebner engine
+    for fx in standard_fixture_suite():
+        cx = fx.complex
+        for i in cx.degrees():
+            assert variety_containment(cx.fitting_ideal(i), cx.jumping_ideal(i)), (fx.name, i)
 
 
 def test_depth_bounds_on_fixture():

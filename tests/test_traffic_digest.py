@@ -1,9 +1,9 @@
-"""Every benchmark job's exit status, stdout and generated inputs, frozen.
+"""Every benchmark job's exit status, stdout, stderr and generated inputs, frozen.
 
 ``tools/traffic_digest.py`` runs all benchmark jobs (seed 7) in this process
-and hashes what each one prints and every input file it was given.  A change
-that should leave reports, exit statuses and fixtures byte-identical must
-reproduce the frozen digest.  After a deliberate output change, regenerate
+and hashes what each one prints, on stdout and on stderr, and every input
+file it was given.  A change that should leave reports, refusal messages,
+exit statuses and fixtures byte-identical must reproduce the frozen digest.  After a deliberate output change, regenerate
 it with
 
     python tools/traffic_digest.py 7 tests/golden/traffic-digest-seed7.json

@@ -5,9 +5,10 @@
 Builds each workload's inputs with ``perfbench/workloads.build`` in a
 temporary directory, runs every job once in this process (``cli.main`` for
 CLI jobs, ``libjob.main`` for library jobs) and writes, per workload, the
-exit status and stdout sha256 of each job and the sha256 of each input
-file.  A change that should leave reports, exit statuses and generated
-fixtures byte-identical must give the same output file before and after:
+exit status and the stdout and stderr sha256 of each job and the sha256
+of each input file.  A change that should leave reports, refusal messages,
+exit statuses and generated fixtures byte-identical must give the same
+output file before and after:
 
     python tools/traffic_digest.py 7 before.json   # on the parent checkout
     python tools/traffic_digest.py 7 after.json    # on the change
@@ -50,7 +51,11 @@ def _run(job: dict) -> dict:
             code = entry(job["argv"])
         except SystemExit as exc:  # argparse refusing an argument
             code = exc.code
-    return {"exit": code, "stdout_sha256": _sha256(out.getvalue().encode())}
+    return {
+        "exit": code,
+        "stderr_sha256": _sha256(err.getvalue().encode()),
+        "stdout_sha256": _sha256(out.getvalue().encode()),
+    }
 
 
 def digest(seed: int) -> dict:
