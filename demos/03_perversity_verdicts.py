@@ -10,6 +10,7 @@ and reports the auxiliary package: propagation of the loci, the support
 interval, survival intervals of degree-zero components, and the signed
 Euler characteristic clause.  When the profile carries its source complex,
 declared and computed memberships are spot-checked on a seeded sample.
+The verdict is the plain report document that `jumploci perversity` prints.
 """
 
 from fractions import Fraction
@@ -24,23 +25,23 @@ from jumploci.fixtures import (
 
 base = mellin_constant_torus(2)
 report = perversity_verdict(base.profile, samples=30, seed=0)
-print("constant object on the 2-torus:", report.verdict)
-print("  propagation:", report.propagation_ok,
-      " support:", report.support_ok,
-      " euler:", report.euler_status)
+print("constant object on the 2-torus:", report["verdict"])
+print("  propagation:", report["propagation"]["ok"],
+      " support:", report["support_interval"]["ok"],
+      " euler:", report["euler"]["status"])
 
 # Shifting the complex one step breaks exactly one side of the t-structure.
 for s in (1, -1):
     fx = shift_fixture(base, s)
     rep = perversity_verdict(fx.profile, samples=20, seed=0)
-    offenders = [(r.degree, r.condition) for r in rep.violations]
-    print(f"shift by {s:+d}: {rep.verdict}, violations at {offenders}")
+    offenders = [(r["degree"], r["condition"]) for r in rep["violations"]]
+    print(f"shift by {s:+d}: {rep['verdict']}, violations at {offenders}")
 
 # Twists translate the loci; inductions fan them out over torsion orbits.
 tw = twist_fixture(base, [Fraction(2), Fraction(1, 3)])
-print("twist by (2, 1/3):", perversity_verdict(tw.profile, samples=20, seed=0).verdict)
+print("twist by (2, 1/3):", perversity_verdict(tw.profile, samples=20, seed=0)["verdict"])
 ind = induce_fixture(mellin_constant_torus(1), [2])
-print("degree-2 induction:", perversity_verdict(ind.profile, samples=20, seed=0).verdict)
+print("degree-2 induction:", perversity_verdict(ind.profile, samples=20, seed=0)["verdict"])
 v0 = ind.profile.locus(0)
 print("  its degree-0 locus has", len(v0.components), "point components")
 

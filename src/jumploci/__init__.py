@@ -33,8 +33,7 @@ _HOMES = {
         "radical_equality_pairs",
     ),
     "verdict": (
-        "LociProfile", "PerversityReport", "check_lower", "check_upper", "perversity_verdict",
-        "survival_interval",
+        "LociProfile", "check_lower", "check_upper", "perversity_verdict", "survival_interval",
     ),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -140,10 +140,9 @@ def cmd_perversity(args) -> int:
         if profile.context != cx.context:
             raise InputError("loci and complex use different rings")
         profile = profile.with_source(cx)
-    report = perversity_verdict(profile, samples=args.samples, seed=args.seed)
-    doc = serialize.perversity_report_doc(report, args.samples, args.seed)
+    doc = perversity_verdict(profile, samples=args.samples, seed=args.seed)
     _emit(doc, args.json)
-    return EXIT_PASS if report.verdict == "perverse" else EXIT_FAILED
+    return EXIT_PASS if doc["verdict"] == "perverse" else EXIT_FAILED
 
 
 def cmd_codims(args) -> int:
@@ -183,7 +182,7 @@ def _build_fixture(args):
     if name == "free":
         return free_module_fixture(args.m, args.rank)
     if name == "twist":
-        if not args.lam:
+        if args.lam is None:
             raise InputError("the twist fixture needs --lam")
         return twist_fixture(mellin_constant_torus(args.m), _parse_list(args.lam, Fraction))
     if name == "induce":
@@ -194,7 +193,7 @@ def _build_fixture(args):
         )
     if name == "sum":
         base = mellin_constant_torus(args.m)
-        lams = _parse_list(args.lam, Fraction) if args.lam else [Fraction(2)] * args.m
+        lams = _parse_list(args.lam, Fraction) if args.lam is not None else [Fraction(2)] * args.m
         return sum_fixture(base, twist_fixture(base, lams))
     if name == "shift":
         return shift_fixture(mellin_constant_torus(args.m), args.s)

@@ -92,7 +92,6 @@ def elimination_order(block: tuple[int, ...]) -> MonomialOrder:
 
 
 GREVLEX = MonomialOrder("grevlex", _grevlex_key)
-LEX = MonomialOrder("lex", tuple)  # exponent tuples compare lexicographically
 
 
 # -- raw polynomial helpers -------------------------------------------------

@@ -26,7 +26,8 @@ strictly (raise) or collected into a report.
 
 Reports are plain dicts rendered to deterministic text or JSON: keys are
 sorted, generators are listed in sorted canonical string form, and sampled
-verdicts always carry their seed.
+verdicts always carry their seed.  The ``perversity`` document is the one
+``verdict.perversity_verdict`` returns.
 
 Every subcommand imports this module, so it loads at its top only the ring,
 the errors and the pointwise ``loci`` module; the complex loader imports
@@ -370,33 +371,6 @@ def exactness_report(cx: FreeComplex) -> dict:
         "certificate": cert,
         "dual_negative_degrees_exact": dual_ok,
         "dual_certificate": dual_cert,
-    }
-
-
-def perversity_report_doc(report: PerversityReport, samples: int, seed: int) -> dict:
-    def rows(rs):
-        return [dict(r._asdict(), actual=str(r.actual)) for r in rs]
-
-    return {
-        "report": "perversity",
-        "verdict": report.verdict,
-        "upper": rows(report.upper_rows),
-        "lower": rows(report.lower_rows),
-        "violations": rows(report.violations),
-        "propagation": {
-            "ok": report.propagation_ok,
-            "first_violation": list(report.propagation_first_violation)
-            if report.propagation_first_violation
-            else None,
-        },
-        "support_interval": {
-            "ok": report.support_ok,
-            "offenders": report.support_offenders,
-        },
-        "euler": {"status": report.euler_status, "detail": report.euler_detail},
-        "provenance": dict(sorted(report.provenance.items())),
-        "samples": samples,
-        "seed": seed,
     }
 
 

@@ -14,6 +14,11 @@ the propagation chain of the loci, the support interval
 signed Euler characteristic clause (chi >= 0, with chi = 0 exactly when the
 degree-zero locus is a proper subset).
 
+``perversity_verdict`` returns the report as the plain document that the
+``perversity`` subcommand prints, and nothing else defines its schema.  A
+condition row is ``{degree, condition, required, actual, ok}``, with the
+codimension ``actual`` as text (``inf`` for an empty locus).
+
 The verdict consumes declared loci rather than attempting to decompose
 computed ideals: linearity of jump loci is a structural fact about the
 geometric situation the inputs are drawn from, not something the checker
@@ -96,65 +101,47 @@ class LociProfile:
         return LociProfile(self.context, merged, euler=euler)
 
 
-class ConditionRow(NamedTuple):
-    degree: int
-    condition: str  # "abelian-codim" | "semiabelian-codim"
-    required: int
-    actual: object  # int or math.inf
-    ok: bool
-
-
-class PerversityReport(NamedTuple):
-    verdict: str  # "perverse" | "upper-only" | "lower-only" | "neither"
-    upper_rows: list[ConditionRow]
-    lower_rows: list[ConditionRow]
-    violations: list[ConditionRow]
-    propagation_ok: bool
-    propagation_first_violation: tuple[int, int] | None
-    support_ok: bool
-    support_offenders: list[int]
-    euler_status: str  # "pass" | "fail" | "skipped (euler unknown)"
-    euler_detail: str
-    provenance: dict[str, str]
-
-
-def _condition_rows(profile: LociProfile, degrees: range, condition: str, field: str) -> list[ConditionRow]:
+def _condition_rows(profile: LociProfile, degrees: range, condition: str, field: str) -> list[dict]:
     """One row per degree i: the codimension statistic ``field`` of V^i
-    against the bound |i|."""
+    against the bound |i|.  ``ok`` compares the number; ``actual`` is its
+    text (``inf`` for an empty locus)."""
     rows = []
     for i in degrees:
         actual = getattr(profile.locus(i).codim_stats(), field)
-        rows.append(ConditionRow(i, condition, abs(i), actual, actual >= abs(i)))
+        rows.append(
+            {"degree": i, "condition": condition, "required": abs(i), "actual": str(actual),
+             "ok": actual >= abs(i)}
+        )
     return rows
 
 
-def check_upper(profile: LociProfile) -> list[ConditionRow]:
+def check_upper(profile: LociProfile) -> list[dict]:
     """Condition (a): abelian codimension at least i in each degree i >= 0."""
     top = max([d for d in profile.degrees() if d >= 0], default=-1)
     return _condition_rows(profile, range(0, top + 1), "abelian-codim", "codim_a")
 
 
-def check_lower(profile: LociProfile) -> list[ConditionRow]:
+def check_lower(profile: LociProfile) -> list[dict]:
     """Condition (b): semi-abelian codimension at least -i in each i <= 0."""
     bottom = min([d for d in profile.degrees() if d <= 0], default=1)
     return _condition_rows(profile, range(bottom, 1), "semiabelian-codim", "codim_sa")
 
 
-def profile_propagation(profile: LociProfile) -> tuple[bool, tuple[int, int] | None]:
+def profile_propagation(profile: LociProfile) -> dict:
     """Nesting chain on declared loci via exhaustive component containment,
-    link by link (loci.chain_links); (holds, first failing link)."""
+    link by link (loci.chain_links), and its first failing link."""
     degs = profile.degrees() or [0]
     for i, inner, outer in chain_links(degs[0], degs[-1]):
         if not profile.locus(outer).contains(profile.locus(inner)):
-            return False, (i, i + 1)
-    return True, None
+            return {"ok": False, "first_violation": [i, i + 1]}
+    return {"ok": True, "first_violation": None}
 
 
-def support_interval_check(profile: LociProfile):
+def support_interval_check(profile: LociProfile) -> dict:
     """Loci must vanish outside [-m-g, g]."""
     m, g = profile.context.torus_rank, profile.context.abelian_rank
     offenders = [d for d in profile.degrees() if not (-m - g <= d <= g)]
-    return not offenders, offenders
+    return {"ok": not offenders, "offenders": offenders}
 
 
 def spot_check_profile(
@@ -191,16 +178,17 @@ def perversity_verdict(
     profile: LociProfile,
     samples: int = 40,
     seed: int = 0,
-) -> PerversityReport:
-    """Aggregate the two half conditions plus the auxiliary consequences."""
+) -> dict:
+    """Aggregate the two half conditions plus the auxiliary consequences
+    into the report document ``perversity`` prints."""
     provenance = {"conditions": "exact", "propagation": "exact", "support": "exact"}
     if profile.source is not None:
         provenance.update(spot_check_profile(profile, samples=samples, seed=seed))
 
-    upper_rows = check_upper(profile)
-    lower_rows = check_lower(profile)
-    upper_ok = all(r.ok for r in upper_rows)
-    lower_ok = all(r.ok for r in lower_rows)
+    upper = check_upper(profile)
+    lower = check_lower(profile)
+    upper_ok = all(r["ok"] for r in upper)
+    lower_ok = all(r["ok"] for r in lower)
     if upper_ok and lower_ok:
         verdict = "perverse"
     elif upper_ok:
@@ -209,37 +197,31 @@ def perversity_verdict(
         verdict = "lower-only"
     else:
         verdict = "neither"
-    violations = [r for r in upper_rows + lower_rows if not r.ok]
-
-    prop_ok, prop_first = profile_propagation(profile)
-    support_ok, offenders = support_interval_check(profile)
 
     if profile.euler is None:
-        euler_status = "skipped (euler unknown)"
-        euler_detail = "no Euler characteristic on the profile"
+        euler = {"status": "skipped (euler unknown)", "detail": "no Euler characteristic on the profile"}
     else:
         chi = profile.euler
         whole = profile.locus(0).is_whole_space()
-        nonneg = chi >= 0
-        equivalence = (chi == 0) == (not whole)
-        euler_status = "pass" if (nonneg and equivalence) else "fail"
-        euler_detail = (
-            f"chi={chi}, degree-0 locus {'is' if whole else 'is not'} the whole space"
-        )
+        holds = chi >= 0 and (chi == 0) == (not whole)
+        euler = {
+            "status": "pass" if holds else "fail",
+            "detail": f"chi={chi}, degree-0 locus {'is' if whole else 'is not'} the whole space",
+        }
 
-    return PerversityReport(
-        verdict=verdict,
-        upper_rows=upper_rows,
-        lower_rows=lower_rows,
-        violations=violations,
-        propagation_ok=prop_ok,
-        propagation_first_violation=prop_first,
-        support_ok=support_ok,
-        support_offenders=offenders,
-        euler_status=euler_status,
-        euler_detail=euler_detail,
-        provenance=provenance,
-    )
+    return {
+        "report": "perversity",
+        "verdict": verdict,
+        "upper": upper,
+        "lower": lower,
+        "violations": [r for r in upper + lower if not r["ok"]],
+        "propagation": profile_propagation(profile),
+        "support_interval": support_interval_check(profile),
+        "euler": euler,
+        "provenance": dict(sorted(provenance.items())),
+        "samples": samples,
+        "seed": seed,
+    }
 
 
 class SurvivalResult(NamedTuple):

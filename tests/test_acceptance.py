@@ -7,6 +7,7 @@ statements always state their seed.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from jumploci.lattices import (
     rational_rank,
     saturate_lattice,
 )
-from jumploci.laurent import RingContext
+from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import (
     depth_bounds,
     is_whole_space,
@@ -202,23 +203,23 @@ def test_criterion_07_perversity_verdicts(suite):
     # every assumption-passing fixture is judged perverse
     for fx in suite:
         report = perversity_verdict(fx.profile, samples=30, seed=11)
-        assert report.verdict == fx.expected_verdict == "perverse", fx.name
+        assert report["verdict"] == fx.expected_verdict == "perverse", fx.name
     # one-sided verdicts for the shifted mutants, at the predicted degrees
     m2 = mellin_constant_torus(2)
     up = shift_fixture(m2, 1)
     report_up = perversity_verdict(up.profile, samples=20, seed=11)
-    assert report_up.verdict == "lower-only"
-    assert [r.degree for r in report_up.violations] == [1]
+    assert report_up["verdict"] == "lower-only"
+    assert [r["degree"] for r in report_up["violations"]] == [1]
     down = shift_fixture(m2, -1)
     report_down = perversity_verdict(down.profile, samples=20, seed=11)
-    assert report_down.verdict == "upper-only"
-    assert [r.degree for r in report_down.violations] == [-3]
+    assert report_down["verdict"] == "upper-only"
+    assert [r["degree"] for r in report_down["violations"]] == [-3]
     # torus profiles agree with the independent specialization
     torus_profiles = [fx.profile for fx in suite] + [up.profile, down.profile]
     for profile in torus_profiles:
         bare = LociProfile(profile.context, profile.loci, euler=profile.euler)
         assert torus_specialization_verdict(bare) == (
-            perversity_verdict(bare).verdict == "perverse"
+            perversity_verdict(bare)["verdict"] == "perverse"
         )
     # abelian profiles agree with the quadratic codimension bound
     from jumploci.fixtures import abelian_point_profile
@@ -226,7 +227,7 @@ def test_criterion_07_perversity_verdicts(suite):
     for g, span in [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]:
         profile = abelian_point_profile(g, span)
         assert abelian_specialization_verdict(profile) == (
-            perversity_verdict(profile).verdict == "perverse"
+            perversity_verdict(profile)["verdict"] == "perverse"
         )
     _passed(7, "verdicts match expectations and both specializations")
 
@@ -235,7 +236,7 @@ def test_criterion_08_signed_euler_characteristic(suite):
     seen_positive = False
     for fx in suite:
         report = perversity_verdict(fx.profile, samples=15, seed=13)
-        assert report.verdict == "perverse"
+        assert report["verdict"] == "perverse"
         chi = fx.profile.euler
         assert chi is not None and chi >= 0, fx.name
         whole = fx.profile.locus(0).is_whole_space()
@@ -328,8 +329,7 @@ def _full_suite_report(seed):
     ]
     chunks = []
     for fx in fixtures:
-        report = perversity_verdict(fx.profile, samples=25, seed=seed)
-        doc = serialize.perversity_report_doc(report, 25, seed)
+        doc = perversity_verdict(fx.profile, samples=25, seed=seed)
         chunks.append(serialize.render_json(doc))
         ideal_doc = serialize.jump_ideal_report(
             fx.complex, list(range(fx.complex.k_min, fx.complex.k_max + 1))
@@ -348,3 +348,42 @@ def test_criterion_11_determinism():
     assert json.loads("{}") == {}  # keep json import honest
     assert first != different_seed or '"seed": 97' not in first
     _passed(11, "byte-identical reports across runs at a fixed seed")
+
+
+def _non_koszul_tensors():
+    m1 = mellin_constant_torus(1)
+    second = renamed_torus_fixture(1, 1)
+    return [
+        tensor_fixture(m1, induce_fixture(second, [2])),
+        tensor_fixture(induce_fixture(m1, [3]), twist_fixture(second, [Fraction(2)])),
+        tensor_fixture(twist_fixture(m1, [Fraction(2)]), twist_fixture(second, [Fraction(-1, 2)])),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["m1-x-cover2", "cover3-x-twist2", "twist2-x-twist-half"])
+def test_criterion_12_tensors_of_non_koszul_factors(index):
+    # the external tensor of two Koszul complexes is a Koszul complex, so only
+    # tensors of twisted or induced factors test the Kuenneth rule for the
+    # declared loci and the Koszul signs of the differentials
+    fx = _non_koszul_tensors()[index]
+    cx, profile = fx.complex, fx.profile
+    assert cx.check_assumption(), fx.name
+    report = perversity_verdict(profile, samples=20, seed=12)
+    assert report["verdict"] == fx.expected_verdict == "perverse", fx.name
+    assert report["provenance"]["spot_check"].startswith("sampled"), fx.name
+    # the points of order 6, and a point of every declared component, so
+    # that the twisted loci off the unit circle are met too
+    sixth = [(Fraction(1), Fraction(k, 6)) for k in range(6)]
+    points = [TorsionPoint(cx.context, [a, b]) for a in sixth for b in sixth]
+    points += [c.translate for d in profile.degrees() for c in profile.locus(d).components]
+    members = 0
+    for degree in range(cx.k_min - 1, cx.k_max + 2):
+        declared = profile.locus(degree)
+        least = min((c.codims()[0] for c in declared.components), default=math.inf)
+        assert cx.jumping_ideal(degree).codimension() == least, (fx.name, degree)
+        for p in points:
+            member = membership_at_point(cx, degree, p)[0]
+            assert member == declared.contains_point(p), (fx.name, degree, p)
+            members += member
+    assert members >= len(points) - 36, fx.name
+    _passed(12, f"{fx.name}: Kuenneth loci, codimensions and verdict")

@@ -73,6 +73,11 @@ def test_lam_refusal_message():
     result = run_cli("fixtures", "tensor", "--lam", "2")
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "input error: the tensor fixture takes no --lam\n"
+    # an empty --lam is a malformed list, not a missing one
+    for name in ("sum", "twist"):
+        result = run_cli("fixtures", name, "--m", "1", "--lam=")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "input error: malformed list ''\n"
 
 
 def test_validate_malformed_input(tmp_path):
@@ -143,6 +148,11 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         # --lam was once ignored by every fixture but twist and sum
         *(pytest.param(["fixtures", name, "--lam", "2", "--complex-out", "{input}"], None,
                        id=f"{name}-fixture-with-lam") for name in ("mellin", "tensor", "induce", "shift", "free")),
+        # an empty --lam was once read as none: sum wrote the default twist
+        pytest.param(["fixtures", "sum", "--m", "1", "--lam=", "--complex-out", "{input}"], None,
+                     id="sum-fixture-with-empty-lam"),
+        pytest.param(["fixtures", "twist", "--m", "1", "--lam=", "--complex-out", "{input}"], None,
+                     id="twist-fixture-with-empty-lam"),
         pytest.param(["fixtures", "free", "--m", "1", "--rank", "0", "--complex-out", "{input}"], None,
                      id="free-fixture-of-rank-zero"),
         # integers of more than 4300 digits exceed Python's int-string limit
@@ -593,6 +603,26 @@ def test_reports_byte_identical_across_runs(m2_files):
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+def test_library_verdict_is_the_document_perversity_prints(tmp_path, capsys):
+    # perversity_verdict returns the report document itself: on the same
+    # files the CLI prints exactly it, and exits on its verdict
+    from jumploci import cli
+    from jumploci.fixtures import standard_fixture_suite
+    from jumploci.verdict import perversity_verdict
+
+    for seed, fx in enumerate(standard_fixture_suite()):
+        assert fx.profile.source is not None, fx.name  # so both sides run the spot check
+        cx, loci = tmp_path / f"{seed}.complex", tmp_path / f"{seed}.loci"
+        cx.write_text(serialize.dump_complex(fx.complex))
+        loci.write_text(serialize.dump_loci(fx.profile))
+        argv = ["perversity", str(cx), "--loci", str(loci), "--samples", "20", "--seed", str(seed), "--json"]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        doc = perversity_verdict(fx.profile, samples=20, seed=seed)
+        assert json.loads(out) == doc, fx.name
+        assert (code, err) == (0 if doc["verdict"] == "perverse" else 1, ""), fx.name
 
 
 def test_spair_budget_constant_triggers_resource_exit(m2_files, monkeypatch, capsys):

@@ -122,7 +122,7 @@ def test_shift_fixture_expected_verdicts():
     for s, expected in [(1, "lower-only"), (-1, "upper-only"), (2, "lower-only")]:
         fx = shift_fixture(m2, s)
         report = perversity_verdict(fx.profile, samples=15, seed=2)
-        assert report.verdict == expected == fx.expected_verdict, s
+        assert report["verdict"] == expected == fx.expected_verdict, s
 
 
 def test_mutation_gate():

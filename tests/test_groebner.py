@@ -12,8 +12,8 @@ from jumploci.errors import ResourceError
 from jumploci.fixtures import standard_fixture_suite
 from jumploci.groebner import (
     GREVLEX,
-    LEX,
     LaurentIdeal,
+    MonomialOrder,
     _is_constant,
     _is_unit_basis,
     _lead,
@@ -29,6 +29,10 @@ from jumploci.groebner import (
     variety_containment,
 )
 from jumploci.laurent import LaurentPoly, RingContext
+
+# a second term order for the order-generic tests: exponent tuples compared
+# lexicographically (the program itself uses grevlex and elimination orders)
+LEX = MonomialOrder("lex", tuple)
 
 
 @pytest.fixture

@@ -24,8 +24,8 @@ from jumploci.fixtures import (
 )
 from jumploci.groebner import (
     GREVLEX,
-    LEX,
     LaurentIdeal,
+    MonomialOrder,
     _lead,
     _reduce,
     _saturate,
@@ -40,6 +40,8 @@ from jumploci.lattices import hermite_normal_form, LinearComponent
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
 from jumploci.loci import membership_at_point, propagation_check
 from jumploci.sampling import sample_points
+
+LEX = MonomialOrder("lex", tuple)  # exponent tuples compared lexicographically
 
 
 def _random_laurent(ctx, rng, terms=3, span=2):

@@ -126,8 +126,7 @@ def test_loci_loader_malformed():
 
 def test_report_renderers_deterministic():
     fx = mellin_constant_torus(2)
-    report = perversity_verdict(fx.profile, samples=10, seed=3)
-    doc = serialize.perversity_report_doc(report, 10, 3)
+    doc = perversity_verdict(fx.profile, samples=10, seed=3)
     assert serialize.render_json(doc) == serialize.render_json(doc)
     text = serialize.render_text(doc)
     assert "verdict: perverse" in text

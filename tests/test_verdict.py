@@ -41,50 +41,50 @@ def _torus_point_profile(m, degrees):
 def test_check_upper_examples():
     profile = _torus_point_profile(2, range(-2, 1))
     rows = check_upper(profile)
-    assert all(r.ok for r in rows)
+    assert all(r["ok"] for r in rows)
     shifted = _torus_point_profile(2, [d + 1 for d in range(-2, 1)])
     rows = check_upper(shifted)
-    bad = [r for r in rows if not r.ok]
-    assert bad and bad[0].degree == 1 and bad[0].actual == 0
+    bad = [r for r in rows if not r["ok"]]
+    assert bad and bad[0]["degree"] == 1 and bad[0]["actual"] == "0"
 
 
 def test_check_upper_abelian_point():
     # an abelian point has abelian codimension g; passes degree 1 when g >= 1
     profile = abelian_point_profile(1, 1)
     rows = check_upper(profile)
-    assert all(r.ok for r in rows)
-    assert rows[-1].degree == 1 and rows[-1].actual == 1
+    assert all(r["ok"] for r in rows)
+    assert rows[-1]["degree"] == 1 and rows[-1]["actual"] == "1"
 
 
 def test_check_lower_examples():
     profile = _torus_point_profile(2, range(-2, 1))
-    assert all(r.ok for r in check_lower(profile))
+    assert all(r["ok"] for r in check_lower(profile))
     ctx = RingContext.torus(2)
     curve = LinearComponent(ctx, ctx.identity_point(), [[1, 0]])
     deep = LociProfile(ctx, {-2: LinearUnion(ctx, [curve])})
     rows = check_lower(deep)
-    bad = [r for r in rows if not r.ok]
-    assert bad and bad[0].degree == -2 and bad[0].actual == 1
+    bad = [r for r in rows if not r["ok"]]
+    assert bad and bad[0]["degree"] == -2 and bad[0]["actual"] == "1"
     empty_deep = LociProfile(ctx, {0: LinearUnion.single_point(ctx.identity_point())})
-    assert all(r.ok for r in check_lower(empty_deep))  # absent degrees pass
+    assert all(r["ok"] for r in check_lower(empty_deep))  # absent degrees pass
 
 
 def test_perversity_verdict_fixture_family():
     m2 = mellin_constant_torus(2)
     report = perversity_verdict(m2.profile, samples=20, seed=5)
-    assert report.verdict == "perverse" and not report.violations
-    assert report.propagation_ok and report.support_ok
-    assert report.euler_status == "pass"
+    assert report["verdict"] == "perverse" and not report["violations"]
+    assert report["propagation"]["ok"] and report["support_interval"]["ok"]
+    assert report["euler"]["status"] == "pass"
 
     up = shift_fixture(m2, 1)
     rep_up = perversity_verdict(up.profile, samples=20, seed=5)
-    assert rep_up.verdict == "lower-only"
-    assert any(r.degree > 0 and r.condition == "abelian-codim" for r in rep_up.violations)
+    assert rep_up["verdict"] == "lower-only"
+    assert any(r["degree"] > 0 and r["condition"] == "abelian-codim" for r in rep_up["violations"])
 
     down = shift_fixture(m2, -1)
     rep_down = perversity_verdict(down.profile, samples=20, seed=5)
-    assert rep_down.verdict == "upper-only"
-    assert any(r.condition == "semiabelian-codim" for r in rep_down.violations)
+    assert rep_down["verdict"] == "upper-only"
+    assert any(r["condition"] == "semiabelian-codim" for r in rep_down["violations"])
 
 
 def test_perversity_verdict_neither():
@@ -93,7 +93,7 @@ def test_perversity_verdict_neither():
     curve = LinearUnion(ctx, [LinearComponent(ctx, ctx.identity_point(), [[1, 0]])])
     profile = LociProfile(ctx, {1: ident, -2: curve})
     report = perversity_verdict(profile)
-    assert report.verdict == "neither"
+    assert report["verdict"] == "neither"
 
 
 def test_spot_check_rejects_wrong_declaration():
@@ -135,15 +135,15 @@ def test_spot_check_visits_module_and_locus_degrees_only(monkeypatch):
 def test_euler_clause():
     fm = free_module_fixture(1)
     report = perversity_verdict(fm.profile, samples=10, seed=0)
-    assert report.euler_status == "pass"  # chi = 1 > 0 and whole space
+    assert report["euler"]["status"] == "pass"  # chi = 1 > 0 and whole space
     # break the equivalence: positive Euler number with a proper locus
     m1 = mellin_constant_torus(1)
     lying = LociProfile(m1.complex.context, m1.profile.loci, euler=5)
     report = perversity_verdict(lying)
-    assert report.euler_status == "fail"
+    assert report["euler"]["status"] == "fail"
     unknown = LociProfile(m1.complex.context, m1.profile.loci)
     report = perversity_verdict(unknown)
-    assert report.euler_status.startswith("skipped")
+    assert report["euler"]["status"].startswith("skipped")
 
 
 def test_support_interval_detection():
@@ -151,7 +151,7 @@ def test_support_interval_detection():
     ident = LinearUnion.single_point(ctx.identity_point())
     outside = LociProfile(ctx, {-2: ident, -1: ident, 0: ident})
     report = perversity_verdict(outside)
-    assert not report.support_ok and report.support_offenders == [-2]
+    assert report["support_interval"] == {"ok": False, "offenders": [-2]}
 
 
 def test_propagation_on_profiles():
@@ -160,8 +160,7 @@ def test_propagation_on_profiles():
     other = LinearUnion.single_point(ctx.rational_point([2, 2]))
     gap = LociProfile(ctx, {-1: other, 0: ident})
     report = perversity_verdict(gap)
-    assert not report.propagation_ok
-    assert report.propagation_first_violation == (-1, 0)
+    assert report["propagation"] == {"ok": False, "first_violation": [-1, 0]}
 
 
 def test_survival_interval_examples():
@@ -228,7 +227,7 @@ def test_verdict_monotone_under_added_components():
     curve = LinearComponent(ctx, ctx.identity_point(), [[1, 0]])
     base_loci = {1: ident}  # fails the upper bound at degree 1
     base = LociProfile(ctx, base_loci)
-    assert perversity_verdict(base).verdict != "perverse"
+    assert perversity_verdict(base)["verdict"] != "perverse"
     extras = [
         LinearUnion(ctx, [curve]),
         LinearUnion.single_point(ctx.rational_point([2, 3])),
@@ -240,7 +239,7 @@ def test_verdict_monotone_under_added_components():
         loci = dict(base_loci)
         loci[degree] = loci.get(degree, LinearUnion.empty(ctx)).union_with(extra)
         bigger = LociProfile(ctx, loci)
-        assert perversity_verdict(bigger).verdict != "perverse"
+        assert perversity_verdict(bigger)["verdict"] != "perverse"
 
 
 def test_torus_specialization_agreement():
@@ -255,7 +254,7 @@ def test_torus_specialization_agreement():
     ]
     for fx in fixtures:
         profile = LociProfile(fx.profile.context, fx.profile.loci, euler=fx.profile.euler)
-        general = perversity_verdict(profile).verdict == "perverse"
+        general = perversity_verdict(profile)["verdict"] == "perverse"
         special = torus_specialization_verdict(profile)
         assert general == special, fx.name
 
@@ -263,13 +262,13 @@ def test_torus_specialization_agreement():
 def test_abelian_specialization_agreement():
     for g, span in [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3)]:
         profile = abelian_point_profile(g, span)
-        general = perversity_verdict(profile).verdict == "perverse"
+        general = perversity_verdict(profile)["verdict"] == "perverse"
         schnell = abelian_specialization_verdict(profile)
         assert general == schnell, (g, span)
     # the identity point on an abelian surface survives degrees [-2, 2] but
     # not beyond; span g passes, span g + 1 fails
-    assert perversity_verdict(abelian_point_profile(2, 2)).verdict == "perverse"
-    assert perversity_verdict(abelian_point_profile(2, 3)).verdict != "perverse"
+    assert perversity_verdict(abelian_point_profile(2, 2))["verdict"] == "perverse"
+    assert perversity_verdict(abelian_point_profile(2, 3))["verdict"] != "perverse"
 
 
 def test_specialization_guards():
@@ -292,7 +291,7 @@ print(sample_points(ctx, random.Random(0), 3))
 cx = FreeComplex(ctx, 0, 0, [1], {})
 profile = LociProfile(ctx, {0: LinearUnion.whole_space(ctx)}, source=cx, euler=1)
 report = perversity_verdict(profile)
-print(report.verdict, report.provenance["spot_check"])
+print(report["verdict"], report["provenance"]["spot_check"])
 """
 
 
