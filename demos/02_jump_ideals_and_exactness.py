@@ -49,11 +49,11 @@ print("propagation:", result.ok, f"({result.provenance})")
 # Buchsbaum-Eisenbud certificate: negative degrees of the complex and of
 # its dual are exact, i.e. the complex could be the transform of a single
 # honest object in degree 0.
-ok, certificate = K.is_exact_range([-2, -1])
-print("negative degrees exact:", ok)
-for row in certificate:
+report = K.exactness()  # the document `jumploci exactness --json` prints
+print("negative degrees exact:", report["negative_degrees_exact"])
+for row in report["certificate"]:
     print("   ", row)
-print("assumption (complex and dual):", K.check_assumption())
+print("assumption (complex and dual):", report["assumption_holds"])
 
 # Shifting left drags cohomology into degree -1 and the certificate fails.
 shifted = shift_complex(K, -1)

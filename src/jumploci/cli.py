@@ -40,7 +40,6 @@ from types import SimpleNamespace
 
 from . import serialize
 from .errors import InputError, ResourceError
-from .sampling import check_sample_count
 from .verdict import perversity_verdict
 
 EXIT_PASS = 0
@@ -112,8 +111,7 @@ def cmd_jump_ideals(args) -> int:
 
 
 def cmd_exactness(args) -> int:
-    cx = serialize.load_complex(_read(args.complex))
-    doc = serialize.exactness_report(cx)
+    doc = serialize.load_complex(_read(args.complex)).exactness()
     _emit(doc, args.json)
     return EXIT_PASS if doc["assumption_holds"] else EXIT_FAILED
 
@@ -124,7 +122,6 @@ def _sniff_is_loci(text: str) -> bool:
 
 
 def cmd_perversity(args) -> int:
-    check_sample_count(args.samples)
     text = _read(args.input)
     if _sniff_is_loci(text):
         profile, rejected = serialize.load_loci(text, strict=True)
@@ -147,10 +144,7 @@ def cmd_perversity(args) -> int:
 
 def cmd_codims(args) -> int:
     profile, rejected = serialize.load_loci(_read(args.loci), strict=False)
-    doc = serialize.codims_report(profile)
-    if rejected:
-        doc["rejected_components"] = rejected
-    _emit(doc, args.json)
+    _emit(serialize.codims_report(profile, rejected), args.json)
     return EXIT_INPUT if rejected else EXIT_PASS
 
 
@@ -175,29 +169,26 @@ def _build_fixture(args):
     )
 
     name = args.name
-    if args.lam is not None and name not in ("twist", "sum"):
-        raise InputError(f"the {name} fixture takes no --lam")
-    if name == "mellin":
-        return mellin_constant_torus(args.m)
+    for option in ("lam", "n", "m2", "s", "rank"):
+        if getattr(args, option) is not None and option not in _FIXTURE_OPTIONS[name]:
+            raise InputError(f"the {name} fixture takes no --{option}")
+    if name == "twist" and args.lam is None:
+        raise InputError("the twist fixture needs --lam")
     if name == "free":
-        return free_module_fixture(args.m, args.rank)
+        return free_module_fixture(args.m, 1 if args.rank is None else args.rank)
+    base = mellin_constant_torus(args.m)
+    if name == "mellin":
+        return base
     if name == "twist":
-        if args.lam is None:
-            raise InputError("the twist fixture needs --lam")
-        return twist_fixture(mellin_constant_torus(args.m), _parse_list(args.lam, Fraction))
+        return twist_fixture(base, _parse_list(args.lam, Fraction))
     if name == "induce":
-        return induce_fixture(mellin_constant_torus(args.m), _parse_list(args.n, int))
+        return induce_fixture(base, _parse_list("2" if args.n is None else args.n, int))
     if name == "tensor":
-        return tensor_fixture(
-            mellin_constant_torus(args.m), renamed_torus_fixture(args.m2, args.m)
-        )
+        return tensor_fixture(base, renamed_torus_fixture(1 if args.m2 is None else args.m2, args.m))
     if name == "sum":
-        base = mellin_constant_torus(args.m)
         lams = _parse_list(args.lam, Fraction) if args.lam is not None else [Fraction(2)] * args.m
         return sum_fixture(base, twist_fixture(base, lams))
-    if name == "shift":
-        return shift_fixture(mellin_constant_torus(args.m), args.s)
-    raise InputError(f"unknown fixture {name!r}")
+    return shift_fixture(base, 1 if args.s is None else args.s)
 
 
 def cmd_fixtures(args) -> int:
@@ -234,6 +225,9 @@ def _option(flag, kind=None, default=None, help=None, required=False):
 
 
 _DEGREES = _option("--degrees", help="degree range a..b")
+# fixture name -> the options besides --m that it reads; it refuses the others
+_FIXTURE_OPTIONS = {"mellin": (), "twist": ("lam",), "tensor": ("m2",), "induce": ("n",),
+                    "sum": ("lam",), "shift": ("s",), "free": ("rank",)}
 
 # name -> (handler, help, positional (dest, help, choices), options); every
 # subcommand also takes --json.  Both parsers read only this table.  A
@@ -258,14 +252,14 @@ COMMANDS = {
     "fixtures": (
         "cmd_fixtures",
         "emit a named fixture",
-        ("name", None, ["mellin", "twist", "tensor", "induce", "sum", "shift", "free"]),
+        ("name", None, list(_FIXTURE_OPTIONS)),
         (
             _option("--m", int, 1, "torus rank of the base"),
-            _option("--m2", int, 1, "torus rank of the second factor"),
+            _option("--m2", int, help="torus rank of the second factor (default 1)"),
             _option("--lam", help="comma-separated twist scalars"),
-            _option("--n", default="2", help="comma-separated cover exponents"),
-            _option("--s", int, 1, "degree shift"),
-            _option("--rank", int, 1, "free module rank"),
+            _option("--n", help="comma-separated cover exponents (default 2)"),
+            _option("--s", int, help="degree shift (default 1)"),
+            _option("--rank", int, help="free module rank (default 1)"),
             _option("--complex-out", help="write the complex document here"),
             _option("--loci-out", help="write the loci document here"),
         ),

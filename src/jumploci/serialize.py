@@ -27,7 +27,8 @@ strictly (raise) or collected into a report.
 Reports are plain dicts rendered to deterministic text or JSON: keys are
 sorted, generators are listed in sorted canonical string form, and sampled
 verdicts always carry their seed.  The ``perversity`` document is the one
-``verdict.perversity_verdict`` returns.
+``verdict.perversity_verdict`` returns and the ``exactness`` document the
+one ``FreeComplex.exactness`` returns.
 
 Every subcommand imports this module, so it loads at its top only the ring,
 the errors and the pointwise ``loci`` module; the complex loader imports
@@ -273,11 +274,19 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+def _known_keys(block: dict, keys: set, where: str) -> None:
+    """Refuse a key of ``block`` outside ``keys``: ``dump_loci`` writes none."""
+    for key in block:
+        if key not in keys:
+            raise InputError(f"unknown key {key!r} in {where}")
+
+
 def load_loci(text: str, strict: bool = True):
     """Parse a loci document.  Returns (profile, rejected) where rejected is
-    a list of {degree, reason} records for components that violate an
-    invariant; with strict=True the first violation raises instead.  Either
-    way a key repeated in any object is refused."""
+    a list of {degree, component, reason} records for refused components;
+    with strict=True the first refusal raises instead.  Either way a repeated
+    key, an unknown key outside a component and a ``format`` other than
+    LOCI_FORMAT are refused (a document without one is accepted)."""
     # imported here: a job that reads only a complex never loads the lattices
     from .lattices import LinearComponent, LinearUnion
     from .verdict import LociProfile
@@ -288,7 +297,12 @@ def load_loci(text: str, strict: bool = True):
         raise InputError(f"malformed loci JSON: {exc}") from exc
     if not isinstance(doc, dict) or "ring" not in doc or "loci" not in doc:
         raise InputError("loci document needs 'ring' and 'loci' blocks")
+    if doc.get("format", LOCI_FORMAT) != LOCI_FORMAT:
+        raise InputError(f"loci document format {doc['format']!r} is not {LOCI_FORMAT!r}")
+    _known_keys(doc, {"format", "ring", "loci", "euler"}, "the loci document")
     ring = doc["ring"]
+    if isinstance(ring, dict):
+        _known_keys(ring, {"vars", "torus", "abelian"}, "the ring block")
     try:
         ctx = RingContext(ring["vars"], _parse_int(ring["torus"]), _parse_int(ring["abelian"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -315,6 +329,7 @@ def load_loci(text: str, strict: bool = True):
             try:
                 if not isinstance(comp, dict) or "translate" not in comp:
                     raise InputError("a component needs a 'translate' block")
+                _known_keys(comp, {"translate", "lattice"}, "a component")
                 translate = _parse_point(ctx, comp["translate"])
                 lattice = _parse_lattice(comp.get("lattice", []))
                 comp = LinearComponent(ctx, translate, lattice)
@@ -360,21 +375,8 @@ def jump_ideal_report(cx: FreeComplex, degrees: Sequence[int]) -> dict:
     }
 
 
-def exactness_report(cx: FreeComplex) -> dict:
-    (ok, cert), (dual_ok, dual_cert) = cx.negative_exactness()
-    for row in cert + dual_cert:
-        row["fitting_codim"] = str(row["fitting_codim"])
-    return {
-        "report": "exactness",
-        "assumption_holds": ok and dual_ok,
-        "negative_degrees_exact": ok,
-        "certificate": cert,
-        "dual_negative_degrees_exact": dual_ok,
-        "dual_certificate": dual_cert,
-    }
-
-
-def codims_report(profile: LociProfile) -> dict:
+def codims_report(profile: LociProfile, rejected: list[dict]) -> dict:
+    """The ``codims`` document, listing the ``rejected`` records of ``load_loci`` if any."""
     entries = []
     for deg in profile.degrees():
         union = profile.locus(deg)
@@ -384,7 +386,10 @@ def codims_report(profile: LociProfile) -> dict:
             for c in union.components
         ]
         entries.append({"degree": deg, "components": components, **stats})
-    return {"report": "codims", "degrees": entries}
+    doc = {"report": "codims", "degrees": entries}
+    if rejected:
+        doc["rejected_components"] = rejected
+    return doc
 
 
 def sample_report(cx: FreeComplex, points: Sequence[TorsionPoint], degrees: Sequence[int]) -> dict:

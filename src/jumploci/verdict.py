@@ -40,7 +40,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .loci import chain_links, membership_at_point
-from .sampling import sample_points
+from .sampling import check_sample_count, sample_points
 
 
 class LociProfile:
@@ -180,7 +180,9 @@ def perversity_verdict(
     seed: int = 0,
 ) -> dict:
     """Aggregate the two half conditions plus the auxiliary consequences
-    into the report document ``perversity`` prints."""
+    into the report document ``perversity`` prints; ``samples`` is refused
+    by ``check_sample_count`` before anything is computed."""
+    check_sample_count(samples)
     provenance = {"conditions": "exact", "propagation": "exact", "support": "exact"}
     if profile.source is not None:
         provenance.update(spot_check_profile(profile, samples=samples, seed=seed))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci import serialize
+from jumploci import cli, serialize
 from jumploci.complexes import FreeComplex, Matrix
 from jumploci.errors import InputError
 from jumploci.fixtures import (
@@ -158,17 +158,25 @@ def _negative_cohomology_mutants():
 def test_criterion_04_buchsbaum_eisenbud_both_directions(suite):
     # all exact fixture ranges certify true
     for fx in suite:
-        cx = fx.complex
-        negs = [i for i in cx.degrees() if i < 0]
-        if negs:
-            ok, _ = cx.is_exact_range(negs)
-            assert ok, fx.name
+        assert fx.complex.exactness()["negative_degrees_exact"], fx.name
     mutants = _negative_cohomology_mutants()
     assert len(mutants) >= 10
     for name, cx in mutants:
         assert cx.validate() is None, name
         assert not cx.check_assumption(), name
     _passed(4, f"exactness certificates: {len(suite)} true, {len(mutants)} mutants false")
+
+
+def test_exactness_document_is_the_printed_report(suite, tmp_path, capsys):
+    # `exactness --json` prints the document FreeComplex.exactness returns,
+    # and exits 0 exactly when its assumption holds
+    path = tmp_path / "in.complex"
+    for name, cx in [(fx.name, fx.complex) for fx in suite] + _negative_cohomology_mutants():
+        path.write_text(serialize.dump_complex(cx))
+        code = cli.main(["exactness", str(path), "--json"])
+        doc = cx.exactness()
+        assert json.loads(capsys.readouterr().out) == doc, name
+        assert code == (0 if doc["assumption_holds"] else 1), name
 
 
 def test_criterion_05_pointwise_ideal_agreement(suite):

@@ -69,10 +69,25 @@ def test_minor_cap_message(tmp_path):
     assert result.stderr == "resource cap: minor size 6 exceeds the cap of 5\n"
 
 
-def test_lam_refusal_message():
-    result = run_cli("fixtures", "tensor", "--lam", "2")
-    assert (result.returncode, result.stdout) == (2, "")
-    assert result.stderr == "input error: the tensor fixture takes no --lam\n"
+# (fixtures argv, the option it gives that the fixture does not read)
+UNREAD_FIXTURE_OPTIONS = [
+    (["tensor", "--lam", "2"], "lam"),
+    (["mellin", "--m", "1", "--n", "3"], "n"),
+    (["mellin", "--m", "1", "--m2", "4"], "m2"),
+    (["twist", "--m", "1", "--lam", "2", "--s", "5"], "s"),
+    (["induce", "--m", "1", "--rank", "2"], "rank"),
+    (["free", "--m", "1", "--n", "2"], "n"),
+    (["shift", "--m", "1", "--m2", "1"], "m2"),
+    (["sum", "--m", "1", "--s", "0"], "s"),
+    (["tensor", "--m", "1", "--rank", "1"], "rank"),
+]
+
+
+def test_unread_fixture_option_refusal_message():
+    for argv, option in UNREAD_FIXTURE_OPTIONS:
+        result = run_cli("fixtures", *argv)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == f"input error: the {argv[0]} fixture takes no --{option}\n"
     # an empty --lam is a malformed list, not a missing one
     for name in ("sum", "twist"):
         result = run_cli("fixtures", name, "--m", "1", "--lam=")
@@ -148,6 +163,9 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         # --lam was once ignored by every fixture but twist and sum
         *(pytest.param(["fixtures", name, "--lam", "2", "--complex-out", "{input}"], None,
                        id=f"{name}-fixture-with-lam") for name in ("mellin", "tensor", "induce", "shift", "free")),
+        # --n, --m2, --s and --rank were once ignored by every fixture but the one reading each
+        *(pytest.param(["fixtures", *argv, "--complex-out", "{input}"], None,
+                       id=f"{argv[0]}-fixture-with-{option}") for argv, option in UNREAD_FIXTURE_OPTIONS[1:]),
         # an empty --lam was once read as none: sum wrote the default twist
         pytest.param(["fixtures", "sum", "--m", "1", "--lam=", "--complex-out", "{input}"], None,
                      id="sum-fixture-with-empty-lam"),
@@ -165,6 +183,15 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
                      id="euler-of-5000-digits"),
         pytest.param(["sample", "{m2}", "--points", "{input}"], '[[[' + "7" * 5000 + ', "0"], ["1", "0"]]]',
                      id="radial-number-of-5000-digits"),
+        # keys dump_loci never writes were once read past
+        pytest.param(["codims", "{input}"], _m2_loci_edited(lambda d: d.update(format="nope")),
+                     id="unknown-loci-format"),
+        pytest.param(["codims", "{input}"], _m2_loci_edited(lambda d: d.update(bogus=1)),
+                     id="unknown-top-level-key"),
+        pytest.param(["codims", "{input}"], _m2_loci_edited(lambda d: d["ring"].update(x=1)),
+                     id="unknown-ring-key"),
+        pytest.param(["perversity", "{input}"], _m2_loci_edited(lambda d: d["loci"]["0"][0].update(extra=1)),
+                     id="unknown-component-key"),
         pytest.param(["codims", "{input}"], REPEATED_DEGREE, id="repeated-degree-codims"),
         pytest.param(["perversity", "{input}"], REPEATED_DEGREE, id="repeated-degree-perversity"),
         pytest.param(["codims", "{input}"], REPEATED_RING, id="repeated-ring-codims"),
@@ -564,6 +591,15 @@ def test_codims_reports_rejections(tmp_path):
     assert result.returncode == 2
     out = json.loads(result.stdout)
     assert out["rejected_components"]
+
+
+def test_codims_collects_an_unknown_component_key(tmp_path):
+    path = tmp_path / "extra.loci"
+    path.write_text(_m2_loci_edited(lambda d: d["loci"]["0"][0].update(extra=1)))
+    result = run_cli("codims", str(path), "--json")
+    assert (result.returncode, result.stderr) == (2, "")
+    rejected = json.loads(result.stdout)["rejected_components"]
+    assert rejected == [{"degree": 0, "component": 0, "reason": "unknown key 'extra' in a component"}]
 
 
 def test_fixtures_round_trip(tmp_path):

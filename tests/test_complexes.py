@@ -34,7 +34,7 @@ from jumploci.fixtures import (
 from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
 from jumploci.loci import radical_equality_pairs
-from jumploci.serialize import exactness_report, jump_ideal_report
+from jumploci.serialize import jump_ideal_report
 
 
 @pytest.fixture
@@ -478,7 +478,7 @@ def test_each_differential_is_enumerated_once(monkeypatch):
 
     monkeypatch.setattr(complexes, "minor_generators", counting)
     cx = mellin_constant_torus(4).complex
-    exactness_report(cx)
+    cx.exactness()
     jump_ideal_report(cx, cx.degrees())
     radical_equality_pairs(cx)
     assert len({id(m) for m in calls}) == len(calls) == 6
@@ -617,20 +617,21 @@ def test_induce_cover_size_cap():
             induce_complex(C, exponents)
 
 
-def test_is_exact_range_examples(ctx2):
+def test_exactness_examples(ctx2):
     K = _koszul2(ctx2)
-    ok, cert = K.is_exact_range([-2, -1])
-    assert ok
-    assert cert[0]["fitting_codim"] == 2 and cert[1]["rank_additivity"]
+    doc = K.exactness()
+    assert doc["negative_degrees_exact"] and doc["assumption_holds"]
+    cert = doc["certificate"]
+    assert [row["degree"] for row in cert] == [-2, -1]
+    assert cert[0]["fitting_codim"] == "2" and cert[1]["rank_additivity"]
+    assert doc["dual_certificate"] == []  # the dual lives in degrees 0..2
     ctx = RingContext.torus(1)
     Z = FreeComplex(ctx, -1, 0, [1, 1], {})  # zero differential
-    ok, cert = Z.is_exact_range([-1])
-    assert not ok and not cert[0]["rank_additivity"]
+    doc = Z.exactness()
+    assert not doc["negative_degrees_exact"] and not doc["certificate"][0]["rank_additivity"]
+    assert doc["certificate"][0]["fitting_codim"] == "inf" and doc["certificate"][0]["codim_ok"]
     C = _two_term(ctx, ctx.variable(0) - 1)
-    ok, _ = C.is_exact_range([-1])
-    assert ok  # injective in a domain
-    with pytest.raises(InputError):
-        C.is_exact_range([0])
+    assert C.exactness()["negative_degrees_exact"]  # injective in a domain
 
 
 def test_check_assumption_fixtures(ctx2):

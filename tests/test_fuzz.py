@@ -241,21 +241,31 @@ _FIXTURE_TEXT = st.one_of(
 )
 
 
+# fixture name -> the options besides --m that it reads
+_FIXTURE_OPTIONS = {
+    "mellin": (), "twist": ("--lam",), "tensor": ("--m2",), "induce": ("--n",), "sum": ("--lam",),
+    "shift": ("--s",), "free": ("--rank",),
+}
+
+
 @st.composite
-def _fixture_argv(draw):
-    name = draw(st.sampled_from(["mellin", "twist", "tensor", "induce", "sum", "shift", "free"]))
+def _fixture_argv(draw, own_options=False):
+    """A fixtures argv: any of the five options, or with ``own_options``
+    only those the fixture reads."""
+    name = draw(st.sampled_from(list(_FIXTURE_OPTIONS)))
     m = draw(_FIXTURE_INT)
     width = m if 1 <= m <= MAX_FIXTURE_VARS + 1 else 1
     lam = st.lists(st.sampled_from(["2", "-1", "1/3", "0", "1/0"]), min_size=width, max_size=width)
     exponents = st.lists(st.integers(-1, 4).map(str), min_size=width, max_size=width)
+    values = {
+        "--m2": _FIXTURE_INT, "--s": _FIXTURE_INT, "--rank": _FIXTURE_INT,
+        "--lam": st.one_of(lam.map(",".join), _FIXTURE_TEXT),
+        "--n": st.one_of(exponents.map(",".join), _FIXTURE_TEXT),
+    }
+    flags = _FIXTURE_OPTIONS[name] if own_options else list(values)
     options = draw(st.lists(
-        st.one_of(
-            st.tuples(st.sampled_from(["--m2", "--s", "--rank"]), _FIXTURE_INT),
-            st.tuples(st.just("--lam"), st.one_of(lam.map(",".join), _FIXTURE_TEXT)),
-            st.tuples(st.just("--n"), st.one_of(exponents.map(",".join), _FIXTURE_TEXT)),
-        ),
-        max_size=3,
-    ))
+        st.sampled_from(flags).flatmap(lambda flag: st.tuples(st.just(flag), values[flag])), max_size=3
+    )) if flags else []
     return ["fixtures", name, f"--m={m}", *(f"{opt}={value}" for opt, value in options)]
 
 
@@ -307,7 +317,7 @@ def test_fixture_parameters_end_in_a_documented_exit(tmp_path, argv):
 
 
 @FUZZ
-@given(argv=_fixture_argv(), shift=_DEGREE)
+@given(argv=_fixture_argv(own_options=True), shift=_DEGREE)
 @example(argv=["fixtures", "free", "--m=1", "--rank=0"], shift=0)
 @example(argv=["fixtures", "free", "--m=2", "--rank=2"], shift=1)
 @example(argv=["fixtures", "twist", "--m=2", "--lam=2,1/3"], shift=0)
@@ -322,9 +332,11 @@ def test_fixture_files_load_back(tmp_path, argv, shift):
     # two, perversity of the complex against its own loci then reaches the
     # verdict the fixture expects (on induced covers too: the spot check
     # samples every declared component, and the largest cover drawn here,
-    # n = (4, 4), takes about a third of a second)
+    # n = (4, 4), takes about a third of a second); only shift reads --s,
+    # and every other fixture refuses it
     complex_out, loci_out = tmp_path / "out.complex", tmp_path / "out.loci"
-    argv = [*argv, f"--s={shift}", f"--complex-out={complex_out}", f"--loci-out={loci_out}", "--json"]
+    shifts = [f"--s={shift}"] if argv[1] == "shift" else []
+    argv = [*argv, *shifts, f"--complex-out={complex_out}", f"--loci-out={loci_out}", "--json"]
     code, out, _ = _run_output(tmp_path, argv, {})
     if code != 0:
         return
@@ -413,12 +425,16 @@ def _check_perversity(tmp_path, argv, files) -> None:
     code, err = _run(tmp_path, argv, files)
     assert code in (0, 1, 2, 3), err
     assert "internal error:" not in err and "Traceback" not in err, err
-    # the sample count is checked first; the last --samples option counts
+    # the last --samples option counts.  The inputs are read before the
+    # count is checked: a refused count exits 2 below zero and 3 above the
+    # cap, or ends as the same inputs with a count of 0 do where reading
+    # them is refused
     samples = [int(a.split("=")[1]) for a in argv if a.startswith("--samples=")]
-    if samples and samples[-1] < 0:
-        assert code == 2, err
-    if samples and samples[-1] > MAX_SAMPLES:
-        assert code == 3, err
+    if samples and not 0 <= samples[-1] <= MAX_SAMPLES:
+        if "sample count" in err:
+            assert code == (2 if samples[-1] < 0 else 3), err
+        else:
+            assert (code, err) == _run(tmp_path, [*argv, "--samples=0"], files) and code in (2, 3), err
 
 
 @FUZZ

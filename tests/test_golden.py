@@ -1,8 +1,8 @@
 """Golden reports: every CLI subcommand, run in-process through ``cli.main``,
 must reproduce its frozen stdout byte for byte and its exit code.
 
-The inputs are the m = 2 constant-object fixture, the 1x1 external tensor,
-the (2,1) induced cover of m = 2, m = 2 shifted one step right (the only
+The inputs are the m = 2 constant-object fixture, the (2,1) induced cover
+of m = 2, m = 2 shifted one step right (the only
 exactness report whose dual certificate has rows), two failing inputs: m = 2
 shifted one step left (exactness and perversity exit 1) and m = 3 summed with
 its twist (jump-ideals exits 3 on the minor-size cap), and the constant object on the
@@ -13,7 +13,10 @@ determinantal kernel at its largest sizes: the degree -4 jumping ideal of
 the constant object on the 5-torus (m = 5; products of 4-minors and
 1-minors) and every jumping ideal of the 2x2 external tensor.  Each input
 is written by the ``fixtures`` subcommand, which is itself one of the
-frozen cases.
+frozen cases.  The 1x1 external tensor is frozen only as the ``fixtures``
+record that writes it: an external tensor of constant objects on the a-
+and b-tori is the constant object on the (a+b)-torus, and ``fixtures
+tensor`` prints the bytes ``fixtures mellin`` prints for it.
 
 The help and usage-error text is argparse's own: ``--help``, ``perversity
 --help`` and ``perversity`` without an input (exit 2) are frozen with their
@@ -70,7 +73,7 @@ def _fixture_argv(name: str) -> list[str]:
 def _cases() -> dict[str, tuple[list[str], int]]:
     """case id -> (argv, expected exit status); each case in text and JSON."""
     base: dict[str, tuple[list[str], int]] = {}
-    for name in ("m2", "tensor11", "induce2-21"):
+    for name in ("m2", "induce2-21"):
         cx, loci = f"{name}.complex", f"{name}.loci"
         base[f"{name}-fixtures-stdout"] = (["fixtures", *INPUTS[name]], 0)
         base[f"{name}-fixtures-files"] = (_fixture_argv(name), 0)
@@ -82,7 +85,7 @@ def _cases() -> dict[str, tuple[list[str], int]]:
         base[f"{name}-perversity-loci"] = (["perversity", loci], 0)
         base[f"{name}-codims"] = (["codims", loci], 0)
         base[f"{name}-sample"] = (["sample", cx, "--points", "points.json"], 0)
-    for name in ("m2-shift", "m3-sum-twist"):
+    for name in ("tensor11", "m2-shift", "m3-sum-twist"):
         base[f"{name}-fixtures-files"] = (_fixture_argv(name), 0)
     base["m2-shift-exactness"] = (["exactness", "m2-shift.complex"], 1)
     base["m2-shift-right-exactness"] = (["exactness", "m2-shift-right.complex"], 0)
@@ -170,9 +173,15 @@ def test_argparse_text_is_unchanged(case, monkeypatch):
 
 
 def test_fixture_stdout_matches_written_files(workdir):
-    for name in ("m2", "tensor11", "induce2-21"):
+    for name in ("m2", "induce2-21"):
         written = (workdir / f"{name}.complex").read_text() + (workdir / f"{name}.loci").read_text()
         assert (GOLDEN / f"{name}-fixtures-stdout.txt").read_text() == written
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_tensor_of_constant_objects_prints_the_constant_object(a, b):
+    tensor = run(["fixtures", "tensor", "--m", str(a), "--m2", str(b)])
+    assert tensor == run(["fixtures", "mellin", "--m", str(a + b)]) and tensor[0] == 0
 
 
 def test_m4_degree_minus_2_reduces_exactly_216_pairs(workdir, monkeypatch, capsys):

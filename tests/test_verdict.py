@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from jumploci.errors import InputError
+from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
     abelian_point_profile,
     free_module_fixture,
@@ -20,6 +20,7 @@ from jumploci.fixtures import (
 )
 from jumploci.lattices import LinearComponent, LinearUnion
 from jumploci.laurent import RingContext
+from jumploci.sampling import MAX_SAMPLES
 from jumploci.verdict import (
     LociProfile,
     abelian_specialization_verdict,
@@ -308,3 +309,12 @@ def test_ring_without_variables_samples_its_one_point():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[TorsionPoint()]\nperverse sampled (seed=0, points=1)\n"
+
+
+@pytest.mark.parametrize("samples, error", [(-1, InputError), (MAX_SAMPLES + 1, ResourceError)])
+def test_library_refuses_the_sample_counts_the_command_line_refuses(samples, error):
+    # the library once reported "samples": -5 with a one-point spot check,
+    # and ran counts above the cap
+    profile = mellin_constant_torus(1).profile.with_source(mellin_constant_torus(1).complex)
+    with pytest.raises(error, match="sample count"):
+        perversity_verdict(profile, samples=samples)
