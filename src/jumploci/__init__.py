@@ -27,14 +27,13 @@ _HOMES = {
     "lattices": (
         "LinearComponent", "LinearUnion", "kernel_basis", "saturate_lattice", "smith_normal_form",
     ),
-    "laurent": ("LaurentPoly", "RingContext", "TorsionPoint", "format_poly", "parse_poly"),
+    "laurent": ("LaurentPoly", "RingContext", "format_poly", "parse_poly"),
     "loci": (
         "depth_bounds", "is_whole_space", "membership_at_point", "propagation_check",
         "radical_equality_pairs",
     ),
-    "verdict": (
-        "LociProfile", "check_lower", "check_upper", "perversity_verdict", "survival_interval",
-    ),
+    "profiles": ("LociProfile", "TorsionPoint", "survival_interval"),
+    "verdict": ("check_lower", "check_upper", "perversity_verdict"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

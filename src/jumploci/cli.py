@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -80,14 +79,6 @@ def _degrees(args, cx) -> list[int]:
     if lo > hi:
         raise InputError(f"malformed degree range {args.degrees!r}, expected a..b with a <= b")
     return list(range(lo, hi + 1))
-
-
-def _parse_list(text: str, kind) -> list:
-    """A comma-separated fixture parameter such as --lam 2,1/3."""
-    try:
-        return [kind(v) for v in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed list {text!r}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -155,44 +146,17 @@ def cmd_sample(args) -> int:
     return EXIT_PASS
 
 
-def _build_fixture(args):
-    # imported here: no analysis subcommand needs the fixture constructors
-    from .fixtures import (
-        free_module_fixture,
-        induce_fixture,
-        mellin_constant_torus,
-        renamed_torus_fixture,
-        shift_fixture,
-        sum_fixture,
-        tensor_fixture,
-        twist_fixture,
-    )
-
-    name = args.name
-    for option in ("lam", "n", "m2", "s", "rank"):
-        if getattr(args, option) is not None and option not in _FIXTURE_OPTIONS[name]:
-            raise InputError(f"the {name} fixture takes no --{option}")
-    if name == "twist" and args.lam is None:
-        raise InputError("the twist fixture needs --lam")
-    if name == "free":
-        return free_module_fixture(args.m, 1 if args.rank is None else args.rank)
-    base = mellin_constant_torus(args.m)
-    if name == "mellin":
-        return base
-    if name == "twist":
-        return twist_fixture(base, _parse_list(args.lam, Fraction))
-    if name == "induce":
-        return induce_fixture(base, _parse_list("2" if args.n is None else args.n, int))
-    if name == "tensor":
-        return tensor_fixture(base, renamed_torus_fixture(1 if args.m2 is None else args.m2, args.m))
-    if name == "sum":
-        lams = _parse_list(args.lam, Fraction) if args.lam is not None else [Fraction(2)] * args.m
-        return sum_fixture(base, twist_fixture(base, lams))
-    return shift_fixture(base, 1 if args.s is None else args.s)
-
-
 def cmd_fixtures(args) -> int:
-    fixture = _build_fixture(args)
+    params = {option: getattr(args, option) for option in ("lam", "n", "m2", "s", "rank")}
+    for option, value in params.items():
+        if value is not None and option not in _FIXTURE_OPTIONS[args.name]:
+            raise InputError(f"the {args.name} fixture takes no --{option}")
+    if args.name == "twist" and args.lam is None:
+        raise InputError("the twist fixture needs --lam")
+    # imported here: no analysis subcommand needs the fixture constructors
+    from .fixtures import named_fixture
+
+    fixture = named_fixture(args.name, args.m, **params)
     # the loaders refuse a degree beyond the cap, so no file may hold one
     serialize.check_degree(fixture.complex.k_min)
     serialize.check_degree(fixture.complex.k_max)

@@ -42,8 +42,8 @@ from typing import NamedTuple, Sequence
 from .complexes import FreeComplex, Matrix
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext, TorsionPoint, embed_vector, substitution_pairs
-from .verdict import LociProfile
+from .laurent import LaurentPoly, RingContext, embed_vector, substitution_pairs
+from .profiles import LociProfile, TorsionPoint
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
 # vectors, and a fixture costs two to three times as much per added variable:
@@ -417,6 +417,38 @@ def shift_fixture(base: Fixture, s: int) -> Fixture:
     else:
         expected = "upper-only"
     return Fixture(f"{base.name}-shift({s})", cx, profile, expected)
+
+
+def _parse_list(text: str, kind) -> list:
+    """A comma-separated fixture parameter such as --lam 2,1/3."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed list {text!r}") from exc
+
+
+def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=None) -> Fixture:
+    """The fixture ``jumploci fixtures <name> --m <m>`` writes.  ``lam`` and
+    ``n`` are comma-separated lists as written on the command line; an
+    option left None takes its default, and the command line refuses the
+    options a fixture does not read before this runs."""
+    if name == "free":
+        return free_module_fixture(m, 1 if rank is None else rank)
+    base = mellin_constant_torus(m)
+    if name == "mellin":
+        return base
+    if name == "twist":
+        return twist_fixture(base, _parse_list(lam, Fraction))
+    if name == "induce":
+        return induce_fixture(base, _parse_list("2" if n is None else n, int))
+    if name == "tensor":
+        return tensor_fixture(base, renamed_torus_fixture(1 if m2 is None else m2, m))
+    if name == "sum":
+        lams = _parse_list(lam, Fraction) if lam is not None else [Fraction(2)] * m
+        return sum_fixture(base, twist_fixture(base, lams))
+    if name == "shift":
+        return shift_fixture(base, 1 if s is None else s)
+    raise InputError(f"unknown fixture {name!r}")
 
 
 class Mutant(NamedTuple):

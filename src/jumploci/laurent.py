@@ -15,18 +15,18 @@ variables are torus coordinates, the remaining ``2 * abelian_rank`` are
 abelian coordinates).  Mixing values from different contexts raises
 InputError.
 
-Closed points of the character torus are modeled by TorsionPoint: one pair
-(q, theta) per coordinate denoting the complex number q * e^(2*pi*i*theta),
-with q a positive rational and theta a rational in [0, 1).  Negative radial
-parts are folded into theta on construction, so representations are unique
-and equality is exact.
+Closed points of the character torus are modeled by TorsionPoint, which
+lives in ``profiles`` with the other objects of the declared-loci route:
+``laurent.TorsionPoint`` is resolved on first read, and the point
+constructors of RingContext import it when they run, so a job that builds
+no point never compiles it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm, log10
+from math import log10
 from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic
@@ -42,6 +42,16 @@ Exponent = tuple[int, ...]
 MAX_EXPONENT = 10**4
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+
+
+def __getattr__(name: str):
+    """``TorsionPoint``, imported from ``profiles`` on first read and kept (PEP 562)."""
+    if name != "TorsionPoint":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .profiles import TorsionPoint
+
+    globals()[name] = TorsionPoint
+    return TorsionPoint
 
 
 class RingContext:
@@ -120,9 +130,12 @@ class RingContext:
         return LaurentPoly(self, {tuple(int(e) for e in exponent): Fraction(coeff)})
 
     def identity_point(self) -> "TorsionPoint":
-        return TorsionPoint(self, [(Fraction(1), Fraction(0))] * self.num_vars)
+        return self.rational_point([1] * self.num_vars)
 
     def rational_point(self, values: Iterable) -> "TorsionPoint":
+        # imported here: a job that builds no point never loads profiles
+        from .profiles import TorsionPoint
+
         return TorsionPoint(self, [(Fraction(v), Fraction(0)) for v in values])
 
     def parse(self, text: str) -> "LaurentPoly":
@@ -315,103 +328,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({format_poly(self)})"
-
-
-class TorsionPoint:
-    """Closed point of the character torus with coordinates q * e^(2*pi*i*theta),
-    q a positive rational and theta a rational in [0, 1).  Constructors accept
-    negative q and fold the sign into theta, so equality is exact."""
-
-    __slots__ = ("context", "coords", "_table", "_hash")
-
-    def __init__(self, context: RingContext, coords: Sequence[tuple[Fraction, Fraction]]):
-        if len(coords) != context.num_vars:
-            raise InputError("coordinate count does not match variable count")
-        norm = []
-        for q, theta in coords:
-            q = Fraction(q)
-            theta = Fraction(theta)
-            if q == 0:
-                raise InputError("radial part of a torsion point must be nonzero")
-            if q < 0:
-                q = -q
-                theta += Fraction(1, 2)
-            theta -= theta.numerator // theta.denominator  # reduce mod 1 into [0,1)
-            norm.append((q, theta))
-        self.context = context
-        self.coords = tuple(norm)
-        self._table = None
-        self._hash = None
-
-    def _character_table(self) -> tuple[int, tuple[int, ...], tuple[Fraction, ...] | None]:
-        """(L, steps, radials), computed once per point: L the angle order,
-        steps the integers a_i = theta_i * L, and radials the q_i, or None
-        when every q_i is 1.
-
-        Soundness: theta_i = n_i/d_i in lowest terms with d_i | L, so
-        a_i = n_i * (L/d_i) is an exact integer and sum k_i*theta_i * L =
-        sum k_i*a_i for every integer vector k.  The character t^k at this
-        point is prod q_i^k_i * e^(2*pi*i * sum k_i*theta_i), that is
-        prod q_i^k_i * zeta_L^(sum k_i*a_i), and since zeta_L^L = 1 the
-        exponent may be taken mod L.  All of this is integer arithmetic; the
-        only Fractions are the radial powers, skipped when every q_i = 1."""
-        if self._table is None:
-            L = self.angle_order()
-            steps = tuple(th.numerator * (L // th.denominator) for _, th in self.coords)
-            radials = None if all(q == 1 for q, _ in self.coords) else tuple(q for q, _ in self.coords)
-            self._table = (L, steps, radials)
-        return self._table
-
-    def angle_order(self) -> int:
-        """Least L with all angles in (1/L)Z; 1 when the point is rational."""
-        return lcm(*(theta.denominator for _, theta in self.coords), 1)
-
-    def __mul__(self, other: "TorsionPoint") -> "TorsionPoint":
-        self.context.require(other)
-        return TorsionPoint(
-            self.context,
-            [
-                (q1 * q2, th1 + th2)
-                for (q1, th1), (q2, th2) in zip(self.coords, other.coords)
-            ],
-        )
-
-    def character(self, lattice_vector: Sequence[int]) -> tuple[Fraction, Fraction]:
-        """The value of t^k here, k an integer vector, as (angle, radial):
-        radial * e^(2*pi*i*angle) with angle in [0, 1) and radial > 0.  By
-        _character_table the angle is (sum k_i*a_i mod L) / L, and the radial
-        part prod q_i^k_i is positive as every q_i is.  A nonzero complex
-        number has one such polar form, so two values are equal exactly when
-        their pairs are, whatever the orders of the points."""
-        L, steps, radials = self._character_table()
-        angle = Fraction(sum(k * a for k, a in zip(lattice_vector, steps)) % L, L)
-        radial = Fraction(1)
-        if radials is not None:
-            for k, q in zip(lattice_vector, radials):
-                if k:
-                    radial *= q**k
-        return angle, radial
-
-    def embed(self, target: RingContext, var_map: Sequence[int]) -> "TorsionPoint":
-        identity = (Fraction(1), Fraction(0))
-        return TorsionPoint(target, embed_vector(self.coords, var_map, target.num_vars, identity))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TorsionPoint)
-            and self.context == other.context
-            and self.coords == other.coords
-        )
-
-    def __hash__(self) -> int:
-        # kept: rank caches and sample sets hash a point many times
-        if self._hash is None:
-            self._hash = hash((self.context, self.coords))
-        return self._hash
-
-    def __repr__(self) -> str:
-        parts = ", ".join(f"({format_rational(q)},{format_rational(th)})" for q, th in self.coords)
-        return f"TorsionPoint({parts})"
 
 
 def format_rational(q: Fraction) -> str:

@@ -6,6 +6,10 @@ byte-for-byte given the seed.  Samples mix plain rational points (cheap
 exact arithmetic), low-order torsion points (angles with denominator
 dividing 12), and points lying on declared loci, since random points almost
 never hit a proper closed subset.
+
+Every CLI job loads this module, since ``verdict`` binds ``sample_points``
+at its top, so TorsionPoint is imported from ``profiles`` only where a
+point is built.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import random
 from fractions import Fraction
 
 from .errors import InputError, check_cap
-from .laurent import TorsionPoint
 
 _ANGLES = [
     Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -47,6 +50,9 @@ def random_rational_point(context: RingContext, rng: random.Random) -> TorsionPo
 
 
 def random_torsion_point(context: RingContext, rng: random.Random) -> TorsionPoint:
+    # imported here: every job imports this module, few of them sample
+    from .profiles import TorsionPoint
+
     coords = [
         (_random_radial(rng), rng.choice(_ANGLES)) for _ in range(context.num_vars)
     ]

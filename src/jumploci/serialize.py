@@ -17,34 +17,28 @@ coordinates).  Blank lines and ``#`` comments are ignored.  Loading is
 strict: shapes, unknown variables and the complex identity d.d = 0 are all
 checked and reported with line numbers where possible.
 
-Loci files are JSON: ring block, optional Euler characteristic, and per
-degree a list of components, each a translate (one [radial, angle] pair of
-rational strings per variable) plus an integer lattice given by rows.  The
-loader saturates lattices and normalizes unions; components violating an
-invariant (odd abelian projection) are rejected with the reason, either
-strictly (raise) or collected into a report.
-
 Reports are plain dicts rendered to deterministic text or JSON: keys are
 sorted, generators are listed in sorted canonical string form, and sampled
 verdicts always carry their seed.  The ``perversity`` document is the one
 ``verdict.perversity_verdict`` returns and the ``exactness`` document the
 one ``FreeComplex.exactness`` returns.
 
-Every subcommand imports this module, so it loads at its top only the ring,
-the errors and the pointwise ``loci`` module; the complex loader imports
-``complexes`` and the loci loader ``lattices`` and ``verdict`` when they run.
+The loci and points readers and writer and the ``codims`` and ``sample``
+documents live in ``profiles``, which only loci and point jobs load; their
+names (``_PROFILE_NAMES``) are resolved here on first read.  Every subcommand
+imports this module, so it loads at its top only the ring, the errors and
+the pointwise ``loci`` module; the complex loader imports ``complexes`` when
+it runs.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Sequence
 
 from . import loci
-from .cyclotomic import MAX_CYCLOTOMIC_ORDER
-from .errors import InputError, ResourceError, check_cap
-from .laurent import RingContext, TorsionPoint, format_poly
+from .errors import InputError, ResourceError
+from .laurent import RingContext, format_poly
 
 LOCI_FORMAT = "jumploci-loci"
 # Largest |degree| read from a file or the command line: the verdict's
@@ -59,6 +53,21 @@ MAX_LOCI_COMPONENTS = 256
 # exponents of its characters and sampled points: `perversity` with
 # polynomial exponents at MAX_EXPONENT took 2.8 s at 100 and 70 s at 1000.
 MAX_LATTICE_ENTRY = 100
+
+
+_PROFILE_NAMES = ("codims_report", "dump_loci", "load_loci", "parse_points_file", "sample_report")
+
+
+def __getattr__(name: str):
+    """A name of the loci and points formats, imported from ``profiles`` on
+    first read and kept (PEP 562), so a job that reads neither never
+    compiles them."""
+    if name not in _PROFILE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import profiles
+
+    value = globals()[name] = getattr(profiles, name)
+    return value
 
 
 def check_degree(degree: int) -> int:
@@ -189,169 +198,6 @@ def load_complex(text: str) -> FreeComplex:
     return cx
 
 
-# -- loci JSON format -----------------------------------------------------------
-
-
-def _parse_frac(s) -> Fraction:
-    """A string or, as for _parse_int, an integer: never a (rounded) float."""
-    try:
-        return Fraction(s if isinstance(s, str) else _parse_int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational {s!r}: write rationals as strings, e.g. \"1/3\"") from exc
-
-
-def _parse_pairs(value) -> list[tuple[Fraction, Fraction]]:
-    """Point coordinates: a list of [radial, angle] rational pairs."""
-    if not isinstance(value, list) or not all(isinstance(p, list) and len(p) == 2 for p in value):
-        raise InputError(f"expected a list of [radial, angle] pairs, got {value!r}")
-    return [(_parse_frac(q), _parse_frac(th)) for q, th in value]
-
-
-def _parse_point(ctx: RingContext, value) -> TorsionPoint:
-    """A point read from a file.  Its angle order is checked against the
-    cyclotomic cap here, where outside input arrives: points derived from
-    accepted ones (shifts, products) may have a larger order and are not
-    refused."""
-    point = TorsionPoint(ctx, _parse_pairs(value))
-    check_cap(point.angle_order(), MAX_CYCLOTOMIC_ORDER, "cyclotomic order")
-    return point
-
-
-def _point_doc(point: TorsionPoint) -> list[list[str]]:
-    """A point as written to files and reports: [radial, angle] strings."""
-    return [[str(q), str(th)] for q, th in point.coords]
-
-
-def _component_doc(c: LinearComponent) -> dict:
-    """A component as written to loci files and codims reports."""
-    return {"translate": _point_doc(c.translate), "lattice": [list(r) for r in c.lattice]}
-
-
-def _parse_int(value) -> int:
-    """An integer field of a JSON document: an int that is not a bool, or a
-    string holding an integer.  Anything else raises ValueError, so 1.5,
-    2.0, true and false are refused rather than read as other integers."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
-
-
-def _parse_lattice(rows) -> list[list[int]]:
-    try:
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ValueError("a lattice is a list of rows")
-        return [[_parse_int(x) for x in row] for row in rows]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed lattice {rows!r}") from exc
-
-
-def dump_loci(profile: LociProfile) -> str:
-    ctx = profile.context
-    doc = {
-        "format": LOCI_FORMAT,
-        "ring": {
-            "vars": list(ctx.var_names),
-            "torus": ctx.torus_rank,
-            "abelian": ctx.abelian_rank,
-        },
-        "loci": {
-            str(deg): [_component_doc(c) for c in union.components]
-            for deg, union in sorted(profile.loci.items())
-        },
-    }
-    if profile.euler is not None:
-        doc["euler"] = profile.euler
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict, refusing a repeated key (json.loads keeps the last)."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise InputError(f"repeated key {key!r}")
-        doc[key] = value
-    return doc
-
-
-def _known_keys(block: dict, keys: set, where: str) -> None:
-    """Refuse a key of ``block`` outside ``keys``: ``dump_loci`` writes none."""
-    for key in block:
-        if key not in keys:
-            raise InputError(f"unknown key {key!r} in {where}")
-
-
-def load_loci(text: str, strict: bool = True):
-    """Parse a loci document.  Returns (profile, rejected) where rejected is
-    a list of {degree, component, reason} records for refused components;
-    with strict=True the first refusal raises instead.  Either way a repeated
-    key, an unknown key outside a component and a ``format`` other than
-    LOCI_FORMAT are refused (a document without one is accepted)."""
-    # imported here: a job that reads only a complex never loads the lattices
-    from .lattices import LinearComponent, LinearUnion
-    from .verdict import LociProfile
-
-    try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # JSONDecodeError, an integer over the digit limit or a repeated key
-        raise InputError(f"malformed loci JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "ring" not in doc or "loci" not in doc:
-        raise InputError("loci document needs 'ring' and 'loci' blocks")
-    if doc.get("format", LOCI_FORMAT) != LOCI_FORMAT:
-        raise InputError(f"loci document format {doc['format']!r} is not {LOCI_FORMAT!r}")
-    _known_keys(doc, {"format", "ring", "loci", "euler"}, "the loci document")
-    ring = doc["ring"]
-    if isinstance(ring, dict):
-        _known_keys(ring, {"vars", "torus", "abelian"}, "the ring block")
-    try:
-        ctx = RingContext(ring["vars"], _parse_int(ring["torus"]), _parse_int(ring["abelian"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed ring block: {ring!r}") from exc
-    if not isinstance(doc["loci"], dict):
-        raise InputError("the 'loci' block must map degrees to component lists")
-    count = sum(len(comps) for comps in doc["loci"].values() if isinstance(comps, list))
-    if count > MAX_LOCI_COMPONENTS:
-        raise ResourceError(f"{count} loci components exceed the cap of {MAX_LOCI_COMPONENTS}")
-    unions = {}
-    rejected = []
-    for key, comp_list in doc["loci"].items():
-        try:
-            degree = int(key)
-        except ValueError as exc:
-            raise InputError(f"malformed degree key {key!r}") from exc
-        check_degree(degree)
-        if degree in unions:
-            raise InputError(f"two loci keys name degree {degree}")
-        if not isinstance(comp_list, list):
-            raise InputError(f"degree {degree}: components must be a list")
-        comps = []
-        for k, comp in enumerate(comp_list):
-            try:
-                if not isinstance(comp, dict) or "translate" not in comp:
-                    raise InputError("a component needs a 'translate' block")
-                _known_keys(comp, {"translate", "lattice"}, "a component")
-                translate = _parse_point(ctx, comp["translate"])
-                lattice = _parse_lattice(comp.get("lattice", []))
-                comp = LinearComponent(ctx, translate, lattice)
-                big = max((abs(x) for row in comp.lattice + comp.kernel for x in row), default=0)
-                check_cap(big, MAX_LATTICE_ENTRY, "lattice entry")
-                comps.append(comp)
-            except InputError as exc:
-                if strict:
-                    raise InputError(
-                        f"degree {degree}, component {k}: {exc}"
-                    ) from exc
-                rejected.append({"degree": degree, "component": k, "reason": str(exc)})
-        unions[degree] = LinearUnion(ctx, comps)
-    euler = doc.get("euler")
-    try:
-        euler = _parse_int(euler) if euler is not None else None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"malformed euler characteristic {euler!r}") from exc
-    profile = LociProfile(ctx, unions, euler=euler)
-    return profile, rejected
-
-
 # -- report documents -------------------------------------------------------------
 
 
@@ -373,34 +219,6 @@ def jump_ideal_report(cx: FreeComplex, degrees: Sequence[int]) -> dict:
         "report": "jump-ideals",
         "degrees": [ideal_entry(d, cx.jumping_ideal(d)) for d in degrees],
     }
-
-
-def codims_report(profile: LociProfile, rejected: list[dict]) -> dict:
-    """The ``codims`` document, listing the ``rejected`` records of ``load_loci`` if any."""
-    entries = []
-    for deg in profile.degrees():
-        union = profile.locus(deg)
-        stats = {key: str(value) for key, value in union.codim_stats()._asdict().items()}
-        components = [
-            dict(_component_doc(c), **dict(zip(("codim", "codim_a", "codim_sa"), c.codims())))
-            for c in union.components
-        ]
-        entries.append({"degree": deg, "components": components, **stats})
-    doc = {"report": "codims", "degrees": entries}
-    if rejected:
-        doc["rejected_components"] = rejected
-    return doc
-
-
-def sample_report(cx: FreeComplex, points: Sequence[TorsionPoint], degrees: Sequence[int]) -> dict:
-    entries = []
-    for p in points:
-        row = {"point": _point_doc(p), "memberships": {}}
-        for d in degrees:
-            member, dim = loci.membership_at_point(cx, d, p)
-            row["memberships"][str(d)] = {"member": member, "dim": dim}
-        entries.append(row)
-    return {"report": "sample", "points": entries}
 
 
 def render_json(doc: dict) -> str:
@@ -425,15 +243,3 @@ def render_text(doc: dict) -> str:
 
     walk("", doc)
     return "\n".join(lines) + "\n"
-
-
-def parse_points_file(text: str, ctx: RingContext) -> list[TorsionPoint]:
-    """Points file: JSON list of points, each a list of [radial, angle]
-    rational-string pairs."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-        raise InputError(f"malformed points JSON: {exc}") from exc
-    if not isinstance(doc, list):
-        raise InputError("points document must be a JSON list")
-    return [_parse_point(ctx, entry) for entry in doc]

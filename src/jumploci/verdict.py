@@ -1,8 +1,8 @@
 """The perversity verdict engine over declared linear loci.
 
-A LociProfile assigns to each degree a finite union of translated subtori
-(absent degrees mean the empty locus).  The verdict tests the two half
-conditions
+A LociProfile (``profiles``) assigns to each degree a finite union of
+translated subtori (absent degrees mean the empty locus).  The verdict
+tests the two half conditions
 
     (a) abelian codimension of V^i >= i for every i >= 0, and
     (b) semi-abelian codimension of V^i >= -i for every i <= 0,
@@ -10,8 +10,7 @@ conditions
 and reports perverse / upper-only / lower-only / neither accordingly, along
 with the auxiliary consequences that hold for genuinely perverse objects:
 the propagation chain of the loci, the support interval
-[-m-g, g], the survival interval of each degree-zero component, and the
-signed Euler characteristic clause (chi >= 0, with chi = 0 exactly when the
+[-m-g, g], and the signed Euler characteristic clause (chi >= 0, with chi = 0 exactly when the
 degree-zero locus is a proper subset).
 
 ``perversity_verdict`` returns the report as the plain document that the
@@ -27,78 +26,18 @@ source complex, declared and computed memberships are spot-checked on a
 seeded sample of torsion points and any mismatch rejects the profile with a
 witness point.
 
-Torus (g = 0) and abelian (m = 0) specializations are re-derived through
-independent code paths (plain lattice ranks, no shared codimension
-helpers) so the general verdict can be cross-validated against them.
+The survival interval and the torus (g = 0) and abelian (m = 0)
+specializations, independent code paths to cross-validate this engine
+against, live in ``profiles``.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from typing import Mapping, NamedTuple
 
 from .errors import InputError
 from .loci import chain_links, membership_at_point
 from .sampling import check_sample_count, sample_points
-
-
-class LociProfile:
-    """Per-degree declared loci, with an optional source complex and an
-    optional Euler characteristic."""
-
-    __slots__ = ("context", "loci", "source", "euler")
-
-    def __init__(
-        self,
-        context: RingContext,
-        loci: Mapping[int, LinearUnion],
-        source: FreeComplex | None = None,
-        euler: int | None = None,
-    ):
-        context.require(*loci.values())
-        clean = {int(deg): union for deg, union in loci.items() if not union.is_empty()}
-        if source is not None:
-            context.require(source)
-            if euler is None:
-                euler = source.euler_characteristic()
-        self.context = context
-        self.loci = clean
-        self.source = source
-        self.euler = euler
-
-    def locus(self, degree: int) -> LinearUnion:
-        # imported here: importing the command line must not load the lattices
-        from .lattices import LinearUnion
-
-        return self.loci.get(degree, LinearUnion.empty(self.context))
-
-    def degrees(self) -> list[int]:
-        return sorted(self.loci)
-
-    def shift(self, s: int) -> "LociProfile":
-        """Profile of the complex moved s steps right: degree i holds what
-        degree i - s held."""
-        return LociProfile(
-            self.context,
-            {deg + s: union for deg, union in self.loci.items()},
-            source=None,
-            euler=self.euler if s % 2 == 0 else (-self.euler if self.euler is not None else None),
-        )
-
-    def with_source(self, source: FreeComplex) -> "LociProfile":
-        return LociProfile(self.context, self.loci, source=source, euler=self.euler)
-
-    def union_with(self, other: "LociProfile") -> "LociProfile":
-        self.context.require(other)
-        degs = set(self.loci) | set(other.loci)
-        merged = {d: self.locus(d).union_with(other.locus(d)) for d in degs}
-        euler = (
-            self.euler + other.euler
-            if self.euler is not None and other.euler is not None
-            else None
-        )
-        return LociProfile(self.context, merged, euler=euler)
 
 
 def _condition_rows(profile: LociProfile, degrees: range, condition: str, field: str) -> list[dict]:
@@ -224,55 +163,3 @@ def perversity_verdict(
         "samples": samples,
         "seed": seed,
     }
-
-
-class SurvivalResult(NamedTuple):
-    kernel_torus_rank: int  # m''
-    kernel_abelian_rank: int  # g''
-    predicted: tuple[int, int]  # [-m''-g'', g'']
-    observed: list[int]
-    matches: bool
-
-
-def survival_interval(profile: LociProfile, component: LinearComponent) -> SurvivalResult:
-    """Predicted degree interval in which a degree-zero component persists,
-    from its annihilator lattice, compared against the observed degrees."""
-    if not profile.locus(0).has_component(component):
-        raise InputError("component is not a component of the degree-0 locus")
-    g2 = component.codims()[1]
-    m2 = component.kernel_torus_rank()
-    predicted = (-m2 - g2, g2)
-    observed = [deg for deg in profile.degrees() if profile.locus(deg).has_component(component)]
-    expected = list(range(predicted[0], predicted[1] + 1))
-    return SurvivalResult(m2, g2, predicted, observed, observed == expected)
-
-
-# -- independent specializations (cross-validation code paths) ----------------
-
-
-def torus_specialization_verdict(profile: LociProfile) -> bool:
-    """Pure-torus re-derivation: loci empty in positive degrees and plain
-    codimension (annihilator rank) at least -i in nonpositive degrees.
-    Deliberately avoids the codim_stats helpers."""
-    if profile.context.abelian_rank != 0:
-        raise InputError("torus specialization applies to g = 0 profiles only")
-    for deg, union in profile.loci.items():
-        if deg > 0 and union.components:
-            return False
-        if deg <= 0:
-            plain = min((c.rank for c in union.components), default=math.inf)
-            if plain < -deg:
-                return False
-    return True
-
-
-def abelian_specialization_verdict(profile: LociProfile) -> bool:
-    """Pure-abelian re-derivation of the codimension bound: plain
-    codimension of V^i at least |2i| for every i."""
-    if profile.context.torus_rank != 0:
-        raise InputError("abelian specialization applies to m = 0 profiles only")
-    for deg, union in profile.loci.items():
-        plain = min((c.rank for c in union.components), default=math.inf)
-        if plain < 2 * abs(deg):
-            return False
-    return True

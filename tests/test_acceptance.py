@@ -43,14 +43,14 @@ from jumploci.loci import (
     propagation_check,
     radical_equality_pairs,
 )
-from jumploci.sampling import sample_points
-from jumploci.verdict import (
+from jumploci.profiles import (
     LociProfile,
     abelian_specialization_verdict,
-    perversity_verdict,
     survival_interval,
     torus_specialization_verdict,
 )
+from jumploci.sampling import sample_points
+from jumploci.verdict import perversity_verdict
 
 
 def _passed(n, label):

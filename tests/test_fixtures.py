@@ -183,6 +183,12 @@ def test_fixture_caps_refuse_before_building(monkeypatch):
             build()
 
 
+def test_named_fixture_refuses_an_unknown_name():
+    # the command line offers only the names it builds; a library caller may pass any
+    with pytest.raises(InputError, match="unknown fixture 'nope'"):
+        fixtures.named_fixture("nope", 1)
+
+
 def test_sum_fixture_union_profile():
     m1 = mellin_constant_torus(1)
     tw = twist_fixture(m1, [Fraction(2)])

@@ -40,6 +40,9 @@ UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures", *ARGPARSE]
 # verdict.sample_points, loci.field_rank) keep cli -> verdict -> {loci, sampling}
 CLI = ["cli", "cyclotomic", "errors", "laurent", "loci", "sampling", "serialize", "verdict"]
 COMPLEX = ["complexes", "intpoly"]  # the complex loader's layers
+# the source lines `import jumploci.cli` may load: the declared-loci and point
+# code lives in `profiles`, which only loci, point and fixture jobs load
+CLI_LINE_BUDGET = 1850
 RUN = "from jumploci import cli\nassert cli.main(sys.argv[1:]) == 0\n"
 HELP = "from jumploci import cli\ntry:\n    cli.main(sys.argv[1:])\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
 
@@ -68,18 +71,27 @@ def _write_m2(directory: Path) -> None:
             [],
             ["cyclotomic", "errors", "laurent", "loci", "serialize"],
         ),
+        # both load in every CLI job; they import TorsionPoint where they build a point
+        ("import jumploci.laurent\n", [], ["cyclotomic", "errors", "laurent"]),
+        ("import jumploci.sampling\n", [], ["errors", "sampling"]),
         (RUN, ["validate", "m2.complex"], CLI + COMPLEX),
-        (RUN, ["codims", "m2.loci"], CLI + ["lattices"]),
-        (RUN, ["perversity", "m2.loci"], CLI + ["lattices"]),
-        (RUN, ["perversity", "m2.complex", "--loci", "m2.loci"], CLI + COMPLEX + ["lattices"]),
-        (RUN, ["sample", "m2.complex", "--points", "points.json"], CLI + COMPLEX),
+        (RUN, ["codims", "m2.loci"], CLI + ["lattices", "profiles"]),
+        (RUN, ["perversity", "m2.loci"], CLI + ["lattices", "profiles"]),
+        (
+            RUN,
+            ["perversity", "m2.complex", "--loci", "m2.loci"],
+            CLI + COMPLEX + ["lattices", "profiles"],
+        ),
+        (RUN, ["sample", "m2.complex", "--points", "points.json"], CLI + COMPLEX + ["profiles"]),
         (RUN, ["jump-ideals", "m2.complex"], CLI + COMPLEX + ["groebner"]),
         (RUN, ["exactness", "m2.complex"], CLI + COMPLEX + ["groebner"]),
+        (RUN, ["fixtures", "mellin", "--m", "2"], CLI + COMPLEX + ["fixtures", "lattices", "profiles"]),
         (HELP, ["perversity", "--help"], CLI),
     ],
     ids=[
-        "package", "cli", "library-job", "validate", "codims", "perversity-loci",
-        "perversity-complex", "sample", "jump-ideals", "exactness", "help",
+        "package", "cli", "library-job", "laurent", "sampling", "validate", "codims",
+        "perversity-loci", "perversity-complex", "sample", "jump-ideals", "exactness", "fixtures",
+        "help",
     ],
 )
 def test_job_imports_leave_out_unused_modules(tmp_path, code, argv, loaded):
@@ -88,6 +100,8 @@ def test_job_imports_leave_out_unused_modules(tmp_path, code, argv, loaded):
     # complex-only job) is never compiled
     _write_m2(tmp_path)
     expected_unused = ARGPARSE if code == HELP else []  # only help builds the parser
+    if "fixtures" in loaded:  # and only the fixtures subcommand builds fixtures
+        expected_unused = ["jumploci.fixtures"]
     code += "print()\nprint(sorted(m for m in sys.modules if m.startswith('jumploci.')))\n"
     code += f"print([name for name in {UNUSED!r} if name in sys.modules])\n"
     result = subprocess.run(
@@ -98,6 +112,38 @@ def test_job_imports_leave_out_unused_modules(tmp_path, code, argv, loaded):
     *_, modules, unused = result.stdout.splitlines()
     assert modules == repr(sorted(f"jumploci.{name}" for name in loaded))
     assert unused == repr(expected_unused)
+
+
+def _run_fresh(code: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_importing_the_command_line_stays_within_its_line_budget():
+    # every CLI job compiles what `import jumploci.cli` loads, at about
+    # 12 us per source line with bytecode writing off
+    code = "import sys, jumploci.cli\n"
+    code += "print(sum(len(open(m.__file__).readlines()) for n, m in sys.modules.items()"
+    code += " if n.partition('.')[0] == 'jumploci'))\n"
+    assert int(_run_fresh(code)) <= CLI_LINE_BUDGET
+
+
+def test_moved_names_resolve_where_the_benchmark_reads_them():
+    # perfbench/workloads.py imports TorsionPoint from laurent and calls
+    # serialize.dump_loci; perfbench/tracer.py patches serialize.load_loci
+    from jumploci import laurent, profiles
+    from jumploci.laurent import TorsionPoint
+
+    assert TorsionPoint is profiles.TorsionPoint and laurent.TorsionPoint is TorsionPoint
+    for name in serialize._PROFILE_NAMES:
+        assert getattr(serialize, name) is getattr(profiles, name)
+        assert name in vars(serialize)  # kept, so a patched name stays patched
+    for module in (laurent, serialize):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
 
 
 def test_package_root_resolves_each_public_name_in_its_home_module():
@@ -112,11 +158,7 @@ def test_package_root_resolves_each_public_name_in_its_home_module():
 def test_star_import_binds_every_public_name():
     code = "from jumploci import *\nimport jumploci\n"
     code += "print([name for name in jumploci.__all__ if name not in globals()])\n"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert _run_fresh(code) == "[]\n"
 
 
 def test_no_module_imports_a_private_name_of_another():

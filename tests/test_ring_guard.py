@@ -13,7 +13,7 @@ from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.lattices import LinearComponent, LinearUnion
 from jumploci.laurent import RingContext
 from jumploci.loci import membership_at_point
-from jumploci.verdict import LociProfile
+from jumploci.profiles import LociProfile
 
 A, B = RingContext.torus(2), RingContext.torus(1)
 

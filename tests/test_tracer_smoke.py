@@ -4,7 +4,9 @@
 refactor that moves one of them breaks the benchmark, not the program, so
 this runs the tracer once on a small job per route, and on the subcommands
 that load the fewest modules (``codims``, loci-only ``perversity``), and
-checks that it still records their spans.  The library job runs
+checks that it still records their spans: ``serialize.load_loci`` among
+them, which the command line calls through ``serialize`` although the
+loader lives in ``profiles``.  The library job runs
 ``loci.propagation_check`` by name, and the benchmark's checker requires it
 to report an exact verdict."""
 
@@ -38,11 +40,11 @@ ORDER_12_POINTS = [[["1", "1/3"], ["1", "1/4"]]]
         (
             "cli",
             ["perversity", "m2.complex", "--loci", "m2.loci", "--samples", "4"],
-            ["verdict.perversity_verdict", "loci.membership_at_point"],
+            ["verdict.perversity_verdict", "loci.membership_at_point", "serialize.load_loci"],
             "",
         ),
-        ("cli", ["codims", "m2.loci"], ["lattices.LinearUnion.codim_stats"], ""),
-        ("cli", ["perversity", "m2.loci"], ["verdict.perversity_verdict"], ""),
+        ("cli", ["codims", "m2.loci"], ["lattices.LinearUnion.codim_stats", "serialize.load_loci"], ""),
+        ("cli", ["perversity", "m2.loci"], ["verdict.perversity_verdict", "serialize.load_loci"], ""),
         ("lib", ["m2.complex"], ["libjob.main", "loci.propagation_check"], '"provenance": "exact"'),
     ],
     ids=["jump-ideals", "sample", "perversity", "codims", "perversity-loci", "lib"],

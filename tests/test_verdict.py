@@ -20,17 +20,14 @@ from jumploci.fixtures import (
 )
 from jumploci.lattices import LinearComponent, LinearUnion
 from jumploci.laurent import RingContext
-from jumploci.sampling import MAX_SAMPLES
-from jumploci.verdict import (
+from jumploci.profiles import (
     LociProfile,
     abelian_specialization_verdict,
-    check_lower,
-    check_upper,
-    perversity_verdict,
-    spot_check_profile,
     survival_interval,
     torus_specialization_verdict,
 )
+from jumploci.sampling import MAX_SAMPLES
+from jumploci.verdict import check_lower, check_upper, perversity_verdict, spot_check_profile
 
 
 def _torus_point_profile(m, degrees):
@@ -285,8 +282,9 @@ import random
 from jumploci.complexes import FreeComplex
 from jumploci.lattices import LinearUnion
 from jumploci.laurent import RingContext
+from jumploci.profiles import LociProfile
 from jumploci.sampling import sample_points
-from jumploci.verdict import LociProfile, perversity_verdict
+from jumploci.verdict import perversity_verdict
 ctx = RingContext([], 0, 0)
 print(sample_points(ctx, random.Random(0), 3))
 cx = FreeComplex(ctx, 0, 0, [1], {})
