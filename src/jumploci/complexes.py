@@ -15,13 +15,13 @@ The module computes the two ideal families attached to a complex:
     d^(i-1) and d^i add up to rank(i), and (0) elsewhere;
 
 plus generic ranks over the fraction field (fraction-free Bareiss
-elimination over Z[t]), the dual complex, and the rank/codimension
-exactness certificate of the negative degrees of the complex and its dual,
-``FreeComplex.exactness``: they are exact iff ranks are additive and the
-Fitting ideal of each degree i has codimension at least -i.  The
-constructors that build a complex from others (shift, direct sum, external
-tensor, twist, induction) live in ``fixtures``, the only module that calls
-them.
+elimination over Z[t]) and the rank/codimension exactness certificate of
+the negative degrees of the complex and its dual, ``FreeComplex.exactness``:
+they are exact iff ranks are additive and the Fitting ideal of each degree
+i has codimension at least -i, and the dual's rows are read off the complex.
+The constructors that build a complex from others (dual, shift, direct sum,
+external tensor, twist, induction) live in ``fixtures``, since no analysis
+job calls them.
 
 Minors, generic ranks, exact division and the jumping-ideal products run
 on the integer polynomials of ``intpoly`` (``Poly``), end to end: each
@@ -369,34 +369,33 @@ class FreeComplex:
 
         return self.cached(("jumping", i), lambda: _ideal(self.context, _distinct(products())))
 
-    # -- constructors ---------------------------------------------------------------
-
-    def dual(self) -> "FreeComplex":
-        """Hom(F, ring) with Hom(F^i) placed in degree -i; differentials are
-        the transposes of the originals."""
-        self.ensure_valid()
-        k_min, k_max = -self.k_max, -self.k_min
-        ranks = tuple(reversed(self.ranks))
-        diffs = {}
-        for j in range(k_min, k_max):
-            diffs[j] = self.differential(-j - 1).transpose()
-        return FreeComplex(self.context, k_min, k_max, ranks, diffs)
-
     # -- exactness ---------------------------------------------------------------
 
     def exactness(self) -> dict:
         """The document ``exactness`` prints: the Buchsbaum-Eisenbud
         certificate of the negative degrees i of the complex, then of its
-        dual.  A row holds when rank(i) = rank d^i + rank d^(i-1) and the
-        Fitting ideal at i has codimension at least -i (``fitting_codim``,
-        as text); a side is exact when its rows hold.  The dual of a valid
-        complex is valid, so only the complex is checked for d.d = 0."""
+        dual Hom(F, ring), whose degree i module is Hom(F^(-i), ring) and
+        whose d^i is the transpose of d^(-i-1).  A row holds when
+        rank(i) = rank d^i + rank d^(i-1) and the Fitting ideal at i has
+        codimension at least -i (``fitting_codim``, as text); a side is
+        exact when its rows hold.
+
+        The dual's rows are read off this complex.  Over the fraction field
+        a transpose has the same rank, and its k-minors are those of the
+        matrix, so the same determinantal ideals.  Dual degree i therefore
+        reads rank(-i), rho(d^(-i-1)), rho(d^(-i)) and the cached Fitting
+        ideal F_(-i-1).  Outside the stored range both sides see a
+        zero-shaped map, so rho = 0 and the Fitting ideal is the unit ideal."""
+        self.ensure_valid()
         doc = {"report": "exactness"}
-        for side, cx in (("", self), ("dual_", self.dual())):
+        # (degree, module, d^i, d^(i-1)) of each side's rows, read on this complex
+        sides = {"": [(i, i, i, i - 1) for i in range(self.k_min, min(self.k_max + 1, 0))],
+                 "dual_": [(i, -i, -i - 1, -i) for i in range(-self.k_max, min(1 - self.k_min, 0))]}
+        for side, reads in sides.items():
             rows = doc[side + "certificate"] = []
-            for i in range(cx.k_min, min(cx.k_max + 1, 0)):
-                r, r_out, r_in = cx.rank(i), cx.rank_of_differential(i), cx.rank_of_differential(i - 1)
-                codim = cx.fitting_ideal(i).codimension()
+            for i, module, out, inc in reads:
+                r, r_out = self.rank(module), self.rank_of_differential(out)
+                r_in, codim = self.rank_of_differential(inc), self.fitting_ideal(out).codimension()
                 rows.append({"degree": i, "rank": r, "rank_out": r_out, "rank_in": r_in,
                              "rank_additivity": r == r_out + r_in, "fitting_codim": str(codim),
                              "codim_bound": -i, "codim_ok": codim >= -i})

@@ -15,8 +15,11 @@ and its declared loci in lockstep:
 
 The complex constructors behind them (``shift_complex``, ``direct_sum``,
 ``twist_complex``, ``external_tensor`` with the Koszul sign rule and
-``induce_complex``) live here too; ``tensor_ring`` alone orders the
-variables of an external tensor, and ``cover_basis`` the basis of a cover.
+``induce_complex``) live here too, with ``dual_complex``, which only tests
+use, and the ring maps they apply: ``substitute`` (t_i -> lam_i *
+t_i^(n_i)) and ``embed_vector``, ``embed_poly`` and ``embed_point`` into a
+larger ring.  ``tensor_ring`` alone orders the variables of an external
+tensor, and ``cover_basis`` the basis of a cover.
 
 Fixtures are small by construction: a fixture ring has at least one and at
 most MAX_FIXTURE_VARS variables, an induction cover at most MAX_COVER_SIZE
@@ -42,7 +45,7 @@ from typing import NamedTuple, Sequence
 from .complexes import FreeComplex, Matrix
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext, embed_vector, substitution_pairs
+from .laurent import LaurentPoly, RingContext
 from .profiles import LociProfile, TorsionPoint
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
@@ -101,6 +104,48 @@ def koszul(generators: Sequence[LaurentPoly]) -> FreeComplex:
     return FreeComplex(ctx, -m, 0, ranks, diffs)
 
 
+# -- ring maps --------------------------------------------------------------------
+
+
+def substitute(p: LaurentPoly, mapping: Sequence[tuple]) -> LaurentPoly:
+    """Apply the ring homomorphism t_i -> lam_i * t_i^(n_i).
+
+    ``mapping`` holds one (lam_i, n_i) pair per variable; every lam_i must
+    be a nonzero rational and every n_i a nonzero integer, so units map to
+    units.  InputError otherwise."""
+    if len(mapping) != p.context.num_vars:
+        raise InputError("substitution must cover every variable")
+    pairs = [(Fraction(lam), int(n)) for lam, n in mapping]
+    if any(lam == 0 or n == 0 for lam, n in pairs):
+        raise InputError("substitution scalars and exponents must be nonzero")
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exp, c in p.terms.items():
+        key = tuple(e * n for e, (_, n) in zip(exp, pairs))
+        out[key] = out.get(key, 0) + c * math.prod(lam**e for e, (lam, _) in zip(exp, pairs))
+    return LaurentPoly(p.context, out)
+
+
+def embed_vector(values: Sequence, var_map: Sequence[int], width: int, fill=0) -> list:
+    """A list of ``width`` copies of ``fill`` with values[i] at var_map[i]:
+    exponents, lattice rows and point coordinates moved into a larger ring."""
+    out = [fill] * width
+    for i, v in enumerate(values):
+        out[var_map[i]] = v
+    return out
+
+
+def embed_poly(p: LaurentPoly, target: RingContext, var_map: Sequence[int]) -> LaurentPoly:
+    """``p`` in ``target``, sending variable i to target variable var_map[i]."""
+    terms = {tuple(embed_vector(exp, var_map, target.num_vars)): c for exp, c in p.terms.items()}
+    return LaurentPoly(target, terms)
+
+
+def embed_point(point: TorsionPoint, target: RingContext, var_map: Sequence[int]) -> TorsionPoint:
+    """``point`` in ``target``, coordinate i at var_map[i] and 1 elsewhere."""
+    identity = (Fraction(1), Fraction(0))
+    return TorsionPoint(target, embed_vector(point.coords, var_map, target.num_vars, identity))
+
+
 # -- complex constructors -------------------------------------------------------
 #
 # Only fixtures build complexes from complexes, so these live here and no
@@ -109,6 +154,14 @@ def koszul(generators: Sequence[LaurentPoly]) -> FreeComplex:
 
 def _map_entries(mat: Matrix, fn) -> Matrix:
     return Matrix(mat.context, mat.nrows, mat.ncols, [[fn(e) for e in row] for row in mat.entries])
+
+
+def dual_complex(cx: FreeComplex) -> FreeComplex:
+    """Hom(F, ring) with Hom(F^i, ring) placed in degree -i; differentials
+    are the transposes of the originals."""
+    cx.ensure_valid()
+    diffs = {j: cx.differential(-j - 1).transpose() for j in range(-cx.k_max, -cx.k_min)}
+    return FreeComplex(cx.context, -cx.k_max, -cx.k_min, tuple(reversed(cx.ranks)), diffs)
 
 
 def shift_complex(cx: FreeComplex, s: int) -> FreeComplex:
@@ -140,9 +193,10 @@ def twist_complex(cx: FreeComplex, scalars: Sequence) -> FreeComplex:
     """Substitute t_i -> lam_i * t_i in every differential; lam_i are
     nonzero rationals (a rational point of the character torus), so the
     loci translate by the inverse point."""
-    pairs = substitution_pairs([(lam, 1) for lam in scalars], cx.context.num_vars)
+    mapping = [(lam, 1) for lam in scalars]
+    substitute(cx.context.one(), mapping)  # refuses a bad mapping even where no entry is mapped
     diffs = {
-        i: _map_entries(m, lambda e: e._substitute(pairs) if e.terms else e)
+        i: _map_entries(m, lambda e: substitute(e, mapping) if e.terms else e)
         for i, m in cx.diffs.items()
     }
     return FreeComplex(cx.context, cx.k_min, cx.k_max, cx.ranks, diffs)
@@ -155,7 +209,7 @@ def external_tensor(a: FreeComplex, b: FreeComplex) -> FreeComplex:
     ctx, map_a, map_b = tensor_ring(a.context, b.context)
 
     def embedded(mat: Matrix, var_map) -> list[list[LaurentPoly]]:
-        return [[e.embed(ctx, var_map) for e in row] for row in mat.entries]
+        return [[embed_poly(e, ctx, var_map) for e in row] for row in mat.entries]
 
     k_min = a.k_min + b.k_min
     k_max = a.k_max + b.k_max
@@ -342,7 +396,8 @@ def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
             combos = []
             for comp_a in ua.components:
                 for comp_b in ub.components:
-                    translate = comp_a.translate.embed(ctx, map_a) * comp_b.translate.embed(ctx, map_b)
+                    translate = embed_point(comp_a.translate, ctx, map_a)
+                    translate *= embed_point(comp_b.translate, ctx, map_b)
                     rows = [embed_vector(r, map_a, ctx.num_vars) for r in comp_a.lattice]
                     rows += [embed_vector(r, map_b, ctx.num_vars) for r in comp_b.lattice]
                     combos.append(LinearComponent(ctx, translate, rows))

@@ -19,7 +19,8 @@ Closed points of the character torus are modeled by TorsionPoint, which
 lives in ``profiles`` with the other objects of the declared-loci route:
 ``laurent.TorsionPoint`` is resolved on first read, and the point
 constructors of RingContext import it when they run, so a job that builds
-no point never compiles it.
+no point never compiles it.  The ring maps only fixtures use, monomial
+substitutions and embeddings into a larger ring, live in ``fixtures``.
 """
 
 from __future__ import annotations
@@ -149,31 +150,6 @@ class RingContext:
                 raise InputError("ring context mismatch")
 
 
-def substitution_pairs(mapping: Sequence[tuple], num_vars: int) -> list[tuple[Fraction, int]]:
-    """The (lam_i, n_i) pairs of a substitution t_i -> lam_i * t_i^(n_i) as
-    (Fraction, int), after checking there is one per variable and none is
-    zero; raises InputError otherwise."""
-    if len(mapping) != num_vars:
-        raise InputError("substitution must cover every variable")
-    pairs = []
-    for lam, n in mapping:
-        lam = Fraction(lam)
-        n = int(n)
-        if lam == 0 or n == 0:
-            raise InputError("substitution scalars and exponents must be nonzero")
-        pairs.append((lam, n))
-    return pairs
-
-
-def embed_vector(values: Sequence, var_map: Sequence[int], width: int, fill=0) -> list:
-    """A list of ``width`` copies of ``fill`` with values[i] at var_map[i]:
-    exponents, lattice rows and point coordinates moved into a larger ring."""
-    out = [fill] * width
-    for i, v in enumerate(values):
-        out[var_map[i]] = v
-    return out
-
-
 class LaurentPoly:
     """Immutable Laurent polynomial in canonical form (no zero terms)."""
 
@@ -279,9 +255,9 @@ class LaurentPoly:
         denominators.  A Laurent monomial is defined at every point since all
         radial parts are nonzero.  Each term c*t^k adds c * prod q_i^k_i to
         the coefficient of zeta_L^(sum k_i*a_i mod L), read off the point's
-        character table (see TorsionPoint._character_table)."""
+        character table (see TorsionPoint.character_table)."""
         self.context.require(point)
-        L, steps, radials = point._character_table()
+        L, steps, radials = point.character_table()
         powers = [0] * L
         for exp, c in self.terms.items():
             k = sum(e * a for e, a in zip(exp, steps)) % L
@@ -291,35 +267,6 @@ class LaurentPoly:
                         c *= q**e
             powers[k] += c
         return Cyclotomic(L, powers)
-
-    def substitute(self, mapping: Sequence[tuple[Fraction, int]]) -> "LaurentPoly":
-        """Apply the ring homomorphism t_i -> lam_i * t_i^(n_i).
-
-        ``mapping`` holds one (lam_i, n_i) pair per variable; every lam_i must
-        be a nonzero rational and every n_i a nonzero integer, so units map to
-        units.
-        """
-        return self._substitute(substitution_pairs(mapping, self.context.num_vars))
-
-    def _substitute(self, pairs: Sequence[tuple[Fraction, int]]) -> "LaurentPoly":
-        """substitute() with pairs already checked by substitution_pairs, so
-        a caller mapping many polynomials validates the mapping once."""
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            coeff = c
-            new_exp = []
-            for e, (lam, n) in zip(exp, pairs):
-                coeff *= lam**e
-                new_exp.append(e * n)
-            key = tuple(new_exp)
-            out[key] = out.get(key, 0) + coeff
-        return LaurentPoly(self.context, out)
-
-    def embed(self, target: RingContext, var_map: Sequence[int]) -> "LaurentPoly":
-        """Reinterpret in ``target``, sending variable i to target variable
-        var_map[i].  Used to combine disjoint rings for external tensors."""
-        terms = {tuple(embed_vector(exp, var_map, target.num_vars)): c for exp, c in self.terms.items()}
-        return LaurentPoly(target, terms)
 
     # -- printing -------------------------------------------------------------
 

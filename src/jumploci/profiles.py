@@ -9,12 +9,12 @@ and equality is exact.
 
 A LociProfile assigns to each degree a finite union of translated subtori
 (absent degrees mean the empty locus), with an optional source complex and
-an optional Euler characteristic; ``verdict`` tests it.  The survival
-interval of a degree-zero component and the torus (g = 0) and abelian
-(m = 0) specializations of the verdict live here too.  The specializations
-are re-derived through independent code paths (plain lattice ranks, no
-shared codimension helpers) so the general verdict can be cross-validated
-against them.
+an optional Euler characteristic, which must be the source's when both are
+given; ``verdict`` tests it.  The survival interval of a degree-zero
+component and the torus (g = 0) and abelian (m = 0) specializations of the
+verdict live here too.  The specializations are re-derived through
+independent code paths (plain lattice ranks, no shared codimension helpers)
+so the general verdict can be cross-validated against them.
 
 Loci files are JSON: ring block, optional Euler characteristic, and per
 degree a list of components, each a translate (one [radial, angle] pair of
@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple, Sequence
 from . import loci
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER
 from .errors import InputError, ResourceError, check_cap
-from .laurent import RingContext, embed_vector, format_rational
+from .laurent import RingContext, format_rational
 from .serialize import LOCI_FORMAT, MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS, check_degree
 
 
@@ -72,7 +72,7 @@ class TorsionPoint:
         self._table = None
         self._hash = None
 
-    def _character_table(self) -> tuple[int, tuple[int, ...], tuple[Fraction, ...] | None]:
+    def character_table(self) -> tuple[int, tuple[int, ...], tuple[Fraction, ...] | None]:
         """(L, steps, radials), computed once per point: L the angle order,
         steps the integers a_i = theta_i * L, and radials the q_i, or None
         when every q_i is 1.
@@ -108,11 +108,11 @@ class TorsionPoint:
     def character(self, lattice_vector: Sequence[int]) -> tuple[Fraction, Fraction]:
         """The value of t^k here, k an integer vector, as (angle, radial):
         radial * e^(2*pi*i*angle) with angle in [0, 1) and radial > 0.  By
-        _character_table the angle is (sum k_i*a_i mod L) / L, and the radial
+        character_table the angle is (sum k_i*a_i mod L) / L, and the radial
         part prod q_i^k_i is positive as every q_i is.  A nonzero complex
         number has one such polar form, so two values are equal exactly when
         their pairs are, whatever the orders of the points."""
-        L, steps, radials = self._character_table()
+        L, steps, radials = self.character_table()
         angle = Fraction(sum(k * a for k, a in zip(lattice_vector, steps)) % L, L)
         radial = Fraction(1)
         if radials is not None:
@@ -120,10 +120,6 @@ class TorsionPoint:
                 if k:
                     radial *= q**k
         return angle, radial
-
-    def embed(self, target: RingContext, var_map: Sequence[int]) -> "TorsionPoint":
-        identity = (Fraction(1), Fraction(0))
-        return TorsionPoint(target, embed_vector(self.coords, var_map, target.num_vars, identity))
 
     def __eq__(self, other) -> bool:
         return (
@@ -160,8 +156,10 @@ class LociProfile:
         clean = {int(deg): union for deg, union in loci.items() if not union.is_empty()}
         if source is not None:
             context.require(source)
-            if euler is None:
-                euler = source.euler_characteristic()
+            chi = source.euler_characteristic()
+            if euler is not None and euler != chi:
+                raise InputError(f"declared Euler characteristic {euler} is not the complex's, {chi}")
+            euler = chi
         self.context = context
         self.loci = clean
         self.source = source

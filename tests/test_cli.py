@@ -570,6 +570,23 @@ def test_perversity_rejects_mismatched_declaration(m2_files, tmp_path):
     assert "witness" in result.stderr
 
 
+def test_perversity_refuses_a_declared_euler_the_complex_does_not_have(m2_files, tmp_path):
+    # the declared chi = 5 once overrode the complex's chi = 0: euler failed,
+    # the verdict stayed perverse and the run exited 0
+    cx, _ = m2_files
+    lying = tmp_path / "lying.loci"
+    lying.write_text(_m2_loci_edited(lambda d: d.update(euler=5)))
+    result = run_cli("perversity", str(cx), "--loci", str(lying))
+    assert result.returncode == 2 and result.stdout == ""
+    assert "declared Euler characteristic 5 is not the complex's, 0" in result.stderr
+    assert "Traceback" not in result.stderr
+    # a loci-only input has no complex to compare with: its chi stands
+    result = run_cli("perversity", str(lying), "--json")
+    assert result.returncode == 0
+    doc = json.loads(result.stdout)
+    assert doc["verdict"] == "perverse" and doc["euler"]["status"] == "fail"
+
+
 def test_codims_report(m2_files):
     _, loci = m2_files
     result = run_cli("codims", str(loci), "--json")

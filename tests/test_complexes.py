@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from jumploci.cyclotomic import field_rank
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
     direct_sum,
+    dual_complex,
     external_tensor,
     induce_complex,
     induce_fixture,
@@ -26,6 +28,7 @@ from jumploci.fixtures import (
     shift_complex,
     shift_fixture,
     standard_fixture_suite,
+    substitute,
     sum_fixture,
     tensor_fixture,
     twist_complex,
@@ -500,11 +503,11 @@ def test_dual_examples(ctx2):
     ctx = RingContext.torus(1)
     x = ctx.variable(0) - 1
     C = _two_term(ctx, x)
-    D = C.dual()
+    D = dual_complex(C)
     assert (D.k_min, D.k_max) == (0, 1)
     assert D.differential(0).entries[0][0] == x
     K = _koszul2(ctx2)
-    KD = K.dual()
+    KD = dual_complex(K)
     assert (KD.k_min, KD.k_max) == (0, 2)
     assert KD.ranks == (1, 2, 1)
     assert KD.differential(0) == K.differential(-1).transpose()
@@ -513,10 +516,10 @@ def test_dual_examples(ctx2):
 def test_dual_involution_random(ctx2):
     rng = random.Random(24)
     K = _koszul2(ctx2)
-    fixtures = [K, shift_complex(K, 1), shift_complex(K, -2), direct_sum(K, K), _koszul2(ctx2).dual()]
+    fixtures = [K, shift_complex(K, 1), shift_complex(K, -2), direct_sum(K, K), dual_complex(_koszul2(ctx2))]
     for _ in range(15):
         cx = rng.choice(fixtures)
-        dd = cx.dual().dual()
+        dd = dual_complex(dual_complex(cx))
         assert dd.k_min == cx.k_min and dd.ranks == cx.ranks
         for i in range(cx.k_min, cx.k_max):
             assert dd.differential(i) == cx.differential(i)
@@ -524,7 +527,7 @@ def test_dual_involution_random(ctx2):
 
 def test_dual_swaps_jumping_radicals(ctx2):
     K = _koszul2(ctx2)
-    D = K.dual()
+    D = dual_complex(K)
     for i in K.degrees():
         J = K.jumping_ideal(i)
         JD = D.jumping_ideal(-i)
@@ -652,6 +655,63 @@ def test_check_assumption_repeated_generator(ctx2):
     assert not KK.check_assumption()
 
 
+def _two_complex_exactness(cx: FreeComplex) -> dict:
+    """The exactness document built from two complexes: the rows of each
+    negative degree of ``cx`` and of ``dual_complex(cx)``, each read on its
+    own complex."""
+    doc = {"report": "exactness"}
+    for side, c in (("", cx), ("dual_", dual_complex(cx))):
+        rows = doc[side + "certificate"] = []
+        for i in range(c.k_min, min(c.k_max + 1, 0)):
+            r, r_out, r_in = c.rank(i), c.rank_of_differential(i), c.rank_of_differential(i - 1)
+            codim = c.fitting_ideal(i).codimension()
+            rows.append({"degree": i, "rank": r, "rank_out": r_out, "rank_in": r_in,
+                         "rank_additivity": r == r_out + r_in, "fitting_codim": str(codim),
+                         "codim_bound": -i, "codim_ok": codim >= -i})
+        doc[side + "negative_degrees_exact"] = all(c["rank_additivity"] and c["codim_ok"] for c in rows)
+    doc["assumption_holds"] = doc["negative_degrees_exact"] and doc["dual_negative_degrees_exact"]
+    return doc
+
+
+def test_exactness_reads_the_dual_certificate_off_the_complex():
+    # the dual's rows come from this complex's ranks and Fitting ideals; they
+    # equal the rows of the transposed complex, key order included
+    stock = [fx.complex for fx in standard_fixture_suite()]
+    complexes_ = stock + [mellin_constant_torus(4).complex]
+    complexes_ += [shift_complex(cx, s) for cx in stock[:12] for s in (1, 2, 3, -1, -2)]
+    assert len(complexes_) == 88
+    with_dual_rows = 0
+    for cx in complexes_:
+        doc = cx.exactness()
+        expected = _two_complex_exactness(FreeComplex(cx.context, cx.k_min, cx.k_max, cx.ranks, cx.diffs))
+        assert json.dumps(doc) == json.dumps(expected), cx
+        with_dual_rows += bool(doc["dual_certificate"])
+    assert with_dual_rows == 36
+
+
+def test_exactness_refuses_an_invalid_complex():
+    ctx = RingContext.torus(1)
+    x = ctx.variable(0) - 1
+    cx = FreeComplex(ctx, -2, 0, [1, 1, 1], {-2: Matrix.from_rows(ctx, [[x]]), -1: Matrix.from_rows(ctx, [[x]])})
+    with pytest.raises(InputError, match="^invalid complex: composite differential"):
+        cx.exactness()
+
+
+def test_exactness_builds_no_second_complex(monkeypatch):
+    built = []
+    init = FreeComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    cx = shift_complex(mellin_constant_torus(2).complex, 2)
+    monkeypatch.setattr(FreeComplex, "__init__", counting)
+    doc = cx.exactness()
+    assert doc["dual_certificate"] and built == []
+    assert not hasattr(FreeComplex, "dual")
+
+
 def test_euler_characteristic(ctx2):
     K = _koszul2(ctx2)
     assert K.euler_characteristic() == 0
@@ -664,7 +724,7 @@ def test_euler_characteristic(ctx2):
 
 def test_twist_equals_substitute_per_entry():
     # the twist validates its scalars once and skips zero entries; the
-    # matrices must be those of substitute() applied to every entry
+    # matrices must be those of substitute applied to every entry
     from jumploci.fixtures import standard_fixture_suite
 
     rng = random.Random(31)
@@ -674,7 +734,7 @@ def test_twist_equals_substitute_per_entry():
         lams = [rng.choice(pool) for _ in range(cx.context.num_vars)]
         mapping = [(lam, 1) for lam in lams]
         expected = {
-            i: Matrix(m.context, m.nrows, m.ncols, [[e.substitute(mapping) for e in row] for row in m.entries])
+            i: Matrix(m.context, m.nrows, m.ncols, [[substitute(e, mapping) for e in row] for row in m.entries])
             for i, m in cx.diffs.items()
         }
         assert twist_complex(cx, lams).diffs == expected, fx.name

@@ -13,9 +13,10 @@ starts a fresh interpreter, since the test process has long loaded all of
 them.
 
 Module ownership is pinned too: no module imports another module's private
-name.  So is the input a run depends on: no module reads the environment,
-and every cap in the README's cap table is the module constant it names,
-with the value it lists.
+name or reads a private attribute of an object other than self or cls.  So
+is the input a run depends on: no module reads the environment, and every
+cap in the README's cap table is the module constant it names, with the
+value it lists.
 """
 
 import ast
@@ -42,7 +43,7 @@ CLI = ["cli", "cyclotomic", "errors", "laurent", "loci", "sampling", "serialize"
 COMPLEX = ["complexes", "intpoly"]  # the complex loader's layers
 # the source lines `import jumploci.cli` may load: the declared-loci and point
 # code lives in `profiles`, which only loci, point and fixture jobs load
-CLI_LINE_BUDGET = 1850
+CLI_LINE_BUDGET = 1750
 RUN = "from jumploci import cli\nassert cli.main(sys.argv[1:]) == 0\n"
 HELP = "from jumploci import cli\ntry:\n    cli.main(sys.argv[1:])\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
 
@@ -170,6 +171,24 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom):
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 offenders += [f"{path.stem} <- {node.module}.{name}" for name in private]
+    assert offenders == []
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    # the same rule for attributes: x._name is read only on self or cls;
+    # dunders and NamedTuple's public API (_replace, _asdict, ...) are not private
+    namedtuple_api = {"_replace", "_asdict", "_make", "_fields"}
+    offenders = []
+    for path in sorted((ROOT / "src" / "jumploci").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and node.attr not in namedtuple_api
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                offenders.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
     assert offenders == []
 
 

@@ -144,6 +144,22 @@ def test_euler_clause():
     assert report["euler"]["status"].startswith("skipped")
 
 
+def test_declared_euler_must_be_the_source_complexs():
+    # a declared value once overrode the complex's: the Euler clause failed
+    # on chi = 5 while the verdict stayed perverse
+    m2 = mellin_constant_torus(2)
+    with pytest.raises(InputError, match=r"^declared Euler characteristic 5 is not the complex's, 0$"):
+        LociProfile(m2.profile.context, m2.profile.loci, source=m2.complex, euler=5)
+    declared = LociProfile(m2.profile.context, m2.profile.loci, euler=5)
+    with pytest.raises(InputError, match="5 is not the complex's, 0"):
+        declared.with_source(m2.complex)
+    assert declared.with_source(free_module_fixture(2, rank=5).complex).euler == 5  # chi = 5 there
+    # without a source any declared value stands, and the Euler clause reads it
+    for chi in (-3, 0, 5):
+        assert LociProfile(m2.profile.context, m2.profile.loci, euler=chi).euler == chi
+    assert LociProfile(m2.profile.context, m2.profile.loci, source=m2.complex).euler == 0
+
+
 def test_support_interval_detection():
     ctx = RingContext.torus(1)
     ident = LinearUnion.single_point(ctx.identity_point())
