@@ -10,7 +10,7 @@ and its declared loci in lockstep:
   * external tensor               -> loci combine by the Kunneth rule;
   * induction along a cover t^n   -> each point component fans out into its
                                      orbit under the n-torsion translates;
-  * direct sum                    -> loci unions, Euler numbers add;
+  * direct sum                    -> loci unions;
   * shift                         -> loci move degree-for-degree.
 
 The complex constructors behind them (``shift_complex``, ``direct_sum``,
@@ -30,9 +30,8 @@ anything is built.
 
 Every fixture carries its expected verdict as metadata, so test suites can
 iterate over a fixture list and compare outcomes without re-deriving them.
-Deliberate mutations (degree shifts, entry edits that break the complex
-identity) are provided for negative tests; mutants that no longer square to
-zero are flagged invalid and must be rejected by validation gates.
+Its profile reads the Euler characteristic off its complex, so no builder
+restates the product, sum, sign or cover rule.
 """
 
 from __future__ import annotations
@@ -356,9 +355,7 @@ def free_module_fixture(m: int, rank: int = 1) -> Fixture:
         raise InputError("free module rank must be at least 1")
     ctx = RingContext.torus(m)
     cx = FreeComplex(ctx, 0, 0, [rank], {})
-    profile = LociProfile(
-        ctx, {0: LinearUnion.whole_space(ctx)}, source=cx, euler=rank
-    )
+    profile = LociProfile(ctx, {0: LinearUnion.whole_space(ctx)}, source=cx)
     return Fixture(f"free-module-m{m}-r{rank}", cx, profile, "perverse")
 
 
@@ -379,7 +376,7 @@ def twist_fixture(base: Fixture, scalars: Sequence) -> Fixture:
         )
         for deg, union in base.profile.loci.items()
     }
-    profile = LociProfile(ctx, loci, source=cx, euler=base.profile.euler)
+    profile = LociProfile(ctx, loci, source=cx)
     label = f"{base.name}-twist({','.join(str(v) for v in lams)})"
     return Fixture(label, cx, profile, base.expected_verdict)
 
@@ -405,12 +402,7 @@ def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
                 deg = da + db
                 existing = loci.get(deg, LinearUnion.empty(ctx))
                 loci[deg] = existing.union_with(LinearUnion(ctx, combos))
-    euler = (
-        a.profile.euler * b.profile.euler
-        if a.profile.euler is not None and b.profile.euler is not None
-        else None
-    )
-    profile = LociProfile(ctx, loci, source=cx, euler=euler)
+    profile = LociProfile(ctx, loci, source=cx)
     expected = "perverse" if (a.expected_verdict, b.expected_verdict) == ("perverse", "perverse") else "neither"
     return Fixture(f"({a.name})x({b.name})", cx, profile, expected)
 
@@ -447,15 +439,16 @@ def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
                     LinearComponent(ctx, comp.translate * zeta, [list(r) for r in comp.lattice])
                 )
         loci[deg] = LinearUnion(ctx, comps)
-    euler = base.profile.euler * size if base.profile.euler is not None else None
-    profile = LociProfile(ctx, loci, source=cx, euler=euler)
+    profile = LociProfile(ctx, loci, source=cx)
     label = f"{base.name}-induce({','.join(map(str, n))})"
     return Fixture(label, cx, profile, base.expected_verdict)
 
 
 def sum_fixture(a: Fixture, b: Fixture) -> Fixture:
     cx = direct_sum(a.complex, b.complex)
-    profile = a.profile.union_with(b.profile).with_source(cx)
+    degs = set(a.profile.loci) | set(b.profile.loci)
+    loci = {d: a.profile.locus(d).union_with(b.profile.locus(d)) for d in degs}
+    profile = LociProfile(cx.context, loci, source=cx)
     expected = "perverse" if (a.expected_verdict, b.expected_verdict) == ("perverse", "perverse") else "neither"
     return Fixture(f"({a.name})+({b.name})", cx, profile, expected)
 
@@ -464,7 +457,8 @@ def shift_fixture(base: Fixture, s: int) -> Fixture:
     """Degree shift; for a perverse base with point loci through degree zero
     the expected verdict flips to one-sided."""
     cx = shift_complex(base.complex, s)
-    profile = base.profile.shift(s).with_source(cx)
+    loci = {deg + s: union for deg, union in base.profile.loci.items()}
+    profile = LociProfile(cx.context, loci, source=cx)
     if s == 0:
         expected = base.expected_verdict
     elif s > 0:
@@ -506,39 +500,6 @@ def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=Non
     raise InputError(f"unknown fixture {name!r}")
 
 
-class Mutant(NamedTuple):
-    name: str
-    complex: FreeComplex
-    valid: bool  # False: must be rejected by validation gates
-    note: str
-
-
-def _mutate_entry(base: Fixture, degree: int, row: int, col: int, edit, label: str, note: str) -> Mutant:
-    """``base`` with entry (row, col) of d^degree replaced by edit(entry);
-    flags the result invalid when the complex identity breaks."""
-    cx = base.complex
-    mat = cx.differential(degree)
-    entries = [list(r) for r in mat.entries]
-    entries[row][col] = edit(entries[row][col])
-    diffs = dict(cx.diffs)
-    diffs[degree] = Matrix(cx.context, mat.nrows, mat.ncols, entries)
-    mutated = FreeComplex(cx.context, cx.k_min, cx.k_max, cx.ranks, diffs)
-    ok = mutated.validate() is None
-    return Mutant(f"{base.name}-{label}", mutated, ok, note + ("" if ok else "; breaks d.d = 0"))
-
-
-def mutate_zero_entry(base: Fixture, degree: int, row: int, col: int) -> Mutant:
-    """Zero out one differential entry."""
-    label = f"zero@{degree}[{row},{col}]"
-    return _mutate_entry(base, degree, row, col, lambda e: e.context.zero(), label, "entry zeroed")
-
-
-def mutate_scale_entry(base: Fixture, degree: int, row: int, col: int, factor) -> Mutant:
-    """Multiply one differential entry by a rational factor."""
-    label = f"scale@{degree}[{row},{col}]x{factor}"
-    return _mutate_entry(base, degree, row, col, lambda e: e * Fraction(factor), label, "entry scaled")
-
-
 def renamed_torus_fixture(m: int, offset: int) -> Fixture:
     """The constant-object fixture on an m-torus with variables named
     t{offset+1}, ..., so it can appear as the second factor of an external
@@ -547,18 +508,9 @@ def renamed_torus_fixture(m: int, offset: int) -> Fixture:
     ctx = RingContext([f"t{offset + i + 1}" for i in range(m)], m, 0)
     cx = koszul([ctx.variable(i) - 1 for i in range(m)])
     ident = LinearUnion.single_point(ctx.identity_point())
-    profile = LociProfile(ctx, {i: ident for i in range(-m, 1)}, source=cx, euler=0)
+    profile = LociProfile(ctx, {i: ident for i in range(-m, 1)}, source=cx)
     name = f"mellin-torus-m{m}" + (f"@{offset}" if offset else "")
     return Fixture(name, cx, profile, "perverse")
-
-
-def abelian_point_profile(g: int, span: int) -> LociProfile:
-    """Declared profile on an abelian context (m = 0): the identity point in
-    degrees [-span, span].  Valid (perverse) iff span <= g; the point has
-    abelian and semi-abelian codimension g."""
-    ctx = RingContext.abelian(g)
-    ident = LinearUnion.single_point(ctx.identity_point())
-    return LociProfile(ctx, {i: ident for i in range(-span, span + 1)}, euler=0)
 
 
 def standard_fixture_suite() -> list[Fixture]:

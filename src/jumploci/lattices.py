@@ -293,13 +293,12 @@ class LinearUnion:
     def __init__(self, context: RingContext, components: Iterable[LinearComponent]):
         comps = list(components)
         context.require(*comps)
+        # One pass in rank order: a later c containing a kept k has a saturated
+        # lattice inside k's of no smaller rank, so equal to it, and was skipped.
         kept: list[LinearComponent] = []
         for c in sorted(comps, key=LinearComponent.sort_key):
-            if any(other.contains(c) for other in kept):
-                continue
-            kept = [k for k in kept if not c.contains(k)]
-            kept.append(c)
-        kept.sort(key=LinearComponent.sort_key)
+            if not any(other.contains(c) for other in kept):
+                kept.append(c)
         self.context = context
         self.components = tuple(kept)
 

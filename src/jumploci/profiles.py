@@ -10,7 +10,8 @@ and equality is exact.
 A LociProfile assigns to each degree a finite union of translated subtori
 (absent degrees mean the empty locus), with an optional source complex and
 an optional Euler characteristic, which must be the source's when both are
-given; ``verdict`` tests it.  The survival interval of a degree-zero
+given; ``verdict`` tests it.  Fixtures build a new profile for each complex
+they build rather than transform one.  The survival interval of a degree-zero
 component and the torus (g = 0) and abelian (m = 0) specializations of the
 verdict live here too.  The specializations are re-derived through
 independent code paths (plain lattice ranks, no shared codimension helpers)
@@ -174,29 +175,8 @@ class LociProfile:
     def degrees(self) -> list[int]:
         return sorted(self.loci)
 
-    def shift(self, s: int) -> "LociProfile":
-        """Profile of the complex moved s steps right: degree i holds what
-        degree i - s held."""
-        return LociProfile(
-            self.context,
-            {deg + s: union for deg, union in self.loci.items()},
-            source=None,
-            euler=self.euler if s % 2 == 0 else (-self.euler if self.euler is not None else None),
-        )
-
     def with_source(self, source: FreeComplex) -> "LociProfile":
         return LociProfile(self.context, self.loci, source=source, euler=self.euler)
-
-    def union_with(self, other: "LociProfile") -> "LociProfile":
-        self.context.require(other)
-        degs = set(self.loci) | set(other.loci)
-        merged = {d: self.locus(d).union_with(other.locus(d)) for d in degs}
-        euler = (
-            self.euler + other.euler
-            if self.euler is not None and other.euler is not None
-            else None
-        )
-        return LociProfile(self.context, merged, euler=euler)
 
 
 # -- loci and points JSON formats ------------------------------------------------

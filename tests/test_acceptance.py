@@ -231,7 +231,7 @@ def test_criterion_07_perversity_verdicts(suite):
             perversity_verdict(bare)["verdict"] == "perverse"
         )
     # abelian profiles agree with the quadratic codimension bound
-    from jumploci.fixtures import abelian_point_profile
+    from fixture_helpers import abelian_point_profile
 
     for g, span in [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]:
         profile = abelian_point_profile(g, span)

@@ -103,6 +103,36 @@ def test_validate_malformed_input(tmp_path):
     assert "input error" in result.stderr
 
 
+M1_TEXT = "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1 - 1\n"
+
+
+# each was once read past: the last copy of a ring field won, an unknown one
+# was kept, keywords matched by prefix and tokens after a range or index were
+# dropped, so validate exited 0
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (" abelian=0", " abelian=0 bogus=7", "unknown ring field 'bogus'"),
+        (" abelian=0", " abelian=0 torus=1", "repeated ring field 'torus'"),
+        ("ring ", "ringo ", "line 1: expected 'ring', got 'ringo vars=t1 torus=1 abelian=0'"),
+        ("degrees", "degreesX", "line 2: expected 'degrees', got 'degreesX -1..0'"),
+        ("ranks", "ranksX", "line 3: expected 'ranks', got 'ranksX 1,1'"),
+        ("differential", "differentialZ", "line 4: expected 'differential', got 'differentialZ -1'"),
+        ("-1..0", "-1..0 trailing", "malformed degrees line: 'degrees -1..0 trailing'"),
+        ("differential -1", "differential -1 junk", "line 4: malformed differential header 'differential -1 junk'"),
+    ],
+    ids=["unknown-ring-field", "repeated-ring-field", "ringo", "degreesX", "ranksX", "differentialZ",
+         "degrees-trailing-token", "differential-trailing-token"],
+)
+def test_complex_loader_refuses_sloppy_lines(tmp_path, old, new, message):
+    path = tmp_path / "m1.complex"
+    path.write_text(M1_TEXT)
+    assert run_cli("validate", str(path)).returncode == 0
+    path.write_text(M1_TEXT.replace(old, new, 1))
+    result = run_cli("validate", str(path))
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"input error: {message}\n")
+
+
 def test_missing_file_is_input_error():
     result = run_cli("validate", "/nonexistent/path.complex")
     assert result.returncode == 2
@@ -560,8 +590,7 @@ def test_perversity_complex_requires_loci(m2_files):
 def test_perversity_rejects_mismatched_declaration(m2_files, tmp_path):
     cx, _ = m2_files
     wrong = mellin_constant_torus(2)
-    profile = wrong.profile.shift(0)
-    doc = json.loads(serialize.dump_loci(profile))
+    doc = json.loads(serialize.dump_loci(wrong.profile))
     doc["loci"]["0"][0]["translate"] = [["2", "0"], ["1", "0"]]
     bad = tmp_path / "wrong.loci"
     bad.write_text(json.dumps(doc))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -13,8 +14,6 @@ from jumploci.fixtures import (
     induce_fixture,
     koszul,
     mellin_constant_torus,
-    mutate_scale_entry,
-    mutate_zero_entry,
     renamed_torus_fixture,
     shift_complex,
     shift_fixture,
@@ -27,6 +26,8 @@ from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import membership_at_point
 from jumploci.sampling import random_rational_point
 from jumploci.verdict import perversity_verdict
+
+from fixture_helpers import mutate_scale_entry, mutate_zero_entry
 
 
 def test_koszul_shapes():
@@ -160,6 +161,58 @@ def test_induce_fixture_rejects_positive_dim_components():
     fm = free_module_fixture(1)  # whole-space component, not a point
     with pytest.raises(InputError):
         induce_fixture(fm, [2])
+
+
+# The Euler characteristic each builder once restated by hand, from its factors'.
+CHI_RULES = {
+    "renamed_torus_fixture": lambda chi, m, offset: 0,  # Koszul
+    "free_module_fixture": lambda chi, m, rank=1: rank,
+    "twist_fixture": lambda chi, base, scalars: chi[base.name],
+    "tensor_fixture": lambda chi, a, b: chi[a.name] * chi[b.name],
+    "induce_fixture": lambda chi, base, n: chi[base.name] * math.prod(n),
+    "sum_fixture": lambda chi, a, b: chi[a.name] + chi[b.name],
+    "shift_fixture": lambda chi, base, s: (-1) ** (s % 2) * chi[base.name],
+}
+
+
+def _record_chi_rules(monkeypatch) -> dict:
+    """Wrap every fixture builder so that each fixture it returns records,
+    under its name, the Euler characteristic its rule gives."""
+    chi = {}
+
+    def recording(build, rule):
+        def run(*args, **kwargs):
+            fx = build(*args, **kwargs)
+            chi[fx.name] = rule(chi, *args, **kwargs)
+            return fx
+
+        return run
+
+    for name, rule in CHI_RULES.items():
+        monkeypatch.setattr(fixtures, name, recording(getattr(fixtures, name), rule))
+    return chi
+
+
+def test_fixture_euler_follows_the_rule_of_its_construction(monkeypatch):
+    chi = _record_chi_rules(monkeypatch)
+    m2, free = fixtures.mellin_constant_torus(2), fixtures.free_module_fixture(2, rank=3)
+    mixed = fixtures.sum_fixture(fixtures.mellin_constant_torus(1), fixtures.free_module_fixture(1))
+    built = [*fixtures.standard_fixture_suite(), fixtures.mellin_constant_torus(4)]
+    built += [fixtures.shift_fixture(base, s) for base in (m2, free, mixed) for s in (-2, -1, 1, 2)]
+    built += [
+        fixtures.twist_fixture(free, [Fraction(2), Fraction(1, 3)]),
+        fixtures.sum_fixture(free, fixtures.free_module_fixture(2)),
+        fixtures.sum_fixture(free, fixtures.shift_fixture(free, 1)),
+        fixtures.sum_fixture(m2, fixtures.shift_fixture(m2, -1)),
+        fixtures.sum_fixture(fixtures.shift_fixture(mixed, 1), fixtures.free_module_fixture(1, rank=4)),
+    ]
+    assert {chi[fx.name] for fx in built} == {-3, -1, 0, 1, 3, 4}
+    for fx in built:
+        assert fx.profile.euler == chi[fx.name], fx.name
+    # induced fixtures carry point loci, so chi = 0 there: a free module's
+    # complex shows the cover rule on a nonzero chi
+    for n in ([2, 1], [3, 2], [2, 2]):
+        assert fixtures.induce_complex(free.complex, n).euler_characteristic() == 3 * math.prod(n)
 
 
 def _never(*args):

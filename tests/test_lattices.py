@@ -570,3 +570,36 @@ def test_union_normalization_matches_the_pairwise_loop_on_covers():
             kept = LinearUnion(ctx, comps + comps).components
             assert list(kept) == _pairwise_normalized(comps + comps)
             assert len(kept) == len(comps)
+
+
+def test_union_normalization_one_pass_matches_the_two_pass_loop():
+    # LinearUnion keeps one pass in sort order; the reference loop still drops
+    # kept components that a later one contains and sorts again at the end
+    rng = random.Random(23)
+    dropped = {"duplicate": 0, "nested": 0}
+    ranks = set()
+    for _ in range(120):
+        ctx = rng.choice(MIXED + [RingContext.torus(2)])
+        n = ctx.num_vars
+        comps = [_random_component(ctx, rng) for _ in range(rng.randint(1, 4))]
+        for c in list(comps):
+            # the same coset through another translate
+            if rng.random() < 0.5:
+                comps.append(LinearComponent(ctx, _on_component(c, rng), c.lattice))
+            # a component nested in c, of larger lattice when it is not odd
+            if rng.random() < 0.5:
+                extra = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+                try:
+                    comps.append(LinearComponent(ctx, _on_component(c, rng), [*c.lattice, *extra]))
+                except InputError:
+                    pass
+        rng.shuffle(comps)
+        kept = LinearUnion(ctx, comps).components
+        assert kept == tuple(_pairwise_normalized(comps))
+        ranks.update(c.rank for c in kept)
+        for c in comps:
+            if c not in kept:
+                twin = any(k.same_component(c) for k in kept)
+                dropped["duplicate" if twin else "nested"] += 1
+    assert min(dropped.values()) > 100
+    assert ranks == set(range(6))  # mixed(1, 2) has five variables

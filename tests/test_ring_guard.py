@@ -47,7 +47,6 @@ ENTRY_POINTS = {
     "membership-at-point": lambda: membership_at_point(_complex(A), 0, B.identity_point()),
     "profile-loci": lambda: LociProfile(A, {0: LinearUnion.empty(B)}),
     "profile-source": lambda: LociProfile(A, {}, source=_complex(B)),
-    "profile-union-with": lambda: LociProfile(A, {}).union_with(LociProfile(B, {})),
 }
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
-    abelian_point_profile,
     free_module_fixture,
     induce_fixture,
     mellin_constant_torus,
@@ -28,6 +27,8 @@ from jumploci.profiles import (
 )
 from jumploci.sampling import MAX_SAMPLES
 from jumploci.verdict import check_lower, check_upper, perversity_verdict, spot_check_profile
+
+from fixture_helpers import abelian_point_profile
 
 
 def _torus_point_profile(m, degrees):
