@@ -221,7 +221,7 @@ COMMANDS = {
             _option("--m", int, 1, "torus rank of the base"),
             _option("--m2", int, help="torus rank of the second factor (default 1)"),
             _option("--lam", help="comma-separated twist scalars"),
-            _option("--n", help="comma-separated cover exponents (default 2)"),
+            _option("--n", help="comma-separated cover exponents (default 2 in every variable)"),
             _option("--s", int, help="degree shift (default 1)"),
             _option("--rank", int, help="free module rank (default 1)"),
             _option("--complex-out", help="write the complex document here"),

@@ -8,8 +8,8 @@ and its declared loci in lockstep:
 
   * twist by nonzero rationals    -> loci translate by the inverse point;
   * external tensor               -> loci combine by the Kunneth rule;
-  * induction along a cover t^n   -> each point component fans out into its
-                                     orbit under the n-torsion translates;
+  * induction along a cover t^n   -> each component fans out into its
+                                     n-torsion translates;
   * direct sum                    -> loci unions;
   * shift                         -> loci move degree-for-degree.
 
@@ -409,9 +409,9 @@ def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
 
 def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
     """Induction along the cover raising coordinate i to the n_i-th power.
-    Point components fan out into all n-torsion translates; supporting only
-    point components keeps the translate arithmetic inside the torsion-point
-    class."""
+    The induced complex at rho is the sum of the base complex at rho*zeta
+    over the n-torsion points zeta, so each declared component fans out into
+    its n-torsion translates, whatever its dimension."""
     ctx = base.complex.context
     n = [int(x) for x in exponents]
     size = cover_size(n, ctx.num_vars)
@@ -426,10 +426,6 @@ def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
     for deg, union in base.profile.loci.items():
         comps = []
         for comp in union.components:
-            if comp.rank != ctx.num_vars:
-                raise InputError(
-                    "induced fixtures support point components only"
-                )
             for shifts in cover_basis(n):
                 zeta = TorsionPoint(
                     ctx,
@@ -489,7 +485,7 @@ def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=Non
     if name == "twist":
         return twist_fixture(base, _parse_list(lam, Fraction))
     if name == "induce":
-        return induce_fixture(base, _parse_list("2" if n is None else n, int))
+        return induce_fixture(base, _parse_list(n, int) if n is not None else [2] * m)
     if name == "tensor":
         return tensor_fixture(base, renamed_torus_fixture(1 if m2 is None else m2, m))
     if name == "sum":

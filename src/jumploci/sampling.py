@@ -2,10 +2,11 @@
 
 All sampling is driven by an explicit random.Random instance seeded by the
 caller, so reports built from sampled verdicts are reproducible
-byte-for-byte given the seed.  Samples mix plain rational points (cheap
-exact arithmetic), low-order torsion points (angles with denominator
-dividing 12), and points lying on declared loci, since random points almost
-never hit a proper closed subset.
+byte-for-byte given the seed.  A sample is one stream cut at the requested
+count: points lying on declared loci first, since random points almost
+never hit a proper closed subset, then plain rational points (cheap exact
+arithmetic) and low-order torsion points (angles with denominator dividing
+12).
 
 Every CLI job loads this module, since ``verdict`` binds ``sample_points``
 at its top, so TorsionPoint is imported from ``profiles`` only where a
@@ -14,6 +15,7 @@ point is built.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -78,34 +80,28 @@ def sample_points(
     count: int,
     loci: list[LinearUnion] | None = None,
 ) -> list[TorsionPoint]:
-    """A deterministic sample of at least ``count`` distinct points: points
-    on every declared component first, then random rational and low-order
-    torsion points, with a deterministic integer tail in the unlikely event
-    the random pool repeats too often.  A ring without variables has one
-    point, the identity, so its sample is that point whatever ``count``."""
-    seen: set[TorsionPoint] = set()
-    unique: list[TorsionPoint] = []
+    """The first max(``count``, 1) distinct points of one seeded stream: the
+    identity, the points of each declared component, up to 60 * ``count``
+    random points, and on a ring with variables an integer tail in case the
+    random pool repeats too often.  A ring without variables has one point."""
 
-    def push(p: TorsionPoint):
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-
-    push(context.identity_point())
-    if loci:
-        for union in loci:
+    def stream():
+        yield context.identity_point()
+        for union in loci or ():
             for comp in union.components:
-                for p in component_points(comp, rng):
-                    push(p)
-    attempts = 0
-    while len(unique) < count and attempts < 60 * count:
-        attempts += 1
-        if rng.random() < _TORSION_SHARE:
-            push(random_torsion_point(context, rng))
-        else:
-            push(random_rational_point(context, rng))
-    filler = 2
-    while len(unique) < count and context.num_vars:
-        push(context.rational_point([filler + i for i in range(context.num_vars)]))
-        filler += 1
-    return unique
+                yield from component_points(comp, rng)
+        for _ in range(60 * count):
+            if rng.random() < _TORSION_SHARE:
+                yield random_torsion_point(context, rng)
+            else:
+                yield random_rational_point(context, rng)
+        if context.num_vars:
+            for filler in itertools.count(2):
+                yield context.rational_point([filler + i for i in range(context.num_vars)])
+
+    unique: dict[TorsionPoint, None] = {}
+    for p in stream():
+        unique[p] = None
+        if len(unique) == max(count, 1):
+            break
+    return list(unique)

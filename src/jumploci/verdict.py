@@ -22,9 +22,9 @@ The verdict consumes declared loci rather than attempting to decompose
 computed ideals: linearity of jump loci is a structural fact about the
 geometric situation the inputs are drawn from, not something the checker
 can certify for an arbitrary complex.  When a profile is accompanied by its
-source complex, declared and computed memberships are spot-checked on a
-seeded sample of torsion points and any mismatch rejects the profile with a
-witness point.
+source complex, declared and computed memberships are compared at
+max(samples, 1) seeded torsion points, points on the declared components
+first, and any mismatch rejects the profile with a witness point.
 
 The survival interval and the torus (g = 0) and abelian (m = 0)
 specializations, independent code paths to cross-validate this engine

@@ -491,6 +491,26 @@ def test_fixture_loci_files_fit_the_component_cap(tmp_path):
     assert run_cli("codims", str(loci), timeout=60).returncode == 0
 
 
+def test_perversity_samples_bound_the_points_on_an_induced_cover(tmp_path):
+    # the (8, 8) cover of m = 2 declares 64 distinct translates, more than
+    # either count
+    cx, loci = tmp_path / "c.complex", tmp_path / "c.loci"
+    made = run_cli("fixtures", "induce", "--m", "2", "--n", "8,8", "--complex-out", str(cx), "--loci-out", str(loci),
+                   timeout=60)
+    assert made.returncode == 0, made.stderr
+    for samples in (5, 40):
+        result = run_cli("perversity", str(cx), "--loci", str(loci), "--samples", str(samples), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert f"provenance.spot_check: sampled (seed=0, points={samples})" in result.stdout.splitlines()
+        assert "verdict: perverse" in result.stdout.splitlines()
+
+
+def test_induce_fixture_defaults_to_two_in_every_variable():
+    default = run_cli("fixtures", "induce", "--m", "2", timeout=60)
+    assert default.returncode == 0 and default.stderr == ""
+    assert default.stdout == run_cli("fixtures", "induce", "--m", "2", "--n", "2,2", timeout=60).stdout
+
+
 def test_codimension_of_forty_coordinates_ends_promptly(tmp_path):
     # the one-map complex with d^-1 the column (t_i - 1): a search over
     # variable subsets visits 2^40 of them, and took 22 s at 22 variables
@@ -838,6 +858,7 @@ OVER = str(MAX_FIXTURE_VARS + 1)
         pytest.param(["twist", "--m", OVER, "--lam", ",".join(["2"] * int(OVER))], 3, id="twist-over-cap"),
         pytest.param(["tensor", "--m", "4", "--m2", str(MAX_FIXTURE_VARS - 3)], 3, id="tensor-over-cap"),
         pytest.param(["induce", "--m", "3", "--n", "4,4,4"], 3, id="induce-over-cap"),
+        pytest.param(["induce", "--m", "5"], 3, id="induce-default-over-cap"),  # 32 * 32 basis vectors
         pytest.param(["shift", "--m", "2", "--s", "5000"], 3, id="shift-past-degree-cap"),
         pytest.param(["shift", "--m", "2", "--s=-5000"], 3, id="shift-past-negative-degree-cap"),
         pytest.param(["mellin", "--m", str(MAX_FIXTURE_VARS)], 0, id="mellin-at-cap"),

@@ -24,7 +24,7 @@ from jumploci.fixtures import (
 )
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import membership_at_point
-from jumploci.sampling import random_rational_point
+from jumploci.sampling import random_rational_point, sample_points
 from jumploci.verdict import perversity_verdict
 
 from fixture_helpers import mutate_scale_entry, mutate_zero_entry
@@ -74,9 +74,11 @@ def test_every_fixture_passes_validate_and_assumption():
         assert fx.complex.check_assumption(), fx.name
 
 
-def test_fixture_euler_matches_complex():
+def test_fixture_profile_reads_its_own_complex():
+    # a profile takes chi from its source, so what can break is the wiring;
+    # the chi-rule test below checks the values
     for fx in standard_fixture_suite():
-        assert fx.profile.euler == fx.complex.euler_characteristic(), fx.name
+        assert fx.profile.source is fx.complex, fx.name
 
 
 def test_declared_profiles_match_torsion_grid():
@@ -157,10 +159,32 @@ def test_tensor_fixture_kunneth_profile():
         assert fx.profile.locus(d).contains_point(ident)
 
 
-def test_induce_fixture_rejects_positive_dim_components():
-    fm = free_module_fixture(1)  # whole-space component, not a point
-    with pytest.raises(InputError):
-        induce_fixture(fm, [2])
+def test_induce_fixture_fans_out_components_of_any_dimension():
+    # the induced complex at rho is the sum of the base at rho*zeta over the
+    # n-torsion points zeta, so whole-space and line components translate
+    # as points do
+    m1, second = mellin_constant_torus(1), renamed_torus_fixture(1, 1)
+    free = free_module_fixture(1)
+    covers = [
+        (free, [2]),
+        (free_module_fixture(2, rank=2), [2, 1]),
+        (sum_fixture(m1, free), [3]),
+        (shift_fixture(mellin_constant_torus(2), 1), [2, 1]),
+        (shift_fixture(free, -1), [3]),
+        (tensor_fixture(twist_fixture(m1, [Fraction(2)]), second), [2, 1]),
+        (tensor_fixture(free, twist_fixture(second, [Fraction(-1)])), [1, 2]),
+    ]
+    rng = random.Random(33)
+    for base, n in covers:
+        fx = induce_fixture(base, n)
+        cx, loci = fx.complex, list(fx.profile.loci.values())
+        points = sample_points(cx.context, rng, 12, loci=loci)
+        points += [c.translate for union in loci for c in union.components]
+        for rho in points:
+            for d in range(cx.k_min - 1, cx.k_max + 2):
+                declared = fx.profile.locus(d).contains_point(rho)
+                assert declared == membership_at_point(cx, d, rho)[0], (fx.name, d, rho)
+        assert perversity_verdict(fx.profile, samples=15, seed=1)["verdict"] == fx.expected_verdict, fx.name
 
 
 # The Euler characteristic each builder once restated by hand, from its factors'.
@@ -206,13 +230,12 @@ def test_fixture_euler_follows_the_rule_of_its_construction(monkeypatch):
         fixtures.sum_fixture(m2, fixtures.shift_fixture(m2, -1)),
         fixtures.sum_fixture(fixtures.shift_fixture(mixed, 1), fixtures.free_module_fixture(1, rank=4)),
     ]
-    assert {chi[fx.name] for fx in built} == {-3, -1, 0, 1, 3, 4}
+    # the stock's covers are of Koszul complexes, with chi = 0: covers of a
+    # free module show the cover rule on a nonzero chi
+    built += [fixtures.induce_fixture(free, n) for n in ([2, 1], [3, 2], [2, 2])]
+    assert {chi[fx.name] for fx in built} == {-3, -1, 0, 1, 3, 4, 6, 12, 18}
     for fx in built:
         assert fx.profile.euler == chi[fx.name], fx.name
-    # induced fixtures carry point loci, so chi = 0 there: a free module's
-    # complex shows the cover rule on a nonzero chi
-    for n in ([2, 1], [3, 2], [2, 2]):
-        assert fixtures.induce_complex(free.complex, n).euler_characteristic() == 3 * math.prod(n)
 
 
 def _never(*args):

@@ -331,9 +331,9 @@ def test_fixture_files_load_back(tmp_path, argv, shift):
     # loaders accept; on at most two variables per factor and rank at most
     # two, perversity of the complex against its own loci then reaches the
     # verdict the fixture expects (on induced covers too: the spot check
-    # samples every declared component, and the largest cover drawn here,
-    # n = (4, 4), takes about a third of a second); only shift reads --s,
-    # and every other fixture refuses it
+    # samples the declared components first, and the largest cover drawn
+    # here, n = (4, 4), takes about a third of a second); only shift reads
+    # --s, and every other fixture refuses it
     complex_out, loci_out = tmp_path / "out.complex", tmp_path / "out.loci"
     shifts = [f"--s={shift}"] if argv[1] == "shift" else []
     argv = [*argv, *shifts, f"--complex-out={complex_out}", f"--loci-out={loci_out}", "--json"]

@@ -15,8 +15,10 @@ the constant object on the 5-torus (m = 5; products of 4-minors and
 is written by the ``fixtures`` subcommand, which is itself one of the
 frozen cases.  The 1x1 external tensor is frozen only as the ``fixtures``
 record that writes it: an external tensor of constant objects on the a-
-and b-tori is the constant object on the (a+b)-torus, and ``fixtures
-tensor`` prints the bytes ``fixtures mellin`` prints for it.
+and b-tori is the constant object on the (a+b)-torus, and for a <= 2
+``fixtures tensor`` prints the bytes ``fixtures mellin`` prints for it.
+From a = 3 on, its complex lists the same basis in another order, so only
+its loci file and its reports are the constant object's.
 
 The help and usage-error text is argparse's own: ``--help``, ``perversity
 --help`` and ``perversity`` without an input (exit 2) are frozen with their
@@ -178,10 +180,20 @@ def test_fixture_stdout_matches_written_files(workdir):
         assert (GOLDEN / f"{name}-fixtures-stdout.txt").read_text() == written
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (2, 3), (1, 6)])
 def test_tensor_of_constant_objects_prints_the_constant_object(a, b):
     tensor = run(["fixtures", "tensor", "--m", str(a), "--m2", str(b)])
     assert tensor == run(["fixtures", "mellin", "--m", str(a + b)]) and tensor[0] == 0
+
+
+def test_tensor_3x1_orders_its_basis_apart_but_reports_the_constant_object(workdir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["fixtures", "tensor", "--m", "3", "--m2", "1", "--complex-out", "t.complex", "--loci-out", "t.loci"]
+    assert run(argv)[0] == 0
+    assert (tmp_path / "t.loci").read_bytes() == (workdir / "m4.loci").read_bytes()
+    assert (tmp_path / "t.complex").read_bytes() != (workdir / "m4.complex").read_bytes()
+    exactness = run(["exactness", "t.complex"])
+    assert exactness == run(["exactness", str(workdir / "m4.complex")]) and exactness[0] == 0
 
 
 def test_m4_degree_minus_2_reduces_exactly_216_pairs(workdir, monkeypatch, capsys):

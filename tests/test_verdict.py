@@ -25,7 +25,7 @@ from jumploci.profiles import (
     survival_interval,
     torus_specialization_verdict,
 )
-from jumploci.sampling import MAX_SAMPLES
+from jumploci.sampling import MAX_SAMPLES, sample_points
 from jumploci.verdict import check_lower, check_upper, perversity_verdict, spot_check_profile
 
 from fixture_helpers import abelian_point_profile
@@ -324,6 +324,20 @@ def test_ring_without_variables_samples_its_one_point():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[TorsionPoint()]\nperverse sampled (seed=0, points=1)\n"
+
+
+def test_sample_is_cut_at_the_count_when_declared_points_outnumber_it():
+    # the (4, 4) cover of m = 2 declares 16 distinct translates; the sample
+    # is one seeded stream, so a smaller count keeps a prefix of a larger one
+    fx = induce_fixture(mellin_constant_torus(2), [4, 4])
+    ctx, loci = fx.complex.context, list(fx.profile.loci.values())
+    declared = {c.translate for union in loci for c in union.components}
+    assert len(declared) == 16
+    longest = sample_points(ctx, random.Random(3), 12, loci=loci)
+    for k in (1, 5, 12):
+        pts = sample_points(ctx, random.Random(3), k, loci=loci)
+        assert len(pts) == len(set(pts)) == k
+        assert pts == longest[:k] and set(pts) <= declared
 
 
 @pytest.mark.parametrize("samples, error", [(-1, InputError), (MAX_SAMPLES + 1, ResourceError)])
