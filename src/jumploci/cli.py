@@ -39,7 +39,7 @@ from types import SimpleNamespace
 
 from . import serialize
 from .errors import InputError, ResourceError
-from .verdict import perversity_verdict
+from .serialize import perversity_verdict
 
 EXIT_PASS = 0
 EXIT_FAILED = 1

@@ -30,7 +30,6 @@ from fractions import Fraction
 from math import log10
 from typing import Iterable, Mapping, Sequence
 
-from .cyclotomic import Cyclotomic
 from .errors import InputError, ResourceError
 
 Exponent = tuple[int, ...]
@@ -256,6 +255,9 @@ class LaurentPoly:
         radial parts are nonzero.  Each term c*t^k adds c * prod q_i^k_i to
         the coefficient of zeta_L^(sum k_i*a_i mod L), read off the point's
         character table (see TorsionPoint.character_table)."""
+        # imported here: a job that evaluates nothing never loads cyclotomic
+        from .cyclotomic import Cyclotomic
+
         self.context.require(point)
         L, steps, radials = point.character_table()
         powers = [0] * L

@@ -22,9 +22,11 @@ size cap the check raises ResourceError instead of returning a verdict.
 The links of the chain are listed once, by chain_links, for these computed
 loci and for declared ones (verdict.profile_propagation).
 
-Every subcommand imports this module, so at import it loads only what the
-pointwise route needs (``cyclotomic``); the two checks that decide
-containment import the Groebner engine when they run.
+The verdict engine, the declared-loci route (``profiles``) and library
+callers import this module; no subcommand of the ideal route does.  At
+import it loads only what the pointwise route needs (``cyclotomic``); the
+two checks that decide containment import the Groebner engine when they
+run.
 """
 
 from __future__ import annotations
@@ -58,12 +60,6 @@ def membership_at_point(
         return False, 0
     dim = r - _rank_at_point(complex_, degree, point) - _rank_at_point(complex_, degree - 1, point)
     return dim > 0, dim
-
-
-def is_whole_space(ideal: LaurentIdeal) -> bool:
-    """The locus is the whole torus iff every generator is the zero
-    polynomial: a nonzero Laurent polynomial cannot vanish identically."""
-    return all(g.is_zero() for g in ideal.generators)
 
 
 def chain_links(lo: int, hi: int) -> list[tuple[int, int, int]]:

@@ -44,7 +44,7 @@ from . import loci
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER
 from .errors import InputError, ResourceError, check_cap
 from .laurent import RingContext, format_rational
-from .serialize import LOCI_FORMAT, MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS, check_degree
+from .serialize import LOCI_FORMAT, MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS, check_degree, render_json
 
 
 class TorsionPoint:
@@ -251,7 +251,7 @@ def dump_loci(profile: LociProfile) -> str:
     }
     if profile.euler is not None:
         doc["euler"] = profile.euler
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return render_json(doc)
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -8,9 +8,9 @@ never hit a proper closed subset, then plain rational points (cheap exact
 arithmetic) and low-order torsion points (angles with denominator dividing
 12).
 
-Every CLI job loads this module, since ``verdict`` binds ``sample_points``
-at its top, so TorsionPoint is imported from ``profiles`` only where a
-point is built.
+Only a job that runs a verdict loads this module (``verdict`` binds
+``sample_points`` at its top), and TorsionPoint is imported from
+``profiles`` only where a point is built.
 """
 
 from __future__ import annotations

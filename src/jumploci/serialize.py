@@ -21,16 +21,17 @@ identity d.d = 0 are all checked, reported with line numbers where possible.
 
 Reports are plain dicts rendered to deterministic text or JSON: keys are
 sorted, generators are listed in sorted canonical string form, and sampled
-verdicts always carry their seed.  The ``perversity`` document is the one
-``verdict.perversity_verdict`` returns and the ``exactness`` document the
-one ``FreeComplex.exactness`` returns.
+verdicts always carry their seed.  ``perversity_verdict`` builds the
+``perversity`` document here, next to ``jump_ideal_report``, and
+``verdict`` re-exports it; the ``exactness`` document is the one
+``FreeComplex.exactness`` returns.
 
 The loci and points readers and writer and the ``codims`` and ``sample``
 documents live in ``profiles``, which only loci and point jobs load; their
 names (``_PROFILE_NAMES``) are resolved here on first read.  Every subcommand
-imports this module, so it loads at its top only the ring, the errors and
-the pointwise ``loci`` module; the complex loader imports ``complexes`` when
-it runs.
+imports this module, so it loads at its top only the ring and the errors:
+the complex loader imports ``complexes``, and ``perversity_verdict`` the
+verdict engine and ``sampling``, when they run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-from . import loci
 from .errors import InputError, ResourceError
 from .laurent import RingContext, format_poly
 
@@ -108,7 +108,7 @@ def _parse_ring_line(line: str) -> RingContext:
             raise InputError(f"{'repeated' if key in fields else 'unknown'} ring field {key!r}")
         fields[key] = value
     try:
-        names = fields["vars"].split(",")
+        names = fields["vars"].split(",") if fields["vars"] else []
         torus = int(fields["torus"])
         abelian = int(fields["abelian"])
     except (KeyError, ValueError) as exc:
@@ -208,6 +208,12 @@ def load_complex(text: str) -> FreeComplex:
 # -- report documents -------------------------------------------------------------
 
 
+def is_whole_space(ideal: LaurentIdeal) -> bool:
+    """The locus is the whole torus iff every generator is the zero
+    polynomial: a nonzero Laurent polynomial cannot vanish identically."""
+    return all(g.is_zero() for g in ideal.generators)
+
+
 def ideal_entry(degree: int, ideal: LaurentIdeal) -> dict:
     basis = ideal.groebner_basis()
     return {
@@ -216,7 +222,7 @@ def ideal_entry(degree: int, ideal: LaurentIdeal) -> dict:
         "saturated_basis": sorted(str(g) for g in basis),
         "codimension": str(ideal.codimension()),
         "empty": bool(ideal.is_unit_ideal()),
-        "whole_space": loci.is_whole_space(ideal),
+        "whole_space": is_whole_space(ideal),
         "provenance": "exact",
     }
 
@@ -225,6 +231,62 @@ def jump_ideal_report(cx: FreeComplex, degrees: Sequence[int]) -> dict:
     return {
         "report": "jump-ideals",
         "degrees": [ideal_entry(d, cx.jumping_ideal(d)) for d in degrees],
+    }
+
+
+def perversity_verdict(
+    profile: LociProfile,
+    samples: int = 40,
+    seed: int = 0,
+) -> dict:
+    """Aggregate the two half conditions plus the auxiliary consequences
+    into the report document ``perversity`` prints; ``samples`` is refused
+    by ``check_sample_count`` before anything is computed."""
+    # imported here: a job that asks for no verdict never loads the engine
+    from . import verdict
+    from .sampling import check_sample_count
+
+    check_sample_count(samples)
+    provenance = {"conditions": "exact", "propagation": "exact", "support": "exact"}
+    if profile.source is not None:
+        provenance.update(verdict.spot_check_profile(profile, samples=samples, seed=seed))
+
+    upper = verdict.check_upper(profile)
+    lower = verdict.check_lower(profile)
+    upper_ok = all(r["ok"] for r in upper)
+    lower_ok = all(r["ok"] for r in lower)
+    if upper_ok and lower_ok:
+        outcome = "perverse"
+    elif upper_ok:
+        outcome = "upper-only"
+    elif lower_ok:
+        outcome = "lower-only"
+    else:
+        outcome = "neither"
+
+    if profile.euler is None:
+        euler = {"status": "skipped (euler unknown)", "detail": "no Euler characteristic on the profile"}
+    else:
+        chi = profile.euler
+        whole = profile.locus(0).is_whole_space()
+        holds = chi >= 0 and (chi == 0) == (not whole)
+        euler = {
+            "status": "pass" if holds else "fail",
+            "detail": f"chi={chi}, degree-0 locus {'is' if whole else 'is not'} the whole space",
+        }
+
+    return {
+        "report": "perversity",
+        "verdict": outcome,
+        "upper": upper,
+        "lower": lower,
+        "violations": [r for r in upper + lower if not r["ok"]],
+        "propagation": verdict.profile_propagation(profile),
+        "support_interval": verdict.support_interval_check(profile),
+        "euler": euler,
+        "provenance": dict(sorted(provenance.items())),
+        "samples": samples,
+        "seed": seed,
     }
 
 

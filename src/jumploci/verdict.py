@@ -14,9 +14,11 @@ the propagation chain of the loci, the support interval
 degree-zero locus is a proper subset).
 
 ``perversity_verdict`` returns the report as the plain document that the
-``perversity`` subcommand prints, and nothing else defines its schema.  A
-condition row is ``{degree, condition, required, actual, ok}``, with the
-codimension ``actual`` as text (``inf`` for an empty locus).
+``perversity`` subcommand prints.  It is defined in ``serialize``, beside the
+other report documents, and re-exported here, so that the command line binds
+it without loading this engine; it calls the checks below through this
+module.  A condition row is ``{degree, condition, required, actual, ok}``,
+with the codimension ``actual`` as text (``inf`` for an empty locus).
 
 The verdict consumes declared loci rather than attempting to decompose
 computed ideals: linearity of jump loci is a structural fact about the
@@ -37,7 +39,9 @@ import random
 
 from .errors import InputError
 from .loci import chain_links, membership_at_point
-from .sampling import check_sample_count, sample_points
+from .sampling import sample_points
+# the report document, whose name this module keeps public
+from .serialize import perversity_verdict
 
 
 def _condition_rows(profile: LociProfile, degrees: range, condition: str, field: str) -> list[dict]:
@@ -111,55 +115,3 @@ def spot_check_profile(
                     f"computed={computed} (dim H = {dim})"
                 )
     return {"spot_check": f"sampled (seed={seed}, points={len(pts)})"}
-
-
-def perversity_verdict(
-    profile: LociProfile,
-    samples: int = 40,
-    seed: int = 0,
-) -> dict:
-    """Aggregate the two half conditions plus the auxiliary consequences
-    into the report document ``perversity`` prints; ``samples`` is refused
-    by ``check_sample_count`` before anything is computed."""
-    check_sample_count(samples)
-    provenance = {"conditions": "exact", "propagation": "exact", "support": "exact"}
-    if profile.source is not None:
-        provenance.update(spot_check_profile(profile, samples=samples, seed=seed))
-
-    upper = check_upper(profile)
-    lower = check_lower(profile)
-    upper_ok = all(r["ok"] for r in upper)
-    lower_ok = all(r["ok"] for r in lower)
-    if upper_ok and lower_ok:
-        verdict = "perverse"
-    elif upper_ok:
-        verdict = "upper-only"
-    elif lower_ok:
-        verdict = "lower-only"
-    else:
-        verdict = "neither"
-
-    if profile.euler is None:
-        euler = {"status": "skipped (euler unknown)", "detail": "no Euler characteristic on the profile"}
-    else:
-        chi = profile.euler
-        whole = profile.locus(0).is_whole_space()
-        holds = chi >= 0 and (chi == 0) == (not whole)
-        euler = {
-            "status": "pass" if holds else "fail",
-            "detail": f"chi={chi}, degree-0 locus {'is' if whole else 'is not'} the whole space",
-        }
-
-    return {
-        "report": "perversity",
-        "verdict": verdict,
-        "upper": upper,
-        "lower": lower,
-        "violations": [r for r in upper + lower if not r["ok"]],
-        "propagation": profile_propagation(profile),
-        "support_interval": support_interval_check(profile),
-        "euler": euler,
-        "provenance": dict(sorted(provenance.items())),
-        "samples": samples,
-        "seed": seed,
-    }

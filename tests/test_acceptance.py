@@ -39,7 +39,6 @@ from jumploci.lattices import (
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import (
     depth_bounds,
-    is_whole_space,
     membership_at_point,
     propagation_check,
     radical_equality_pairs,
@@ -51,6 +50,7 @@ from jumploci.profiles import (
     torus_specialization_verdict,
 )
 from jumploci.sampling import sample_points
+from jumploci.serialize import is_whole_space
 from jumploci.verdict import perversity_verdict
 
 

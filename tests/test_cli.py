@@ -180,6 +180,9 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         pytest.param(["validate", "{input}"],
                      "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\n2t1 - 1\n",
                      id="juxtaposed-factors"),
+        # an empty vars list is a ring without variables, which torus=1 contradicts
+        pytest.param(["validate", "{input}"], "ring vars= torus=1 abelian=0\ndegrees 0..0\nranks 1\n",
+                     id="empty-vars-with-a-torus-variable"),
         pytest.param(["validate", "{input}"],
                      "ring vars=t1,t2 torus=2 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1 t2\n",
                      id="juxtaposed-variables"),
@@ -705,6 +708,34 @@ def test_reports_byte_identical_across_runs(m2_files):
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+# a ring without variables, as dump_complex and dump_loci write it
+NO_VARIABLES_COMPLEX = "ring vars= torus=0 abelian=0\ndegrees -1..0\nranks 1,2\ndifferential -1\n1\n0\n"
+NO_VARIABLES_LOCI = (
+    '{"euler": 1, "loci": {"0": [{"lattice": [], "translate": []}]}, "ring": {"abelian": 0, "torus": 0, "vars": []}}'
+)
+
+
+def test_every_subcommand_reads_a_ring_without_variables(tmp_path, monkeypatch, capsys):
+    # the complex reader once took "vars=" for one empty variable name and
+    # exited 2 on the files the writers produce for such a ring
+    from jumploci import cli
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z.complex").write_text(NO_VARIABLES_COMPLEX)
+    (tmp_path / "z.loci").write_text(NO_VARIABLES_LOCI)
+    (tmp_path / "points.json").write_text("[[]]")
+    for argv in (
+        ["validate", "z.complex"],
+        ["jump-ideals", "z.complex"],
+        ["exactness", "z.complex"],
+        ["sample", "z.complex", "--points", "points.json"],
+        ["perversity", "z.complex", "--loci", "z.loci"],
+        ["codims", "z.loci"],
+    ):
+        code = cli.main(argv)
+        assert (code, capsys.readouterr().err) == (0, ""), argv
 
 
 def test_library_verdict_is_the_document_perversity_prints(tmp_path, capsys):

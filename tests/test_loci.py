@@ -18,12 +18,12 @@ from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import (
     depth_bounds,
-    is_whole_space,
     membership_at_point,
     propagation_check,
     radical_equality_pairs,
 )
 from jumploci.sampling import sample_points
+from jumploci.serialize import is_whole_space
 
 
 def _koszul(m):

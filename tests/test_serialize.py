@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jumploci import serialize
+from jumploci.complexes import FreeComplex, Matrix
 from jumploci.errors import InputError
 from jumploci.fixtures import (
     induce_fixture,
@@ -11,6 +12,7 @@ from jumploci.fixtures import (
     sum_fixture,
     twist_fixture,
 )
+from jumploci.laurent import RingContext
 from jumploci.verdict import perversity_verdict
 
 
@@ -27,6 +29,19 @@ def test_complex_round_trip():
         for i in range(loaded.k_min, loaded.k_max):
             assert loaded.differential(i) == fx.complex.differential(i)
         assert serialize.dump_complex(loaded) == text
+
+
+def test_complex_without_variables_round_trips():
+    # dump_complex writes "vars=" for a ring without variables; it was once
+    # read back as one empty variable name and refused
+    ctx = RingContext([], 0, 0)
+    cx = FreeComplex(ctx, -1, 0, [1, 1], {-1: Matrix(ctx, 1, 1, [[ctx.const(Fraction(3, 2))]])})
+    text = serialize.dump_complex(cx)
+    assert text.startswith("ring vars= torus=0 abelian=0\n")
+    loaded = serialize.load_complex(text)
+    assert loaded.context == ctx and loaded.ranks == cx.ranks
+    assert loaded.differential(-1) == cx.differential(-1)
+    assert serialize.dump_complex(loaded) == text
 
 
 def test_complex_load_errors():
