@@ -2,11 +2,12 @@
 
 InputError covers malformed user input (files, mismatched rings, invalid
 lattices); ResourceError covers aborted computations that hit a configured
-budget (S-pair limit, minor-size cap, cyclotomic-order cap, induction-cover
-cap, degree, sample-count, exponent, module-rank, loci-component and
-lattice-entry caps).  The CLI maps them to exit codes 2 and 3 respectively,
-and any other exception, a bug, to exit code 4.  ``check_cap`` raises the
-caps whose message is just the value and its cap.
+budget (the S-pair limit and the minor-size, cyclotomic-order,
+induction-cover, fixture-ring, induced-fixture, degree, sample-count,
+exponent, module-rank, loci-component and lattice-entry caps).  The CLI
+maps them to exit codes 2 and 3 respectively, and any other exception, a
+bug, to exit code 4.  ``check_cap`` raises the caps whose message is just
+the value and its cap.
 """
 
 

@@ -341,10 +341,20 @@ def cover_basis(exponents: Sequence[int]) -> list[tuple[int, ...]]:
     return list(product(*(range(n) for n in exponents)))
 
 
-def mellin_constant_torus(m: int) -> Fixture:
+def mellin_constant_torus(m: int, offset: int = 0) -> Fixture:
     """The constant-object fixture on an m-torus: Koszul complex on the
-    t_i - 1 with loci {identity} in degrees [-m, 0] and empty elsewhere."""
-    return renamed_torus_fixture(m, 0)
+    t_i - 1 with loci {identity} in degrees [-m, 0] and empty elsewhere; its
+    variables are t{offset+1}, ..., so an external tensor can take it second."""
+    _check_vars(m)
+    ctx = RingContext([f"t{offset + i + 1}" for i in range(m)], m, 0)
+    cx = koszul([ctx.variable(i) - 1 for i in range(m)])
+    ident = LinearUnion.single_point(ctx.identity_point())
+    profile = LociProfile(ctx, {i: ident for i in range(-m, 1)}, source=cx)
+    name = f"mellin-torus-m{m}" + (f"@{offset}" if offset else "")
+    return Fixture(name, cx, profile, "perverse")
+
+
+renamed_torus_fixture = mellin_constant_torus
 
 
 def free_module_fixture(m: int, rank: int = 1) -> Fixture:
@@ -359,23 +369,25 @@ def free_module_fixture(m: int, rank: int = 1) -> Fixture:
     return Fixture(f"free-module-m{m}-r{rank}", cx, profile, "perverse")
 
 
+def _translated(profile: LociProfile, points: Sequence[TorsionPoint]) -> dict[int, LinearUnion]:
+    """Each degree's locus with every component moved by each of ``points``."""
+    ctx = profile.context
+    return {
+        deg: LinearUnion(
+            ctx,
+            [LinearComponent(ctx, c.translate * p, c.lattice) for c in union.components for p in points],
+        )
+        for deg, union in profile.loci.items()
+    }
+
+
 def twist_fixture(base: Fixture, scalars: Sequence) -> Fixture:
     """Twist the complex by t_i -> lam_i t_i; loci translate by the inverse
     rational point."""
     ctx = base.complex.context
     lams = [Fraction(v) for v in scalars]
     cx = twist_complex(base.complex, lams)
-    inv = ctx.rational_point([1 / v for v in lams])
-    loci = {
-        deg: LinearUnion(
-            ctx,
-            [
-                LinearComponent(ctx, inv * c.translate, [list(r) for r in c.lattice])
-                for c in union.components
-            ],
-        )
-        for deg, union in base.profile.loci.items()
-    }
+    loci = _translated(base.profile, [ctx.rational_point([1 / v for v in lams])])
     profile = LociProfile(ctx, loci, source=cx)
     label = f"{base.name}-twist({','.join(str(v) for v in lams)})"
     return Fixture(label, cx, profile, base.expected_verdict)
@@ -385,24 +397,18 @@ def tensor_fixture(a: Fixture, b: Fixture) -> Fixture:
     """External tensor; loci combine degreewise by the Kunneth rule."""
     _check_vars(a.complex.context.num_vars + b.complex.context.num_vars)
     cx = external_tensor(a.complex, b.complex)
-    ctx = cx.context
-    _, map_a, map_b = tensor_ring(a.complex.context, b.complex.context)
-    loci: dict[int, LinearUnion] = {}
+    ctx, map_a, map_b = tensor_ring(a.complex.context, b.complex.context)
+    comps: dict[int, list[LinearComponent]] = {}
     for da, ua in a.profile.loci.items():
         for db, ub in b.profile.loci.items():
-            combos = []
             for comp_a in ua.components:
                 for comp_b in ub.components:
                     translate = embed_point(comp_a.translate, ctx, map_a)
                     translate *= embed_point(comp_b.translate, ctx, map_b)
                     rows = [embed_vector(r, map_a, ctx.num_vars) for r in comp_a.lattice]
                     rows += [embed_vector(r, map_b, ctx.num_vars) for r in comp_b.lattice]
-                    combos.append(LinearComponent(ctx, translate, rows))
-            if combos:
-                deg = da + db
-                existing = loci.get(deg, LinearUnion.empty(ctx))
-                loci[deg] = existing.union_with(LinearUnion(ctx, combos))
-    profile = LociProfile(ctx, loci, source=cx)
+                    comps.setdefault(da + db, []).append(LinearComponent(ctx, translate, rows))
+    profile = LociProfile(ctx, {deg: LinearUnion(ctx, cs) for deg, cs in comps.items()}, source=cx)
     expected = "perverse" if (a.expected_verdict, b.expected_verdict) == ("perverse", "perverse") else "neither"
     return Fixture(f"({a.name})x({b.name})", cx, profile, expected)
 
@@ -422,20 +428,8 @@ def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
             f"above the cap of {2**MAX_FIXTURE_VARS}"
         )
     cx = induce_complex(base.complex, n)
-    loci = {}
-    for deg, union in base.profile.loci.items():
-        comps = []
-        for comp in union.components:
-            for shifts in cover_basis(n):
-                zeta = TorsionPoint(
-                    ctx,
-                    [(Fraction(1), Fraction(k, x)) for k, x in zip(shifts, n)],
-                )
-                comps.append(
-                    LinearComponent(ctx, comp.translate * zeta, [list(r) for r in comp.lattice])
-                )
-        loci[deg] = LinearUnion(ctx, comps)
-    profile = LociProfile(ctx, loci, source=cx)
+    zetas = [TorsionPoint(ctx, [(1, Fraction(k, x)) for k, x in zip(e, n)]) for e in cover_basis(n)]
+    profile = LociProfile(ctx, _translated(base.profile, zetas), source=cx)
     label = f"{base.name}-induce({','.join(map(str, n))})"
     return Fixture(label, cx, profile, base.expected_verdict)
 
@@ -443,7 +437,9 @@ def induce_fixture(base: Fixture, exponents: Sequence[int]) -> Fixture:
 def sum_fixture(a: Fixture, b: Fixture) -> Fixture:
     cx = direct_sum(a.complex, b.complex)
     degs = set(a.profile.loci) | set(b.profile.loci)
-    loci = {d: a.profile.locus(d).union_with(b.profile.locus(d)) for d in degs}
+    loci = {
+        d: LinearUnion(cx.context, a.profile.locus(d).components + b.profile.locus(d).components) for d in degs
+    }
     profile = LociProfile(cx.context, loci, source=cx)
     expected = "perverse" if (a.expected_verdict, b.expected_verdict) == ("perverse", "perverse") else "neither"
     return Fixture(f"({a.name})+({b.name})", cx, profile, expected)
@@ -487,26 +483,13 @@ def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=Non
     if name == "induce":
         return induce_fixture(base, _parse_list(n, int) if n is not None else [2] * m)
     if name == "tensor":
-        return tensor_fixture(base, renamed_torus_fixture(1 if m2 is None else m2, m))
+        return tensor_fixture(base, mellin_constant_torus(1 if m2 is None else m2, m))
     if name == "sum":
         lams = _parse_list(lam, Fraction) if lam is not None else [Fraction(2)] * m
         return sum_fixture(base, twist_fixture(base, lams))
     if name == "shift":
         return shift_fixture(base, 1 if s is None else s)
     raise InputError(f"unknown fixture {name!r}")
-
-
-def renamed_torus_fixture(m: int, offset: int) -> Fixture:
-    """The constant-object fixture on an m-torus with variables named
-    t{offset+1}, ..., so it can appear as the second factor of an external
-    tensor; offset 0 gives mellin_constant_torus(m)."""
-    _check_vars(m)
-    ctx = RingContext([f"t{offset + i + 1}" for i in range(m)], m, 0)
-    cx = koszul([ctx.variable(i) - 1 for i in range(m)])
-    ident = LinearUnion.single_point(ctx.identity_point())
-    profile = LociProfile(ctx, {i: ident for i in range(-m, 1)}, source=cx)
-    name = f"mellin-torus-m{m}" + (f"@{offset}" if offset else "")
-    return Fixture(name, cx, profile, "perverse")
 
 
 def standard_fixture_suite() -> list[Fixture]:
@@ -516,8 +499,8 @@ def standard_fixture_suite() -> list[Fixture]:
     m1 = mellin_constant_torus(1)
     m2 = mellin_constant_torus(2)
     m3 = mellin_constant_torus(3)
-    second1 = renamed_torus_fixture(1, 1)
-    second2 = renamed_torus_fixture(2, 1)
+    second1 = mellin_constant_torus(1, 1)
+    second2 = mellin_constant_torus(2, 1)
     fixtures = [m1, m2, m3]
     for lam in (Fraction(2), Fraction(-1), Fraction(1, 3)):
         fixtures.append(twist_fixture(m1, [lam]))

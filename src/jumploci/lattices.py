@@ -345,10 +345,6 @@ class LinearUnion:
         dim_sa = max((m + g) - c.codims()[2] for c in self.components)
         return CodimStats(codim_a, codim_sa, dim_a, dim_sa)
 
-    def union_with(self, other: "LinearUnion") -> "LinearUnion":
-        self.context.require(other)
-        return LinearUnion(self.context, list(self.components) + list(other.components))
-
     def __repr__(self) -> str:
         return f"LinearUnion({len(self.components)} components)"
 

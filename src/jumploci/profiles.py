@@ -27,10 +27,11 @@ of such translates.  The ``codims`` and ``sample`` documents are built here.
 
 Only the jobs that read, write or build loci and points load this module:
 ``serialize`` and ``laurent`` resolve the names that moved here on first
-read, and ``RingContext`` and ``sampling`` import TorsionPoint where they
-build one.  So the ideal route (``validate``, ``jump-ideals``,
-``exactness``, the library certifications) never compiles it.  Traced
-functions are called through their module (``loci.membership_at_point``).
+read, ``RingContext`` imports TorsionPoint where it builds one, and
+``sampling``, which only verdict jobs load, imports it at its top.  So the
+ideal route (``validate``, ``jump-ideals``, ``exactness``, the library
+certifications) never compiles it.  Traced functions are called through
+their module (``loci.membership_at_point``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,18 @@ from . import loci
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER
 from .errors import InputError, ResourceError, check_cap
 from .laurent import RingContext, format_rational
-from .serialize import LOCI_FORMAT, MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS, check_degree, render_json
+from .serialize import check_degree, render_json
+
+LOCI_FORMAT = "jumploci-loci"
+# Largest number of components in one loci file, checked before any is
+# built: unions are normalized in one pairwise pass, and `codims` on point
+# components took 0.44 s at 256, 1.7 s at 512 and 4.6 s at 1024.  Fixtures
+# write 192.
+MAX_LOCI_COMPONENTS = 256
+# Largest |entry| of a component's Hermite lattice and kernel basis, the
+# exponents of its characters and sampled points: `perversity` with
+# polynomial exponents at MAX_EXPONENT took 2.8 s at 100 and 70 s at 1000.
+MAX_LATTICE_ENTRY = 100
 
 
 class TorsionPoint:

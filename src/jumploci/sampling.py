@@ -9,8 +9,8 @@ arithmetic) and low-order torsion points (angles with denominator dividing
 12).
 
 Only a job that runs a verdict loads this module (``verdict`` binds
-``sample_points`` at its top), and TorsionPoint is imported from
-``profiles`` only where a point is built.
+``sample_points`` at its top), after ``profiles`` and ``lattices``, whose
+TorsionPoint and subtorus_point it imports at its top.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import random
 from fractions import Fraction
 
 from .errors import InputError, check_cap
+from .lattices import subtorus_point
+from .profiles import TorsionPoint
 
 _ANGLES = [
     Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -52,9 +54,6 @@ def random_rational_point(context: RingContext, rng: random.Random) -> TorsionPo
 
 
 def random_torsion_point(context: RingContext, rng: random.Random) -> TorsionPoint:
-    # imported here: every job imports this module, few of them sample
-    from .profiles import TorsionPoint
-
     coords = [
         (_random_radial(rng), rng.choice(_ANGLES)) for _ in range(context.num_vars)
     ]
@@ -64,9 +63,6 @@ def random_torsion_point(context: RingContext, rng: random.Random) -> TorsionPoi
 def component_points(component: LinearComponent, rng: random.Random) -> list[TorsionPoint]:
     """Points guaranteed to lie on the component: the translate itself plus
     two random rational points of the subtorus through it."""
-    # imported here: only a sample drawn on declared loci needs the lattices
-    from .lattices import subtorus_point
-
     free_rank = component.context.num_vars - component.rank
     return [component.translate] + [
         subtorus_point(component, [abs(_random_radial(rng)) for _ in range(free_rank)])

@@ -26,12 +26,12 @@ verdicts always carry their seed.  ``perversity_verdict`` builds the
 ``verdict`` re-exports it; the ``exactness`` document is the one
 ``FreeComplex.exactness`` returns.
 
-The loci and points readers and writer and the ``codims`` and ``sample``
-documents live in ``profiles``, which only loci and point jobs load; their
-names (``_PROFILE_NAMES``) are resolved here on first read.  Every subcommand
-imports this module, so it loads at its top only the ring and the errors:
-the complex loader imports ``complexes``, and ``perversity_verdict`` the
-verdict engine and ``sampling``, when they run.
+The loci format (its name, caps, reader and writer), the points reader and
+the ``codims`` and ``sample`` documents live in ``profiles``, which only loci
+and point jobs load; ``_PROFILE_NAMES`` are resolved here on first read.
+Every subcommand imports this module, so it loads at its top only the ring
+and the errors: the complex loader imports ``complexes``, and
+``perversity_verdict`` the verdict engine and ``sampling``, when they run.
 """
 
 from __future__ import annotations
@@ -42,20 +42,10 @@ from typing import Sequence
 from .errors import InputError, ResourceError
 from .laurent import RingContext, format_poly
 
-LOCI_FORMAT = "jumploci-loci"
 # Largest |degree| read from a file or the command line: the verdict's
 # conditions, jump-ideals and sample hold a row per degree up to the
 # farthest one, so their cost grows with the degree.
 MAX_DEGREE = 1000
-# Largest number of components in one loci file, checked before any is
-# built: unions are normalized in one pairwise pass, and `codims` on point
-# components took 0.44 s at 256, 1.7 s at 512 and 4.6 s at 1024.  Fixtures
-# write 192.
-MAX_LOCI_COMPONENTS = 256
-# Largest |entry| of a component's Hermite lattice and kernel basis, the
-# exponents of its characters and sampled points: `perversity` with
-# polynomial exponents at MAX_EXPONENT took 2.8 s at 100 and 70 s at 1000.
-MAX_LATTICE_ENTRY = 100
 
 
 _PROFILE_NAMES = ("codims_report", "dump_loci", "load_loci", "parse_points_file", "sample_report")

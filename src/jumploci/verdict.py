@@ -87,11 +87,7 @@ def support_interval_check(profile: LociProfile) -> dict:
     return {"ok": not offenders, "offenders": offenders}
 
 
-def spot_check_profile(
-    profile: LociProfile,
-    samples: int = 40,
-    seed: int = 0,
-) -> dict[str, str]:
+def spot_check_profile(profile: LociProfile, samples: int, seed: int) -> dict[str, str]:
     """Compare declared membership with computed membership at sampled
     points; raises InputError with a witness on the first disagreement.
     Only degrees where the complex has a module or a locus is declared are

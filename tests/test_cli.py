@@ -9,8 +9,9 @@ from jumploci.complexes import MAX_RANK
 from jumploci.cyclotomic import MAX_CYCLOTOMIC_ORDER
 from jumploci.fixtures import MAX_COVER_SIZE, MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
 from jumploci.laurent import MAX_EXPONENT
+from jumploci.profiles import MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
 from jumploci.sampling import MAX_SAMPLES
-from jumploci.serialize import MAX_DEGREE, MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
+from jumploci.serialize import MAX_DEGREE
 
 
 def run_cli(*args, **kwargs):
@@ -608,6 +609,24 @@ def test_perversity_complex_requires_loci(m2_files):
     cx, _ = m2_files
     result = run_cli("perversity", str(cx))
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(["{m2}"], "a complex input needs --loci with its declared linear loci", id="complex-without-loci"),
+        pytest.param(["{m2_loci}", "--loci", "{m2_loci}"], "--loci is only meaningful with a complex input",
+                     id="loci-with-loci"),
+        pytest.param(["{m2}", "--loci", "{m1_loci}"], "loci and complex use different rings", id="different-rings"),
+    ],
+)
+def test_perversity_refuses_inputs_it_cannot_check(m2_files, tmp_path, args, message):
+    cx, loci = m2_files
+    m1_loci = tmp_path / "m1.loci"
+    m1_loci.write_text(serialize.dump_loci(mellin_constant_torus(1).profile))
+    paths = {"m2": cx, "m2_loci": loci, "m1_loci": m1_loci}
+    result = run_cli("perversity", *(a.format(**paths) for a in args))
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"input error: {message}\n")
 
 
 def test_perversity_rejects_mismatched_declaration(m2_files, tmp_path):

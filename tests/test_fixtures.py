@@ -189,7 +189,7 @@ def test_induce_fixture_fans_out_components_of_any_dimension():
 
 # The Euler characteristic each builder once restated by hand, from its factors'.
 CHI_RULES = {
-    "renamed_torus_fixture": lambda chi, m, offset: 0,  # Koszul
+    "mellin_constant_torus": lambda chi, m, offset=0: 0,  # Koszul
     "free_module_fixture": lambda chi, m, rank=1: rank,
     "twist_fixture": lambda chi, base, scalars: chi[base.name],
     "tensor_fixture": lambda chi, a, b: chi[a.name] * chi[b.name],

@@ -43,7 +43,6 @@ ENTRY_POINTS = {
     "contains-point": lambda: _whole(A).contains_point(B.identity_point()),
     "contains": lambda: _whole(A).contains(_whole(B)),
     "linear-union": lambda: LinearUnion(A, [_whole(A), _whole(B)]),
-    "union-with": lambda: LinearUnion.empty(A).union_with(LinearUnion.empty(B)),
     "membership-at-point": lambda: membership_at_point(_complex(A), 0, B.identity_point()),
     "profile-loci": lambda: LociProfile(A, {0: LinearUnion.empty(B)}),
     "profile-source": lambda: LociProfile(A, {}, source=_complex(B)),
