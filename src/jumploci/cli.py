@@ -107,14 +107,9 @@ def cmd_exactness(args) -> int:
     return EXIT_PASS if doc["assumption_holds"] else EXIT_FAILED
 
 
-def _sniff_is_loci(text: str) -> bool:
-    head = text.lstrip()
-    return head.startswith("{")
-
-
 def cmd_perversity(args) -> int:
     text = _read(args.input)
-    if _sniff_is_loci(text):
+    if text.lstrip().startswith("{"):  # a loci document is JSON
         profile, rejected = serialize.load_loci(text, strict=True)
         if args.loci:
             raise InputError("--loci is only meaningful with a complex input")

@@ -24,14 +24,14 @@ external tensor, twist, induction) live in ``fixtures``, since no analysis
 job calls them.
 
 Minors, generic ranks, exact division and the jumping-ideal products run
-on the integer polynomials of ``intpoly`` (``Poly``), end to end: each
-row of a differential is scaled once into Z[t] by a unit of the Laurent
-ring (``laurent_to_polys``, the one place a Fraction becomes an integer),
-minors are kept in canonical form (``primitive_part``), and a
+on the integer polynomial kernel of this module (``Poly``), end to end:
+each row of a differential is scaled once into Z[t] by a unit of the
+Laurent ring (``laurent_to_polys``, the one place a Fraction becomes an
+integer), minors are kept in canonical form (``primitive_part``), and a
 ``LaurentPoly`` is built once per distinct generator, as the ideal is made.
-The ideal is a ``groebner.LaurentIdeal``; the Groebner engine is imported
-where an ideal is made, so validating, ranking and specializing a complex
-do not load it.
+The ideal is a ``groebner.LaurentIdeal``, whose engine runs on the same
+kernel and is imported where an ideal is made, so validating, ranking and
+specializing a complex do not load it.
 
 A complex keeps what is derived from it (its d.d = 0 failure, ranks,
 generic-rank minors, ideals) in one memo, ``FreeComplex.cached``, so the
@@ -43,12 +43,12 @@ requests raise ResourceError through ``errors.check_cap``.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
-from operator import ge, sub
+from operator import add, ge, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, check_cap
-from .intpoly import Poly, add_multiple, laurent_to_polys, primitive_part
 from .laurent import LaurentPoly, RingContext
 
 MAX_MINOR_SIZE = 5
@@ -58,6 +58,51 @@ MAX_MINOR_SIZE = 5
 # 0.7 s at r = 10^4, 1.3 s at 3*10^4 and 5.1 s at 10^5.  Fixtures have at
 # most 256 basis vectors.
 MAX_RANK = 10**4
+
+
+# -- the integer polynomial kernel, shared by minors and Groebner bases ----------
+
+Poly = dict  # {exponent tuple: int}, nonnegative exponents, nonzero coefficients
+
+
+def primitive_part(p: Poly) -> Poly:
+    """The nonzero p up to units of the Laurent ring, canonically: minimum
+    exponent 0 in each variable, coprime integer coefficients, positive
+    lex-leading coefficient."""
+    mins = [min(col) for col in zip(*p)]
+    content = math.gcd(*p.values())
+    if p[max(p)] < 0:
+        content = -content
+    return {tuple(map(sub, e, mins)): c // content for e, c in p.items()}
+
+
+def add_multiple(target: Poly, c: int, shift, g: Poly) -> None:
+    """target += c * x^shift * g in place, c nonzero, dropping cancelled
+    terms: the one multiply-accumulate loop of the integer kernel."""
+    for exp, gc in g.items():
+        term = tuple(map(add, exp, shift))
+        s = target.get(term, 0) + c * gc
+        if s:
+            target[term] = s
+        else:
+            del target[term]
+
+
+def laurent_to_polys(polys) -> list[Poly]:
+    """``polys`` (Laurent polynomials) times one unit of the Laurent ring, as
+    integer polynomials with the same terms: the lcm of their denominators
+    times the monomial that brings each variable's minimum exponent over all
+    of them to 0.  On a matrix row this is a row operation, which multiplies
+    every minor through the row by that unit; scaling entries one by one is
+    not.  This is the one place where a Fraction coefficient becomes an
+    integer."""
+    terms = [term for p in polys for term in p.terms.items()]
+    mins = [min(col) for col in zip(*(e for e, _ in terms))]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    return [
+        {tuple(map(sub, e, mins)): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+        for p in polys
+    ]
 
 
 # -- matrices of Laurent polynomials ------------------------------------------

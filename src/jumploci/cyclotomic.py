@@ -18,7 +18,8 @@ MAX_CYCLOTOMIC_ORDER are refused with ResourceError before any arithmetic
 starts.  Elimination without division multiplies every row below a pivot
 by that pivot: content removal keeps coefficients small on the sparse,
 structured differentials the program builds, but on a dense n x n matrix
-their size can grow exponentially with the number of elimination steps.
+their size can grow exponentially with the number of elimination steps,
+up to the cap MAX_COEFFICIENT_GROWTH on their doublings of bit length.
 """
 
 from __future__ import annotations
@@ -28,7 +29,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import check_cap
+
 MAX_CYCLOTOMIC_ORDER = 1000
+# The pivot growth ``field_rank`` allows, in doublings of the bit length.
+# Dense 20x20 matrices over Q(zeta_12) with 3-term entries double it with each
+# pivot and stop after 1.3-2.9 s at 100-123 kbit (19-26 s to finish uncapped);
+# induced covers at the fixture cap reach 777 x 64 bits (9 would refuse them).
+# Largest pivots seen: 23 bits on the benchmark (seeds 1, 2, 7), 1019 bits
+# in the tests, both against the 64-bit floor.
+MAX_COEFFICIENT_GROWTH = 10
 
 
 def _mobius(m: int) -> int:
@@ -184,8 +194,11 @@ def field_rank(rows: list[list[Cyclotomic]]) -> int:
     each column j, the first row with a nonzero entry p there becomes the
     pivot row; every other row with entry a there has each later entry x
     replaced by p*x - a*y (y the pivot row's entry) and is divided by its
-    integer content.  Soundness: Q(zeta_L) is a field, and multiplying a row
-    by a nonzero element (p, the lcm, or 1/content) and subtracting a
+    integer content.  A pivot row whose largest coefficient has more than
+    2**MAX_COEFFICIENT_GROWTH times the bit length of the input's (at least
+    64) raises ResourceError; the check only refuses, so every rank it
+    returns is the rank.  Soundness: Q(zeta_L) is a field, and multiplying
+    a row by a nonzero element (p, the lcm, or 1/content) and subtracting a
     multiple of another row leaves the rank unchanged; zero tests are exact
     on canonical vectors.  Rows change in place and no column up to j is
     read again, so this is elimination on a leading column that is then
@@ -201,12 +214,14 @@ def field_rank(rows: list[list[Cyclotomic]]) -> int:
         den = math.lcm(*(c.denominator for x in row if x.coeffs != blank for c in x.coeffs))
         m.append([[c.numerator * (den // c.denominator) for c in x.coeffs] if x.coeffs != blank
                   else [0] * len(blank) for x in row])
+    limit = max(max(abs(x) for row in m for v in row for x in v).bit_length(), 64) << MAX_COEFFICIENT_GROWTH
     rank = 0
     for j in range(len(m[0])):
         pivot = next((k for k, row in enumerate(m) if any(row[j])), None)
         if pivot is None:
             continue
         prow = m.pop(pivot)
+        check_cap(max(abs(x) for v in prow[j:] for x in v).bit_length(), limit, "pivot coefficient bit length")
         rank += 1
         later = range(j + 1, len(prow))
         for row in m:

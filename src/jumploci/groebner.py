@@ -28,13 +28,14 @@ constant SPAIR_BUDGET, is exhausted.  The budget counts S-pairs reduced;
 pairs deleted by a criterion are not counted.  It counts pairs, not time,
 so it does not bound the run time of a slow reduction.
 
-Internally polynomials are the integer polynomials of ``intpoly`` (``Poly``,
-raw dicts {exponent tuple: int}), from the minors of ``complexes`` to the
-reduced bases; the number of variables travels alongside because auxiliary
-variables extend the ring temporarily.  ``intpoly.laurent_to_polys`` is the
-one place where a Fraction coefficient becomes an integer.  This engine is
-loaded only by jobs that ask an ideal question: ``complexes`` imports it
-where an ideal is made and ``loci`` where containment is decided.
+Internally polynomials are the integer polynomials of the kernel in
+``complexes`` (``Poly``, raw dicts {exponent tuple: int}), from the minors
+to the reduced bases; the number of variables travels alongside because
+auxiliary variables extend the ring temporarily.
+``complexes.laurent_to_polys`` is the one place where a Fraction
+coefficient becomes an integer.  This engine is loaded only by jobs that
+ask an ideal question: ``complexes`` imports it where an ideal is made and
+``loci`` where containment is decided.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Callable, NamedTuple
 from .errors import InputError, ResourceError
 # the integer kernel, whose names this module keeps public (primitive_part
 # only for its callers)
-from .intpoly import Poly, add_multiple, laurent_to_polys, primitive_part
+from .complexes import Poly, add_multiple, laurent_to_polys, primitive_part
 from .laurent import LaurentPoly
 
 SPAIR_BUDGET = 200_000  # S-pairs one buchberger call may reduce, read at call time
@@ -364,11 +365,6 @@ def _is_unit_basis(basis: list[Poly]) -> bool:
     return len(basis) == 1 and _is_constant(basis[0])
 
 
-def _restrict(p: Poly, i: int) -> Poly:
-    """p with t_i set to 0."""
-    return {e: c for e, c in p.items() if not e[i]}
-
-
 def _saturate_by_elimination(polys: list[Poly], n: int) -> list[Poly]:
     """The reduced grevlex basis of (polys) : (t1*...*tN)^inf: the y-free
     part, as it stands, of the reduced basis of (polys, 1 - y*t1*...*tN) in
@@ -383,7 +379,7 @@ def _misses_coordinate_hyperplanes(polys: list[Poly], n: int) -> bool:
     """Whether every restriction t_i = 0 of the ideal (polys) is the unit
     ideal, i.e. 1 lies in (polys) + (t_i) for each i."""
     return all(
-        _is_unit_basis(buchberger([_restrict(p, i) for p in polys], GREVLEX))
+        _is_unit_basis(buchberger([{e: c for e, c in p.items() if not e[i]} for p in polys], GREVLEX))
         for i in range(n)
     )
 

@@ -303,10 +303,6 @@ class LinearUnion:
         self.components = tuple(kept)
 
     @classmethod
-    def empty(cls, context: RingContext) -> "LinearUnion":
-        return cls(context, [])
-
-    @classmethod
     def whole_space(cls, context: RingContext) -> "LinearUnion":
         return cls(context, [LinearComponent(context, context.identity_point(), [])])
 

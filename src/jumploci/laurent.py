@@ -174,9 +174,6 @@ class LaurentPoly:
         zero_exp = (0,) * self.context.num_vars
         return self.terms == {zero_exp: Fraction(1)}
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -212,7 +209,7 @@ class LaurentPoly:
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
         if k < 0:
-            if not self.is_monomial():
+            if len(self.terms) != 1:
                 raise InputError("only monomials are invertible in the Laurent ring")
             ((exp, c),) = self.terms.items()
             inv = LaurentPoly(self.context, {tuple(-e for e in exp): 1 / c})
@@ -240,12 +237,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.context == other.context and self.terms == other.terms
-
-    # -- structure ------------------------------------------------------------
-
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in descending lexicographic order of exponent vectors."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     # -- semantics ------------------------------------------------------------
 
@@ -391,7 +382,7 @@ def format_poly(p: LaurentPoly) -> str:
         return "0"
     names = p.context.var_names
     chunks = []
-    for idx, (exp, c) in enumerate(p.sorted_terms()):
+    for idx, (exp, c) in enumerate(sorted(p.terms.items(), reverse=True)):  # exponents are unique
         factors = [f"{names[i]}^{e}" if e != 1 else names[i] for i, e in enumerate(exp) if e]
         mag = abs(c)
         if factors and mag == 1:

@@ -179,10 +179,12 @@ class LociProfile:
         self.euler = euler
 
     def locus(self, degree: int) -> LinearUnion:
+        if degree in self.loci:
+            return self.loci[degree]
         # imported here: a job that reads only points must not load the lattices
         from .lattices import LinearUnion
 
-        return self.loci.get(degree, LinearUnion.empty(self.context))
+        return LinearUnion(self.context, [])
 
     def degrees(self) -> list[int]:
         return sorted(self.loci)

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import subprocess
 import sys
 
@@ -6,7 +8,7 @@ import pytest
 
 from jumploci import serialize
 from jumploci.complexes import MAX_RANK
-from jumploci.cyclotomic import MAX_CYCLOTOMIC_ORDER
+from jumploci.cyclotomic import MAX_COEFFICIENT_GROWTH, MAX_CYCLOTOMIC_ORDER
 from jumploci.fixtures import MAX_COVER_SIZE, MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
 from jumploci.laurent import MAX_EXPONENT
 from jumploci.profiles import MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
@@ -274,6 +276,27 @@ def test_cyclotomic_order_over_cap_exits_3(m2_files, tmp_path, argv, text):
     assert result.returncode == 3
     assert result.stderr == f"resource cap: cyclotomic order 100003 exceeds the cap of {MAX_CYCLOTOMIC_ORDER}\n"
     assert "Traceback" not in result.stderr
+
+
+def test_dense_rank_at_a_point_stops_at_the_coefficient_growth_cap(tmp_path):
+    # division-free elimination doubles the coefficient size with every pivot
+    # of a dense matrix: this 20x20 one over Q(zeta_12) took 26 s to rank
+    # in-process before the cap, and now stops at a 108 kbit pivot
+    rng = random.Random(20)
+
+    def entry() -> str:
+        exps = rng.sample([(a, b) for a in range(12) for b in range(12)], 3)
+        return " + ".join(f"{rng.choice([-1, 1]) * rng.randint(1, 9)}*t1^{a}*t2^{b}" for a, b in exps)
+
+    rows = "\n".join(", ".join(entry() for _ in range(20)) for _ in range(20))
+    cx = tmp_path / "dense.complex"
+    cx.write_text(f"ring vars=t1,t2 torus=2 abelian=0\ndegrees 0..1\nranks 20,20\ndifferential 0\n{rows}\n")
+    pts = tmp_path / "points.json"
+    pts.write_text('[[["1", "1/3"], ["1", "1/4"]]]')
+    result = run_cli("sample", str(cx), "--points", str(pts), timeout=60)
+    assert (result.returncode, result.stdout) == (3, "")
+    cap = 64 << MAX_COEFFICIENT_GROWTH  # the inputs are far below the 64-bit floor
+    assert re.fullmatch(f"resource cap: pivot coefficient bit length [0-9]+ exceeds the cap of {cap}\n", result.stderr)
 
 
 # a JSON number with a fraction or exponent part arrives as a float, already
@@ -603,12 +626,6 @@ def test_perversity_failing_fixture(tmp_path):
     doc = json.loads(result.stdout)
     assert doc["verdict"] == "lower-only"
     assert any(v["degree"] == 1 for v in doc["violations"])
-
-
-def test_perversity_complex_requires_loci(m2_files):
-    cx, _ = m2_files
-    result = run_cli("perversity", str(cx))
-    assert result.returncode == 2
 
 
 @pytest.mark.parametrize(

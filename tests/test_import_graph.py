@@ -16,7 +16,7 @@ Module ownership is pinned too: no module imports another module's private
 name or reads a private attribute of an object other than self or cls.  So
 is the input a run depends on: no module reads the environment, and every
 cap in the README's cap table is the module constant it names, with the
-value it lists.
+value it lists, and every cap constant has its row.
 """
 
 import ast
@@ -43,7 +43,7 @@ UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures", *ARGPARSE]
 # has imported every module itself; verdict re-exports serialize's function,
 # so cli and verdict still bind the same object
 CLI = ["cli", "errors", "laurent", "serialize"]
-COMPLEX = ["complexes", "intpoly"]  # the complex loader's layers
+COMPLEX = ["complexes"]  # the complex loader's layer, with the integer kernel
 POINTWISE = ["cyclotomic", "loci", "profiles"]  # declared loci, points, memberships
 VERDICT = ["lattices", *POINTWISE, "sampling", "verdict"]  # what `perversity` adds
 # the source lines `import jumploci.cli` may load: the declared-loci and point
@@ -211,11 +211,11 @@ def test_no_module_reads_a_private_attribute_of_another_object():
     assert offenders == []
 
 
-@pytest.mark.parametrize("module", ["complexes", "groebner", "intpoly"])
+@pytest.mark.parametrize("module", ["complexes", "groebner"])
 def test_integer_kernel_modules_do_not_import_fractions(module):
     # minors, jumping-ideal products and Groebner bases run on integer
     # polynomials; a Fraction becomes an integer only in
-    # intpoly.laurent_to_polys, which reads numerators and denominators
+    # complexes.laurent_to_polys, which reads numerators and denominators
     tree = ast.parse((ROOT / "src" / "jumploci" / f"{module}.py").read_text())
     imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
@@ -267,3 +267,19 @@ def test_every_readme_cap_is_the_module_constant_it_names():
         if factor:
             actual = int(factor) ** actual
         assert actual == _listed_value(value), (cap, constant, value)
+
+
+def test_every_cap_constant_has_a_row_in_the_readme_cap_table():
+    # the reverse of the test above: a module-level MAX_* constant or the
+    # S-pair budget that the table does not name is a cap nobody documented
+    named = {constant.strip("`").rpartition("**")[2] for _, constant, *_ in _cap_table()}
+    defined = {
+        f"jumploci.{path.stem}.{target.id}"
+        for path in sorted((ROOT / "src" / "jumploci").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and (target.id.startswith("MAX_") or target.id == "SPAIR_BUDGET")
+    }
+    assert len(defined) >= 12
+    assert sorted(defined - named) == []

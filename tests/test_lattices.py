@@ -298,7 +298,7 @@ def test_union_min_rule():
 
 def test_empty_and_whole_conventions():
     ctx = RingContext.torus(2)
-    empty = LinearUnion.empty(ctx)
+    empty = LinearUnion(ctx, [])
     stats = empty.codim_stats()
     assert stats.codim_a == math.inf and stats.codim_sa == math.inf
     assert stats.dim_a == -math.inf and stats.dim_sa == -math.inf

@@ -44,7 +44,7 @@ ENTRY_POINTS = {
     "contains": lambda: _whole(A).contains(_whole(B)),
     "linear-union": lambda: LinearUnion(A, [_whole(A), _whole(B)]),
     "membership-at-point": lambda: membership_at_point(_complex(A), 0, B.identity_point()),
-    "profile-loci": lambda: LociProfile(A, {0: LinearUnion.empty(B)}),
+    "profile-loci": lambda: LociProfile(A, {0: LinearUnion(B, [])}),
     "profile-source": lambda: LociProfile(A, {}, source=_complex(B)),
 }
 

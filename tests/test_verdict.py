@@ -252,7 +252,7 @@ def test_verdict_monotone_under_added_components():
         degree = rng.choice([-2, -1, 0, 1])
         extra = rng.choice(extras)
         loci = dict(base_loci)
-        loci[degree] = LinearUnion(ctx, loci.get(degree, LinearUnion.empty(ctx)).components + extra.components)
+        loci[degree] = LinearUnion(ctx, loci.get(degree, LinearUnion(ctx, [])).components + extra.components)
         bigger = LociProfile(ctx, loci)
         assert perversity_verdict(bigger)["verdict"] != "perverse"
 

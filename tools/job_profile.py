@@ -25,9 +25,11 @@ reports:
     cost stays out of the times above.
 
 Interpreter start-up outside the program (``site``, ``encodings``) is not
-counted.  The last lines give, per module, its source lines, how many jobs
-load it and its never-entered lines summed over those jobs, and the totals
-and means over the workload.  The program is imported from ``src/`` of the
+counted.  After the jobs come, per module, its source lines, how many jobs
+load it and its never-entered lines summed over those jobs; then each
+never-entered function as ``module:qualname`` with its lines summed over
+the jobs that loaded it, largest first; and last the totals and means over
+the workload.  The program is imported from ``src/`` of the
 checkout holding this script, and nothing under ``perfbench/`` is written.
 """
 
@@ -107,32 +109,39 @@ def _run_child(job: dict, work: Path, mode: str) -> dict:
     return record
 
 
-def unentered_lines(path: Path, entered: set[int]) -> int:
-    """Source lines of the functions in ``path`` whose first line (the first
-    decorator's, else the ``def``'s, as ``co_firstlineno`` reads it) is not
-    in ``entered``.  An unentered function is counted whole, nested
-    functions included; an entered one is searched for unentered ones."""
+def unentered_functions(source: str, entered: set[int]) -> dict[str, int]:
+    """The source lines of each function in ``source`` whose first line (the
+    first decorator's, else the ``def``'s, as ``co_firstlineno`` reads it)
+    is not in ``entered``, by qualified name (``Class.method``,
+    ``outer.<locals>.inner``).  An unentered function is counted whole,
+    nested functions included; an entered one is searched for unentered ones."""
+    found = {}
 
-    def walk(node) -> int:
-        total = 0
+    def walk(node, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([d.lineno for d in child.decorator_list] + [child.lineno])
                 if first not in entered:
-                    total += child.end_lineno - first + 1
-                    continue
-            total += walk(child)
-        return total
+                    name = prefix + child.name  # a redefined name sums its definitions
+                    found[name] = found.get(name, 0) + child.end_lineno - first + 1
+                else:
+                    walk(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
 
-    return walk(ast.parse(path.read_text()))
+    walk(ast.parse(source), "")
+    return found
 
 
 def profile_job(job: dict, work: Path) -> dict:
-    """The timed record of one job, with ``unentered`` lines per module from
-    a second, profiled run."""
+    """The timed record of one job, with its ``unentered`` functions per
+    module from a second, profiled run."""
     record = _run_child(job, work, "timed")
     entered = _run_child(job, work, "entered")
-    record["unentered"] = {name: unentered_lines(Path(path), set(lines)) for name, (path, lines) in entered.items()}
+    record["unentered"] = {name: unentered_functions(Path(path).read_text(), set(lines))
+                           for name, (path, lines) in entered.items()}
     return record
 
 
@@ -154,19 +163,25 @@ def main(argv: list[str]) -> int:
             record = profile_job(job, work)
             records.append(record)
             modules = ",".join(m.removeprefix("jumploci.") for m in record["lines"] if m != "jumploci")
+            never = sum(n for found in record["unentered"].values() for n in found.values())
             print(
-                f"{job['id']:<40} {sum(record['lines'].values()):>6} {sum(record['unentered'].values()):>9}"
+                f"{job['id']:<40} {sum(record['lines'].values()):>6} {never:>9}"
                 f" {_ms(record['import_s'])} {_ms(record['main_s'])} {_ms(record['compile_s'])}"
                 f"  exit {record['exit']}  {modules}"
             )
     loads = Counter(m for record in records for m in record["lines"])
     sizes = {m: n for record in records for m, n in record["lines"].items()}
-    unentered = Counter()
+    unentered, functions = Counter(), Counter()
     for record in records:
-        unentered.update(record["unentered"])
+        for module, found in record["unentered"].items():
+            unentered[module] += sum(found.values())
+            functions.update({f"{module}:{qualname}": n for qualname, n in found.items()})
     print(f"\n{'module':<22} {'lines':>6} {'jobs':>5} {'unentered':>10}  (lines, summed over its jobs)")
     for module in sorted(loads):
         print(f"{module:<22} {sizes[module]:>6} {loads[module]:>5} {unentered[module]:>10}")
+    print(f"\n{'never-entered function':<60} {'lines':>6}  (summed over the jobs that loaded it)")
+    for function, n in sorted(functions.items(), key=lambda item: (-item[1], item[0])):
+        print(f"{function:<60} {n:>6}")
     count = len(records)
     print(f"\n{name}, seed {seed}: {count} jobs")
     for key, label in [("import_s", "import"), ("main_s", "main"), ("compile_s", "compile")]:
