@@ -28,8 +28,8 @@ _HOMES = {
         "LinearComponent", "LinearUnion", "kernel_basis", "saturate_lattice", "smith_normal_form",
     ),
     "laurent": ("LaurentPoly", "RingContext", "format_poly", "parse_poly"),
-    "loci": ("depth_bounds", "membership_at_point", "propagation_check", "radical_equality_pairs"),
-    "profiles": ("LociProfile", "TorsionPoint", "survival_interval"),
+    "loci": ("LociProfile", "TorsionPoint", "depth_bounds", "membership_at_point",
+             "propagation_check", "radical_equality_pairs", "survival_interval"),
     "serialize": ("is_whole_space",),
     "verdict": ("check_lower", "check_upper", "perversity_verdict"),
 }

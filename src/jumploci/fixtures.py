@@ -45,7 +45,7 @@ from .complexes import FreeComplex, Matrix
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
 from .laurent import LaurentPoly, RingContext
-from .profiles import LociProfile, TorsionPoint
+from .loci import LociProfile, TorsionPoint
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
 # vectors, and a fixture costs two to three times as much per added variable:

@@ -16,7 +16,7 @@ abelian coordinates).  Mixing values from different contexts raises
 InputError.
 
 Closed points of the character torus are modeled by TorsionPoint, which
-lives in ``profiles`` with the other objects of the declared-loci route:
+lives in ``loci`` with the other objects of the declared-loci route:
 ``laurent.TorsionPoint`` is resolved on first read, and the point
 constructors of RingContext import it when they run, so a job that builds
 no point never compiles it.  The ring maps only fixtures use, monomial
@@ -45,10 +45,10 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
 def __getattr__(name: str):
-    """``TorsionPoint``, imported from ``profiles`` on first read and kept (PEP 562)."""
+    """``TorsionPoint``, imported from ``loci`` on first read and kept (PEP 562)."""
     if name != "TorsionPoint":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .profiles import TorsionPoint
+    from .loci import TorsionPoint
 
     globals()[name] = TorsionPoint
     return TorsionPoint
@@ -133,8 +133,8 @@ class RingContext:
         return self.rational_point([1] * self.num_vars)
 
     def rational_point(self, values: Iterable) -> "TorsionPoint":
-        # imported here: a job that builds no point never loads profiles
-        from .profiles import TorsionPoint
+        # imported here: a job that builds no point never loads loci
+        from .loci import TorsionPoint
 
         return TorsionPoint(self, [(Fraction(v), Fraction(0)) for v in values])
 

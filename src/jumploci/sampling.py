@@ -9,7 +9,7 @@ arithmetic) and low-order torsion points (angles with denominator dividing
 12).
 
 Only a job that runs a verdict loads this module (``verdict`` binds
-``sample_points`` at its top), after ``profiles`` and ``lattices``, whose
+``sample_points`` at its top), after ``loci`` and ``lattices``, whose
 TorsionPoint and subtorus_point it imports at its top.
 """
 
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import InputError, check_cap
 from .lattices import subtorus_point
-from .profiles import TorsionPoint
+from .loci import TorsionPoint
 
 _ANGLES = [
     Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),

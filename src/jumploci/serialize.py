@@ -27,7 +27,7 @@ verdicts always carry their seed.  ``perversity_verdict`` builds the
 ``FreeComplex.exactness`` returns.
 
 The loci format (its name, caps, reader and writer), the points reader and
-the ``codims`` and ``sample`` documents live in ``profiles``, which only loci
+the ``codims`` and ``sample`` documents live in ``loci``, which only loci
 and point jobs load; ``_PROFILE_NAMES`` are resolved here on first read.
 Every subcommand imports this module, so it loads at its top only the ring
 and the errors: the complex loader imports ``complexes``, and
@@ -52,14 +52,14 @@ _PROFILE_NAMES = ("codims_report", "dump_loci", "load_loci", "parse_points_file"
 
 
 def __getattr__(name: str):
-    """A name of the loci and points formats, imported from ``profiles`` on
+    """A name of the loci and points formats, imported from ``loci`` on
     first read and kept (PEP 562), so a job that reads neither never
     compiles them."""
     if name not in _PROFILE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import profiles
+    from . import loci
 
-    value = globals()[name] = getattr(profiles, name)
+    value = globals()[name] = getattr(loci, name)
     return value
 
 

@@ -1,6 +1,6 @@
 """The perversity verdict engine over declared linear loci.
 
-A LociProfile (``profiles``) assigns to each degree a finite union of
+A LociProfile (``loci``) assigns to each degree a finite union of
 translated subtori (absent degrees mean the empty locus).  The verdict
 tests the two half conditions
 
@@ -30,7 +30,7 @@ first, and any mismatch rejects the profile with a witness point.
 
 The survival interval and the torus (g = 0) and abelian (m = 0)
 specializations, independent code paths to cross-validate this engine
-against, live in ``profiles``.
+against, live in ``loci``.
 """
 
 from __future__ import annotations

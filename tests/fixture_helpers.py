@@ -12,7 +12,7 @@ from jumploci.complexes import FreeComplex, Matrix
 from jumploci.fixtures import Fixture
 from jumploci.lattices import LinearUnion
 from jumploci.laurent import RingContext
-from jumploci.profiles import LociProfile
+from jumploci.loci import LociProfile
 
 
 class Mutant(NamedTuple):

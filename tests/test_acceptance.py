@@ -38,14 +38,12 @@ from jumploci.lattices import (
 )
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import (
+    LociProfile,
+    abelian_specialization_verdict,
     depth_bounds,
     membership_at_point,
     propagation_check,
     radical_equality_pairs,
-)
-from jumploci.profiles import (
-    LociProfile,
-    abelian_specialization_verdict,
     survival_interval,
     torus_specialization_verdict,
 )

@@ -11,7 +11,7 @@ from jumploci.complexes import MAX_RANK
 from jumploci.cyclotomic import MAX_COEFFICIENT_GROWTH, MAX_CYCLOTOMIC_ORDER
 from jumploci.fixtures import MAX_COVER_SIZE, MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
 from jumploci.laurent import MAX_EXPONENT
-from jumploci.profiles import MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
+from jumploci.loci import MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
 from jumploci.sampling import MAX_SAMPLES
 from jumploci.serialize import MAX_DEGREE
 

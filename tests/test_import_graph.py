@@ -44,10 +44,10 @@ UNUSED = ["dataclasses", "inspect", "traceback", "jumploci.fixtures", *ARGPARSE]
 # so cli and verdict still bind the same object
 CLI = ["cli", "errors", "laurent", "serialize"]
 COMPLEX = ["complexes"]  # the complex loader's layer, with the integer kernel
-POINTWISE = ["cyclotomic", "loci", "profiles"]  # declared loci, points, memberships
+POINTWISE = ["cyclotomic", "loci"]  # declared loci, points, memberships
 VERDICT = ["lattices", *POINTWISE, "sampling", "verdict"]  # what `perversity` adds
 # the source lines `import jumploci.cli` may load: the declared-loci and point
-# code lives in `profiles`, which only loci, point and fixture jobs load, and
+# code lives in `loci`, which only loci, point and fixture jobs load, and
 # the verdict engine, the pointwise layer and `cyclotomic` load only where a
 # job enters them
 CLI_LINE_BUDGET = 1170
@@ -81,12 +81,12 @@ def _write_m2(directory: Path) -> None:
         ),
         # laurent loads in every CLI job and imports TorsionPoint where it builds
         # a point, and Cyclotomic where it evaluates; sampling loads only in a
-        # verdict job, which has loaded profiles and lattices before it
+        # verdict job, which has loaded loci and lattices before it
         ("import jumploci.laurent\n", [], ["errors", "laurent"]),
         (
             "import jumploci.sampling\n",
             [],
-            ["cyclotomic", "errors", "lattices", "laurent", "loci", "profiles", "sampling", "serialize"],
+            ["cyclotomic", "errors", "lattices", "laurent", "loci", "sampling", "serialize"],
         ),
         (RUN, ["validate", "m2.complex"], CLI + COMPLEX),
         (RUN, ["codims", "m2.loci"], CLI + ["lattices", *POINTWISE]),
@@ -144,12 +144,12 @@ def test_importing_the_command_line_stays_within_its_line_budget():
 def test_moved_names_resolve_where_the_benchmark_reads_them():
     # perfbench/workloads.py imports TorsionPoint from laurent and calls
     # serialize.dump_loci; perfbench/tracer.py patches serialize.load_loci
-    from jumploci import laurent, profiles
+    from jumploci import laurent, loci
     from jumploci.laurent import TorsionPoint
 
-    assert TorsionPoint is profiles.TorsionPoint and laurent.TorsionPoint is TorsionPoint
+    assert TorsionPoint is loci.TorsionPoint and laurent.TorsionPoint is TorsionPoint
     for name in serialize._PROFILE_NAMES:
-        assert getattr(serialize, name) is getattr(profiles, name)
+        assert getattr(serialize, name) is getattr(loci, name)
         assert name in vars(serialize)  # kept, so a patched name stays patched
     for module in (laurent, serialize):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -238,16 +238,20 @@ def test_no_module_reads_the_environment():
     assert offenders == []
 
 
-def _cap_table() -> list[list[str]]:
-    """The cells of each row of the README's cap table."""
+def _readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of the README table under ``header``."""
     lines = [line.strip() for line in (ROOT / "README.md").read_text().splitlines()]
-    start = lines.index("| cap | constant | value | what it bounds | measurement behind the value |")
+    start = lines.index(header)
     rows = []
     for line in lines[start + 2 :]:
         if not line.startswith("|"):
             break
         rows.append([cell.strip() for cell in line.strip("|").split("|")])
     return rows
+
+
+def _cap_table() -> list[list[str]]:
+    return _readme_table("| cap | constant | value | what it bounds | measurement behind the value |")
 
 
 def _listed_value(text: str) -> int:
@@ -283,3 +287,14 @@ def test_every_cap_constant_has_a_row_in_the_readme_cap_table():
     }
     assert len(defined) >= 12
     assert sorted(defined - named) == []
+
+
+def test_the_readme_library_tour_has_one_row_per_module():
+    # the package root is the row `jumploci`; `__main__` only calls cli.run
+    rows = [module.strip("`") for module, _ in _readme_table("| module | contents |")]
+    modules = [
+        "jumploci" if path.stem == "__init__" else f"jumploci.{path.stem}"
+        for path in (ROOT / "src" / "jumploci").glob("*.py")
+        if path.stem != "__main__"
+    ]
+    assert sorted(rows) == sorted(modules)

@@ -12,8 +12,7 @@ from jumploci.fixtures import direct_sum, koszul
 from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.lattices import LinearComponent, LinearUnion
 from jumploci.laurent import RingContext
-from jumploci.loci import membership_at_point
-from jumploci.profiles import LociProfile
+from jumploci.loci import LociProfile, membership_at_point
 
 A, B = RingContext.torus(2), RingContext.torus(1)
 

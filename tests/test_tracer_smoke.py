@@ -6,7 +6,7 @@ this runs the tracer once on a small job per route, and on the subcommands
 that load the fewest modules (``codims``, loci-only ``perversity``), and
 checks that it still records their spans: ``serialize.load_loci`` among
 them, which the command line calls through ``serialize`` although the
-loader lives in ``profiles``.  The library job runs
+loader lives in ``loci``.  The library job runs
 ``loci.propagation_check`` by name, and the benchmark's checker requires it
 to report an exact verdict."""
 

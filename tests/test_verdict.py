@@ -19,7 +19,7 @@ from jumploci.fixtures import (
 )
 from jumploci.lattices import LinearComponent, LinearUnion
 from jumploci.laurent import RingContext
-from jumploci.profiles import (
+from jumploci.loci import (
     LociProfile,
     abelian_specialization_verdict,
     survival_interval,
@@ -299,7 +299,7 @@ import random
 from jumploci.complexes import FreeComplex
 from jumploci.lattices import LinearUnion
 from jumploci.laurent import RingContext
-from jumploci.profiles import LociProfile
+from jumploci.loci import LociProfile
 from jumploci.sampling import sample_points
 from jumploci.verdict import perversity_verdict
 ctx = RingContext([], 0, 0)
