@@ -46,9 +46,7 @@ from operator import ge, sub
 from typing import Callable, NamedTuple
 
 from .errors import InputError, ResourceError
-# the integer kernel, whose names this module keeps public (primitive_part
-# only for its callers)
-from .complexes import Poly, add_multiple, laurent_to_polys, primitive_part
+from .complexes import Poly, add_multiple, laurent_to_polys  # the integer kernel
 from .laurent import LaurentPoly
 
 SPAIR_BUDGET = 200_000  # S-pairs one buchberger call may reduce, read at call time

@@ -49,11 +49,10 @@ of such translates.  The ``codims`` and ``sample`` documents are built here.
 Loci, point and fixture jobs, the verdict engine and library callers load
 this module, never an ideal-route subcommand: ``serialize`` and ``laurent``
 resolve the names that live here on first read, and ``RingContext``
-imports TorsionPoint where it builds one.  At import it adds only
-``cyclotomic`` to what every job loads; the containment checks import the
-Groebner engine, and the loci reader and an empty declared locus the
-lattices, when they run.  Traced functions are called as module globals
-(``loci.membership_at_point``).
+imports TorsionPoint where it builds one.  At import it adds
+``cyclotomic`` and ``lattices`` to what every job loads; the containment
+checks import the Groebner engine when they run.  Traced functions are
+called as module globals (``loci.membership_at_point``).
 """
 
 from __future__ import annotations
@@ -65,6 +64,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER, field_rank
 from .errors import InputError, ResourceError, check_cap
+from .lattices import LinearComponent, LinearUnion
 from .laurent import RingContext, format_rational
 from .serialize import check_degree, render_json
 
@@ -300,9 +300,6 @@ class LociProfile:
     def locus(self, degree: int) -> LinearUnion:
         if degree in self.loci:
             return self.loci[degree]
-        # imported here: a job that reads only points must not load the lattices
-        from .lattices import LinearUnion
-
         return LinearUnion(self.context, [])
 
     def degrees(self) -> list[int]:
@@ -410,9 +407,6 @@ def load_loci(text: str, strict: bool = True):
     with strict=True the first refusal raises instead.  Either way a repeated
     key, an unknown key outside a component and a ``format`` other than
     LOCI_FORMAT are refused (a document without one is accepted)."""
-    # imported here: a job that reads only points never loads the lattices
-    from .lattices import LinearComponent, LinearUnion
-
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # JSONDecodeError, an integer over the digit limit or a repeated key

@@ -28,7 +28,7 @@ verdicts always carry their seed.  ``perversity_verdict`` builds the
 
 The loci format (its name, caps, reader and writer), the points reader and
 the ``codims`` and ``sample`` documents live in ``loci``, which only loci
-and point jobs load; ``_PROFILE_NAMES`` are resolved here on first read.
+and point jobs load; ``_LOCI_NAMES`` are resolved here on first read.
 Every subcommand imports this module, so it loads at its top only the ring
 and the errors: the complex loader imports ``complexes``, and
 ``perversity_verdict`` the verdict engine and ``sampling``, when they run.
@@ -48,14 +48,14 @@ from .laurent import RingContext, format_poly
 MAX_DEGREE = 1000
 
 
-_PROFILE_NAMES = ("codims_report", "dump_loci", "load_loci", "parse_points_file", "sample_report")
+_LOCI_NAMES = ("codims_report", "dump_loci", "load_loci", "parse_points_file", "sample_report")
 
 
 def __getattr__(name: str):
     """A name of the loci and points formats, imported from ``loci`` on
     first read and kept (PEP 562), so a job that reads neither never
     compiles them."""
-    if name not in _PROFILE_NAMES:
+    if name not in _LOCI_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import loci
 

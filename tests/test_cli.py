@@ -18,7 +18,7 @@ from jumploci.serialize import MAX_DEGREE
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
-        [sys.executable, "-m", "jumploci.cli", *args],
+        [sys.executable, "-m", "jumploci", *args],
         capture_output=True,
         text=True,
         **kwargs,
@@ -177,6 +177,10 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
                      id="loci-block-not-a-mapping"),
         pytest.param(["perversity", "{input}"], _m2_loci_edited(lambda d: d.update(euler="x")),
                      id="euler-not-an-integer"),
+        pytest.param(["codims", "{input}"], _m2_loci_edited(lambda d: d["loci"].update(x=d["loci"].pop("0"))),
+                     id="degree-key-not-an-integer"),
+        pytest.param(["codims", "{input}"], _m2_loci_edited(lambda d: d["loci"].update({"0": 5})),
+                     id="components-not-a-list"),
         pytest.param(["validate", "{input}"],
                      "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\n1/0*t1 - 1\n",
                      id="zero-denominator-coefficient"),
@@ -192,10 +196,24 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         pytest.param(["validate", "{input}"],
                      "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1*\n",
                      id="dangling-product"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1 - 1\nextra\n",
+                     id="line-after-the-last-differential"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0 bogus\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1 - 1\n",
+                     id="ring-field-without-equals"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1 - \n",
+                     id="dangling-sign"),
+        pytest.param(["validate", "{input}"],
+                     "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1^x - 1\n",
+                     id="non-integer-exponent"),
         pytest.param(["fixtures", "mellin", "--complex-out", "/nonexistent/x"], None, id="unwritable-output"),
         pytest.param(["fixtures", "twist"], None, id="twist-without-scalars"),
         pytest.param(["fixtures", "induce", "--n", "x"], None, id="cover-exponent-not-an-integer"),
         pytest.param(["fixtures", "free", "--m", "0"], None, id="free-fixture-without-variables"),
+        pytest.param(["fixtures", "induce", "--m", "2", "--n", "2"], None, id="cover-exponent-count"),
+        pytest.param(["fixtures", "induce", "--m", "2", "--n", "0,2"], None, id="cover-exponent-zero"),
         # --lam was once ignored by every fixture but twist and sum
         *(pytest.param(["fixtures", name, "--lam", "2", "--complex-out", "{input}"], None,
                        id=f"{name}-fixture-with-lam") for name in ("mellin", "tensor", "induce", "shift", "free")),

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from jumploci.complexes import Matrix, generic_rank, minor_generators
+from jumploci.complexes import Matrix, generic_rank, minor_generators, primitive_part
 from jumploci.cyclotomic import Cyclotomic, field_rank
 from jumploci.errors import ResourceError
 from jumploci.fixtures import (
@@ -34,7 +34,6 @@ from jumploci.groebner import (
     elimination_order,
     laurent_to_poly,
     laurent_to_polys,
-    primitive_part,
 )
 from jumploci.lattices import hermite_normal_form, LinearComponent
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
