@@ -22,8 +22,9 @@ from jumploci import (
     smith_normal_form,
 )
 
-# Saturation via Smith normal form: the index-2 sublattice spanned by
-# (1, 1) and (1, -1) saturates to all of Z^2.
+# Saturation is the kernel of the kernel, both read off one echelon: the
+# index-2 sublattice spanned by (1, 1) and (1, -1) saturates to all of Z^2.
+# Its Smith normal form shows the index in the invariant factors 1, 2.
 print("saturation of [(2,0)]:        ", saturate_lattice([[2, 0]], 2))
 print("saturation of [(1,1),(1,-1)]: ", saturate_lattice([[1, 1], [1, -1]], 2))
 U, D, V = smith_normal_form([[1, 1], [1, -1]])

@@ -2,12 +2,10 @@
 
 InputError covers malformed user input (files, mismatched rings, invalid
 lattices); ResourceError covers aborted computations that hit a configured
-budget (the S-pair limit and the minor-size, cyclotomic-order,
-coefficient-growth, induction-cover, fixture-ring, induced-fixture, degree,
-sample-count, exponent, module-rank, loci-component and lattice-entry
-caps).  The CLI maps them to exit codes 2 and 3 respectively, and any other
-exception, a bug, to exit code 4.  ``check_cap`` raises the caps whose
-message is just the value and its cap.
+budget, one of the caps listed in the README's cap table.  The CLI maps
+them to exit codes 2 and 3 respectively, and any other exception, a bug,
+to exit code 4.  ``check_cap`` raises the caps whose message is just the
+value and its cap.
 """
 
 

@@ -15,11 +15,12 @@ and its declared loci in lockstep:
 
 The complex constructors behind them (``shift_complex``, ``direct_sum``,
 ``twist_complex``, ``external_tensor`` with the Koszul sign rule and
-``induce_complex``) live here too, with ``dual_complex``, which only tests
-use, and the ring maps they apply: ``substitute`` (t_i -> lam_i *
-t_i^(n_i)) and ``embed_vector``, ``embed_poly`` and ``embed_point`` into a
-larger ring.  ``tensor_ring`` alone orders the variables of an external
-tensor, and ``cover_basis`` the basis of a cover.
+``induce_complex``) live here too, with the ring maps they apply:
+``substitute`` (t_i -> lam_i * t_i^(n_i)) and ``embed_vector``,
+``embed_poly`` and ``embed_point`` into a larger ring.  ``tensor_ring``
+alone orders the variables of an external tensor, and ``cover_basis`` the
+basis of a cover.  The dual complex, which only tests build, is the oracle
+``dual_complex`` in ``tests/oracles.py``.
 
 Fixtures are small by construction: a fixture ring has at least one and at
 most MAX_FIXTURE_VARS variables, an induction cover at most MAX_COVER_SIZE
@@ -29,9 +30,12 @@ variables raises InputError and a larger request ResourceError, before
 anything is built.
 
 Every fixture carries its expected verdict as metadata, so test suites can
-iterate over a fixture list and compare outcomes without re-deriving them.
+iterate over a fixture list, such as the stock ``standard_fixture_suite`` in
+``tests/fixture_helpers.py``, and compare outcomes without re-deriving them.
 Its profile reads the Euler characteristic off its complex, so no builder
-restates the product, sum, sign or cover rule.
+restates the product, sum, sign or cover rule.  ``renamed_torus_fixture`` is
+``mellin_constant_torus`` under the name its one reader,
+``perfbench/workloads.py``, imports.
 """
 
 from __future__ import annotations
@@ -153,14 +157,6 @@ def embed_point(point: TorsionPoint, target: RingContext, var_map: Sequence[int]
 
 def _map_entries(mat: Matrix, fn) -> Matrix:
     return Matrix(mat.context, mat.nrows, mat.ncols, [[fn(e) for e in row] for row in mat.entries])
-
-
-def dual_complex(cx: FreeComplex) -> FreeComplex:
-    """Hom(F, ring) with Hom(F^i, ring) placed in degree -i; differentials
-    are the transposes of the originals."""
-    cx.ensure_valid()
-    diffs = {j: cx.differential(-j - 1).transpose() for j in range(-cx.k_max, -cx.k_min)}
-    return FreeComplex(cx.context, -cx.k_max, -cx.k_min, tuple(reversed(cx.ranks)), diffs)
 
 
 def shift_complex(cx: FreeComplex, s: int) -> FreeComplex:
@@ -490,37 +486,3 @@ def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=Non
     if name == "shift":
         return shift_fixture(base, 1 if s is None else s)
     raise InputError(f"unknown fixture {name!r}")
-
-
-def standard_fixture_suite() -> list[Fixture]:
-    """The stock of assumption-passing fixtures used across test suites:
-    Koszul complexes for small m, twists, external tensors, inductions and
-    direct sums.  All carry expected verdict 'perverse'."""
-    m1 = mellin_constant_torus(1)
-    m2 = mellin_constant_torus(2)
-    m3 = mellin_constant_torus(3)
-    second1 = mellin_constant_torus(1, 1)
-    second2 = mellin_constant_torus(2, 1)
-    fixtures = [m1, m2, m3]
-    for lam in (Fraction(2), Fraction(-1), Fraction(1, 3)):
-        fixtures.append(twist_fixture(m1, [lam]))
-        fixtures.append(twist_fixture(m2, [lam, lam]))
-    fixtures.append(twist_fixture(m2, [Fraction(2), Fraction(1, 3)]))
-    fixtures.append(twist_fixture(m3, [Fraction(2), Fraction(-1), Fraction(1, 3)]))
-    fixtures.append(tensor_fixture(m1, second1))
-    fixtures.append(tensor_fixture(m1, second2))
-    fixtures.append(tensor_fixture(twist_fixture(m1, [Fraction(2)]), second1))
-    fixtures.append(tensor_fixture(m1, twist_fixture(second1, [Fraction(-1)])))
-    fixtures.append(induce_fixture(m1, [2]))
-    fixtures.append(induce_fixture(m1, [3]))
-    fixtures.append(induce_fixture(m2, [2, 1]))
-    fixtures.append(induce_fixture(twist_fixture(m2, [Fraction(2), Fraction(1, 3)]), [2, 1]))
-    fixtures.append(induce_fixture(twist_fixture(m1, [Fraction(2)]), [2]))
-    fixtures.append(sum_fixture(m1, twist_fixture(m1, [Fraction(2)])))
-    fixtures.append(sum_fixture(m2, twist_fixture(m2, [Fraction(-1), Fraction(2)])))
-    fixtures.append(sum_fixture(m1, induce_fixture(m1, [2])))
-    fixtures.append(sum_fixture(m2, m2))
-    fixtures.append(sum_fixture(m1, free_module_fixture(1)))
-    fixtures.append(free_module_fixture(1))
-    fixtures.append(free_module_fixture(2, rank=3))
-    return fixtures

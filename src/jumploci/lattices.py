@@ -114,32 +114,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
             return U, A, _transpose(Vt, cols)
 
 
-def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over Q via fraction-based Gaussian elimination: no lattice code
-    calls it, it is the independent oracle the tests check them against."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
 def hermite_normal_form(rows: Sequence[Sequence[int]], width: int) -> list[list[int]]:
     """Row-style Hermite normal form of the lattice spanned by ``rows``:
     canonical basis with positive pivots and reduced entries above them.
@@ -332,14 +306,10 @@ class LinearUnion:
         return any(c.same_component(component) for c in self.components)
 
     def codim_stats(self) -> CodimStats:
-        if not self.components:
-            return CodimStats(math.inf, math.inf, -math.inf, -math.inf)
         m, g = self.context.torus_rank, self.context.abelian_rank
-        codim_a = min(c.codims()[1] for c in self.components)
-        codim_sa = min(c.codims()[2] for c in self.components)
-        dim_a = max(g - c.codims()[1] for c in self.components)
-        dim_sa = max((m + g) - c.codims()[2] for c in self.components)
-        return CodimStats(codim_a, codim_sa, dim_a, dim_sa)
+        codim_a = min((c.codims()[1] for c in self.components), default=math.inf)
+        codim_sa = min((c.codims()[2] for c in self.components), default=math.inf)
+        return CodimStats(codim_a, codim_sa, g - codim_a, m + g - codim_sa)
 
     def __repr__(self) -> str:
         return f"LinearUnion({len(self.components)} components)"

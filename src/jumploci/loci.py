@@ -33,10 +33,9 @@ A LociProfile assigns to each degree a finite union of translated subtori
 an optional Euler characteristic, which must be the source's when both are
 given; ``verdict`` tests it.  Fixtures build a new profile for each complex
 they build rather than transform one.  The survival interval of a degree-zero
-component and the torus (g = 0) and abelian (m = 0) specializations of the
-verdict live here too.  The specializations are re-derived through
-independent code paths (plain lattice ranks, no shared codimension helpers)
-so the general verdict can be cross-validated against them.
+component lives here too.  The torus (g = 0) and abelian (m = 0)
+specializations of the verdict, re-derived through independent code paths
+to cross-validate it against, are the tests' oracles in ``tests/oracles.py``.
 
 Loci files are JSON: ring block, optional Euler characteristic, and per
 degree a list of components, each a translate (one [radial, angle] pair of
@@ -511,7 +510,7 @@ def sample_report(cx: FreeComplex, points: Sequence[TorsionPoint], degrees: Sequ
     return {"report": "sample", "points": entries}
 
 
-# -- survival and independent specializations (cross-validation code paths) ----
+# -- survival interval ---------------------------------------------------------
 
 
 class SurvivalResult(NamedTuple):
@@ -533,31 +532,3 @@ def survival_interval(profile: LociProfile, component: LinearComponent) -> Survi
     observed = [deg for deg in profile.degrees() if profile.locus(deg).has_component(component)]
     expected = list(range(predicted[0], predicted[1] + 1))
     return SurvivalResult(m2, g2, predicted, observed, observed == expected)
-
-
-def torus_specialization_verdict(profile: LociProfile) -> bool:
-    """Pure-torus re-derivation: loci empty in positive degrees and plain
-    codimension (annihilator rank) at least -i in nonpositive degrees.
-    Deliberately avoids the codim_stats helpers."""
-    if profile.context.abelian_rank != 0:
-        raise InputError("torus specialization applies to g = 0 profiles only")
-    for deg, union in profile.loci.items():
-        if deg > 0 and union.components:
-            return False
-        if deg <= 0:
-            plain = min((c.rank for c in union.components), default=math.inf)
-            if plain < -deg:
-                return False
-    return True
-
-
-def abelian_specialization_verdict(profile: LociProfile) -> bool:
-    """Pure-abelian re-derivation of the codimension bound: plain
-    codimension of V^i at least |2i| for every i."""
-    if profile.context.torus_rank != 0:
-        raise InputError("abelian specialization applies to m = 0 profiles only")
-    for deg, union in profile.loci.items():
-        plain = min((c.rank for c in union.components), default=math.inf)
-        if plain < 2 * abs(deg):
-            return False
-    return True

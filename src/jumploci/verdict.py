@@ -28,9 +28,9 @@ source complex, declared and computed memberships are compared at
 max(samples, 1) seeded torsion points, points on the declared components
 first, and any mismatch rejects the profile with a witness point.
 
-The survival interval and the torus (g = 0) and abelian (m = 0)
-specializations, independent code paths to cross-validate this engine
-against, live in ``loci``.
+The survival interval lives in ``loci``.  The torus (g = 0) and abelian
+(m = 0) specializations, independent code paths to cross-validate this
+engine against, live with the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Test-only fixture helpers: deliberate mutations of a fixture's complex
-for negative tests, and a declared profile on an abelian ring.
+"""Test-only fixture helpers: the stock of fixtures the suites iterate over,
+deliberate mutations of a fixture's complex for negative tests, and a
+declared profile on an abelian ring.
 
 A mutant that no longer squares to zero is flagged invalid and must be
 rejected by validation gates.
@@ -8,11 +9,48 @@ rejected by validation gates.
 from fractions import Fraction
 from typing import NamedTuple
 
+from jumploci import fixtures
 from jumploci.complexes import FreeComplex, Matrix
 from jumploci.fixtures import Fixture
 from jumploci.lattices import LinearUnion
 from jumploci.laurent import RingContext
 from jumploci.loci import LociProfile
+
+
+def standard_fixture_suite() -> list[Fixture]:
+    """The stock of assumption-passing fixtures used across test suites:
+    Koszul complexes for small m, twists, external tensors, inductions and
+    direct sums.  All carry expected verdict 'perverse'.  The builders are
+    read as attributes of ``jumploci.fixtures``, so a test that patches one
+    there sees the stock go through it."""
+    m1 = fixtures.mellin_constant_torus(1)
+    m2 = fixtures.mellin_constant_torus(2)
+    m3 = fixtures.mellin_constant_torus(3)
+    second1 = fixtures.mellin_constant_torus(1, 1)
+    second2 = fixtures.mellin_constant_torus(2, 1)
+    stock = [m1, m2, m3]
+    for lam in (Fraction(2), Fraction(-1), Fraction(1, 3)):
+        stock.append(fixtures.twist_fixture(m1, [lam]))
+        stock.append(fixtures.twist_fixture(m2, [lam, lam]))
+    stock.append(fixtures.twist_fixture(m2, [Fraction(2), Fraction(1, 3)]))
+    stock.append(fixtures.twist_fixture(m3, [Fraction(2), Fraction(-1), Fraction(1, 3)]))
+    stock.append(fixtures.tensor_fixture(m1, second1))
+    stock.append(fixtures.tensor_fixture(m1, second2))
+    stock.append(fixtures.tensor_fixture(fixtures.twist_fixture(m1, [Fraction(2)]), second1))
+    stock.append(fixtures.tensor_fixture(m1, fixtures.twist_fixture(second1, [Fraction(-1)])))
+    stock.append(fixtures.induce_fixture(m1, [2]))
+    stock.append(fixtures.induce_fixture(m1, [3]))
+    stock.append(fixtures.induce_fixture(m2, [2, 1]))
+    stock.append(fixtures.induce_fixture(fixtures.twist_fixture(m2, [Fraction(2), Fraction(1, 3)]), [2, 1]))
+    stock.append(fixtures.induce_fixture(fixtures.twist_fixture(m1, [Fraction(2)]), [2]))
+    stock.append(fixtures.sum_fixture(m1, fixtures.twist_fixture(m1, [Fraction(2)])))
+    stock.append(fixtures.sum_fixture(m2, fixtures.twist_fixture(m2, [Fraction(-1), Fraction(2)])))
+    stock.append(fixtures.sum_fixture(m1, fixtures.induce_fixture(m1, [2])))
+    stock.append(fixtures.sum_fixture(m2, m2))
+    stock.append(fixtures.sum_fixture(m1, fixtures.free_module_fixture(1)))
+    stock.append(fixtures.free_module_fixture(1))
+    stock.append(fixtures.free_module_fixture(2, rank=3))
+    return stock
 
 
 class Mutant(NamedTuple):

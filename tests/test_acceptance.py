@@ -17,39 +17,38 @@ from jumploci import cli, serialize
 from jumploci.complexes import FreeComplex, Matrix
 from jumploci.errors import InputError
 from jumploci.fixtures import (
-    dual_complex,
     free_module_fixture,
     induce_fixture,
     koszul,
     mellin_constant_torus,
-    renamed_torus_fixture,
     shift_complex,
     shift_fixture,
-    standard_fixture_suite,
     sum_fixture,
     tensor_fixture,
     twist_fixture,
 )
 from jumploci.groebner import LaurentIdeal, variety_containment
-from jumploci.lattices import (
-    LinearComponent,
-    rational_rank,
-    saturate_lattice,
-)
+from jumploci.lattices import LinearComponent, saturate_lattice
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import (
     LociProfile,
-    abelian_specialization_verdict,
     depth_bounds,
     membership_at_point,
     propagation_check,
     radical_equality_pairs,
     survival_interval,
-    torus_specialization_verdict,
 )
 from jumploci.sampling import sample_points
 from jumploci.serialize import is_whole_space
 from jumploci.verdict import perversity_verdict
+
+from fixture_helpers import standard_fixture_suite
+from oracles import (
+    abelian_specialization_verdict,
+    dual_complex,
+    rational_rank,
+    torus_specialization_verdict,
+)
 
 
 def _passed(n, label):
@@ -59,7 +58,7 @@ def _passed(n, label):
 @pytest.fixture(scope="module")
 def suite():
     # the standard stock plus the two N = 4 fixtures: m4 and the 2x2 tensor
-    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    tensor22 = tensor_fixture(mellin_constant_torus(2), mellin_constant_torus(2, 2))
     return standard_fixture_suite() + [mellin_constant_torus(4), tensor22]
 
 
@@ -147,7 +146,7 @@ def _negative_cohomology_mutants():
         ),
         (
             "tensor shifted left",
-            shift_complex(tensor_fixture(m1, renamed_torus_fixture(1, 1)).complex, -1),
+            shift_complex(tensor_fixture(m1, mellin_constant_torus(1, 1)).complex, -1),
         ),
         ("induced shifted left", shift_complex(induce_fixture(m1, [2]).complex, -1)),
     ]
@@ -359,7 +358,7 @@ def test_criterion_11_determinism():
 
 def _non_koszul_tensors():
     m1 = mellin_constant_torus(1)
-    second = renamed_torus_fixture(1, 1)
+    second = mellin_constant_torus(1, 1)
     return [
         tensor_fixture(m1, induce_fixture(second, [2])),
         tensor_fixture(induce_fixture(m1, [3]), twist_fixture(second, [Fraction(2)])),

@@ -18,16 +18,13 @@ from jumploci.cyclotomic import field_rank
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
     direct_sum,
-    dual_complex,
     external_tensor,
     induce_complex,
     induce_fixture,
     koszul,
     mellin_constant_torus,
-    renamed_torus_fixture,
     shift_complex,
     shift_fixture,
-    standard_fixture_suite,
     substitute,
     sum_fixture,
     tensor_fixture,
@@ -38,6 +35,9 @@ from jumploci.groebner import LaurentIdeal, variety_containment
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
 from jumploci.loci import radical_equality_pairs
 from jumploci.serialize import jump_ideal_report
+
+from fixture_helpers import standard_fixture_suite
+from oracles import dual_complex
 
 
 @pytest.fixture
@@ -320,7 +320,7 @@ def _jumping_cases():
         yield fx.name, fx.complex, None
     yield from _random_three_term_complexes()
     yield "mellin-torus-m5", mellin_constant_torus(5).complex, [-4]
-    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    tensor22 = tensor_fixture(mellin_constant_torus(2), mellin_constant_torus(2, 2))
     yield tensor22.name, tensor22.complex, None
 
 
@@ -371,7 +371,7 @@ def _random_complexes_with_a_free_summand():
 def _fitting_product_cases():
     """(name, complex, degrees or None for k_min - 1 .. k_max + 1)."""
     m2, m3 = mellin_constant_torus(2), mellin_constant_torus(3)
-    tensor22 = tensor_fixture(m2, renamed_torus_fixture(2, 2))
+    tensor22 = tensor_fixture(m2, mellin_constant_torus(2, 2))
     for fx in standard_fixture_suite() + [mellin_constant_torus(4), tensor22]:
         yield fx.name, fx.complex, None
     for s in (1, -1):
@@ -725,8 +725,6 @@ def test_euler_characteristic(ctx2):
 def test_twist_equals_substitute_per_entry():
     # the twist validates its scalars once and skips zero entries; the
     # matrices must be those of substitute applied to every entry
-    from jumploci.fixtures import standard_fixture_suite
-
     rng = random.Random(31)
     pool = [Fraction(v) for v in ("2", "-1", "1/3", "-5/2", "7")]
     for fx in standard_fixture_suite():
@@ -857,7 +855,7 @@ def _random_matrices():
 
 
 def _stock_differentials():
-    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    tensor22 = tensor_fixture(mellin_constant_torus(2), mellin_constant_torus(2, 2))
     for fx in standard_fixture_suite() + [mellin_constant_torus(4), tensor22]:
         for i, mat in sorted(fx.complex.diffs.items()):
             yield f"{fx.name}-d{i}", mat

@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 
 from jumploci.cyclotomic import Cyclotomic, cyclotomic_polynomial, field_rank
-from jumploci.lattices import rational_rank
+
+from oracles import rational_rank
 
 
 def test_cyclotomic_polynomials_small_orders():

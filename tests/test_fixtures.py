@@ -14,10 +14,8 @@ from jumploci.fixtures import (
     induce_fixture,
     koszul,
     mellin_constant_torus,
-    renamed_torus_fixture,
     shift_complex,
     shift_fixture,
-    standard_fixture_suite,
     sum_fixture,
     tensor_fixture,
     twist_fixture,
@@ -27,7 +25,7 @@ from jumploci.loci import membership_at_point
 from jumploci.sampling import random_rational_point, sample_points
 from jumploci.verdict import perversity_verdict
 
-from fixture_helpers import mutate_scale_entry, mutate_zero_entry
+from fixture_helpers import mutate_scale_entry, mutate_zero_entry, standard_fixture_suite
 
 
 def test_koszul_shapes():
@@ -150,7 +148,7 @@ def test_mutation_gate():
 
 def test_tensor_fixture_kunneth_profile():
     left = mellin_constant_torus(1)
-    right = renamed_torus_fixture(2, 1)
+    right = mellin_constant_torus(2, 1)
     fx = tensor_fixture(left, right)
     assert fx.complex.ranks == (1, 3, 3, 1)
     assert fx.profile.degrees() == [-3, -2, -1, 0]
@@ -163,7 +161,7 @@ def test_induce_fixture_fans_out_components_of_any_dimension():
     # the induced complex at rho is the sum of the base at rho*zeta over the
     # n-torsion points zeta, so whole-space and line components translate
     # as points do
-    m1, second = mellin_constant_torus(1), renamed_torus_fixture(1, 1)
+    m1, second = mellin_constant_torus(1), mellin_constant_torus(1, 1)
     free = free_module_fixture(1)
     covers = [
         (free, [2]),
@@ -221,7 +219,7 @@ def test_fixture_euler_follows_the_rule_of_its_construction(monkeypatch):
     chi = _record_chi_rules(monkeypatch)
     m2, free = fixtures.mellin_constant_torus(2), fixtures.free_module_fixture(2, rank=3)
     mixed = fixtures.sum_fixture(fixtures.mellin_constant_torus(1), fixtures.free_module_fixture(1))
-    built = [*fixtures.standard_fixture_suite(), fixtures.mellin_constant_torus(4)]
+    built = [*standard_fixture_suite(), fixtures.mellin_constant_torus(4)]
     built += [fixtures.shift_fixture(base, s) for base in (m2, free, mixed) for s in (-2, -1, 1, 2)]
     built += [
         fixtures.twist_fixture(free, [Fraction(2), Fraction(1, 3)]),
@@ -244,13 +242,13 @@ def _never(*args):
 
 def test_fixture_caps_refuse_before_building(monkeypatch):
     over = MAX_FIXTURE_VARS + 1
-    m3, left, right = mellin_constant_torus(3), mellin_constant_torus(4), renamed_torus_fixture(over - 4, 4)
+    m3, left, right = mellin_constant_torus(3), mellin_constant_torus(4), mellin_constant_torus(over - 4, 4)
     monkeypatch.setattr(fixtures, "koszul", _never)
     monkeypatch.setattr(fixtures, "external_tensor", _never)
     monkeypatch.setattr(fixtures, "induce_complex", _never)
     for build in (
         lambda: mellin_constant_torus(over),
-        lambda: renamed_torus_fixture(over, 1),
+        lambda: mellin_constant_torus(over, 1),
         lambda: free_module_fixture(over),
         lambda: tensor_fixture(left, right),
         lambda: induce_fixture(m3, [4, 4, 4]),  # 8 * 64 basis vectors

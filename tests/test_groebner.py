@@ -9,7 +9,6 @@ import pytest
 
 from jumploci import groebner
 from jumploci.errors import ResourceError
-from jumploci.fixtures import standard_fixture_suite
 from jumploci.groebner import (
     GREVLEX,
     LaurentIdeal,
@@ -29,6 +28,8 @@ from jumploci.groebner import (
     variety_containment,
 )
 from jumploci.laurent import LaurentPoly, RingContext
+
+from fixture_helpers import standard_fixture_suite
 
 # a second term order for the order-generic tests: exponent tuples compared
 # lexicographically (the program itself uses grevlex and elimination orders)

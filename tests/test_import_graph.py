@@ -13,16 +13,19 @@ starts a fresh interpreter, since the test process has long loaded all of
 them.
 
 Module ownership is pinned too: no module imports another module's private
-name or reads a private attribute of an object other than self or cls, and
-every name a module imports from a sibling is read there.  So
-is the input a run depends on: no module reads the environment, and every
-cap in the README's cap table is the module constant it names, with the
-value it lists, and every cap constant has its row.
+name or reads a private attribute of an object other than self or cls,
+every name a module imports from a sibling is read there, and every
+module-level function and class is reached by the program, the benchmark,
+the tools or the demos, not by tests alone.  So is the input a run depends
+on: no module reads the environment, and every cap in the README's cap
+table is the module constant it names, with the value it lists, and every
+cap constant has its row.
 """
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +229,61 @@ def test_every_name_imported_from_a_sibling_is_read():
                 bound = [a.asname or a.name for a in node.names]
                 unread += [f"{path.stem}.{name}" for name in bound if name not in read]
     assert unread == ["verdict.perversity_verdict"]
+
+
+_DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)*")
+
+
+def _names_read(tree: ast.AST, bare: bool) -> set:
+    """The names ``tree`` reads: attributes, names imported from jumploci and
+    string constants that are a (dotted) name, such as a COMMANDS handler or
+    a patched ``(module, "name")`` site.  With ``bare`` false, bare names and
+    attributes of objects not imported from jumploci do not count."""
+    imported, names = set(), set()  # the names bound by jumploci imports, the names read
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a for a in node.names if a.name.startswith("jumploci")]
+            imported |= {a.asname or a.name.partition(".")[0] for a in modules}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("jumploci"):
+            imported |= {a.asname or a.name for a in node.names}
+            names |= {a.name for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and bare:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            while isinstance(owner, ast.Attribute):
+                owner = owner.value
+            if bare or (isinstance(owner, ast.Name) and owner.id in imported):
+                names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED_NAME.fullmatch(node.value):
+            names |= set(re.split("[.:]", node.value))
+    return names
+
+
+def test_every_module_level_definition_is_reached_by_the_program():
+    # a function or class that only tests call lives with the tests
+    # (tests/oracles.py, tests/fixture_helpers.py): each one in src/ is read
+    # in src/ outside its own definition, or by the benchmark, the tools or
+    # the demos.  Methods are out of scope, and module dunders are the
+    # interpreter's hooks
+    definitions, readers = [], {}
+    for path in sorted((ROOT / "src" / "jumploci").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("__"):
+                definitions.append((f"{path.stem}.{stmt.name}", stmt.name, stmt))
+            for name in _names_read(stmt, bare=True):
+                readers.setdefault(name, []).append(stmt)
+    outside = set()
+    for directory in ("perfbench", "tools", "demos"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            outside |= _names_read(ast.parse(path.read_text()), bare=False)
+    unreached = [
+        dotted
+        for dotted, name, stmt in definitions
+        if name not in outside and all(reader is stmt for reader in readers.get(name, []))
+    ]
+    assert unreached == []
 
 
 @pytest.mark.parametrize("module", ["complexes", "groebner"])

@@ -11,7 +11,6 @@ from jumploci.fixtures import (
     koszul,
     mellin_constant_torus,
     shift_complex,
-    standard_fixture_suite,
     twist_complex,
 )
 from jumploci.groebner import LaurentIdeal, variety_containment
@@ -24,6 +23,8 @@ from jumploci.loci import (
 )
 from jumploci.sampling import sample_points
 from jumploci.serialize import is_whole_space
+
+from fixture_helpers import standard_fixture_suite
 
 
 def _koszul(m):

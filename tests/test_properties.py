@@ -18,8 +18,6 @@ from jumploci.fixtures import (
     induce_complex,
     koszul,
     mellin_constant_torus,
-    renamed_torus_fixture,
-    standard_fixture_suite,
     tensor_fixture,
 )
 from jumploci.groebner import (
@@ -39,6 +37,8 @@ from jumploci.lattices import hermite_normal_form, LinearComponent
 from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint
 from jumploci.loci import membership_at_point, propagation_check
 from jumploci.sampling import sample_points
+
+from fixture_helpers import standard_fixture_suite
 
 LEX = MonomialOrder("lex", tuple)  # exponent tuples compared lexicographically
 
@@ -199,7 +199,7 @@ def test_products_of_canonical_generators_are_canonical():
         h = f * g
         assert LaurentPoly(ctx, primitive_part(laurent_to_poly(h))) == h
     # and so is every generator jumping_ideal forms from canonical minors
-    tensor22 = tensor_fixture(mellin_constant_torus(2), renamed_torus_fixture(2, 2))
+    tensor22 = tensor_fixture(mellin_constant_torus(2), mellin_constant_torus(2, 2))
     cases = [(fx.complex, fx.complex.degrees()) for fx in standard_fixture_suite() + [tensor22]]
     for cx, degrees in cases + [(mellin_constant_torus(5).complex, [-4])]:
         for i in degrees:

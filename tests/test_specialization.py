@@ -19,10 +19,11 @@ import pytest
 
 from jumploci import loci, serialize
 from jumploci.cyclotomic import MAX_CYCLOTOMIC_ORDER, cyclotomic_polynomial
-from jumploci.fixtures import standard_fixture_suite
 from jumploci.laurent import RingContext, TorsionPoint
 from jumploci.loci import membership_at_point
 from jumploci.sampling import sample_points
+
+from fixture_helpers import standard_fixture_suite
 
 
 # -- the Fraction path, as it was --------------------------------------------------

@@ -19,16 +19,12 @@ from jumploci.fixtures import (
 )
 from jumploci.lattices import LinearComponent, LinearUnion
 from jumploci.laurent import RingContext
-from jumploci.loci import (
-    LociProfile,
-    abelian_specialization_verdict,
-    survival_interval,
-    torus_specialization_verdict,
-)
+from jumploci.loci import LociProfile, survival_interval
 from jumploci.sampling import MAX_SAMPLES, sample_points
 from jumploci.verdict import check_lower, check_upper, perversity_verdict, spot_check_profile
 
 from fixture_helpers import abelian_point_profile
+from oracles import abelian_specialization_verdict, torus_specialization_verdict
 
 
 def _torus_point_profile(m, degrees):
