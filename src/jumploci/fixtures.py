@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 from .complexes import FreeComplex, Matrix
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext
+from .laurent import LaurentPoly, RingContext, format_rational, parse_rational
 from .loci import LociProfile, TorsionPoint
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
@@ -385,7 +385,7 @@ def twist_fixture(base: Fixture, scalars: Sequence) -> Fixture:
     cx = twist_complex(base.complex, lams)
     loci = _translated(base.profile, [ctx.rational_point([1 / v for v in lams])])
     profile = LociProfile(ctx, loci, source=cx)
-    label = f"{base.name}-twist({','.join(str(v) for v in lams)})"
+    label = f"{base.name}-twist({','.join(map(format_rational, lams))})"
     return Fixture(label, cx, profile, base.expected_verdict)
 
 
@@ -460,7 +460,7 @@ def _parse_list(text: str, kind) -> list:
     """A comma-separated fixture parameter such as --lam 2,1/3."""
     try:
         return [kind(v) for v in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"malformed list {text!r}") from exc
 
 
@@ -475,13 +475,13 @@ def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=Non
     if name == "mellin":
         return base
     if name == "twist":
-        return twist_fixture(base, _parse_list(lam, Fraction))
+        return twist_fixture(base, _parse_list(lam, parse_rational))
     if name == "induce":
         return induce_fixture(base, _parse_list(n, int) if n is not None else [2] * m)
     if name == "tensor":
         return tensor_fixture(base, mellin_constant_torus(1 if m2 is None else m2, m))
     if name == "sum":
-        lams = _parse_list(lam, Fraction) if lam is not None else [Fraction(2)] * m
+        lams = _parse_list(lam, parse_rational) if lam is not None else [Fraction(2)] * m
         return sum_fixture(base, twist_fixture(base, lams))
     if name == "shift":
         return shift_fixture(base, 1 if s is None else s)

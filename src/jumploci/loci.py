@@ -64,7 +64,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER, field_rank
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import RingContext, format_rational
+from .laurent import RingContext, format_rational, parse_rational
 from .serialize import check_degree, render_json
 
 LOCI_FORMAT = "jumploci-loci"
@@ -312,11 +312,10 @@ class LociProfile:
 
 
 def _parse_frac(s) -> Fraction:
-    """A string or, as for _parse_int, an integer: never a (rounded) float."""
-    try:
-        return Fraction(s if isinstance(s, str) else _parse_int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed rational {s!r}: write rationals as strings, e.g. \"1/3\"") from exc
+    """A string, read by parse_rational, or a JSON integer: never a (rounded) float."""
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise InputError(f"malformed rational {s!r}: write rationals as strings, e.g. \"1/3\"")
+    return parse_rational(s) if isinstance(s, str) else Fraction(s)
 
 
 def _parse_pairs(value) -> list[tuple[Fraction, Fraction]]:
@@ -338,7 +337,7 @@ def _parse_point(ctx: RingContext, value) -> TorsionPoint:
 
 def _point_doc(point: TorsionPoint) -> list[list[str]]:
     """A point as written to files and reports: [radial, angle] strings."""
-    return [[str(q), str(th)] for q, th in point.coords]
+    return [[format_rational(q), format_rational(th)] for q, th in point.coords]
 
 
 def _component_doc(c: LinearComponent) -> dict:
@@ -419,6 +418,8 @@ def load_loci(text: str, strict: bool = True):
     if isinstance(ring, dict):
         _known_keys(ring, {"vars", "torus", "abelian"}, "the ring block")
     try:
+        if not isinstance(ring["vars"], list):  # RingContext would read "ab" as a, b; it checks each name
+            raise TypeError("the variables are a list")
         ctx = RingContext(ring["vars"], _parse_int(ring["torus"]), _parse_int(ring["abelian"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed ring block: {ring!r}") from exc

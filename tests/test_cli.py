@@ -10,7 +10,7 @@ from jumploci import serialize
 from jumploci.complexes import MAX_RANK
 from jumploci.cyclotomic import MAX_COEFFICIENT_GROWTH, MAX_CYCLOTOMIC_ORDER
 from jumploci.fixtures import MAX_COVER_SIZE, MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
-from jumploci.laurent import MAX_EXPONENT
+from jumploci.laurent import MAX_EXPONENT, MAX_RADIAL_POWER_BITS
 from jumploci.loci import MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
 from jumploci.sampling import MAX_SAMPLES
 from jumploci.serialize import MAX_DEGREE
@@ -237,6 +237,12 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
                      id="euler-of-5000-digits"),
         pytest.param(["sample", "{m2}", "--points", "{input}"], '[[[' + "7" * 5000 + ', "0"], ["1", "0"]]]',
                      id="radial-number-of-5000-digits"),
+        # Fraction builds 10^e for an exponent part: the first ran past 45 s,
+        # the second printed 10^5000 in a traceback
+        pytest.param(["sample", "{m2}", "--points", "{input}"], '[[["1e100000000", "0"], ["1", "0"]]]',
+                     id="radial-with-exponent-part"),
+        pytest.param(["fixtures", "twist", "--m", "1", "--lam", "1e5000", "--complex-out", "{input}"], None,
+                     id="twist-scalar-with-exponent-part"),
         # keys dump_loci never writes were once read past
         pytest.param(["codims", "{input}"], _m2_loci_edited(lambda d: d.update(format="nope")),
                      id="unknown-loci-format"),
@@ -267,7 +273,7 @@ def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, tex
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
-    result = run_cli(*(a.format(m2=cx, input=path) for a in argv), timeout=60)
+    result = run_cli(*(a.format(m2=cx, input=path) for a in argv), timeout=30)
     assert result.returncode == 2
     assert result.stderr.startswith("input error:")
     assert "Traceback" not in result.stderr
@@ -294,6 +300,20 @@ def test_cyclotomic_order_over_cap_exits_3(m2_files, tmp_path, argv, text):
     assert result.returncode == 3
     assert result.stderr == f"resource cap: cyclotomic order 100003 exceeds the cap of {MAX_CYCLOTOMIC_ORDER}\n"
     assert "Traceback" not in result.stderr
+
+
+def test_radial_power_over_cap_exits_3(tmp_path):
+    # evaluating t1^10000 at a radial part of 10^4000 builds a power of
+    # 1.3*10^8 bits: it ran past 60 s before the cap, and is now refused
+    # before the power is built
+    cx = tmp_path / "power.complex"
+    cx.write_text("ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1^10000 - 1\n")
+    pts = tmp_path / "points.json"
+    pts.write_text('[[["1' + "0" * 4000 + '", "0"]]]')
+    result = run_cli("sample", str(cx), "--points", str(pts), timeout=30)
+    assert (result.returncode, result.stdout) == (3, "")
+    bits = 10**4 * (10**4000).bit_length()
+    assert result.stderr == f"resource cap: radial power bit length {bits} exceeds the cap of {MAX_RADIAL_POWER_BITS}\n"
 
 
 def test_dense_rank_at_a_point_stops_at_the_coefficient_growth_cap(tmp_path):

@@ -492,6 +492,15 @@ def _m2_loci_with(path, value) -> str:
         pytest.param(["perversity", "in"], _m2_loci_with(("euler",), False), id="euler-false"),
         pytest.param(["perversity", "in"], _m2_loci_with(("ring", "torus"), 2.0), id="torus-float"),
         pytest.param(["perversity", "in"], _m2_loci_with(("ring", "abelian"), False), id="abelian-false"),
+        # rationals once read but not printable (exit 4 where a report printed them)
+        pytest.param(["perversity", "in"], _m2_loci_with(("loci", "0", 0, "translate", 0, 0), "1e5000"),
+                     id="translate-radial-with-exponent-part"),
+        pytest.param(["perversity", "in"],
+                     _m2_loci_with(("loci", "0", 0, "translate", 0, 0), "1" * 3000 + "." + "1" * 3000),
+                     id="translate-radial-decimal-of-6001-characters"),
+        # variables once read as the characters of a string or the keys of an object
+        pytest.param(["perversity", "in"], _m2_loci_with(("ring", "vars"), "ab"), id="vars-string"),
+        pytest.param(["perversity", "in"], _m2_loci_with(("ring", "vars"), {"t1": 1, "t2": 2}), id="vars-object"),
     ],
 )
 def test_found_inputs_are_input_errors(tmp_path, argv, text):

@@ -7,7 +7,9 @@ import pytest
 from jumploci.cyclotomic import Cyclotomic
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import substitute
-from jumploci.laurent import LaurentPoly, RingContext, TorsionPoint, format_rational, parse_poly
+from jumploci.laurent import (
+    MAX_RADIAL_POWER_BITS, LaurentPoly, RingContext, TorsionPoint, format_rational, parse_poly, parse_rational,
+)
 
 
 @pytest.fixture
@@ -282,3 +284,30 @@ def test_format_rational_refuses_numbers_too_long_to_print_with_their_digit_coun
     with pytest.raises(ResourceError, match=f"a computed number of {digits} digits is too long to print"):
         format_rational(value)
     assert format_rational(Fraction(-(10**4299), 7)) == str(Fraction(-(10**4299), 7))
+
+
+@pytest.mark.parametrize("text", ["0.25", "1.00000000000000001", " 2", "-3/4", "+1/2", "7" * 4300, "0/3"])
+def test_parse_rational_reads_what_fraction_reads(text):
+    assert parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e3", "1E3", "2.5e-1", "1e100000000", "1/0", "", "x", "inf", "1.5/2", "7" * 4301,
+     "1" * 3000 + "." + "1" * 3000, "0." + "0" * 4299 + "1"],
+)
+def test_parse_rational_refuses_exponents_and_values_too_long_to_print(text):
+    # Fraction reads the last two, but their numerator or denominator has
+    # more digits than str prints
+    with pytest.raises(InputError, match="malformed rational") as info:
+        parse_rational(text)
+    assert len(str(info.value)) < 200
+
+
+def test_radial_powers_are_capped_by_bit_length():
+    # |e| times the larger bit length of q's numerator and denominator
+    ctx = RingContext.torus(1)
+    at_cap = Fraction(1, 2 ** (MAX_RADIAL_POWER_BITS - 1))
+    assert parse_poly(ctx, "t1").evaluate(ctx.rational_point([at_cap])).as_fraction() == at_cap
+    with pytest.raises(ResourceError, match=f"radial power bit length {2 * MAX_RADIAL_POWER_BITS} exceeds the cap"):
+        parse_poly(ctx, "t1^-2").evaluate(ctx.rational_point([at_cap]))
