@@ -72,10 +72,9 @@ def _degrees(args, cx) -> list[int]:
     if not args.degrees:
         return list(cx.degrees())
     try:
-        lo, hi = (int(bound) for bound in args.degrees.split(".."))
+        lo, hi = serialize.degree_range(args.degrees)
     except ValueError as exc:
         raise InputError(f"malformed degree range {args.degrees!r}, expected a..b") from exc
-    lo, hi = serialize.check_degree(lo), serialize.check_degree(hi)
     if lo > hi:
         raise InputError(f"malformed degree range {args.degrees!r}, expected a..b with a <= b")
     return list(range(lo, hi + 1))

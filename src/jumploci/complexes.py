@@ -156,7 +156,9 @@ class Matrix:
         return Matrix(self.context, self.nrows, other.ncols, sums)
 
     def evaluate(self, point: TorsionPoint) -> list[list[Cyclotomic]]:
-        """Entry-wise values; zero entries share one evaluation of the zero polynomial."""
+        """Entry-wise values, the radial powers of all entries charged to one cap;
+        zero entries share one evaluation of the zero polynomial."""
+        point.check_radial_powers(e for row in self.entries for e in row)
         zero = self.context.zero().evaluate(point)
         return [[e.evaluate(point) if e.terms else zero for e in row] for row in self.entries]
 

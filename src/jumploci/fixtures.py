@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 from .complexes import FreeComplex, Matrix
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext, format_rational, parse_rational
+from .laurent import LaurentPoly, RingContext, format_rational, parse_int, parse_rational
 from .loci import LociProfile, TorsionPoint
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
@@ -477,7 +477,7 @@ def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=Non
     if name == "twist":
         return twist_fixture(base, _parse_list(lam, parse_rational))
     if name == "induce":
-        return induce_fixture(base, _parse_list(n, int) if n is not None else [2] * m)
+        return induce_fixture(base, _parse_list(n, parse_int) if n is not None else [2] * m)
     if name == "tensor":
         return tensor_fixture(base, mellin_constant_torus(1 if m2 is None else m2, m))
     if name == "sum":

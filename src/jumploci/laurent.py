@@ -8,8 +8,8 @@ A Laurent polynomial is stored as a dictionary mapping exponent vectors
 The zero polynomial is the empty dict.  Zero coefficients are never stored,
 so two polynomials are equal iff their term dicts are equal; this makes
 equality and zero-testing exact.  Polynomials are not hashable.  Every
-rational read from text is read by ``parse_rational``, every one printed
-is printed by ``format_rational``.
+integer read from text is read by ``parse_int``, every rational by
+``parse_rational``, and every one printed is printed by ``format_rational``.
 
 Every value is attached to a RingContext fixing the number of variables,
 their print names, and the torus/abelian split (the first ``torus_rank``
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import log10
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, ResourceError, check_cap
+from .errors import InputError, ResourceError
 
 Exponent = tuple[int, ...]
 
@@ -42,11 +42,6 @@ Exponent = tuple[int, ...]
 # `perversity --samples 40` took 0.4 s at e = 10^4, 8.7 s at 10^5 and did
 # not end in 30 s at 10^6.  Fixture exponents stay at most MAX_COVER_SIZE.
 MAX_EXPONENT = 10**4
-# Largest |e| times the bit length of q (numerator or denominator) of one
-# radial power q^e that evaluate builds: 42 ms at 10^6 bits, 1.4 s at 10^7.
-MAX_RADIAL_POWER_BITS = 2**22
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
 
 def __getattr__(name: str):
@@ -76,7 +71,7 @@ class RingContext:
         if len(set(names)) != len(names):
             raise InputError("variable names must be pairwise distinct")
         for n in names:
-            if not _NAME_RE.match(n):
+            if not (isinstance(n, str) and n.isascii() and n.isidentifier()):
                 raise InputError(f"invalid variable name {n!r}")
         self.num_vars = len(names)
         self.var_names = names
@@ -255,16 +250,13 @@ class LaurentPoly:
         from .cyclotomic import Cyclotomic
 
         self.context.require(point)
+        point.check_radial_powers([self])  # before any radial power is built
         L, steps, radials = point.character_table()
         powers = [0] * L
         for exp, c in self.terms.items():
             k = sum(e * a for e, a in zip(exp, steps)) % L
             if radials is not None:
-                for e, q in zip(exp, radials):
-                    if e:
-                        bits = abs(e) * max(q.numerator.bit_length(), q.denominator.bit_length())
-                        check_cap(bits, MAX_RADIAL_POWER_BITS, "radial power bit length")
-                        c *= q**e
+                c *= prod(q**e for e, q in zip(exp, radials) if e)
             powers[k] += c
         return Cyclotomic(L, powers)
 
@@ -278,17 +270,28 @@ class LaurentPoly:
 
 
 def parse_rational(text: str) -> Fraction:
-    """What Fraction reads from ``text`` (an optionally signed integer, p/q or
-    decimal, with surrounding spaces) but an exponent part, refused before
-    Fraction builds 10^e, and a value format_rational could not print."""
+    """An optionally signed integer, p/q or decimal in ASCII digits, read by ``_parse_number``."""
+    return _parse_number(Fraction, text, "rational", "p, p/q or a decimal")
+
+
+def parse_int(text: str) -> int:
+    """An optionally signed integer in ASCII digits, read by ``_parse_number``."""
+    return _parse_number(int, text, "integer", "an integer")
+
+
+def _parse_number(kind, text: str, what: str, shape: str):
+    """kind(text), surrounding spaces allowed; InputError where kind raises, and where int
+    or Fraction would read text unlike on some admitted Python or at no bounded cost: text
+    outside ASCII (other scripts' digits), an underscore (int reads 1_0, Fraction from 3.11
+    on), an exponent part (10^e) and a value too long to print."""
     try:
-        if "e" in text or "E" in text:
-            raise ValueError("an exponent part")
-        q = Fraction(text)
+        if not text.isascii() or any(c in text for c in "_eE"):
+            raise ValueError("a character outside ASCII, an underscore or an exponent part")
+        q = kind(text)
         str(q.numerator), str(q.denominator)  # ValueError over Python's int-string digit limit
     except (ValueError, ZeroDivisionError) as exc:
         shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-        raise InputError(f"malformed rational {shown}: write p, p/q or a decimal, at most 4300 digits") from exc
+        raise InputError(f"malformed {what} {shown}: write {shape} in ASCII digits, at most 4300 digits") from exc
     return q
 
 
@@ -300,7 +303,7 @@ def format_rational(q: Fraction) -> str:
         return str(q)
     except ValueError as exc:
         big = max(abs(q.numerator), q.denominator)
-        digits = int(log10(big))  # at most the digit count, so the loop ends on it
+        digits = (big.bit_length() - 1) * 30102999 // 10**8  # below the digit count: the loop ends on it
         while 10**digits <= big:
             digits += 1
         raise ResourceError(f"a computed number of {digits} digits is too long to print") from exc
@@ -314,7 +317,7 @@ def format_rational(q: Fraction) -> str:
 # or consist of a bare constant (-3/2).  parse(format(p)) == p.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^()])|(?P<bad>\S))"
 )
 

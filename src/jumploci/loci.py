@@ -59,12 +59,12 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .cyclotomic import MAX_CYCLOTOMIC_ORDER, field_rank
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import RingContext, format_rational, parse_rational
+from .laurent import RingContext, format_rational, parse_int, parse_rational
 from .serialize import check_degree, render_json
 
 LOCI_FORMAT = "jumploci-loci"
@@ -77,6 +77,10 @@ MAX_LOCI_COMPONENTS = 256
 # exponents of its characters and sampled points: `perversity` with
 # polynomial exponents at MAX_EXPONENT took 2.8 s at 100 and 70 s at 1000.
 MAX_LATTICE_ENTRY = 100
+# Largest sum of |e| times the larger bit length of q's numerator and
+# denominator over the radial powers q^e that evaluating a polynomial or a
+# matrix at one point builds: one power took 42 ms at 10^6 bits, 1.4 s at 10^7.
+MAX_RADIAL_POWER_BITS = 2**22
 
 
 def _rank_at_point(complex_: FreeComplex, i: int, point: TorsionPoint) -> int:
@@ -222,6 +226,15 @@ class TorsionPoint:
             self._table = (L, steps, radials)
         return self._table
 
+    def check_radial_powers(self, polys: Iterable[LaurentPoly]) -> None:
+        """Refuse, before any is built, the radial powers q^e that evaluating
+        all of ``polys`` here builds when their bits exceed the one cap."""
+        radials = self.character_table()[2]
+        if radials is not None:
+            sizes = [max(q.numerator.bit_length(), q.denominator.bit_length()) for q in radials]
+            bits = sum(abs(e) * b for p in polys for exp in p.terms for e, b in zip(exp, sizes))
+            check_cap(bits, MAX_RADIAL_POWER_BITS, "radial power bit length")
+
     def angle_order(self) -> int:
         """Least L with all angles in (1/L)Z; 1 when the point is rational."""
         return math.lcm(*(theta.denominator for _, theta in self.coords), 1)
@@ -347,11 +360,11 @@ def _component_doc(c: LinearComponent) -> dict:
 
 def _parse_int(value) -> int:
     """An integer field of a JSON document: an int that is not a bool, or a
-    string holding an integer.  Anything else raises ValueError, so 1.5,
+    string read by parse_int.  Anything else raises ValueError, so 1.5,
     2.0, true and false are refused rather than read as other integers."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"not an integer: {value!r}")
-    return int(value)
+    return parse_int(value) if isinstance(value, str) else value
 
 
 def _parse_lattice(rows) -> list[list[int]]:
@@ -432,7 +445,7 @@ def load_loci(text: str, strict: bool = True):
     rejected = []
     for key, comp_list in doc["loci"].items():
         try:
-            degree = int(key)
+            degree = parse_int(key)
         except ValueError as exc:
             raise InputError(f"malformed degree key {key!r}") from exc
         check_degree(degree)

@@ -40,7 +40,7 @@ import json
 from typing import Sequence
 
 from .errors import InputError, ResourceError
-from .laurent import RingContext, format_poly
+from .laurent import RingContext, format_poly, parse_int
 
 # Largest |degree| read from a file or the command line: the verdict's
 # conditions, jump-ideals and sample hold a row per degree up to the
@@ -68,6 +68,12 @@ def check_degree(degree: int) -> int:
     if abs(degree) > MAX_DEGREE:
         raise ResourceError(f"degree {degree} exceeds the cap of {MAX_DEGREE} in absolute value")
     return degree
+
+
+def degree_range(text: str) -> tuple[int, int]:
+    """The ends of ``a..b`` by parse_int and check_degree; ValueError if malformed."""
+    lo, hi = (parse_int(bound) for bound in text.split(".."))
+    return check_degree(lo), check_degree(hi)
 
 
 # -- complex text format -------------------------------------------------------
@@ -99,8 +105,8 @@ def _parse_ring_line(line: str) -> RingContext:
         fields[key] = value
     try:
         names = fields["vars"].split(",") if fields["vars"] else []
-        torus = int(fields["torus"])
-        abelian = int(fields["abelian"])
+        torus = parse_int(fields["torus"])
+        abelian = parse_int(fields["abelian"])
     except (KeyError, ValueError) as exc:
         raise InputError(f"malformed ring line: {line!r}") from exc
     return RingContext(names, torus, abelian)
@@ -139,15 +145,12 @@ def load_complex_shapes(text: str) -> FreeComplex:
     _, deg_line = take("degrees")
     try:
         _, span = deg_line.split()
-        lo_text, hi_text = span.split("..")
-        k_min, k_max = int(lo_text), int(hi_text)
+        k_min, k_max = degree_range(span)
     except ValueError as exc:
         raise InputError(f"malformed degrees line: {deg_line!r}") from exc
-    check_degree(k_min)
-    check_degree(k_max)
     _, ranks_line = take("ranks")
     try:
-        ranks = [int(r) for r in ranks_line.split(None, 1)[1].split(",")]
+        ranks = [parse_int(r) for r in ranks_line.split(None, 1)[1].split(",")]
     except (IndexError, ValueError) as exc:
         raise InputError(f"malformed ranks line: {ranks_line!r}") from exc
     if len(ranks) != k_max - k_min + 1:
@@ -160,7 +163,7 @@ def load_complex_shapes(text: str) -> FreeComplex:
         lineno, header = take("differential")
         try:
             _, deg_text = header.split()
-            deg = int(deg_text)
+            deg = parse_int(deg_text)
         except ValueError as exc:
             raise InputError(f"line {lineno}: malformed differential header {header!r}") from exc
         if deg != i:

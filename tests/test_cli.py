@@ -10,8 +10,8 @@ from jumploci import serialize
 from jumploci.complexes import MAX_RANK
 from jumploci.cyclotomic import MAX_COEFFICIENT_GROWTH, MAX_CYCLOTOMIC_ORDER
 from jumploci.fixtures import MAX_COVER_SIZE, MAX_FIXTURE_VARS, mellin_constant_torus, shift_fixture
-from jumploci.laurent import MAX_EXPONENT, MAX_RADIAL_POWER_BITS
-from jumploci.loci import MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS
+from jumploci.laurent import MAX_EXPONENT
+from jumploci.loci import MAX_LATTICE_ENTRY, MAX_LOCI_COMPONENTS, MAX_RADIAL_POWER_BITS
 from jumploci.sampling import MAX_SAMPLES
 from jumploci.serialize import MAX_DEGREE
 
@@ -237,6 +237,26 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
                      id="euler-of-5000-digits"),
         pytest.param(["sample", "{m2}", "--points", "{input}"], '[[[' + "7" * 5000 + ', "0"], ["1", "0"]]]',
                      id="radial-number-of-5000-digits"),
+        # int() and Fraction() read other scripts' digits and underscores, and
+        # Fraction reads 1_0/3 from 3.11 on only: each of these once exited 0
+        *(pytest.param(["validate", "{input}"],
+                       "ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,1\ndifferential -1\nt1 - 1\n"
+                       .replace(old, new), id=f"{field}-in-arabic-indic-digits")
+          for field, old, new in [("torus", "torus=1", "torus=\u0661"), ("degrees", "-1..0", "-1..\u0660"),
+                                  ("differential", "differential -1", "differential -\u0661"),
+                                  ("entry", "t1 - 1", "\u0663*t1^\u0662 - \u0663")]),
+        pytest.param(["codims", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"].update({"-\u0661": d["loci"].pop("-1")})),
+                     id="degree-key-in-arabic-indic-digits"),
+        pytest.param(["perversity", "{input}"],
+                     _m2_loci_edited(lambda d: d["loci"]["0"][0].update(lattice=[["1_0", 0]])),
+                     id="lattice-entry-with-underscore"),
+        pytest.param(["jump-ideals", "{m2}", "--degrees=-\u0661..0"], None,
+                     id="degree-range-in-arabic-indic-digits"),
+        pytest.param(["fixtures", "induce", "--m", "1", "--n", "\u0663"], None,
+                     id="cover-exponent-in-arabic-indic-digits"),
+        pytest.param(["sample", "{m2}", "--points", "{input}"], '[[["1_0/3", "0"], ["1", "0"]]]',
+                     id="radial-with-underscore"),
         # Fraction builds 10^e for an exponent part: the first ran past 45 s,
         # the second printed 10^5000 in a traceback
         pytest.param(["sample", "{m2}", "--points", "{input}"], '[[["1e100000000", "0"], ["1", "0"]]]',
@@ -314,6 +334,30 @@ def test_radial_power_over_cap_exits_3(tmp_path):
     assert (result.returncode, result.stdout) == (3, "")
     bits = 10**4 * (10**4000).bit_length()
     assert result.stderr == f"resource cap: radial power bit length {bits} exceeds the cap of {MAX_RADIAL_POWER_BITS}\n"
+
+
+@pytest.mark.parametrize(
+    "rows, code",
+    [
+        pytest.param(["t1^10000 - 1"], 0, id="one-power-under-the-cap"),
+        pytest.param([" + ".join(f"t1^{10000 - k}" for k in range(10))], 3, id="ten-powers-in-one-entry"),
+        pytest.param([f"t1^{10000 - k} - 1" for k in range(10)], 3, id="ten-powers-in-ten-entries"),
+    ],
+)
+def test_radial_powers_of_one_matrix_share_one_cap(tmp_path, rows, code):
+    # at a radial part of 10^100 each power t1^e has e * 333 bits, under the
+    # cap, so ten of them once ran for about 3 s; now their sum is refused
+    # before any power is built
+    cx = tmp_path / "powers.complex"
+    cx.write_text(f"ring vars=t1 torus=1 abelian=0\ndegrees -1..0\nranks 1,{len(rows)}\ndifferential -1\n"
+                  + "".join(f"{row}\n" for row in rows))
+    pts = tmp_path / "points.json"
+    pts.write_text(f'[[["{10**100}", "0"]]]')
+    result = run_cli("sample", str(cx), "--points", str(pts), timeout=30)
+    assert result.returncode == code, result.stderr
+    if code == 3:
+        bits = sum(range(9991, 10001)) * (10**100).bit_length()
+        assert result.stderr == f"resource cap: radial power bit length {bits} exceeds the cap of {MAX_RADIAL_POWER_BITS}\n"
 
 
 def test_dense_rank_at_a_point_stops_at_the_coefficient_growth_cap(tmp_path):

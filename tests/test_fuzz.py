@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from jumploci import cli, serialize
 from jumploci.fixtures import MAX_FIXTURE_VARS, mellin_constant_torus
-from jumploci.laurent import format_poly
+from jumploci.laurent import format_poly, parse_int
 from jumploci.sampling import MAX_SAMPLES
 from jumploci.serialize import MAX_DEGREE
 
@@ -463,7 +463,7 @@ def test_degree_ranges_end_in_a_documented_exit(tmp_path, command, degrees):
     code, err = _run(tmp_path, argv, {"m2.complex": M2_COMPLEX, "m2.points": json.dumps(M2_POINTS)})
     assert code in (0, 2, 3), err
     try:
-        lo, hi = (int(bound) for bound in degrees.split(".."))
+        lo, hi = (parse_int(bound) for bound in degrees.split(".."))
     except ValueError:
         return
     assert (code == 3) == (max(abs(lo), abs(hi)) > MAX_DEGREE), err

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from jumploci.complexes import Matrix
 from jumploci.cyclotomic import Cyclotomic
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import substitute
 from jumploci.laurent import (
-    MAX_RADIAL_POWER_BITS, LaurentPoly, RingContext, TorsionPoint, format_rational, parse_poly, parse_rational,
+    LaurentPoly, RingContext, TorsionPoint, format_rational, parse_int, parse_poly, parse_rational,
 )
+from jumploci.loci import MAX_RADIAL_POWER_BITS
 
 
 @pytest.fixture
@@ -294,14 +296,39 @@ def test_parse_rational_reads_what_fraction_reads(text):
 @pytest.mark.parametrize(
     "text",
     ["1e3", "1E3", "2.5e-1", "1e100000000", "1/0", "", "x", "inf", "1.5/2", "7" * 4301,
+     "1_0", "\u0663", "1/\u0664", "1_0/3", "1_0.5", "\u0661.5", "\u00a01",
      "1" * 3000 + "." + "1" * 3000, "0." + "0" * 4299 + "1"],
 )
 def test_parse_rational_refuses_exponents_and_values_too_long_to_print(text):
-    # Fraction reads the last two, but their numerator or denominator has
-    # more digits than str prints
+    # Fraction reads the seven with an underscore (from 3.11 on) or a
+    # character outside ASCII, and the last two, whose numerator or
+    # denominator has more digits than str prints
     with pytest.raises(InputError, match="malformed rational") as info:
         parse_rational(text)
     assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("text", [" 7 ", "+3", "-0", "007", "7" * 4300, "-12", "\t5\n"])
+def test_parse_int_reads_what_int_reads(text):
+    assert parse_int(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "\u0663", "-\u0661", "\u00a07", "7\u2003", "\u00b2", "1.0", "1.", "1/1", "1e3", "", " ", "+", "--1",
+     "+-1", "- 1", "1 0", "x", "0x10", "7" * 4301],
+)
+def test_parse_int_refuses_all_but_ascii_digits_after_an_optional_sign(text):
+    # int reads the first five: an underscore, other scripts' digits and spaces
+    with pytest.raises(InputError, match="malformed integer") as info:
+        parse_int(text)
+    assert len(str(info.value)) < 200
+
+
+@pytest.mark.parametrize("name", ["t\u0661", "\u00e9", "t 1", "1t", ""])
+def test_variable_names_are_ascii_identifiers(name):
+    with pytest.raises(InputError, match="invalid variable name"):
+        RingContext([name], 1, 0)
 
 
 def test_radial_powers_are_capped_by_bit_length():
@@ -311,3 +338,15 @@ def test_radial_powers_are_capped_by_bit_length():
     assert parse_poly(ctx, "t1").evaluate(ctx.rational_point([at_cap])).as_fraction() == at_cap
     with pytest.raises(ResourceError, match=f"radial power bit length {2 * MAX_RADIAL_POWER_BITS} exceeds the cap"):
         parse_poly(ctx, "t1^-2").evaluate(ctx.rational_point([at_cap]))
+
+
+def test_radial_powers_of_one_evaluation_share_one_cap():
+    # each power alone is at the cap: a polynomial or a matrix holding two
+    # of them is refused before either is built
+    ctx = RingContext.torus(1)
+    at_cap = ctx.rational_point([Fraction(1, 2 ** (MAX_RADIAL_POWER_BITS - 1))])
+    message = f"radial power bit length {2 * MAX_RADIAL_POWER_BITS} exceeds the cap"
+    with pytest.raises(ResourceError, match=message):
+        parse_poly(ctx, "t1 + t1^-1").evaluate(at_cap)
+    with pytest.raises(ResourceError, match=message):
+        Matrix(ctx, 2, 1, [[ctx.parse("t1")], [ctx.parse("t1^-1 + 2")]]).evaluate(at_cap)
