@@ -21,7 +21,9 @@ options.  ``build_parser`` builds the argparse parser from it, and
 ``parse_well_formed`` reads a well-formed argv from it without importing
 argparse, which with ``gettext`` and ``locale`` costs a short job about
 7 ms.  Any other argv -- help, an abbreviation, an error -- goes to
-argparse, so help, usage, every error text and exit 2 are argparse's own.
+argparse, so help, usage, every argument error and exit 2 are argparse's
+own.  Both parsers hand over option text, which ``main`` reads once, with
+the reader the table names, before any handler runs.
 
 ``main(argv)`` runs one command line and returns its exit status; the
 tests, library callers and the benchmark's tracer run it many times in one
@@ -39,6 +41,7 @@ from types import SimpleNamespace
 
 from . import serialize
 from .errors import InputError, ResourceError
+from .laurent import parse_int, parse_rational
 from .serialize import perversity_verdict
 
 EXIT_PASS = 0
@@ -67,19 +70,6 @@ def _emit(doc: dict, as_json: bool) -> None:
     sys.stdout.write(text)
 
 
-def _degrees(args, cx) -> list[int]:
-    """The --degrees range a..b, or every degree of the complex."""
-    if not args.degrees:
-        return list(cx.degrees())
-    try:
-        lo, hi = serialize.degree_range(args.degrees)
-    except ValueError as exc:
-        raise InputError(f"malformed degree range {args.degrees!r}, expected a..b") from exc
-    if lo > hi:
-        raise InputError(f"malformed degree range {args.degrees!r}, expected a..b with a <= b")
-    return list(range(lo, hi + 1))
-
-
 def cmd_validate(args) -> int:
     cx = serialize.load_complex_shapes(_read(args.complex))
     failure = cx.validate()
@@ -96,7 +86,8 @@ def cmd_validate(args) -> int:
 
 def cmd_jump_ideals(args) -> int:
     cx = serialize.load_complex(_read(args.complex))
-    _emit(serialize.jump_ideal_report(cx, _degrees(args, cx)), args.json)
+    degrees = cx.degrees() if args.degrees is None else args.degrees
+    _emit(serialize.jump_ideal_report(cx, degrees), args.json)
     return EXIT_PASS
 
 
@@ -110,14 +101,12 @@ def cmd_perversity(args) -> int:
     text = _read(args.input)
     if text.lstrip().startswith("{"):  # a loci document is JSON
         profile, rejected = serialize.load_loci(text, strict=True)
-        if args.loci:
+        if args.loci is not None:
             raise InputError("--loci is only meaningful with a complex input")
     else:
         cx = serialize.load_complex(text)
-        if not args.loci:
-            raise InputError(
-                "a complex input needs --loci with its declared linear loci"
-            )
+        if args.loci is None:
+            raise InputError("a complex input needs --loci with its declared linear loci")
         profile, _ = serialize.load_loci(_read(args.loci), strict=True)
         if profile.context != cx.context:
             raise InputError("loci and complex use different rings")
@@ -136,31 +125,27 @@ def cmd_codims(args) -> int:
 def cmd_sample(args) -> int:
     cx = serialize.load_complex(_read(args.complex))
     points = serialize.parse_points_file(_read(args.points), cx.context)
-    _emit(serialize.sample_report(cx, points, _degrees(args, cx)), args.json)
+    degrees = cx.degrees() if args.degrees is None else args.degrees
+    _emit(serialize.sample_report(cx, points, degrees), args.json)
     return EXIT_PASS
 
 
 def cmd_fixtures(args) -> int:
-    params = {option: getattr(args, option) for option in ("lam", "n", "m2", "s", "rank")}
-    for option, value in params.items():
-        if value is not None and option not in _FIXTURE_OPTIONS[args.name]:
-            raise InputError(f"the {args.name} fixture takes no --{option}")
-    if args.name == "twist" and args.lam is None:
-        raise InputError("the twist fixture needs --lam")
     # imported here: no analysis subcommand needs the fixture constructors
     from .fixtures import named_fixture
 
+    params = {option: getattr(args, option) for option in ("lam", "n", "m2", "s", "rank")}
     fixture = named_fixture(args.name, args.m, **params)
     # the loaders refuse a degree beyond the cap, so no file may hold one
     serialize.check_degree(fixture.complex.k_min)
     serialize.check_degree(fixture.complex.k_max)
     complex_text = serialize.dump_complex(fixture.complex)
     loci_text = serialize.dump_loci(fixture.profile)
-    if args.complex_out:
+    if args.complex_out is not None:
         _write(args.complex_out, complex_text)
-    if args.loci_out:
+    if args.loci_out is not None:
         _write(args.loci_out, loci_text)
-    if not args.complex_out and not args.loci_out:
+    if args.complex_out is None and args.loci_out is None:
         sys.stdout.write(complex_text)
         sys.stdout.write(loci_text)
     else:
@@ -175,17 +160,30 @@ def cmd_fixtures(args) -> int:
     return EXIT_PASS
 
 
-def _option(flag, kind=None, default=None, help=None, required=False):
-    """(flag, dest, type, default, help, required): the dest is the flag
+def _option(flag, read=None, default=None, help=None, required=False):
+    """(flag, dest, reader, default, help, required): the dest is the flag
     without its dashes, hyphens as underscores, as argparse derives it; a
-    type of None keeps the string."""
-    return flag, flag[2:].replace("-", "_"), kind, default, help, required
+    reader of None keeps the text."""
+    return flag, flag[2:].replace("-", "_"), read, default, help, required
 
 
-_DEGREES = _option("--degrees", help="degree range a..b")
-# fixture name -> the options besides --m that it reads; it refuses the others
-_FIXTURE_OPTIONS = {"mellin": (), "twist": ("lam",), "tensor": ("m2",), "induce": ("n",),
-                    "sum": ("lam",), "shift": ("s",), "free": ("rank",)}
+def _comma_list(read):
+    """The reader of a comma-separated list such as --lam 2,1/3."""
+    return lambda text: [read(item) for item in text.split(",")]
+
+
+def _degree_range(text: str) -> range:
+    """The --degrees range a..b."""
+    try:
+        lo, hi = serialize.degree_range(text)
+    except ValueError as exc:
+        raise InputError(f"malformed degree range {text!r}, expected a..b") from exc
+    if lo > hi:
+        raise InputError(f"malformed degree range {text!r}, expected a..b with a <= b")
+    return range(lo, hi + 1)
+
+
+_DEGREES = _option("--degrees", _degree_range, help="degree range a..b")
 
 # name -> (handler, help, positional (dest, help, choices), options); every
 # subcommand also takes --json.  Both parsers read only this table.  A
@@ -202,22 +200,22 @@ COMMANDS = {
         ("input", "complex file (with --loci) or loci file", None),
         (
             _option("--loci", help="declared loci for a complex input"),
-            _option("--samples", int, 40),
-            _option("--seed", int, 0),
+            _option("--samples", parse_int, 40),
+            _option("--seed", parse_int, 0),
         ),
     ),
     "codims": ("cmd_codims", "codimension statistics of declared loci", ("loci", None, None), ()),
     "fixtures": (
         "cmd_fixtures",
         "emit a named fixture",
-        ("name", None, list(_FIXTURE_OPTIONS)),
+        ("name", None, ("mellin", "twist", "tensor", "induce", "sum", "shift", "free")),
         (
-            _option("--m", int, 1, "torus rank of the base"),
-            _option("--m2", int, help="torus rank of the second factor (default 1)"),
-            _option("--lam", help="comma-separated twist scalars"),
-            _option("--n", help="comma-separated cover exponents (default 2 in every variable)"),
-            _option("--s", int, help="degree shift (default 1)"),
-            _option("--rank", int, help="free module rank (default 1)"),
+            _option("--m", parse_int, 1, "torus rank of the base"),
+            _option("--m2", parse_int, help="torus rank of the second factor (default 1)"),
+            _option("--lam", _comma_list(parse_rational), help="comma-separated twist scalars"),
+            _option("--n", _comma_list(parse_int), help="comma-separated cover exponents (default 2 in every variable)"),
+            _option("--s", parse_int, help="degree shift (default 1)"),
+            _option("--rank", parse_int, help="free module rank (default 1)"),
             _option("--complex-out", help="write the complex document here"),
             _option("--loci-out", help="write the loci document here"),
         ),
@@ -247,10 +245,8 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON reports")
         p.add_argument(dest, help=dest_help, choices=choices)
-        for flag, option_dest, kind, default, option_help, required in options:
-            p.add_argument(
-                flag, dest=option_dest, type=kind, default=default, help=option_help, required=required
-            )
+        for flag, option_dest, _, default, option_help, required in options:
+            p.add_argument(flag, dest=option_dest, default=default, help=option_help, required=required)
         p.set_defaults(fn=globals()[handler])
     return parser
 
@@ -263,27 +259,27 @@ def parse_well_formed(argv):
     ``--json``, an exact flag of that subcommand followed by a value that
     does not start with "-", ``--flag=value`` with a value other than
     "--", or the one positional argument, which does not start with "-"
-    (and is one of its choices, if it has any); each value converts with
-    the option's type; and every required option is given.  Anything else
-    -- ``-h``, ``--``, an abbreviation, a negative number after a space, a
-    second positional, a failed conversion -- returns None.
+    (and is one of its choices, if it has any); and every required option
+    is given.  Anything else -- ``-h``, ``--``, an abbreviation, a negative
+    number after a space, a second positional -- returns None.  Values stay
+    text, as argparse keeps them: ``main`` reads them.
 
     Soundness, for Python's argparse: the subcommand name is the first
     positional of the top parser, which hands every later token to the
     subparser.  There a token that does not start with "-" is never taken
     for an option, argparse matches an exact option string (also before
     "=") before it tries prefixes, and a store option takes the one token
-    after it.  argparse converts a value with the same callable as the
-    table's type and keeps the last occurrence of an option, as this loop
-    does, and it strips a lone "--" from an option's values, which is why
-    ``--flag=--`` is declined.  Defaults, dests and the handler come from
-    the same table.  So an accepted argv gives the namespace argparse
-    gives, ``command`` and ``fn`` included; the oracle in
-    ``tests/test_cli_parse.py`` checks this against argparse itself."""
+    after it.  argparse stores that token as given and keeps the last
+    occurrence of an option, as this loop does, and it strips a lone "--"
+    from an option's values, which is why ``--flag=--`` is declined.
+    Defaults, dests and the handler come from the same table.  So an
+    accepted argv gives the namespace argparse gives, ``command`` and
+    ``fn`` included; the oracle in ``tests/test_cli_parse.py`` checks this
+    against argparse itself."""
     if not argv or argv[0] not in COMMANDS:
         return None
     handler, _, (dest, _, choices), options = COMMANDS[argv[0]]
-    by_flag = {flag: (option_dest, kind) for flag, option_dest, kind, *_ in options}
+    by_flag = {flag: option_dest for flag, option_dest, *_ in options}
     values = {"command": argv[0], "json": False}
     values.update((option_dest, default) for _, option_dest, _, default, *_ in options)
     given, positionals = set(), []
@@ -304,11 +300,7 @@ def parse_well_formed(argv):
                 return None
         elif value == "--":
             return None
-        option_dest, kind = by_flag[flag]
-        try:
-            values[option_dest] = value if kind is None else kind(value)
-        except ValueError:
-            return None
+        values[by_flag[flag]] = value
         given.add(flag)
     if len(positionals) != 1 or (choices and positionals[0] not in choices):
         return None
@@ -327,11 +319,17 @@ def main(argv=None) -> int:
         # help, usage and every argument error are argparse's own, exit 2 included
         args = build_parser().parse_args(argv)
     try:
-        for flag, option_dest, *_ in COMMANDS[args.command][3]:
+        for flag, option_dest, read, *_ in COMMANDS[args.command][3]:
+            value = getattr(args, option_dest)
             # argparse strips a lone "--" from an option's values, so it
             # reads --flag=-- as [], which no handler takes
-            if isinstance(getattr(args, option_dest), list):
+            if isinstance(value, list):
                 raise InputError(f"option {flag} needs a value other than '--'")
+            if read is not None and isinstance(value, str):  # a default is read already
+                try:
+                    setattr(args, option_dest, read(value))
+                except InputError as exc:
+                    raise InputError(f"option {flag}: {exc}") from exc
         return args.fn(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

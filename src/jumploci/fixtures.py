@@ -48,7 +48,7 @@ from typing import NamedTuple, Sequence
 from .complexes import FreeComplex, Matrix
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
-from .laurent import LaurentPoly, RingContext, format_rational, parse_int, parse_rational
+from .laurent import LaurentPoly, RingContext, format_rational
 from .loci import LociProfile, TorsionPoint
 
 # Largest fixture ring.  The Koszul complex on m variables has 2^m basis
@@ -456,33 +456,34 @@ def shift_fixture(base: Fixture, s: int) -> Fixture:
     return Fixture(f"{base.name}-shift({s})", cx, profile, expected)
 
 
-def _parse_list(text: str, kind) -> list:
-    """A comma-separated fixture parameter such as --lam 2,1/3."""
-    try:
-        return [kind(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"malformed list {text!r}") from exc
+# fixture name -> the options besides m that it reads; named_fixture refuses the others
+_FIXTURE_OPTIONS = {"mellin": (), "twist": ("lam",), "tensor": ("m2",), "induce": ("n",),
+                    "sum": ("lam",), "shift": ("s",), "free": ("rank",)}
 
 
 def named_fixture(name: str, m: int, lam=None, n=None, m2=None, s=None, rank=None) -> Fixture:
-    """The fixture ``jumploci fixtures <name> --m <m>`` writes.  ``lam`` and
-    ``n`` are comma-separated lists as written on the command line; an
-    option left None takes its default, and the command line refuses the
-    options a fixture does not read before this runs."""
+    """The fixture ``jumploci fixtures <name> --m <m>`` writes; ``lam`` is a
+    list of rationals and ``n`` of integers.  An option left None takes its
+    default; one the fixture does not read, and twist without ``lam``, are
+    refused before anything is built."""
+    if name not in _FIXTURE_OPTIONS:
+        raise InputError(f"unknown fixture {name!r}")
+    for option, value in {"lam": lam, "n": n, "m2": m2, "s": s, "rank": rank}.items():
+        if value is not None and option not in _FIXTURE_OPTIONS[name]:
+            raise InputError(f"the {name} fixture takes no --{option}")
+    if name == "twist" and lam is None:
+        raise InputError("the twist fixture needs --lam")
     if name == "free":
         return free_module_fixture(m, 1 if rank is None else rank)
     base = mellin_constant_torus(m)
-    if name == "mellin":
-        return base
     if name == "twist":
-        return twist_fixture(base, _parse_list(lam, parse_rational))
+        return twist_fixture(base, lam)
     if name == "induce":
-        return induce_fixture(base, _parse_list(n, parse_int) if n is not None else [2] * m)
+        return induce_fixture(base, [2] * m if n is None else n)
     if name == "tensor":
         return tensor_fixture(base, mellin_constant_torus(1 if m2 is None else m2, m))
     if name == "sum":
-        lams = _parse_list(lam, parse_rational) if lam is not None else [Fraction(2)] * m
-        return sum_fixture(base, twist_fixture(base, lams))
+        return sum_fixture(base, twist_fixture(base, [Fraction(2)] * m if lam is None else lam))
     if name == "shift":
         return shift_fixture(base, 1 if s is None else s)
-    raise InputError(f"unknown fixture {name!r}")
+    return base

@@ -91,11 +91,11 @@ def test_unread_fixture_option_refusal_message():
         result = run_cli("fixtures", *argv)
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == f"input error: the {argv[0]} fixture takes no --{option}\n"
-    # an empty --lam is a malformed list, not a missing one
+    # an empty --lam is a malformed rational, not a missing list
     for name in ("sum", "twist"):
         result = run_cli("fixtures", name, "--m", "1", "--lam=")
         assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr == "input error: malformed list ''\n"
+        assert result.stderr.startswith("input error: option --lam: malformed rational '': ")
 
 
 def test_validate_malformed_input(tmp_path):
@@ -286,6 +286,20 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
         pytest.param(["sample", "{m2}", "--points=--"], None, id="points-dash-dash"),
         pytest.param(["fixtures", "induce", "--m", "2", "--n=--"], None, id="cover-exponents-dash-dash"),
         pytest.param(["jump-ideals", "{m2}", "--degrees=--"], None, id="degrees-dash-dash"),
+        # argparse read the integer options with Python's int: each of these once exited 0
+        *(pytest.param([*argv, "--complex-out", "{input}"], None, id=f"{argv[-2][2:]}-{label}")
+          for label, value in [("in-arabic-indic-digits", "\u0662"), ("with-underscore", "1_0")]
+          for argv in (["fixtures", "mellin", "--m", value], ["fixtures", "tensor", "--m2", value],
+                       ["fixtures", "shift", "--s", value], ["fixtures", "free", "--rank", value])),
+        *(pytest.param(["perversity", "{input}", option, value], _m2_loci_edited(dict), id=f"{option[2:]}-{label}")
+          for label, value in [("in-arabic-indic-digits", "\u0662"), ("with-underscore", "1_0")]
+          for option in ("--samples", "--seed")),
+        # empty values were once read as absent ones: each of these exited 0
+        pytest.param(["jump-ideals", "{m2}", "--degrees="], None, id="empty-degree-range"),
+        pytest.param(["fixtures", "mellin", "--m", "1", "--loci-out=", "--complex-out={m2}.out"], None,
+                     id="empty-loci-out"),
+        pytest.param(["fixtures", "mellin", "--complex-out="], None, id="empty-complex-out"),
+        pytest.param(["perversity", "{input}", "--loci="], _m2_loci_edited(dict), id="empty-loci-with-a-loci-input"),
     ],
 )
 def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):

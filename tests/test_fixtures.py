@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from jumploci import fixtures
+from jumploci import cli, fixtures
 from jumploci.errors import InputError, ResourceError
 from jumploci.fixtures import (
     MAX_FIXTURE_VARS,
@@ -261,6 +261,19 @@ def test_named_fixture_refuses_an_unknown_name():
     # the command line offers only the names it builds; a library caller may pass any
     with pytest.raises(InputError, match="unknown fixture 'nope'"):
         fixtures.named_fixture("nope", 1)
+
+
+def test_named_fixture_refuses_unread_and_missing_options():
+    # the first once dropped n, the second raised AttributeError
+    with pytest.raises(InputError, match="^the mellin fixture takes no --n$"):
+        fixtures.named_fixture("mellin", 1, n=[3])
+    with pytest.raises(InputError, match="^the twist fixture needs --lam$"):
+        fixtures.named_fixture("twist", 1)
+
+
+def test_command_line_offers_the_names_named_fixture_builds():
+    # cli must not import fixtures, so it keeps the names as its own choices
+    assert cli.COMMANDS["fixtures"][2][2] == tuple(fixtures._FIXTURE_OPTIONS)
 
 
 def test_sum_fixture_union_profile():
