@@ -55,14 +55,14 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -141,11 +141,18 @@ def cmd_fixtures(args) -> int:
     serialize.check_degree(fixture.complex.k_max)
     complex_text = serialize.dump_complex(fixture.complex)
     loci_text = serialize.dump_loci(fixture.profile)
-    if args.complex_out is not None:
-        _write(args.complex_out, complex_text)
-    if args.loci_out is not None:
-        _write(args.loci_out, loci_text)
-    if args.complex_out is None and args.loci_out is None:
+    outputs = [(p, t) for p, t in ((args.complex_out, complex_text), (args.loci_out, loci_text)) if p is not None]
+    for path, _ in outputs:  # before any is written, so that a refused path leaves the others as they were
+        target, made = Path(path), not Path(path).exists()
+        try:  # appends nothing; a file this makes is removed, also behind a dangling link
+            target.open("a").close()
+        except OSError as exc:
+            raise InputError(f"cannot write {path!r}: {exc}") from exc
+        if made:
+            target.resolve().unlink()
+    for path, text in outputs:
+        _write(path, text)
+    if not outputs:
         sys.stdout.write(complex_text)
         sys.stdout.write(loci_text)
     else:

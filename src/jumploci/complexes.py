@@ -156,11 +156,10 @@ class Matrix:
         return Matrix(self.context, self.nrows, other.ncols, sums)
 
     def evaluate(self, point: TorsionPoint) -> list[list[Cyclotomic]]:
-        """Entry-wise values, the radial powers of all entries charged to one cap;
-        zero entries share one evaluation of the zero polynomial."""
-        point.check_radial_powers(e for row in self.entries for e in row)
-        zero = self.context.zero().evaluate(point)
-        return [[e.evaluate(point) if e.terms else zero for e in row] for row in self.entries]
+        """Entry-wise values: ``point.values`` of all entries, cut into rows."""
+        self.context.require(point)  # also where there is no entry to check
+        values = point.values([e for row in self.entries for e in row])
+        return [values[r * self.ncols:(r + 1) * self.ncols] for r in range(self.nrows)]
 
     def __eq__(self, other) -> bool:
         return (

@@ -17,19 +17,17 @@ variables are torus coordinates, the remaining ``2 * abelian_rank`` are
 abelian coordinates).  Mixing values from different contexts raises
 InputError.
 
-Closed points of the character torus are modeled by TorsionPoint, which
-lives in ``loci`` with the other objects of the declared-loci route:
-``laurent.TorsionPoint`` is resolved on first read, and the point
-constructors of RingContext import it when they run, so a job that builds
-no point never compiles it.  The ring maps only fixtures use, monomial
-substitutions and embeddings into a larger ring, live in ``fixtures``.
+Closed points of the character torus are modeled by loci.TorsionPoint, whose
+``values`` evaluates polynomials: ``laurent.TorsionPoint`` is resolved on
+first read, and RingContext's point constructors import it when they run, so
+a job that builds no point never compiles it.  The ring maps only fixtures
+use, monomial substitutions and embeddings into a larger ring, live in ``fixtures``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, ResourceError
@@ -241,24 +239,9 @@ class LaurentPoly:
     # -- semantics ------------------------------------------------------------
 
     def evaluate(self, point: "TorsionPoint") -> Cyclotomic:
-        """Exact value at a torsion point, in Q(zeta_L) for L = lcm of angle
-        denominators.  A Laurent monomial is defined at every point since all
-        radial parts are nonzero.  Each term c*t^k adds c * prod q_i^k_i to
-        the coefficient of zeta_L^(sum k_i*a_i mod L), read off the point's
-        character table (see TorsionPoint.character_table)."""
-        # imported here: a job that evaluates nothing never loads cyclotomic
-        from .cyclotomic import Cyclotomic
-
-        self.context.require(point)
-        point.check_radial_powers([self])  # before any radial power is built
-        L, steps, radials = point.character_table()
-        powers = [0] * L
-        for exp, c in self.terms.items():
-            k = sum(e * a for e, a in zip(exp, steps)) % L
-            if radials is not None:
-                c *= prod(q**e for e, q in zip(exp, radials) if e)
-            powers[k] += c
-        return Cyclotomic(L, powers)
+        """Exact value at a torsion point, by ``TorsionPoint.values``: a Laurent
+        monomial is defined at every point since all radial parts are nonzero."""
+        return point.values([self])[0]
 
     # -- printing -------------------------------------------------------------
 

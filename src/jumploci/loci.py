@@ -26,7 +26,8 @@ Closed points of the character torus are modeled by TorsionPoint: one pair
 (q, theta) per coordinate denoting the complex number q * e^(2*pi*i*theta),
 with q a positive rational and theta a rational in [0, 1).  Negative radial
 parts are folded into theta on construction, so representations are unique
-and equality is exact.
+and equality is exact.  Polynomials and matrices are evaluated at a point,
+and their radial powers capped, by ``TorsionPoint.values`` alone.
 
 A LociProfile assigns to each degree a finite union of translated subtori
 (absent degrees mean the empty locus), with an optional source complex and
@@ -59,9 +60,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .cyclotomic import MAX_CYCLOTOMIC_ORDER, field_rank
+from .cyclotomic import MAX_CYCLOTOMIC_ORDER, Cyclotomic, field_rank
 from .errors import InputError, ResourceError, check_cap
 from .lattices import LinearComponent, LinearUnion
 from .laurent import RingContext, format_rational, parse_int, parse_rational
@@ -78,8 +79,8 @@ MAX_LOCI_COMPONENTS = 256
 # polynomial exponents at MAX_EXPONENT took 2.8 s at 100 and 70 s at 1000.
 MAX_LATTICE_ENTRY = 100
 # Largest sum of |e| times the larger bit length of q's numerator and
-# denominator over the radial powers q^e that evaluating a polynomial or a
-# matrix at one point builds: one power took 42 ms at 10^6 bits, 1.4 s at 10^7.
+# denominator over the radial powers q^e that one TorsionPoint.values call
+# builds: one power took 42 ms at 10^6 bits, 1.4 s at 10^7.
 MAX_RADIAL_POWER_BITS = 2**22
 
 
@@ -226,14 +227,32 @@ class TorsionPoint:
             self._table = (L, steps, radials)
         return self._table
 
-    def check_radial_powers(self, polys: Iterable[LaurentPoly]) -> None:
-        """Refuse, before any is built, the radial powers q^e that evaluating
-        all of ``polys`` here builds when their bits exceed the one cap."""
-        radials = self.character_table()[2]
+    def _character(self, k: Sequence[int]) -> tuple[int, Fraction | int]:
+        """(index, radial) with t^k = radial * zeta_L^index here: (sum k_i*a_i mod L,
+        prod q_i^k_i), exact by ``character_table``; radial is 1 when radials is None."""
+        L, steps, radials = self.character_table()
+        index = sum(e * a for e, a in zip(k, steps)) % L
+        return index, 1 if radials is None else math.prod(q**e for e, q in zip(k, radials) if e)
+
+    def values(self, polys: Sequence[LaurentPoly]) -> list[Cyclotomic]:
+        """The value of each of ``polys`` here, in Q(zeta_L) for L the angle order: a
+        term c*t^k adds c*radial to the coefficient of zeta_L^index, (index, radial)
+        the ``_character`` of k.  The radial powers of all of ``polys`` are charged
+        once to MAX_RADIAL_POWER_BITS before any is built; zeros share one value."""
+        self.context.require(*polys)
+        L, _, radials = self.character_table()
         if radials is not None:
             sizes = [max(q.numerator.bit_length(), q.denominator.bit_length()) for q in radials]
             bits = sum(abs(e) * b for p in polys for exp in p.terms for e, b in zip(exp, sizes))
             check_cap(bits, MAX_RADIAL_POWER_BITS, "radial power bit length")
+        zero, out = Cyclotomic(L, []), []
+        for p in polys:
+            powers = [0] * L
+            for exp, c in p.terms.items():
+                index, radial = self._character(exp)
+                powers[index] += c * radial if radials else c
+            out.append(Cyclotomic(L, powers) if p.terms else zero)
+        return out
 
     def angle_order(self) -> int:
         """Least L with all angles in (1/L)Z; 1 when the point is rational."""
@@ -251,19 +270,11 @@ class TorsionPoint:
 
     def character(self, lattice_vector: Sequence[int]) -> tuple[Fraction, Fraction]:
         """The value of t^k here, k an integer vector, as (angle, radial):
-        radial * e^(2*pi*i*angle) with angle in [0, 1) and radial > 0.  By
-        character_table the angle is (sum k_i*a_i mod L) / L, and the radial
-        part prod q_i^k_i is positive as every q_i is.  A nonzero complex
-        number has one such polar form, so two values are equal exactly when
-        their pairs are, whatever the orders of the points."""
-        L, steps, radials = self.character_table()
-        angle = Fraction(sum(k * a for k, a in zip(lattice_vector, steps)) % L, L)
-        radial = Fraction(1)
-        if radials is not None:
-            for k, q in zip(lattice_vector, radials):
-                if k:
-                    radial *= q**k
-        return angle, radial
+        radial * e^(2*pi*i*angle), angle in [0, 1) and radial > 0, from ``_character``.
+        A nonzero complex number has one polar form, so two values are equal
+        exactly when their pairs are, whatever the orders of the points."""
+        index, radial = self._character(lattice_vector)
+        return Fraction(index, self.character_table()[0]), Fraction(radial)
 
     def __eq__(self, other) -> bool:
         return (

@@ -163,6 +163,16 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
 )
 
 
+# how stderr starts in the cases that refuse an empty or unwritable path:
+# paths were once printed unquoted, so that an empty one read as none
+REFUSAL_STDERR = {
+    "unwritable-output": "input error: cannot write '/nonexistent/x': ",
+    "empty-complex-out": "input error: cannot write '': ",
+    "empty-loci-with-a-loci-input": "input error: --loci is only meaningful with a complex input\n",
+    "empty-loci-with-a-complex-input": "input error: cannot read '': ",
+}
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -300,18 +310,36 @@ REPEATED_TRANSLATE = _m2_loci_repeating(
                      id="empty-loci-out"),
         pytest.param(["fixtures", "mellin", "--complex-out="], None, id="empty-complex-out"),
         pytest.param(["perversity", "{input}", "--loci="], _m2_loci_edited(dict), id="empty-loci-with-a-loci-input"),
+        pytest.param(["perversity", "{m2}", "--loci="], None, id="empty-loci-with-a-complex-input"),
     ],
 )
-def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, argv, text):
+def test_malformed_input_exits_2_without_traceback(m2_files, tmp_path, request, argv, text):
     cx, _ = m2_files
     path = tmp_path / "input"
     if text is not None:
         path.write_text(text)
     result = run_cli(*(a.format(m2=cx, input=path) for a in argv), timeout=30)
     assert result.returncode == 2
-    assert result.stderr.startswith("input error:")
+    assert result.stderr.startswith(REFUSAL_STDERR.get(request.node.callspec.id, "input error:"))
     assert "Traceback" not in result.stderr
     assert path.exists() == (text is not None)  # a refused fixture writes nothing
+
+
+def test_a_refused_output_path_leaves_the_other_as_it_was(tmp_path):
+    # the complex document was once written before the loci path was refused
+    complex_out = tmp_path / "c2.cx"
+    result = run_cli("fixtures", "mellin", "--m", "1", f"--complex-out={complex_out}", "--loci-out=/nonexistent/x")
+    assert result.returncode == 2 and result.stderr.startswith("input error: cannot write '/nonexistent/x'")
+    assert not complex_out.exists()
+    complex_out.write_text("kept\n")
+    result = run_cli("fixtures", "mellin", f"--complex-out={complex_out}", f"--loci-out={tmp_path}")
+    assert result.returncode == 2 and result.stderr.startswith(f"input error: cannot write {str(tmp_path)!r}")
+    assert complex_out.read_text() == "kept\n"
+    # a link to a missing file stays a link to a missing file
+    link = tmp_path / "link.cx"
+    link.symlink_to(tmp_path / "missing.cx")
+    result = run_cli("fixtures", "mellin", f"--complex-out={link}", "--loci-out=/nonexistent/x")
+    assert result.returncode == 2 and link.is_symlink() and not (tmp_path / "missing.cx").exists()
 
 
 @pytest.mark.parametrize(

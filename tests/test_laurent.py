@@ -341,12 +341,14 @@ def test_radial_powers_are_capped_by_bit_length():
 
 
 def test_radial_powers_of_one_evaluation_share_one_cap():
-    # each power alone is at the cap: a polynomial or a matrix holding two
-    # of them is refused before either is built
+    # each power alone is at the cap: a polynomial, a list of polynomials or
+    # a matrix holding two of them is refused before either is built
     ctx = RingContext.torus(1)
     at_cap = ctx.rational_point([Fraction(1, 2 ** (MAX_RADIAL_POWER_BITS - 1))])
     message = f"radial power bit length {2 * MAX_RADIAL_POWER_BITS} exceeds the cap"
     with pytest.raises(ResourceError, match=message):
         parse_poly(ctx, "t1 + t1^-1").evaluate(at_cap)
+    with pytest.raises(ResourceError, match=message):
+        at_cap.values([ctx.parse("t1"), ctx.zero(), ctx.parse("t1^-1")])
     with pytest.raises(ResourceError, match=message):
         Matrix(ctx, 2, 1, [[ctx.parse("t1")], [ctx.parse("t1^-1 + 2")]]).evaluate(at_cap)

@@ -100,10 +100,12 @@ def test_evaluate_matches_the_fraction_path(ctx):
     orders = set()
     for _ in range(60):
         point = _random_point(ctx, rng)
-        for poly in (_random_poly(ctx, rng), _random_poly(ctx, rng), ctx.zero()):
-            value = poly.evaluate(point)
-            assert (value.order, value.coeffs) == _old_evaluate(poly, point), (poly, point)
-            assert all(type(c) is Fraction for c in value.coeffs)
+        polys = [_random_poly(ctx, rng), _random_poly(ctx, rng), ctx.zero()]
+        # one polynomial at a time and all of them at once
+        for values in ([poly.evaluate(point) for poly in polys], point.values(polys)):
+            for poly, value in zip(polys, values, strict=True):
+                assert (value.order, value.coeffs) == _old_evaluate(poly, point), (poly, point)
+                assert all(type(c) is Fraction for c in value.coeffs)
         orders.add(point.angle_order())
     # the draws spread over many angle orders, beyond 97 with mixed ones
     assert len(orders) > 20
