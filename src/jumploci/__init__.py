@@ -14,7 +14,7 @@ and Smith-normal-form lattice arithmetic.
 
 The names in ``__all__`` are resolved lazily: importing the package loads
 none of its modules, and each name is imported from its home module the
-first time it is read.
+first time it is read, by ``lazy_names``, which ``serialize`` and ``laurent`` use too.
 """
 
 from importlib import import_module
@@ -40,10 +40,18 @@ __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    """A public name, imported from its home module on first read and kept
-    (PEP 562), so a job compiles only the modules it uses."""
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
-    return value
+def lazy_names(namespace: dict, homes: dict):
+    """The PEP 562 ``__getattr__`` of the module whose globals are ``namespace``:
+    a name in ``homes`` (name -> home module in this package) is imported on
+    first read and kept, so a job compiles only the modules it uses."""
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f".{homes[name]}", __name__), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = lazy_names(globals(), _HOME)

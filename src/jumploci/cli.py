@@ -242,12 +242,15 @@ def build_parser():
     # imported here: a well-formed call never builds the parser
     import argparse
 
+    # the usage is spelled out because 3.13's argparse wraps the default one
+    # differently; the subparsers would otherwise take their prog from it
     parser = argparse.ArgumentParser(
         prog="jumploci",
+        usage="%(prog)s [-h]\n{0}{{{1}}}\n{0}...".format(" " * 16, ",".join(COMMANDS)),
         description="Exact perversity certification for free complexes over "
         "Laurent polynomial rings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, prog="jumploci")
     for name, (handler, help_text, (dest, dest_help, choices), options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON reports")
@@ -277,8 +280,8 @@ def parse_well_formed(argv):
     for an option, argparse matches an exact option string (also before
     "=") before it tries prefixes, and a store option takes the one token
     after it.  argparse stores that token as given and keeps the last
-    occurrence of an option, as this loop does, and it strips a lone "--"
-    from an option's values, which is why ``--flag=--`` is declined.
+    occurrence of an option, as this loop does.  Up to 3.12 it strips a lone
+    "--" from an option's values, which is why ``--flag=--`` is declined.
     Defaults, dests and the handler come from the same table.  So an
     accepted argv gives the namespace argparse gives, ``command`` and
     ``fn`` included; the oracle in ``tests/test_cli_parse.py`` checks this
@@ -328,9 +331,9 @@ def main(argv=None) -> int:
     try:
         for flag, option_dest, read, *_ in COMMANDS[args.command][3]:
             value = getattr(args, option_dest)
-            # argparse strips a lone "--" from an option's values, so it
-            # reads --flag=-- as [], which no handler takes
-            if isinstance(value, list):
+            # argparse reads --flag=-- as [] up to 3.12 and as the text "--"
+            # from 3.13 on, and no handler takes either
+            if isinstance(value, list) or value == "--":
                 raise InputError(f"option {flag} needs a value other than '--'")
             if read is not None and isinstance(value, str):  # a default is read already
                 try:

@@ -19,9 +19,10 @@ InputError.
 
 Closed points of the character torus are modeled by loci.TorsionPoint, whose
 ``values`` evaluates polynomials: ``laurent.TorsionPoint`` is resolved on
-first read, and RingContext's point constructors import it when they run, so
-a job that builds no point never compiles it.  The ring maps only fixtures
-use, monomial substitutions and embeddings into a larger ring, live in ``fixtures``.
+first read by the package's ``lazy_names``, and RingContext's point
+constructors import it when they run, so a job that builds no point never
+compiles it.  The ring maps only fixtures use, monomial substitutions and
+embeddings into a larger ring, live in ``fixtures``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import lazy_names
 from .errors import InputError, ResourceError
 
 Exponent = tuple[int, ...]
@@ -42,14 +44,7 @@ Exponent = tuple[int, ...]
 MAX_EXPONENT = 10**4
 
 
-def __getattr__(name: str):
-    """``TorsionPoint``, imported from ``loci`` on first read and kept (PEP 562)."""
-    if name != "TorsionPoint":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .loci import TorsionPoint
-
-    globals()[name] = TorsionPoint
-    return TorsionPoint
+__getattr__ = lazy_names(globals(), {"TorsionPoint": "loci"})
 
 
 class RingContext:

@@ -28,7 +28,8 @@ verdicts always carry their seed.  ``perversity_verdict`` builds the
 
 The loci format (its name, caps, reader and writer), the points reader and
 the ``codims`` and ``sample`` documents live in ``loci``, which only loci
-and point jobs load; ``_LOCI_NAMES`` are resolved here on first read.
+and point jobs load; ``_LOCI_NAMES`` are resolved here on first read, by
+the package's ``lazy_names``.
 Every subcommand imports this module, so it loads at its top only the ring
 and the errors: the complex loader imports ``complexes``, and
 ``perversity_verdict`` the verdict engine and ``sampling``, when they run.
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
+from . import lazy_names
 from .errors import InputError, ResourceError
 from .laurent import RingContext, format_poly, parse_int
 
@@ -49,18 +51,7 @@ MAX_DEGREE = 1000
 
 
 _LOCI_NAMES = ("codims_report", "dump_loci", "load_loci", "parse_points_file", "sample_report")
-
-
-def __getattr__(name: str):
-    """A name of the loci and points formats, imported from ``loci`` on
-    first read and kept (PEP 562), so a job that reads neither never
-    compiles them."""
-    if name not in _LOCI_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import loci
-
-    value = globals()[name] = getattr(loci, name)
-    return value
+__getattr__ = lazy_names(globals(), dict.fromkeys(_LOCI_NAMES, "loci"))
 
 
 def check_degree(degree: int) -> int:

@@ -292,7 +292,7 @@ REFUSAL_STDERR = {
         pytest.param(["jump-ideals", "{m2}", "--degrees=0..-3"], None, id="reversed-degree-range-jump-ideals"),
         pytest.param(["sample", "{m2}", "--points", "{input}", "--degrees=0..-3"], '[[["1", "1/3"], ["2", "1/4"]]]',
                      id="reversed-degree-range-sample"),
-        # argparse reads --flag=-- as []: these once exited 4, 4 and 0
+        # argparse reads --flag=-- as [] up to 3.12: these once exited 4, 4 and 0
         pytest.param(["sample", "{m2}", "--points=--"], None, id="points-dash-dash"),
         pytest.param(["fixtures", "induce", "--m", "2", "--n=--"], None, id="cover-exponents-dash-dash"),
         pytest.param(["jump-ideals", "{m2}", "--degrees=--"], None, id="degrees-dash-dash"),
